@@ -68,12 +68,14 @@ def _add_module_flags(sub):
 def _cmd_bracket(args) -> int:
     t1, t2 = parse_expr(args.e1), parse_expr(args.e2)
     m, n = _shape(args, [t1, t2])
-    try:
-        u, v = as_witt(t1, m, n), as_witt(t2, m, n)
-        out = witt_bracket(u, v, mode=args.mode)
-    except ValueError:
+    # a term with a dressing segment ('a . derivation') selects the dressed
+    # route; anything else must parse as a plain derivation
+    if any(len(segs) > 1 for _, segs, _ in t1 + t2):
         u, v = as_dressed(t1, m, n), as_dressed(t2, m, n)
         out = dressed_bracket(u, v, mode=args.mode)
+    else:
+        u, v = as_witt(t1, m, n), as_witt(t2, m, n)
+        out = witt_bracket(u, v, mode=args.mode)
     print(print_expr(out))
     return 0
 

@@ -21,30 +21,25 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .superpoly import (ONE, ZERO, mono_mul, mono_parity, mono_partial_t,
-                        mono_partial_xi, mono_sort_key, mono_tdeg, popcount)
+from .superpoly import (ONE, LinComb, accumulate, mono_mul, mono_parity,
+                        mono_partial_t, mono_partial_xi, mono_sort_key,
+                        mono_tdeg, popcount)
 from .witt import (WittElement, _bracket_basis, term_parity, term_sort_key,
                    TSLOT, XSLOT)
 from .words import OperatorWord, make_watom
 
 
-class DressedWittElement:
+def dressed_parity(key) -> int:
+    amono, (wmono, slot) = key
+    return (mono_parity(amono) + term_parity(wmono, slot)) & 1
+
+
+class DressedWittElement(LinComb):
     """Linear combination of dressed terms ((amono), (wmono, slot))."""
 
-    __slots__ = ("m", "n", "terms")
+    __slots__ = ()
 
-    def __init__(self, m, n, terms=None):
-        self.m = m
-        self.n = n
-        self.terms = {}
-        if terms:
-            for key, c in terms.items() if isinstance(terms, dict) else terms:
-                if c:
-                    c0 = self.terms.get(key, ZERO) + c
-                    if c0:
-                        self.terms[key] = c0
-                    else:
-                        self.terms.pop(key, None)
+    key_parity = staticmethod(dressed_parity)
 
     @classmethod
     def from_witt(cls, x: WittElement):
@@ -62,69 +57,6 @@ class DressedWittElement:
                        ((tuple(wmono[0]), wmono[1]), slot))] = Fraction(coeff)
         return out
 
-    def _check(self, other):
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("shape mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            c0 = terms.get(key, ZERO) + c
-            if c0:
-                terms[key] = c0
-            else:
-                del terms[key]
-        out = DressedWittElement(self.m, self.n)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = DressedWittElement(self.m, self.n)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        out = DressedWittElement(self.m, self.n)
-        if scalar:
-            out.terms = {k: c * scalar for k, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, DressedWittElement) and self.m == other.m
-                and self.n == other.n and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "DressedWittElement(0)"
-        bits = []
-        for key in sorted(self.terms, key=dressed_sort_key):
-            bits.append("%s*%r.%r" % (self.terms[key], key[0], key[1]))
-        return "DressedWittElement(%s)" % " + ".join(bits)
-
-    def parity(self):
-        if not self.terms:
-            return 0
-        seen = {dressed_parity(k) for k in self.terms}
-        return seen.pop() if len(seen) == 1 else None
-
-    def homogeneous_parts(self):
-        ev = DressedWittElement(self.m, self.n)
-        od = DressedWittElement(self.m, self.n)
-        for key, c in self.terms.items():
-            (od if dressed_parity(key) else ev).terms[key] = c
-        return ev, od
-
     def to_word(self) -> OperatorWord:
         """Multiplication atoms for the dressing, then the derivation."""
         out = OperatorWord(self.m, self.n)
@@ -136,18 +68,8 @@ class DressedWittElement:
                 if imask & (1 << (j - 1)):
                     atoms.append(("mx", j))
             atoms.append(make_watom(wmono[0], wmono[1], slot))
-            word = tuple(atoms)
-            c0 = out.terms.get(word, ZERO) + c
-            if c0:
-                out.terms[word] = c0
-            else:
-                out.terms.pop(word, None)
+            accumulate(out.terms, tuple(atoms), c)
         return out
-
-
-def dressed_parity(key) -> int:
-    amono, (wmono, slot) = key
-    return (mono_parity(amono) + term_parity(wmono, slot)) & 1
 
 
 def dressed_sort_key(key):
@@ -177,14 +99,6 @@ def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
     if mode not in ("corrected", "verbatim"):
         raise ValueError("unknown bracket mode %r" % (mode,))
     acc = {}
-
-    def put(key, c):
-        c0 = acc.get(key, ZERO) + c
-        if c0:
-            acc[key] = c0
-        else:
-            acc.pop(key, None)
-
     for (a, xkey), cu in u.terms.items():
         xmono, xslot = xkey
         px = term_parity(xmono, xslot)
@@ -200,7 +114,7 @@ def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
                 mono, c1 = hit
                 prod = mono_mul(a, mono)
                 if prod:
-                    put((prod[0], ykey), c0 * c1 * prod[1])
+                    accumulate(acc, (prod[0], ykey), c0 * c1 * prod[1])
             # -(-1)^{|a.x||b.y|} b y(a) . x
             hit = _act_term_on_mono(ymono, yslot, a)
             if hit:
@@ -208,7 +122,8 @@ def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
                 prod = mono_mul(b, mono)
                 if prod:
                     sign = -1 if (pa + px) * (pb + py) & 1 else 1
-                    put((prod[0], xkey), -sign * c0 * c1 * prod[1])
+                    accumulate(acc, (prod[0], xkey),
+                               -sign * c0 * c1 * prod[1])
             # (-1)^{|x||b|} ab . [x,y]
             prod = mono_mul(a, b)
             if prod:
@@ -216,10 +131,8 @@ def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
                 cab = c0 * prod[1] * sign
                 for key, c2 in _bracket_basis(u.m, xmono, xslot, ymono,
                                               yslot, corrected):
-                    put((prod[0], key), cab * c2)
-    out = DressedWittElement(u.m, u.n)
-    out.terms = acc
-    return out
+                    accumulate(acc, (prod[0], key), cab * c2)
+    return u._like(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +197,7 @@ def commutant_element(m, n, alpha, imask, slot,
             sign_exp = sum(beta) + popcount(jmask) + tau
             c = Fraction(cbin) * (-1 if sign_exp & 1 else 1)
             key = ((beta, jmask), ((rest_alpha, kmask), slot))
-            c0 = out.terms.get(key, ZERO) + c
-            if c0:
-                out.terms[key] = c0
-            else:
-                out.terms.pop(key, None)
+            accumulate(out.terms, key, c)
     return out
 
 

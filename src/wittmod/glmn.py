@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import mat_mul, mat_vec
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -31,115 +33,11 @@ def mat_sub(a, b):
 def mat_scale(a, f):
     return tuple(tuple(f * x for x in r) for r in a)
 
-def mat_mul(a, b):
-    d = len(b)
-    cols = len(b[0]) if d else 0
-    out = [[ZERO] * cols for _ in range(len(a))]
-    for i, ra in enumerate(a):
-        oi = out[i]
-        for k, f in enumerate(ra):
-            if f:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += f * bk[j]
-    return tuple(tuple(r) for r in out)
 
-def mat_vec(a, v):
-    return tuple(sum((f * x for f, x in zip(r, v) if f and x), ZERO) for r in a)
-
-
-class SuperMatrix:
-    """(m+n) x (m+n) matrix with the block grading attached."""
-
-    __slots__ = ("m", "n", "rows")
-
-    def __init__(self, m, n, rows):
-        d = m + n
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ValueError("expected a %dx%d matrix" % (d, d))
-        self.m = m
-        self.n = n
-        self.rows = rows
-
-    @classmethod
-    def elementary(cls, m, n, i, j):
-        d = m + n
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise ValueError("index out of range")
-        rows = [[ONE if (r, c) == (i - 1, j - 1) else ZERO for c in range(d)]
-                for r in range(d)]
-        return cls(m, n, rows)
-
-    def entry_parity(self, r, c):
-        return ((r >= self.m) + (c >= self.m)) & 1
-
-    def parity(self):
-        seen = {self.entry_parity(r, c)
-                for r in range(self.m + self.n)
-                for c in range(self.m + self.n) if self.rows[r][c]}
-        if not seen:
-            return 0
-        return seen.pop() if len(seen) == 1 else None
-
-    def homogeneous_parts(self):
-        d = self.m + self.n
-        ev = [[ZERO] * d for _ in range(d)]
-        od = [[ZERO] * d for _ in range(d)]
-        for r in range(d):
-            for c in range(d):
-                x = self.rows[r][c]
-                if x:
-                    (od if self.entry_parity(r, c) else ev)[r][c] = x
-        return SuperMatrix(self.m, self.n, ev), SuperMatrix(self.m, self.n, od)
-
-    def __add__(self, other):
-        self._check(other)
-        return SuperMatrix(self.m, self.n, mat_add(self.rows, other.rows))
-
-    def __sub__(self, other):
-        self._check(other)
-        return SuperMatrix(self.m, self.n, mat_sub(self.rows, other.rows))
-
-    def __neg__(self):
-        return SuperMatrix(self.m, self.n, mat_scale(self.rows, -ONE))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SuperMatrix(self.m, self.n, mat_scale(self.rows, other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("block shape mismatch")
-
-    def __eq__(self, other):
-        return (isinstance(other, SuperMatrix) and self.m == other.m
-                and self.n == other.n and self.rows == other.rows)
-
-    def __repr__(self):
-        return "SuperMatrix(%d,%d,%r)" % (self.m, self.n, self.rows)
-
-
-def gl_bracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
-    """Matrix supercommutator, bilinear over homogeneous parts."""
-    x._check(y)
-    d = x.m + x.n
-    acc = zero_matrix(d)
-    for xp, xh in enumerate(x.homogeneous_parts()):
-        if not any(any(r) for r in xh.rows):
-            continue
-        for yp, yh in enumerate(y.homogeneous_parts()):
-            if not any(any(r) for r in yh.rows):
-                continue
-            sign = -ONE if xp * yp & 1 else ONE
-            acc = mat_add(acc, mat_sub(mat_mul(xh.rows, yh.rows),
-                                       mat_scale(mat_mul(yh.rows, xh.rows),
-                                                 sign)))
-    return SuperMatrix(x.m, x.n, acc)
+def supercommutator(a, b, pa, pb):
+    """[a, b] = ab - (-1)^{pa pb} ba for matrices of parities pa and pb."""
+    sign = -ONE if pa * pb & 1 else ONE
+    return mat_sub(mat_mul(a, b), mat_scale(mat_mul(b, a), sign))
 
 
 def basis_parity(m, i, j):
@@ -172,7 +70,7 @@ class Rep:
                 raise ValueError("matrix for E%r is not %dx%d" % (k, dim, dim))
 
     def act(self, ij, vec):
-        return mat_vec(self.mats[ij], vec)
+        return tuple(mat_vec(self.mats[ij], vec))
 
     def has_weight_basis(self):
         """All Cartan matrices E(i,i) diagonal on this basis."""
@@ -233,7 +131,7 @@ def verify_rep(rep: Rep) -> RepCheck:
             p2 = basis_parity(rep.m, k, l)
             b = rep.mats[(k, l)]
             sign = -ONE if p1 * p2 & 1 else ONE
-            lhs = mat_sub(mat_mul(a, b), mat_scale(mat_mul(b, a), sign))
+            lhs = supercommutator(a, b, p1, p2)
             rhs = zero
             if j == k:
                 rhs = mat_add(rhs, rep.mats[(i, l)])

@@ -129,9 +129,21 @@ def mono_sort_key(p: Mono):
     return (mono_tdeg(p), p[0], popcount(p[1]), p[1])
 
 
-class SuperPoly:
-    """Element of Q[t] (x) Lambda(xi), exact and sparse.
+def accumulate(acc: dict, key, c) -> None:
+    """Add c to acc[key], dropping the key when the sum vanishes."""
+    c0 = acc.get(key, ZERO) + c
+    if c0:
+        acc[key] = c0
+    else:
+        acc.pop(key, None)
 
+
+class LinComb:
+    """Sparse exact linear combination: dict basis key -> nonzero Fraction.
+
+    The shared core of every element type.  Subclasses fix what a key
+    means and add their own validating constructors; a Z/2-graded type
+    sets key_parity to a function giving the parity of one key.
     Instances are treated as immutable; all operations build new ones.
     """
 
@@ -142,13 +154,82 @@ class SuperPoly:
         self.n = n
         self.terms = {}
         if terms:
-            for mono, c in terms.items() if isinstance(terms, dict) else terms:
-                if c:
-                    c0 = self.terms.get(mono, ZERO) + c
-                    if c0:
-                        self.terms[mono] = c0
-                    else:
-                        self.terms.pop(mono, None)
+            for key, c in terms.items() if isinstance(terms, dict) else terms:
+                accumulate(self.terms, key, c)
+
+    def _like(self, terms):
+        """Same type and shape around an already reduced terms dict."""
+        out = object.__new__(self.__class__)
+        out.m = self.m
+        out.n = self.n
+        out.terms = terms
+        return out
+
+    def _check(self, other):
+        if self.m != other.m or self.n != other.n:
+            raise ValueError("shape mismatch: (%d,%d) vs (%d,%d)"
+                             % (self.m, self.n, other.m, other.n))
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        # accumulate() inlined: a call per term here costs measurable time
+        for key, c in other.terms.items():
+            c0 = terms.get(key, ZERO) + c
+            if c0:
+                terms[key] = c0
+            else:
+                del terms[key]
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
+            return self._like({})
+        return self._like({k: c * scalar for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (isinstance(other, self.__class__) and self.m == other.m
+                and self.n == other.n and self.terms == other.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return "%s(%r)" % (self.__class__.__name__, self.terms)
+
+    def parity(self):
+        """0 (even), 1 (odd) or None for mixed elements; zero is even."""
+        if not self.terms:
+            return 0
+        key_parity = self.key_parity
+        seen = {key_parity(key) for key in self.terms}
+        return seen.pop() if len(seen) == 1 else None
+
+    def homogeneous_parts(self):
+        """Split into (even, odd)."""
+        ev, od = {}, {}
+        key_parity = self.key_parity
+        for key, c in self.terms.items():
+            (od if key_parity(key) else ev)[key] = c
+        return self._like(ev), self._like(od)
+
+
+class SuperPoly(LinComb):
+    """Element of Q[t] (x) Lambda(xi), exact and sparse."""
+
+    __slots__ = ()
+
+    key_parity = staticmethod(mono_parity)
 
     # -- constructors ------------------------------------------------------
 
@@ -188,49 +269,22 @@ class SuperPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check(self, other):
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("shape mismatch: (%d,%d) vs (%d,%d)"
-                             % (self.m, self.n, other.m, other.n))
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SuperPoly.monomial(self.m, self.n, (0,) * self.m, (), other)
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            c0 = terms.get(mono, ZERO) + c
-            if c0:
-                terms[mono] = c0
-            else:
-                del terms[mono]
-        out = SuperPoly(self.m, self.n)
-        out.terms = terms
-        return out
+        return LinComb.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        out = SuperPoly(self.m, self.n)
-        out.terms = {mono: -c for mono, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SuperPoly.monomial(self.m, self.n, (0,) * self.m, (), other)
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            out = SuperPoly(self.m, self.n)
-            if other:
-                out.terms = {mono: c * other for mono, c in self.terms.items()}
-            return out
+            return LinComb.__mul__(self, other)
         self._check(other)
         acc = {}
+        # accumulate() inlined, as in LinComb.__add__
         for p, cp in self.terms.items():
             for q, cq in other.terms.items():
                 hit = mono_mul(p, q)
@@ -242,29 +296,7 @@ class SuperPoly:
                     acc[mono] = c0
                 else:
                     del acc[mono]
-        out = SuperPoly(self.m, self.n)
-        out.terms = acc
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (isinstance(other, SuperPoly) and self.m == other.m
-                and self.n == other.n and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "SuperPoly(0)"
-        bits = []
-        for mono in sorted(self.terms, key=mono_sort_key):
-            bits.append("%s*%s" % (self.terms[mono], mono))
-        return "SuperPoly(%s)" % " + ".join(bits)
+        return self._like(acc)
 
     # -- calculus ----------------------------------------------------------
 
@@ -290,21 +322,6 @@ class SuperPoly:
 
     # -- grading -----------------------------------------------------------
 
-    def parity(self):
-        """0 (even), 1 (odd) or None for mixed/zero-ambiguous elements."""
-        if not self.terms:
-            return 0
-        seen = {mono_parity(mono) for mono in self.terms}
-        return seen.pop() if len(seen) == 1 else None
-
-    def homogeneous_parts(self):
-        """Split into (even, odd)."""
-        ev = SuperPoly(self.m, self.n)
-        od = SuperPoly(self.m, self.n)
-        for mono, c in self.terms.items():
-            (od if mono_parity(mono) else ev).terms[mono] = c
-        return ev, od
-
     def tdegree(self):
         """Max total t-degree, or -1 for the zero element."""
         return max((mono_tdeg(mono) for mono in self.terms), default=-1)
@@ -315,14 +332,6 @@ class SuperPoly:
     def in_augmentation_ideal(self) -> bool:
         """True when the constant term vanishes."""
         return not self.constant_term()
-
-
-def parity_of(p: SuperPoly) -> str:
-    """'even' / 'odd' / 'mixed' under the xi-count grading mod 2."""
-    par = p.parity()
-    if par is None:
-        return "mixed"
-    return "odd" if par else "even"
 
 
 def enumerate_alphas(m: int, max_deg: int):

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 from . import linalg
 from .glmn import Rep
-from .superpoly import (ONE, ZERO, SuperPoly, enumerate_alphas,
-                        enumerate_monomials, mono_mul, mono_parity,
-                        mono_partial_t, mono_partial_xi, mono_sort_key,
-                        mono_tdeg, popcount)
+from .superpoly import (ONE, ZERO, LinComb, SuperPoly, accumulate,
+                        enumerate_alphas, enumerate_monomials, mono_mul,
+                        mono_parity, mono_partial_t, mono_partial_xi,
+                        mono_sort_key, mono_tdeg, popcount)
 from .witt import TSLOT, XSLOT, WittElement
 from .words import OperatorWord
 
@@ -68,24 +68,14 @@ class ModuleSpec:
             self.m, self.n, self.a, self.rep)
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """Sparse element: dict ((alpha, imask), vindex) -> Fraction."""
 
-    __slots__ = ("m", "n", "dim", "terms")
+    __slots__ = ("dim",)
 
     def __init__(self, m, n, dim, terms=None):
-        self.m = m
-        self.n = n
         self.dim = dim
-        self.terms = {}
-        if terms:
-            for key, c in terms.items() if isinstance(terms, dict) else terms:
-                if c:
-                    c0 = self.terms.get(key, ZERO) + c
-                    if c0:
-                        self.terms[key] = c0
-                    else:
-                        self.terms.pop(key, None)
+        super().__init__(m, n, terms)
 
     @classmethod
     def zero(cls, spec):
@@ -106,56 +96,19 @@ class TensorElement:
         """1 (x) e_vindex."""
         return cls.pure(spec, ((0,) * spec.m, 0), vindex, coeff)
 
+    def _like(self, terms):
+        out = LinComb._like(self, terms)
+        out.dim = self.dim
+        return out
+
     def _check(self, other):
-        if (self.m, self.n, self.dim) != (other.m, other.n, other.dim):
-            raise ValueError("shape mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            c0 = terms.get(key, ZERO) + c
-            if c0:
-                terms[key] = c0
-            else:
-                del terms[key]
-        out = TensorElement(self.m, self.n, self.dim)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = TensorElement(self.m, self.n, self.dim)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        out = TensorElement(self.m, self.n, self.dim)
-        if scalar:
-            out.terms = {k: c * scalar for k, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
+        LinComb._check(self, other)
+        if self.dim != other.dim:
+            raise ValueError("shape mismatch: dim %d vs %d"
+                             % (self.dim, other.dim))
 
     def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and (self.m, self.n, self.dim) == (other.m, other.n, other.dim)
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElement(0)"
-        bits = ["%s*%r(x)e%d" % (c, key[0], key[1] + 1)
-                for key, c in sorted(self.terms.items(),
-                                     key=lambda kv: tensor_key_sort(kv[0]))]
-        return "TensorElement(%s)" % " + ".join(bits)
+        return LinComb.__eq__(self, other) and self.dim == other.dim
 
     def tdegree(self):
         return max((mono_tdeg(mono) for mono, _ in self.terms), default=-1)
@@ -176,12 +129,7 @@ def act_mono(spec, amono, x: TensorElement) -> TensorElement:
     for (mono, l), c in x.terms.items():
         prod = mono_mul(amono, mono)
         if prod:
-            key = (prod[0], l)
-            c0 = out.terms.get(key, ZERO) + c * prod[1]
-            if c0:
-                out.terms[key] = c0
-            else:
-                del out.terms[key]
+            accumulate(out.terms, (prod[0], l), c * prod[1])
     return out
 
 
@@ -196,15 +144,6 @@ def act_term(spec, alpha, imask, slot, x: TensorElement,
     m = spec.m
     kind, idx = slot
     out = {}
-
-    def put(mono, l, c):
-        key = (mono, l)
-        c0 = out.get(key, ZERO) + c
-        if c0:
-            out[key] = c0
-        else:
-            del out[key]
-
     gmono = (alpha, imask)
     pI = popcount(imask)
     s3 = -1 if (pI - 1) & 1 else 1  # (-1)^{|I|-1}
@@ -218,18 +157,18 @@ def act_term(spec, alpha, imask, slot, x: TensorElement,
             if hit:
                 prod = mono_mul(gmono, hit[0])
                 if prod:
-                    put(prod[0], l, c * hit[1] * prod[1])
+                    accumulate(out, (prod[0], l), c * hit[1] * prod[1])
             ai = spec.a[idx - 1]
             if ai:
                 prod = mono_mul(gmono, p)
                 if prod:
-                    put(prod[0], l, c * ai * prod[1])
+                    accumulate(out, (prod[0], l), c * ai * prod[1])
         else:
             hit = mono_partial_xi(p, idx)
             if hit:
                 prod = mono_mul(gmono, hit[0])
                 if prod:
-                    put(prod[0], l, c * hit[1] * prod[1])
+                    accumulate(out, (prod[0], l), c * hit[1] * prod[1])
         # 2. even matrix units weighted by the exponents, moved past p:
         #    the unit E_{k, col} has parity gam, hence (-1)^{gam |p|}
         s2 = -1 if (gam & pp) else 1
@@ -247,7 +186,7 @@ def act_term(spec, alpha, imask, slot, x: TensorElement,
             for r in range(spec.dim):
                 f = mat[r][l]
                 if f:
-                    put(prod[0], r, base * f)
+                    accumulate(out, (prod[0], r), base * f)
         # 3. odd matrix units from odd derivatives of the monomial;
         #    E_{m+k, col} has parity 1+gam, hence (-1)^{(1+gam)|p|}
         if imask:
@@ -264,7 +203,7 @@ def act_term(spec, alpha, imask, slot, x: TensorElement,
                 for r in range(spec.dim):
                     f = mat[r][l]
                     if f:
-                        put(prod[0], r, base * f)
+                        accumulate(out, (prod[0], r), base * f)
     res = TensorElement.zero(spec)
     res.terms = out
     return res
@@ -296,12 +235,7 @@ def act_atom(spec, atom, x: TensorElement) -> TensorElement:
         for (p, l), c in x.terms.items():
             hit = mono_partial_t(p, i)
             if hit:
-                key = (hit[0], l)
-                c0 = out.terms.get(key, ZERO) + c * hit[1]
-                if c0:
-                    out.terms[key] = c0
-                else:
-                    del out.terms[key]
+                accumulate(out.terms, (hit[0], l), c * hit[1])
         if ai:
             out = out + ai * x
         return out
@@ -311,12 +245,7 @@ def act_atom(spec, atom, x: TensorElement) -> TensorElement:
         for (p, l), c in x.terms.items():
             hit = mono_partial_xi(p, j)
             if hit:
-                key = (hit[0], l)
-                c0 = out.terms.get(key, ZERO) + c * hit[1]
-                if c0:
-                    out.terms[key] = c0
-                else:
-                    del out.terms[key]
+                accumulate(out.terms, (hit[0], l), c * hit[1])
         return out
     if kind == "w":
         return act_term(spec, atom[1], atom[2], (atom[3], atom[4]), x)
@@ -344,41 +273,7 @@ def lower_t(spec, i, x: TensorElement) -> TensorElement:
     for (p, l), c in x.terms.items():
         hit = mono_partial_t(p, i)
         if hit:
-            out.terms[(hit[0], l)] = out.terms.get((hit[0], l), ZERO) + c * hit[1]
-    out.terms = {k: c for k, c in out.terms.items() if c}
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the twist on multiply/derive words
-
-def twist_word(spec, w: OperatorWord) -> OperatorWord:
-    """Replace every d/dt_i atom by d/dt_i + a_i, expanding the word into
-    the resulting combination.  Defined on multiply/derive atoms only."""
-    out = OperatorWord(spec.m, spec.n)
-    for word, c in w.terms.items():
-        branches = [((), c)]
-        for atom in word:
-            kind = atom[0]
-            if kind == "w":
-                raise ValueError("the twist is defined on multiply/derive "
-                                 "atoms only")
-            if kind == "dt":
-                ai = spec.a[atom[1] - 1]
-                nxt = []
-                for prefix, cc in branches:
-                    nxt.append((prefix + (atom,), cc))
-                    if ai:
-                        nxt.append((prefix, cc * ai))
-                branches = nxt
-            else:
-                branches = [(prefix + (atom,), cc) for prefix, cc in branches]
-        for word2, cc in branches:
-            c0 = out.terms.get(word2, ZERO) + cc
-            if c0:
-                out.terms[word2] = c0
-            else:
-                out.terms.pop(word2, None)
+            accumulate(out.terms, (hit[0], l), c * hit[1])
     return out
 
 
@@ -406,11 +301,6 @@ def act_word_poly(w: OperatorWord, p: SuperPoly) -> SuperPoly:
                 break
         out = out + c * q
     return out
-
-
-def twisted_act(spec, w: OperatorWord, p: SuperPoly) -> SuperPoly:
-    """The twisted algebra action: twist the word, then act."""
-    return act_word_poly(twist_word(spec, w), p)
 
 
 # ---------------------------------------------------------------------------
@@ -689,29 +579,6 @@ def weight_act(spec, w: WittElement, coset: WeightCoset) -> WeightCoset:
 
 
 # ---------------------------------------------------------------------------
-
-def ann_space(spec, ops, max_deg, max_target=200000):
-    """Joint kernel of operator words on the degree window.
-
-    Output supports are computed exactly; max_target caps the number of
-    output coordinates so runaway degree growth fails loudly."""
-    keys = window_keys(spec, max_deg)
-
-    def make_op(word):
-        return lambda x: act_word(spec, word, x)
-
-    # probe output sizes first
-    total = 0
-    for op_word in ops:
-        for key in keys:
-            img = act_word(spec, op_word,
-                           TensorElement.pure(spec, key[0], key[1]))
-            total += len(img.terms)
-            if total > max_target:
-                raise RuntimeError("annihilator solve exceeds the output "
-                                   "budget (%d coordinates)" % max_target)
-    return _kernel_of_ops(spec, [make_op(w) for w in ops], keys)
-
 
 class TensorSpan:
     """Exact echelonized span of tensor elements, incremental."""

@@ -138,10 +138,6 @@ def _pure(spec, key):
     return TensorElement.pure(spec, key[0], key[1])
 
 
-def _random_witt_key(rng, keys):
-    return keys[rng.randrange(len(keys))]
-
-
 def _random_coeff(rng):
     num = rng.choice([-3, -2, -1, 1, 2, 3, 5])
     den = rng.choice([1, 1, 2, 3])

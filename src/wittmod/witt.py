@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from .superpoly import (
     ONE,
-    ZERO,
+    LinComb,
     SuperPoly,
-    mask_indices,
+    accumulate,
+    merge_sign_masks,
     mono_parity,
     mono_sort_key,
     mono_tdeg,
@@ -47,23 +48,14 @@ def term_sort_key(key):
     return mono_sort_key(mono) + (slot_parity(slot), slot[1])
 
 
-class WittElement:
+class WittElement(LinComb):
     """Exact linear combination of basis superderivations."""
 
-    __slots__ = ("m", "n", "terms")
+    __slots__ = ()
 
-    def __init__(self, m: int, n: int, terms=None):
-        self.m = m
-        self.n = n
-        self.terms = {}
-        if terms:
-            for key, c in terms.items() if isinstance(terms, dict) else terms:
-                if c:
-                    c0 = self.terms.get(key, ZERO) + c
-                    if c0:
-                        self.terms[key] = c0
-                    else:
-                        self.terms.pop(key, None)
+    @staticmethod
+    def key_parity(key) -> int:
+        return term_parity(*key)
 
     @classmethod
     def term(cls, m, n, alpha, odd_mask, slot, coeff=ONE):
@@ -88,96 +80,12 @@ class WittElement:
     def zero(cls, m, n):
         return cls(m, n)
 
-    def _check(self, other):
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("shape mismatch: (%d,%d) vs (%d,%d)"
-                             % (self.m, self.n, other.m, other.n))
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            c0 = terms.get(key, ZERO) + c
-            if c0:
-                terms[key] = c0
-            else:
-                del terms[key]
-        out = WittElement(self.m, self.n)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = WittElement(self.m, self.n)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        out = WittElement(self.m, self.n)
-        if scalar:
-            out.terms = {k: c * scalar for k, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, WittElement) and self.m == other.m
-                and self.n == other.n and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "WittElement(0)"
-        bits = []
-        for key in sorted(self.terms, key=term_sort_key):
-            bits.append("%s*%s%s" % (self.terms[key], key[0], key[1]))
-        return "WittElement(%s)" % " + ".join(bits)
-
-    def parity(self):
-        if not self.terms:
-            return 0
-        seen = {term_parity(mono, slot) for mono, slot in self.terms}
-        return seen.pop() if len(seen) == 1 else None
-
-    def homogeneous_parts(self):
-        ev = WittElement(self.m, self.n)
-        od = WittElement(self.m, self.n)
-        for key, c in self.terms.items():
-            (od if term_parity(*key) else ev).terms[key] = c
-        return ev, od
-
-    def in_positive_part(self) -> bool:
-        """True when every coefficient monomial lies in the augmentation
-        ideal (no constant-coefficient derivative terms)."""
-        return all(mono_tdeg(mono) + popcount(mono[1]) >= 1
-                   for mono, _ in self.terms)
-
     def tdegree(self):
         return max((mono_tdeg(mono) for mono, _ in self.terms), default=-1)
 
 
 # ---------------------------------------------------------------------------
 # structure constants
-
-def _merge_masks(a, b):
-    if a & b:
-        return 0, 0
-    inv = 0
-    rest = b
-    j = 0
-    while rest:
-        if rest & 1:
-            inv += popcount(a >> (j + 1))
-        rest >>= 1
-        j += 1
-    return (-1 if inv & 1 else 1), a | b
-
 
 def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
     """[basis term, basis term] as a list of (key, int coefficient)."""
@@ -196,7 +104,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
 
     out = []
     if k1 == TSLOT and k2 == TSLOT:
-        sign, union = _merge_masks(imask, jmask)
+        sign, union = merge_sign_masks(imask, jmask)
         if sign:
             bi = beta[i - 1]
             if bi:
@@ -211,7 +119,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
         return out
 
     if k1 == TSLOT and k2 == XSLOT:
-        sign, union = _merge_masks(imask, jmask)
+        sign, union = merge_sign_masks(imask, jmask)
         if sign:
             bi = beta[i - 1]
             if bi:
@@ -224,7 +132,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
             pJ = popcount(jmask)
             # -(-1)^{|I|(|J|-1)} (-1)^{pos}
             s0 = 1 if (pI * (pJ - 1) + xi_position(imask, j)) & 1 else -1
-            msign, munion = _merge_masks(jmask, imask & ~bit)
+            msign, munion = merge_sign_masks(jmask, imask & ~bit)
             if msign:
                 g = (tuple(a + b for a, b in zip(alpha, beta))
                      if corrected else (0,) * m)
@@ -235,7 +143,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
     bit_i = 1 << (i - 1)
     if jmask & bit_i:
         s1 = -1 if xi_position(jmask, i) & 1 else 1
-        msign, munion = _merge_masks(imask, jmask & ~bit_i)
+        msign, munion = merge_sign_masks(imask, jmask & ~bit_i)
         if msign:
             g = tuple(a + b for a, b in zip(alpha, beta))
             out.append((((g, munion), (XSLOT, j)), s1 * msign))
@@ -244,7 +152,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
         pI = popcount(imask)
         pJ = popcount(jmask)
         s2 = -1 if (xi_position(imask, j) + (pI - 1) * (pJ - 1)) & 1 else 1
-        msign, munion = _merge_masks(jmask, imask & ~bit_j)
+        msign, munion = merge_sign_masks(jmask, imask & ~bit_j)
         if msign:
             g = (tuple(a + b for a, b in zip(alpha, beta))
                  if corrected else (0,) * m)
@@ -269,14 +177,8 @@ def witt_bracket(x: WittElement, y: WittElement, mode="corrected") -> WittElemen
             c12 = c1 * c2
             for key, c in _bracket_basis(x.m, mono1, slot1, mono2, slot2,
                                          corrected):
-                c0 = acc.get(key, ZERO) + c12 * c
-                if c0:
-                    acc[key] = c0
-                else:
-                    del acc[key]
-    out = WittElement(x.m, x.n)
-    out.terms = acc
-    return out
+                accumulate(acc, key, c12 * c)
+    return x._like(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +231,7 @@ def bracket_oracle(x: WittElement, y: WittElement) -> WittElement:
                 val = witt_act(xh, witt_act(yh, g)) \
                     - sign * witt_act(yh, witt_act(xh, g))
                 for mono, c in val.terms.items():
-                    key = (mono, slot)
-                    c0 = out.terms.get(key, ZERO) + c
-                    if c0:
-                        out.terms[key] = c0
-                    else:
-                        del out.terms[key]
+                    accumulate(out.terms, (mono, slot), c)
     return out
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .superpoly import ZERO, ONE, merge_sign_masks, popcount
+from .superpoly import ONE, LinComb, accumulate, merge_sign_masks, popcount
 
 WEYL_KINDS = ("mt", "mx", "dt", "dx")
 
@@ -51,23 +51,12 @@ def word_parity(word) -> int:
     return sum(atom_parity(a) for a in word) & 1
 
 
-class OperatorWord:
+class OperatorWord(LinComb):
     """Formal linear combination of composition words."""
 
-    __slots__ = ("m", "n", "terms")
+    __slots__ = ()
 
-    def __init__(self, m: int, n: int, terms=None):
-        self.m = m
-        self.n = n
-        self.terms = {}
-        if terms:
-            for word, c in terms.items() if isinstance(terms, dict) else terms:
-                if c:
-                    c0 = self.terms.get(word, ZERO) + c
-                    if c0:
-                        self.terms[word] = c0
-                    else:
-                        self.terms.pop(word, None)
+    key_parity = staticmethod(word_parity)
 
     @classmethod
     def identity(cls, m, n):
@@ -87,79 +76,16 @@ class OperatorWord:
                     raise ValueError("derivation atom shape mismatch")
         return cls(m, n, {word: Fraction(coeff)})
 
-    def _check(self, other):
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("shape mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            c0 = terms.get(w, ZERO) + c
-            if c0:
-                terms[w] = c0
-            else:
-                del terms[w]
-        out = OperatorWord(self.m, self.n)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = OperatorWord(self.m, self.n)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            out = OperatorWord(self.m, self.n)
-            if other:
-                out.terms = {w: c * other for w, c in self.terms.items()}
-            return out
+            return LinComb.__mul__(self, other)
         # composition: concatenate words
         self._check(other)
         acc = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c0 = acc.get(w, ZERO) + c1 * c2
-                if c0:
-                    acc[w] = c0
-                else:
-                    del acc[w]
-        out = OperatorWord(self.m, self.n)
-        out.terms = acc
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (isinstance(other, OperatorWord) and self.m == other.m
-                and self.n == other.n and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return "OperatorWord(%r)" % (self.terms,)
-
-    def parity(self):
-        if not self.terms:
-            return 0
-        seen = {word_parity(w) for w in self.terms}
-        return seen.pop() if len(seen) == 1 else None
-
-    def homogeneous_parts(self):
-        ev = OperatorWord(self.m, self.n)
-        od = OperatorWord(self.m, self.n)
-        for w, c in self.terms.items():
-            (od if word_parity(w) else ev).terms[w] = c
-        return ev, od
+                accumulate(acc, w1 + w2, c1 * c2)
+        return self._like(acc)
 
 
 def word_commutator(u: OperatorWord, v: OperatorWord) -> OperatorWord:
@@ -180,29 +106,14 @@ def word_commutator(u: OperatorWord, v: OperatorWord) -> OperatorWord:
 # ---------------------------------------------------------------------------
 # normal ordering in the algebra of polynomial differential operators
 
-class WeylNormalForm:
+class WeylNormalForm(LinComb):
     """Multiplications left of derivatives, indices ascending.
 
     terms maps (alpha, imask, gamma, kmask) -> Fraction, standing for
     t^alpha xi_imask dt^gamma dxi_kmask with both odd products ascending.
     """
 
-    __slots__ = ("m", "n", "terms")
-
-    def __init__(self, m, n, terms=None):
-        self.m = m
-        self.n = n
-        self.terms = dict(terms) if terms else {}
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylNormalForm) and self.m == other.m
-                and self.n == other.n and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return "WeylNormalForm(%r)" % (self.terms,)
+    __slots__ = ()
 
     def to_word(self) -> OperatorWord:
         out = OperatorWord(self.m, self.n)
@@ -226,48 +137,42 @@ def _nf_append(terms, m, atom):
     """Multiply every normal-form term on the right by one atom."""
     kind, idx = atom[0], atom[1]
     acc = {}
-
-    def put(key, c):
-        c0 = acc.get(key, ZERO) + c
-        if c0:
-            acc[key] = c0
-        else:
-            acc.pop(key, None)
-
     for (alpha, imask, gamma, kmask), c in terms.items():
         if kind == "mt":
             # dt^g t = t dt^g + g dt^(g-1); t passes the dxi block freely
             a2 = list(alpha)
             a2[idx - 1] += 1
-            put((tuple(a2), imask, gamma, kmask), c)
+            accumulate(acc, (tuple(a2), imask, gamma, kmask), c)
             g = gamma[idx - 1]
             if g:
                 g2 = list(gamma)
                 g2[idx - 1] -= 1
-                put((alpha, imask, tuple(g2), kmask), c * g)
+                accumulate(acc, (alpha, imask, tuple(g2), kmask), c * g)
         elif kind == "mx":
             bit = 1 << (idx - 1)
             # branch where xi passes the whole dxi block
             pass_sign = -1 if popcount(kmask) & 1 else 1
             s, union = merge_sign_masks(imask, bit)
             if s:
-                put((alpha, union, gamma, kmask), c * pass_sign * s)
+                accumulate(acc, (alpha, union, gamma, kmask),
+                           c * pass_sign * s)
             # contraction branch: dxi_idx xi_idx -> 1
             if kmask & bit:
                 hops = popcount(kmask >> idx)  # factors to the right
                 s2 = -1 if hops & 1 else 1
-                put((alpha, imask, gamma, kmask & ~bit), c * s2)
+                accumulate(acc, (alpha, imask, gamma, kmask & ~bit),
+                           c * s2)
         elif kind == "dt":
             g2 = list(gamma)
             g2[idx - 1] += 1
-            put((alpha, imask, tuple(g2), kmask), c)
+            accumulate(acc, (alpha, imask, tuple(g2), kmask), c)
         elif kind == "dx":
             bit = 1 << (idx - 1)
             if kmask & bit:
                 continue  # dxi^2 = 0
             hops = popcount(kmask >> idx)
             s = -1 if hops & 1 else 1
-            put((alpha, imask, gamma, kmask | bit), c * s)
+            accumulate(acc, (alpha, imask, gamma, kmask | bit), c * s)
         else:
             raise ValueError("normal ordering is defined for multiply and "
                              "derive atoms only, got %r" % (atom,))
@@ -290,11 +195,7 @@ def weyl_normal_order(w: OperatorWord) -> WeylNormalForm:
             if not terms:
                 break
         for key, cc in terms.items():
-            c0 = total.get(key, ZERO) + cc
-            if c0:
-                total[key] = c0
-            else:
-                del total[key]
+            accumulate(total, key, cc)
     return WeylNormalForm(w.m, w.n, total)
 
 
@@ -329,9 +230,5 @@ def difference_word(m, n, alpha, beta, imask, jmask, r, j, slot1, slot2):
         b[j - 1] += i
         word = (make_watom(a, imask, slot1), make_watom(b, jmask, slot2))
         coeff = Fraction(comb(r, i)) * (-1 if i & 1 else 1)
-        c0 = out.terms.get(word, ZERO) + coeff
-        if c0:
-            out.terms[word] = c0
-        else:
-            out.terms.pop(word, None)
+        accumulate(out.terms, word, coeff)
     return out

@@ -18,6 +18,8 @@ def run(capsys, argv):
 # ---------------------------------------------------------------------------
 # expression commands
 
+# expected stdout of a successful command; None marks a usage error,
+# which exits 2 with nothing on stdout
 GOLDEN = [
     (["bracket", "dt1", "t1*dt1"], "dt1\n"),
     (["bracket", "t1*dt1", "dt1"], "-dt1\n"),
@@ -31,12 +33,17 @@ GOLDEN = [
     (["descent", "t1 @ e1", "--m", "1", "--n", "1", "--a", "1"], "0\n"),
     (["weighting", "t1 @ e1 + 1 @ e2", "--r", "1", "--m", "1", "--n", "1"],
      "1 @ e2\n"),
+    (["bracket", "t1", "dt1"], None),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN)
 def test_golden_commands(capsys, argv, expected):
     rc, out, err = run(capsys, argv)
+    if expected is None:
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")
+        return
     assert rc == 0
     assert out == expected
     assert err == ""

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from wittmod.glmn import (Rep, SuperMatrix, basis_parity, custom_rep,
-                          direct_sum_rep, gl_bracket, natural_rep,
+from wittmod.glmn import (Rep, basis_parity, custom_rep, direct_sum_rep,
+                          mat_add, mat_sub, natural_rep, supercommutator,
                           tensor_rep, trivial_rep, verify_rep)
 
 F = Fraction
@@ -13,24 +13,19 @@ F = Fraction
 
 def test_elementary_bracket():
     # [E12, E21] = E11 - E22 in the even part
-    m, n = 2, 0
-    e12 = SuperMatrix.elementary(m, n, 1, 2)
-    e21 = SuperMatrix.elementary(m, n, 2, 1)
-    want = SuperMatrix.elementary(m, n, 1, 1) - SuperMatrix.elementary(
-        m, n, 2, 2)
-    assert gl_bracket(e12, e21) == want
+    e = natural_rep(2, 0).mats
+    got = supercommutator(e[(1, 2)], e[(2, 1)], 0, 0)
+    assert got == mat_sub(e[(1, 1)], e[(2, 2)])
 
 
 def test_odd_odd_bracket_is_anticommutator():
     # both units odd: [x, y] = xy + yx
-    m, n = 1, 1
-    e12 = SuperMatrix.elementary(m, n, 1, 2)
-    e21 = SuperMatrix.elementary(m, n, 2, 1)
-    want = SuperMatrix.elementary(m, n, 1, 1) + SuperMatrix.elementary(
-        m, n, 2, 2)
-    assert gl_bracket(e12, e21) == want
+    m = 1
+    e = natural_rep(m, 1).mats
     assert basis_parity(m, 1, 2) == 1
     assert basis_parity(m, 1, 1) == 0
+    got = supercommutator(e[(1, 2)], e[(2, 1)], 1, 1)
+    assert got == mat_add(e[(1, 1)], e[(2, 2)])
 
 
 def test_natural_rep_verifies():
@@ -92,14 +87,20 @@ def test_rep_act_matches_matrix():
 
 def test_gl_jacobi_small():
     m, n = 1, 1
-    units = [SuperMatrix.elementary(m, n, i, j)
+    e = natural_rep(m, n).mats
+    units = [(e[(i, j)], basis_parity(m, i, j))
              for i in (1, 2) for j in (1, 2)]
-    pars = [basis_parity(m, i, j) for i in (1, 2) for j in (1, 2)]
-    for a, pa in zip(units, pars):
-        for b, pb in zip(units, pars):
-            for c in units:
-                s = -1 if pa and pb else 1
-                defect = (gl_bracket(a, gl_bracket(b, c))
-                          - gl_bracket(gl_bracket(a, b), c)
-                          - s * gl_bracket(b, gl_bracket(a, c)))
-                assert not any(x for row in defect.rows for x in row)
+    for a, pa in units:
+        for b, pb in units:
+            ab = supercommutator(a, b, pa, pb)
+            for c, pc in units:
+                # [a,[b,c]] = [[a,b],c] + (-1)^{|a||b|} [b,[a,c]]
+                lhs = supercommutator(a, supercommutator(b, c, pb, pc),
+                                      pa, pb ^ pc)
+                first = supercommutator(ab, c, pa ^ pb, pc)
+                second = supercommutator(b, supercommutator(a, c, pa, pc),
+                                         pb, pa ^ pc)
+                if pa and pb:
+                    assert lhs == mat_sub(first, second)
+                else:
+                    assert lhs == mat_add(first, second)

@@ -1,13 +1,21 @@
 """Supercommutative polynomial arithmetic: signs, derivatives, Leibniz."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (make_spec, rand_coeff, rand_superpoly, rand_tensor,
+                      rand_witt)
+from wittmod.dressed import DressedWittElement
 from wittmod.superpoly import (SuperPoly, enumerate_monomials, mask_of,
                                merge_sign, merge_sign_masks, mono_mul,
                                mono_parity, mono_partial_xi)
+from wittmod.tensor_modules import TensorElement
+from wittmod.witt import WittElement
+from wittmod.words import OperatorWord
 
 M, N = 2, 2
 MONOS = enumerate_monomials(M, N, 3)
@@ -147,3 +155,71 @@ def test_augmentation_ideal_membership():
 
 def test_mono_mul_overlap_is_none():
     assert mono_mul(((0, 0), 1), ((0, 0), 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# the shared linear-combination core, over every element type
+
+def _dressed(rng):
+    x = DressedWittElement.from_witt(rand_witt(rng, 1, 1, nterms=3))
+    return x + DressedWittElement.term(1, 1, ((1,), 1), ((0,), 0), ("t", 1),
+                                       rand_coeff(rng))
+
+
+def _word(rng):
+    atoms = [("mt", 1), ("mx", 1), ("dt", 1), ("dx", 1)]
+    out = OperatorWord(1, 1)
+    for _ in range(4):
+        word = [atoms[rng.randrange(4)] for _ in range(rng.randrange(4))]
+        out = out + OperatorWord.from_word(1, 1, word, rand_coeff(rng))
+    return out
+
+
+# type -> (random element, an even element, an odd element); the module
+# elements carry no grading of their own
+LINCOMB_TYPES = {
+    "SuperPoly": (lambda rng: rand_superpoly(rng, 1, 1, nterms=4),
+                  SuperPoly.t_var(1, 1, 1), SuperPoly.xi_var(1, 1, 1)),
+    "WittElement": (lambda rng: rand_witt(rng, 1, 1, nterms=4),
+                    WittElement.term(1, 1, (1,), 0, ("t", 1)),
+                    WittElement.term(1, 1, (0,), 0, ("x", 1))),
+    "DressedWittElement": (
+        _dressed,
+        DressedWittElement.term(1, 1, ((1,), 0), ((0,), 0), ("t", 1)),
+        DressedWittElement.term(1, 1, ((0,), 1), ((1,), 0), ("t", 1))),
+    "OperatorWord": (_word,
+                     OperatorWord.from_word(1, 1, [("mt", 1), ("dt", 1)]),
+                     OperatorWord.from_word(1, 1, [("dx", 1)])),
+    "TensorElement": (lambda rng: rand_tensor(make_spec(1, 1), rng, nterms=4),
+                      None, None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINCOMB_TYPES))
+def test_lincomb_core(kind):
+    make, even, odd = LINCOMB_TYPES[kind]
+    rng = random.Random(11)
+    for _ in range(20):
+        x, y = make(rng), make(rng)
+        results = [x + y, x - y, -x, 0 * x, x * 0, x - x, (x + y) - y]
+        for r in results:
+            assert type(r) is type(x)
+            assert all(c != 0 for c in r.terms.values())
+        assert not (x - x) and not 0 * x
+        assert (x + y) - y == x
+        if even is None:
+            continue
+        assert (even.parity(), odd.parity()) == (0, 1)
+        # random coefficients have denominators dividing 6, so these
+        # two terms cannot cancel
+        mixed = x + Fraction(1, 7) * even + Fraction(1, 7) * odd
+        assert mixed.parity() is None
+        ev, od = mixed.homogeneous_parts()
+        assert ev + od == mixed
+        assert (ev.parity(), od.parity()) == (0, 1)
+    zero = 0 * x
+    for other, (make_other, _, _) in LINCOMB_TYPES.items():
+        if other != kind:
+            assert zero != 0 * make_other(rng)
+    if kind == "TensorElement":
+        assert zero != TensorElement.zero(make_spec(1, 1, rep="trivial:3"))
