@@ -34,6 +34,7 @@ class ConfigError(ValueError):
 
 
 _INT_KEYS = ("m", "n", "D", "deg", "rmax", "trials", "seed", "height")
+_NONNEGATIVE_KEYS = ("m", "n", "D", "deg", "rmax", "trials")
 _DEFAULTS = {"m": 1, "n": 1, "D": 3, "deg": 2, "rmax": 8, "trials": 50,
              "seed": 0, "height": 0, "rep": "natural", "mode": "corrected",
              "expect_reducible": False}
@@ -171,6 +172,10 @@ class RunConfig:
         merged.update(self.overrides.get(check_id, {}))
         if cli:
             merged.update({k: v for k, v in cli.items() if v is not None})
+        for key in _NONNEGATIVE_KEYS:
+            if merged[key] < 0:
+                raise ConfigError("%s must be >= 0, got %d"
+                                  % (key, merged[key]))
         if "a" not in merged or merged["a"] is None:
             merged["a"] = (Fraction(1),) * merged["m"]
         elif isinstance(merged["a"], str):

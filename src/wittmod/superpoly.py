@@ -22,7 +22,7 @@ ONE = Fraction(1)
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def mask_of(indices) -> int:

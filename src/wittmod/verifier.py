@@ -22,10 +22,11 @@ from math import comb
 
 from . import linalg
 from .config import ConfigError, resolve_rep
-from .dressed import (commutant_element, commutant_of_witt, dressed_basis,
-                      dressed_bracket)
-from .superpoly import (SuperPoly, enumerate_monomials, mono_mul, mono_parity,
-                        popcount)
+from .dressed import (DressedWittElement, commutant_element,
+                      commutant_of_witt, dressed_basis, dressed_bracket,
+                      dressed_parity)
+from .superpoly import (SuperPoly, accumulate, enumerate_monomials, mono_mul,
+                        mono_parity, popcount)
 from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
                              TransitionSingular, act_atom, act_mono, act_term,
                              act_witt, act_word, act_word_poly, descent,
@@ -33,7 +34,8 @@ from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
                              pbw_basis_rewrite, unit_basis, unit_vector,
                              weight_act, weight_reduce, whittaker_space,
                              window_keys)
-from .witt import (TSLOT, XSLOT, WittElement, bracket_oracle, extended_basis,
+from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
+                   _bracket_basis, bracket_oracle, extended_basis,
                    extended_bracket, term_parity, witt_basis, witt_bracket)
 from .words import OperatorWord, atom_parity, difference_word, \
     weyl_normal_order
@@ -121,17 +123,9 @@ def _print(obj):
     return print_expr(obj)
 
 
-def _key_elem(m, n, key, coeff=1):
+def _key_elem(m, n, key):
     (mono, slot) = key
-    return WittElement.term(m, n, mono[0], mono[1], slot, coeff)
-
-
-def _terms_elem(m, n, terms):
-    out = WittElement.zero(m, n)
-    for key, c in terms.items():
-        if c:
-            out = out + _key_elem(m, n, key, c)
-    return out
+    return WittElement.term(m, n, mono[0], mono[1], slot)
 
 
 def _pure(spec, key):
@@ -160,147 +154,146 @@ def _witt_keys(m, n, deg):
     return [next(iter(el.terms)) for el in witt_basis(m, n, deg)]
 
 
-def _pair_table(m, keys1, keys2, mutate=None):
-    """Structure constants as int-coefficient item lists."""
-    table = {}
-    for k1 in keys1:
-        for k2 in keys2:
-            items = _bracket_items(m, k1, k2)
-            if mutate is not None and (k1, k2) == mutate:
-                items = [(key, -c) for key, c in items]
-            table[(k1, k2)] = items
-    return table
+class _PairMemo(dict):
+    """Brackets of basis pairs at one level, each computed on first use.
+
+    Keys are interned to small ints, the basis first and in its order:
+    memo[i, j] is the bracket of interned[i] and interned[j] as a tuple of
+    (key id, coefficient).  Structure constants are integers, so the
+    coefficients are ints and a sweep over the memo builds no element.
+    Equal (key id, coefficient) pairs are stored once: most brackets
+    repeat a few of them, and the memo's size is a sweep's peak memory."""
+
+    def __init__(self, basis, pair):
+        super().__init__()
+        self.interned = list(basis)
+        self.ids = {key: i for i, key in enumerate(self.interned)}
+        self.pair = pair
+        self.shared = {}
+
+    def _intern(self, key):
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.interned)
+            self.interned.append(key)
+        return i
+
+    def __missing__(self, ij):
+        acc = {}
+        for key, c in self.pair(self.interned[ij[0]], self.interned[ij[1]]):
+            accumulate(acc, self._intern(key), c)
+        items = []
+        for k, c in acc.items():
+            # exact either way; a non-integral constant stays a Fraction
+            term = (k, int(c) if c.denominator == 1 else c)
+            items.append(self.shared.setdefault(term, term))
+        items = self[ij] = tuple(items)
+        return items
 
 
-def _bracket_items(m, k1, k2):
-    from .witt import _bracket_basis
-    raw = _bracket_basis(m, k1[0], k1[1], k2[0], k2[1])
-    out = {}
-    for key, c in raw:
-        c0 = out.get(key, 0) + c
-        if c0:
-            out[key] = c0
-        else:
-            del out[key]
-    return list(out.items())
-
-
-def _jacobi_table_sweep(p, cases0):
-    """Exhaustive graded Jacobi sweep through the structure-constant
-    table, integer arithmetic throughout."""
-    m, n, deg = p.m, p.n, p.deg
-    keys2 = _witt_keys(m, n, deg)
-    # first-level brackets reach t-degree 2*deg (the delta terms add the
-    # full monomial degrees), so the second-level tables go that far
-    keys3 = _witt_keys(m, n, 2 * deg)
-    mutate = None
-    if p.mode == "mutated":
-        rng = random.Random(p.seed)
-        candidates = [(k1, k2) for k1 in keys2 for k2 in keys2
-                      if _bracket_items(m, k1, k2)]
-        mutate = candidates[rng.randrange(len(candidates))]
-    t22 = _pair_table(m, keys2, keys2, mutate)
-    t23 = _pair_table(m, keys2, keys3, mutate)
-    t32 = _pair_table(m, keys3, keys2, mutate)
-    par = {k: term_parity(k[0], k[1]) for k in keys2}
-    cases = cases0
-    for y in keys2:
-        py = par[y]
-        for z in keys2:
-            a_items = t22[(y, z)]
-            for x in keys2:
-                cases += 1
-                out = {}
-                for k, c in a_items:                       # [x,[y,z]]
-                    for k2, c2 in t23[(x, k)]:
-                        v = out.get(k2, 0) + c * c2
-                        if v:
-                            out[k2] = v
-                        else:
-                            del out[k2]
-                for k, c in t22[(x, y)]:                   # -[[x,y],z]
-                    for k2, c2 in t32[(k, z)]:
-                        v = out.get(k2, 0) - c * c2
-                        if v:
-                            out[k2] = v
-                        else:
-                            del out[k2]
-                s = -1 if par[x] & py else 1               # -(-1)^{xy}[y,[x,z]]
-                for k, c in t22[(x, z)]:
-                    for k2, c2 in t23[(y, k)]:
-                        v = out.get(k2, 0) - s * c * c2
-                        if v:
-                            out[k2] = v
-                        else:
-                            del out[k2]
-                if out:
-                    cex = {
-                        "level": "derivation table",
-                        "x": _print(_key_elem(m, n, x)),
-                        "y": _print(_key_elem(m, n, y)),
-                        "z": _print(_key_elem(m, n, z)),
-                        "defect": _print(_terms_elem(m, n, {
-                            k: Fraction(c) for k, c in out.items()})),
-                    }
-                    if mutate is not None:
-                        cex["mutated_pair"] = "[%s, %s]" % (
-                            _print(_key_elem(m, n, mutate[0])),
-                            _print(_key_elem(m, n, mutate[1])))
-                    raise _Fail(cex, cases)
-    return cases
-
-
-def _ext_parity(el):
-    if el.der:
-        key = next(iter(el.der.terms))
-        return term_parity(key[0], key[1])
-    key = next(iter(el.fun.terms))
-    return mono_parity(key)
-
-
-def _jacobi_generic_sweep(p, level, basis, bracket, parity, render, cases0):
-    size = len(basis)
-    cases = cases0
-    if size ** 3 <= 300000:
-        triples = product(range(size), repeat=3)
-    else:
-        rng = random.Random(p.seed + 1)
-        triples = [tuple(rng.randrange(size) for _ in range(3))
-                   for _ in range(max(p.trials, 500))]
-    for (ix, iy, iz) in triples:
-        x, y, z = basis[ix], basis[iy], basis[iz]
+def _jacobi_sweep(level, memo, parity, triples, render, cases, extra=None):
+    """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] on every triple of
+    basis ids, expanded by bilinearity through the memo.  render maps a
+    terms dict to the expression grammar; extra ends a counterexample."""
+    for x, y, z in triples:
         cases += 1
-        s = -1 if parity(x) & parity(y) else 1
-        defect = (bracket(x, bracket(y, z))
-                  - bracket(bracket(x, y), z)
-                  - s * bracket(y, bracket(x, z)))
-        if defect:
-            raise _Fail({"level": level, "x": render(x), "y": render(y),
-                         "z": render(z), "defect": render(defect)}, cases)
+        out = {}
+        for k, c in memo[y, z]:                            # [x,[y,z]]
+            for k2, c2 in memo[x, k]:
+                out[k2] = out.get(k2, 0) + c * c2
+        for k, c in memo[x, y]:                            # -[[x,y],z]
+            for k2, c2 in memo[k, z]:
+                out[k2] = out.get(k2, 0) - c * c2
+        s = -1 if parity[x] & parity[y] else 1             # -(-1)^{xy}[y,[x,z]]
+        for k, c in memo[x, z]:
+            for k2, c2 in memo[y, k]:
+                out[k2] = out.get(k2, 0) - s * c * c2
+        if any(out.values()):
+            key = memo.interned
+            raise _Fail({"level": level, "x": render({key[x]: ONE}),
+                         "y": render({key[y]: ONE}),
+                         "z": render({key[z]: ONE}),
+                         "defect": render({key[k]: c for k, c in out.items()
+                                           if c}), **(extra or {})}, cases)
     return cases
+
+
+def _ext_element(m, n, terms):
+    """Extension element from terms keyed (mono, slot); slot None marks
+    the function part."""
+    return ExtendedWittElement(
+        WittElement(m, n, {k: c for k, c in terms.items() if k[1]}),
+        SuperPoly(m, n, {k[0]: c for k, c in terms.items() if not k[1]}))
+
+
+def _ext_terms(el):
+    return list(el.der.terms.items()) + [
+        ((mono, None), c) for mono, c in el.fun.terms.items()]
+
+
+def _render_ext(el):
+    return " + ".join(_print(part) for part in (el.der, el.fun) if part)
 
 
 def check_jacobi(p: CheckParams):
-    cases = _jacobi_table_sweep(p, 0)
+    """The derivation table exhaustively; the extension and the dressed
+    product exhaustively up to 300000 triples, else a seeded sample.
+    Each level's memo is filled by that level's own bracket."""
+    m, n = p.m, p.n
+    basis = _witt_keys(m, n, p.deg)
+    witt = _PairMemo(basis, lambda k1, k2: _bracket_basis(m, *k1, *k2))
+
+    def render(terms):
+        return _print(WittElement(m, n, terms))
+
+    size = len(basis)
+    mutated = {}
     if p.mode == "mutated":
+        rng = random.Random(p.seed)
+        candidates = [(i, j) for i in range(size) for j in range(size)
+                      if witt[i, j]]
+        i, j = candidates[rng.randrange(len(candidates))]
+        witt[i, j] = [(k, -c) for k, c in witt[i, j]]
+        mutated["mutated_pair"] = "[%s, %s]" % (render({basis[i]: ONE}),
+                                                render({basis[j]: ONE}))
+    cases = _jacobi_sweep(
+        "derivation table", witt, [term_parity(*k) for k in basis],
+        ((x, y, z) for y in range(size) for z in range(size)
+         for x in range(size)), render, 0, mutated)
+    if mutated:
         # the mutated table is expected to raise _Fail above; reaching
         # here means the mutation went undetected
         raise _Fail({"level": "derivation table",
                      "error": "seeded sign mutation was not detected"},
                     cases)
 
-    def render_ext(el):
-        if el.der and el.fun:
-            return "%s + %s" % (_print(el.der), _print(el.fun))
-        return _print(el.der) if el.der else _print(el.fun)
-
     exdeg = min(p.deg, 2)
-    cases = _jacobi_generic_sweep(
-        p, "abelian extension", extended_basis(p.m, p.n, exdeg),
-        extended_bracket, _ext_parity, render_ext, cases)
-    cases = _jacobi_generic_sweep(
-        p, "dressed product", dressed_basis(p.m, p.n, exdeg),
-        dressed_bracket, lambda el: el.parity(), _print, cases)
+    levels = [
+        ("abelian extension",
+         [_ext_terms(el)[0][0] for el in extended_basis(m, n, exdeg)],
+         lambda k1, k2: _ext_terms(extended_bracket(
+             _ext_element(m, n, {k1: ONE}), _ext_element(m, n, {k2: ONE}))),
+         lambda k: term_parity(*k) if k[1] else mono_parity(k[0]),
+         lambda terms: _render_ext(_ext_element(m, n, terms))),
+        ("dressed product",
+         [next(iter(el.terms)) for el in dressed_basis(m, n, exdeg)],
+         lambda k1, k2: dressed_bracket(
+             DressedWittElement(m, n, {k1: ONE}),
+             DressedWittElement(m, n, {k2: ONE})).terms.items(),
+         dressed_parity,
+         lambda terms: _print(DressedWittElement(m, n, terms))),
+    ]
+    for level, basis, pair, parity, render in levels:
+        size = len(basis)
+        if size ** 3 <= 300000:
+            triples = product(range(size), repeat=3)
+        else:
+            rng = random.Random(p.seed + 1)
+            triples = [tuple(rng.randrange(size) for _ in range(3))
+                       for _ in range(max(p.trials, 500))]
+        cases = _jacobi_sweep(level, _PairMemo(basis, pair),
+                              [parity(k) for k in basis], triples, render,
+                              cases)
     return cases, None
 
 
@@ -1038,6 +1031,8 @@ def run_check(check_id, merged) -> CheckReport:
     start = time.monotonic()
     try:
         cases, data = REGISTRY[check_id](params)
+        if not cases:
+            raise _Fail({"error": "no cases were examined"}, 0)
         status, cex = "pass", None
     except _Fail as f:
         status, cases, cex, data = "fail", f.cases, f.cex, None

@@ -28,8 +28,9 @@ def _verdict(num, desc, ok, detail=""):
 
 def test_criterion_01_jacobi_exhaustive():
     r = run_check("jacobi", {"m": 2, "n": 2, "deg": 2})
-    _verdict(1, "super Jacobi identity, exhaustive basis triples at "
-             "(2,2) with t-degree <= 2",
+    _verdict(1, "super Jacobi identity at (2,2) with t-degree <= 2: "
+             "exhaustive basis triples of the derivation table, 500 "
+             "seeded triples each at the extension and dressed levels",
              r.status == "pass" and r.cases >= 96 ** 3,
              r.counterexample)
 

@@ -107,6 +107,19 @@ def test_verify_fail_exits_1(capsys):
     assert "counterexample" in out
 
 
+def test_negative_parameter_exits_2(capsys):
+    rc, out, err = run(capsys, ["verify", "jacobi", "--deg", "-1"])
+    assert (rc, out) == (2, "")
+    assert "deg must be >= 0" in err
+
+
+def test_check_with_no_cases_fails(capsys):
+    rc, out, _ = run(capsys, ["verify", "difference_recurrence", "--m", "0"])
+    assert rc == 1
+    assert " fail  cases=0 " in out
+    assert "no cases were examined" in out
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nbogus = 1\n")

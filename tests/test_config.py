@@ -146,3 +146,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.ini")
+
+
+@pytest.mark.parametrize("key", ["m", "n", "D", "deg", "rmax", "trials"])
+def test_params_reject_negative(key):
+    with pytest.raises(ConfigError, match="%s must be >= 0" % key):
+        RunConfig().params_for("jacobi", {key: -1})

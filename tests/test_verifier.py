@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from wittmod.expressions import parse_expr, as_witt, print_expr
+from wittmod import verifier
+from wittmod.dressed import dressed_bracket
+from wittmod.expressions import as_dressed, as_witt, parse_expr, print_expr
 from wittmod.verifier import REGISTRY, CheckParams, run_check
-from wittmod.witt import bracket_oracle, witt_bracket
+from wittmod.witt import (XSLOT, ExtendedWittElement, bracket_oracle,
+                          extended_bracket, witt_bracket)
 
 F = Fraction
 
@@ -119,6 +122,55 @@ def test_jacobi_mutation_counterexample_names_the_pair():
                                   "mode": "mutated", "seed": 3})
     assert report.status == "fail"
     assert "mutated_pair" in report.counterexample
+
+
+# ---------------------------------------------------------------------------
+# the extension and dressed levels can fail: a bilinear fault in the bracket
+# a level calls (odd-slot output terms negated) surfaces at that level
+
+def _faulty_dressed(u, v, mode="corrected"):
+    out = dressed_bracket(u, v, mode)
+    return out._like({k: -c if k[1][1][0] == XSLOT else c
+                      for k, c in out.terms.items()})
+
+
+def _faulty_extended(u, v, mode="corrected"):
+    out = extended_bracket(u, v, mode)
+    der = out.der._like({k: -c if k[1][0] == XSLOT else c
+                         for k, c in out.der.terms.items()})
+    return ExtendedWittElement(der, out.fun)
+
+
+def test_dressed_level_fault_is_caught_and_replays(monkeypatch):
+    monkeypatch.setattr(verifier, "dressed_bracket", _faulty_dressed)
+    report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
+    cex = report.counterexample
+    assert report.status == "fail"
+    assert cex["level"] == "dressed product"
+    x, y, z = (as_dressed(parse_expr(cex[k]), 1, 1) for k in "xyz")
+    f = _faulty_dressed
+    s = -1 if x.parity() & y.parity() else 1
+    defect = f(x, f(y, z)) - f(f(x, y), z) - s * f(y, f(x, z))
+    assert defect
+    assert print_expr(defect) == cex["defect"]
+
+
+def test_extension_level_fault_is_caught(monkeypatch):
+    monkeypatch.setattr(verifier, "extended_bracket", _faulty_extended)
+    report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
+    assert report.status == "fail"
+    assert report.counterexample["level"] == "abelian extension"
+    assert report.counterexample["defect"] != "0"
+
+
+# ---------------------------------------------------------------------------
+# a pass means something was checked
+
+def test_zero_cases_is_not_a_pass():
+    report = run_check("difference_recurrence", {"m": 0, "D": 2, "rmax": 2})
+    assert report.status == "fail"
+    assert report.cases == 0
+    assert report.counterexample == {"error": "no cases were examined"}
 
 
 # ---------------------------------------------------------------------------
