@@ -167,14 +167,12 @@ def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     ids = _selected_checks(args.check, cfg)
     reports = _run_checks(ids, cfg, _cli_dict(args))
-    ok = True
     for r in reports:
         print("%-26s %-5s cases=%-8d %dms"
               % (r.id, r.status, r.cases, r.elapsed_ms))
         if r.counterexample:
             print("  counterexample: %s" % (r.counterexample,))
-        ok = ok and r.status == "pass"
-    return 0 if ok else 1
+    return _exit_code(reports)
 
 
 def _cmd_report(args) -> int:
@@ -184,7 +182,16 @@ def _cmd_report(args) -> int:
     reports = _run_checks(ids, cfg, cli)
     seed = cli.get("seed", cfg.base.get("seed", 0))
     emit_report(reports, args.out, seed=int(seed), stable=args.stable)
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    return _exit_code(reports)
+
+
+def _exit_code(reports) -> int:
+    """2 if some check could not run (an error status), else 1 on any
+    fail, else 0."""
+    statuses = {r.status for r in reports}
+    if "error" in statuses:
+        return 2
+    return 1 if "fail" in statuses else 0
 
 
 def _add_check_flags(sub):

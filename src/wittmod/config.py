@@ -176,6 +176,8 @@ class RunConfig:
             if merged[key] < 0:
                 raise ConfigError("%s must be >= 0, got %d"
                                   % (key, merged[key]))
+        if merged["m"] == merged["n"] == 0:
+            raise ConfigError("empty shape: m and n are both 0")
         if "a" not in merged or merged["a"] is None:
             merged["a"] = (Fraction(1),) * merged["m"]
         elif isinstance(merged["a"], str):

@@ -1,9 +1,15 @@
 """Exact linear algebra over Q.
 
-Matrices are lists of lists of Fractions, rows first.  Everything here is
-plain Gaussian elimination in the field Q: division is exact, so there are
-no tolerances and no floats anywhere.  Row operations always pick the first
-nonzero pivot, which keeps results deterministic.
+All elimination goes through one engine, `Echelon`: a sparse, incremental,
+fully reduced row echelon form.  A row is a dict {column key: coefficient}
+and columns are ordered by a key function (plain ints for the dense
+matrices of `rref`, `tensor_key_sort` for module elements).  Division is
+exact, so there are no tolerances and no floats anywhere.  The reduced row
+echelon form of a matrix is unique, so no result depends on the order in
+which rows are inserted.
+
+Dense matrices are lists of lists, rows first; `rref` and the thin
+wrappers over it take and return those.
 """
 
 from __future__ import annotations
@@ -14,37 +20,71 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def copy_matrix(rows):
-    return [list(r) for r in rows]
+def _sub_scaled(target, f, row):
+    """target -= f * row in place, dropping the keys that vanish."""
+    for k, c in row.items():
+        c = target.get(k, ZERO) - f * c
+        if c:
+            target[k] = c
+        else:
+            del target[k]
+
+
+class Echelon:
+    """Fully reduced echelon rows over Q, grown one row at a time.
+
+    Every stored row has coefficient 1 at its pivot, which is its least key,
+    and no other stored row has a nonzero at that pivot.
+    """
+
+    __slots__ = ("rows", "key")
+
+    def __init__(self, key=None):
+        self.rows = {}  # pivot key -> row
+        self.key = key
+
+    def reduce(self, row) -> dict:
+        """A new row: row minus the combination of stored rows that clears
+        every pivot key from it (zero iff row lies in the span)."""
+        rows = self.rows
+        out = {k: c for k, c in row.items() if c}
+        # stored rows hold no pivot but their own, so one pass suffices
+        for p in [k for k in out if k in rows]:
+            _sub_scaled(out, out[p], rows[p])
+        return out
+
+    def insert(self, row) -> bool:
+        """Add row to the span; True if the rank grew."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        p = min(row, key=self.key)
+        inv = ONE / row[p]
+        row = {k: c * inv for k, c in row.items()}
+        for other in self.rows.values():
+            f = other.get(p)
+            if f:
+                _sub_scaled(other, f, row)
+        self.rows[p] = row
+        return True
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    a = copy_matrix(rows)
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pick = None
-        for i in range(r, nr):
-            if a[i][c]:
-                pick = i
-                break
-        if pick is None:
-            continue
-        a[r], a[pick] = a[pick], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return a, pivots
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns): the
+    pivot rows in column order, then zero rows up to len(rows)."""
+    nc = len(rows[0]) if rows else 0
+    ech = Echelon()
+    for r in rows:
+        ech.insert(dict(enumerate(r)))
+    pivots = sorted(ech.rows)
+    out = []
+    for p in pivots:
+        dense = [ZERO] * nc
+        for k, c in ech.rows[p].items():
+            dense[k] = c
+        out.append(dense)
+    out += [[ZERO] * nc for _ in range(len(rows) - len(pivots))]
+    return out, pivots
 
 
 def rank(rows) -> int:
@@ -77,34 +117,6 @@ def kernel_basis(rows, ncols=None):
     return basis
 
 
-def solve(rows, rhs):
-    """One solution of A x = b, or None when inconsistent.
-
-    rhs may be a single vector or a list of columns; a single vector gives
-    a single vector back.
-    """
-    single = rhs and not isinstance(rhs[0], list)
-    cols = [rhs] if single else rhs
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    aug = [list(rows[i]) + [col[i] for col in cols] for i in range(nr)]
-    red, pivots = rref(aug)
-    for r in range(len(pivots)):
-        if pivots[r] >= nc:
-            return None  # pivot in the rhs block: inconsistent
-    # also catch zero rows with nonzero rhs below the pivot rows
-    for r in range(len(pivots), nr):
-        if any(red[r][nc:]):
-            return None
-    outs = []
-    for k in range(len(cols)):
-        x = [ZERO] * nc
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r][nc + k]
-        outs.append(x)
-    return outs[0] if single else outs
-
-
 def invert(rows):
     """Inverse of a square matrix, or None if singular."""
     n = len(rows)
@@ -135,10 +147,3 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum((f * x for f, x in zip(row, v) if f and x), ZERO) for row in a]
-
-
-def in_span(basis_rows, v):
-    """Is v in the row span of basis_rows?  Exact membership test."""
-    if not basis_rows:
-        return not any(v)
-    return rank(basis_rows) == rank(basis_rows + [v])

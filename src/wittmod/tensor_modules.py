@@ -583,41 +583,21 @@ def weight_act(spec, w: WittElement, coset: WeightCoset) -> WeightCoset:
 class TensorSpan:
     """Exact echelonized span of tensor elements, incremental."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("echelon",)
 
     def __init__(self):
-        self.rows = {}  # pivot key -> TensorElement with coeff 1 at pivot
-
-    @staticmethod
-    def _pivot(x):
-        return min(x.terms, key=tensor_key_sort)
+        self.echelon = linalg.Echelon(tensor_key_sort)
 
     def reduce(self, x: TensorElement) -> TensorElement:
-        while x:
-            piv = self._pivot(x)
-            row = self.rows.get(piv)
-            if row is None:
-                return x
-            x = x - x.terms[piv] * row
-        return x
+        return x._like(self.echelon.reduce(x.terms))
 
     def insert(self, x: TensorElement) -> bool:
         """Add to the span; True if the dimension grew."""
-        x = self.reduce(x)
-        if not x:
-            return False
-        piv = self._pivot(x)
-        x = (ONE / x.terms[piv]) * x
-        self.rows[piv] = x
-        # keep rows fully reduced against the new pivot
-        for key, row in list(self.rows.items()):
-            if key != piv and piv in row.terms:
-                self.rows[key] = row - row.terms[piv] * x
-        return True
+        return self.echelon.insert(x.terms)
 
     def contains(self, x: TensorElement) -> bool:
-        return not self.reduce(x)
+        return not self.echelon.reduce(x.terms)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.echelon.rows)

@@ -120,6 +120,31 @@ def test_check_with_no_cases_fails(capsys):
     assert "no cases were examined" in out
 
 
+def test_empty_shape_exits_2(capsys):
+    rc, out, err = run(capsys, ["verify", "jacobi", "--m", "0", "--n", "0"])
+    assert (rc, out) == (2, "")
+    assert "empty shape" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_check_error_status_exits_2(capsys, command):
+    # a singular twist is a configuration error found inside the check:
+    # the check reports status error, and that exits 2 like any other
+    argv = [command, "descent_roundtrip", "--a", "0"]
+    if command == "report":
+        argv = [command, "--check", "descent_roundtrip", "--a", "0",
+                "--out", "-", "--stable"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 2
+    if command == "verify":
+        assert out.startswith("descent_roundtrip")
+        assert " error cases=0 " in out
+        assert "nonsingular" in out
+    else:
+        report = json.loads(out)
+        assert [c["status"] for c in report["checks"]] == ["error"]
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nbogus = 1\n")

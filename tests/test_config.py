@@ -152,3 +152,10 @@ def test_load_config_missing_file():
 def test_params_reject_negative(key):
     with pytest.raises(ConfigError, match="%s must be >= 0" % key):
         RunConfig().params_for("jacobi", {key: -1})
+
+
+def test_params_reject_empty_shape():
+    with pytest.raises(ConfigError, match="empty shape"):
+        RunConfig().params_for("jacobi", {"m": 0, "n": 0})
+    # one empty side is a legal shape
+    assert RunConfig().params_for("jacobi", {"m": 0, "n": 1})["m"] == 0

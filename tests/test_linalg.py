@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
-from wittmod.linalg import (in_span, invert, kernel_basis, mat_mul, mat_vec,
-                            rank, rref, solve)
+import pytest
+
+from wittmod.linalg import (Echelon, invert, kernel_basis, mat_mul, mat_vec,
+                            rank, rref)
 
 F = Fraction
 
@@ -12,6 +14,53 @@ F = Fraction
 def _rand_matrix(rng, rows, cols):
     return [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
             for _ in range(rows)]
+
+
+def _dense_rref(rows):
+    """Reference route: dense Gauss-Jordan, first nonzero pivot, then the
+    zero rows.  Independent of the sparse engine it checks."""
+    a = [[F(x) for x in r] for r in rows]
+    nc = len(a[0]) if a else 0
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pick is None:
+            continue
+        a[r], a[pick] = a[pick], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _sparse_matrix(rng, rows, cols):
+    """Mixed int and Fraction entries, mostly zero, with whole rows and
+    columns of zeros mixed in."""
+    density = rng.choice([0.0, 0.2, 0.5, 1.0])
+    dead_cols = {c for c in range(cols) if rng.random() < 0.2}
+    out = []
+    for _ in range(rows):
+        if rng.random() < 0.15:
+            out.append([0] * cols)
+            continue
+        row = []
+        for c in range(cols):
+            if c in dead_cols or rng.random() >= density:
+                row.append(rng.choice([0, F(0)]))
+            elif rng.random() < 0.5:
+                row.append(rng.randint(-3, 3))
+            else:
+                row.append(F(rng.randint(-4, 4), rng.randint(1, 3)))
+        out.append(row)
+    return out
+
+
+SHAPES = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 7), (3, 9), (7, 2), (9, 3),
+          (5, 5), (6, 6), (8, 5)]
 
 
 def test_rref_known():
@@ -38,10 +87,29 @@ def test_kernel_vectors_annihilate():
             assert mat_vec(m, v) == [F(0)] * rows
 
 
-def test_solve_consistent_and_inconsistent():
-    m = [[F(1), F(1)], [F(0), F(1)]]
-    assert solve(m, [F(3), F(1)]) == [F(2), F(1)]
-    assert solve([[F(1), F(1)], [F(2), F(2)]], [F(0), F(1)]) is None
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%dx%d" % s)
+def test_rref_matches_dense_reference(shape):
+    rng = random.Random(1000 + 17 * shape[0] + shape[1])
+    for _ in range(60):
+        m = _sparse_matrix(rng, *shape)
+        red, pivots = rref(m)
+        assert (red, pivots) == _dense_rref(m)
+        assert len(red) == len(m)
+        assert all(type(x) is F for row in red for x in row)
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for _ in range(40):
+        m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                            for x in map(F, r)] for r in m])
+        ref, ref_pivots = sm.rref()
+        red, pivots = rref(m)
+        assert pivots == list(ref_pivots)
+        assert red == [[F(int(x.p), int(x.q)) for x in ref.row(i)]
+                       for i in range(ref.rows)]
 
 
 def test_invert_roundtrip():
@@ -64,10 +132,28 @@ def test_invert_singular_is_none():
     assert invert([[F(1), F(2)], [F(2), F(4)]]) is None
 
 
-def test_in_span():
-    basis = [[F(1), F(0), F(1)], [F(0), F(1), F(0)]]
-    assert in_span(basis, [F(2), F(3), F(2)])
-    assert not in_span(basis, [F(0), F(0), F(1)])
+def test_echelon_membership_and_order_independence():
+    rng = random.Random(3)
+    for _ in range(40):
+        m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        ech = Echelon()
+        grew = [ech.insert(dict(enumerate(r))) for r in m]
+        assert sum(grew) == rank(m)
+        # fully reduced: pivot 1, least key, absent from every other row
+        for p, row in ech.rows.items():
+            assert row[p] == 1 and min(row) == p
+            assert all(p not in other for q, other in ech.rows.items()
+                       if q != p)
+        # the same span in reverse order and under a reversed key order
+        back = Echelon(key=lambda k: -k)
+        for r in reversed(m):
+            back.insert(dict(enumerate(r)))
+        assert len(back.rows) == len(ech.rows)
+        v = dict(enumerate(_sparse_matrix(rng, 1, len(m[0]))[0]))
+        inside = rank(m) == rank(m + [[v[k] for k in range(len(m[0]))]])
+        assert (not ech.reduce(v)) == (not back.reduce(v)) == inside
+        for row in list(ech.rows.values()):
+            assert not ech.insert(dict(row))
 
 
 def test_exactness_no_drift():

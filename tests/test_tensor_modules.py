@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittmod import linalg
 from wittmod.superpoly import popcount
 from wittmod.tensor_modules import (TensorElement, TensorSpan, act_mono,
                                     act_witt, descent,
@@ -204,6 +205,27 @@ def test_tensor_span():
     assert span.contains(v2)
     assert span.dim == 2
     assert not span.reduce(v1 - 3 * v2)
+
+
+def test_tensor_span_matches_rank():
+    # second route: rank of the coordinate matrix over the window keys
+    rng = random.Random(23)
+    for m, n in [(1, 1), (2, 1), (1, 2)]:
+        spec = make_spec(m, n)
+        keys = window_keys(spec, 2)
+        for _ in range(10):
+            elems = [rand_tensor(spec, rng, 2, rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 8))]
+            elems += [elems[0] - 2 * elems[-1]]
+            coords = [[x.terms.get(k, 0) for k in keys] for x in elems]
+            span = TensorSpan()
+            grew = [span.insert(x) for x in elems]
+            assert span.dim == sum(grew) == linalg.rank(coords)
+            for y in (rand_tensor(spec, rng, 2, 2), elems[1] + elems[0]):
+                row = [y.terms.get(k, 0) for k in keys]
+                inside = linalg.rank(coords + [row]) == linalg.rank(coords)
+                assert span.contains(y) == inside
+                assert (not span.reduce(y)) == inside
 
 
 def test_shape_mismatch_rejected():
