@@ -13,9 +13,9 @@ from .dressed import dressed_bracket
 from .expressions import (ParseError, as_dressed, as_tensor, as_witt,
                           as_word, parse_expr, print_expr)
 from .reporting import emit_report
-from .tensor_modules import (ModuleSpec, TensorElement, act_word, descent,
-                             generalized_whittaker_space, unit_basis,
-                             unit_vector, weight_reduce, whittaker_space)
+from .tensor_modules import (ModuleSpec, act_word, descent,
+                             generalized_whittaker_space, weight_reduce,
+                             whittaker_space)
 from .verifier import REGISTRY, run_check
 from .witt import witt_bracket
 
@@ -120,12 +120,7 @@ def _cmd_weighting(args) -> int:
     spec = _module_spec(args, m, n)
     x = as_tensor(telem, m, n, spec.dim)
     weight = parse_twist(args.r, m)
-    coset = weight_reduce(spec, x, weight)
-    lift = TensorElement.zero(spec)
-    for u, c in zip(unit_basis(spec), coset.coords):
-        if c:
-            lift = lift + c * unit_vector(spec, *u)
-    print(print_expr(lift))
+    print(print_expr(weight_reduce(spec, x, weight).lift()))
     return 0
 
 

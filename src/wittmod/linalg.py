@@ -8,8 +8,9 @@ exact, so there are no tolerances and no floats anywhere.  The reduced row
 echelon form of a matrix is unique, so no result depends on the order in
 which rows are inserted.
 
-Dense matrices are lists of lists, rows first; `rref` and the thin
-wrappers over it take and return those.
+Dense matrices are lists of lists, rows first; `rref` and `invert` take
+and return those.  Sparse solves insert their equations as dicts and read
+the kernel off with `Echelon.kernel`.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ class Echelon:
         self.rows[p] = row
         return True
 
+    def kernel(self, columns) -> list:
+        """Basis of the vectors over columns that every stored row
+        annihilates: one per free column, in the order given, with 1 at
+        that column and -row[col] at each pivot.  Stored rows must only
+        use keys among columns."""
+        off_pivot = {}
+        for p, row in self.rows.items():
+            for k, c in row.items():
+                if k != p:
+                    off_pivot.setdefault(k, {})[p] = -c
+        return [{col: ONE, **off_pivot.get(col, {})}
+                for col in columns if col not in self.rows]
+
 
 def rref(rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns): the
@@ -85,36 +99,6 @@ def rref(rows):
         out.append(dense)
     out += [[ZERO] * nc for _ in range(len(rows) - len(pivots))]
     return out, pivots
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows, ncols=None):
-    """Basis of {v : A v = 0}, one vector per free column.
-
-    Deterministic: free columns are processed in increasing order and each
-    basis vector has a 1 in its free column.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [[ONE if i == j else ZERO for i in range(ncols)]
-                for j in range(ncols)]
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
 
 
 def invert(rows):

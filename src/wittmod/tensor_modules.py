@@ -230,15 +230,7 @@ def act_atom(spec, atom, x: TensorElement) -> TensorElement:
     if kind == "dt":
         # twisted: d/dt_i + a_i
         i = atom[1]
-        ai = spec.a[i - 1]
-        out = TensorElement.zero(spec)
-        for (p, l), c in x.terms.items():
-            hit = mono_partial_t(p, i)
-            if hit:
-                accumulate(out.terms, (hit[0], l), c * hit[1])
-        if ai:
-            out = out + ai * x
-        return out
+        return lower_t(spec, i, x) + spec.a[i - 1] * x
     if kind == "dx":
         j = atom[1]
         out = TensorElement.zero(spec)
@@ -311,35 +303,25 @@ def window_keys(spec, max_deg):
             for l in range(spec.dim)]
 
 
-def from_coords(spec, keys, vec) -> TensorElement:
-    out = TensorElement.zero(spec)
-    for key, c in zip(keys, vec):
-        if c:
-            out.terms[key] = c
-    return out
-
-
 def _kernel_of_ops(spec, ops, keys):
     """Exact joint kernel of linear operators on the span of keys.
 
     ops: callables TensorElement -> TensorElement.  Output support may
-    leave the window; every output coordinate becomes an equation.
+    leave the window; every output coordinate of an op becomes one
+    equation {window key index: coefficient}.  The kernel is read off in
+    window key order, one basis vector per free key.
     """
-    index = {key: k for k, key in enumerate(keys)}
-    rows = []
+    ech = linalg.Echelon()
     for op in ops:
-        images = []
-        out_keys = set()
-        for key in keys:
-            img = op(TensorElement.pure(spec, key[0], key[1]))
-            images.append(img)
-            out_keys.update(img.terms)
-        for okey in sorted(out_keys, key=tensor_key_sort):
-            row = [img.terms.get(okey, ZERO) for img in images]
-            if any(row):
-                rows.append(row)
-    vecs = linalg.kernel_basis(rows, ncols=len(keys))
-    return [from_coords(spec, keys, v) for v in vecs]
+        eqs = {}
+        for k, (mono, l) in enumerate(keys):
+            for okey, c in op(TensorElement.pure(spec, mono, l)).terms.items():
+                eqs.setdefault(okey, {})[k] = c
+        for eq in eqs.values():
+            ech.insert(eq)
+    return [TensorElement(spec.m, spec.n, spec.dim,
+                          {keys[k]: c for k, c in vec.items()})
+            for vec in ech.kernel(range(len(keys)))]
 
 
 def whittaker_space(spec, max_deg):
@@ -454,7 +436,8 @@ class PbwRewrite:
         for col, c in coords.items():
             vec[col_index[col]] += c
         out_vec = linalg.mat_vec(self.matrix, vec)
-        return from_coords(self.spec, self.keys, out_vec)
+        return TensorElement(self.spec.m, self.spec.n, self.spec.dim,
+                             zip(self.keys, out_vec))
 
 
 def cartan_term(spec, i):
@@ -529,6 +512,14 @@ class WeightCoset:
     def __repr__(self):
         return "WeightCoset(weight=%r, coords=%r)" % (self.weight, self.coords)
 
+    def lift(self) -> TensorElement:
+        """The representative sum_j c_j u_j on the unit basis."""
+        spec = self.spec
+        zero = (0,) * spec.m
+        return TensorElement(spec.m, spec.n, spec.dim,
+                             {((zero, kmask), l): c for (kmask, l), c
+                              in zip(unit_basis(spec), self.coords)})
+
 
 def weight_reduce(spec, x: TensorElement, weight) -> WeightCoset:
     """Rewrite in the product basis and evaluate the Cartan polynomial at
@@ -570,12 +561,7 @@ def weight_act(spec, w: WittElement, coset: WeightCoset) -> WeightCoset:
         raise ValueError("shape mismatch")
     shift = weight_shift(w)
     target = tuple(wi + si for wi, si in zip(coset.weight, shift))
-    units = unit_basis(spec)
-    lift = TensorElement.zero(spec)
-    for u, c in zip(units, coset.coords):
-        if c:
-            lift = lift + c * unit_vector(spec, *u)
-    return weight_reduce(spec, act_witt(spec, w, lift), target)
+    return weight_reduce(spec, act_witt(spec, w, coset.lift()), target)
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,19 @@ def check_gl_realization(p: CheckParams):
 # ---------------------------------------------------------------------------
 # whittaker_dimension
 
+def _whittaker_violation(spec, x):
+    """The first Whittaker operator (d/dt_i - a_i, then d/dxi_j) that does
+    not kill x, named as in a counterexample; None if all of them do.
+    Applied directly, not through the kernel solve it checks."""
+    for i in range(1, spec.m + 1):
+        if lower_t(spec, i, x):
+            return "dt%d - a%d" % (i, i)
+    for j in range(1, spec.n + 1):
+        if act_atom(spec, ("dx", j), x):
+            return "dx%d" % j
+    return None
+
+
 def check_whittaker_dimension(p: CheckParams):
     spec = _spec(p)
     cases = 0
@@ -627,14 +640,10 @@ def check_whittaker_dimension(p: CheckParams):
         cases += 1
         for x in basis:
             cases += 1
-            for i in range(1, p.m + 1):
-                if lower_t(spec, i, x):
-                    raise _Fail({"window": D, "element": _print(x),
-                                 "violates": "dt%d - a%d" % (i, i)}, cases)
-            for j in range(1, p.n + 1):
-                if act_atom(spec, ("dx", j), x):
-                    raise _Fail({"window": D, "element": _print(x),
-                                 "violates": "dx%d" % j}, cases)
+            bad = _whittaker_violation(spec, x)
+            if bad:
+                raise _Fail({"window": D, "element": _print(x),
+                             "violates": bad}, cases)
     if dims[p.D] != spec.dim or dims[p.D + 1] != spec.dim:
         raise _Fail({"expected_dim": spec.dim,
                      "window_%d" % p.D: dims[p.D],
@@ -667,16 +676,10 @@ def check_descent_roundtrip(p: CheckParams):
         cases += 1
         x = _random_tensor(spec, rng, p.D, nterms=rng.randint(1, 4))
         y = descent(spec, x)
-        for i in range(1, p.m + 1):
-            if lower_t(spec, i, y):
-                raise _Fail({"trial": t, "x": _print(x),
-                             "descended": _print(y),
-                             "violates": "dt%d - a%d" % (i, i)}, cases)
-        for j in range(1, p.n + 1):
-            if act_atom(spec, ("dx", j), y):
-                raise _Fail({"trial": t, "x": _print(x),
-                             "descended": _print(y),
-                             "violates": "dx%d" % j}, cases)
+        bad = _whittaker_violation(spec, y)
+        if bad:
+            raise _Fail({"trial": t, "x": _print(x), "descended": _print(y),
+                         "violates": bad}, cases)
         if descent(spec, y) != y:
             raise _Fail({"trial": t, "x": _print(x),
                          "error": "descent is not idempotent"}, cases)
@@ -697,26 +700,26 @@ def _cartan(m, n, i):
 
 
 def check_weight_multiplicity(p: CheckParams):
+    if p.m == 0:
+        raise ConfigError("weight_multiplicity needs m >= 1: weights are "
+                          "eigenvalues of the even Cartan operators "
+                          "t_i dt_i, and there are none at m = 0")
     spec = _spec(p)
     expected = (1 << p.n) * spec.dim
     big = window_keys(spec, p.D)
     small = window_keys(spec, p.D - 1)
-    col_index = {key: k for k, key in enumerate(big)}
     hs = [_cartan(p.m, p.n, i) for i in range(1, p.m + 1)]
     cases = 0
     rng = random.Random(p.seed)
     for weight in product(range(-2, 3), repeat=p.m):
         cases += 1
-        rows = []
+        image = linalg.Echelon()
         for i, h in enumerate(hs):
             for key in small:
                 img = act_witt(spec, h, _pure(spec, key)) \
                     - Fraction(weight[i]) * _pure(spec, key)
-                row = [ZERO] * len(big)
-                for k2, c in img.terms.items():
-                    row[col_index[k2]] = c
-                rows.append(row)
-        quotient = len(big) - linalg.rank(rows)
+                image.insert(img.terms)
+        quotient = len(big) - len(image.rows)
         if quotient != expected:
             raise _Fail({"weight": list(weight), "window": p.D,
                          "expected": expected, "got": quotient}, cases)
@@ -743,58 +746,46 @@ def _slot_list(m, n):
         + [(XSLOT, j) for j in range(1, n + 1)]
 
 
+def _difference_sweep(m, n, deg):
+    """Every (alpha, beta, I, J, j, s1, s2) with exponents in 0..deg, odd
+    masks I and J, an even index j and two slots, in a fixed order."""
+    slots = _slot_list(m, n)
+    exps = list(product(range(deg + 1), repeat=m))
+    return product(exps, exps, range(1 << n), range(1 << n),
+                   range(1, m + 1), slots, slots)
+
+
 def check_difference_recurrence(p: CheckParams):
     spec = _spec(p)
-    slots = _slot_list(p.m, p.n)
     wkeys = window_keys(spec, p.D)
     rmax = min(p.rmax, 4)
     cases = 0
-    for alpha in product(range(2), repeat=p.m):
-        for beta in product(range(2), repeat=p.m):
-            for imask in range(1 << p.n):
-                for jmask in range(1 << p.n):
-                    for j in range(1, p.m + 1):
-                        for s1 in slots:
-                            for s2 in slots:
-                                for r in range(rmax):
-                                    cases += 1
-                                    aj = tuple(
-                                        x + (1 if q == j - 1 else 0)
-                                        for q, x in enumerate(alpha))
-                                    bj = tuple(
-                                        x + (1 if q == j - 1 else 0)
-                                        for q, x in enumerate(beta))
-                                    lhs = (difference_word(
-                                        p.m, p.n, aj, beta, imask, jmask,
-                                        r, j, s1, s2)
-                                        - difference_word(
-                                            p.m, p.n, alpha, bj, imask,
-                                            jmask, r, j, s1, s2))
-                                    rhs = difference_word(
-                                        p.m, p.n, alpha, beta, imask,
-                                        jmask, r + 1, j, s1, s2)
-                                    if lhs != rhs:
-                                        raise _Fail({
-                                            "route": "formal words",
-                                            "alpha": list(alpha),
-                                            "beta": list(beta),
-                                            "I": imask, "J": jmask,
-                                            "r": r, "j": j,
-                                            "lhs": _print(lhs),
-                                            "rhs": _print(rhs)}, cases)
-                                    diff = lhs - rhs
-                                    for wk in wkeys:
-                                        img = act_word(spec, diff,
-                                                       _pure(spec, wk))
-                                        if img:
-                                            raise _Fail({
-                                                "route": "module action",
-                                                "alpha": list(alpha),
-                                                "beta": list(beta),
-                                                "I": imask, "J": jmask,
-                                                "r": r, "j": j,
-                                                "on": _print(_pure(spec, wk)),
-                                                "image": _print(img)}, cases)
+    for alpha, beta, imask, jmask, j, s1, s2 in _difference_sweep(
+            p.m, p.n, 1):
+        aj = tuple(x + (1 if q == j - 1 else 0) for q, x in enumerate(alpha))
+        bj = tuple(x + (1 if q == j - 1 else 0) for q, x in enumerate(beta))
+        for r in range(rmax):
+            cases += 1
+            lhs = (difference_word(p.m, p.n, aj, beta, imask, jmask,
+                                   r, j, s1, s2)
+                   - difference_word(p.m, p.n, alpha, bj, imask, jmask,
+                                     r, j, s1, s2))
+            rhs = difference_word(p.m, p.n, alpha, beta, imask, jmask,
+                                  r + 1, j, s1, s2)
+            if lhs != rhs:
+                raise _Fail({"route": "formal words",
+                             "alpha": list(alpha), "beta": list(beta),
+                             "I": imask, "J": jmask, "r": r, "j": j,
+                             "lhs": _print(lhs), "rhs": _print(rhs)}, cases)
+            diff = lhs - rhs
+            for wk in wkeys:
+                img = act_word(spec, diff, _pure(spec, wk))
+                if img:
+                    raise _Fail({"route": "module action",
+                                 "alpha": list(alpha), "beta": list(beta),
+                                 "I": imask, "J": jmask, "r": r, "j": j,
+                                 "on": _print(_pure(spec, wk)),
+                                 "image": _print(img)}, cases)
     return cases, None
 
 
@@ -823,21 +814,14 @@ def check_difference_annihilation(p: CheckParams):
     if not rep.has_weight_basis():
         raise ConfigError("difference annihilation needs a rep with a "
                           "weight basis (all Cartan matrices diagonal)")
-    slots = _slot_list(p.m, p.n)
     table = {}
     cases = 0
     if mode == "untwisted":
         spec0 = ModuleSpec(p.m, p.n, (ZERO,) * p.m, rep)
         keys_lo = window_keys(spec0, p.D)
         keys_hi = window_keys(spec0, p.D + 1)
-        sweep = [(alpha, beta, imask, jmask, j, s1, s2)
-                 for alpha in product(range(p.deg + 1), repeat=p.m)
-                 for beta in product(range(p.deg + 1), repeat=p.m)
-                 for imask in range(1 << p.n)
-                 for jmask in range(1 << p.n)
-                 for j in range(1, p.m + 1)
-                 for s1 in slots for s2 in slots]
-        for alpha, beta, imask, jmask, j, s1, s2 in sweep:
+        for alpha, beta, imask, jmask, j, s1, s2 in _difference_sweep(
+                p.m, p.n, p.deg):
             cases += 1
             label = _diff_label(alpha, beta, imask, jmask, j, s1, s2)
             found = None
@@ -874,15 +858,8 @@ def check_difference_annihilation(p: CheckParams):
         raise ConfigError("coset mode needs a nonsingular twist vector")
     units = unit_basis(spec)
     weights = list(product(range(-1, 2), repeat=p.m))
-    deg = min(p.deg, 1)
-    sweep = [(alpha, beta, imask, jmask, j, s1, s2)
-             for alpha in product(range(deg + 1), repeat=p.m)
-             for beta in product(range(deg + 1), repeat=p.m)
-             for imask in range(1 << p.n)
-             for jmask in range(1 << p.n)
-             for j in range(1, p.m + 1)
-             for s1 in slots for s2 in slots]
-    for alpha, beta, imask, jmask, j, s1, s2 in sweep:
+    for alpha, beta, imask, jmask, j, s1, s2 in _difference_sweep(
+            p.m, p.n, min(p.deg, 1)):
         cases += 1
         label = _diff_label(alpha, beta, imask, jmask, j, s1, s2)
         found = None

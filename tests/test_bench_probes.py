@@ -1,0 +1,64 @@
+"""The benchmark's layer probes still find what they wrap.
+
+`perfbench/tracer.py` patches wittmod functions by name and wraps
+`linalg.rref` with a one-argument wrapper.  A rename of a probed function,
+or a second argument to `rref`, would break only the traced benchmark
+run; this test makes it fail here instead.  The tracer is loaded by path,
+so `perfbench/` stays a plain directory of scripts.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+import wittmod.cli as cli
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+if not TRACER.exists():
+    pytest.skip("perfbench/ is absent", allow_module_level=True)
+
+# every one of these must be reached by the request below
+REACHED = ["linalg.rref", "linalg.invert", "tensor_modules.whittaker_space",
+           "tensor_modules.TensorSpan.insert"]
+
+REQUEST = [
+    ["wh", "--m", "1", "--n", "1", "--D", "2"],
+    # a fresh module per request: the product basis is inverted anew
+    ["weighting", "t1 @ e1 + 1 @ e2", "--r", "1", "--m", "1", "--n", "1"],
+    ["report", "--check", "simplicity_probe", "--m", "1", "--n", "1",
+     "--out", "-", "--stable"],
+]
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _request():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes = [cli.run_command(argv) for argv in REQUEST]
+    return codes, out.getvalue()
+
+
+def test_probes_install_and_trace_the_same_result():
+    tracer = _load_tracer().Tracer()
+    plain = _request()
+    tracer.install()
+    try:
+        traced = tracer.request(_request)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert plain[0] == [0, 0, 0]
+    calls = {name: got[0] for name, got in tracer.layer_times().items()}
+    assert [name for name in REACHED if not calls[name]] == []
+    # uninstall restores the originals
+    assert _request() == plain

@@ -126,6 +126,17 @@ def test_empty_shape_exits_2(capsys):
     assert "empty shape" in err
 
 
+def test_weight_multiplicity_rejects_m0(capsys):
+    # no even variables means no Cartan weights: a configuration error
+    # named before any work, not an internal ValueError
+    rc, out, _ = run(capsys, ["verify", "weight_multiplicity", "--m", "0",
+                              "--n", "1"])
+    assert rc == 2
+    assert " error cases=0 " in out
+    assert "weight_multiplicity needs m >= 1" in out
+    assert "randrange" not in out
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_check_error_status_exits_2(capsys, command):
     # a singular twist is a configuration error found inside the check:

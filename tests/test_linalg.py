@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittmod.linalg import (Echelon, invert, kernel_basis, mat_mul, mat_vec,
-                            rank, rref)
+from wittmod.linalg import Echelon, invert, mat_mul, mat_vec, rref
 
 F = Fraction
 
@@ -35,6 +34,34 @@ def _dense_rref(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
     return a, pivots
+
+
+def _dense_kernel(rows, ncols):
+    """Reference kernel read off `_dense_rref`: one vector per free column,
+    increasing, with 1 there and minus the reduced entry at each pivot."""
+    red, pivots = _dense_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return free, basis
+
+
+def _rank(rows):
+    return len(rref(rows)[1])
+
+
+def _kernel(rows, ncols):
+    """Echelon.kernel over columns 0..ncols-1, as dense vectors."""
+    ech = Echelon()
+    for r in rows:
+        ech.insert(dict(enumerate(r)))
+    return [[v.get(c, F(0)) for c in range(ncols)]
+            for v in ech.kernel(range(ncols))]
 
 
 def _sparse_matrix(rng, rows, cols):
@@ -71,9 +98,9 @@ def test_rref_known():
 
 
 def test_rank_examples():
-    assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rank([]) == 0
+    assert len(rref([[F(1), F(0)], [F(0), F(1)]])[1]) == 2
+    assert len(rref([[F(1), F(2)], [F(2), F(4)]])[1]) == 1
+    assert len(rref([])[1]) == 0
 
 
 def test_kernel_vectors_annihilate():
@@ -81,8 +108,8 @@ def test_kernel_vectors_annihilate():
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _rand_matrix(rng, rows, cols)
-        ker = kernel_basis(m, cols)
-        assert len(ker) == cols - rank(m)
+        ker = _kernel(m, cols)
+        assert len(ker) == cols - _rank(m)
         for v in ker:
             assert mat_vec(m, v) == [F(0)] * rows
 
@@ -96,6 +123,24 @@ def test_rref_matches_dense_reference(shape):
         assert (red, pivots) == _dense_rref(m)
         assert len(red) == len(m)
         assert all(type(x) is F for row in red for x in row)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%dx%d" % s)
+def test_echelon_kernel_matches_dense_reference(shape):
+    rng = random.Random(2000 + 17 * shape[0] + shape[1])
+    ncols = shape[1]
+    for _ in range(60):
+        m = _sparse_matrix(rng, *shape)
+        ech = Echelon()
+        for r in m:
+            ech.insert(dict(enumerate(r)))
+        ker = ech.kernel(range(ncols))
+        free, ref = _dense_kernel(m, ncols)
+        # the same free columns, in order, and the same vectors
+        assert [[c for c in v if c not in ech.rows] for v in ker] \
+            == [[c] for c in free]
+        assert [[v.get(c, 0) for c in range(ncols)] for v in ker] == ref
+        assert all(type(x) is F and x for v in ker for x in v.values())
 
 
 def test_rref_matches_sympy():
@@ -118,7 +163,7 @@ def test_invert_roundtrip():
     while hits < 10:
         d = rng.randint(1, 4)
         m = _rand_matrix(rng, d, d)
-        if rank(m) < d:
+        if _rank(m) < d:
             continue
         hits += 1
         inv = invert(m)
@@ -138,7 +183,7 @@ def test_echelon_membership_and_order_independence():
         m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         ech = Echelon()
         grew = [ech.insert(dict(enumerate(r))) for r in m]
-        assert sum(grew) == rank(m)
+        assert sum(grew) == _rank(m)
         # fully reduced: pivot 1, least key, absent from every other row
         for p, row in ech.rows.items():
             assert row[p] == 1 and min(row) == p
@@ -150,7 +195,7 @@ def test_echelon_membership_and_order_independence():
             back.insert(dict(enumerate(r)))
         assert len(back.rows) == len(ech.rows)
         v = dict(enumerate(_sparse_matrix(rng, 1, len(m[0]))[0]))
-        inside = rank(m) == rank(m + [[v[k] for k in range(len(m[0]))]])
+        inside = _rank(m) == _rank(m + [[v[k] for k in range(len(m[0]))]])
         assert (not ech.reduce(v)) == (not back.reduce(v)) == inside
         for row in list(ech.rows.values()):
             assert not ech.insert(dict(row))

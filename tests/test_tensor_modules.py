@@ -123,6 +123,69 @@ def test_height_function():
     assert height(spec, t_vac, 1) == 1
 
 
+def _dense_kernel_of_ops(spec, ops, keys):
+    """Second route for the window solves: one dense row over the window
+    keys per output coordinate of each op, dense Gauss-Jordan, and one
+    kernel vector per free key in window order."""
+    rows = []
+    for op in ops:
+        images = [op(TensorElement.pure(spec, mono, l)) for mono, l in keys]
+        out_keys = {k for img in images for k in img.terms}
+        rows += [[img.terms.get(okey, F(0)) for img in images]
+                 for okey in out_keys]
+    rows = [r for r in rows if any(r)]
+    pivots = []
+    for c in range(len(keys)):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(len(keys)) if c not in pivots):
+        terms = {keys[fc]: F(1)}
+        for r, pc in enumerate(pivots):
+            if rows[r][fc]:
+                terms[keys[pc]] = -rows[r][fc]
+        basis.append(TensorElement(spec.m, spec.n, spec.dim, terms))
+    return basis
+
+
+@pytest.mark.parametrize("m,n,rep,D,hb", [
+    (1, 1, "natural", 3, None),
+    (2, 1, "tensor(natural,natural)", 3, None),
+    (2, 2, "natural", 4, None),
+    (2, 1, "natural", 4, 1),
+], ids=["1x1", "2x1-tensor", "2x2-D4", "2x1-height1"])
+def test_window_solves_match_dense_route(m, n, rep, D, hb):
+    spec = make_spec(m, n, a=tuple(F(i + 2, i + 1) for i in range(m)),
+                     rep=rep)
+    keys = window_keys(spec, D)
+    if hb is None:
+        got = whittaker_space(spec, D)
+        ops = [lambda x, i=i: lower_t(spec, i, x) for i in range(1, m + 1)]
+        ops += [lambda x, j=j: act_atom(spec, ("dx", j), x)
+                for j in range(1, n + 1)]
+    else:
+        got = generalized_whittaker_space(spec, D, height_bound=hb)
+
+        def power(i):
+            def op(x):
+                for _ in range(hb + 1):
+                    x = lower_t(spec, i, x)
+                return x
+            return op
+        ops = [power(i) for i in range(1, m + 1)]
+    assert got == _dense_kernel_of_ops(spec, ops, keys)
+    assert len(got) == spec.dim * (1 if hb is None else (hb + 1) ** m * 2 ** n)
+
+
 def test_descent_fixes_whittaker_vectors():
     spec = make_spec(1, 1)
     for x in whittaker_space(spec, 3):
@@ -162,10 +225,13 @@ def test_pbw_needs_nonsingular_twist():
         pbw_basis_rewrite(spec, 2)
 
 
+def _rank(rows):
+    return len(linalg.rref(rows)[1])
+
+
 def test_weight_space_dimension():
     # every weight slice of the window has dimension 2^n * dimV
     spec = make_spec(1, 1)
-    import wittmod.linalg as linalg
     big = window_keys(spec, 3)
     small = window_keys(spec, 2)
     col = {key: k for k, key in enumerate(big)}
@@ -179,7 +245,7 @@ def test_weight_space_dimension():
             for k2, c in img.terms.items():
                 row[col[k2]] = c
             rows.append(row)
-        assert len(big) - linalg.rank(rows) == 4
+        assert len(big) - _rank(rows) == 4
 
 
 def test_weight_reduce_is_representation_like():
@@ -220,10 +286,10 @@ def test_tensor_span_matches_rank():
             coords = [[x.terms.get(k, 0) for k in keys] for x in elems]
             span = TensorSpan()
             grew = [span.insert(x) for x in elems]
-            assert span.dim == sum(grew) == linalg.rank(coords)
+            assert span.dim == sum(grew) == _rank(coords)
             for y in (rand_tensor(spec, rng, 2, 2), elems[1] + elems[0]):
                 row = [y.terms.get(k, 0) for k in keys]
-                inside = linalg.rank(coords + [row]) == linalg.rank(coords)
+                inside = _rank(coords + [row]) == _rank(coords)
                 assert span.contains(y) == inside
                 assert (not span.reduce(y)) == inside
 
