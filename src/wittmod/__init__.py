@@ -23,9 +23,11 @@ from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
                              pbw_basis_rewrite, weight_reduce, weight_act)
 from .expressions import (ParseError, parse_expr, print_expr, as_superpoly,
                           as_witt, as_dressed, as_word, as_tensor)
+# the verifier before the config: it is the largest module, and compiling
+# it before the config loads dataclasses keeps the import's peak memory low
+from .verifier import CheckParams, CheckReport, REGISTRY, run_check
 from .config import ConfigError, RunConfig, load_config, resolve_rep, \
     parse_twist
-from .verifier import CheckParams, CheckReport, REGISTRY, run_check
 from .reporting import build_report, emit_report, render_report, \
     report_schema
 

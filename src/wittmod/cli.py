@@ -8,7 +8,8 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, load_config, parse_twist, resolve_rep
+from .config import (CheckParams, ConfigError, load_config, parse_twist,
+                     resolve_rep)
 from .dressed import dressed_bracket
 from .expressions import (ParseError, as_dressed, as_tensor, as_witt,
                           as_word, parse_expr, print_expr)
@@ -44,9 +45,8 @@ def _shape(args, parsed_lists):
 
 
 def _module_spec(args, m, n) -> ModuleSpec:
-    from fractions import Fraction
-    a = parse_twist(args.a, m) if args.a else (Fraction(1),) * m
-    return ModuleSpec(m, n, a, resolve_rep(args.rep, m, n))
+    return ModuleSpec(m, n, parse_twist(args.a, m),
+                      resolve_rep(args.rep, m, n))
 
 
 def _add_shape_flags(sub):
@@ -125,10 +125,8 @@ def _cmd_weighting(args) -> int:
 
 
 def _cli_dict(args) -> dict:
-    keys = ("m", "n", "a", "rep", "D", "deg", "rmax", "trials", "seed",
-            "mode", "height", "expect_reducible")
     out = {}
-    for key in keys:
+    for key in CheckParams.keys():
         val = getattr(args, key, None)
         if val is not None:
             out[key] = val
@@ -195,7 +193,7 @@ def _add_check_flags(sub):
         sub.add_argument("--%s" % flag, type=int, default=None)
     sub.add_argument("--mode", default=None,
                      help="corrected | verbatim | mutated | tau_flipped | "
-                          "coset (check dependent)")
+                          "untwisted | coset (check dependent)")
     sub.add_argument("--expect-reducible", dest="expect_reducible",
                      action="store_const", const=True, default=None)
     sub.add_argument("--config", default=None, help="INI config file")

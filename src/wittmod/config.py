@@ -1,4 +1,5 @@
-"""Run configuration: INI files, twist vectors, rep descriptors.
+"""Run configuration: the run-parameter schema (CheckParams), INI files,
+twist vectors, rep descriptors.
 
 A config file has a [run] section plus optional [check:<id>] sections:
 
@@ -20,9 +21,8 @@ Rep descriptors: natural | trivial | trivial:<dim> | tensor(d1, d2)
 matrix unit, "E i j : d*d rationals row-major".
 """
 
-from __future__ import annotations
-
 import configparser
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .glmn import (Rep, custom_rep, direct_sum_rep, natural_rep, tensor_rep,
@@ -33,13 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-_INT_KEYS = ("m", "n", "D", "deg", "rmax", "trials", "seed", "height")
-_NONNEGATIVE_KEYS = ("m", "n", "D", "deg", "rmax", "trials")
-_DEFAULTS = {"m": 1, "n": 1, "D": 3, "deg": 2, "rmax": 8, "trials": 50,
-             "seed": 0, "height": 0, "rep": "natural", "mode": "corrected",
-             "expect_reducible": False}
-
-
 def parse_rational(text) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -47,12 +40,17 @@ def parse_rational(text) -> Fraction:
         raise ConfigError("bad rational %r: %s" % (text, e))
 
 
-def parse_twist(text, m) -> tuple:
-    parts = [p for p in text.replace(",", " ").split() if p]
+def parse_twist(value, m) -> tuple:
+    """A twist vector from text ("1, -1/2") or a sequence of rationals;
+    None or an empty value is the default, all ones."""
+    if not value:
+        return (Fraction(1),) * m
+    parts = value.replace(",", " ").split() if isinstance(value, str) \
+        else value
     if len(parts) != m:
         raise ConfigError("twist vector needs %d entries, got %d"
                           % (m, len(parts)))
-    return tuple(parse_rational(p) for p in parts)
+    return tuple(parse_rational(str(p)) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +151,98 @@ def load_rep_file(path, m, n) -> Rep:
 
 
 # ---------------------------------------------------------------------------
+# the run-parameter schema
+
+_BOUNDED = {"min": 0}
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string",
+               tuple: "a twist vector"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(f, value):
+    """value as the type of field f.  Text (an INI value) is parsed; any
+    other value must have the type already.  The twist vector is left as
+    given: it is parsed once m is known."""
+    kind = f.type
+    if isinstance(value, str) and kind is not tuple:
+        text = value.strip()
+        if kind is int:
+            try:
+                value = int(text)
+            except ValueError:
+                pass
+        else:
+            value = _BOOLEANS.get(text.lower(), value) if kind is bool \
+                else text
+    if type(value) is kind or kind is tuple and (
+            value is None or isinstance(value, (str, list))):
+        return value
+    raise ConfigError("key %s must be %s, got %r"
+                      % (f.name, _TYPE_NAMES[kind], value))
+
+
+@dataclass
+class CheckParams:
+    """The run parameters of one check: the one place that names each of
+    them and gives its default, its type (int, bool, str, or the twist
+    vector a) and its bound.  Construction validates, so every bad
+    parameter is a ConfigError raised before any work."""
+
+    check: str
+    m: int = field(default=1, metadata=_BOUNDED)
+    n: int = field(default=1, metadata=_BOUNDED)
+    a: tuple = ()
+    rep: str = "natural"
+    D: int = field(default=3, metadata=_BOUNDED)
+    deg: int = field(default=2, metadata=_BOUNDED)
+    rmax: int = field(default=8, metadata=_BOUNDED)
+    trials: int = field(default=50, metadata=_BOUNDED)
+    seed: int = 0
+    mode: str = "corrected"
+    expect_reducible: bool = False
+    height: int = field(default=0, metadata=_BOUNDED)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = _coerce(f, getattr(self, f.name))
+            if "min" in f.metadata and value < f.metadata["min"]:
+                raise ConfigError("%s must be >= %d, got %d"
+                                  % (f.name, f.metadata["min"], value))
+            setattr(self, f.name, value)
+        if self.m == self.n == 0:
+            raise ConfigError("empty shape: m and n are both 0")
+        self.a = parse_twist(self.a, self.m)
+        from .verifier import REGISTRY  # the verifier imports this module
+        if self.check not in REGISTRY:
+            raise ConfigError("unknown check id %r (known: %s)"
+                              % (self.check, ", ".join(sorted(REGISTRY))))
+        modes = ("corrected",) + REGISTRY[self.check].modes
+        if self.mode not in modes:
+            raise ConfigError("check %s has no mode %r (modes: %s)"
+                              % (self.check, self.mode, ", ".join(modes)))
+
+    @classmethod
+    def keys(cls):
+        """The parameter names, in order: every field but the check id."""
+        return [f.name for f in fields(cls) if f.name != "check"]
+
+    @classmethod
+    def from_dict(cls, check, values):
+        unknown = [key for key in values if key not in cls.keys()]
+        if unknown:
+            raise ConfigError("unknown key %r" % unknown[0])
+        return cls(check, **values)
+
+    def as_dict(self):
+        """The fields in order with the twist as strings: a report's
+        params."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["a"] = [str(x) for x in self.a]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # INI loading
 
 class RunConfig:
@@ -165,50 +255,22 @@ class RunConfig:
         self.overrides = {k: dict(v) for k, v in (overrides or {}).items()}
         self.checks = list(checks) if checks is not None else None
 
-    def params_for(self, check_id, cli=None):
-        """Resolve settings for one check: defaults < [run] < [check:] < CLI."""
-        merged = dict(_DEFAULTS)
-        merged.update(self.base)
+    def params_for(self, check_id, cli=None) -> dict:
+        """Validated settings for one check: defaults < [run] < [check:]
+        < CLI."""
+        merged = dict(self.base)
         merged.update(self.overrides.get(check_id, {}))
         if cli:
             merged.update({k: v for k, v in cli.items() if v is not None})
-        for key in _NONNEGATIVE_KEYS:
-            if merged[key] < 0:
-                raise ConfigError("%s must be >= 0, got %d"
-                                  % (key, merged[key]))
-        if merged["m"] == merged["n"] == 0:
-            raise ConfigError("empty shape: m and n are both 0")
-        if "a" not in merged or merged["a"] is None:
-            merged["a"] = (Fraction(1),) * merged["m"]
-        elif isinstance(merged["a"], str):
-            merged["a"] = parse_twist(merged["a"], merged["m"])
-        elif len(merged["a"]) != merged["m"]:
-            raise ConfigError("twist vector needs %d entries, got %d"
-                              % (merged["m"], len(merged["a"])))
-        return merged
-
-
-def _coerce(key, raw):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError("key %s must be an integer, got %r" % (key, raw))
-    if key == "expect_reducible":
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError("key expect_reducible must be a boolean, got %r"
-                          % raw)
-    return raw.strip()
+        params = CheckParams.from_dict(check_id, merged)
+        return {key: getattr(params, key) for key in params.keys()}
 
 
 def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: D is not d
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -216,35 +278,20 @@ def load_config(path=None) -> RunConfig:
         raise ConfigError("cannot read config %s: %s" % (path, e))
     except configparser.Error as e:
         raise ConfigError("bad config %s: %s" % (path, e))
-    base = {}
-    checks = None
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key == "checks":
-                checks = [c.strip() for c in raw.split(",") if c.strip()]
-                if checks == ["all"]:
-                    checks = None
-            elif key == "a":
-                base["a"] = raw
-            elif key in _INT_KEYS or key in ("rep", "mode",
-                                             "expect_reducible"):
-                base[key] = _coerce(key, raw)
-            else:
-                raise ConfigError("unknown [run] key %r" % key)
-    overrides = {}
+    schema = {f.name: f for f in fields(CheckParams) if f.name != "check"}
+    base, overrides, checks = {}, {}, None
     for section in parser.sections():
         if section == "run":
-            continue
-        if not section.startswith("check:"):
+            values = base
+        elif section.startswith("check:"):
+            values = overrides[section[6:]] = {}
+        else:
             raise ConfigError("unknown section [%s]" % section)
-        cid = section[6:]
-        overrides[cid] = {}
         for key, raw in parser.items(section):
-            if key == "a":
-                overrides[cid]["a"] = raw
-            elif key in _INT_KEYS or key in ("rep", "mode",
-                                             "expect_reducible"):
-                overrides[cid][key] = _coerce(key, raw)
+            if section == "run" and key == "checks":
+                checks = [c.strip() for c in raw.split(",") if c.strip()]
+            elif key in schema:
+                values[key] = _coerce(schema[key], raw)
             else:
                 raise ConfigError("unknown key %r in [%s]" % (key, section))
-    return RunConfig(base, overrides, checks)
+    return RunConfig(base, overrides, None if checks == ["all"] else checks)

@@ -21,9 +21,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .superpoly import (ONE, LinComb, accumulate, mono_mul, mono_parity,
-                        mono_partial_t, mono_partial_xi, mono_sort_key,
-                        mono_tdeg, popcount)
+from .superpoly import (ONE, LinComb, accumulate, merge_sign_masks,
+                        mono_mul, mono_parity, mono_partial_t,
+                        mono_partial_xi, mono_sort_key, mono_tdeg, popcount)
 from .witt import (WittElement, _bracket_basis, term_parity, term_sort_key,
                    TSLOT, XSLOT)
 from .words import OperatorWord, make_watom
@@ -137,19 +137,6 @@ def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
 
 # ---------------------------------------------------------------------------
 
-def _tau(jmask: int, kmask: int) -> int:
-    """#{(j,k) : j in J, k in K, j > k}."""
-    count = 0
-    rest = jmask
-    pos = 0
-    while rest:
-        if rest & 1:
-            count += popcount(kmask & ((1 << pos) - 1))
-        rest >>= 1
-        pos += 1
-    return count
-
-
 def _submasks(mask: int):
     """All submasks, ascending-by-value (deterministic)."""
     subs = []
@@ -169,7 +156,8 @@ def commutant_element(m, n, alpha, imask, slot,
 
     Sum over 0 <= beta <= alpha (coordinatewise) and J subset I of
         (-1)^{|beta|+|J|+tau(J, I\\J)} C(alpha,beta) (t^beta xi_J).(t^(alpha-beta) xi_(I\\J) d)
-    with C the product of coordinatewise binomials.  Defined only when the
+    with C the product of coordinatewise binomials and tau(J, K) the
+    number of pairs j in J, k in K with j > k.  Defined only when the
     derivation has a nonconstant coefficient (|alpha|+|I| > 0).
 
     tau_mode="flipped" counts the reordering pairs in the other order,
@@ -192,12 +180,14 @@ def commutant_element(m, n, alpha, imask, slot,
         rest_alpha = tuple(a - b for a, b in zip(alpha, beta))
         for jmask in _submasks(imask):
             kmask = imask & ~jmask
-            tau = _tau(jmask, kmask) if tau_mode == "standard" \
-                else _tau(kmask, jmask)
-            sign_exp = sum(beta) + popcount(jmask) + tau
-            c = Fraction(cbin) * (-1 if sign_exp & 1 else 1)
+            # (-1)^tau is the Koszul sign of merging the two masks
+            pair = (jmask, kmask) if tau_mode == "standard" \
+                else (kmask, jmask)
+            sign = merge_sign_masks(*pair)[0]
+            if (sum(beta) + popcount(jmask)) & 1:
+                sign = -sign
             key = ((beta, jmask), ((rest_alpha, kmask), slot))
-            accumulate(out.terms, key, c)
+            accumulate(out.terms, key, Fraction(cbin * sign))
     return out
 
 

@@ -20,9 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dressed import DressedWittElement, dressed_sort_key
-from .superpoly import SuperPoly, mask_indices, mono_mul, mono_sort_key
+from .superpoly import (SuperPoly, accumulate, mask_indices, mono_mul,
+                        mono_sort_key)
 from .tensor_modules import TensorElement, tensor_key_sort
-from .witt import TSLOT, XSLOT, WittElement, term_sort_key
+from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
+                   term_sort_key)
 from .words import OperatorWord, make_watom
 
 
@@ -340,6 +342,28 @@ def as_witt(terms, m, n) -> WittElement:
     return out
 
 
+def as_extended(terms, m, n) -> ExtendedWittElement:
+    """A segment ending in a slot is a derivation term; any other segment
+    (or a bare number) is a monomial of the function part."""
+    acc = {}
+    for coeff, segs, eidx in terms:
+        if eidx is not None:
+            raise ValueError("tensor marker not allowed in an extension "
+                             "element")
+        if len(segs) > 1:
+            raise ValueError("an extension term is a single segment")
+        seg = segs[0] if segs else ()
+        if seg and seg[-1][0] in ("dt", "dx"):
+            hit = _seg_witt(seg, m, n)
+        else:
+            hit = _seg_mono(seg, m, n)
+            if hit:
+                hit = (hit[0], None), hit[1]
+        if hit:
+            accumulate(acc, hit[0], coeff * hit[1])
+    return ExtendedWittElement(m, n, acc)
+
+
 def as_dressed(terms, m, n) -> DressedWittElement:
     out = DressedWittElement(m, n)
     for coeff, segs, eidx in terms:
@@ -471,6 +495,18 @@ def print_witt(w: WittElement) -> str:
     return _join([(c, _fmt_witt_term(key)) for key, c in items])
 
 
+def _ext_sort_key(key):
+    """Derivation terms first, then the function part."""
+    mono, slot = key
+    return (0,) + term_sort_key(key) if slot else (1,) + mono_sort_key(mono)
+
+
+def print_extended(e: ExtendedWittElement) -> str:
+    items = sorted(e.terms.items(), key=lambda kv: _ext_sort_key(kv[0]))
+    return _join([(c, _fmt_witt_term(key) if key[1] else _fmt_mono(key[0]))
+                  for key, c in items])
+
+
 def print_dressed(d: DressedWittElement) -> str:
     items = sorted(d.terms.items(), key=lambda kv: dressed_sort_key(kv[0]))
     parts = []
@@ -535,6 +571,8 @@ def print_expr(obj) -> str:
         return print_witt(obj)
     if isinstance(obj, DressedWittElement):
         return print_dressed(obj)
+    if isinstance(obj, ExtendedWittElement):
+        return print_extended(obj)
     if isinstance(obj, OperatorWord):
         return print_word(obj)
     if isinstance(obj, TensorElement):

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 from . import linalg
-from .config import ConfigError, resolve_rep
+from .config import CheckParams, ConfigError, resolve_rep
 from .dressed import (DressedWittElement, commutant_element,
-                      commutant_of_witt, dressed_basis, dressed_bracket,
-                      dressed_parity)
+                      commutant_of_witt, dressed_basis, dressed_bracket)
 from .superpoly import (SuperPoly, accumulate, enumerate_monomials, mono_mul,
                         mono_parity, popcount)
 from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
@@ -42,43 +42,6 @@ from .words import OperatorWord, atom_parity, difference_word, \
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-@dataclass
-class CheckParams:
-    check: str = ""
-    m: int = 1
-    n: int = 1
-    a: tuple = ()
-    rep: str = "natural"
-    D: int = 3
-    deg: int = 2
-    rmax: int = 8
-    trials: int = 50
-    seed: int = 0
-    mode: str = "corrected"
-    expect_reducible: bool = False
-    height: int = 0
-
-    def __post_init__(self):
-        if not self.a:
-            self.a = (ONE,) * self.m
-        self.a = tuple(Fraction(x) for x in self.a)
-
-    @classmethod
-    def from_dict(cls, check, merged):
-        known = {f.name for f in fields(cls)} - {"check"}
-        kwargs = {k: v for k, v in merged.items() if k in known}
-        return cls(check=check, **kwargs)
-
-    def as_dict(self):
-        return {
-            "check": self.check, "m": self.m, "n": self.n,
-            "a": [str(x) for x in self.a], "rep": self.rep, "D": self.D,
-            "deg": self.deg, "rmax": self.rmax, "trials": self.trials,
-            "seed": self.seed, "mode": self.mode,
-            "expect_reducible": self.expect_reducible, "height": self.height,
-        }
 
 
 @dataclass
@@ -218,23 +181,6 @@ def _jacobi_sweep(level, memo, parity, triples, render, cases, extra=None):
     return cases
 
 
-def _ext_element(m, n, terms):
-    """Extension element from terms keyed (mono, slot); slot None marks
-    the function part."""
-    return ExtendedWittElement(
-        WittElement(m, n, {k: c for k, c in terms.items() if k[1]}),
-        SuperPoly(m, n, {k[0]: c for k, c in terms.items() if not k[1]}))
-
-
-def _ext_terms(el):
-    return list(el.der.terms.items()) + [
-        ((mono, None), c) for mono, c in el.fun.terms.items()]
-
-
-def _render_ext(el):
-    return " + ".join(_print(part) for part in (el.der, el.fun) if part)
-
-
 def check_jacobi(p: CheckParams):
     """The derivation table exhaustively; the extension and the dressed
     product exhaustively up to 300000 triples, else a seeded sample.
@@ -269,21 +215,13 @@ def check_jacobi(p: CheckParams):
 
     exdeg = min(p.deg, 2)
     levels = [
-        ("abelian extension",
-         [_ext_terms(el)[0][0] for el in extended_basis(m, n, exdeg)],
-         lambda k1, k2: _ext_terms(extended_bracket(
-             _ext_element(m, n, {k1: ONE}), _ext_element(m, n, {k2: ONE}))),
-         lambda k: term_parity(*k) if k[1] else mono_parity(k[0]),
-         lambda terms: _render_ext(_ext_element(m, n, terms))),
-        ("dressed product",
-         [next(iter(el.terms)) for el in dressed_basis(m, n, exdeg)],
-         lambda k1, k2: dressed_bracket(
-             DressedWittElement(m, n, {k1: ONE}),
-             DressedWittElement(m, n, {k2: ONE})).terms.items(),
-         dressed_parity,
-         lambda terms: _print(DressedWittElement(m, n, terms))),
+        ("abelian extension", ExtendedWittElement,
+         extended_basis(m, n, exdeg), extended_bracket),
+        ("dressed product", DressedWittElement,
+         dressed_basis(m, n, exdeg), dressed_bracket),
     ]
-    for level, basis, pair, parity, render in levels:
+    for level, cls, elements, bracket in levels:
+        basis = [next(iter(el.terms)) for el in elements]
         size = len(basis)
         if size ** 3 <= 300000:
             triples = product(range(size), repeat=3)
@@ -291,9 +229,11 @@ def check_jacobi(p: CheckParams):
             rng = random.Random(p.seed + 1)
             triples = [tuple(rng.randrange(size) for _ in range(3))
                        for _ in range(max(p.trials, 500))]
-        cases = _jacobi_sweep(level, _PairMemo(basis, pair),
-                              [parity(k) for k in basis], triples, render,
-                              cases)
+        memo = _PairMemo(basis, lambda k1, k2: bracket(
+            cls(m, n, {k1: ONE}), cls(m, n, {k2: ONE})).terms.items())
+        cases = _jacobi_sweep(
+            level, memo, [cls.key_parity(k) for k in basis], triples,
+            lambda terms: _print(cls(m, n, terms)), cases)
     return cases, None
 
 
@@ -809,14 +749,13 @@ def _annihilates_on_keys(spec, word, keys):
 
 
 def check_difference_annihilation(p: CheckParams):
-    mode = "untwisted" if p.mode == "corrected" else p.mode
     rep = resolve_rep(p.rep, p.m, p.n)
     if not rep.has_weight_basis():
         raise ConfigError("difference annihilation needs a rep with a "
                           "weight basis (all Cartan matrices diagonal)")
     table = {}
     cases = 0
-    if mode == "untwisted":
+    if p.mode != "coset":  # "untwisted", the default route
         spec0 = ModuleSpec(p.m, p.n, (ZERO,) * p.m, rep)
         keys_lo = window_keys(spec0, p.D)
         keys_hi = window_keys(spec0, p.D + 1)
@@ -850,9 +789,6 @@ def check_difference_annihilation(p: CheckParams):
                                           "between windows" % found}, cases)
             table[label] = found
         return cases, {"minimal_r": table}
-    if mode != "coset":
-        raise ConfigError("difference annihilation mode must be "
-                          "'untwisted' or 'coset'")
     spec = ModuleSpec(p.m, p.n, p.a, rep)
     if not spec.nonsingular:
         raise ConfigError("coset mode needs a nonsingular twist vector")
@@ -983,31 +919,36 @@ def check_simplicity_probe(p: CheckParams):
 # ---------------------------------------------------------------------------
 # registry and runner
 
+# a check and the modes it implements besides "corrected"
+Check = namedtuple("Check", "run modes")
+
 REGISTRY = {
-    "jacobi": check_jacobi,
-    "bracket_oracle": check_bracket_oracle,
-    "weyl_relations": check_weyl_relations,
-    "module_axioms": check_module_axioms,
-    "commutant_homomorphism": check_commutant_homomorphism,
-    "commutant_weyl_commute": check_commutant_weyl_commute,
-    "gl_realization": check_gl_realization,
-    "whittaker_dimension": check_whittaker_dimension,
-    "descent_roundtrip": check_descent_roundtrip,
-    "weight_multiplicity": check_weight_multiplicity,
-    "difference_recurrence": check_difference_recurrence,
-    "difference_annihilation": check_difference_annihilation,
-    "simplicity_probe": check_simplicity_probe,
+    "jacobi": Check(check_jacobi, ("mutated",)),
+    "bracket_oracle": Check(check_bracket_oracle, ("verbatim",)),
+    "weyl_relations": Check(check_weyl_relations, ()),
+    "module_axioms": Check(check_module_axioms, ("mutated",)),
+    "commutant_homomorphism": Check(check_commutant_homomorphism,
+                                    ("tau_flipped",)),
+    "commutant_weyl_commute": Check(check_commutant_weyl_commute, ()),
+    "gl_realization": Check(check_gl_realization, ()),
+    "whittaker_dimension": Check(check_whittaker_dimension, ()),
+    "descent_roundtrip": Check(check_descent_roundtrip, ()),
+    "weight_multiplicity": Check(check_weight_multiplicity, ()),
+    "difference_recurrence": Check(check_difference_recurrence, ()),
+    "difference_annihilation": Check(check_difference_annihilation,
+                                     ("untwisted", "coset")),
+    "simplicity_probe": Check(check_simplicity_probe, ()),
 }
 
 
 def run_check(check_id, merged) -> CheckReport:
-    if check_id not in REGISTRY:
-        raise ConfigError("unknown check id %r (known: %s)"
-                          % (check_id, ", ".join(sorted(REGISTRY))))
+    """Run one check.  An unknown check id, an unknown key or a bad
+    parameter raises ConfigError, as on the command line; a problem found
+    inside the check is a report with status error."""
     params = CheckParams.from_dict(check_id, merged)
     start = time.monotonic()
     try:
-        cases, data = REGISTRY[check_id](params)
+        cases, data = REGISTRY[check_id].run(params)
         if not cases:
             raise _Fail({"error": "no cases were examined"}, 0)
         status, cex = "pass", None

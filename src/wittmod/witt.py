@@ -238,85 +238,65 @@ def bracket_oracle(x: WittElement, y: WittElement) -> WittElement:
 # ---------------------------------------------------------------------------
 # the abelian extension by the algebra itself
 
-class ExtendedWittElement:
-    """Pair (derivation part, function part) in the semidirect sum where
-    the algebra is an abelian ideal acted on by the derivations."""
+class ExtendedWittElement(LinComb):
+    """Element of the semidirect sum in which the algebra is an abelian
+    ideal acted on by the derivations.  A key is (mono, slot) for a
+    derivation term and (mono, None) for a term of the function part."""
 
-    __slots__ = ("der", "fun")
+    __slots__ = ()
 
-    def __init__(self, der: WittElement, fun: SuperPoly):
-        if der.m != fun.m or der.n != fun.n:
-            raise ValueError("shape mismatch between parts")
-        self.der = der
-        self.fun = fun
+    @staticmethod
+    def key_parity(key) -> int:
+        mono, slot = key
+        return term_parity(mono, slot) if slot else mono_parity(mono)
 
     @classmethod
     def from_witt(cls, x: WittElement):
-        return cls(x, SuperPoly.zero(x.m, x.n))
+        return cls(x.m, x.n, x.terms)
 
     @classmethod
     def from_poly(cls, a: SuperPoly):
-        return cls(WittElement.zero(a.m, a.n), a)
+        return cls(a.m, a.n, {(mono, None): c for mono, c in a.terms.items()})
 
-    def __add__(self, other):
-        return ExtendedWittElement(self.der + other.der, self.fun + other.fun)
+    @property
+    def der(self) -> WittElement:
+        out = WittElement(self.m, self.n)
+        out.terms = {k: c for k, c in self.terms.items() if k[1]}
+        return out
 
-    def __sub__(self, other):
-        return ExtendedWittElement(self.der - other.der, self.fun - other.fun)
-
-    def __neg__(self):
-        return ExtendedWittElement(-self.der, -self.fun)
-
-    def __mul__(self, scalar):
-        return ExtendedWittElement(self.der * scalar, self.fun * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtendedWittElement)
-                and self.der == other.der and self.fun == other.fun)
-
-    def __bool__(self):
-        return bool(self.der) or bool(self.fun)
-
-    def __repr__(self):
-        return "ExtendedWittElement(%r, %r)" % (self.der, self.fun)
+    @property
+    def fun(self) -> SuperPoly:
+        out = SuperPoly(self.m, self.n)
+        out.terms = {k[0]: c for k, c in self.terms.items() if not k[1]}
+        return out
 
 
 def extended_bracket(u: ExtendedWittElement, v: ExtendedWittElement,
                      mode="corrected") -> ExtendedWittElement:
     """[x+a, y+b] = [x,y] + x(b) - (-1)^{|y||a|} y(a); the function part is
     an abelian ideal."""
-    der = witt_bracket(u.der, v.der, mode)
-    fun = witt_act(u.der, v.fun)
-    for yh in v.der.homogeneous_parts():
-        if not yh:
-            continue
-        py = yh.parity()
-        for ah in u.fun.homogeneous_parts():
-            if not ah:
-                continue
-            sign = -1 if py * ah.parity() & 1 else 1
-            fun = fun - sign * witt_act(yh, ah)
-    return ExtendedWittElement(der, fun)
+    u._check(v)
+    x, y, a = u.der, v.der, u.fun
+    fun = witt_act(x, v.fun)
+    if y and a:
+        for yh in y.homogeneous_parts():
+            for ah in a.homogeneous_parts():
+                if yh and ah:
+                    sign = -1 if yh.parity() * ah.parity() & 1 else 1
+                    fun = fun - sign * witt_act(yh, ah)
+    terms = witt_bracket(x, y, mode).terms
+    terms.update(((mono, None), c) for mono, c in fun.terms.items())
+    return u._like(terms)
 
 
 def extended_basis(m, n, max_tdeg):
     """Homogeneous basis of the extension up to a t-degree bound:
     all basis derivations plus all monomials."""
     from .superpoly import enumerate_monomials
-    out = []
-    for mono in enumerate_monomials(m, n, max_tdeg):
-        for i in range(1, m + 1):
-            out.append(ExtendedWittElement.from_witt(
-                WittElement.term(m, n, mono[0], mono[1], (TSLOT, i))))
-        for j in range(1, n + 1):
-            out.append(ExtendedWittElement.from_witt(
-                WittElement.term(m, n, mono[0], mono[1], (XSLOT, j))))
-        p = SuperPoly(m, n)
-        p.terms[mono] = ONE
-        out.append(ExtendedWittElement.from_poly(p))
-    return out
+    slots = [(TSLOT, i) for i in range(1, m + 1)]
+    slots += [(XSLOT, j) for j in range(1, n + 1)] + [None]
+    return [ExtendedWittElement(m, n, {(mono, slot): ONE})
+            for mono in enumerate_monomials(m, n, max_tdeg) for slot in slots]
 
 
 def witt_basis(m, n, max_tdeg):

@@ -120,6 +120,21 @@ def test_check_with_no_cases_fails(capsys):
     assert "no cases were examined" in out
 
 
+def test_negative_height_exits_2(capsys):
+    rc, out, err = run(capsys, ["wh", "--height", "-1", "--m", "1", "--n",
+                                "1", "--D", "2"])
+    assert (rc, out) == (2, "")
+    assert "height must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("check,mode", [("jacobi", "mutatd"),
+                                        ("gl_realization", "tau_flipped")])
+def test_unimplemented_mode_exits_2(capsys, check, mode):
+    rc, out, err = run(capsys, ["verify", check, "--mode", mode])
+    assert (rc, out) == (2, "")
+    assert "check %s has no mode %r" % (check, mode) in err
+
+
 def test_empty_shape_exits_2(capsys):
     rc, out, err = run(capsys, ["verify", "jacobi", "--m", "0", "--n", "0"])
     assert (rc, out) == (2, "")

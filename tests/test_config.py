@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from wittmod.config import (ConfigError, RunConfig, load_config,
+from wittmod.cli import _cli_dict, build_parser
+from wittmod.config import (CheckParams, ConfigError, RunConfig, load_config,
                             load_rep_file, parse_rational, parse_twist,
                             resolve_rep)
+from wittmod.verifier import REGISTRY, run_check
 from wittmod.glmn import natural_rep, verify_rep
 
 F = Fraction
@@ -148,7 +150,8 @@ def test_load_config_missing_file():
         load_config("/nonexistent/run.ini")
 
 
-@pytest.mark.parametrize("key", ["m", "n", "D", "deg", "rmax", "trials"])
+@pytest.mark.parametrize("key", ["m", "n", "D", "deg", "rmax", "trials",
+                                 "height"])
 def test_params_reject_negative(key):
     with pytest.raises(ConfigError, match="%s must be >= 0" % key):
         RunConfig().params_for("jacobi", {key: -1})
@@ -159,3 +162,65 @@ def test_params_reject_empty_shape():
         RunConfig().params_for("jacobi", {"m": 0, "n": 0})
     # one empty side is a legal shape
     assert RunConfig().params_for("jacobi", {"m": 0, "n": 1})["m"] == 0
+
+
+# ---------------------------------------------------------------------------
+# one schema: the INI file, the command line and the library agree
+
+SAMPLE_VALUES = {"m": "2", "n": "0", "a": "1, 2", "rep": "trivial",
+                 "D": "4", "deg": "1", "rmax": "3", "trials": "7",
+                 "seed": "5", "mode": "mutated", "expect_reducible": "yes",
+                 "height": "1"}
+
+
+def test_every_parameter_is_an_ini_key_and_a_cli_flag(tmp_path):
+    # a new field needs a sample here, so it is checked on both routes
+    keys = CheckParams.keys()
+    assert sorted(SAMPLE_VALUES) == sorted(keys)
+    f = tmp_path / "run.ini"
+    f.write_text("[run]\n" + "".join("%s = %s\n" % kv
+                                     for kv in SAMPLE_VALUES.items()))
+    merged = load_config(str(f)).params_for("jacobi")
+    assert merged == {
+        "m": 2, "n": 0, "a": (F(1), F(2)), "rep": "trivial", "D": 4,
+        "deg": 1, "rmax": 3, "trials": 7, "seed": 5, "mode": "mutated",
+        "expect_reducible": True, "height": 1}
+    argv = ["verify", "jacobi"]
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if key == "expect_reducible" \
+            else [flag, SAMPLE_VALUES[key]]
+    args = build_parser().parse_args(argv)
+    assert RunConfig().params_for("jacobi", _cli_dict(args)) == merged
+
+
+REJECTED = [
+    ({"m": 0, "n": 0}, "empty shape: m and n are both 0"),
+    ({"m": 2, "a": (F(1),)}, "twist vector needs 2 entries, got 1"),
+    ({"a": "1, 2"}, "twist vector needs 1 entries, got 2"),
+    ({"dee": 3}, "unknown key 'dee'"),
+    ({"mode": "mutatd"},
+     "check jacobi has no mode 'mutatd' (modes: corrected, mutated)"),
+    ({"mode": "verbatim"},
+     "check jacobi has no mode 'verbatim' (modes: corrected, mutated)"),
+    ({"deg": "two"}, "key deg must be an integer, got 'two'"),
+] + [({key: -1}, "%s must be >= 0, got -1" % key)
+     for key in ("m", "n", "D", "deg", "rmax", "trials", "height")]
+
+
+@pytest.mark.parametrize("params,message", REJECTED)
+def test_library_and_config_reject_alike(params, message):
+    with pytest.raises(ConfigError) as via_config:
+        RunConfig().params_for("jacobi", params)
+    with pytest.raises(ConfigError) as via_library:
+        run_check("jacobi", params)
+    assert str(via_config.value) == str(via_library.value) == message
+
+
+def test_check_modes_are_declared():
+    # every check takes "corrected" and the modes its entry declares
+    for check_id, entry in REGISTRY.items():
+        for mode in ("corrected",) + entry.modes:
+            assert RunConfig().params_for(check_id, {"mode": mode})
+    with pytest.raises(ConfigError, match="unknown check id"):
+        RunConfig().params_for("nonsense")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -115,3 +116,36 @@ def test_print_round_trip_dressed():
                  "dt1 + t1 . dx1"):
         obj = D(text)
         assert D(print_expr(obj)) == obj
+
+
+def _inversions(first, second):
+    """#{(j, k) : j in first, k in second, j > k}, counted pair by pair."""
+    return sum(1 for j in first for k in second if j > k)
+
+
+@pytest.mark.parametrize("tau_mode", ["standard", "flipped"])
+def test_commutant_signs_match_inversion_count(tau_mode):
+    # every odd mask at n <= 3, with and without an even factor
+    for n in (1, 2, 3):
+        for imask in range(1 << n):
+            for alpha in ((0,), (1,), (2,)):
+                if not imask and not alpha[0]:
+                    continue
+                got = commutant_element(1, n, alpha, imask, (XSLOT, 1),
+                                        tau_mode=tau_mode).terms
+                want = {}
+                bits = [j for j in range(n) if imask >> j & 1]
+                for b in range(alpha[0] + 1):
+                    for jmask in range(1 << n):
+                        if jmask & ~imask:
+                            continue
+                        J = [j for j in bits if jmask >> j & 1]
+                        K = [j for j in bits if not jmask >> j & 1]
+                        tau = _inversions(J, K) if tau_mode == "standard" \
+                            else _inversions(K, J)
+                        sign = (-1) ** (b + len(J) + tau)
+                        key = (((b,), jmask),
+                               (((alpha[0] - b,), imask & ~jmask),
+                                (XSLOT, 1)))
+                        want[key] = Fraction(sign * comb(alpha[0], b))
+                assert got == want, (n, imask, alpha)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from wittmod.dressed import DressedWittElement
-from wittmod.expressions import (ParseError, as_dressed, as_superpoly,
-                                 as_tensor, as_witt, as_word, parse_expr,
-                                 print_expr)
+from wittmod.expressions import (ParseError, as_dressed, as_extended,
+                                 as_superpoly, as_tensor, as_witt, as_word,
+                                 parse_expr, print_expr)
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.tensor_modules import TensorElement
 from wittmod.witt import TSLOT, XSLOT, WittElement
@@ -44,10 +44,14 @@ GOLDEN = [
     ("tensor", "5*t1*t2 @ e3 - x1 @ e1", 2, 1, 3,
      "-x1 @ e1 + 5*t1*t2 @ e3"),
     ("tensor", "0", 1, 1, 2, "0"),
+    ("extended", "-t1 + t1*dt1", 1, 1, None, "t1*dt1 - t1"),
+    ("extended", "x1*t1 + 2 - dx1", 1, 1, None, "-dx1 + 2 + t1*x1"),
+    ("extended", "x2*x1*dx1 + t1", 1, 2, None, "-x1*x2*dx1 + t1"),
+    ("extended", "0", 1, 1, None, "0"),
 ]
 
 _CONVERT = {"superpoly": as_superpoly, "witt": as_witt,
-            "dressed": as_dressed, "word": as_word}
+            "dressed": as_dressed, "word": as_word, "extended": as_extended}
 
 
 def _to_object(kind, text, m, n, dim):

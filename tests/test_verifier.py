@@ -7,10 +7,11 @@ import pytest
 
 from wittmod import verifier
 from wittmod.dressed import dressed_bracket
-from wittmod.expressions import as_dressed, as_witt, parse_expr, print_expr
+from wittmod.expressions import (as_dressed, as_extended, as_witt,
+                                 parse_expr, print_expr)
 from wittmod.verifier import REGISTRY, CheckParams, run_check
-from wittmod.witt import (XSLOT, ExtendedWittElement, bracket_oracle,
-                          extended_bracket, witt_bracket)
+from wittmod.witt import (XSLOT, bracket_oracle, extended_bracket,
+                          witt_bracket)
 
 F = Fraction
 
@@ -78,6 +79,12 @@ def test_reducible_module_is_detected():
     assert "reducibility_evidence" in report.data
 
 
+def test_difference_annihilation_coset_mode_passes():
+    report = run_check("difference_annihilation", {"mode": "coset"})
+    assert report.status == "pass", report.counterexample
+    assert len(report.data["minimal_r"]) == report.cases > 0
+
+
 def test_simple_module_probe_covers():
     report = run_check("simplicity_probe", {"rep": "natural", "trials": 10})
     assert report.status == "pass"
@@ -136,9 +143,15 @@ def _faulty_dressed(u, v, mode="corrected"):
 
 def _faulty_extended(u, v, mode="corrected"):
     out = extended_bracket(u, v, mode)
-    der = out.der._like({k: -c if k[1][0] == XSLOT else c
-                         for k, c in out.der.terms.items()})
-    return ExtendedWittElement(der, out.fun)
+    return out._like({k: -c if k[1] and k[1][0] == XSLOT else c
+                      for k, c in out.terms.items()})
+
+
+def _faulty_extended_function_part(u, v, mode="corrected"):
+    # function terms (slot None) divisible by t1 negated
+    out = extended_bracket(u, v, mode)
+    return out._like({k: -c if k[1] is None and k[0][0][0] else c
+                      for k, c in out.terms.items()})
 
 
 def test_dressed_level_fault_is_caught_and_replays(monkeypatch):
@@ -155,12 +168,32 @@ def test_dressed_level_fault_is_caught_and_replays(monkeypatch):
     assert print_expr(defect) == cex["defect"]
 
 
-def test_extension_level_fault_is_caught(monkeypatch):
-    monkeypatch.setattr(verifier, "extended_bracket", _faulty_extended)
+def _replay_extension_fault(monkeypatch, f):
+    """The counterexample parses back and the patched bracket recomputes
+    its defect."""
+    monkeypatch.setattr(verifier, "extended_bracket", f)
     report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
+    cex = report.counterexample
     assert report.status == "fail"
-    assert report.counterexample["level"] == "abelian extension"
-    assert report.counterexample["defect"] != "0"
+    assert cex["level"] == "abelian extension"
+    x, y, z = (as_extended(parse_expr(cex[k]), 1, 1) for k in "xyz")
+    s = -1 if x.parity() & y.parity() else 1
+    defect = f(x, f(y, z)) - f(f(x, y), z) - s * f(y, f(x, z))
+    assert defect
+    assert print_expr(defect) == cex["defect"]
+    return cex
+
+
+def test_extension_level_fault_is_caught(monkeypatch):
+    _replay_extension_fault(monkeypatch, _faulty_extended)
+
+
+def test_extension_function_part_fault_replays(monkeypatch):
+    cex = _replay_extension_fault(monkeypatch,
+                                  _faulty_extended_function_part)
+    # the counterexample carries function-part terms
+    assert any(not as_extended(parse_expr(cex[k]), 1, 1).der
+               for k in ("x", "y", "z", "defect"))
 
 
 # ---------------------------------------------------------------------------
