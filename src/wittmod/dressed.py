@@ -150,8 +150,7 @@ def _submasks(mask: int):
     return subs
 
 
-def commutant_element(m, n, alpha, imask, slot,
-                      tau_mode="standard") -> DressedWittElement:
+def commutant_element(m, n, alpha, imask, slot) -> DressedWittElement:
     """Alternating binomial dressing of t^alpha xi_I d.
 
     Sum over 0 <= beta <= alpha (coordinatewise) and J subset I of
@@ -159,17 +158,11 @@ def commutant_element(m, n, alpha, imask, slot,
     with C the product of coordinatewise binomials and tau(J, K) the
     number of pairs j in J, k in K with j > k.  Defined only when the
     derivation has a nonconstant coefficient (|alpha|+|I| > 0).
-
-    tau_mode="flipped" counts the reordering pairs in the other order,
-    tau(I\\J, J); that convention breaks the bracket homomorphism and
-    exists as a verifier control route.
     """
     alpha = tuple(alpha)
     if sum(alpha) + popcount(imask) == 0:
         raise ValueError("requires a coefficient monomial in the "
                          "augmentation ideal")
-    if tau_mode not in ("standard", "flipped"):
-        raise ValueError("unknown tau_mode %r" % (tau_mode,))
     WittElement.term(m, n, alpha, imask, slot)  # validates shape
     out = DressedWittElement(m, n)
     beta_ranges = [range(a + 1) for a in alpha]
@@ -181,9 +174,7 @@ def commutant_element(m, n, alpha, imask, slot,
         for jmask in _submasks(imask):
             kmask = imask & ~jmask
             # (-1)^tau is the Koszul sign of merging the two masks
-            pair = (jmask, kmask) if tau_mode == "standard" \
-                else (kmask, jmask)
-            sign = merge_sign_masks(*pair)[0]
+            sign = merge_sign_masks(jmask, kmask)[0]
             if (sum(beta) + popcount(jmask)) & 1:
                 sign = -sign
             key = ((beta, jmask), ((rest_alpha, kmask), slot))
@@ -191,13 +182,12 @@ def commutant_element(m, n, alpha, imask, slot,
     return out
 
 
-def commutant_of_witt(x: WittElement, tau_mode="standard") -> DressedWittElement:
+def commutant_of_witt(x: WittElement) -> DressedWittElement:
     """Linear extension of commutant_element over a combination whose
     coefficient monomials all lie in the augmentation ideal."""
     out = DressedWittElement(x.m, x.n)
     for (mono, slot), c in x.terms.items():
-        out = out + c * commutant_element(x.m, x.n, mono[0], mono[1], slot,
-                                          tau_mode=tau_mode)
+        out = out + c * commutant_element(x.m, x.n, mono[0], mono[1], slot)
     return out
 
 

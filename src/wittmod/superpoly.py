@@ -150,6 +150,8 @@ class LinComb:
     __slots__ = ("m", "n", "terms")
 
     def __init__(self, m: int, n: int, terms=None):
+        if not (isinstance(m, int) and isinstance(n, int)):
+            raise TypeError("shape must be two ints, got (%r, %r)" % (m, n))
         self.m = m
         self.n = n
         self.terms = {}

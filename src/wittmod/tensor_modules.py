@@ -133,13 +133,8 @@ def act_mono(spec, amono, x: TensorElement) -> TensorElement:
     return out
 
 
-def act_term(spec, alpha, imask, slot, x: TensorElement,
-             odd_row_sign=1) -> TensorElement:
-    """One basis derivation on the module (the three-piece formula).
-
-    odd_row_sign=-1 flips the odd-matrix-unit piece; that variant breaks
-    the bracket compatibility and exists as a verifier control route.
-    """
+def act_term(spec, alpha, imask, slot, x: TensorElement) -> TensorElement:
+    """One basis derivation on the module (the three-piece formula)."""
     alpha = tuple(alpha)
     m = spec.m
     kind, idx = slot
@@ -190,7 +185,7 @@ def act_term(spec, alpha, imask, slot, x: TensorElement,
         # 3. odd matrix units from odd derivatives of the monomial;
         #    E_{m+k, col} has parity 1+gam, hence (-1)^{(1+gam)|p|}
         if imask:
-            s3p = s3 * odd_row_sign * (-1 if ((1 ^ gam) & pp) else 1)
+            s3p = s3 * (-1 if ((1 ^ gam) & pp) else 1)
             for k in range(1, spec.n + 1):
                 hitg = mono_partial_xi(gmono, k)
                 if not hitg:
@@ -209,14 +204,12 @@ def act_term(spec, alpha, imask, slot, x: TensorElement,
     return res
 
 
-def act_witt(spec, w: WittElement, x: TensorElement,
-             odd_row_sign=1) -> TensorElement:
+def act_witt(spec, w: WittElement, x: TensorElement) -> TensorElement:
     if (w.m, w.n) != (spec.m, spec.n):
         raise ValueError("shape mismatch")
     out = TensorElement.zero(spec)
     for (mono, slot), c in w.terms.items():
-        out = out + c * act_term(spec, mono[0], mono[1], slot, x,
-                                 odd_row_sign=odd_row_sign)
+        out = out + c * act_term(spec, mono[0], mono[1], slot, x)
     return out
 
 

@@ -4,11 +4,10 @@ Every check is deterministic given its parameters (the seed is a
 parameter), counts the cases it examined, and on failure carries a
 self-contained counterexample rendered in the CLI expression grammar.
 
-Negative control routes are first-class: the uncorrected bracket table
-(mode=verbatim), seeded sign mutations (mode=mutated), the flipped
-reordering convention (mode=tau_flipped), rmax=0 annihilation, and the
-non-simple direct-sum probe (expect_reducible) all must FAIL, and the
-test suite asserts that they do.
+Negative controls are faults built here, never switches in the code they
+check.  A check that passes in a fault mode (CONTROL_MODES) fails; rmax=0
+annihilation and the non-simple direct-sum probe (expect_reducible) fail
+on their own.  The test suite asserts that every control fails.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from . import linalg
 from .config import CheckParams, ConfigError, resolve_rep
 from .dressed import (DressedWittElement, commutant_element,
                       commutant_of_witt, dressed_basis, dressed_bracket)
+from .glmn import Rep
 from .superpoly import (SuperPoly, accumulate, enumerate_monomials, mono_mul,
                         mono_parity, popcount)
 from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
@@ -79,6 +79,30 @@ class _Fail(Exception):
 
 def _spec(p: CheckParams) -> ModuleSpec:
     return ModuleSpec(p.m, p.n, p.a, resolve_rep(p.rep, p.m, p.n))
+
+
+# ---------------------------------------------------------------------------
+# negative controls: the fault modes and the faults they plant
+
+CONTROL_MODES = ("verbatim", "mutated", "tau_flipped")
+
+
+def odd_rows_negated(spec: ModuleSpec) -> ModuleSpec:
+    """spec with every odd-row matrix unit E(i,j), i > m, negated: only
+    act_term's odd-unit piece reads them, so that piece changes sign."""
+    rep = spec.rep
+    mats = {ij: tuple(tuple(-f for f in row) for row in mat)
+            if ij[0] > spec.m else mat for ij, mat in rep.mats.items()}
+    return ModuleSpec(spec.m, spec.n, spec.a,
+                      Rep(rep.m, rep.n, rep.dim, rep.parities, mats))
+
+
+def tau_flipped(x: DressedWittElement) -> DressedWittElement:
+    """Each term (t^b xi_J).(t^c xi_K d) re-signed by (-1)^{|J||K|}, which
+    turns merge_sign(J, K) into merge_sign(K, J); a key fixes its term."""
+    return DressedWittElement(x.m, x.n, {
+        key: -c if popcount(key[0][1]) * popcount(key[1][0][1]) & 1 else c
+        for key, c in x.terms.items()})
 
 
 def _print(obj):
@@ -206,12 +230,6 @@ def check_jacobi(p: CheckParams):
         "derivation table", witt, [term_parity(*k) for k in basis],
         ((x, y, z) for y in range(size) for z in range(size)
          for x in range(size)), render, 0, mutated)
-    if mutated:
-        # the mutated table is expected to raise _Fail above; reaching
-        # here means the mutation went undetected
-        raise _Fail({"level": "derivation table",
-                     "error": "seeded sign mutation was not detected"},
-                    cases)
 
     exdeg = min(p.deg, 2)
     levels = [
@@ -340,7 +358,8 @@ def check_weyl_relations(p: CheckParams):
 
 def check_module_axioms(p: CheckParams):
     spec = _spec(p)
-    sgn = -1 if p.mode == "mutated" else 1
+    if p.mode == "mutated":
+        spec = odd_rows_negated(spec)
     keys = _witt_keys(p.m, p.n, p.deg)
     wkeys = window_keys(spec, p.D)
     cases = 0
@@ -361,12 +380,9 @@ def check_module_axioms(p: CheckParams):
         v = _pure(spec, wk)
         s = -1 if (term_parity(kx[0], kx[1])
                    & term_parity(ky[0], ky[1])) else 1
-        lhs = act_witt(spec, witt_bracket(x, y), v, odd_row_sign=sgn)
-        rhs = (act_witt(spec, x, act_witt(spec, y, v, odd_row_sign=sgn),
-                        odd_row_sign=sgn)
-               - s * act_witt(spec, y, act_witt(spec, x, v,
-                                                odd_row_sign=sgn),
-                              odd_row_sign=sgn))
+        lhs = act_witt(spec, witt_bracket(x, y), v)
+        rhs = (act_witt(spec, x, act_witt(spec, y, v))
+               - s * act_witt(spec, y, act_witt(spec, x, v)))
         if lhs != rhs:
             raise _Fail({
                 "law": "bracket compatibility",
@@ -405,9 +421,8 @@ def check_module_axioms(p: CheckParams):
         v = _pure(spec, wk)
         fpoly = SuperPoly.monomial(p.m, p.n, fm[0], fm[1])
         s = -1 if (term_parity(kx[0], kx[1]) & mono_parity(fm)) else 1
-        lhs = (act_witt(spec, x, act_mono(spec, fm, v), odd_row_sign=sgn)
-               - s * act_mono(spec, fm, act_witt(spec, x, v,
-                                                 odd_row_sign=sgn)))
+        lhs = (act_witt(spec, x, act_mono(spec, fm, v))
+               - s * act_mono(spec, fm, act_witt(spec, x, v)))
         rhs = TensorElement.zero(spec)
         for gm, c in witt_act(x, fpoly).terms.items():
             rhs = rhs + c * act_mono(spec, gm, v)
@@ -417,9 +432,6 @@ def check_module_axioms(p: CheckParams):
                 "x": _print(x), "f": _print(fpoly), "v": _print(v),
                 "commutator_route": _print(lhs),
                 "derivative_route": _print(rhs)}, cases)
-    if p.mode == "mutated":
-        raise _Fail({"error": "odd-row sign mutation was not detected"},
-                    cases)
     return cases, None
 
 
@@ -438,24 +450,23 @@ def _positive_keys(m, n, deg):
 
 def check_commutant_homomorphism(p: CheckParams):
     spec = _spec(p)
-    tau_mode = "flipped" if p.mode == "tau_flipped" else "standard"
+    fault = tau_flipped if p.mode == "tau_flipped" else (lambda x: x)
     keys = _positive_keys(p.m, p.n, p.deg)
     wkeys = window_keys(spec, p.D)
     cases = 0
     for ku in keys:
         u = _key_elem(p.m, p.n, ku)
-        XU = commutant_element(p.m, p.n, ku[0][0], ku[0][1], ku[1],
-                               tau_mode=tau_mode).to_word()
+        XU = fault(commutant_element(p.m, p.n, ku[0][0], ku[0][1],
+                                     ku[1])).to_word()
         pu = term_parity(ku[0], ku[1])
         for kv in keys:
             cases += 1
             v = _key_elem(p.m, p.n, kv)
-            XV = commutant_element(p.m, p.n, kv[0][0], kv[0][1], kv[1],
-                                   tau_mode=tau_mode).to_word()
+            XV = fault(commutant_element(p.m, p.n, kv[0][0], kv[0][1],
+                                         kv[1])).to_word()
             pv = term_parity(kv[0], kv[1])
             s = -1 if pu & pv else 1
-            XB = commutant_of_witt(witt_bracket(u, v),
-                                   tau_mode=tau_mode).to_word()
+            XB = fault(commutant_of_witt(witt_bracket(u, v))).to_word()
             for wk in wkeys:
                 e = _pure(spec, wk)
                 lhs = act_word(spec, XB, e)
@@ -466,9 +477,6 @@ def check_commutant_homomorphism(p: CheckParams):
                         "u": _print(u), "v": _print(v), "on": _print(e),
                         "bracket_image": _print(lhs),
                         "supercommutator": _print(rhs)}, cases)
-    if p.mode == "tau_flipped":
-        raise _Fail({"error": "flipped reordering convention was not "
-                              "detected"}, cases)
     return cases, None
 
 
@@ -885,14 +893,14 @@ def check_simplicity_probe(p: CheckParams):
     seeds = [(l, TensorElement.vacuum(spec, l)) for l in range(spec.dim)]
     extra = max(0, min(p.trials, 10) - len(seeds))
     for t in range(extra):
-        seeds.append(("random%d" % t,
-                      _random_tensor(spec, rng, max(p.D - 2, 0),
-                                     nterms=rng.randint(1, 3))))
+        x = None
+        while not x:  # a start whose terms cancel is drawn again
+            x = _random_tensor(spec, rng, max(p.D - 2, 0),
+                               nterms=rng.randint(1, 3))
+        seeds.append(("random%d" % t, x))
     cases = 0
     evidence = None
     for tag, x in seeds:
-        if not x:
-            continue
         cases += 1
         outcome, span = _probe(spec, gens, x, p.D)
         if outcome == "stabilized":
@@ -943,18 +951,22 @@ REGISTRY = {
 
 def run_check(check_id, merged) -> CheckReport:
     """Run one check.  An unknown check id, an unknown key or a bad
-    parameter raises ConfigError, as on the command line; a problem found
-    inside the check is a report with status error."""
+    parameter raises ConfigError, as on the command line; a ConfigError or
+    TransitionSingular inside the check is a report with status error, and
+    any other exception propagates.  A pass in a fault mode is a fail."""
     params = CheckParams.from_dict(check_id, merged)
     start = time.monotonic()
     try:
         cases, data = REGISTRY[check_id].run(params)
         if not cases:
             raise _Fail({"error": "no cases were examined"}, 0)
+        if params.mode in CONTROL_MODES:
+            raise _Fail({"error": "control mode %s was not detected"
+                                  % params.mode}, cases)
         status, cex = "pass", None
     except _Fail as f:
         status, cases, cex, data = "fail", f.cases, f.cex, None
-    except (ConfigError, TransitionSingular, ValueError) as e:
+    except (ConfigError, TransitionSingular) as e:
         status, cases, cex, data = "error", 0, {"error": str(e)}, None
     elapsed = int((time.monotonic() - start) * 1000)
     return CheckReport(id=check_id, params=params.as_dict(), status=status,

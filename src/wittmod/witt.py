@@ -271,8 +271,8 @@ class ExtendedWittElement(LinComb):
         return out
 
 
-def extended_bracket(u: ExtendedWittElement, v: ExtendedWittElement,
-                     mode="corrected") -> ExtendedWittElement:
+def extended_bracket(u: ExtendedWittElement,
+                     v: ExtendedWittElement) -> ExtendedWittElement:
     """[x+a, y+b] = [x,y] + x(b) - (-1)^{|y||a|} y(a); the function part is
     an abelian ideal."""
     u._check(v)
@@ -284,7 +284,7 @@ def extended_bracket(u: ExtendedWittElement, v: ExtendedWittElement,
                 if yh and ah:
                     sign = -1 if yh.parity() * ah.parity() & 1 else 1
                     fun = fun - sign * witt_act(yh, ah)
-    terms = witt_bracket(x, y, mode).terms
+    terms = witt_bracket(x, y).terms
     terms.update(((mono, None), c) for mono, c in fun.terms.items())
     return u._like(terms)
 

@@ -1,6 +1,8 @@
 """End-to-end command line behavior: outputs, exit codes, reports."""
 
 import json
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -47,6 +49,32 @@ def test_golden_commands(capsys, argv, expected):
     assert rc == 0
     assert out == expected
     assert err == ""
+
+
+def _readme_tour():
+    """The calculator lines of README's command block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines()
+            if line.split()[:1] == ["wittmod"] and line.split()[1] in (
+                "bracket", "act", "wh", "descent", "weighting")]
+
+
+TOUR = _readme_tour()
+
+
+def test_readme_tour_has_every_calculator_command():
+    assert {argv[0] for argv in TOUR} == {
+        "bracket", "act", "wh", "descent", "weighting"}
+
+
+@pytest.mark.parametrize("argv", TOUR, ids=[" ".join(a) for a in TOUR])
+def test_readme_tour_runs(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, ""), err
+    assert out
 
 
 def test_wh_generalized_doubles_in_height(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from wittmod import linalg
 from wittmod.superpoly import popcount
+from wittmod.verifier import odd_rows_negated
 from wittmod.tensor_modules import (TensorElement, TensorSpan, act_mono,
                                     act_witt, descent,
                                     generalized_whittaker_space, height,
@@ -46,7 +47,8 @@ def test_bracket_compatibility_sweep_11():
 
 
 def test_flipped_odd_row_sign_breaks_the_axioms():
-    spec = make_spec(1, 1)
+    # the module_axioms control: odd-row matrix units negated
+    spec = odd_rows_negated(make_spec(1, 1))
     keys = witt_keys(1, 1, 2)
     wkeys = window_keys(spec, 2)
     broken = 0
@@ -58,11 +60,9 @@ def test_flipped_odd_row_sign_breaks_the_axioms():
             b = witt_bracket(x, y)
             for wk in wkeys:
                 v = TensorElement.pure(spec, wk[0], wk[1])
-                lhs = act_witt(spec, b, v, odd_row_sign=-1)
-                rhs = act_witt(spec, x, act_witt(
-                    spec, y, v, odd_row_sign=-1), odd_row_sign=-1) \
-                    - s * act_witt(spec, y, act_witt(
-                        spec, x, v, odd_row_sign=-1), odd_row_sign=-1)
+                lhs = act_witt(spec, b, v)
+                rhs = act_witt(spec, x, act_witt(spec, y, v)) \
+                    - s * act_witt(spec, y, act_witt(spec, x, v))
                 if lhs != rhs:
                     broken += 1
     assert broken > 0

@@ -9,7 +9,8 @@ from wittmod import verifier
 from wittmod.dressed import dressed_bracket
 from wittmod.expressions import (as_dressed, as_extended, as_witt,
                                  parse_expr, print_expr)
-from wittmod.verifier import REGISTRY, CheckParams, run_check
+from wittmod.verifier import (CONTROL_MODES, REGISTRY, Check, CheckParams,
+                              run_check)
 from wittmod.witt import (XSLOT, bracket_oracle, extended_bracket,
                           witt_bracket)
 
@@ -71,6 +72,43 @@ def test_mutation_controls_fail(check_id, params):
     assert report.counterexample
 
 
+# a control mode fails at every shape: where its fault cannot show (no odd
+# rows or odd masks at n = 0, no |J||K| odd at n = 1) run_check fails it
+SHAPE_CONTROLS = [
+    ("jacobi", {"deg": 1, "mode": "mutated"}),
+    ("module_axioms", {"deg": 1, "D": 1, "mode": "mutated"}),
+    ("bracket_oracle", {"deg": 1, "mode": "verbatim"}),
+    ("commutant_homomorphism", {"deg": 2, "D": 0, "mode": "tau_flipped"}),
+]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("check_id,params", SHAPE_CONTROLS,
+                         ids=[c for c, _ in SHAPE_CONTROLS])
+def test_control_modes_fail_at_every_shape(check_id, params, m, n):
+    report = run_check(check_id, {"m": m, "n": n, **params})
+    assert report.status == "fail"
+    assert report.counterexample
+    assert report.cases > 0
+
+
+def test_undetected_control_is_a_fail():
+    # no odd rows at n = 0, so the negated odd rows change nothing
+    report = run_check("module_axioms", {"m": 1, "n": 0, "deg": 1, "D": 1,
+                                         "mode": "mutated"})
+    assert report.status == "fail"
+    assert report.counterexample == {
+        "error": "control mode mutated was not detected"}
+    assert report.cases == run_check("module_axioms", {
+        "m": 1, "n": 0, "deg": 1, "D": 1}).cases
+
+
+def test_control_modes_are_the_declared_fault_modes():
+    declared = {mode for check in REGISTRY.values() for mode in check.modes}
+    assert set(CONTROL_MODES) == declared - {"untwisted", "coset"}
+
+
 def test_reducible_module_is_detected():
     report = run_check("simplicity_probe", {
         "rep": "sum(trivial,trivial)", "expect_reducible": True,
@@ -88,6 +126,14 @@ def test_difference_annihilation_coset_mode_passes():
 def test_simple_module_probe_covers():
     report = run_check("simplicity_probe", {"rep": "natural", "trials": 10})
     assert report.status == "pass"
+
+
+def test_simplicity_probe_redraws_a_cancelled_start():
+    # at seed 24 one random start cancels to zero; it is drawn again, so
+    # the two vacuums and all eight random starts are probed
+    report = run_check("simplicity_probe", {"seed": 24})
+    assert report.status == "pass"
+    assert report.cases == 10
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +155,15 @@ def test_unknown_check_id_raises():
     from wittmod.config import ConfigError
     with pytest.raises(ConfigError):
         run_check("nonsense", {})
+
+
+def test_internal_value_error_is_not_an_error_status(monkeypatch):
+    # only configuration problems become status error; a bug surfaces
+    def broken(p):
+        raise ValueError("internal bug")
+    monkeypatch.setitem(REGISTRY, "gl_realization", Check(broken, ()))
+    with pytest.raises(ValueError, match="internal bug"):
+        run_check("gl_realization", {})
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +196,15 @@ def _faulty_dressed(u, v, mode="corrected"):
                       for k, c in out.terms.items()})
 
 
-def _faulty_extended(u, v, mode="corrected"):
-    out = extended_bracket(u, v, mode)
+def _faulty_extended(u, v):
+    out = extended_bracket(u, v)
     return out._like({k: -c if k[1] and k[1][0] == XSLOT else c
                       for k, c in out.terms.items()})
 
 
-def _faulty_extended_function_part(u, v, mode="corrected"):
+def _faulty_extended_function_part(u, v):
     # function terms (slot None) divisible by t1 negated
-    out = extended_bracket(u, v, mode)
+    out = extended_bracket(u, v)
     return out._like({k: -c if k[1] is None and k[0][0][0] else c
                       for k, c in out.terms.items()})
 

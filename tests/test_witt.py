@@ -52,6 +52,13 @@ def test_unknown_mode_rejected():
         witt_bracket(W("dt1"), W("dt1"), mode="fancy")
 
 
+def test_extended_element_rejects_a_non_int_shape():
+    # the removed (der, fun) constructor's call shape must not build an
+    # empty element
+    with pytest.raises(TypeError):
+        ExtendedWittElement(WittElement(1, 0), SuperPoly(1, 0))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         witt_bracket(W("dt1"), W("dt1", m=2))
