@@ -259,12 +259,10 @@ def check_jacobi(p: CheckParams):
 # bracket_oracle
 
 def check_bracket_oracle(p: CheckParams):
-    keys = _witt_keys(p.m, p.n, p.deg)
+    basis = witt_basis(p.m, p.n, p.deg)
     cases = 0
-    for k1 in keys:
-        x = _key_elem(p.m, p.n, k1)
-        for k2 in keys:
-            y = _key_elem(p.m, p.n, k2)
+    for x in basis:
+        for y in basis:
             cases += 1
             table = witt_bracket(x, y, mode=p.mode)
             oracle = bracket_oracle(x, y)

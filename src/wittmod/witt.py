@@ -8,9 +8,10 @@ witt_bracket computes the supercommutator from closed structure-constant
 formulas.  Two of those formulas circulate with the factor t^(alpha+beta)
 missing from their delta terms; mode="corrected" (default) includes the
 factor and mode="verbatim" reproduces the uncorrected table.  The ground
-truth either way is bracket_oracle, which composes the derivation actions
-on the polynomial algebra and reads the result off the generators -- the
-two routes are compared mechanically by the verifier and must never be
+truth either way is bracket_oracle, which expands bilinearly over basis
+terms, composes their actions on the coordinate generators through the
+monomial primitives and reads the result off those values -- the two
+routes are compared mechanically by the verifier and must never be
 collapsed into one.
 """
 
@@ -24,7 +25,10 @@ from .superpoly import (
     SuperPoly,
     accumulate,
     merge_sign_masks,
+    mono_mul,
     mono_parity,
+    mono_partial_t,
+    mono_partial_xi,
     mono_sort_key,
     mono_tdeg,
     popcount,
@@ -200,39 +204,52 @@ def witt_act(x: WittElement, p: SuperPoly) -> SuperPoly:
     return out
 
 
-def generators(m: int, n: int):
-    """The coordinate generators as polynomials, t's first."""
-    gens = [(SuperPoly.t_var(m, n, i), (TSLOT, i)) for i in range(1, m + 1)]
-    gens += [(SuperPoly.xi_var(m, n, j), (XSLOT, j)) for j in range(1, n + 1)]
-    return gens
+def _act_basis(key, mono):
+    """The basis derivation key applied to a monomial: (mono, int) or None."""
+    front, (kind, idx) = key
+    hit = (mono_partial_t(mono, idx) if kind == TSLOT
+           else mono_partial_xi(mono, idx))
+    if hit is None:
+        return None
+    prod = mono_mul(front, hit[0])
+    if prod is None:
+        return None
+    return prod[0], prod[1] * hit[1]
 
 
 def bracket_oracle(x: WittElement, y: WittElement) -> WittElement:
     """Supercommutator computed without structure constants.
 
-    Composes the derivation actions on the algebra and rebuilds the
-    resulting superderivation from its values on the generators (a
-    superderivation is determined by those values).  Mixed-parity inputs
-    are split into homogeneous parts first.
+    Expands bilinearly over the terms of x and y.  For each pair of basis
+    derivations it composes their actions on every coordinate generator
+    and reads the bracket off those values (a superderivation is
+    determined by them).  Each basis term is homogeneous, so the sign of
+    the composition is fixed per pair.
     """
     x._check(y)
-    out = WittElement(x.m, x.n)
-    gens = generators(x.m, x.n)
-    for xh in x.homogeneous_parts():
-        if not xh:
-            continue
-        px = xh.parity()
-        for yh in y.homogeneous_parts():
-            if not yh:
-                continue
-            py = yh.parity()
-            sign = -1 if px * py & 1 else 1
+    m = x.m
+    zero = (0,) * m
+    gens = [((zero[:i - 1] + (1,) + zero[i:], 0), (TSLOT, i))
+            for i in range(1, m + 1)]
+    gens += [((zero, 1 << (j - 1)), (XSLOT, j)) for j in range(1, x.n + 1)]
+    out = {}
+    for k1, c1 in x.terms.items():
+        p1 = term_parity(*k1)
+        for k2, c2 in y.terms.items():
+            c12 = c1 * c2
+            # x(y(g)) - (-1)^{|x||y|} y(x(g)) on each generator g
+            sign = -1 if p1 & term_parity(*k2) else 1
+            pair = ((k2, k1, c12), (k1, k2, -sign * c12))
             for g, slot in gens:
-                val = witt_act(xh, witt_act(yh, g)) \
-                    - sign * witt_act(yh, witt_act(xh, g))
-                for mono, c in val.terms.items():
-                    accumulate(out.terms, (mono, slot), c)
-    return out
+                for first, second, c in pair:
+                    hit = _act_basis(first, g)
+                    if hit is None:
+                        continue
+                    hit2 = _act_basis(second, hit[0])
+                    if hit2 is not None:
+                        accumulate(out, (hit2[0], slot),
+                                   c * (hit[1] * hit2[1]))
+    return x._like(out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittmod import witt
 from wittmod.expressions import parse_expr, as_witt, print_expr
 from wittmod.superpoly import SuperPoly
-from wittmod.witt import (ExtendedWittElement, WittElement, bracket_oracle,
-                          extended_bracket, witt_act, witt_bracket)
+from wittmod.verifier import run_check
+from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
+                          bracket_oracle, extended_bracket, witt_act,
+                          witt_basis, witt_bracket)
 
 from conftest import rand_superpoly, rand_witt, witt_keys
 
@@ -31,6 +34,85 @@ def test_bracket_matches_oracle_exhaustive_11():
         for k2 in keys:
             y = WittElement.term(1, 1, k2[0][0], k2[0][1], k2[1])
             assert witt_bracket(x, y) == bracket_oracle(x, y)
+
+
+def composition_reference(x, y):
+    """[x, y] by witt_act on SuperPoly generators, one homogeneous part
+    of each side at a time: the oracle's route before it ran on terms."""
+    m, n = x.m, x.n
+    gens = [(SuperPoly.t_var(m, n, i), (TSLOT, i)) for i in range(1, m + 1)]
+    gens += [(SuperPoly.xi_var(m, n, j), (XSLOT, j)) for j in range(1, n + 1)]
+    out = WittElement(m, n)
+    for xh in x.homogeneous_parts():
+        for yh in y.homogeneous_parts():
+            if xh and yh:
+                sign = -1 if xh.parity() * yh.parity() & 1 else 1
+                for g, slot in gens:
+                    val = (witt_act(xh, witt_act(yh, g))
+                           - sign * witt_act(yh, witt_act(xh, g)))
+                    out = out + WittElement(m, n, {
+                        (mono, slot): c for mono, c in val.terms.items()})
+    return out
+
+
+def rand_mixed_witt(rng, m, n):
+    while True:
+        x = rand_witt(rng, m, n, max_deg=2, nterms=3)
+        if x.parity() is None:
+            return x
+
+
+def test_oracle_matches_composition_reference():
+    basis = witt_basis(2, 2, 2)
+    for x in basis:
+        for y in basis:
+            assert bracket_oracle(x, y) == composition_reference(x, y)
+    rng = random.Random(8)
+    for _ in range(200):
+        m, n = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2)])
+        x, y = rand_mixed_witt(rng, m, n), rand_mixed_witt(rng, m, n)
+        assert bracket_oracle(x, y) == composition_reference(x, y)
+
+
+def test_oracle_answers_without_the_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the oracle read the structure constants")
+    monkeypatch.setattr(witt, "_bracket_basis", no_table)
+    basis = witt_basis(2, 2, 2)
+    with pytest.raises(AssertionError):
+        witt_bracket(basis[0], basis[-1])
+    rng = random.Random(11)
+    for _ in range(300):
+        x, y = rng.choice(basis), rng.choice(basis)
+        assert bracket_oracle(x, y) == composition_reference(x, y)
+
+
+def test_table_fault_is_caught_by_the_oracle(monkeypatch):
+    m, n = 2, 2
+    keys = witt_keys(m, n, 1)
+    rng = random.Random(4)
+    pairs = [(k1, k2) for k1 in keys for k2 in keys
+             if witt._bracket_basis(m, *k1, *k2)]
+    target = pairs[rng.randrange(len(pairs))]
+    table = witt._bracket_basis
+
+    def negated(m, mono1, slot1, mono2, slot2, corrected=True):
+        out = table(m, mono1, slot1, mono2, slot2, corrected)
+        if ((mono1, slot1), (mono2, slot2)) == target:
+            return [(key, -c) for key, c in out]
+        return out
+    monkeypatch.setattr(witt, "_bracket_basis", negated)
+
+    report = run_check("bracket_oracle", {"m": m, "n": n, "deg": 1})
+    assert report.status == "fail"
+    cex = report.counterexample
+    x = as_witt(parse_expr(cex["x"]), m, n)
+    y = as_witt(parse_expr(cex["y"]), m, n)
+    # a t-slot/x-slot fault also reaches its swapped pair via the flip
+    assert {next(iter(x.terms)), next(iter(y.terms))} == set(target)
+    assert print_expr(witt_bracket(x, y)) == cex["table"]
+    assert print_expr(composition_reference(x, y)) == cex["oracle"]
+    assert cex["table"] != cex["oracle"]
 
 
 def test_verbatim_table_contradicts_oracle():
