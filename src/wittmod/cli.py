@@ -5,6 +5,7 @@ configuration error.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -256,10 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and kept for the process: it
+    holds no per-request state (prog is fixed, and errors go to the
+    sys.stderr of the moment)."""
+    return build_parser()
+
+
 def run_command(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

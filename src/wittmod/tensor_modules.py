@@ -9,8 +9,11 @@ The derivation action on a pure tensor p (x) v splits into three pieces:
 the twisted action on p, a sum over even matrix units weighted by the
 exponents of the coefficient monomial, and a sign-weighted sum over odd
 matrix units from the odd derivatives of the coefficient monomial.  All
-formulas live in act_term; everything else (Whittaker solves, descent,
-weight cosets) is built on top of it plus exact linear algebra.
+formulas live in _derivation_row, which gives the image of one pure
+tensor; each spec memoises those images, so act_term, act_witt and
+act_word are loops over memoised rows.  Everything else (Whittaker solves,
+descent, weight cosets) is built on top of them plus exact linear
+algebra.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .superpoly import (ONE, ZERO, LinComb, SuperPoly, accumulate,
                         enumerate_alphas, enumerate_monomials, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
-from .witt import TSLOT, XSLOT, WittElement
+from .witt import TSLOT, WittElement
 from .words import OperatorWord
 
 
@@ -34,7 +37,7 @@ class TransitionSingular(RuntimeError):
 class ModuleSpec:
     """Shape of a twisted tensor module."""
 
-    __slots__ = ("m", "n", "a", "rep", "_pbw_cache")
+    __slots__ = ("m", "n", "a", "rep", "_pbw_cache", "_act_cache")
 
     def __init__(self, m: int, n: int, a, rep: Rep):
         if (rep.m, rep.n) != (m, n):
@@ -47,6 +50,7 @@ class ModuleSpec:
         self.a = a
         self.rep = rep
         self._pbw_cache = {}
+        self._act_cache = {}  # atom -> {tensor key: row}, see _act
 
     @property
     def dim(self):
@@ -133,123 +137,181 @@ def act_mono(spec, amono, x: TensorElement) -> TensorElement:
     return out
 
 
-def act_term(spec, alpha, imask, slot, x: TensorElement) -> TensorElement:
-    """One basis derivation on the module (the three-piece formula)."""
-    alpha = tuple(alpha)
+# Every operator atom acts through one memo per spec, spec._act_cache:
+# atom -> {tensor key: row}, a row being the image of that one pure tensor
+# as ((key, coefficient), ...) with integral coefficients stored as ints.
+# An atom is ("w", alpha, imask, kind, idx) for a basis derivation, or
+# ("mt", i), ("mx", j), ("dt", i), ("dx", j).  Rows are linear in the
+# input, so an element acts term by term through them.
+
+_ATOM_KINDS = frozenset(("w", "mt", "mx", "dt", "dx"))
+
+
+def _row(terms):
+    return tuple((key, c.numerator if c.denominator == 1 else c)
+                 for key, c in terms.items())
+
+
+def _derivation_row(spec, atom, key):
+    """One basis derivation on one pure tensor p (x) e_l (the three-piece
+    formula)."""
+    _, alpha, imask, kind, idx = atom
+    p, l = key
     m = spec.m
-    kind, idx = slot
     out = {}
     gmono = (alpha, imask)
-    pI = popcount(imask)
-    s3 = -1 if (pI - 1) & 1 else 1  # (-1)^{|I|-1}
+    pp = mono_parity(p)
     gam = 0 if kind == TSLOT else 1  # column parity
     col_even = idx if kind == TSLOT else m + idx
-    for (p, l), c in x.terms.items():
-        pp = mono_parity(p)
-        # 1. twisted action on the coefficient factor
-        if kind == TSLOT:
-            hit = mono_partial_t(p, idx)
-            if hit:
-                prod = mono_mul(gmono, hit[0])
-                if prod:
-                    accumulate(out, (prod[0], l), c * hit[1] * prod[1])
-            ai = spec.a[idx - 1]
-            if ai:
-                prod = mono_mul(gmono, p)
-                if prod:
-                    accumulate(out, (prod[0], l), c * ai * prod[1])
-        else:
-            hit = mono_partial_xi(p, idx)
-            if hit:
-                prod = mono_mul(gmono, hit[0])
-                if prod:
-                    accumulate(out, (prod[0], l), c * hit[1] * prod[1])
-        # 2. even matrix units weighted by the exponents, moved past p:
-        #    the unit E_{k, col} has parity gam, hence (-1)^{gam |p|}
-        s2 = -1 if (gam & pp) else 1
-        for k in range(1, m + 1):
-            ak = alpha[k - 1]
-            if not ak:
+    # 1. twisted action on the coefficient factor
+    if kind == TSLOT:
+        hit = mono_partial_t(p, idx)
+        if hit:
+            prod = mono_mul(gmono, hit[0])
+            if prod:
+                accumulate(out, (prod[0], l), hit[1] * prod[1])
+        ai = spec.a[idx - 1]
+        if ai:
+            prod = mono_mul(gmono, p)
+            if prod:
+                accumulate(out, (prod[0], l), ai * prod[1])
+    else:
+        hit = mono_partial_xi(p, idx)
+        if hit:
+            prod = mono_mul(gmono, hit[0])
+            if prod:
+                accumulate(out, (prod[0], l), hit[1] * prod[1])
+    # 2. even matrix units weighted by the exponents, moved past p:
+    #    the unit E_{k, col} has parity gam, hence (-1)^{gam |p|}
+    s2 = -1 if (gam & pp) else 1
+    for k in range(1, m + 1):
+        ak = alpha[k - 1]
+        if not ak:
+            continue
+        a2 = list(alpha)
+        a2[k - 1] -= 1
+        prod = mono_mul((tuple(a2), imask), p)
+        if not prod:
+            continue
+        mat = spec.rep.mats[(k, col_even)]
+        base = ak * prod[1] * s2
+        for r in range(spec.dim):
+            f = mat[r][l]
+            if f:
+                accumulate(out, (prod[0], r), base * f)
+    # 3. odd matrix units from odd derivatives of the monomial;
+    #    E_{m+k, col} has parity 1+gam, hence (-1)^{(1+gam)|p|}, times
+    #    (-1)^{|I|-1}
+    if imask:
+        s3 = -1 if (popcount(imask) - 1 + ((1 ^ gam) & pp)) & 1 else 1
+        for k in range(1, spec.n + 1):
+            hitg = mono_partial_xi(gmono, k)
+            if not hitg:
                 continue
-            a2 = list(alpha)
-            a2[k - 1] -= 1
-            prod = mono_mul((tuple(a2), imask), p)
+            prod = mono_mul(hitg[0], p)
             if not prod:
                 continue
-            mat = spec.rep.mats[(k, col_even)]
-            base = c * ak * prod[1] * s2
+            mat = spec.rep.mats[(m + k, col_even)]
+            base = s3 * hitg[1] * prod[1]
             for r in range(spec.dim):
                 f = mat[r][l]
                 if f:
                     accumulate(out, (prod[0], r), base * f)
-        # 3. odd matrix units from odd derivatives of the monomial;
-        #    E_{m+k, col} has parity 1+gam, hence (-1)^{(1+gam)|p|}
-        if imask:
-            s3p = s3 * (-1 if ((1 ^ gam) & pp) else 1)
-            for k in range(1, spec.n + 1):
-                hitg = mono_partial_xi(gmono, k)
-                if not hitg:
-                    continue
-                prod = mono_mul(hitg[0], p)
-                if not prod:
-                    continue
-                mat = spec.rep.mats[(m + k, col_even)]
-                base = c * s3p * hitg[1] * prod[1]
-                for r in range(spec.dim):
-                    f = mat[r][l]
-                    if f:
-                        accumulate(out, (prod[0], r), base * f)
-    res = TensorElement.zero(spec)
-    res.terms = out
-    return res
+    return _row(out)
 
 
-def act_witt(spec, w: WittElement, x: TensorElement) -> TensorElement:
-    if (w.m, w.n) != (spec.m, spec.n):
-        raise ValueError("shape mismatch")
-    out = TensorElement.zero(spec)
-    for (mono, slot), c in w.terms.items():
-        out = out + c * act_term(spec, mono[0], mono[1], slot, x)
+def _atom_row(spec, atom, key):
+    kind = atom[0]
+    if kind == "w":
+        return _derivation_row(spec, atom, key)
+    p, l = key
+    i = atom[1]
+    if kind == "dx":
+        hit = mono_partial_xi(p, i)
+        return (((hit[0], l), hit[1]),) if hit else ()
+    if kind == "dt":
+        # twisted: d/dt_i + a_i
+        hit = mono_partial_t(p, i)
+        out = {(hit[0], l): hit[1]} if hit else {}
+        if spec.a[i - 1]:
+            out[key] = spec.a[i - 1]
+        return _row(out)
+    if kind == "mt":
+        amono = (tuple(1 if k == i - 1 else 0 for k in range(spec.m)), 0)
+    else:
+        amono = ((0,) * spec.m, 1 << (i - 1))
+    prod = mono_mul(amono, p)
+    return (((prod[0], l), prod[1]),) if prod else ()
+
+
+def _act(spec, atom, terms, out=None, scale=None):
+    """Add scale * (atom applied to a raw terms dict) into out (a new dict
+    by default) and return out."""
+    rows = spec._act_cache.get(atom)
+    if rows is None:
+        if atom[0] not in _ATOM_KINDS:
+            raise ValueError("unknown atom %r" % (atom,))
+        rows = spec._act_cache[atom] = {}
+    if out is None:
+        out = {}
+    for key, c in terms.items():
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _atom_row(spec, atom, key)
+        if scale is not None:
+            c = c * scale
+        for okey, f in row:
+            c0 = out.get(okey, ZERO) + c * f
+            if c0:
+                out[okey] = c0
+            else:
+                del out[okey]
     return out
 
 
+def _element(spec, terms) -> TensorElement:
+    out = TensorElement.zero(spec)
+    out.terms = terms
+    return out
+
+
+def _check_shapes(spec, w, x):
+    if ((w.m, w.n) != (spec.m, spec.n)
+            or (x.m, x.n, x.dim) != (spec.m, spec.n, spec.dim)):
+        raise ValueError("shape mismatch")
+
+
+def act_term(spec, alpha, imask, slot, x: TensorElement) -> TensorElement:
+    """One basis derivation on the module."""
+    return _element(spec, _act(spec, ("w", tuple(alpha), imask) + tuple(slot),
+                               x.terms))
+
+
+def act_witt(spec, w: WittElement, x: TensorElement) -> TensorElement:
+    _check_shapes(spec, w, x)
+    out = {}
+    for ((alpha, imask), (kind, idx)), c in w.terms.items():
+        _act(spec, ("w", alpha, imask, kind, idx), x.terms, out, c)
+    return _element(spec, out)
+
+
 def act_atom(spec, atom, x: TensorElement) -> TensorElement:
-    kind = atom[0]
-    if kind == "mt":
-        alpha = tuple(1 if k == atom[1] - 1 else 0 for k in range(spec.m))
-        return act_mono(spec, (alpha, 0), x)
-    if kind == "mx":
-        return act_mono(spec, ((0,) * spec.m, 1 << (atom[1] - 1)), x)
-    if kind == "dt":
-        # twisted: d/dt_i + a_i
-        i = atom[1]
-        return lower_t(spec, i, x) + spec.a[i - 1] * x
-    if kind == "dx":
-        j = atom[1]
-        out = TensorElement.zero(spec)
-        for (p, l), c in x.terms.items():
-            hit = mono_partial_xi(p, j)
-            if hit:
-                accumulate(out.terms, (hit[0], l), c * hit[1])
-        return out
-    if kind == "w":
-        return act_term(spec, atom[1], atom[2], (atom[3], atom[4]), x)
-    raise ValueError("unknown atom %r" % (atom,))
+    return _element(spec, _act(spec, atom, x.terms))
 
 
 def act_word(spec, w: OperatorWord, x: TensorElement) -> TensorElement:
     """Words act right to left; the empty word is the identity."""
-    if (w.m, w.n) != (spec.m, spec.n):
-        raise ValueError("shape mismatch")
-    out = TensorElement.zero(spec)
+    _check_shapes(spec, w, x)
+    out = {}
     for word, c in w.terms.items():
-        y = x
+        y = x.terms
         for atom in reversed(word):
             if not y:
                 break
-            y = act_atom(spec, atom, y)
-        out = out + c * y
-    return out
+            y = _act(spec, atom, y)
+        for key, v in y.items():
+            accumulate(out, key, c * v)
+    return _element(spec, out)
 
 
 def lower_t(spec, i, x: TensorElement) -> TensorElement:

@@ -1,12 +1,16 @@
 """End-to-end command line behavior: outputs, exit codes, reports."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import wittmod
 from wittmod.cli import run_command
 from wittmod.reporting import report_schema
 
@@ -315,3 +319,47 @@ def test_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
                             "--out", str(out)])
     assert rc == 0
     assert json.loads(_read(out))["seed"] == 9
+
+
+# ---------------------------------------------------------------------------
+# one process, many requests
+
+SRC = str(Path(wittmod.__file__).resolve().parents[1])
+
+
+def run_alone(argv):
+    """(exit code, stdout, stderr) of `python -m wittmod argv` in a fresh
+    interpreter, so with a parser of its own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "wittmod", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    assert run_alone(["bracket", "dt1", "t1*dt1"]) == (0, "dt1\n", "")
+
+
+# a twist, a rep and a mode first, then requests that rely on the defaults,
+# then usage errors: the shared parser must carry nothing between them
+BACK_TO_BACK = [
+    ["act", "dt1", "t1 @ e1", "--m", "1", "--n", "1", "--a", "3/2",
+     "--rep", "tensor(natural,natural)"],
+    ["bracket", "dx1", "t1*x1*dt1", "--mode", "verbatim"],
+    ["act", "dt1", "t1 @ e1", "--m", "1", "--n", "1"],
+    ["bracket", "dx1", "t1*x1*dt1"],
+    ["weighting", "t1 @ e1 + 1 @ e2", "--m", "1", "--n", "1"],
+    ["bracket", "dt1", "t1*dt1", "--mode", "bogus"],
+]
+
+
+def test_requests_in_one_process_match_each_run_alone(capsys, monkeypatch):
+    # usage text wraps at the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    together = [run(capsys, argv) for argv in BACK_TO_BACK]
+    alone = [run_alone(argv) for argv in BACK_TO_BACK]
+    assert together == alone
+    assert [rc for rc, _, _ in together] == [0, 0, 0, 0, 2, 2]

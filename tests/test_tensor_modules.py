@@ -7,17 +7,20 @@ from fractions import Fraction
 import pytest
 
 from wittmod import linalg
-from wittmod.superpoly import popcount
+from wittmod.superpoly import (accumulate, mono_mul, mono_parity,
+                                mono_partial_t, mono_partial_xi, popcount)
 from wittmod.verifier import odd_rows_negated
 from wittmod.tensor_modules import (TensorElement, TensorSpan, act_mono,
-                                    act_witt, descent,
+                                    act_term, act_witt, act_word, descent,
                                     generalized_whittaker_space, height,
                                     lower_t, pbw_basis_rewrite,
                                     act_atom, weight_act, weight_reduce,
                                     whittaker_space, window_keys)
-from wittmod.witt import WittElement, witt_bracket, witt_act
+from wittmod.witt import TSLOT, WittElement, witt_bracket, witt_act
+from wittmod.words import OperatorWord, make_watom
 
-from conftest import make_spec, rand_superpoly, rand_tensor, witt_keys
+from conftest import (make_spec, rand_coeff, rand_superpoly, rand_tensor,
+                      rand_witt, witt_keys)
 
 F = Fraction
 
@@ -299,3 +302,188 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         act_witt(spec, WittElement.term(2, 1, (1, 0), 0, ("t", 1)),
                  TensorElement.vacuum(spec, 0))
+
+
+# ---------------------------------------------------------------------------
+# the memoised action table against the unmemoised three-piece formula
+
+def _reference_act_term(spec, alpha, imask, slot, x):
+    """The three-piece formula on a whole element, no memo: the twisted
+    action on the coefficient, the even units weighted by the exponents,
+    the odd units from the odd derivatives of the monomial."""
+    alpha = tuple(alpha)
+    m = spec.m
+    kind, idx = slot
+    out = {}
+    gmono = (alpha, imask)
+    s3 = -1 if (popcount(imask) - 1) & 1 else 1
+    gam = 0 if kind == TSLOT else 1
+    col_even = idx if kind == TSLOT else m + idx
+    for (p, l), c in x.terms.items():
+        pp = mono_parity(p)
+        if kind == TSLOT:
+            hit = mono_partial_t(p, idx)
+            if hit:
+                prod = mono_mul(gmono, hit[0])
+                if prod:
+                    accumulate(out, (prod[0], l), c * hit[1] * prod[1])
+            ai = spec.a[idx - 1]
+            if ai:
+                prod = mono_mul(gmono, p)
+                if prod:
+                    accumulate(out, (prod[0], l), c * ai * prod[1])
+        else:
+            hit = mono_partial_xi(p, idx)
+            if hit:
+                prod = mono_mul(gmono, hit[0])
+                if prod:
+                    accumulate(out, (prod[0], l), c * hit[1] * prod[1])
+        s2 = -1 if (gam & pp) else 1
+        for k in range(1, m + 1):
+            ak = alpha[k - 1]
+            if not ak:
+                continue
+            a2 = list(alpha)
+            a2[k - 1] -= 1
+            prod = mono_mul((tuple(a2), imask), p)
+            if not prod:
+                continue
+            mat = spec.rep.mats[(k, col_even)]
+            for r in range(spec.dim):
+                if mat[r][l]:
+                    accumulate(out, (prod[0], r),
+                               c * ak * prod[1] * s2 * mat[r][l])
+        if imask:
+            s3p = s3 * (-1 if ((1 ^ gam) & pp) else 1)
+            for k in range(1, spec.n + 1):
+                hitg = mono_partial_xi(gmono, k)
+                if not hitg:
+                    continue
+                prod = mono_mul(hitg[0], p)
+                if not prod:
+                    continue
+                mat = spec.rep.mats[(m + k, col_even)]
+                for r in range(spec.dim):
+                    if mat[r][l]:
+                        accumulate(out, (prod[0], r),
+                                   c * s3p * hitg[1] * prod[1] * mat[r][l])
+    return TensorElement(spec.m, spec.n, spec.dim, out)
+
+
+def _reference_act_atom(spec, atom, x):
+    kind = atom[0]
+    if kind == "w":
+        return _reference_act_term(spec, atom[1], atom[2],
+                                   (atom[3], atom[4]), x)
+    i = atom[1]
+    if kind == "mt":
+        return act_mono(spec, (tuple(int(k == i - 1)
+                                     for k in range(spec.m)), 0), x)
+    if kind == "mx":
+        return act_mono(spec, ((0,) * spec.m, 1 << (i - 1)), x)
+    out = {}
+    for (p, l), c in x.terms.items():
+        hit = mono_partial_t(p, i) if kind == "dt" else \
+            mono_partial_xi(p, i)
+        if hit:
+            accumulate(out, (hit[0], l), c * hit[1])
+    y = TensorElement(spec.m, spec.n, spec.dim, out)
+    return y + spec.a[i - 1] * x if kind == "dt" else y
+
+
+def _reference_act_witt(spec, w, x):
+    out = TensorElement.zero(spec)
+    for (mono, slot), c in w.terms.items():
+        out = out + c * _reference_act_term(spec, mono[0], mono[1], slot, x)
+    return out
+
+
+def _reference_act_word(spec, w, x):
+    out = TensorElement.zero(spec)
+    for word, c in w.terms.items():
+        y = x
+        for atom in reversed(word):
+            y = _reference_act_atom(spec, atom, y)
+        out = out + c * y
+    return out
+
+
+def _rand_word(spec, rng, keys, nterms=3, length=3):
+    atoms = [make_watom(mono[0], mono[1], slot) for mono, slot in keys]
+    atoms += [(kind, i) for kind in ("mt", "dt") for i in range(1, spec.m + 1)]
+    atoms += [(kind, j) for kind in ("mx", "dx") for j in range(1, spec.n + 1)]
+    out = OperatorWord(spec.m, spec.n)
+    for _ in range(nterms):
+        word = [rng.choice(atoms) for _ in range(rng.randrange(length + 1))]
+        out = out + OperatorWord.from_word(spec.m, spec.n, word,
+                                           rand_coeff(rng))
+    return out
+
+
+TABLE_SPECS = [
+    (1, 1, (F(3, 2),), "natural"),
+    (2, 1, (F(1, 2), F(-2)), "tensor(natural,natural)"),
+    (2, 2, (F(-1, 3), F(2)), "natural"),
+]
+
+
+@pytest.mark.parametrize("m,n,a,rep", TABLE_SPECS,
+                         ids=["%d%d-%s" % (m, n, rep)
+                              for m, n, a, rep in TABLE_SPECS])
+def test_action_table_matches_the_formula(m, n, a, rep):
+    spec = make_spec(m, n, a=a, rep=rep)
+    rng = random.Random(90 + 10 * m + n)
+    keys = witt_keys(m, n, 2)
+    # twice over the same elements: the second pass reads filled rows
+    elems = [rand_tensor(spec, rng, max_deg=2, nterms=4) for _ in range(6)]
+    for _ in range(2):
+        for x in elems:
+            for (alpha, imask), slot in keys:
+                assert act_term(spec, alpha, imask, slot, x) == \
+                    _reference_act_term(spec, alpha, imask, slot, x)
+    for _ in range(2):
+        for x in elems:
+            w = rand_witt(rng, m, n, max_deg=2, nterms=3)
+            assert act_witt(spec, w, x) == _reference_act_witt(spec, w, x)
+            word = _rand_word(spec, rng, keys)
+            assert act_word(spec, word, x) == \
+                _reference_act_word(spec, word, x)
+
+
+def test_negated_odd_rows_get_a_table_of_their_own():
+    spec = make_spec(2, 1, a=(F(1, 2), F(-2)))
+    neg = odd_rows_negated(spec)
+    rng = random.Random(7)
+    keys = witt_keys(2, 1, 2)
+    elems = [rand_tensor(spec, rng, max_deg=2, nterms=3) for _ in range(6)]
+    # fill the table of spec first
+    for x in elems:
+        for (alpha, imask), slot in keys:
+            act_term(spec, alpha, imask, slot, x)
+    differ = 0
+    for x in elems:
+        for (alpha, imask), slot in keys:
+            got = act_term(neg, alpha, imask, slot, x)
+            assert got == _reference_act_term(neg, alpha, imask, slot, x)
+            differ += got != act_term(spec, alpha, imask, slot, x)
+    assert differ > 0
+
+
+def test_empty_word_is_the_identity_and_zero_maps_to_zero():
+    spec = make_spec(2, 2, a=(F(-1, 3), F(2)))
+    rng = random.Random(5)
+    x = rand_tensor(spec, rng, max_deg=2, nterms=4)
+    zero = TensorElement.zero(spec)
+    assert act_word(spec, OperatorWord.identity(2, 2), x) == x
+    assert act_word(spec, F(-2, 3) * OperatorWord.identity(2, 2), x) == \
+        F(-2, 3) * x
+    assert act_word(spec, OperatorWord.identity(2, 2), zero) == zero
+    word = _rand_word(spec, rng, witt_keys(2, 2, 2))
+    assert word
+    assert act_word(spec, word, zero) == zero
+    assert act_word(spec, OperatorWord(2, 2), x) == zero
+    w = rand_witt(rng, 2, 2)
+    assert w
+    assert act_witt(spec, w, zero) == zero
+    assert act_witt(spec, WittElement.zero(2, 2), x) == zero
+    assert act_term(spec, (1, 0), 1, (TSLOT, 2), zero) == zero

@@ -58,7 +58,9 @@ CONTROLS = [
     ("jacobi", {"m": 1, "n": 1, "deg": 2, "mode": "mutated"}),
     ("bracket_oracle", {"deg": 2, "mode": "verbatim"}),
     ("module_axioms", {"deg": 1, "D": 2, "mode": "mutated"}),
-    ("commutant_homomorphism", {"deg": 2, "D": 3, "mode": "tau_flipped"}),
+    # n = 2 is the smallest shape where the flipped convention can show
+    ("commutant_homomorphism", {"n": 2, "deg": 2, "D": 3,
+                                "mode": "tau_flipped"}),
     ("difference_annihilation", {"rmax": 0}),
     ("simplicity_probe", {"rep": "natural", "expect_reducible": True,
                           "trials": 10}),
@@ -70,6 +72,16 @@ def test_mutation_controls_fail(check_id, params):
     report = run_check(check_id, params)
     assert report.status == "fail"
     assert report.counterexample
+
+
+def test_tau_flipped_control_shows_a_counterexample():
+    # a real refutation, not the rule that fails an undetected control
+    report = run_check("commutant_homomorphism", {
+        "n": 2, "deg": 2, "D": 3, "mode": "tau_flipped"})
+    assert report.status == "fail"
+    cex = report.counterexample
+    assert {"u", "v", "on", "bracket_image", "supercommutator"} <= set(cex)
+    assert cex["bracket_image"] != cex["supercommutator"]
 
 
 # a control mode fails at every shape: where its fault cannot show (no odd
