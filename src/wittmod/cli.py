@@ -42,6 +42,7 @@ def _shape(args, parsed_lists):
         m = args.m
     if args.n is not None:
         n = args.n
+    CheckParams.check_shape(m, n)
     return m, n
 
 

@@ -182,6 +182,12 @@ def _coerce(f, value):
                       % (f.name, _TYPE_NAMES[kind], value))
 
 
+def _check_bound(f, value):
+    if "min" in f.metadata and value < f.metadata["min"]:
+        raise ConfigError("%s must be >= %d, got %d"
+                          % (f.name, f.metadata["min"], value))
+
+
 @dataclass
 class CheckParams:
     """The run parameters of one check: the one place that names each of
@@ -206,12 +212,9 @@ class CheckParams:
     def __post_init__(self):
         for f in fields(self):
             value = _coerce(f, getattr(self, f.name))
-            if "min" in f.metadata and value < f.metadata["min"]:
-                raise ConfigError("%s must be >= %d, got %d"
-                                  % (f.name, f.metadata["min"], value))
+            _check_bound(f, value)
             setattr(self, f.name, value)
-        if self.m == self.n == 0:
-            raise ConfigError("empty shape: m and n are both 0")
+        self.check_shape(self.m, self.n)
         self.a = parse_twist(self.a, self.m)
         from .verifier import REGISTRY  # the verifier imports this module
         if self.check not in REGISTRY:
@@ -221,6 +224,16 @@ class CheckParams:
         if self.mode not in modes:
             raise ConfigError("check %s has no mode %r (modes: %s)"
                               % (self.check, self.mode, ", ".join(modes)))
+
+    @classmethod
+    def check_shape(cls, m, n):
+        """The shape rule, shared with the calculator commands: m and n
+        within their bounds, and not both 0."""
+        schema = cls.__dataclass_fields__
+        _check_bound(schema["m"], m)
+        _check_bound(schema["n"], n)
+        if m == n == 0:
+            raise ConfigError("empty shape: m and n are both 0")
 
     @classmethod
     def keys(cls):

@@ -22,11 +22,11 @@ from itertools import product
 from math import comb
 
 from .superpoly import (ONE, LinComb, accumulate, merge_sign_masks,
-                        mono_mul, mono_parity, mono_partial_t,
-                        mono_partial_xi, mono_sort_key, mono_tdeg, popcount)
-from .witt import (WittElement, _bracket_basis, term_parity, term_sort_key,
-                   TSLOT, XSLOT)
-from .words import OperatorWord, make_watom
+                        mono_mul, mono_parity, mono_sort_key, mono_tdeg,
+                        popcount)
+from .witt import (WittElement, _act_basis, _bracket_basis, term_parity,
+                   term_sort_key, TSLOT, XSLOT)
+from .words import OperatorWord, make_watom, mono_atoms
 
 
 def dressed_parity(key) -> int:
@@ -60,36 +60,15 @@ class DressedWittElement(LinComb):
     def to_word(self) -> OperatorWord:
         """Multiplication atoms for the dressing, then the derivation."""
         out = OperatorWord(self.m, self.n)
-        for ((alpha, imask), (wmono, slot)), c in self.terms.items():
-            atoms = []
-            for i, e in enumerate(alpha, start=1):
-                atoms.extend([("mt", i)] * e)
-            for j in range(1, self.n + 1):
-                if imask & (1 << (j - 1)):
-                    atoms.append(("mx", j))
-            atoms.append(make_watom(wmono[0], wmono[1], slot))
-            accumulate(out.terms, tuple(atoms), c)
+        for (amono, (wmono, slot)), c in self.terms.items():
+            word = mono_atoms(amono) + (make_watom(wmono[0], wmono[1], slot),)
+            accumulate(out.terms, word, c)
         return out
 
 
 def dressed_sort_key(key):
     amono, wkey = key
     return mono_sort_key(amono) + term_sort_key(wkey)
-
-
-def _act_term_on_mono(wmono, slot, mono):
-    """Basis derivation applied to a monomial: (mono, int coeff) or None."""
-    if slot[0] == TSLOT:
-        hit = mono_partial_t(mono, slot[1])
-    else:
-        hit = mono_partial_xi(mono, slot[1])
-    if hit is None:
-        return None
-    dmono, c1 = hit
-    prod = mono_mul(wmono, dmono)
-    if prod is None:
-        return None
-    return prod[0], c1 * prod[1]
 
 
 def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
@@ -109,14 +88,14 @@ def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
             pb = mono_parity(b)
             c0 = cu * cv
             # a x(b) . y
-            hit = _act_term_on_mono(xmono, xslot, b)
+            hit = _act_basis(xkey, b)
             if hit:
                 mono, c1 = hit
                 prod = mono_mul(a, mono)
                 if prod:
                     accumulate(acc, (prod[0], ykey), c0 * c1 * prod[1])
             # -(-1)^{|a.x||b.y|} b y(a) . x
-            hit = _act_term_on_mono(ymono, yslot, a)
+            hit = _act_basis(ykey, a)
             if hit:
                 mono, c1 = hit
                 prod = mono_mul(b, mono)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import mat_mul, mat_vec
+from .linalg import mat_mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,9 +68,6 @@ class Rep:
         for k, v in self.mats.items():
             if len(v) != dim or any(len(r) != dim for r in v):
                 raise ValueError("matrix for E%r is not %dx%d" % (k, dim, dim))
-
-    def act(self, ij, vec):
-        return tuple(mat_vec(self.mats[ij], vec))
 
     def has_weight_basis(self):
         """All Cartan matrices E(i,i) diagonal on this basis."""

@@ -240,10 +240,6 @@ class SuperPoly(LinComb):
         return cls(m, n)
 
     @classmethod
-    def one(cls, m, n):
-        return cls.monomial(m, n, (0,) * m, ())
-
-    @classmethod
     def monomial(cls, m, n, alpha, odd=(), coeff=ONE):
         alpha = tuple(alpha)
         if len(alpha) != m or any(a < 0 for a in alpha):
@@ -255,19 +251,6 @@ class SuperPoly(LinComb):
         if coeff:
             p.terms[(alpha, mask)] = Fraction(coeff)
         return p
-
-    @classmethod
-    def t_var(cls, m, n, i):
-        if not 1 <= i <= m:
-            raise ValueError("t index %d out of range" % i)
-        alpha = tuple(1 if k == i - 1 else 0 for k in range(m))
-        return cls.monomial(m, n, alpha, ())
-
-    @classmethod
-    def xi_var(cls, m, n, j):
-        if not 1 <= j <= n:
-            raise ValueError("xi index %d out of range" % j)
-        return cls.monomial(m, n, (0,) * m, (j,))
 
     # -- ring structure ----------------------------------------------------
 
@@ -327,13 +310,6 @@ class SuperPoly(LinComb):
     def tdegree(self):
         """Max total t-degree, or -1 for the zero element."""
         return max((mono_tdeg(mono) for mono in self.terms), default=-1)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(((0,) * self.m, 0), ZERO)
-
-    def in_augmentation_ideal(self) -> bool:
-        """True when the constant term vanishes."""
-        return not self.constant_term()
 
 
 def enumerate_alphas(m: int, max_deg: int):

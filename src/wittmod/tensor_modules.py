@@ -10,10 +10,15 @@ the twisted action on p, a sum over even matrix units weighted by the
 exponents of the coefficient monomial, and a sign-weighted sum over odd
 matrix units from the odd derivatives of the coefficient monomial.  All
 formulas live in _derivation_row, which gives the image of one pure
-tensor; each spec memoises those images, so act_term, act_witt and
-act_word are loops over memoised rows.  Everything else (Whittaker solves,
-descent, weight cosets) is built on top of them plus exact linear
-algebra.
+tensor; each spec memoises the image of every operator atom, so act_term,
+act_witt, act_atom and act_word are loops over memoised rows and are the
+one action path.  Everything else (Whittaker solves, descent, weight
+cosets) is built on top of them plus exact linear algebra.
+
+The coefficient algebra itself is the module with twist a = 0 and the
+trivial one-dimensional rep: d/dt_i is then the plain derivative, and the
+zero matrices make a basis derivation act exactly as on the algebra.  It
+has no separate action.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .glmn import Rep
-from .superpoly import (ONE, ZERO, LinComb, SuperPoly, accumulate,
+from .superpoly import (ONE, ZERO, LinComb, accumulate,
                         enumerate_alphas, enumerate_monomials, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
@@ -324,32 +329,6 @@ def lower_t(spec, i, x: TensorElement) -> TensorElement:
     return out
 
 
-def act_word_poly(w: OperatorWord, p: SuperPoly) -> SuperPoly:
-    """Untwisted multiply/derive action on the plain algebra."""
-    if (w.m, w.n) != (p.m, p.n):
-        raise ValueError("shape mismatch")
-    out = SuperPoly.zero(p.m, p.n)
-    for word, c in w.terms.items():
-        q = p
-        for atom in reversed(word):
-            kind = atom[0]
-            if kind == "mt":
-                q = SuperPoly.t_var(p.m, p.n, atom[1]) * q
-            elif kind == "mx":
-                q = SuperPoly.xi_var(p.m, p.n, atom[1]) * q
-            elif kind == "dt":
-                q = q.partial_t(atom[1])
-            elif kind == "dx":
-                q = q.partial_xi(atom[1])
-            else:
-                raise ValueError("multiply/derive atoms only, got %r"
-                                 % (atom,))
-            if not q:
-                break
-        out = out + c * q
-    return out
-
-
 # ---------------------------------------------------------------------------
 # windows and exact solves
 
@@ -404,18 +383,6 @@ def generalized_whittaker_space(spec, max_deg, height_bound=0):
     return _kernel_of_ops(spec, ops, keys)
 
 
-def height(spec, x: TensorElement, i: int) -> int:
-    """Least k with (d/dt_i - a_i)^(k+1) x = 0."""
-    if not x:
-        raise ValueError("height of the zero element is undefined")
-    k = 0
-    y = lower_t(spec, i, x)
-    while y:
-        k += 1
-        y = lower_t(spec, i, y)
-    return k
-
-
 def descent(spec, x: TensorElement) -> TensorElement:
     """Project onto the Whittaker space.
 
@@ -428,7 +395,7 @@ def descent(spec, x: TensorElement) -> TensorElement:
     for j in range(1, spec.n + 1):
         dy = act_atom(spec, ("dx", j), y)
         if dy:
-            y = y - act_mono(spec, ((0,) * spec.m, 1 << (j - 1)), dy)
+            y = y - act_atom(spec, ("mx", j), dy)
     for i in range(1, spec.m + 1):
         if not y:
             break
@@ -436,11 +403,10 @@ def descent(spec, x: TensorElement) -> TensorElement:
         term = y
         k = 0
         fact = Fraction(1)
-        ti = ((tuple(1 if q == i - 1 else 0 for q in range(spec.m)), 0))
         while term:
             piece = term
             for _ in range(k):
-                piece = act_mono(spec, ti, piece)
+                piece = act_atom(spec, ("mt", i), piece)
             sign = -1 if k & 1 else 1
             acc = acc + (sign * fact) * piece
             k += 1
@@ -495,11 +461,6 @@ class PbwRewrite:
                              zip(self.keys, out_vec))
 
 
-def cartan_term(spec, i):
-    alpha = tuple(1 if k == i - 1 else 0 for k in range(spec.m))
-    return alpha
-
-
 def unit_basis(spec):
     """(kmask, l) labels for the xi (x) module basis, ascending."""
     return [(kmask, l) for kmask in range(1 << spec.n)
@@ -523,9 +484,10 @@ def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
     columns = []
     for s, (kmask, l) in cols:
         vec = unit_vector(spec, kmask, l)
-        for i in range(1, spec.m + 1):
-            for _ in range(s[i - 1]):
-                vec = act_term(spec, cartan_term(spec, i), 0, (TSLOT, i), vec)
+        for i, si in enumerate(s, start=1):
+            h = tuple(int(q == i) for q in range(1, spec.m + 1))  # t_i dt_i
+            for _ in range(si):
+                vec = act_term(spec, h, 0, (TSLOT, i), vec)
         col = [ZERO] * len(keys)
         for key, c in vec.terms.items():
             k = key_index.get(key)

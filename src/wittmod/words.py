@@ -25,9 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .superpoly import ONE, LinComb, accumulate, merge_sign_masks, popcount
-
-WEYL_KINDS = ("mt", "mx", "dt", "dx")
+from .superpoly import (ONE, LinComb, accumulate, mask_indices,
+                        merge_sign_masks, popcount)
 
 
 def make_watom(alpha, imask, slot):
@@ -36,6 +35,17 @@ def make_watom(alpha, imask, slot):
     if not any(alpha) and imask == 0:
         return ("dt" if slot[0] == "t" else "dx", slot[1])
     return ("w", alpha, imask, slot[0], slot[1])
+
+
+def mono_atoms(mono, kinds=("mt", "mx")) -> tuple:
+    """The monomial t^alpha xi_I as a word: the t atoms, then the xi atoms
+    in ascending order.  kinds=("dt", "dx") spells the derivative
+    monomial dt^alpha dxi_I the same way."""
+    alpha, imask = mono
+    tkind, xkind = kinds
+    return (tuple((tkind, i) for i, e in enumerate(alpha, start=1)
+                  for _ in range(e))
+            + tuple((xkind, j) for j in mask_indices(imask)))
 
 
 def atom_parity(atom) -> int:
@@ -118,18 +128,9 @@ class WeylNormalForm(LinComb):
     def to_word(self) -> OperatorWord:
         out = OperatorWord(self.m, self.n)
         for (alpha, imask, gamma, kmask), c in self.terms.items():
-            atoms = []
-            for i, e in enumerate(alpha, start=1):
-                atoms.extend([("mt", i)] * e)
-            for j in range(1, self.n + 1):
-                if imask & (1 << (j - 1)):
-                    atoms.append(("mx", j))
-            for i, e in enumerate(gamma, start=1):
-                atoms.extend([("dt", i)] * e)
-            for j in range(1, self.n + 1):
-                if kmask & (1 << (j - 1)):
-                    atoms.append(("dx", j))
-            out.terms[tuple(atoms)] = c
+            word = (mono_atoms((alpha, imask))
+                    + mono_atoms((gamma, kmask), ("dt", "dx")))
+            out.terms[word] = c
         return out
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from wittmod.config import resolve_rep
 from wittmod.superpoly import SuperPoly, enumerate_monomials
-from wittmod.tensor_modules import ModuleSpec, TensorElement, window_keys
+from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_word,
+                                    window_keys)
 from wittmod.witt import WittElement, witt_basis
 
 COEFF_POOL = [Fraction(k) for k in (-3, -2, -1, 1, 2, 3, 5)] \
@@ -58,6 +59,16 @@ def make_spec(m, n, a=None, rep="natural") -> ModuleSpec:
     if a is None:
         a = (Fraction(1),) * m
     return ModuleSpec(m, n, a, resolve_rep(rep, m, n))
+
+
+def act_on_poly(w, p: SuperPoly) -> SuperPoly:
+    """A word acting on a polynomial: the algebra is the module with twist
+    0 and the trivial rep, so it has no action of its own."""
+    spec = make_spec(p.m, p.n, a=(0,) * p.m, rep="trivial")
+    x = TensorElement(p.m, p.n, 1, {(mono, 0): c
+                                    for mono, c in p.terms.items()})
+    y = act_word(spec, w, x)
+    return SuperPoly(p.m, p.n, {mono: c for (mono, _), c in y.terms.items()})
 
 
 @pytest.fixture

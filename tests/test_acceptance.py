@@ -115,8 +115,8 @@ def test_criterion_09_weight_multiplicity():
 
 def test_criterion_10_difference_recurrence():
     r = run_check("difference_recurrence", {"rmax": 4, "D": 4})
-    _verdict(10, "difference word recurrence holds formally and as "
-             "operators for r <= 4 on the D=4 window",
+    _verdict(10, "difference word recurrence holds as formal sums for "
+             "r <= 4 (operators follow by linearity of the action)",
              r.status == "pass", r.counterexample)
 
 

@@ -173,6 +173,17 @@ def test_empty_shape_exits_2(capsys):
     assert "empty shape" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["act", "dt1", "1 @ e1", "--m", "-1"], "m must be >= 0, got -1"),
+    (["descent", "1 @ e1", "--m", "0", "--n", "0"],
+     "empty shape: m and n are both 0"),
+], ids=["act-negative-m", "descent-empty-shape"])
+def test_calculator_shape_rule_exits_2(capsys, argv, message):
+    # the calculator commands share the run parameters' shape rule
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_weight_multiplicity_rejects_m0(capsys):
     # no even variables means no Cartan weights: a configuration error
     # named before any work, not an internal ValueError

@@ -10,12 +10,11 @@ from wittmod.dressed import (DressedWittElement, commutant_element,
                              commutant_of_witt, dressed_basis,
                              dressed_bracket)
 from wittmod.expressions import parse_expr, as_dressed, as_witt, print_expr
-from wittmod.tensor_modules import act_word_poly
 from wittmod.verifier import tau_flipped
 from wittmod.witt import TSLOT, XSLOT, witt_bracket
 from wittmod.words import OperatorWord, word_commutator
 
-from conftest import rand_superpoly
+from conftest import act_on_poly, rand_superpoly
 
 
 def D(text, m=1, n=1):
@@ -58,9 +57,9 @@ def test_bracket_against_operator_action():
     for _ in range(40):
         u, v = rng.choice(basis), rng.choice(basis)
         p = rand_superpoly(rng, 1, 1, max_deg=3, nterms=2)
-        via_table = act_word_poly(
+        via_table = act_on_poly(
             _weyl_expand(dressed_bracket(u, v).to_word()), p)
-        via_words = act_word_poly(word_commutator(
+        via_words = act_on_poly(word_commutator(
             _weyl_expand(u.to_word()), _weyl_expand(v.to_word())), p)
         assert via_table == via_words
 

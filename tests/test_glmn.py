@@ -75,16 +75,6 @@ def test_weight_basis_detection():
     assert trivial_rep(1, 1, dim=2).has_weight_basis()
 
 
-def test_rep_act_matches_matrix():
-    rep = natural_rep(1, 1)
-    vec = [F(2), F(5)]
-    out = rep.act((1, 2), vec)
-    mat = rep.mats[(1, 2)]
-    want = tuple(sum(mat[r][c] * vec[c] for c in range(2))
-                 for r in range(2))
-    assert out == want
-
-
 def test_gl_jacobi_small():
     m, n = 1, 1
     e = natural_rep(m, n).mats

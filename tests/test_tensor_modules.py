@@ -12,10 +12,10 @@ from wittmod.superpoly import (accumulate, mono_mul, mono_parity,
 from wittmod.verifier import odd_rows_negated
 from wittmod.tensor_modules import (TensorElement, TensorSpan, act_mono,
                                     act_term, act_witt, act_word, descent,
-                                    generalized_whittaker_space, height,
-                                    lower_t, pbw_basis_rewrite,
-                                    act_atom, weight_act, weight_reduce,
-                                    whittaker_space, window_keys)
+                                    generalized_whittaker_space, lower_t,
+                                    pbw_basis_rewrite, act_atom, weight_act,
+                                    weight_reduce, whittaker_space,
+                                    window_keys)
 from wittmod.witt import TSLOT, WittElement, witt_bracket, witt_act
 from wittmod.words import OperatorWord, make_watom
 
@@ -116,14 +116,6 @@ def test_generalized_whittaker_dimensions():
     assert len(generalized_whittaker_space(spec, 3, 0)) == 4
     # height 1 adds one t-layer per even direction
     assert len(generalized_whittaker_space(spec, 3, 1)) == 8
-
-
-def test_height_function():
-    spec = make_spec(1, 1)
-    vac = TensorElement.vacuum(spec, 0)
-    assert height(spec, vac, 1) == 0
-    t_vac = act_mono(spec, ((1,), 0), vac)
-    assert height(spec, t_vac, 1) == 1
 
 
 def _dense_kernel_of_ops(spec, ops, keys):
@@ -424,6 +416,9 @@ TABLE_SPECS = [
     (1, 1, (F(3, 2),), "natural"),
     (2, 1, (F(1, 2), F(-2)), "tensor(natural,natural)"),
     (2, 2, (F(-1, 3), F(2)), "natural"),
+    # the coefficient algebra itself, the module that weyl_relations acts on
+    (1, 1, (F(0),), "trivial"),
+    (2, 2, (F(0), F(0)), "trivial"),
 ]
 
 

@@ -40,8 +40,11 @@ def composition_reference(x, y):
     """[x, y] by witt_act on SuperPoly generators, one homogeneous part
     of each side at a time: the oracle's route before it ran on terms."""
     m, n = x.m, x.n
-    gens = [(SuperPoly.t_var(m, n, i), (TSLOT, i)) for i in range(1, m + 1)]
-    gens += [(SuperPoly.xi_var(m, n, j), (XSLOT, j)) for j in range(1, n + 1)]
+    gens = [(SuperPoly.monomial(m, n, tuple(int(k == i)
+                                            for k in range(1, m + 1))),
+             (TSLOT, i)) for i in range(1, m + 1)]
+    gens += [(SuperPoly.monomial(m, n, (0,) * m, (j,)), (XSLOT, j))
+             for j in range(1, n + 1)]
     out = WittElement(m, n)
     for xh in x.homogeneous_parts():
         for yh in y.homogeneous_parts():
@@ -205,8 +208,8 @@ def test_bracket_of_actions_equals_action_of_bracket():
 
 
 def test_extension_function_part_is_abelian():
-    a = ExtendedWittElement.from_poly(SuperPoly.t_var(1, 1, 1))
-    b = ExtendedWittElement.from_poly(SuperPoly.xi_var(1, 1, 1))
+    a = ExtendedWittElement.from_poly(SuperPoly.monomial(1, 1, (1,)))
+    b = ExtendedWittElement.from_poly(SuperPoly.monomial(1, 1, (0,), (1,)))
     assert not extended_bracket(a, b)
 
 

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittmod.superpoly import SuperPoly, enumerate_monomials
-from wittmod.tensor_modules import act_word_poly
 from wittmod.witt import TSLOT, XSLOT
 from wittmod.words import (OperatorWord, atom_parity, difference_word,
                            weyl_equal, weyl_normal_order, word_commutator)
 
-from conftest import rand_coeff, rand_superpoly
+from conftest import act_on_poly, rand_coeff, rand_superpoly
 
 M, N = 1, 2
 
@@ -72,8 +71,8 @@ def test_normal_order_preserves_the_action(w, seed):
     rng = random.Random(seed)
     u = OperatorWord.from_word(M, N, tuple(w), rand_coeff(rng))
     p = rand_superpoly(rng, M, N, max_deg=3, nterms=2)
-    assert act_word_poly(u, p) == \
-        act_word_poly(weyl_normal_order(u).to_word(), p)
+    assert act_on_poly(u, p) == \
+        act_on_poly(weyl_normal_order(u).to_word(), p)
 
 
 def test_word_commutator_against_action():
@@ -87,9 +86,9 @@ def test_word_commutator_against_action():
                         for _ in range(rng.randint(1, 3))), rand_coeff(rng))
         p = rand_superpoly(rng, M, N, max_deg=3, nterms=2)
         s = -1 if u.parity() and v.parity() else 1
-        want = act_word_poly(u, act_word_poly(v, p)) \
-            - s * act_word_poly(v, act_word_poly(u, p))
-        assert act_word_poly(word_commutator(u, v), p) == want
+        want = act_on_poly(u, act_on_poly(v, p)) \
+            - s * act_on_poly(v, act_on_poly(u, p))
+        assert act_on_poly(word_commutator(u, v), p) == want
 
 
 def test_atom_parity():
