@@ -21,8 +21,9 @@ from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
                              act_word, whittaker_space,
                              generalized_whittaker_space, descent,
                              pbw_basis_rewrite, weight_reduce, weight_act)
-from .expressions import (ParseError, parse_expr, print_expr, as_superpoly,
-                          as_witt, as_dressed, as_word, as_tensor)
+from .expressions import (ExpressionError, ParseError, parse_expr,
+                          print_expr, as_superpoly, as_witt, as_dressed,
+                          as_word, as_tensor)
 # the verifier before the config: it is the largest module, and compiling
 # it before the config loads dataclasses keeps the import's peak memory low
 from .verifier import CheckParams, CheckReport, REGISTRY, run_check
@@ -45,8 +46,8 @@ __all__ = [
     "act_witt", "act_mono", "act_word", "whittaker_space",
     "generalized_whittaker_space", "descent", "pbw_basis_rewrite",
     "weight_reduce", "weight_act",
-    "ParseError", "parse_expr", "print_expr", "as_superpoly", "as_witt",
-    "as_dressed", "as_word", "as_tensor",
+    "ExpressionError", "ParseError", "parse_expr", "print_expr",
+    "as_superpoly", "as_witt", "as_dressed", "as_word", "as_tensor",
     "ConfigError", "RunConfig", "load_config", "resolve_rep", "parse_twist",
     "CheckParams", "CheckReport", "REGISTRY", "run_check",
     "build_report", "emit_report", "render_report", "report_schema",

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 all good, 1 a verifier check failed, 2 usage or
-configuration error.
+configuration error.  Any other exception is an internal bug and
+propagates.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 from .config import (CheckParams, ConfigError, load_config, parse_twist,
                      resolve_rep)
 from .dressed import dressed_bracket
-from .expressions import (ParseError, as_dressed, as_tensor, as_witt,
+from .expressions import (ExpressionError, as_dressed, as_tensor, as_witt,
                           as_word, parse_expr, print_expr)
 from .reporting import emit_report
 from .tensor_modules import (ModuleSpec, act_word, descent,
@@ -120,6 +121,8 @@ def _cmd_weighting(args) -> int:
     telem = parse_expr(args.elem)
     m, n = _shape(args, [telem])
     spec = _module_spec(args, m, n)
+    if not spec.nonsingular:
+        raise ConfigError("product basis needs a nonsingular twist vector")
     x = as_tensor(telem, m, n, spec.dim)
     weight = parse_twist(args.r, m)
     print(print_expr(weight_reduce(spec, x, weight).lift()))
@@ -132,8 +135,13 @@ def _cli_dict(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             out[key] = val
-    if "seed" not in out and os.environ.get("WITTMOD_SEED"):
-        out["seed"] = int(os.environ["WITTMOD_SEED"])
+    env_seed = os.environ.get("WITTMOD_SEED")
+    if "seed" not in out and env_seed:
+        try:
+            out["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError("WITTMOD_SEED must be an integer, got %r"
+                              % env_seed)
     return out
 
 
@@ -273,10 +281,7 @@ def run_command(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.fn(args)
-    except (ParseError, ConfigError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ExpressionError, ConfigError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -137,8 +137,7 @@ def load_rep_file(path, m, n) -> Rep:
         if len(entries) != dim * dim:
             raise ConfigError("rep file %s: E %d %d needs %d entries, got %d"
                               % (path, i, j, dim * dim, len(entries)))
-        mats[(i, j)] = tuple(tuple(entries[r * dim + c] for c in range(dim))
-                             for r in range(dim))
+        mats[(i, j)] = {divmod(k, dim): f for k, f in enumerate(entries)}
     missing = [(i, j) for i in range(1, m + n + 1)
                for j in range(1, m + n + 1) if (i, j) not in mats]
     if missing:

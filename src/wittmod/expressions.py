@@ -28,7 +28,12 @@ from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
 from .words import OperatorWord, make_watom
 
 
-class ParseError(ValueError):
+class ExpressionError(ValueError):
+    """An expression that does not fit its use: an index out of range for
+    the shape, or a form the target type does not take."""
+
+
+class ParseError(ExpressionError):
     def __init__(self, message, line, col, expected=None):
         self.line = line
         self.col = col
@@ -231,15 +236,15 @@ def _seg_mono(seg, m, n, where="monomial"):
         if atom[0] == "t":
             _, k, power = atom
             if not 1 <= k <= m:
-                raise ValueError("t index %d out of range in %s" % (k, where))
+                raise ExpressionError("t index %d out of range in %s" % (k, where))
             step = (tuple(power if q == k - 1 else 0 for q in range(m)), 0)
         elif atom[0] == "x":
             k = atom[1]
             if not 1 <= k <= n:
-                raise ValueError("x index %d out of range in %s" % (k, where))
+                raise ExpressionError("x index %d out of range in %s" % (k, where))
             step = ((0,) * m, 1 << (k - 1))
         else:
-            raise ValueError("derivation slot not allowed in %s" % where)
+            raise ExpressionError("derivation slot not allowed in %s" % where)
         hit = mono_mul(mono, step)
         if hit is None:
             return None
@@ -251,19 +256,19 @@ def _seg_mono(seg, m, n, where="monomial"):
 def _seg_witt(seg, m, n):
     """Segment = multiplications ending in one slot -> ((mono, slot), sign)."""
     if not seg or seg[-1][0] not in ("dt", "dx"):
-        raise ValueError("derivation term must end in dt<k> or dx<k>")
+        raise ExpressionError("derivation term must end in dt<k> or dx<k>")
     for atom in seg[:-1]:
         if atom[0] in ("dt", "dx"):
-            raise ValueError("only the final factor of a derivation term "
+            raise ExpressionError("only the final factor of a derivation term "
                              "may be a slot")
     kind, idx = seg[-1]
     if kind == "dt":
         if not 1 <= idx <= m:
-            raise ValueError("dt index %d out of range" % idx)
+            raise ExpressionError("dt index %d out of range" % idx)
         slot = (TSLOT, idx)
     else:
         if not 1 <= idx <= n:
-            raise ValueError("dx index %d out of range" % idx)
+            raise ExpressionError("dx index %d out of range" % idx)
         slot = (XSLOT, idx)
     hit = _seg_mono(seg[:-1], m, n, "derivation term")
     if hit is None:
@@ -286,20 +291,20 @@ def _seg_atoms(seg, m, n):
         if atom[0] == "t":
             _, k, power = atom
             if not 1 <= k <= m:
-                raise ValueError("t index %d out of range" % k)
+                raise ExpressionError("t index %d out of range" % k)
             atoms.extend([("mt", k)] * power)
         elif atom[0] == "x":
             k = atom[1]
             if not 1 <= k <= n:
-                raise ValueError("x index %d out of range" % k)
+                raise ExpressionError("x index %d out of range" % k)
             atoms.append(("mx", k))
         elif atom[0] == "dt":
             if not 1 <= atom[1] <= m:
-                raise ValueError("dt index %d out of range" % atom[1])
+                raise ExpressionError("dt index %d out of range" % atom[1])
             atoms.append(("dt", atom[1]))
         else:
             if not 1 <= atom[1] <= n:
-                raise ValueError("dx index %d out of range" % atom[1])
+                raise ExpressionError("dx index %d out of range" % atom[1])
             atoms.append(("dx", atom[1]))
     return atoms, 1
 
@@ -311,10 +316,10 @@ def as_superpoly(terms, m, n) -> SuperPoly:
     out = SuperPoly.zero(m, n)
     for coeff, segs, eidx in terms:
         if eidx is not None:
-            raise ValueError("tensor marker not allowed in a plain "
+            raise ExpressionError("tensor marker not allowed in a plain "
                              "polynomial")
         if len(segs) > 1:
-            raise ValueError("'.' not allowed in a plain polynomial")
+            raise ExpressionError("'.' not allowed in a plain polynomial")
         seg = segs[0] if segs else ()
         hit = _seg_mono(seg, m, n)
         if hit is None:
@@ -328,11 +333,11 @@ def as_witt(terms, m, n) -> WittElement:
     out = WittElement.zero(m, n)
     for coeff, segs, eidx in terms:
         if eidx is not None:
-            raise ValueError("tensor marker not allowed in a derivation")
+            raise ExpressionError("tensor marker not allowed in a derivation")
         if not segs and not coeff:
             continue
         if len(segs) != 1:
-            raise ValueError("a derivation term is a single segment")
+            raise ExpressionError("a derivation term is a single segment")
         hit = _seg_witt(segs[0], m, n)
         if hit is None:
             continue
@@ -348,10 +353,10 @@ def as_extended(terms, m, n) -> ExtendedWittElement:
     acc = {}
     for coeff, segs, eidx in terms:
         if eidx is not None:
-            raise ValueError("tensor marker not allowed in an extension "
+            raise ExpressionError("tensor marker not allowed in an extension "
                              "element")
         if len(segs) > 1:
-            raise ValueError("an extension term is a single segment")
+            raise ExpressionError("an extension term is a single segment")
         seg = segs[0] if segs else ()
         if seg and seg[-1][0] in ("dt", "dx"):
             hit = _seg_witt(seg, m, n)
@@ -368,7 +373,7 @@ def as_dressed(terms, m, n) -> DressedWittElement:
     out = DressedWittElement(m, n)
     for coeff, segs, eidx in terms:
         if eidx is not None:
-            raise ValueError("tensor marker not allowed in a dressed term")
+            raise ExpressionError("tensor marker not allowed in a dressed term")
         if not segs and not coeff:
             continue
         if len(segs) == 1:
@@ -381,7 +386,7 @@ def as_dressed(terms, m, n) -> DressedWittElement:
             amono, asign = hit
             wseg = segs[1]
         else:
-            raise ValueError("a dressed term has at most two segments")
+            raise ExpressionError("a dressed term has at most two segments")
         wit = _seg_witt(wseg, m, n)
         if wit is None:
             continue
@@ -395,7 +400,7 @@ def as_word(terms, m, n) -> OperatorWord:
     out = OperatorWord(m, n)
     for coeff, segs, eidx in terms:
         if eidx is not None:
-            raise ValueError("tensor marker not allowed in an operator word")
+            raise ExpressionError("tensor marker not allowed in an operator word")
         word = []
         sign = 1
         dead = False
@@ -419,12 +424,12 @@ def as_tensor(terms, m, n, dim) -> TensorElement:
         if eidx is None:
             if not segs and not coeff:
                 continue
-            raise ValueError("tensor element needs '@ e<j>' on every term")
+            raise ExpressionError("tensor element needs '@ e<j>' on every term")
         if not 1 <= eidx <= dim:
-            raise ValueError("vector index e%d out of range (dim %d)"
+            raise ExpressionError("vector index e%d out of range (dim %d)"
                              % (eidx, dim))
         if len(segs) > 1:
-            raise ValueError("'.' not allowed in a tensor coefficient")
+            raise ExpressionError("'.' not allowed in a tensor coefficient")
         seg = segs[0] if segs else ()
         hit = _seg_mono(seg, m, n, "tensor coefficient")
         piece = TensorElement(m, n, dim)

@@ -112,22 +112,5 @@ def invert(rows):
     return [r[n:] for r in red]
 
 
-def mat_mul(a, b):
-    nr, ni = len(a), len(b)
-    nc = len(b[0]) if ni else 0
-    out = [[ZERO] * nc for _ in range(nr)]
-    for i in range(nr):
-        ai = a[i]
-        oi = out[i]
-        for k in range(ni):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(nc):
-                    if bk[j]:
-                        oi[j] += f * bk[j]
-    return out
-
-
 def mat_vec(a, v):
     return [sum((f * x for f, x in zip(row, v) if f and x), ZERO) for row in a]

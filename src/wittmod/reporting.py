@@ -29,7 +29,7 @@ def _timestamp(stable: bool) -> str:
 
 
 def _check_dict(report, stable: bool) -> dict:
-    raw = report.as_dict() if hasattr(report, "as_dict") else dict(report)
+    raw = report.as_dict()
     if stable:
         raw = dict(raw, elapsed_ms=0)
     return {k: raw[k] for k in _CHECK_KEYS if k in raw}

@@ -198,11 +198,9 @@ def _derivation_row(spec, atom, key):
         prod = mono_mul((tuple(a2), imask), p)
         if not prod:
             continue
-        mat = spec.rep.mats[(k, col_even)]
         base = ak * prod[1] * s2
-        for r in range(spec.dim):
-            f = mat[r][l]
-            if f:
+        for (r, c), f in spec.rep.mats[(k, col_even)].items():
+            if c == l:
                 accumulate(out, (prod[0], r), base * f)
     # 3. odd matrix units from odd derivatives of the monomial;
     #    E_{m+k, col} has parity 1+gam, hence (-1)^{(1+gam)|p|}, times
@@ -216,11 +214,9 @@ def _derivation_row(spec, atom, key):
             prod = mono_mul(hitg[0], p)
             if not prod:
                 continue
-            mat = spec.rep.mats[(m + k, col_even)]
             base = s3 * hitg[1] * prod[1]
-            for r in range(spec.dim):
-                f = mat[r][l]
-                if f:
+            for (r, c), f in spec.rep.mats[(m + k, col_even)].items():
+                if c == l:
                     accumulate(out, (prod[0], r), base * f)
     return _row(out)
 

@@ -90,8 +90,8 @@ def odd_rows_negated(spec: ModuleSpec) -> ModuleSpec:
     """spec with every odd-row matrix unit E(i,j), i > m, negated: only
     act_term's odd-unit piece reads them, so that piece changes sign."""
     rep = spec.rep
-    mats = {ij: tuple(tuple(-f for f in row) for row in mat)
-            if ij[0] > spec.m else mat for ij, mat in rep.mats.items()}
+    mats = {ij: {rc: -f for rc, f in mat.items()} if ij[0] > spec.m
+            else mat for ij, mat in rep.mats.items()}
     return ModuleSpec(spec.m, spec.n, spec.a,
                       Rep(rep.m, rep.n, rep.dim, rep.parities, mats))
 
@@ -540,9 +540,9 @@ def check_gl_realization(p: CheckParams):
             cases += 1
             got = act_word(spec, word, TensorElement.vacuum(spec, l))
             want = TensorElement.zero(spec)
-            for r in range(spec.dim):
-                if mat[r][l]:
-                    want = want + TensorElement.vacuum(spec, r, mat[r][l])
+            for (r, c), f in mat.items():
+                if c == l:
+                    want = want + TensorElement.vacuum(spec, r, f)
             if got != want:
                 raise _Fail({
                     "unit": "E %d %d" % (row, col),

@@ -11,7 +11,9 @@ import jsonschema
 import pytest
 
 import wittmod
+from wittmod import cli
 from wittmod.cli import run_command
+from wittmod.config import resolve_rep
 from wittmod.reporting import report_schema
 
 
@@ -115,6 +117,66 @@ def test_out_of_range_vector_exits_2(capsys):
     rc, _, err = run(capsys, ["act", "dt1", "1 @ e5", "--m", "1", "--n", "1"])
     assert rc == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["act", "t1 @ e1", "1 @ e1"],
+     "tensor marker not allowed in an operator word"),
+    (["bracket", "t1", "dt1"], "derivation term must end in dt<k> or dx<k>"),
+    (["bracket", "t1 . t1 . dt1", "dt1"],
+     "a dressed term has at most two segments"),
+    (["descent", "t1 . t1 @ e1"], "'.' not allowed in a tensor coefficient"),
+], ids=["word-marker", "bracket-no-slot", "dressed-segments",
+        "tensor-dot"])
+def test_expression_errors_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_internal_value_error_propagates(capsys, monkeypatch):
+    # a ValueError from the library is a bug, not a usage error
+    def broken(*args):
+        raise ValueError("internal")
+    monkeypatch.setattr(cli, "act_word", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run_command(["act", "dt1", "1 @ e1"])
+
+
+def test_weighting_singular_twist_exits_2_before_work(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("weight_reduce ran on a singular twist")
+    monkeypatch.setattr(cli, "weight_reduce", unreachable)
+    rc, out, err = run(capsys, ["weighting", "t1 @ e1", "--r", "1",
+                                "--m", "1", "--n", "1", "--a", "0"])
+    assert (rc, out) == (2, "")
+    assert err == "error: product basis needs a nonsingular twist vector\n"
+
+
+def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("WITTMOD_SEED", "abc")
+    rc, out, err = run(capsys, ["verify", "gl_realization"])
+    assert (rc, out) == (2, "")
+    assert err == "error: WITTMOD_SEED must be an integer, got 'abc'\n"
+
+
+def test_weight_basis_rejection(tmp_path, capsys):
+    # natural(2,0) in the basis b1 = e1, b2 = e1 + e2: E11 b2 = b1, so the
+    # Cartan matrices are not diagonal
+    rep_file = tmp_path / "skew.rep"
+    rep_file.write_text("dim 0 0\n"
+                        "E 1 1 : 1 1 0 0\n"
+                        "E 1 2 : 0 1 0 0\n"
+                        "E 2 1 : -1 -1 1 1\n"
+                        "E 2 2 : 0 -1 0 1\n")
+    descriptor = "file:%s" % rep_file
+    assert not resolve_rep(descriptor, 2, 0).has_weight_basis()
+    rc, out, _ = run(capsys, ["report", "--check", "difference_annihilation",
+                              "--m", "2", "--n", "0", "--rep", descriptor,
+                              "--out", "-", "--stable"])
+    assert rc == 2
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "error"
+    assert "weight basis" in check["counterexample"]["error"]
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -309,6 +371,20 @@ def test_source_date_epoch_pins_timestamp(tmp_path, capsys, monkeypatch):
                             "--stable", "--out", str(out)])
     assert rc == 0
     assert json.loads(_read(out))["timestamp"] == "1970-01-02T00:00:00Z"
+
+
+GOLDEN_REPORT = Path(__file__).with_name("golden_report.json")
+
+
+def test_golden_report_is_byte_identical(capsys, monkeypatch):
+    # `wittmod report --check all --out - --stable` at default parameters;
+    # regenerate the file only for a change that means to alter a verdict
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    monkeypatch.delenv("WITTMOD_SEED", raising=False)
+    rc, out, err = run(capsys, ["report", "--check", "all", "--out", "-",
+                                "--stable"])
+    assert (rc, err) == (0, "")
+    assert out.encode() == GOLDEN_REPORT.read_bytes()
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

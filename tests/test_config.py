@@ -54,22 +54,24 @@ def test_resolve_rep_bad_descriptor():
 def _write_rep_file(path, rep):
     lines = ["dim " + " ".join(str(p) for p in rep.parities)]
     for (i, j), mat in sorted(rep.mats.items()):
-        flat = " ".join(str(mat[r][c]) for r in range(rep.dim)
+        flat = " ".join(str(mat.get((r, c), 0)) for r in range(rep.dim)
                         for c in range(rep.dim))
         lines.append("E %d %d : %s" % (i, j, flat))
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_rep_file_roundtrip(tmp_path):
-    rep = natural_rep(1, 1)
-    f = tmp_path / "nat.rep"
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("descriptor", [
+    "natural", "trivial:2", "sum(natural,trivial)", "tensor(natural,natural)"])
+def test_rep_file_roundtrip(tmp_path, descriptor, m, n):
+    """A rep written as a dense file and reloaded is the same Rep."""
+    rep = resolve_rep(descriptor, m, n)
+    f = tmp_path / "rep.txt"
     _write_rep_file(f, rep)
-    loaded = load_rep_file(str(f), 1, 1)
-    assert loaded.dim == rep.dim
-    assert loaded.mats == rep.mats
+    loaded = load_rep_file(str(f), m, n)
+    assert loaded == rep
     assert verify_rep(loaded)
-    via_descriptor = resolve_rep("file:%s" % f, 1, 1)
-    assert via_descriptor.mats == rep.mats
+    assert resolve_rep("file:%s" % f, m, n) == rep
 
 
 def test_rep_file_errors(tmp_path):
@@ -85,7 +87,7 @@ def test_rep_file_rejects_non_representation(tmp_path):
     # natural with one sign flipped no longer satisfies the brackets
     rep = natural_rep(1, 1)
     mats = dict(rep.mats)
-    mats[(1, 2)] = tuple(tuple(-x for x in row) for row in mats[(1, 2)])
+    mats[(1, 2)] = {rc: -x for rc, x in mats[(1, 2)].items()}
     broken = type(rep)(1, 1, rep.dim, rep.parities, mats)
     f = tmp_path / "broken.rep"
     _write_rep_file(f, broken)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from wittmod.dressed import DressedWittElement
-from wittmod.expressions import (ParseError, as_dressed, as_extended,
-                                 as_superpoly, as_tensor, as_witt, as_word,
-                                 parse_expr, print_expr)
+from wittmod.expressions import (ExpressionError, ParseError, as_dressed,
+                                 as_extended, as_superpoly, as_tensor,
+                                 as_witt, as_word, parse_expr, print_expr)
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.tensor_modules import TensorElement
 from wittmod.witt import TSLOT, XSLOT, WittElement
@@ -115,6 +115,22 @@ def test_segment_type_mismatches():
         as_tensor(parse_expr("t1 @ e5"), 1, 1, 2)
     with pytest.raises(ValueError):
         as_witt(parse_expr("dt2"), 1, 1)
+
+
+@pytest.mark.parametrize("text,convert", [
+    ("dt1", lambda t: as_superpoly(t, 1, 1)),
+    ("t1 . t1 . dt1", lambda t: as_dressed(t, 1, 1)),
+    ("t1 @ e1", lambda t: as_word(t, 1, 1)),
+    ("t1 @ e5", lambda t: as_tensor(t, 1, 1, 2)),
+    ("x2*dt1", lambda t: as_witt(t, 1, 1)),
+], ids=["slot-in-poly", "three-segments", "marker-in-word",
+        "vector-range", "x-range"])
+def test_misfits_raise_expression_error(text, convert):
+    # one input-error type, which the command line reports as exit 2
+    assert issubclass(ParseError, ExpressionError)
+    assert issubclass(ExpressionError, ValueError)
+    with pytest.raises(ExpressionError):
+        convert(parse_expr(text))
 
 
 # ---------------------------------------------------------------------------

@@ -342,9 +342,9 @@ def _reference_act_term(spec, alpha, imask, slot, x):
                 continue
             mat = spec.rep.mats[(k, col_even)]
             for r in range(spec.dim):
-                if mat[r][l]:
+                if (r, l) in mat:
                     accumulate(out, (prod[0], r),
-                               c * ak * prod[1] * s2 * mat[r][l])
+                               c * ak * prod[1] * s2 * mat[(r, l)])
         if imask:
             s3p = s3 * (-1 if ((1 ^ gam) & pp) else 1)
             for k in range(1, spec.n + 1):
@@ -356,9 +356,9 @@ def _reference_act_term(spec, alpha, imask, slot, x):
                     continue
                 mat = spec.rep.mats[(m + k, col_even)]
                 for r in range(spec.dim):
-                    if mat[r][l]:
+                    if (r, l) in mat:
                         accumulate(out, (prod[0], r),
-                                   c * s3p * hitg[1] * prod[1] * mat[r][l])
+                                   c * s3p * hitg[1] * prod[1] * mat[(r, l)])
     return TensorElement(spec.m, spec.n, spec.dim, out)
 
 
