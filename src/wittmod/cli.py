@@ -47,9 +47,13 @@ def _shape(args, parsed_lists):
     return m, n
 
 
-def _module_spec(args, m, n) -> ModuleSpec:
-    return ModuleSpec(m, n, parse_twist(args.a, m),
+def _module_spec(args, m, n, nonsingular_for=None) -> ModuleSpec:
+    spec = ModuleSpec(m, n, parse_twist(args.a, m),
                       resolve_rep(args.rep, m, n))
+    if nonsingular_for and not spec.nonsingular:
+        raise ConfigError("%s needs a nonsingular twist vector"
+                          % nonsingular_for)
+    return spec
 
 
 def _add_shape_flags(sub):
@@ -111,7 +115,7 @@ def _cmd_wh(args) -> int:
 def _cmd_descent(args) -> int:
     telem = parse_expr(args.elem)
     m, n = _shape(args, [telem])
-    spec = _module_spec(args, m, n)
+    spec = _module_spec(args, m, n, nonsingular_for="descent")
     x = as_tensor(telem, m, n, spec.dim)
     print(print_expr(descent(spec, x)))
     return 0
@@ -120,9 +124,7 @@ def _cmd_descent(args) -> int:
 def _cmd_weighting(args) -> int:
     telem = parse_expr(args.elem)
     m, n = _shape(args, [telem])
-    spec = _module_spec(args, m, n)
-    if not spec.nonsingular:
-        raise ConfigError("product basis needs a nonsingular twist vector")
+    spec = _module_spec(args, m, n, nonsingular_for="product basis")
     x = as_tensor(telem, m, n, spec.dim)
     weight = parse_twist(args.r, m)
     print(print_expr(weight_reduce(spec, x, weight).lift()))

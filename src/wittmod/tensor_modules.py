@@ -247,7 +247,8 @@ def _atom_row(spec, atom, key):
 
 def _act(spec, atom, terms, out=None, scale=None):
     """Add scale * (atom applied to a raw terms dict) into out (a new dict
-    by default) and return out."""
+    by default) and return out.  Integral values are summed as ints, and
+    _element makes them Fractions again."""
     rows = spec._act_cache.get(atom)
     if rows is None:
         if atom[0] not in _ATOM_KINDS:
@@ -255,14 +256,18 @@ def _act(spec, atom, terms, out=None, scale=None):
         rows = spec._act_cache[atom] = {}
     if out is None:
         out = {}
+    if scale is not None and scale.denominator == 1:
+        scale = scale.numerator
     for key, c in terms.items():
         row = rows.get(key)
         if row is None:
             row = rows[key] = _atom_row(spec, atom, key)
+        if c.denominator == 1:
+            c = c.numerator
         if scale is not None:
             c = c * scale
         for okey, f in row:
-            c0 = out.get(okey, ZERO) + c * f
+            c0 = out.get(okey, 0) + c * f
             if c0:
                 out[okey] = c0
             else:
@@ -272,7 +277,8 @@ def _act(spec, atom, terms, out=None, scale=None):
 
 def _element(spec, terms) -> TensorElement:
     out = TensorElement.zero(spec)
-    out.terms = terms
+    out.terms = {key: c if type(c) is Fraction else Fraction(c)
+                 for key, c in terms.items()}
     return out
 
 
@@ -305,13 +311,17 @@ def act_word(spec, w: OperatorWord, x: TensorElement) -> TensorElement:
     _check_shapes(spec, w, x)
     out = {}
     for word, c in w.terms.items():
+        if not word:
+            for key, v in x.terms.items():
+                accumulate(out, key, c * v)
+            continue
         y = x.terms
-        for atom in reversed(word):
+        for atom in reversed(word[1:]):
             if not y:
                 break
             y = _act(spec, atom, y)
-        for key, v in y.items():
-            accumulate(out, key, c * v)
+        if y:  # the word's coefficient scales its last (leftmost) atom
+            _act(spec, word[0], y, out, c)
     return _element(spec, out)
 
 

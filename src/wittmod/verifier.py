@@ -17,6 +17,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -136,8 +137,9 @@ def _random_tensor(spec, rng, max_deg, nterms=3):
 # ---------------------------------------------------------------------------
 # jacobi
 
-def _witt_keys(m, n, deg):
-    return [next(iter(el.terms)) for el in witt_basis(m, n, deg)]
+def _witt_keys(m, n, deg, basis=witt_basis):
+    """The key of each element of a basis, the derivations' by default."""
+    return [next(iter(el.terms)) for el in basis(m, n, deg)]
 
 
 class _PairMemo(dict):
@@ -177,80 +179,104 @@ class _PairMemo(dict):
         return items
 
 
-def _jacobi_sweep(level, memo, parity, triples, render, cases, extra=None):
-    """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] on every triple of
-    basis ids, expanded by bilinearity through the memo.  render maps a
-    terms dict to the expression grammar; extra ends a counterexample."""
-    for x, y, z in triples:
-        cases += 1
+def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
+    """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]], expanded by
+    bilinearity through the memo, for each batch (y, z, xs) of basis ids:
+    the defects of every x in xs at once, keyed l*size + x, read through
+    columns (the x in xs with [x, k] != 0), so the work follows the
+    nonzero products.  A failing batch reports its first failing x, the
+    cases counted triple by triple.  render maps a terms dict to the
+    expression grammar; extra ends a counterexample."""
+    size = len(parity)
+
+    @cache
+    def column(xs, k):
+        return tuple((x, row) for x in xs if (row := memo[x, k]))
+
+    for y, z, xs in batches:
         out = {}
-        for k, c in memo[y, z]:                            # [x,[y,z]]
-            for k2, c2 in memo[x, k]:
-                out[k2] = out.get(k2, 0) + c * c2
-        for k, c in memo[x, y]:                            # -[[x,y],z]
-            for k2, c2 in memo[k, z]:
-                out[k2] = out.get(k2, 0) - c * c2
-        s = -1 if parity[x] & parity[y] else 1             # -(-1)^{xy}[y,[x,z]]
-        for k, c in memo[x, z]:
-            for k2, c2 in memo[y, k]:
-                out[k2] = out.get(k2, 0) - s * c * c2
-        if any(out.values()):
-            key = memo.interned
-            raise _Fail({"level": level, "x": render({key[x]: ONE}),
-                         "y": render({key[y]: ONE}),
-                         "z": render({key[z]: ONE}),
-                         "defect": render({key[k]: c for k, c in out.items()
-                                           if c}), **(extra or {})}, cases)
+        for k, c in memo[y, z]:             # [x,[y,z]]
+            for x, row in column(xs, k):
+                for l, c2 in row:
+                    key = l * size + x
+                    out[key] = out.get(key, 0) + c * c2
+        for x, row in column(xs, y):        # -[[x,y],z]
+            for k, c in row:
+                for l, c2 in memo[k, z]:
+                    key = l * size + x
+                    out[key] = out.get(key, 0) - c * c2
+        py = parity[y]
+        for x, row in column(xs, z):        # -(-1)^{xy}[y,[x,z]]
+            s = 1 if parity[x] & py else -1
+            for k, c in row:
+                for l, c2 in memo[y, k]:
+                    key = l * size + x
+                    out[key] = out.get(key, 0) + s * c * c2
+        if not any(out.values()):
+            cases += len(xs)
+            continue
+        x = min(key % size for key, c in out.items() if c)
+        ids = memo.interned
+        raise _Fail({"level": level, "x": render({ids[x]: ONE}),
+                     "y": render({ids[y]: ONE}),
+                     "z": render({ids[z]: ONE}),
+                     "defect": render({ids[key // size]: c
+                                       for key, c in out.items()
+                                       if c and key % size == x}),
+                     **(extra or {})}, cases + xs.index(x) + 1)
     return cases
 
 
 def check_jacobi(p: CheckParams):
     """The derivation table exhaustively; the extension and the dressed
     product exhaustively up to 300000 triples, else a seeded sample.
-    Each level's memo is filled by that level's own bracket."""
+    Exhaustive levels run in (y, z, x) order, one (y, z) batch at a time;
+    sampled triples are singleton batches.  Each level's memo is filled
+    by that level's own bracket."""
     m, n = p.m, p.n
-    basis = _witt_keys(m, n, p.deg)
-    witt = _PairMemo(basis, lambda k1, k2: _bracket_basis(m, *k1, *k2))
 
-    def render(terms):
-        return _print(WittElement(m, n, terms))
-
-    size = len(basis)
-    mutated = {}
-    if p.mode == "mutated":
-        rng = random.Random(p.seed)
-        candidates = [(i, j) for i in range(size) for j in range(size)
-                      if witt[i, j]]
-        i, j = candidates[rng.randrange(len(candidates))]
-        witt[i, j] = [(k, -c) for k, c in witt[i, j]]
-        mutated["mutated_pair"] = "[%s, %s]" % (render({basis[i]: ONE}),
-                                                render({basis[j]: ONE}))
-    cases = _jacobi_sweep(
-        "derivation table", witt, [term_parity(*k) for k in basis],
-        ((x, y, z) for y in range(size) for z in range(size)
-         for x in range(size)), render, 0, mutated)
+    def pair(cls, bracket):
+        return lambda k1, k2: bracket(
+            cls(m, n, {k1: ONE}), cls(m, n, {k2: ONE})).terms.items()
 
     exdeg = min(p.deg, 2)
     levels = [
+        ("derivation table", WittElement, _witt_keys(m, n, p.deg),
+         lambda k1, k2: _bracket_basis(m, *k1, *k2)),
         ("abelian extension", ExtendedWittElement,
-         extended_basis(m, n, exdeg), extended_bracket),
+         _witt_keys(m, n, exdeg, extended_basis),
+         pair(ExtendedWittElement, extended_bracket)),
         ("dressed product", DressedWittElement,
-         dressed_basis(m, n, exdeg), dressed_bracket),
+         _witt_keys(m, n, exdeg, dressed_basis),
+         pair(DressedWittElement, dressed_bracket)),
     ]
-    for level, cls, elements, bracket in levels:
-        basis = [next(iter(el.terms)) for el in elements]
+    cases = 0
+    for level, cls, basis, bracket in levels:
+        memo = _PairMemo(basis, bracket)
         size = len(basis)
-        if size ** 3 <= 300000:
-            triples = product(range(size), repeat=3)
+
+        def render(terms, cls=cls):
+            return _print(cls(m, n, terms))
+
+        extra = {}
+        if cls is WittElement and p.mode == "mutated":
+            rng = random.Random(p.seed)
+            candidates = [(i, j) for i in range(size) for j in range(size)
+                          if memo[i, j]]
+            i, j = candidates[rng.randrange(len(candidates))]
+            memo[i, j] = [(k, -c) for k, c in memo[i, j]]
+            extra["mutated_pair"] = "[%s, %s]" % (
+                render({basis[i]: ONE}), render({basis[j]: ONE}))
+        if cls is WittElement or size ** 3 <= 300000:
+            xs = range(size)
+            batches = ((y, z, xs) for y in xs for z in xs)
         else:
             rng = random.Random(p.seed + 1)
-            triples = [tuple(rng.randrange(size) for _ in range(3))
-                       for _ in range(max(p.trials, 500))]
-        memo = _PairMemo(basis, lambda k1, k2: bracket(
-            cls(m, n, {k1: ONE}), cls(m, n, {k2: ONE})).terms.items())
-        cases = _jacobi_sweep(
-            level, memo, [cls.key_parity(k) for k in basis], triples,
-            lambda terms: _print(cls(m, n, terms)), cases)
+            batches = [(y, z, (x,)) for x, y, z in (
+                [rng.randrange(size) for _ in range(3)]
+                for _ in range(max(p.trials, 500)))]
+        cases = _jacobi_sweep(level, memo, [cls.key_parity(k) for k in basis],
+                              batches, render, cases, extra)
     return cases, None
 
 

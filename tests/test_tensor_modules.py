@@ -482,3 +482,52 @@ def test_empty_word_is_the_identity_and_zero_maps_to_zero():
     assert act_witt(spec, w, zero) == zero
     assert act_witt(spec, WittElement.zero(2, 2), x) == zero
     assert act_term(spec, (1, 0), 1, (TSLOT, 2), zero) == zero
+
+
+# integral sums are accumulated as ints inside the action; every element
+# handed out holds Fractions, and the same values as the formula gives
+LANE_SPECS = [
+    (1, 1, (F(1),)),
+    (2, 1, (F(2), F(-1))),
+    (1, 1, (F(1, 2),)),
+    (2, 1, (F(1, 2), F(-3))),
+]
+
+
+def _only_fractions(x):
+    assert all(type(c) is Fraction and c for c in x.terms.values()), x.terms
+    return x
+
+
+@pytest.mark.parametrize("m,n,a", LANE_SPECS,
+                         ids=["%d%d-%s" % (m, n, ",".join(map(str, a)))
+                              for m, n, a in LANE_SPECS])
+@pytest.mark.parametrize("coeff", [F(2), F(3, 2)], ids=["int", "3/2"])
+def test_int_lane_never_leaks(m, n, a, coeff):
+    spec = make_spec(m, n, a=a)
+    rng = random.Random(11)
+    keys = witt_keys(m, n, 2)
+    atoms = [make_watom(mono[0], mono[1], slot) for mono, slot in keys]
+    atoms += [(kind, i) for kind in ("mt", "dt") for i in range(1, m + 1)]
+    atoms += [(kind, j) for kind in ("mx", "dx") for j in range(1, n + 1)]
+    wkeys = window_keys(spec, 2)
+    for _ in range(4):
+        x = TensorElement.zero(spec)
+        for mono, l in rng.sample(wkeys, 3):
+            x = x + TensorElement.pure(spec, mono, l, rng.choice([coeff, -1]))
+        for (alpha, imask), slot in keys:
+            assert _only_fractions(act_term(spec, alpha, imask, slot, x)) \
+                == _reference_act_term(spec, alpha, imask, slot, x)
+        for atom in atoms:
+            assert _only_fractions(act_atom(spec, atom, x)) == \
+                _reference_act_atom(spec, atom, x)
+        w = sum((_witt_elem(m, n, key, rng.choice([coeff, 1, -2]))
+                 for key in rng.sample(keys, 3)), WittElement.zero(m, n))
+        assert _only_fractions(act_witt(spec, w, x)) == \
+            _reference_act_witt(spec, w, x)
+        word = OperatorWord(m, n)
+        for length in (0, 1, 2, 3):
+            word = word + OperatorWord.from_word(
+                m, n, rng.sample(atoms, length), rng.choice([coeff, 3]))
+        assert _only_fractions(act_word(spec, word, x)) == \
+            _reference_act_word(spec, word, x)

@@ -1,18 +1,21 @@
 """The check registry: quick positive runs, every mutation control, and
 counterexample self-containment."""
 
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from wittmod import verifier
-from wittmod.dressed import dressed_bracket
+from wittmod.dressed import DressedWittElement, dressed_basis, dressed_bracket
 from wittmod.expressions import (as_dressed, as_extended, as_witt,
                                  parse_expr, print_expr)
 from wittmod.verifier import (CONTROL_MODES, REGISTRY, Check, CheckParams,
                               run_check)
-from wittmod.witt import (XSLOT, bracket_oracle, extended_bracket,
-                          witt_bracket)
+from wittmod.witt import (XSLOT, ExtendedWittElement, WittElement,
+                          _bracket_basis, bracket_oracle, extended_basis,
+                          extended_bracket, term_parity, witt_bracket)
 
 F = Fraction
 
@@ -311,3 +314,163 @@ def test_report_params_echo_inputs():
 def test_checkparams_twist_defaults():
     p = CheckParams(check="jacobi", m=2)
     assert p.a == (F(1), F(1))
+
+
+# ---------------------------------------------------------------------------
+# the batched Jacobi sweep against the triple-by-triple sweep it replaced
+
+def _reference_jacobi_sweep(level, memo, parity, triples, render, cases,
+                            extra=None):
+    """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] on every triple of
+    basis ids, expanded by bilinearity through the memo.  render maps a
+    terms dict to the expression grammar; extra ends a counterexample."""
+    for x, y, z in triples:
+        cases += 1
+        out = {}
+        for k, c in memo[y, z]:                            # [x,[y,z]]
+            for k2, c2 in memo[x, k]:
+                out[k2] = out.get(k2, 0) + c * c2
+        for k, c in memo[x, y]:                            # -[[x,y],z]
+            for k2, c2 in memo[k, z]:
+                out[k2] = out.get(k2, 0) - c * c2
+        s = -1 if parity[x] & parity[y] else 1             # -(-1)^{xy}[y,[x,z]]
+        for k, c in memo[x, z]:
+            for k2, c2 in memo[y, k]:
+                out[k2] = out.get(k2, 0) - s * c * c2
+        if any(out.values()):
+            key = memo.interned
+            raise verifier._Fail({
+                "level": level, "x": render({key[x]: F(1)}),
+                "y": render({key[y]: F(1)}), "z": render({key[z]: F(1)}),
+                "defect": render({key[k]: c for k, c in out.items() if c}),
+                **(extra or {})}, cases)
+    return cases
+
+
+def _jacobi_levels(m, n, deg):
+    """(level, basis, bracket of two basis keys, parity, render) for each
+    level, built as check_jacobi builds them."""
+    basis = verifier._witt_keys(m, n, deg)
+    out = [("derivation table", basis,
+            lambda k1, k2: _bracket_basis(m, *k1, *k2),
+            [term_parity(*k) for k in basis],
+            lambda terms: print_expr(WittElement(m, n, terms)))]
+    for level, cls, elements, bracket in [
+            ("abelian extension", ExtendedWittElement,
+             extended_basis(m, n, min(deg, 2)), extended_bracket),
+            ("dressed product", DressedWittElement,
+             dressed_basis(m, n, min(deg, 2)), dressed_bracket)]:
+        basis = [next(iter(el.terms)) for el in elements]
+        out.append((level, basis,
+                    lambda k1, k2, cls=cls, bracket=bracket: bracket(
+                        cls(m, n, {k1: F(1)}),
+                        cls(m, n, {k2: F(1)})).terms.items(),
+                    [cls.key_parity(k) for k in basis],
+                    lambda terms, cls=cls: print_expr(cls(m, n, terms))))
+    return out
+
+
+def _both_sweeps(level, basis, pair, parity, render, plant=None,
+                 triples=None):
+    """(cases or (counterexample, cases), memo keys filled) of the batched
+    sweep and of the reference, each on a fresh memo that plant(memo)
+    edits first.  Every triple in (y, z, x) order by default, else the
+    given triples as singleton batches."""
+    pair = cache(pair)  # the second memo fills without bracketing again
+    if triples is None:
+        xs = range(len(basis))
+        batches = [(y, z, xs) for y in xs for z in xs]
+        triples = [(x, y, z) for y, z, _ in batches for x in xs]
+    else:
+        batches = [(y, z, (x,)) for x, y, z in triples]
+    results = []
+    for sweep, todo in ((verifier._jacobi_sweep, batches),
+                        (_reference_jacobi_sweep, triples)):
+        memo = verifier._PairMemo(basis, pair)
+        if plant:
+            plant(memo)
+        try:
+            got = sweep(level, memo, parity, todo, render, 7)
+        except verifier._Fail as e:
+            got = (e.cex, e.cases)
+        results.append((got, set(memo)))
+    return results
+
+
+@pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 1)])
+@pytest.mark.parametrize("index", [0, 1, 2],
+                         ids=["derivation", "extension", "dressed"])
+def test_batched_sweep_matches_reference(m, n, deg, index):
+    level = _jacobi_levels(m, n, deg)[index]
+    (got, filled), (want, want_filled) = _both_sweeps(*level)
+    size = len(level[1])
+    assert got == want == 7 + size ** 3
+    assert filled == want_filled
+
+
+def _planted(memo, kind, size):
+    """Negate one nonzero memo entry: a basis pair whose bracket stays in
+    the basis, one whose bracket leaves it, or a pair whose second key
+    lies outside the basis."""
+    pairs = [(i, j) for i in range(size) for j in range(size) if memo[i, j]]
+    if kind == "outside":  # keys the basis pairs bracket into
+        top = len(memo.interned)
+        pairs = [(i, k) for i in range(size) for k in range(size, top)
+                 if memo[i, k]]
+    else:
+        leaves = kind == "leaves"
+        pairs = [(i, j) for i, j in pairs
+                 if any(k >= size for k, _ in memo[i, j]) == leaves]
+    assert pairs, "no %s pair" % kind
+    ij = pairs[len(pairs) // 2]
+    memo[ij] = tuple((k, -c) for k, c in memo[ij])
+
+
+@pytest.mark.parametrize("kind", ["inside", "leaves", "outside"])
+@pytest.mark.parametrize("index", [0, 1, 2],
+                         ids=["derivation", "extension", "dressed"])
+def test_planted_fault_gives_the_reference_counterexample(index, kind):
+    level = _jacobi_levels(1, 1, 2)[index]
+    size = len(level[1])
+    (got, filled), (want, want_filled) = _both_sweeps(
+        *level, plant=lambda memo: _planted(memo, kind, size))
+    assert isinstance(want, tuple), "the planted entry went unseen"
+    assert got == want
+    assert got[0]["defect"]
+
+
+@pytest.mark.parametrize("plant", [False, True])
+def test_sampled_triples_are_singleton_batches(plant):
+    level = _jacobi_levels(1, 1, 2)[2]
+    size = len(level[1])
+    rng = random.Random(5)
+    triples = [tuple(rng.randrange(size) for _ in range(3))
+               for _ in range(400)]
+    (got, filled), (want, want_filled) = _both_sweeps(
+        *level, triples=triples,
+        plant=(lambda memo: _planted(memo, "inside", size)) if plant
+        else None)
+    assert got == want
+    assert filled == want_filled
+    assert isinstance(got, tuple) == plant
+
+
+def test_check_jacobi_batches(monkeypatch):
+    # (1,2) deg 1: 24 and 32 basis keys swept exhaustively, the 144 of the
+    # dressed product sampled, through the one kernel
+    seen = []
+    sweep = verifier._jacobi_sweep
+
+    def spy(level, memo, parity, batches, render, cases, extra=None):
+        batches = list(batches)
+        seen.append((level, len(parity), {len(xs) for _, _, xs in batches},
+                     len(batches)))
+        return sweep(level, memo, parity, batches, render, cases, extra)
+
+    monkeypatch.setattr(verifier, "_jacobi_sweep", spy)
+    report = run_check("jacobi", {"m": 1, "n": 2, "deg": 1})
+    assert report.status == "pass"
+    assert seen == [("derivation table", 24, {24}, 24 ** 2),
+                    ("abelian extension", 32, {32}, 32 ** 2),
+                    ("dressed product", 144, {1}, 500)]
+    assert report.cases == 24 ** 3 + 32 ** 3 + 500
