@@ -71,47 +71,42 @@ def dressed_sort_key(key):
     return mono_sort_key(amono) + term_sort_key(wkey)
 
 
+def _dressed_bracket_basis(m, k1, k2, corrected=True):
+    """[a.x, b.y] for two dressed basis terms as a list of (key, int)."""
+    (a, xkey), (b, ykey) = k1, k2
+    px, py = term_parity(*xkey), term_parity(*ykey)
+    pa, pb = mono_parity(a), mono_parity(b)
+    out = []
+    # a x(b) . y
+    hit = _act_basis(xkey, b)
+    if hit:
+        prod = mono_mul(a, hit[0])
+        if prod:
+            out.append(((prod[0], ykey), hit[1] * prod[1]))
+    # -(-1)^{|a.x||b.y|} b y(a) . x
+    hit = _act_basis(ykey, a)
+    if hit:
+        prod = mono_mul(b, hit[0])
+        if prod:
+            sign = -1 if (pa + px) * (pb + py) & 1 else 1
+            out.append(((prod[0], xkey), -sign * hit[1] * prod[1]))
+    # (-1)^{|x||b|} ab . [x,y]
+    prod = mono_mul(a, b)
+    if prod:
+        s = -prod[1] if px * pb & 1 else prod[1]
+        out.extend(((prod[0], key), s * c) for key, c in
+                   _bracket_basis(m, *xkey, *ykey, corrected))
+    return out
+
+
 def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
                     mode="corrected") -> DressedWittElement:
-    u._check(v)
-    corrected = mode == "corrected"
+    """The bilinear extension of _dressed_bracket_basis."""
     if mode not in ("corrected", "verbatim"):
         raise ValueError("unknown bracket mode %r" % (mode,))
-    acc = {}
-    for (a, xkey), cu in u.terms.items():
-        xmono, xslot = xkey
-        px = term_parity(xmono, xslot)
-        pa = mono_parity(a)
-        for (b, ykey), cv in v.terms.items():
-            ymono, yslot = ykey
-            py = term_parity(ymono, yslot)
-            pb = mono_parity(b)
-            c0 = cu * cv
-            # a x(b) . y
-            hit = _act_basis(xkey, b)
-            if hit:
-                mono, c1 = hit
-                prod = mono_mul(a, mono)
-                if prod:
-                    accumulate(acc, (prod[0], ykey), c0 * c1 * prod[1])
-            # -(-1)^{|a.x||b.y|} b y(a) . x
-            hit = _act_basis(ykey, a)
-            if hit:
-                mono, c1 = hit
-                prod = mono_mul(b, mono)
-                if prod:
-                    sign = -1 if (pa + px) * (pb + py) & 1 else 1
-                    accumulate(acc, (prod[0], xkey),
-                               -sign * c0 * c1 * prod[1])
-            # (-1)^{|x||b|} ab . [x,y]
-            prod = mono_mul(a, b)
-            if prod:
-                sign = -1 if px * pb & 1 else 1
-                cab = c0 * prod[1] * sign
-                for key, c2 in _bracket_basis(u.m, xmono, xslot, ymono,
-                                              yslot, corrected):
-                    accumulate(acc, (prod[0], key), cab * c2)
-    return u._like(acc)
+    m, corrected = u.m, mode == "corrected"
+    return u._bilinear(v, lambda k1, k2: _dressed_bracket_basis(
+        m, k1, k2, corrected))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
 from .words import OperatorWord, make_watom
 
 
+# the most atoms as_word expands all words of one expression into
+MAX_WORD_ATOMS = 10000
+
+
 class ExpressionError(ValueError):
     """An expression that does not fit its use: an index out of range for
     the shape, or a form the target type does not take."""
@@ -276,8 +280,8 @@ def _seg_witt(seg, m, n):
     return (hit[0], slot), hit[1]
 
 
-def _seg_atoms(seg, m, n):
-    """Segment as a left-to-right sequence of operator atoms."""
+def _seg_atoms(seg, m, n, room):
+    """Segment as a left-to-right sequence of at most room operator atoms."""
     ds = [a for a in seg if a[0] in ("dt", "dx")]
     if len(ds) == 1 and seg[-1][0] in ("dt", "dx") and len(seg) > 1:
         # multiplications ending in a slot: one derivation atom
@@ -286,6 +290,9 @@ def _seg_atoms(seg, m, n):
             return None
         (mono, slot), sign = hit
         return [make_watom(mono[0], mono[1], slot)], sign
+    if sum(a[2] if a[0] == "t" else 1 for a in seg) > room:
+        raise ExpressionError("operator expression expands to more than "
+                              "%d atoms" % MAX_WORD_ATOMS)
     atoms = []
     for atom in seg:
         if atom[0] == "t":
@@ -398,6 +405,7 @@ def as_dressed(terms, m, n) -> DressedWittElement:
 
 def as_word(terms, m, n) -> OperatorWord:
     out = OperatorWord(m, n)
+    room = MAX_WORD_ATOMS
     for coeff, segs, eidx in terms:
         if eidx is not None:
             raise ExpressionError("tensor marker not allowed in an operator word")
@@ -405,13 +413,14 @@ def as_word(terms, m, n) -> OperatorWord:
         sign = 1
         dead = False
         for seg in segs:
-            hit = _seg_atoms(seg, m, n)
+            hit = _seg_atoms(seg, m, n, room - len(word))
             if hit is None:
                 dead = True
                 break
             atoms, s = hit
             word.extend(atoms)
             sign *= s
+        room -= len(word)
         if dead:
             continue
         out = out + OperatorWord.from_word(m, n, tuple(word), coeff * sign)

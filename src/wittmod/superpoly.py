@@ -138,6 +138,12 @@ def accumulate(acc: dict, key, c) -> None:
         acc.pop(key, None)
 
 
+def as_fractions(terms: dict) -> dict:
+    """A terms dict summed in the int lane, its ints made Fractions."""
+    return {key: c if type(c) is Fraction else Fraction(c)
+            for key, c in terms.items()}
+
+
 class LinComb:
     """Sparse exact linear combination: dict basis key -> nonzero Fraction.
 
@@ -171,6 +177,27 @@ class LinComb:
         if self.m != other.m or self.n != other.n:
             raise ValueError("shape mismatch: (%d,%d) vs (%d,%d)"
                              % (self.m, self.n, other.m, other.n))
+
+    def _bilinear(self, other, kernel):
+        """The bilinear extension of kernel(key1, key2), a list of (key,
+        int) for one pair of basis keys.  Integral products are summed as
+        ints; each output value becomes a Fraction once, at the end."""
+        self._check(other)
+        right = [(k, c.numerator if c.denominator == 1 else c)
+                 for k, c in other.terms.items()]
+        acc = {}
+        for k1, c1 in self.terms.items():
+            if c1.denominator == 1:
+                c1 = c1.numerator
+            for k2, c2 in right:
+                c12 = c1 * c2
+                for key, c in kernel(k1, k2):
+                    c0 = acc.get(key, 0) + c12 * c
+                    if c0:
+                        acc[key] = c0
+                    else:
+                        del acc[key]
+        return self._like(as_fractions(acc))
 
     def __add__(self, other):
         self._check(other)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .glmn import Rep
-from .superpoly import (ONE, ZERO, LinComb, accumulate,
+from .superpoly import (ONE, ZERO, LinComb, accumulate, as_fractions,
                         enumerate_alphas, enumerate_monomials, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
@@ -277,8 +277,7 @@ def _act(spec, atom, terms, out=None, scale=None):
 
 def _element(spec, terms) -> TensorElement:
     out = TensorElement.zero(spec)
-    out.terms = {key: c if type(c) is Fraction else Fraction(c)
-                 for key, c in terms.items()}
+    out.terms = as_fractions(terms)
     return out
 
 

@@ -13,17 +13,21 @@ terms, composes their actions on the coordinate generators through the
 monomial primitives and reads the result off those values -- the two
 routes are compared mechanically by the verifier and must never be
 collapsed into one.
+
+Each bracket is LinComb._bilinear over one basis-pair kernel returning
+(key, int) pairs (_bracket_basis, _oracle_basis, _extended_bracket_basis),
+so integral coefficients are summed as ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .superpoly import (
     ONE,
     LinComb,
     SuperPoly,
-    accumulate,
     merge_sign_masks,
     mono_mul,
     mono_parity,
@@ -173,16 +177,9 @@ def witt_bracket(x: WittElement, y: WittElement, mode="corrected") -> WittElemen
     """
     if mode not in ("corrected", "verbatim"):
         raise ValueError("unknown bracket mode %r" % (mode,))
-    x._check(y)
-    corrected = mode == "corrected"
-    acc = {}
-    for (mono1, slot1), c1 in x.terms.items():
-        for (mono2, slot2), c2 in y.terms.items():
-            c12 = c1 * c2
-            for key, c in _bracket_basis(x.m, mono1, slot1, mono2, slot2,
-                                         corrected):
-                accumulate(acc, key, c12 * c)
-    return x._like(acc)
+    m, corrected = x.m, mode == "corrected"
+    return x._bilinear(y, lambda k1, k2: _bracket_basis(m, *k1, *k2,
+                                                        corrected))
 
 
 # ---------------------------------------------------------------------------
@@ -217,39 +214,40 @@ def _act_basis(key, mono):
     return prod[0], prod[1] * hit[1]
 
 
-def bracket_oracle(x: WittElement, y: WittElement) -> WittElement:
-    """Supercommutator computed without structure constants.
-
-    Expands bilinearly over the terms of x and y.  For each pair of basis
-    derivations it composes their actions on every coordinate generator
-    and reads the bracket off those values (a superderivation is
-    determined by them).  Each basis term is homogeneous, so the sign of
-    the composition is fixed per pair.
-    """
-    x._check(y)
-    m = x.m
+@cache
+def _generators(m, n):
+    """(t_i, slot d/dt_i) and (xi_j, slot d/dxi_j) as (mono, slot) pairs."""
     zero = (0,) * m
-    gens = [((zero[:i - 1] + (1,) + zero[i:], 0), (TSLOT, i))
-            for i in range(1, m + 1)]
-    gens += [((zero, 1 << (j - 1)), (XSLOT, j)) for j in range(1, x.n + 1)]
-    out = {}
-    for k1, c1 in x.terms.items():
-        p1 = term_parity(*k1)
-        for k2, c2 in y.terms.items():
-            c12 = c1 * c2
-            # x(y(g)) - (-1)^{|x||y|} y(x(g)) on each generator g
-            sign = -1 if p1 & term_parity(*k2) else 1
-            pair = ((k2, k1, c12), (k1, k2, -sign * c12))
-            for g, slot in gens:
-                for first, second, c in pair:
-                    hit = _act_basis(first, g)
-                    if hit is None:
-                        continue
-                    hit2 = _act_basis(second, hit[0])
-                    if hit2 is not None:
-                        accumulate(out, (hit2[0], slot),
-                                   c * (hit[1] * hit2[1]))
-    return x._like(out)
+    return tuple([((zero[:i - 1] + (1,) + zero[i:], 0), (TSLOT, i))
+                  for i in range(1, m + 1)]
+                 + [((zero, 1 << (j - 1)), (XSLOT, j))
+                    for j in range(1, n + 1)])
+
+
+def _oracle_basis(m, n, k1, k2):
+    """[k1, k2] for two basis derivations as a list of (key, int), read off
+    x(y(g)) - (-1)^{|x||y|} y(x(g)) on each coordinate generator g (a
+    superderivation is determined by those values).  Each basis term is
+    homogeneous, so the sign of the composition is fixed per pair."""
+    sign = -1 if term_parity(*k1) & term_parity(*k2) else 1
+    out = []
+    for g, slot in _generators(m, n):
+        for first, second, s in ((k2, k1, 1), (k1, k2, -sign)):
+            hit = _act_basis(first, g)
+            if hit is None:
+                continue
+            hit2 = _act_basis(second, hit[0])
+            if hit2 is not None:
+                out.append(((hit2[0], slot), s * hit[1] * hit2[1]))
+    return out
+
+
+def bracket_oracle(x: WittElement, y: WittElement) -> WittElement:
+    """Supercommutator computed without structure constants: the bilinear
+    extension of _oracle_basis, which composes basis actions on the
+    coordinate generators and never reads _bracket_basis."""
+    m, n = x.m, x.n
+    return x._bilinear(y, lambda k1, k2: _oracle_basis(m, n, k1, k2))
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +286,29 @@ class ExtendedWittElement(LinComb):
         return out
 
 
+def _extended_bracket_basis(m, k1, k2):
+    """[k1, k2] for two basis keys of the extension as a list of (key,
+    int), from [x+a, y+b] = [x,y] + x(b) - (-1)^{|y||a|} y(a); the
+    function part is an abelian ideal."""
+    (mono1, slot1), (mono2, slot2) = k1, k2
+    if slot1 and slot2:
+        return _bracket_basis(m, mono1, slot1, mono2, slot2)
+    if slot1:
+        hit = _act_basis(k1, mono2)
+        return [((hit[0], None), hit[1])] if hit else []
+    if slot2:
+        hit = _act_basis(k2, mono1)
+        if hit:
+            sign = -1 if term_parity(mono2, slot2) & mono_parity(mono1) else 1
+            return [((hit[0], None), -sign * hit[1])]
+    return []
+
+
 def extended_bracket(u: ExtendedWittElement,
                      v: ExtendedWittElement) -> ExtendedWittElement:
-    """[x+a, y+b] = [x,y] + x(b) - (-1)^{|y||a|} y(a); the function part is
-    an abelian ideal."""
-    u._check(v)
-    x, y, a = u.der, v.der, u.fun
-    fun = witt_act(x, v.fun)
-    if y and a:
-        for yh in y.homogeneous_parts():
-            for ah in a.homogeneous_parts():
-                if yh and ah:
-                    sign = -1 if yh.parity() * ah.parity() & 1 else 1
-                    fun = fun - sign * witt_act(yh, ah)
-    terms = witt_bracket(x, y).terms
-    terms.update(((mono, None), c) for mono, c in fun.terms.items())
-    return u._like(terms)
+    """The bilinear extension of _extended_bracket_basis."""
+    m = u.m
+    return u._bilinear(v, lambda k1, k2: _extended_bracket_basis(m, k1, k2))
 
 
 def extended_basis(m, n, max_tdeg):

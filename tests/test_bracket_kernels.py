@@ -1,0 +1,198 @@
+"""Basis-pair bracket kernels and the int lane of the brackets built on them.
+
+The _reference_* functions are the element brackets as they were before
+each became a bilinear loop over a kernel: Fraction arithmetic
+throughout, the extension through witt_act.  Every bracket must equal its
+reference and hand out only Fractions; every kernel must return ints and
+agree with its element bracket on each pair of basis terms.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from wittmod.dressed import (_dressed_bracket_basis, dressed_basis,
+                             dressed_bracket)
+from wittmod.superpoly import accumulate, mono_mul, mono_parity
+from wittmod.witt import (TSLOT, XSLOT, _act_basis, _bracket_basis,
+                          _extended_bracket_basis, _oracle_basis,
+                          bracket_oracle, extended_basis, extended_bracket,
+                          term_parity, witt_act, witt_basis, witt_bracket)
+
+
+def _reference_witt_bracket(x, y, mode="corrected"):
+    x._check(y)
+    corrected = mode == "corrected"
+    acc = {}
+    for (mono1, slot1), c1 in x.terms.items():
+        for (mono2, slot2), c2 in y.terms.items():
+            c12 = c1 * c2
+            for key, c in _bracket_basis(x.m, mono1, slot1, mono2, slot2,
+                                         corrected):
+                accumulate(acc, key, c12 * c)
+    return x._like(acc)
+
+
+def _reference_bracket_oracle(x, y):
+    x._check(y)
+    m = x.m
+    zero = (0,) * m
+    gens = [((zero[:i - 1] + (1,) + zero[i:], 0), (TSLOT, i))
+            for i in range(1, m + 1)]
+    gens += [((zero, 1 << (j - 1)), (XSLOT, j)) for j in range(1, x.n + 1)]
+    out = {}
+    for k1, c1 in x.terms.items():
+        p1 = term_parity(*k1)
+        for k2, c2 in y.terms.items():
+            c12 = c1 * c2
+            sign = -1 if p1 & term_parity(*k2) else 1
+            pair = ((k2, k1, c12), (k1, k2, -sign * c12))
+            for g, slot in gens:
+                for first, second, c in pair:
+                    hit = _act_basis(first, g)
+                    if hit is None:
+                        continue
+                    hit2 = _act_basis(second, hit[0])
+                    if hit2 is not None:
+                        accumulate(out, (hit2[0], slot),
+                                   c * (hit[1] * hit2[1]))
+    return x._like(out)
+
+
+def _reference_extended_bracket(u, v):
+    u._check(v)
+    x, y, a = u.der, v.der, u.fun
+    fun = witt_act(x, v.fun)
+    if y and a:
+        for yh in y.homogeneous_parts():
+            for ah in a.homogeneous_parts():
+                if yh and ah:
+                    sign = -1 if yh.parity() * ah.parity() & 1 else 1
+                    fun = fun - sign * witt_act(yh, ah)
+    terms = _reference_witt_bracket(x, y).terms
+    terms.update(((mono, None), c) for mono, c in fun.terms.items())
+    return u._like(terms)
+
+
+def _reference_dressed_bracket(u, v, mode="corrected"):
+    u._check(v)
+    corrected = mode == "corrected"
+    acc = {}
+    for (a, xkey), cu in u.terms.items():
+        xmono, xslot = xkey
+        px = term_parity(xmono, xslot)
+        pa = mono_parity(a)
+        for (b, ykey), cv in v.terms.items():
+            ymono, yslot = ykey
+            py = term_parity(ymono, yslot)
+            pb = mono_parity(b)
+            c0 = cu * cv
+            hit = _act_basis(xkey, b)
+            if hit:
+                mono, c1 = hit
+                prod = mono_mul(a, mono)
+                if prod:
+                    accumulate(acc, (prod[0], ykey), c0 * c1 * prod[1])
+            hit = _act_basis(ykey, a)
+            if hit:
+                mono, c1 = hit
+                prod = mono_mul(b, mono)
+                if prod:
+                    sign = -1 if (pa + px) * (pb + py) & 1 else 1
+                    accumulate(acc, (prod[0], xkey),
+                               -sign * c0 * c1 * prod[1])
+            prod = mono_mul(a, b)
+            if prod:
+                sign = -1 if px * pb & 1 else 1
+                cab = c0 * prod[1] * sign
+                for key, c2 in _bracket_basis(u.m, xmono, xslot, ymono,
+                                              yslot, corrected):
+                    accumulate(acc, (prod[0], key), cab * c2)
+    return u._like(acc)
+
+
+# name: (basis, bracket, its reference, mode or None)
+BRACKETS = {
+    "witt-corrected": (witt_basis, witt_bracket, _reference_witt_bracket,
+                       "corrected"),
+    "witt-verbatim": (witt_basis, witt_bracket, _reference_witt_bracket,
+                      "verbatim"),
+    "oracle": (witt_basis, bracket_oracle, _reference_bracket_oracle, None),
+    "extended": (extended_basis, extended_bracket,
+                 _reference_extended_bracket, None),
+    "dressed-corrected": (dressed_basis, dressed_bracket,
+                          _reference_dressed_bracket, "corrected"),
+    "dressed-verbatim": (dressed_basis, dressed_bracket,
+                         _reference_dressed_bracket, "verbatim"),
+}
+
+COEFFS = [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-1, 3),
+          Fraction(-1)]
+
+
+def _mode(mode):
+    return {} if mode is None else {"mode": mode}
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)],
+                         ids=["11", "21", "12"])
+@pytest.mark.parametrize("name", list(BRACKETS))
+def test_int_lane_never_leaks(name, m, n):
+    basis_of, bracket, reference, mode = BRACKETS[name]
+    basis = basis_of(m, n, 2)
+    keys = [next(iter(b.terms)) for b in basis]
+    rng = random.Random(1000 * m + 10 * n + len(name))
+    denominators = set()
+    for _ in range(8):
+        x, y = (basis[0]._like({
+            key: rng.choice(COEFFS)
+            for key in rng.sample(keys, rng.choice((3, 4)))})
+            for _ in range(2))
+        out = bracket(x, y, **_mode(mode))
+        assert all(type(c) is Fraction and c for c in out.terms.values()), \
+            out.terms
+        assert out == reference(x, y, **_mode(mode))
+        denominators.update(c.denominator for c in out.terms.values())
+    # both lanes ran: integral and non-integral output values
+    assert 1 in denominators and len(denominators) > 1
+
+
+# name: (basis, kernel(m, n, k1, k2), its element bracket)
+KERNELS = {
+    "oracle": (witt_basis, _oracle_basis, _reference_bracket_oracle),
+    "extended": (extended_basis,
+                 lambda m, n, k1, k2: _extended_bracket_basis(m, k1, k2),
+                 _reference_extended_bracket),
+    "dressed-corrected": (
+        dressed_basis,
+        lambda m, n, k1, k2: _dressed_bracket_basis(m, k1, k2, True),
+        _reference_dressed_bracket),
+    "dressed-verbatim": (
+        dressed_basis,
+        lambda m, n, k1, k2: _dressed_bracket_basis(m, k1, k2, False),
+        lambda u, v: _reference_dressed_bracket(u, v, "verbatim")),
+}
+
+
+# every basis pair at (1,1) deg 2, and at (1,2) deg 1, where the odd
+# variables give the kernels their Koszul signs
+@pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (1, 2, 1)],
+                         ids=["11-deg2", "12-deg1"])
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_kernel_matches_element_bracket(name, m, n, deg):
+    basis_of, kernel, reference = KERNELS[name]
+    basis = basis_of(m, n, deg)
+    nonzero = 0
+    for x in basis:
+        (k1,) = x.terms
+        for y in basis:
+            (k2,) = y.terms
+            pairs = kernel(m, n, k1, k2)
+            assert all(type(c) is int and c for _, c in pairs), pairs
+            summed = {}
+            for key, c in pairs:
+                accumulate(summed, key, Fraction(c))
+            assert summed == reference(x, y).terms, (k1, k2)
+            nonzero += bool(summed)
+    assert nonzero > len(basis)

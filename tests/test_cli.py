@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,7 @@ import wittmod
 from wittmod import cli
 from wittmod.cli import run_command
 from wittmod.config import resolve_rep
+from wittmod.expressions import MAX_WORD_ATOMS
 from wittmod.reporting import report_schema
 
 
@@ -43,6 +45,24 @@ GOLDEN = [
      "1 @ e2\n"),
     (["bracket", "t1", "dt1"], None),
     (["descent", "t1 @ e1", "--m", "1", "--n", "1", "--a", "0"], None),
+    # non-integral coefficients: a Witt pair and a dressed pair, both modes
+    (["bracket", "3/2*t1^2*x1*dt1 - 1/3*x1*dx1",
+      "-1/3*t1*dt1 + 3/2*t1*x1*dx1 + 2*dx1"],
+     "2/3*dx1 + 3*t1^2*dt1 + 1/2*t1^2*x1*dt1 - 9/4*t1^3*x1*dt1\n"),
+    (["bracket", "3/2*t1^2*x1*dt1 - 1/3*x1*dx1",
+      "-1/3*t1*dt1 + 3/2*t1*x1*dx1 + 2*dx1", "--mode", "verbatim"],
+     "3*dt1 + 2/3*dx1 - 9/4*x1*dt1 + 1/2*x1*dx1 - 1/2*t1*x1*dx1"
+     " + 1/2*t1^2*x1*dt1\n"),
+    (["bracket", "3/2*t1 . x1*dt1 - 1/3*t2 . x1*dx1 + dt2",
+      "-1/3*x1 . t1*dx1 + 3/2*t1*t2 . x1*dt2"],
+     "3/2*t1 . x1*dt2 + 1/2*t1*x1 . x1*dx1 + 1/2*t1*x1 . t1*dt1"
+     " + 9/4*t1*t2*x1 . x1*dt2 + 1/2*t1*t2*x1 . x1*dx1"
+     " - 1/2*t1*t2^2 . x1*dt2\n"),
+    (["bracket", "3/2*t1 . x1*dt1 - 1/3*t2 . x1*dx1 + dt2",
+      "-1/3*x1 . t1*dx1 + 3/2*t1*t2 . x1*dt2", "--mode", "verbatim"],
+     "-1/9*t2*x1 . dx1 + 1/9*t2*x1 . t1*dx1 + 3/2*t1 . x1*dt2"
+     " + 1/2*t1*x1 . dt1 + 1/2*t1*x1 . x1*dx1 + 9/4*t1*t2*x1 . x1*dt2"
+     " + 1/2*t1*t2*x1 . x1*dx1 - 1/2*t1*t2^2 . x1*dt2\n"),
 ]
 
 
@@ -132,6 +152,38 @@ def test_out_of_range_vector_exits_2(capsys):
 def test_expression_errors_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_overlong_operator_word_exits_2_before_acting(capsys, monkeypatch):
+    # t1^1000000 used to expand to a million atoms (9 s, 392 MB)
+    def unreachable(*args):
+        raise AssertionError("act_word ran on an over-long word")
+    monkeypatch.setattr(cli, "act_word", unreachable)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["act", "t1^1000000", "1 @ e1",
+                                "--m", "1", "--n", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", "error: operator expression expands "
+                              "to more than %d atoms\n" % MAX_WORD_ATOMS)
+
+
+# the ceiling holds for all words of an expression together
+@pytest.mark.parametrize("word,expected", [
+    ("t1^1000", "t1^1000 @ e1\n"),
+    ("t1^5000 . t1^5000", "t1^10000 @ e1\n"),
+    ("t1^5000 + t1^5000", "2*t1^5000 @ e1\n"),
+    ("t1^5000 . t1^5001", None),
+    ("dt1 . t1^10000", None),
+    ("t1^5000 + t1^5001", None),
+])
+def test_operator_word_ceiling(capsys, word, expected):
+    assert MAX_WORD_ATOMS == 10000
+    rc, out, err = run(capsys, ["act", word, "1 @ e1", "--m", "1", "--n", "1"])
+    if expected is None:
+        assert (rc, out, err) == (2, "", "error: operator expression expands "
+                                  "to more than 10000 atoms\n")
+    else:
+        assert (rc, out, err) == (0, expected, "")
 
 
 def test_internal_value_error_propagates(capsys, monkeypatch):
