@@ -232,23 +232,28 @@ def parse_expr(text):
 # ---------------------------------------------------------------------------
 # segment interpretation
 
+def _check_index(atom, m, n, where=""):
+    """The one range check of a t, x, dt or dx index.  Every atom is checked
+    before any product is taken, so a term that vanishes is checked too."""
+    kind, k = atom[0], atom[1]
+    if not 1 <= k <= (m if kind in ("t", "dt") else n):
+        raise ExpressionError("%s index %d out of range%s" % (kind, k, where))
+
+
 def _seg_mono(seg, m, n, where="monomial"):
     """Interpret a segment as a monomial; returns ((alpha, imask), sign)."""
+    for atom in seg:
+        if atom[0] in ("dt", "dx"):
+            raise ExpressionError("derivation slot not allowed in %s" % where)
+        _check_index(atom, m, n, " in " + where)
     mono = ((0,) * m, 0)
     sign = 1
     for atom in seg:
         if atom[0] == "t":
             _, k, power = atom
-            if not 1 <= k <= m:
-                raise ExpressionError("t index %d out of range in %s" % (k, where))
             step = (tuple(power if q == k - 1 else 0 for q in range(m)), 0)
-        elif atom[0] == "x":
-            k = atom[1]
-            if not 1 <= k <= n:
-                raise ExpressionError("x index %d out of range in %s" % (k, where))
-            step = ((0,) * m, 1 << (k - 1))
         else:
-            raise ExpressionError("derivation slot not allowed in %s" % where)
+            step = ((0,) * m, 1 << (atom[1] - 1))
         hit = mono_mul(mono, step)
         if hit is None:
             return None
@@ -261,23 +266,15 @@ def _seg_witt(seg, m, n):
     """Segment = multiplications ending in one slot -> ((mono, slot), sign)."""
     if not seg or seg[-1][0] not in ("dt", "dx"):
         raise ExpressionError("derivation term must end in dt<k> or dx<k>")
-    for atom in seg[:-1]:
-        if atom[0] in ("dt", "dx"):
-            raise ExpressionError("only the final factor of a derivation term "
-                             "may be a slot")
+    if any(atom[0] in ("dt", "dx") for atom in seg[:-1]):
+        raise ExpressionError("only the final factor of a derivation term "
+                              "may be a slot")
     kind, idx = seg[-1]
-    if kind == "dt":
-        if not 1 <= idx <= m:
-            raise ExpressionError("dt index %d out of range" % idx)
-        slot = (TSLOT, idx)
-    else:
-        if not 1 <= idx <= n:
-            raise ExpressionError("dx index %d out of range" % idx)
-        slot = (XSLOT, idx)
+    _check_index(seg[-1], m, n)
     hit = _seg_mono(seg[:-1], m, n, "derivation term")
     if hit is None:
         return None
-    return (hit[0], slot), hit[1]
+    return (hit[0], (TSLOT if kind == "dt" else XSLOT, idx)), hit[1]
 
 
 def _seg_atoms(seg, m, n, room):
@@ -295,163 +292,115 @@ def _seg_atoms(seg, m, n, room):
                               "%d atoms" % MAX_WORD_ATOMS)
     atoms = []
     for atom in seg:
+        _check_index(atom, m, n)
         if atom[0] == "t":
-            _, k, power = atom
-            if not 1 <= k <= m:
-                raise ExpressionError("t index %d out of range" % k)
-            atoms.extend([("mt", k)] * power)
-        elif atom[0] == "x":
-            k = atom[1]
-            if not 1 <= k <= n:
-                raise ExpressionError("x index %d out of range" % k)
-            atoms.append(("mx", k))
-        elif atom[0] == "dt":
-            if not 1 <= atom[1] <= m:
-                raise ExpressionError("dt index %d out of range" % atom[1])
-            atoms.append(("dt", atom[1]))
+            atoms.extend([("mt", atom[1])] * atom[2])
         else:
-            if not 1 <= atom[1] <= n:
-                raise ExpressionError("dx index %d out of range" % atom[1])
-            atoms.append(("dx", atom[1]))
+            atoms.append(("mx" if atom[0] == "x" else atom[0], atom[1]))
     return atoms, 1
 
 
+def _one_seg(segs, message):
+    """The single segment of a term, () for a bare number."""
+    if len(segs) > 1:
+        raise ExpressionError(message)
+    return segs[0] if segs else ()
+
+
 # ---------------------------------------------------------------------------
-# converters
+# converters: one loop over the parsed terms, one segment reader per type
+
+def _convert(terms, out, noun, read):
+    """Add coeff * sign for each term into out.terms, where read(segs,
+    eidx) gives the term's (key, sign), or None when the term vanishes.
+    noun names the type when a tensor marker is misplaced; the tensor
+    reader, which needs the marker, passes None and checks it itself."""
+    for coeff, segs, eidx in terms:
+        if eidx is not None and noun:
+            raise ExpressionError("tensor marker not allowed in " + noun)
+        if not segs and not coeff and eidx is None:
+            continue  # a bare 0
+        hit = read(segs, eidx)
+        if hit:
+            accumulate(out.terms, hit[0], coeff * hit[1])
+    return out
+
 
 def as_superpoly(terms, m, n) -> SuperPoly:
-    out = SuperPoly.zero(m, n)
-    for coeff, segs, eidx in terms:
-        if eidx is not None:
-            raise ExpressionError("tensor marker not allowed in a plain "
-                             "polynomial")
-        if len(segs) > 1:
-            raise ExpressionError("'.' not allowed in a plain polynomial")
-        seg = segs[0] if segs else ()
-        hit = _seg_mono(seg, m, n)
-        if hit is None:
-            continue
-        out = out + SuperPoly.monomial(m, n, hit[0][0], hit[0][1],
-                                       coeff * hit[1])
-    return out
+    def read(segs, eidx):
+        seg = _one_seg(segs, "'.' not allowed in a plain polynomial")
+        return _seg_mono(seg, m, n)
+    return _convert(terms, SuperPoly(m, n), "a plain polynomial", read)
 
 
 def as_witt(terms, m, n) -> WittElement:
-    out = WittElement.zero(m, n)
-    for coeff, segs, eidx in terms:
-        if eidx is not None:
-            raise ExpressionError("tensor marker not allowed in a derivation")
-        if not segs and not coeff:
-            continue
+    def read(segs, eidx):
         if len(segs) != 1:
             raise ExpressionError("a derivation term is a single segment")
-        hit = _seg_witt(segs[0], m, n)
-        if hit is None:
-            continue
-        (mono, slot), sign = hit
-        out = out + WittElement.term(m, n, mono[0], mono[1], slot,
-                                     coeff * sign)
-    return out
+        return _seg_witt(segs[0], m, n)
+    return _convert(terms, WittElement(m, n), "a derivation", read)
 
 
 def as_extended(terms, m, n) -> ExtendedWittElement:
     """A segment ending in a slot is a derivation term; any other segment
     (or a bare number) is a monomial of the function part."""
-    acc = {}
-    for coeff, segs, eidx in terms:
-        if eidx is not None:
-            raise ExpressionError("tensor marker not allowed in an extension "
-                             "element")
-        if len(segs) > 1:
-            raise ExpressionError("an extension term is a single segment")
-        seg = segs[0] if segs else ()
+    def read(segs, eidx):
+        seg = _one_seg(segs, "an extension term is a single segment")
         if seg and seg[-1][0] in ("dt", "dx"):
-            hit = _seg_witt(seg, m, n)
-        else:
-            hit = _seg_mono(seg, m, n)
-            if hit:
-                hit = (hit[0], None), hit[1]
-        if hit:
-            accumulate(acc, hit[0], coeff * hit[1])
-    return ExtendedWittElement(m, n, acc)
+            return _seg_witt(seg, m, n)
+        hit = _seg_mono(seg, m, n)
+        return hit and ((hit[0], None), hit[1])
+    return _convert(terms, ExtendedWittElement(m, n), "an extension element",
+                    read)
 
 
 def as_dressed(terms, m, n) -> DressedWittElement:
-    out = DressedWittElement(m, n)
-    for coeff, segs, eidx in terms:
-        if eidx is not None:
-            raise ExpressionError("tensor marker not allowed in a dressed term")
-        if not segs and not coeff:
-            continue
-        if len(segs) == 1:
-            amono, asign = ((0,) * m, 0), 1
-            wseg = segs[0]
-        elif len(segs) == 2:
-            hit = _seg_mono(segs[0], m, n, "dressing")
-            if hit is None:
-                continue
-            amono, asign = hit
-            wseg = segs[1]
-        else:
+    def read(segs, eidx):
+        if not 1 <= len(segs) <= 2:
             raise ExpressionError("a dressed term has at most two segments")
-        wit = _seg_witt(wseg, m, n)
-        if wit is None:
-            continue
-        (mono, slot), wsign = wit
-        out = out + DressedWittElement.term(m, n, amono, mono, slot,
-                                            coeff * asign * wsign)
-    return out
+        # both segments are read, so both are range-checked
+        dressing = _seg_mono(segs[0] if len(segs) == 2 else (), m, n,
+                             "dressing")
+        wit = _seg_witt(segs[-1], m, n)
+        if dressing and wit:
+            return (dressing[0], wit[0]), dressing[1] * wit[1]
+    return _convert(terms, DressedWittElement(m, n), "a dressed term", read)
 
 
 def as_word(terms, m, n) -> OperatorWord:
-    out = OperatorWord(m, n)
     room = MAX_WORD_ATOMS
-    for coeff, segs, eidx in terms:
-        if eidx is not None:
-            raise ExpressionError("tensor marker not allowed in an operator word")
-        word = []
-        sign = 1
-        dead = False
+
+    def read(segs, eidx):
+        nonlocal room
+        word, sign = [], 1
         for seg in segs:
             hit = _seg_atoms(seg, m, n, room - len(word))
             if hit is None:
-                dead = True
-                break
-            atoms, s = hit
-            word.extend(atoms)
-            sign *= s
+                sign = 0  # the term vanishes; its later segments are checked
+            else:
+                word.extend(hit[0])
+                sign *= hit[1]
         room -= len(word)
-        if dead:
-            continue
-        out = out + OperatorWord.from_word(m, n, tuple(word), coeff * sign)
-    return out
+        return (tuple(word), sign) if sign else None
+    return _convert(terms, OperatorWord(m, n), "an operator word", read)
 
 
 def as_tensor(terms, m, n, dim) -> TensorElement:
-    out = None
-    for coeff, segs, eidx in terms:
+    def read(segs, eidx):
         if eidx is None:
-            if not segs and not coeff:
-                continue
-            raise ExpressionError("tensor element needs '@ e<j>' on every term")
+            raise ExpressionError("tensor element needs '@ e<j>' on every "
+                                  "term")
         if not 1 <= eidx <= dim:
             raise ExpressionError("vector index e%d out of range (dim %d)"
-                             % (eidx, dim))
-        if len(segs) > 1:
-            raise ExpressionError("'.' not allowed in a tensor coefficient")
-        seg = segs[0] if segs else ()
+                                  % (eidx, dim))
+        seg = _one_seg(segs, "'.' not allowed in a tensor coefficient")
         hit = _seg_mono(seg, m, n, "tensor coefficient")
-        piece = TensorElement(m, n, dim)
-        if hit is not None and coeff:
-            piece = TensorElement(m, n, dim, {(hit[0], eidx - 1): coeff * hit[1]})
-        out = piece if out is None else out + piece
-    if out is None:
-        out = TensorElement(m, n, dim)
-    return out
+        return hit and ((hit[0], eidx - 1), hit[1])
+    return _convert(terms, TensorElement(m, n, dim), None, read)
 
 
 # ---------------------------------------------------------------------------
-# canonical printers
+# canonical printing: one table of key orders and spellings, one loop
 
 def _fmt_mono(mono):
     alpha, imask = mono
@@ -465,70 +414,23 @@ def _fmt_mono(mono):
     return "*".join(bits)
 
 
-def _fmt_term(coeff, body):
-    """Render |coeff| * body; sign handled by the caller."""
-    c = abs(coeff)
-    if not body:
-        return str(c)
-    if c == 1:
-        return body
-    return "%s*%s" % (c, body)
-
-
-def _join(parts):
-    """parts: list of (coeff, body) in print order."""
-    if not parts:
-        return "0"
-    out = []
-    for k, (coeff, body) in enumerate(parts):
-        if k == 0:
-            out.append(("-" if coeff < 0 else "") + _fmt_term(coeff, body))
-        else:
-            out.append((" - " if coeff < 0 else " + ") + _fmt_term(coeff, body))
-    return "".join(out)
-
-
-def print_superpoly(p: SuperPoly) -> str:
-    items = sorted(p.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
-    return _join([(c, _fmt_mono(mono)) for mono, c in items])
-
-
-def _fmt_slot(slot):
-    kind, idx = slot
-    return ("dt%d" if kind == TSLOT else "dx%d") % idx
-
-
 def _fmt_witt_term(key):
-    mono, slot = key
+    mono, (kind, idx) = key
     body = _fmt_mono(mono)
-    return (body + "*" if body else "") + _fmt_slot(slot)
+    return "%s%s%d" % (body + "*" if body else "",
+                       "dt" if kind == TSLOT else "dx", idx)
 
 
-def print_witt(w: WittElement) -> str:
-    items = sorted(w.terms.items(), key=lambda kv: term_sort_key(kv[0]))
-    return _join([(c, _fmt_witt_term(key)) for key, c in items])
+def _fmt_dressed(key):
+    amono, wkey = key
+    abody = _fmt_mono(amono)
+    return (abody + " . " if abody else "") + _fmt_witt_term(wkey)
 
 
 def _ext_sort_key(key):
     """Derivation terms first, then the function part."""
     mono, slot = key
     return (0,) + term_sort_key(key) if slot else (1,) + mono_sort_key(mono)
-
-
-def print_extended(e: ExtendedWittElement) -> str:
-    items = sorted(e.terms.items(), key=lambda kv: _ext_sort_key(kv[0]))
-    return _join([(c, _fmt_witt_term(key) if key[1] else _fmt_mono(key[0]))
-                  for key, c in items])
-
-
-def print_dressed(d: DressedWittElement) -> str:
-    items = sorted(d.terms.items(), key=lambda kv: dressed_sort_key(kv[0]))
-    parts = []
-    for (amono, wkey), c in items:
-        abody = _fmt_mono(amono)
-        wbody = _fmt_witt_term(wkey)
-        parts.append((c, ("%s . %s" % (abody, wbody)) if abody else wbody))
-    return _join(parts)
 
 
 def _atom_str(atom):
@@ -555,42 +457,51 @@ def word_sort_key(word):
     return (len(word), tuple(atom_sort_key(a) for a in word))
 
 
-def print_word(w: OperatorWord) -> str:
-    items = sorted(w.terms.items(), key=lambda kv: word_sort_key(kv[0]))
-    parts = []
-    for word, c in items:
-        body = " . ".join(_atom_str(a) for a in word)
-        parts.append((c, body))
-    return _join(parts)
+def _fmt_ext(key):
+    return _fmt_witt_term(key) if key[1] else _fmt_mono(key[0])
 
 
-def print_tensor(x: TensorElement) -> str:
-    items = sorted(x.terms.items(), key=lambda kv: tensor_key_sort(kv[0]))
+def _fmt_word(word):
+    return " . ".join(_atom_str(a) for a in word)
+
+
+# element type -> (key order, key -> (body, suffix))
+_PRINTERS = {
+    SuperPoly: (mono_sort_key, lambda key: (_fmt_mono(key), "")),
+    WittElement: (term_sort_key, lambda key: (_fmt_witt_term(key), "")),
+    ExtendedWittElement: (_ext_sort_key, lambda key: (_fmt_ext(key), "")),
+    DressedWittElement: (dressed_sort_key,
+                         lambda key: (_fmt_dressed(key), "")),
+    OperatorWord: (word_sort_key, lambda key: (_fmt_word(key), "")),
+    TensorElement: (tensor_key_sort,
+                    lambda key: (_fmt_mono(key[0]), " @ e%d" % (key[1] + 1))),
+}
+
+
+def _join(obj, order, spell):
+    """Each term in key order as its sign, |coeff| * body, then suffix."""
     out = []
-    for k, ((mono, l), c) in enumerate(items):
-        body = _fmt_mono(mono)
-        piece = _fmt_term(c, body) if body else str(abs(c))
-        piece += " @ e%d" % (l + 1)
-        if k == 0:
-            out.append(("-" if c < 0 else "") + piece)
+    for key in sorted(obj.terms, key=order):
+        c = obj.terms[key]
+        body, suffix = spell(key)
+        mag = abs(c)
+        if not body:
+            term = str(mag)
+        elif mag == 1:
+            term = body
         else:
-            out.append((" - " if c < 0 else " + ") + piece)
-    return "".join(out) if out else "0"
+            term = "%s*%s" % (mag, body)
+        out.append((" - " if c < 0 else " + ") + term + suffix)
+    if not out:
+        return "0"
+    text = "".join(out)
+    # the leading sign is bare: "-x1 + t1", not " - x1 + t1"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def print_expr(obj) -> str:
-    if isinstance(obj, SuperPoly):
-        return print_superpoly(obj)
-    if isinstance(obj, WittElement):
-        return print_witt(obj)
-    if isinstance(obj, DressedWittElement):
-        return print_dressed(obj)
-    if isinstance(obj, ExtendedWittElement):
-        return print_extended(obj)
-    if isinstance(obj, OperatorWord):
-        return print_word(obj)
-    if isinstance(obj, TensorElement):
-        return print_tensor(obj)
     if isinstance(obj, (int, Fraction)):
         return str(obj)
-    raise TypeError("no printer for %r" % type(obj).__name__)
+    if type(obj) not in _PRINTERS:
+        raise TypeError("no printer for %r" % type(obj).__name__)
+    return _join(obj, *_PRINTERS[type(obj)])

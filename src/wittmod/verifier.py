@@ -25,6 +25,7 @@ from . import linalg
 from .config import CheckParams, ConfigError, resolve_rep
 from .dressed import (DressedWittElement, commutant_element,
                       commutant_of_witt, dressed_basis, dressed_bracket)
+from .expressions import print_expr
 from .glmn import Rep, trivial_rep
 from .superpoly import (SuperPoly, enumerate_monomials, mono_mul,
                         mono_parity, popcount)
@@ -103,11 +104,6 @@ def tau_flipped(x: DressedWittElement) -> DressedWittElement:
     return DressedWittElement(x.m, x.n, {
         key: -c if popcount(key[0][1]) * popcount(key[1][0][1]) & 1 else c
         for key, c in x.terms.items()})
-
-
-def _print(obj):
-    from .expressions import print_expr
-    return print_expr(obj)
 
 
 def _key_elem(m, n, key):
@@ -260,7 +256,7 @@ def check_jacobi(p: CheckParams):
         size = len(basis)
 
         def render(terms, cls=cls):
-            return _print(cls(m, n, terms))
+            return print_expr(cls(m, n, terms))
 
         extra = {}
         if cls is WittElement and p.mode == "mutated":
@@ -297,8 +293,8 @@ def check_bracket_oracle(p: CheckParams):
             oracle = bracket_oracle(x, y)
             if table != oracle:
                 raise _Fail({
-                    "x": _print(x), "y": _print(y), "mode": p.mode,
-                    "table": _print(table), "oracle": _print(oracle),
+                    "x": print_expr(x), "y": print_expr(y), "mode": p.mode,
+                    "table": print_expr(table), "oracle": print_expr(oracle),
                 }, cases)
     return cases, None
 
@@ -347,8 +343,8 @@ def check_weyl_relations(p: CheckParams):
             want = _expected_pair_relation(u, v, m, n)
             if weyl_normal_order(w) != weyl_normal_order(want):
                 raise _Fail({"u": str(u), "v": str(v),
-                             "got": _print(weyl_normal_order(w).to_word()),
-                             "want": _print(want)}, cases)
+                             "got": print_expr(weyl_normal_order(w).to_word()),
+                             "want": print_expr(want)}, cases)
     # squares of odd atoms vanish
     for j in range(1, n + 1):
         for atom in (("mx", j), ("dx", j)):
@@ -373,18 +369,18 @@ def check_weyl_relations(p: CheckParams):
         nf = weyl_normal_order(w)
         nf2 = weyl_normal_order(nf.to_word())
         if nf != nf2:
-            raise _Fail({"trial": t, "word": _print(w),
-                         "first": _print(nf.to_word()),
-                         "second": _print(nf2.to_word())}, cases)
+            raise _Fail({"trial": t, "word": print_expr(w),
+                         "first": print_expr(nf.to_word()),
+                         "second": print_expr(nf2.to_word())}, cases)
         mono = mono_pool[rng.randrange(len(mono_pool))]
         v = TensorElement.pure(plain, mono, 0)
         got = act_word(plain, w, v)
         want = act_word(plain, nf.to_word(), v)
         if got != want:
-            raise _Fail({"trial": t, "word": _print(w),
-                         "argument": _print(_as_poly(v)),
-                         "direct": _print(_as_poly(got)),
-                         "normal_ordered": _print(_as_poly(want))}, cases)
+            raise _Fail({"trial": t, "word": print_expr(w),
+                         "argument": print_expr(_as_poly(v)),
+                         "direct": print_expr(_as_poly(got)),
+                         "normal_ordered": print_expr(_as_poly(want))}, cases)
     return cases, None
 
 
@@ -421,9 +417,9 @@ def check_module_axioms(p: CheckParams):
         if lhs != rhs:
             raise _Fail({
                 "law": "bracket compatibility",
-                "x": _print(x), "y": _print(y),
-                "v": _print(v), "bracket_route": _print(lhs),
-                "composition_route": _print(rhs)}, cases)
+                "x": print_expr(x), "y": print_expr(y),
+                "v": print_expr(v), "bracket_route": print_expr(lhs),
+                "composition_route": print_expr(rhs)}, cases)
     # coefficient algebra is associative on the module
     rng = random.Random(p.seed + 13)
     monos = enumerate_monomials(p.m, p.n, p.deg)
@@ -440,10 +436,10 @@ def check_module_axioms(p: CheckParams):
         if two_step != one_step:
             raise _Fail({
                 "law": "coefficient associativity",
-                "p": _print(SuperPoly.monomial(p.m, p.n, am[0], am[1])),
-                "q": _print(SuperPoly.monomial(p.m, p.n, bm[0], bm[1])),
-                "v": _print(v), "two_step": _print(two_step),
-                "one_step": _print(one_step)}, cases)
+                "p": print_expr(SuperPoly.monomial(p.m, p.n, am[0], am[1])),
+                "q": print_expr(SuperPoly.monomial(p.m, p.n, bm[0], bm[1])),
+                "v": print_expr(v), "two_step": print_expr(two_step),
+                "one_step": print_expr(one_step)}, cases)
     # mixed law: [derivation, multiplication] = multiplication by the
     # plain derivative of the coefficient
     from .witt import witt_act
@@ -464,9 +460,9 @@ def check_module_axioms(p: CheckParams):
         if lhs != rhs:
             raise _Fail({
                 "law": "mixed derivation-multiplication",
-                "x": _print(x), "f": _print(fpoly), "v": _print(v),
-                "commutator_route": _print(lhs),
-                "derivative_route": _print(rhs)}, cases)
+                "x": print_expr(x), "f": print_expr(fpoly), "v": print_expr(v),
+                "commutator_route": print_expr(lhs),
+                "derivative_route": print_expr(rhs)}, cases)
     return cases, None
 
 
@@ -509,9 +505,10 @@ def check_commutant_homomorphism(p: CheckParams):
                        - s * act_word(spec, XV, act_word(spec, XU, e)))
                 if lhs != rhs:
                     raise _Fail({
-                        "u": _print(u), "v": _print(v), "on": _print(e),
-                        "bracket_image": _print(lhs),
-                        "supercommutator": _print(rhs)}, cases)
+                        "u": print_expr(u), "v": print_expr(v),
+                        "on": print_expr(e),
+                        "bracket_image": print_expr(lhs),
+                        "supercommutator": print_expr(rhs)}, cases)
     return cases, None
 
 
@@ -537,9 +534,10 @@ def check_commutant_weyl_commute(p: CheckParams):
                 rhs = s * act_atom(spec, atom, act_word(spec, xw, e))
                 if lhs != rhs:
                     raise _Fail({
-                        "dressed": _print(_key_elem(p.m, p.n, ku)),
-                        "atom": str(atom), "on": _print(e),
-                        "left": _print(lhs), "right": _print(rhs)}, cases)
+                        "dressed": print_expr(_key_elem(p.m, p.n, ku)),
+                        "atom": str(atom), "on": print_expr(e),
+                        "left": print_expr(lhs),
+                        "right": print_expr(rhs)}, cases)
     return cases, None
 
 
@@ -576,10 +574,10 @@ def check_gl_realization(p: CheckParams):
             if got != want:
                 raise _Fail({
                     "unit": "E %d %d" % (row, col),
-                    "dressed": _print(_key_elem(
+                    "dressed": print_expr(_key_elem(
                         p.m, p.n, ((alpha, imask), slot))),
-                    "on": _print(TensorElement.vacuum(spec, l)),
-                    "got": _print(got), "want": _print(want)}, cases)
+                    "on": print_expr(TensorElement.vacuum(spec, l)),
+                    "got": print_expr(got), "want": print_expr(want)}, cases)
     # everything two steps into the filtration annihilates the vacuum
     for key in _witt_keys(p.m, p.n, 2):
         (alpha, imask), slot = key
@@ -591,9 +589,9 @@ def check_gl_realization(p: CheckParams):
             got = act_word(spec, word, TensorElement.vacuum(spec, l))
             if got:
                 raise _Fail({
-                    "dressed": _print(_key_elem(p.m, p.n, key)),
-                    "on": _print(TensorElement.vacuum(spec, l)),
-                    "got": _print(got), "want": "0"}, cases)
+                    "dressed": print_expr(_key_elem(p.m, p.n, key)),
+                    "on": print_expr(TensorElement.vacuum(spec, l)),
+                    "got": print_expr(got), "want": "0"}, cases)
     return cases, None
 
 
@@ -625,7 +623,7 @@ def check_whittaker_dimension(p: CheckParams):
             cases += 1
             bad = _whittaker_violation(spec, x)
             if bad:
-                raise _Fail({"window": D, "element": _print(x),
+                raise _Fail({"window": D, "element": print_expr(x),
                              "violates": bad}, cases)
     if dims[p.D] != spec.dim or dims[p.D + 1] != spec.dim:
         raise _Fail({"expected_dim": spec.dim,
@@ -661,16 +659,16 @@ def check_descent_roundtrip(p: CheckParams):
         y = descent(spec, x)
         bad = _whittaker_violation(spec, y)
         if bad:
-            raise _Fail({"trial": t, "x": _print(x), "descended": _print(y),
-                         "violates": bad}, cases)
+            raise _Fail({"trial": t, "x": print_expr(x),
+                         "descended": print_expr(y), "violates": bad}, cases)
         if descent(spec, y) != y:
-            raise _Fail({"trial": t, "x": _print(x),
+            raise _Fail({"trial": t, "x": print_expr(x),
                          "error": "descent is not idempotent"}, cases)
         coords = rewrite.to_products(x)
         back = rewrite.from_products(coords)
         if back != x:
-            raise _Fail({"trial": t, "x": _print(x),
-                         "roundtrip": _print(back)}, cases)
+            raise _Fail({"trial": t, "x": print_expr(x),
+                         "roundtrip": print_expr(back)}, cases)
     return cases, None
 
 
@@ -714,8 +712,8 @@ def check_weight_multiplicity(p: CheckParams):
         cases += 1
         if weight_reduce(spec, shifted, weight) != weight_reduce(
                 spec, x, weight):
-            raise _Fail({"weight": list(weight), "x": _print(x),
-                         "y": _print(y),
+            raise _Fail({"weight": list(weight), "x": print_expr(x),
+                         "y": print_expr(y),
                          "error": "reduction depends on the "
                                   "representative"}, cases)
     return cases, None
@@ -760,7 +758,8 @@ def check_difference_recurrence(p: CheckParams):
                 raise _Fail({"route": "formal words",
                              "alpha": list(alpha), "beta": list(beta),
                              "I": imask, "J": jmask, "r": r, "j": j,
-                             "lhs": _print(lhs), "rhs": _print(rhs)}, cases)
+                             "lhs": print_expr(lhs),
+                             "rhs": print_expr(rhs)}, cases)
     return cases, None
 
 
@@ -811,7 +810,7 @@ def check_difference_annihilation(p: CheckParams):
                                        p.rmax, j, s1, s2)
                 bad = _annihilates_on_keys(spec0, word, keys_lo)
                 witness = "none within the window" if bad is None else \
-                    _print(act_word(spec0, word, _pure(spec0, bad)))
+                    print_expr(act_word(spec0, word, _pure(spec0, bad)))
                 raise _Fail({"word": label, "rmax": p.rmax,
                              "surviving_image": witness}, cases)
             # window stability: the same order must do on the smaller window
@@ -931,7 +930,7 @@ def check_simplicity_probe(p: CheckParams):
                 evidence = {"seed": str(tag), "span_dim": span.dim,
                             "missing_vacuum": "e%d" % (missing[0] + 1)}
             elif not p.expect_reducible:
-                raise _Fail({"seed": str(tag), "start": _print(x),
+                raise _Fail({"seed": str(tag), "start": print_expr(x),
                              "span_dim": span.dim,
                              "missing_vacuum":
                                  "e%d" % (missing[0] + 1) if missing

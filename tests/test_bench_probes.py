@@ -1,10 +1,12 @@
-"""The benchmark's layer probes still find what they wrap.
+"""The benchmark's layer probes and workloads still find what they use.
 
 `perfbench/tracer.py` patches wittmod functions by name and wraps
-`linalg.rref` with a one-argument wrapper.  A rename of a probed function,
-or a second argument to `rref`, would break only the traced benchmark
-run; this test makes it fail here instead.  The tracer is loaded by path,
-so `perfbench/` stays a plain directory of scripts.
+`linalg.rref` with a one-argument wrapper; `perfbench/workloads.py`
+imports converters, printers and element types from wittmod.  A rename
+of a probed or imported name, or a second argument to `rref`, would break
+only the benchmark run; these tests make it fail here instead.  Both
+files are loaded by path, so `perfbench/` stays a plain directory of
+scripts.
 """
 
 import contextlib
@@ -16,7 +18,8 @@ import pytest
 
 import wittmod.cli as cli
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 if not TRACER.exists():
     pytest.skip("perfbench/ is absent", allow_module_level=True)
@@ -34,8 +37,9 @@ REQUEST = [
 ]
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(path):
+    spec = importlib.util.spec_from_file_location("perfbench_" + path.stem,
+                                                  path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -49,7 +53,7 @@ def _request():
 
 
 def test_probes_install_and_trace_the_same_result():
-    tracer = _load_tracer().Tracer()
+    tracer = _load(TRACER).Tracer()
     plain = _request()
     tracer.install()
     try:
@@ -62,3 +66,13 @@ def test_probes_install_and_trace_the_same_result():
     assert [name for name in REACHED if not calls[name]] == []
     # uninstall restores the originals
     assert _request() == plain
+
+
+def test_calculator_workload_runs_on_the_current_api():
+    # loading resolves every name the workloads import; one block of
+    # calculator requests, with their checks, calls what they use at run
+    # time (WittElement.zero, as_tensor, lower_t, ...)
+    workloads = _load(PERFBENCH / "workloads.py")
+    requests = workloads.calculator_pass(0, 0, blocks=1)
+    assert sorted({req.kind for req in requests}) == workloads.CALC_KINDS
+    assert [req.verdict(req.call()) for req in requests] == [""] * 32

@@ -147,8 +147,21 @@ def test_out_of_range_vector_exits_2(capsys):
     (["bracket", "t1 . t1 . dt1", "dt1"],
      "a dressed term has at most two segments"),
     (["descent", "t1 . t1 @ e1"], "'.' not allowed in a tensor coefficient"),
+    # x1*x1 = 0, yet every index of the vanishing term is checked, as dt9
+    # in the last request always was
+    (["bracket", "x1*x1*t9*dt1", "dt1", "--m", "1", "--n", "1"],
+     "t index 9 out of range in derivation term"),
+    (["act", "x1*x1*t9*dt1", "1 @ e1", "--m", "1", "--n", "1"],
+     "t index 9 out of range in derivation term"),
+    (["bracket", "x1*x1 . t9*dt1", "dt1", "--m", "1", "--n", "1"],
+     "t index 9 out of range in derivation term"),
+    (["descent", "x1*x1*t9 @ e1", "--m", "1", "--n", "1"],
+     "t index 9 out of range in tensor coefficient"),
+    (["act", "x1*x1*dt9", "1 @ e1", "--m", "1", "--n", "1"],
+     "dt index 9 out of range"),
 ], ids=["word-marker", "bracket-no-slot", "dressed-segments",
-        "tensor-dot"])
+        "tensor-dot", "vanishing-witt", "vanishing-word", "vanishing-dressed",
+        "vanishing-tensor", "vanishing-word-slot"])
 def test_expression_errors_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (2, "", "error: %s\n" % message)

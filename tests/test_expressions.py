@@ -11,7 +11,7 @@ from wittmod.expressions import (ExpressionError, ParseError, as_dressed,
                                  as_witt, as_word, parse_expr, print_expr)
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.tensor_modules import TensorElement
-from wittmod.witt import TSLOT, XSLOT, WittElement
+from wittmod.witt import TSLOT, XSLOT, ExtendedWittElement, WittElement
 from wittmod.words import OperatorWord, make_watom
 
 from conftest import rand_coeff
@@ -133,6 +133,95 @@ def test_misfits_raise_expression_error(text, convert):
         convert(parse_expr(text))
 
 
+_BUDGET = "operator expression expands to more than 10000 atoms"
+
+# every converter message, word for word, at m = n = 1 and dim 2
+MESSAGES = [
+    # a tensor marker where the type has none
+    ("superpoly", "t1 @ e1",
+     "tensor marker not allowed in a plain polynomial"),
+    ("witt", "dt1 @ e1", "tensor marker not allowed in a derivation"),
+    ("extended", "t1 @ e1",
+     "tensor marker not allowed in an extension element"),
+    ("dressed", "dt1 @ e1", "tensor marker not allowed in a dressed term"),
+    ("word", "t1 @ e1", "tensor marker not allowed in an operator word"),
+    ("word", "0 @ e1", "tensor marker not allowed in an operator word"),
+    # segment counts
+    ("superpoly", "t1 . t1", "'.' not allowed in a plain polynomial"),
+    ("witt", "t1*dt1 . dt1", "a derivation term is a single segment"),
+    ("witt", "3", "a derivation term is a single segment"),
+    ("extended", "t1 . dt1", "an extension term is a single segment"),
+    ("dressed", "t1 . t1 . dt1", "a dressed term has at most two segments"),
+    ("dressed", "3", "a dressed term has at most two segments"),
+    ("tensor", "t1 . t1 @ e1", "'.' not allowed in a tensor coefficient"),
+    # the tensor marker of a tensor element
+    ("tensor", "t1", "tensor element needs '@ e<j>' on every term"),
+    ("tensor", "3", "tensor element needs '@ e<j>' on every term"),
+    ("tensor", "t1 @ e9", "vector index e9 out of range (dim 2)"),
+    ("tensor", "0 @ e9", "vector index e9 out of range (dim 2)"),
+    ("tensor", "t1 @ e0", "vector index e0 out of range (dim 2)"),
+    # each index kind out of range
+    ("superpoly", "t9", "t index 9 out of range in monomial"),
+    ("superpoly", "x9", "x index 9 out of range in monomial"),
+    ("witt", "t9*dt1", "t index 9 out of range in derivation term"),
+    ("witt", "x9*dt1", "x index 9 out of range in derivation term"),
+    ("witt", "dt9", "dt index 9 out of range"),
+    ("witt", "t1*dx9", "dx index 9 out of range"),
+    ("extended", "t9", "t index 9 out of range in monomial"),
+    ("extended", "x9*dx1", "x index 9 out of range in derivation term"),
+    ("extended", "dx9", "dx index 9 out of range"),
+    ("dressed", "t9 . dt1", "t index 9 out of range in dressing"),
+    ("dressed", "x9 . dt1", "x index 9 out of range in dressing"),
+    ("dressed", "t1 . t9*dt1", "t index 9 out of range in derivation term"),
+    ("dressed", "t1 . dt9", "dt index 9 out of range"),
+    ("word", "t9", "t index 9 out of range"),
+    ("word", "x9", "x index 9 out of range"),
+    ("word", "dt9", "dt index 9 out of range"),
+    ("word", "dx9", "dx index 9 out of range"),
+    ("word", "t9*dt1", "t index 9 out of range in derivation term"),
+    ("word", "t1 . x1*dx9", "dx index 9 out of range"),
+    ("tensor", "t9 @ e1", "t index 9 out of range in tensor coefficient"),
+    ("tensor", "x9 @ e1", "x index 9 out of range in tensor coefficient"),
+    # slots out of place
+    ("superpoly", "dt1", "derivation slot not allowed in monomial"),
+    ("witt", "t1", "derivation term must end in dt<k> or dx<k>"),
+    ("witt", "dt1*dt1", "only the final factor of a derivation term may be "
+     "a slot"),
+    ("dressed", "dt1 . dt1", "derivation slot not allowed in dressing"),
+    ("tensor", "dt1 @ e1", "derivation slot not allowed in tensor "
+     "coefficient"),
+    # the atom budget of one expression's words
+    ("word", "t1^10001", _BUDGET),
+    ("word", "t1^6000 + t1^6000", _BUDGET),
+    ("word", "t1^9999 . t1*dt1 . t1", _BUDGET),
+]
+
+
+# x1*x1 = 0, so each of these terms vanishes; its indices are still checked
+VANISHING = [
+    ("superpoly", "x1*x1*t9", "t index 9 out of range in monomial"),
+    ("superpoly", "x1*x1*dt1", "derivation slot not allowed in monomial"),
+    ("witt", "x1*x1*t9*dt1", "t index 9 out of range in derivation term"),
+    ("extended", "x1*x1*x9", "x index 9 out of range in monomial"),
+    ("extended", "x1*x1*t9*dt1", "t index 9 out of range in derivation term"),
+    ("dressed", "x1*x1 . t9*dt1", "t index 9 out of range in derivation term"),
+    ("dressed", "x1*x1*t9 . dt1", "t index 9 out of range in dressing"),
+    ("word", "x1*x1*t9*dt1", "t index 9 out of range in derivation term"),
+    ("word", "x1*x1*dt1 . t9", "t index 9 out of range"),
+    ("word", "x1*x1*dt1 . t1^20000", _BUDGET),
+    ("tensor", "x1*x1*t9 @ e1",
+     "t index 9 out of range in tensor coefficient"),
+]
+
+
+@pytest.mark.parametrize("kind,text,message", MESSAGES + VANISHING)
+def test_converter_messages(kind, text, message):
+    with pytest.raises(ExpressionError) as info:
+        _to_object(kind, text, 1, 1, 2)
+    assert type(info.value) is ExpressionError
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # seeded round-trips over every object kind
 
@@ -245,3 +334,24 @@ def run_seeded_roundtrips(count, seed=0):
 
 def test_seeded_roundtrips_three_hundred():
     run_seeded_roundtrips(300, seed=17)
+
+
+def _random_extended(rng, m, n):
+    """Derivation terms and function-part terms, mixed in one element."""
+    pool = enumerate_monomials(m, n, 3)
+    slots = _slots(m, n) + [None]
+    return ExtendedWittElement(m, n, [
+        ((pool[rng.randrange(len(pool))], rng.choice(slots)),
+         rand_coeff(rng)) for _ in range(rng.randint(0, 5))])
+
+
+def test_seeded_extended_roundtrips():
+    rng = random.Random(29)
+    mixed = 0
+    for _ in range(200):
+        m, n = rng.choice(_SHAPES)
+        obj = _random_extended(rng, m, n)
+        text = print_expr(obj)
+        assert as_extended(parse_expr(text), m, n) == obj, text
+        mixed += len({slot is None for _, slot in obj.terms}) == 2
+    assert mixed >= 50
