@@ -20,7 +20,7 @@ from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
                              TransitionSingular, act_witt, act_mono,
                              act_word, whittaker_space,
                              generalized_whittaker_space, descent,
-                             pbw_basis_rewrite, weight_reduce, weight_act)
+                             pbw_basis_rewrite, weight_reduce)
 from .expressions import (ExpressionError, ParseError, parse_expr,
                           print_expr, as_superpoly, as_witt, as_dressed,
                           as_word, as_tensor)
@@ -45,7 +45,7 @@ __all__ = [
     "ModuleSpec", "TensorElement", "TensorSpan", "TransitionSingular",
     "act_witt", "act_mono", "act_word", "whittaker_space",
     "generalized_whittaker_space", "descent", "pbw_basis_rewrite",
-    "weight_reduce", "weight_act",
+    "weight_reduce",
     "ExpressionError", "ParseError", "parse_expr", "print_expr",
     "as_superpoly", "as_witt", "as_dressed", "as_word", "as_tensor",
     "ConfigError", "RunConfig", "load_config", "resolve_rep", "parse_twist",

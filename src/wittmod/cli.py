@@ -127,7 +127,7 @@ def _cmd_weighting(args) -> int:
     spec = _module_spec(args, m, n, nonsingular_for="product basis")
     x = as_tensor(telem, m, n, spec.dim)
     weight = parse_twist(args.r, m)
-    print(print_expr(weight_reduce(spec, x, weight).lift()))
+    print(print_expr(weight_reduce(spec, x, weight)))
     return 0
 
 
@@ -148,10 +148,9 @@ def _cli_dict(args) -> dict:
 
 
 def _run_checks(check_ids, cfg, cli):
-    reports = []
-    for cid in check_ids:
-        reports.append(run_check(cid, cfg.params_for(cid, cli)))
-    return reports
+    # every selected check's parameters are resolved before any check runs
+    params = [cfg.params_for(cid, cli) for cid in check_ids]
+    return [run_check(cid, p) for cid, p in zip(check_ids, params)]
 
 
 def _selected_checks(selector, cfg):

@@ -296,6 +296,10 @@ def load_config(path=None) -> RunConfig:
         if section == "run":
             values = base
         elif section.startswith("check:"):
+            from .verifier import REGISTRY  # the verifier imports this module
+            if section[6:] not in REGISTRY:
+                raise ConfigError("unknown check id %r in [%s]"
+                                  % (section[6:], section))
             values = overrides[section[6:]] = {}
         else:
             raise ConfigError("unknown section [%s]" % section)

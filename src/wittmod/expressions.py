@@ -280,16 +280,18 @@ def _seg_witt(seg, m, n):
 def _seg_atoms(seg, m, n, room):
     """Segment as a left-to-right sequence of at most room operator atoms."""
     ds = [a for a in seg if a[0] in ("dt", "dx")]
-    if len(ds) == 1 and seg[-1][0] in ("dt", "dx") and len(seg) > 1:
-        # multiplications ending in a slot: one derivation atom
+    # multiplications ending in a slot make one derivation atom
+    derivation = len(ds) == 1 and seg[-1][0] in ("dt", "dx") and len(seg) > 1
+    size = 1 if derivation else sum(a[2] if a[0] == "t" else 1 for a in seg)
+    if size > room:
+        raise ExpressionError("operator expression expands to more than "
+                              "%d atoms" % MAX_WORD_ATOMS)
+    if derivation:
         hit = _seg_witt(seg, m, n)
         if hit is None:
             return None
         (mono, slot), sign = hit
         return [make_watom(mono[0], mono[1], slot)], sign
-    if sum(a[2] if a[0] == "t" else 1 for a in seg) > room:
-        raise ExpressionError("operator expression expands to more than "
-                              "%d atoms" % MAX_WORD_ATOMS)
     atoms = []
     for atom in seg:
         _check_index(atom, m, n)

@@ -472,10 +472,6 @@ def unit_basis(spec):
             for l in range(spec.dim)]
 
 
-def unit_vector(spec, kmask, l) -> TensorElement:
-    return TensorElement.pure(spec, ((0,) * spec.m, kmask), l)
-
-
 def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
     """Expand every h^s u_j (|s| <= max_deg) in monomial coordinates and
     invert the square transition matrix.  Needs every a_i nonzero."""
@@ -488,7 +484,7 @@ def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
     key_index = {key: k for k, key in enumerate(keys)}
     columns = []
     for s, (kmask, l) in cols:
-        vec = unit_vector(spec, kmask, l)
+        vec = TensorElement.pure(spec, ((0,) * spec.m, kmask), l)
         for i, si in enumerate(s, start=1):
             h = tuple(int(q == i) for q in range(1, spec.m + 1))  # t_i dt_i
             for _ in range(si):
@@ -510,80 +506,21 @@ def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
     return PbwRewrite(spec, max_deg, keys, cols, matrix, inverse)
 
 
-class WeightCoset:
-    """Coordinates of a module element modulo the ideal shifting the
-    Cartan operators to fixed scalars."""
-
-    __slots__ = ("spec", "weight", "coords")
-
-    def __init__(self, spec, weight, coords):
-        self.spec = spec
-        self.weight = tuple(weight)
-        self.coords = tuple(coords)
-        if len(self.coords) != (1 << spec.n) * spec.dim:
-            raise ValueError("coset coordinate length mismatch")
-
-    def __eq__(self, other):
-        return (isinstance(other, WeightCoset)
-                and self.weight == other.weight
-                and self.coords == other.coords)
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __repr__(self):
-        return "WeightCoset(weight=%r, coords=%r)" % (self.weight, self.coords)
-
-    def lift(self) -> TensorElement:
-        """The representative sum_j c_j u_j on the unit basis."""
-        spec = self.spec
-        zero = (0,) * spec.m
-        return TensorElement(spec.m, spec.n, spec.dim,
-                             {((zero, kmask), l): c for (kmask, l), c
-                              in zip(unit_basis(spec), self.coords)})
-
-
-def weight_reduce(spec, x: TensorElement, weight) -> WeightCoset:
-    """Rewrite in the product basis and evaluate the Cartan polynomial at
-    the weight: sum_s c_{s,j} weight^s per unit label j."""
+def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:
+    """The coset of x modulo the weight ideal (h - weight)(A (x) V), as its
+    representative sum_j c_j u_j on the unit basis: rewrite in the product
+    basis and evaluate each Cartan polynomial at the weight."""
     weight = tuple(Fraction(w) for w in weight)
     if len(weight) != spec.m:
         raise ValueError("weight length != m")
     rewrite = spec.pbw(max(x.tdegree(), 0))
-    units = unit_basis(spec)
-    unit_index = {u: k for k, u in enumerate(units)}
-    coords = [ZERO] * len(units)
-    for (s, u), c in rewrite.to_products(x).items():
-        val = c
+    zero = (0,) * spec.m
+    out = {}
+    for (s, (kmask, l)), c in rewrite.to_products(x).items():
         for wi, si in zip(weight, s):
-            val *= wi ** si
-        coords[unit_index[u]] += val
-    return WeightCoset(spec, weight, coords)
-
-
-def weight_shift(w: WittElement):
-    """The common Cartan-degree shift of a combination, or raise if the
-    terms disagree (the coset action is only defined then)."""
-    shifts = set()
-    for (mono, slot), _ in w.terms.items():
-        shift = list(mono[0])
-        if slot[0] == TSLOT:
-            shift[slot[1] - 1] -= 1
-        shifts.add(tuple(shift))
-    if len(shifts) != 1:
-        raise ValueError("mixed Cartan degrees: coset action undefined")
-    return shifts.pop()
-
-
-def weight_act(spec, w: WittElement, coset: WeightCoset) -> WeightCoset:
-    """Act on a weight coset: lift to the unit representatives, act, and
-    reduce at the shifted weight.  Well-definedness (independence of the
-    representative) is exactly what the verifier's weight checks assert."""
-    if (w.m, w.n) != (spec.m, spec.n):
-        raise ValueError("shape mismatch")
-    shift = weight_shift(w)
-    target = tuple(wi + si for wi, si in zip(coset.weight, shift))
-    return weight_reduce(spec, act_witt(spec, w, coset.lift()), target)
+            c *= wi ** si
+        accumulate(out, ((zero, kmask), l), c)
+    return _element(spec, out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb
 
 from . import linalg
 from .config import CheckParams, ConfigError, resolve_rep
@@ -33,8 +32,7 @@ from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
                              TransitionSingular, act_atom, act_mono, act_witt,
                              act_word, descent, generalized_whittaker_space,
                              lower_t, pbw_basis_rewrite, unit_basis,
-                             unit_vector, weight_act, weight_reduce,
-                             whittaker_space, window_keys)
+                             weight_reduce, whittaker_space, window_keys)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                    _bracket_basis, bracket_oracle, extended_basis,
                    extended_bracket, term_parity, witt_basis, witt_bracket)
@@ -782,89 +780,85 @@ def _annihilates_on_keys(spec, word, keys):
     return None
 
 
+def _diff_word(p, item, r):
+    alpha, beta, imask, jmask, j, s1, s2 = item
+    return difference_word(p.m, p.n, alpha, beta, imask, jmask, r, j, s1, s2)
+
+
 def check_difference_annihilation(p: CheckParams):
+    """The least r <= rmax whose difference word annihilates, for every
+    sweep item.  The untwisted route acts on the untwisted module's window
+    D + 1 and asks the same r of window D; the coset route acts on the
+    unit basis and reduces modulo the weight ideal at every weight in
+    {-1, 0, 1}^m."""
     rep = resolve_rep(p.rep, p.m, p.n)
     if not rep.has_weight_basis():
         raise ConfigError("difference annihilation needs a rep with a "
                           "weight basis (all Cartan matrices diagonal)")
-    table = {}
-    cases = 0
-    if p.mode != "coset":  # "untwisted", the default route
-        spec0 = ModuleSpec(p.m, p.n, (ZERO,) * p.m, rep)
-        keys_lo = window_keys(spec0, p.D)
-        keys_hi = window_keys(spec0, p.D + 1)
-        for alpha, beta, imask, jmask, j, s1, s2 in _difference_sweep(
-                p.m, p.n, p.deg):
-            cases += 1
-            label = _diff_label(alpha, beta, imask, jmask, j, s1, s2)
-            found = None
-            for r in range(p.rmax + 1):
-                word = difference_word(p.m, p.n, alpha, beta, imask,
-                                       jmask, r, j, s1, s2)
-                bad = _annihilates_on_keys(spec0, word, keys_hi)
-                if bad is None:
-                    found = r
-                    break
+    if p.mode == "coset":
+        spec = ModuleSpec(p.m, p.n, p.a, rep)
+        if not spec.nonsingular:
+            raise ConfigError("coset mode needs a nonsingular twist vector")
+        units = [_pure(spec, (((0,) * p.m, kmask), l))
+                 for kmask, l in unit_basis(spec)]
+        weights = list(product(range(-1, 2), repeat=p.m))
+        deg = min(p.deg, 1)
+
+        def killed(item, r):
+            # a basis derivation t^g xi_K d of Cartan shift
+            # mu = g - (e_i if d = d/dt_i) maps (h - lambda)M into
+            # (h - lambda - mu)M, so reducing the word's image once, at the
+            # summed shift, is the composed action on cosets
+            alpha, beta, _, _, j, s1, s2 = item
+            shift = [a + b for a, b in zip(alpha, beta)]
+            shift[j - 1] += r
+            for kind, i in (s1, s2):
+                if kind == TSLOT:
+                    shift[i - 1] -= 1
+            word = _diff_word(p, item, r)
+            images = [act_word(spec, word, u) for u in units]
+            return not any(
+                weight_reduce(spec, y, [w + s for w, s in zip(lam, shift)])
+                for lam in weights for y in images)
+
+        def refute(item, found):
             if found is None:
-                word = difference_word(p.m, p.n, alpha, beta, imask, jmask,
-                                       p.rmax, j, s1, s2)
-                bad = _annihilates_on_keys(spec0, word, keys_lo)
-                witness = "none within the window" if bad is None else \
-                    print_expr(act_word(spec0, word, _pure(spec0, bad)))
-                raise _Fail({"word": label, "rmax": p.rmax,
-                             "surviving_image": witness}, cases)
+                return {"rmax": p.rmax, "mode": "coset",
+                        "error": "no annihilation order found"}
+            return None
+    else:  # "untwisted", the default route
+        spec = ModuleSpec(p.m, p.n, (ZERO,) * p.m, rep)
+        keys_lo = window_keys(spec, p.D)
+        keys_hi = window_keys(spec, p.D + 1)
+        deg = p.deg
+
+        def killed(item, r):
+            return _annihilates_on_keys(spec, _diff_word(p, item, r),
+                                        keys_hi) is None
+
+        def refute(item, found):
+            if found is None:
+                word = _diff_word(p, item, p.rmax)
+                bad = _annihilates_on_keys(spec, word, keys_lo)
+                return {"rmax": p.rmax, "surviving_image":
+                        "none within the window" if bad is None else
+                        print_expr(act_word(spec, word, _pure(spec, bad)))}
             # window stability: the same order must do on the smaller window
             for r in range(found):
-                word = difference_word(p.m, p.n, alpha, beta, imask,
-                                       jmask, r, j, s1, s2)
-                if _annihilates_on_keys(spec0, word, keys_lo) is None:
-                    raise _Fail({"word": label,
-                                 "error": "minimal order %d not stable "
-                                          "between windows" % found}, cases)
-            table[label] = found
-        return cases, {"minimal_r": table}
-    spec = ModuleSpec(p.m, p.n, p.a, rep)
-    if not spec.nonsingular:
-        raise ConfigError("coset mode needs a nonsingular twist vector")
-    units = unit_basis(spec)
-    weights = list(product(range(-1, 2), repeat=p.m))
-    for alpha, beta, imask, jmask, j, s1, s2 in _difference_sweep(
-            p.m, p.n, min(p.deg, 1)):
+                if _annihilates_on_keys(spec, _diff_word(p, item, r),
+                                        keys_lo) is None:
+                    return {"error": "minimal order %d not stable between "
+                                     "windows" % found}
+            return None
+    table = {}
+    cases = 0
+    for item in _difference_sweep(p.m, p.n, deg):
         cases += 1
-        label = _diff_label(alpha, beta, imask, jmask, j, s1, s2)
-        found = None
-        for r in range(p.rmax + 1):
-            ok = True
-            for weight in weights:
-                for u in units:
-                    coset = weight_reduce(spec, unit_vector(spec, *u),
-                                          weight)
-                    acc = None
-                    for i in range(r + 1):
-                        ai = tuple(x + (r - i if q == j - 1 else 0)
-                                   for q, x in enumerate(alpha))
-                        bi = tuple(x + (i if q == j - 1 else 0)
-                                   for q, x in enumerate(beta))
-                        g1 = WittElement.term(p.m, p.n, ai, imask, s1)
-                        g2 = WittElement.term(p.m, p.n, bi, jmask, s2)
-                        piece = weight_act(spec, g1,
-                                           weight_act(spec, g2, coset))
-                        c = Fraction((-1) ** i * comb(r, i))
-                        vals = tuple(c * x for x in piece.coords)
-                        acc = vals if acc is None else tuple(
-                            u0 + v0 for u0, v0 in zip(acc, vals))
-                    if acc and any(acc):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = r
-                break
-        if found is None:
-            raise _Fail({"word": label, "rmax": p.rmax,
-                         "mode": "coset",
-                         "error": "no annihilation order found"}, cases)
+        label = _diff_label(*item)
+        found = next((r for r in range(p.rmax + 1) if killed(item, r)), None)
+        cex = refute(item, found)
+        if cex:
+            raise _Fail({"word": label, **cex}, cases)
         table[label] = found
     return cases, {"minimal_r": table}
 

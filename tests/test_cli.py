@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -15,8 +16,10 @@ import wittmod
 from wittmod import cli
 from wittmod.cli import run_command
 from wittmod.config import resolve_rep
-from wittmod.expressions import MAX_WORD_ATOMS
+from wittmod.expressions import MAX_WORD_ATOMS, print_expr
 from wittmod.reporting import report_schema
+
+from conftest import COEFF_POOL, make_spec, rand_coeff, rand_tensor
 
 
 def run(capsys, argv):
@@ -373,6 +376,26 @@ def test_cli_flag_beats_config(tmp_path, capsys):
     assert rc == 1
 
 
+def test_misspelt_check_section_exits_2(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[check:jacobbi]\ndeg = 9\n")
+    rc, out, err = run(capsys, ["verify", "jacobi", "--config", str(ini)])
+    assert (rc, out) == (2, "")
+    assert err == "error: unknown check id 'jacobbi' in [check:jacobbi]\n"
+
+
+def test_bad_late_section_exits_2_before_any_check(tmp_path, capsys,
+                                                   monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_check",
+                        lambda cid, params: ran.append(cid))
+    ini = tmp_path / "run.ini"
+    ini.write_text("[check:simplicity_probe]\nD = -1\n")
+    rc, out, err = run(capsys, ["verify", "all", "--config", str(ini)])
+    assert (rc, out, ran) == (2, "", [])
+    assert err == "error: D must be >= 0, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # report files
 
@@ -469,6 +492,36 @@ def test_golden_control_report_is_byte_identical(capsys, monkeypatch, entry):
     rc, out, err = run(capsys, entry["argv"])
     assert (rc, err) == (entry["exit"], "")
     assert out == entry["report"]
+
+
+GOLDEN_COSETS = json.loads(
+    Path(__file__).with_name("golden_cosets.json").read_text())
+
+
+def _weighting_requests(m, n, count):
+    """Seeded `weighting` argv lists at shape (m, n): a twist, a weight
+    and a random element of degree <= 2 each."""
+    rng = random.Random(10 * m + n)
+    out = []
+    for _ in range(count):
+        a = [rand_coeff(rng) for _ in range(m)]
+        r = [rng.choice(COEFF_POOL + [0]) for _ in range(m)]
+        x = rand_tensor(make_spec(m, n, a), rng, max_deg=2, nterms=3)
+        out.append(["weighting", print_expr(x),
+                    "--r=" + ",".join(map(str, r)),
+                    "--a=" + ",".join(map(str, a)),
+                    "--m", str(m), "--n", str(n)])
+    return out
+
+
+def test_weighting_replies_are_pinned(capsys):
+    # a weight coset prints as its representative on the unit basis
+    pinned = GOLDEN_COSETS["weighting"]
+    requests = [argv for m, n in [(2, 1), (1, 2), (2, 2)]
+                for argv in _weighting_requests(m, n, 6)]
+    assert requests == [e["argv"] for e in pinned]
+    for e in pinned:
+        assert run(capsys, e["argv"]) == (0, e["out"], "")
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

@@ -194,6 +194,8 @@ MESSAGES = [
     ("word", "t1^10001", _BUDGET),
     ("word", "t1^6000 + t1^6000", _BUDGET),
     ("word", "t1^9999 . t1*dt1 . t1", _BUDGET),
+    # a derivation-term segment is one atom of the budget
+    ("word", "t1^10000 . t1*dt1 . t1*dt1", _BUDGET),
 ]
 
 

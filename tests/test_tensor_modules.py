@@ -13,7 +13,7 @@ from wittmod.verifier import odd_rows_negated
 from wittmod.tensor_modules import (TensorElement, TensorSpan, act_mono,
                                     act_term, act_witt, act_word, descent,
                                     generalized_whittaker_space, lower_t,
-                                    pbw_basis_rewrite, act_atom, weight_act,
+                                    pbw_basis_rewrite, act_atom,
                                     weight_reduce, whittaker_space,
                                     window_keys)
 from wittmod.witt import TSLOT, WittElement, witt_bracket, witt_act
@@ -244,15 +244,39 @@ def test_weight_space_dimension():
 
 
 def test_weight_reduce_is_representation_like():
+    # the Cartan operator acts on the coset at weight r as r: act on the
+    # unit-basis representative, reduce again at the same weight
     spec = make_spec(1, 1)
     rng = random.Random(21)
     h = WittElement.term(1, 1, (1,), 0, ("t", 1))
     for r in (F(-1), F(2), F(1, 2)):
         x = rand_tensor(spec, rng, max_deg=1, nterms=2)
         coset = weight_reduce(spec, x, (r,))
-        acted = weight_act(spec, h, coset)
-        assert acted.weight == (r,)
-        assert acted.coords == tuple(r * c for c in coset.coords)
+        assert coset.tdegree() <= 0
+        assert weight_reduce(spec, act_witt(spec, h, coset), (r,)) \
+            == r * coset
+
+
+@pytest.mark.parametrize("g,shift", [
+    (WittElement.term(2, 1, (2, 0), 0, ("t", 1)), (1, 0)),
+    (WittElement.term(2, 1, (0, 0), 0, ("t", 1)), (-1, 0)),
+    (WittElement.term(2, 1, (0, 0), 0, ("x", 1)), (0, 0))],
+    ids=["t1^2*dt1", "dt1", "dx1"])
+def test_coset_action_is_well_defined(spec21, g, shift):
+    # a derivation of Cartan shift mu maps the weight ideal at lambda into
+    # the one at lambda + mu, so acting on cosets needs no representative
+    rng = random.Random(37)
+    for _ in range(15):
+        lam = tuple(rand_coeff(rng) for _ in range(2))
+        x = rand_tensor(spec21, rng, max_deg=1, nterms=2)
+        y = rand_tensor(spec21, rng, max_deg=1, nterms=2)
+        i = rng.randrange(2)
+        h = WittElement.term(2, 1, tuple(int(q == i) for q in range(2)), 0,
+                             ("t", i + 1))
+        other = x + act_witt(spec21, h, y) - lam[i] * y
+        target = tuple(l + s for l, s in zip(lam, shift))
+        assert weight_reduce(spec21, act_witt(spec21, g, other), target) \
+            == weight_reduce(spec21, act_witt(spec21, g, x), target)
 
 
 def test_tensor_span():

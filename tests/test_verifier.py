@@ -1,9 +1,11 @@
 """The check registry: quick positive runs, every mutation control, and
 counterexample self-containment."""
 
+import json
 import random
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +303,81 @@ def test_minimal_annihilation_table_matches_fixture():
                                int(fields["beta"]), int(fields["I"]),
                                int(fields["J"]))
         assert rmin == want, label
+
+
+# coset-mode reports recorded before the coset route acted with the
+# difference word; regenerate an entry only for a change that means to
+# alter a verdict
+COSET_REPORTS = json.loads(Path(__file__).with_name(
+    "golden_cosets.json").read_text())["difference_annihilation_coset"]
+
+
+@pytest.mark.parametrize("entry", COSET_REPORTS, ids=lambda e: ",".join(
+    "%s=%s" % kv for kv in sorted(e["params"].items()) if kv[0] != "mode")
+    or "defaults")
+def test_coset_minimal_orders_are_pinned(entry):
+    report = run_check("difference_annihilation", entry["params"])
+    assert (report.status, report.cases, report.counterexample) == (
+        entry["status"], entry["cases"], entry["counterexample"])
+    assert (report.data or {}).get("minimal_r") == entry["minimal_r"]
+
+
+# ---------------------------------------------------------------------------
+# failure branches the positive runs never reach, each forced once
+
+def _fails_with(check_id, params, *keys):
+    report = run_check(check_id, params)
+    assert report.status == "fail"
+    assert set(keys) <= set(report.counterexample)
+    json.dumps(report.counterexample)
+    return report.counterexample
+
+
+def test_weight_multiplicity_fails_on_a_wrong_quotient(monkeypatch):
+    # Cartan operators acting as the scalar -2, the first weight tried:
+    # the whole window is then its quotient
+    monkeypatch.setattr(verifier, "act_witt", lambda spec, w, x: -2 * x)
+    cex = _fails_with("weight_multiplicity", {"D": 2},
+                      "weight", "expected", "got")
+    assert cex["got"] > cex["expected"]
+
+
+def test_weight_multiplicity_fails_on_a_representative_dependence(
+        monkeypatch):
+    # the identity is no reduction: it sees the representative
+    monkeypatch.setattr(verifier, "weight_reduce", lambda spec, x, w: x)
+    cex = _fails_with("weight_multiplicity", {"D": 2}, "weight", "x", "y")
+    assert cex["error"] == "reduction depends on the representative"
+
+
+def test_difference_annihilation_fails_on_an_unstable_window(monkeypatch):
+    # the smaller window D = 3 reports every word as annihilating
+    real = verifier._annihilates_on_keys
+    monkeypatch.setattr(
+        verifier, "_annihilates_on_keys",
+        lambda spec, word, keys: real(spec, word, keys)
+        if max(sum(mono[0]) for mono, _ in keys) > 3 else None)
+    cex = _fails_with("difference_annihilation", {}, "word")
+    assert cex["error"].endswith("not stable between windows")
+
+
+def test_coset_route_fails_without_an_order():
+    cex = _fails_with("difference_annihilation",
+                      {"mode": "coset", "rmax": 0}, "word", "rmax")
+    assert cex["error"] == "no annihilation order found"
+
+
+def test_rep_file_with_wrong_parities_is_an_error_status(tmp_path):
+    # natural(1,1) with both basis vectors even: E 1 2 is odd but maps
+    # an even vector to an even one
+    rep_file = tmp_path / "even.rep"
+    rep_file.write_text("dim 0 0\n"
+                        "E 1 1 : 1 0 0 0\nE 1 2 : 0 1 0 0\n"
+                        "E 2 1 : 0 0 1 0\nE 2 2 : 0 0 0 1\n")
+    report = run_check("gl_realization", {"rep": "file:%s" % rep_file})
+    assert report.status == "error"
+    assert "('parity', (1, 2), (0, 1))" in report.counterexample["error"]
+    json.dumps(report.counterexample)
 
 
 def test_report_params_echo_inputs():
