@@ -111,6 +111,3 @@ def invert(rows):
         return None
     return [r[n:] for r in red]
 
-
-def mat_vec(a, v):
-    return [sum((f * x for f, x in zip(row, v) if f and x), ZERO) for row in a]

@@ -441,29 +441,27 @@ class PbwRewrite:
         self.matrix = matrix
         self.inverse = inverse
 
-    def to_coords(self, x: TensorElement):
-        vec = [ZERO] * len(self.keys)
-        for key, c in x.terms.items():
-            k = self.key_index.get(key)
-            if k is None:
-                raise ValueError("element leaves the rewrite window")
-            vec[k] = c
-        return vec
-
     def to_products(self, x: TensorElement):
         """Coordinates of x in the h^s u_j basis as {(s, (kmask, l)): c}."""
-        vec = self.to_coords(x)
-        sol = linalg.mat_vec(self.inverse, vec)
-        return {self.cols[k]: c for k, c in enumerate(sol) if c}
+        if not self.key_index.keys() >= x.terms.keys():
+            raise ValueError("element leaves the rewrite window")
+        return _apply(self.inverse, self.key_index, x.terms, self.cols)
 
     def from_products(self, coords) -> TensorElement:
-        vec = [ZERO] * len(self.cols)
-        col_index = {col: k for k, col in enumerate(self.cols)}
-        for col, c in coords.items():
-            vec[col_index[col]] += c
-        out_vec = linalg.mat_vec(self.matrix, vec)
-        return TensorElement(self.spec.m, self.spec.n, self.spec.dim,
-                             zip(self.keys, out_vec))
+        pos = {col: k for k, col in enumerate(self.cols)}
+        return _element(self.spec, _apply(self.matrix, pos, coords, self.keys))
+
+
+def _apply(matrix, index, vec, labels):
+    """A dense matrix times the vector {index[key]: c for key, c in vec},
+    one column per entry, as {labels[row]: value}, nonzero rows ascending."""
+    acc = {}
+    for key, c in vec.items():
+        k = index[key]
+        for r, row in enumerate(matrix):
+            if row[k]:
+                acc[r] = acc.get(r, ZERO) + row[k] * c
+    return {labels[r]: acc[r] for r in sorted(acc) if acc[r]}
 
 
 def unit_basis(spec):
@@ -479,25 +477,20 @@ def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
         raise ValueError("product basis needs a nonsingular twist vector")
     keys = window_keys(spec, max_deg)
     units = unit_basis(spec)
-    svals = enumerate_alphas(spec.m, max_deg)
-    cols = [(s, u) for s in svals for u in units]
+    cols = [(s, u) for s in enumerate_alphas(spec.m, max_deg) for u in units]
     key_index = {key: k for k, key in enumerate(keys)}
-    columns = []
-    for s, (kmask, l) in cols:
+    matrix = [[ZERO] * len(cols) for _ in keys]
+    for col, (s, (kmask, l)) in enumerate(cols):
         vec = TensorElement.pure(spec, ((0,) * spec.m, kmask), l)
         for i, si in enumerate(s, start=1):
             h = tuple(int(q == i) for q in range(1, spec.m + 1))  # t_i dt_i
             for _ in range(si):
                 vec = act_term(spec, h, 0, (TSLOT, i), vec)
-        col = [ZERO] * len(keys)
         for key, c in vec.terms.items():
             k = key_index.get(key)
             if k is None:
                 raise TransitionSingular("product vector leaves the window")
-            col[k] = c
-        columns.append(col)
-    matrix = [[columns[c][r] for c in range(len(cols))]
-              for r in range(len(keys))]
+            matrix[k][col] = c
     if len(cols) != len(keys):
         raise TransitionSingular("window and product count disagree")
     inverse = linalg.invert(matrix)

@@ -28,6 +28,7 @@ from .superpoly import (
     ONE,
     LinComb,
     SuperPoly,
+    enumerate_monomials,
     merge_sign_masks,
     mono_mul,
     mono_parity,
@@ -102,13 +103,12 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
     k1, i = slot1
     k2, j = slot2
 
+    f = 1
     if k1 == XSLOT and k2 == TSLOT:
-        # flip via super-antisymmetry: [u,v] = -(-1)^{|u||v|} [v,u]
-        swapped = _bracket_basis(m, mono2, slot2, mono1, slot1, corrected)
-        p1 = term_parity(mono1, slot1)
-        p2 = term_parity(mono2, slot2)
-        s = -1 if p1 * p2 & 1 else 1
-        return [(key, -s * c) for key, c in swapped]
+        # [u,v] = -(-1)^{|u||v|} [v,u], |u| = |I| + 1, |v| = |J|: swap
+        f = 1 if (popcount(imask) + 1) * popcount(jmask) & 1 else -1
+        alpha, imask, i, beta, jmask, j = beta, jmask, j, alpha, imask, i
+        k1, k2 = k2, k1
 
     out = []
     if k1 == TSLOT and k2 == TSLOT:
@@ -133,7 +133,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
             if bi:
                 g = list(a + b for a, b in zip(alpha, beta))
                 g[i - 1] -= 1
-                out.append((((tuple(g), union), (XSLOT, j)), sign * bi))
+                out.append((((tuple(g), union), (XSLOT, j)), f * sign * bi))
         bit = 1 << (j - 1)
         if imask & bit:
             pI = popcount(imask)
@@ -144,7 +144,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
             if msign:
                 g = (tuple(a + b for a, b in zip(alpha, beta))
                      if corrected else (0,) * m)
-                out.append((((g, munion), (TSLOT, i)), s0 * msign))
+                out.append((((g, munion), (TSLOT, i)), f * s0 * msign))
         return out
 
     # both odd slots
@@ -214,31 +214,36 @@ def _act_basis(key, mono):
     return prod[0], prod[1] * hit[1]
 
 
-@cache
-def _generators(m, n):
-    """(t_i, slot d/dt_i) and (xi_j, slot d/dxi_j) as (mono, slot) pairs."""
+def _oracle_tables(m, n):
+    """Lookups for _oracle_basis at one shape, filled on first use: a key's
+    parity and nonzero values on the generators t_i, xi_j as (generator
+    slot, mono, int), and _act_basis by (key, mono); none outlives its user."""
     zero = (0,) * m
-    return tuple([((zero[:i - 1] + (1,) + zero[i:], 0), (TSLOT, i))
-                  for i in range(1, m + 1)]
-                 + [((zero, 1 << (j - 1)), (XSLOT, j))
-                    for j in range(1, n + 1)])
+    gens = [((zero[:i - 1] + (1,) + zero[i:], 0), (TSLOT, i))
+            for i in range(1, m + 1)]
+    gens += [((zero, 1 << (j - 1)), (XSLOT, j)) for j in range(1, n + 1)]
+
+    def images(key):
+        return term_parity(*key), tuple(
+            (slot, *hit) for g, slot in gens
+            if (hit := _act_basis(key, g)) is not None)
+    return cache(images), cache(_act_basis)
 
 
-def _oracle_basis(m, n, k1, k2):
+def _oracle_basis(tables, k1, k2):
     """[k1, k2] for two basis derivations as a list of (key, int), read off
     x(y(g)) - (-1)^{|x||y|} y(x(g)) on each coordinate generator g (a
     superderivation is determined by those values).  Each basis term is
     homogeneous, so the sign of the composition is fixed per pair."""
-    sign = -1 if term_parity(*k1) & term_parity(*k2) else 1
+    images, act = tables
+    (p1, images1), (p2, images2) = images(k1), images(k2)
+    sign = 1 if p1 & p2 else -1  # -(-1)^{|x||y|}
     out = []
-    for g, slot in _generators(m, n):
-        for first, second, s in ((k2, k1, 1), (k1, k2, -sign)):
-            hit = _act_basis(first, g)
-            if hit is None:
-                continue
-            hit2 = _act_basis(second, hit[0])
-            if hit2 is not None:
-                out.append(((hit2[0], slot), s * hit[1] * hit2[1]))
+    for first, second, s in ((images2, k1, 1), (images1, k2, sign)):
+        for slot, mono, c in first:
+            hit = act(second, mono)
+            if hit is not None:
+                out.append(((hit[0], slot), s * c * hit[1]))
     return out
 
 
@@ -246,8 +251,8 @@ def bracket_oracle(x: WittElement, y: WittElement) -> WittElement:
     """Supercommutator computed without structure constants: the bilinear
     extension of _oracle_basis, which composes basis actions on the
     coordinate generators and never reads _bracket_basis."""
-    m, n = x.m, x.n
-    return x._bilinear(y, lambda k1, k2: _oracle_basis(m, n, k1, k2))
+    tables = _oracle_tables(x.m, x.n)
+    return x._bilinear(y, lambda k1, k2: _oracle_basis(tables, k1, k2))
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +319,15 @@ def extended_bracket(u: ExtendedWittElement,
 def extended_basis(m, n, max_tdeg):
     """Homogeneous basis of the extension up to a t-degree bound:
     all basis derivations plus all monomials."""
-    from .superpoly import enumerate_monomials
     slots = [(TSLOT, i) for i in range(1, m + 1)]
     slots += [(XSLOT, j) for j in range(1, n + 1)] + [None]
-    return [ExtendedWittElement(m, n, {(mono, slot): ONE})
+    unit = ExtendedWittElement(m, n)._like  # reduced already
+    return [unit({(mono, slot): ONE})
             for mono in enumerate_monomials(m, n, max_tdeg) for slot in slots]
 
 
 def witt_basis(m, n, max_tdeg):
     """All basis derivations with t-degree <= max_tdeg."""
-    from .superpoly import enumerate_monomials
     out = []
     for mono in enumerate_monomials(m, n, max_tdeg):
         for i in range(1, m + 1):

@@ -70,7 +70,7 @@ class OperatorWord(LinComb):
 
     @classmethod
     def identity(cls, m, n):
-        return cls(m, n, {(): ONE})
+        return cls(m, n)._like({(): ONE})
 
     @classmethod
     def from_word(cls, m, n, word, coeff=ONE):
@@ -84,7 +84,8 @@ class OperatorWord(LinComb):
             elif kind == "w":
                 if len(atom[1]) != m or atom[2] >> n:
                     raise ValueError("derivation atom shape mismatch")
-        return cls(m, n, {word: Fraction(coeff)})
+        coeff = Fraction(coeff)
+        return cls(m, n)._like({word: coeff} if coeff else {})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -17,8 +17,9 @@ from wittmod.dressed import (_dressed_bracket_basis, dressed_basis,
 from wittmod.superpoly import accumulate, mono_mul, mono_parity
 from wittmod.witt import (TSLOT, XSLOT, _act_basis, _bracket_basis,
                           _extended_bracket_basis, _oracle_basis,
-                          bracket_oracle, extended_basis, extended_bracket,
-                          term_parity, witt_act, witt_basis, witt_bracket)
+                          _oracle_tables, bracket_oracle, extended_basis,
+                          extended_bracket, term_parity, witt_act,
+                          witt_basis, witt_bracket)
 
 
 def _reference_witt_bracket(x, y, mode="corrected"):
@@ -158,9 +159,31 @@ def test_int_lane_never_leaks(name, m, n):
     assert 1 in denominators and len(denominators) > 1
 
 
+@pytest.mark.parametrize("corrected", [True, False],
+                         ids=["corrected", "verbatim"])
+def test_x_slot_t_slot_is_the_swapped_pair(corrected):
+    # -(-1)^{|u||v|} [v, u], term for term and in the same order
+    for m, n in ((1, 2), (2, 2), (2, 3)):
+        keys = [next(iter(b.terms)) for b in witt_basis(m, n, 2)]
+        xs = [k for k in keys if k[1][0] == XSLOT]
+        ts = [k for k in keys if k[1][0] == TSLOT]
+        nonzero = 0
+        for u in xs:
+            for v in ts:
+                s = 1 if term_parity(*u) & term_parity(*v) else -1
+                got = _bracket_basis(m, *u, *v, corrected)
+                assert got == [(key, s * c) for key, c in
+                               _bracket_basis(m, *v, *u, corrected)], (u, v)
+                nonzero += bool(got)
+        assert nonzero > len(keys)
+
+
 # name: (basis, kernel(m, n, k1, k2), its element bracket)
 KERNELS = {
-    "oracle": (witt_basis, _oracle_basis, _reference_bracket_oracle),
+    "oracle": (witt_basis,
+               lambda m, n, k1, k2: _oracle_basis(_oracle_tables(m, n), k1,
+                                                  k2),
+               _reference_bracket_oracle),
     "extended": (extended_basis,
                  lambda m, n, k1, k2: _extended_bracket_basis(m, k1, k2),
                  _reference_extended_bracket),

@@ -214,6 +214,49 @@ def test_pbw_roundtrip():
         assert rewrite.from_products(rewrite.to_products(x)) == x
 
 
+def _dense_apply(matrix, vec):
+    """A dense matrix times a vector, one Fraction sum per row: the
+    reference for the rewrite's column-by-column product."""
+    return [sum((f * x for f, x in zip(row, vec) if f and x), F(0))
+            for row in matrix]
+
+
+def _dense_to_products(rewrite, x):
+    vec = [F(0)] * len(rewrite.keys)
+    for key, c in x.terms.items():
+        vec[rewrite.keys.index(key)] = c
+    sol = _dense_apply(rewrite.inverse, vec)
+    return {rewrite.cols[k]: c for k, c in enumerate(sol) if c}
+
+
+def _dense_from_products(rewrite, coords):
+    vec = [F(0)] * len(rewrite.cols)
+    for col, c in coords.items():
+        vec[rewrite.cols.index(col)] += c
+    spec = rewrite.spec
+    return TensorElement(spec.m, spec.n, spec.dim,
+                         zip(rewrite.keys, _dense_apply(rewrite.matrix, vec)))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)],
+                         ids=["11", "21", "12", "22"])
+def test_pbw_matches_dense_reference(m, n):
+    spec = make_spec(m, n, a=(F(3), F(-1, 2))[:m])
+    rewrite = pbw_basis_rewrite(spec, 2)
+    rng = random.Random(100 * m + n)
+    for _ in range(50):
+        x = rand_tensor(spec, rng, max_deg=2, nterms=rng.randint(1, 4))
+        got, want = rewrite.to_products(x), _dense_to_products(rewrite, x)
+        assert got == want and list(got) == list(want)
+        assert all(type(c) is F for c in got.values())
+        coords = {rng.choice(rewrite.cols): rand_coeff(rng)
+                  for _ in range(rng.randint(1, 4))}
+        back = rewrite.from_products(coords)
+        want = _dense_from_products(rewrite, coords)
+        assert back == want and list(back.terms) == list(want.terms)
+        assert all(type(c) is F for c in back.terms.values())
+
+
 def test_pbw_needs_nonsingular_twist():
     spec = make_spec(1, 1, a=(F(0),))
     with pytest.raises(ValueError):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from wittmod import witt
 from wittmod.expressions import parse_expr, as_witt, print_expr
-from wittmod.superpoly import SuperPoly
+from wittmod.superpoly import LinComb, SuperPoly, enumerate_monomials
 from wittmod.verifier import run_check
 from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
-                          bracket_oracle, extended_bracket, witt_act,
-                          witt_basis, witt_bracket)
+                          bracket_oracle, extended_basis, extended_bracket,
+                          witt_act, witt_basis, witt_bracket)
 
 from conftest import rand_superpoly, rand_witt, witt_keys
 
@@ -116,6 +116,55 @@ def test_table_fault_is_caught_by_the_oracle(monkeypatch):
     assert print_expr(witt_bracket(x, y)) == cex["table"]
     assert print_expr(composition_reference(x, y)) == cex["oracle"]
     assert cex["table"] != cex["oracle"]
+
+
+def test_oracle_fault_is_caught_by_the_table(monkeypatch):
+    # the mirror of the table fault: one seeded basis key's generator
+    # image negated on the oracle route only (a constant front is skipped,
+    # since no derivation sees the image of d/dt_i or d/dxi_j)
+    m, n = 2, 2
+    keys = [k for k in witt_keys(m, n, 1) if k[0] != ((0,) * m, 0)]
+    target = keys[random.Random(4).randrange(len(keys))]
+    tables = witt._oracle_tables
+
+    def negated(m, n):
+        images, act = tables(m, n)
+
+        def faulty(key):
+            parity, out = images(key)
+            if key == target:
+                out = tuple((slot, mono, -c) for slot, mono, c in out)
+            return parity, out
+        return faulty, act
+    monkeypatch.setattr(witt, "_oracle_tables", negated)
+
+    report = run_check("bracket_oracle", {"m": m, "n": n, "deg": 1})
+    assert report.status == "fail"
+    cex = report.counterexample
+    x = as_witt(parse_expr(cex["x"]), m, n)
+    y = as_witt(parse_expr(cex["y"]), m, n)
+    assert target in (next(iter(x.terms)), next(iter(y.terms)))
+    assert print_expr(witt_bracket(x, y)) == cex["table"]
+    assert print_expr(bracket_oracle(x, y)) == cex["oracle"]
+    assert print_expr(composition_reference(x, y)) == cex["table"]
+    assert cex["table"] != cex["oracle"]
+
+
+def test_oracle_check_builds_no_elements(monkeypatch):
+    # the check compares the kernels; elements are built only to render a
+    # counterexample
+    calls = []
+    bilinear = LinComb._bilinear
+
+    def counted(self, other, kernel):
+        calls.append(kernel)
+        return bilinear(self, other, kernel)
+    monkeypatch.setattr(LinComb, "_bilinear", counted)
+    report = run_check("bracket_oracle", {"m": 1, "n": 1, "deg": 2})
+    assert report.status == "pass" and report.cases == 12 ** 2
+    assert calls == []
+    bracket_oracle(W("dt1"), W("t1*dt1"))  # the count is live
+    assert len(calls) == 1
 
 
 def test_verbatim_table_contradicts_oracle():
@@ -226,7 +275,6 @@ def test_extension_mixed_bracket_is_the_action():
 
 def test_extension_jacobi_sample():
     rng = random.Random(9)
-    from wittmod.witt import extended_basis
     basis = extended_basis(1, 1, 2)
     for _ in range(60):
         x, y, z = (rng.choice(basis) for _ in range(3))
@@ -237,6 +285,18 @@ def test_extension_jacobi_sample():
                   - extended_bracket(extended_bracket(x, y), z)
                   - s * extended_bracket(y, extended_bracket(x, z)))
         assert not defect
+
+
+def test_extended_basis_matches_accumulated_construction():
+    for m, n in ((1, 1), (2, 1), (0, 2)):
+        slots = [(TSLOT, i) for i in range(1, m + 1)]
+        slots += [(XSLOT, j) for j in range(1, n + 1)] + [None]
+        old = [ExtendedWittElement(m, n, {(mono, slot): Fraction(1)})
+               for mono in enumerate_monomials(m, n, 2) for slot in slots]
+        got = extended_basis(m, n, 2)
+        assert got == old
+        assert all(type(c) is Fraction and c
+                   for x in got for c in x.terms.values())
 
 
 def test_print_names_are_stable():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.witt import TSLOT, XSLOT
 from wittmod.words import (OperatorWord, atom_parity, difference_word,
-                           weyl_equal, weyl_normal_order, word_commutator)
+                           make_watom, weyl_equal, weyl_normal_order,
+                           word_commutator)
 
 from conftest import act_on_poly, rand_coeff, rand_superpoly
 
@@ -89,6 +90,19 @@ def test_word_commutator_against_action():
         want = act_on_poly(u, act_on_poly(v, p)) \
             - s * act_on_poly(v, act_on_poly(u, p))
         assert act_on_poly(word_commutator(u, v), p) == want
+
+
+def test_word_constructors_match_accumulated_construction():
+    assert OperatorWord.identity(M, N) == OperatorWord(M, N, {(): Fraction(1)})
+    atoms = (("dt", 1), ("mx", 2), make_watom((1,), 1, (XSLOT, 2)))
+    for coeff in (1, -2, Fraction(3, 4), Fraction(-1, 2)):
+        got = OperatorWord.from_word(M, N, atoms, coeff)
+        assert got == OperatorWord(M, N, {atoms: Fraction(coeff)})
+        assert all(type(c) is Fraction and c
+                   for w in (got, OperatorWord.identity(M, N))
+                   for c in w.terms.values())
+    for zero in (0, Fraction(0)):
+        assert OperatorWord.from_word(M, N, atoms, zero).terms == {}
 
 
 def test_atom_parity():
