@@ -101,9 +101,9 @@ class TensorElement(LinComb):
         return out
 
     @classmethod
-    def vacuum(cls, spec, vindex, coeff=ONE):
+    def vacuum(cls, spec, vindex):
         """1 (x) e_vindex."""
-        return cls.pure(spec, ((0,) * spec.m, 0), vindex, coeff)
+        return cls.pure(spec, ((0,) * spec.m, 0), vindex)
 
     def _like(self, terms):
         out = LinComb._like(self, terms)
@@ -342,14 +342,15 @@ def window_keys(spec, max_deg):
             for l in range(spec.dim)]
 
 
-def _kernel_of_ops(spec, ops, keys):
-    """Exact joint kernel of linear operators on the span of keys.
+def _kernel_of_ops(spec, ops, max_deg):
+    """Exact joint kernel of linear operators on the degree window.
 
     ops: callables TensorElement -> TensorElement.  Output support may
     leave the window; every output coordinate of an op becomes one
     equation {window key index: coefficient}.  The kernel is read off in
     window key order, one basis vector per free key.
     """
+    keys = window_keys(spec, max_deg)
     ech = linalg.Echelon()
     for op in ops:
         eqs = {}
@@ -366,26 +367,54 @@ def _kernel_of_ops(spec, ops, keys):
 def whittaker_space(spec, max_deg):
     """Basis of the joint kernel of (d/dt_i - a_i) and d/dxi_j on the
     degree window."""
-    keys = window_keys(spec, max_deg)
     ops = [lambda x, i=i: lower_t(spec, i, x) for i in range(1, spec.m + 1)]
     ops += [lambda x, j=j: act_atom(spec, ("dx", j), x)
             for j in range(1, spec.n + 1)]
-    return _kernel_of_ops(spec, ops, keys)
+    return _kernel_of_ops(spec, ops, max_deg)
+
+
+class LeavesWhittaker(ValueError):
+    """args (w, col, image): words[w] maps basis[col] to image, not in wh."""
+
+
+def matrix_column(spec, basis, mat, col) -> TensorElement:
+    """Column col of a sparse matrix {(row, col): c} on basis, summed."""
+    return sum((c * basis[r] for (r, k), c in mat.items() if k == col),
+               TensorElement.zero(spec))
+
+
+def whittaker_functor(spec, max_deg, words):
+    """(basis, mats): basis = whittaker_space(spec, max_deg), and mats
+    yields each word's sparse matrix on it in Rep.mats format, each made
+    when read, so a caller meets failures in word order.  A basis vector
+    is 1 at its free key (its last in window order) and 0 at the
+    others', so an image's values there are its coordinates; an image
+    that is not their sum raises LeavesWhittaker."""
+    index = {key: k for k, key in enumerate(window_keys(spec, max_deg))}
+    basis = whittaker_space(spec, max_deg)
+    free = [max(x.terms, key=index.get) for x in basis]
+
+    def matrix(w, word):
+        mat = {}
+        for col, x in enumerate(basis):
+            image = act_word(spec, word, x)
+            mat.update(((row, col), image.terms[key])
+                       for row, key in enumerate(free) if key in image.terms)
+            if image != matrix_column(spec, basis, mat, col):
+                raise LeavesWhittaker(w, col, image)
+        return mat
+    return basis, (matrix(w, word) for w, word in enumerate(words))
 
 
 def generalized_whittaker_space(spec, max_deg, height_bound=0):
     """Joint kernel of (d/dt_i - a_i)^(height_bound+1), no xi condition."""
-    keys = window_keys(spec, max_deg)
 
-    def power_op(i):
-        def op(x):
-            for _ in range(height_bound + 1):
-                x = lower_t(spec, i, x)
-            return x
-        return op
-
-    ops = [power_op(i) for i in range(1, spec.m + 1)]
-    return _kernel_of_ops(spec, ops, keys)
+    def power_op(x, i):
+        for _ in range(height_bound + 1):
+            x = lower_t(spec, i, x)
+        return x
+    return _kernel_of_ops(spec, [lambda x, i=i: power_op(x, i)
+                                 for i in range(1, spec.m + 1)], max_deg)
 
 
 def descent(spec, x: TensorElement) -> TensorElement:
@@ -429,12 +458,10 @@ class PbwRewrite:
     products h^s u_j, where h_i = t_i d/dt_i and u_j runs over the
     xi-monomial (x) module basis."""
 
-    __slots__ = ("spec", "max_deg", "keys", "key_index", "cols",
-                 "matrix", "inverse")
+    __slots__ = ("spec", "keys", "key_index", "cols", "matrix", "inverse")
 
-    def __init__(self, spec, max_deg, keys, cols, matrix, inverse):
+    def __init__(self, spec, keys, cols, matrix, inverse):
         self.spec = spec
-        self.max_deg = max_deg
         self.keys = keys
         self.key_index = {key: k for k, key in enumerate(keys)}
         self.cols = cols
@@ -496,7 +523,7 @@ def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
     inverse = linalg.invert(matrix)
     if inverse is None:
         raise TransitionSingular("transition matrix is singular")
-    return PbwRewrite(spec, max_deg, keys, cols, matrix, inverse)
+    return PbwRewrite(spec, keys, cols, matrix, inverse)
 
 
 def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:

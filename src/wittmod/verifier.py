@@ -28,11 +28,13 @@ from .expressions import print_expr
 from .glmn import Rep, trivial_rep
 from .superpoly import (SuperPoly, enumerate_monomials, mono_mul,
                         mono_parity, popcount)
-from .tensor_modules import (ModuleSpec, TensorElement, TensorSpan,
-                             TransitionSingular, act_atom, act_mono, act_witt,
-                             act_word, descent, generalized_whittaker_space,
-                             lower_t, pbw_basis_rewrite, unit_basis,
-                             weight_reduce, whittaker_space, window_keys)
+from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
+                             TensorSpan, TransitionSingular, act_atom,
+                             act_mono, act_witt, act_word, descent,
+                             generalized_whittaker_space, lower_t,
+                             matrix_column, pbw_basis_rewrite, unit_basis,
+                             weight_reduce, whittaker_functor,
+                             whittaker_space, window_keys)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                    _bracket_basis, bracket_oracle, extended_basis,
                    extended_bracket, term_parity, witt_basis, witt_bracket)
@@ -314,19 +316,15 @@ def _weyl_atoms(m, n):
     return atoms
 
 
+# the nonzero supercommutators of two Weyl atoms with one index
+_PAIR_SIGNS = {("dt", "mt"): 1, ("mt", "dt"): -1, ("dx", "mx"): 1,
+               ("mx", "dx"): 1}
+
+
 def _expected_pair_relation(u, v, m, n):
     """[u, v]_super as a WeylNormalForm-equal OperatorWord (scalar)."""
-    ku, iu = u
-    kv, iv = v
-    if ku == "dt" and kv == "mt" and iu == iv:
-        return OperatorWord.identity(m, n)
-    if ku == "mt" and kv == "dt" and iu == iv:
-        return -1 * OperatorWord.identity(m, n)
-    if ku == "dx" and kv == "mx" and iu == iv:
-        return OperatorWord.identity(m, n)
-    if ku == "mx" and kv == "dx" and iu == iv:
-        return OperatorWord.identity(m, n)
-    return OperatorWord(m, n)
+    sign = _PAIR_SIGNS.get((u[0], v[0]), 0) if u[1] == v[1] else 0
+    return sign * OperatorWord.identity(m, n)
 
 
 def _as_poly(x: TensorElement) -> SuperPoly:
@@ -548,54 +546,38 @@ def check_commutant_weyl_commute(p: CheckParams):
 # ---------------------------------------------------------------------------
 # gl_realization
 
-def _gl_dictionary(m, n):
-    """(row, col) -> degree-1 dressing parameters (alpha, imask, slot)."""
-    out = {}
-    for col in range(1, m + n + 1):
-        slot = (TSLOT, col) if col <= m else (XSLOT, col - m)
-        for row in range(1, m + 1):
-            alpha = tuple(1 if q == row - 1 else 0 for q in range(m))
-            out[(row, col)] = (alpha, 0, slot)
-        for row in range(1, n + 1):
-            out[(m + row, col)] = ((0,) * m, 1 << (row - 1), slot)
-    return out
-
-
 def check_gl_realization(p: CheckParams):
+    """The action read off wh: the commutant element of t_row d_col or
+    xi_(row-m) d_col acts as E(row, col), every degree-2 one as zero."""
     spec = _spec(p)
+    units = {}  # (row, col) of each degree-1 key, None at degree 2
+    for key in _positive_keys(p.m, p.n, 2):
+        (alpha, imask), (kind, idx) = key
+        units[key] = None if sum(alpha) + popcount(imask) == 2 else (
+            alpha.index(1) + 1 if any(alpha) else p.m + imask.bit_length(),
+            idx if kind == TSLOT else p.m + idx)
+    keys = sorted(units, key=lambda k: (units[k] is None, units[k] or ()))
+    wants = [spec.rep.mats.get(units[key], {}) for key in keys]
+    words = (commutant_element(p.m, p.n, *k[0], k[1]).to_word() for k in keys)
+    basis, mats = whittaker_functor(spec, p.D, words)
+
+    def fail(w, col, got, cases):
+        unit, want = units[keys[w]], matrix_column(spec, basis, wants[w], col)
+        raise _Fail({**({"unit": "E %d %d" % unit} if unit else {}),
+                     "dressed": print_expr(_key_elem(p.m, p.n, keys[w])),
+                     "on": print_expr(basis[col]), "got": print_expr(got),
+                     "want": print_expr(want)}, cases)
     cases = 0
-    for (row, col), (alpha, imask, slot) in sorted(_gl_dictionary(
-            p.m, p.n).items()):
-        word = commutant_element(p.m, p.n, alpha, imask, slot).to_word()
-        mat = spec.rep.mats[(row, col)]
-        for l in range(spec.dim):
-            cases += 1
-            got = act_word(spec, word, TensorElement.vacuum(spec, l))
-            want = TensorElement.zero(spec)
-            for (r, c), f in mat.items():
-                if c == l:
-                    want = want + TensorElement.vacuum(spec, r, f)
-            if got != want:
-                raise _Fail({
-                    "unit": "E %d %d" % (row, col),
-                    "dressed": print_expr(_key_elem(
-                        p.m, p.n, ((alpha, imask), slot))),
-                    "on": print_expr(TensorElement.vacuum(spec, l)),
-                    "got": print_expr(got), "want": print_expr(want)}, cases)
-    # everything two steps into the filtration annihilates the vacuum
-    for key in _witt_keys(p.m, p.n, 2):
-        (alpha, imask), slot = key
-        if sum(alpha) + popcount(imask) != 2:
-            continue
-        word = commutant_element(p.m, p.n, alpha, imask, slot).to_word()
-        for l in range(spec.dim):
-            cases += 1
-            got = act_word(spec, word, TensorElement.vacuum(spec, l))
-            if got:
-                raise _Fail({
-                    "dressed": print_expr(_key_elem(p.m, p.n, key)),
-                    "on": print_expr(TensorElement.vacuum(spec, l)),
-                    "got": print_expr(got), "want": "0"}, cases)
+    try:
+        for w, mat in enumerate(mats):
+            for col in range(len(basis)):
+                cases += 1
+                got = matrix_column(spec, basis, mat, col)
+                if got != matrix_column(spec, basis, wants[w], col):
+                    fail(w, col, got, cases)
+    except LeavesWhittaker as e:
+        w, col, image = e.args
+        fail(w, col, image, cases + col + 1)
     return cases, None
 
 
@@ -872,13 +854,12 @@ def check_difference_annihilation(p: CheckParams):
 # simplicity_probe
 
 def _probe(spec, gens, x, cap):
+    """x's orbit span under gens within the cap, and the vacuums it misses."""
     span = TensorSpan()
     span.insert(x)
     vacuums = [TensorElement.vacuum(spec, l) for l in range(spec.dim)]
     frontier = [x]
-    while frontier:
-        if all(span.contains(v) for v in vacuums):
-            return "covered", span
+    while frontier and not all(span.contains(v) for v in vacuums):
         new = []
         for f in frontier:
             for atom in gens:
@@ -888,9 +869,7 @@ def _probe(spec, gens, x, cap):
                 if span.insert(y):
                     new.append(y)
         frontier = new
-    if all(span.contains(v) for v in vacuums):
-        return "covered", span
-    return "stabilized", span
+    return span, [l for l, v in enumerate(vacuums) if not span.contains(v)]
 
 
 def _probe_generators(m, n, cap):
@@ -898,8 +877,7 @@ def _probe_generators(m, n, cap):
     basis derivation that can act within the degree cap: the module
     structure being probed is over the extended algebra, so both families
     belong to the generating set."""
-    gens = [("mt", i) for i in range(1, m + 1)]
-    gens += [("mx", j) for j in range(1, n + 1)]
+    gens = _weyl_atoms(m, n)[:m + n]  # the multiplications
     gens += [("w", alpha, imask, kind, idx)
              for (alpha, imask), (kind, idx) in _witt_keys(m, n, cap)]
     return gens
@@ -921,19 +899,14 @@ def check_simplicity_probe(p: CheckParams):
     evidence = None
     for tag, x in seeds:
         cases += 1
-        outcome, span = _probe(spec, gens, x, p.D)
-        if outcome == "stabilized":
-            missing = [l for l in range(spec.dim)
-                       if not span.contains(TensorElement.vacuum(spec, l))]
-            if p.expect_reducible and missing:
-                evidence = {"seed": str(tag), "span_dim": span.dim,
-                            "missing_vacuum": "e%d" % (missing[0] + 1)}
-            elif not p.expect_reducible:
-                raise _Fail({"seed": str(tag), "start": print_expr(x),
-                             "span_dim": span.dim,
-                             "missing_vacuum":
-                                 "e%d" % (missing[0] + 1) if missing
-                                 else "none"}, cases)
+        span, missing = _probe(spec, gens, x, p.D)
+        if missing and p.expect_reducible:
+            evidence = {"seed": str(tag), "span_dim": span.dim,
+                        "missing_vacuum": "e%d" % (missing[0] + 1)}
+        elif missing:
+            raise _Fail({"seed": str(tag), "start": print_expr(x),
+                         "span_dim": span.dim,
+                         "missing_vacuum": "e%d" % (missing[0] + 1)}, cases)
     if p.expect_reducible:
         if evidence is None:
             raise _Fail({"error": "no invariant proper subspace found, "

@@ -9,14 +9,17 @@ import pytest
 from wittmod import linalg
 from wittmod.superpoly import (accumulate, mono_mul, mono_parity,
                                 mono_partial_t, mono_partial_xi, popcount)
+from wittmod.dressed import commutant_element
+from wittmod.expressions import print_expr
 from wittmod.verifier import odd_rows_negated
-from wittmod.tensor_modules import (TensorElement, TensorSpan, act_mono,
-                                    act_term, act_witt, act_word, descent,
+from wittmod.tensor_modules import (LeavesWhittaker, TensorElement,
+                                    TensorSpan, act_mono, act_term, act_witt,
+                                    act_word, descent,
                                     generalized_whittaker_space, lower_t,
                                     pbw_basis_rewrite, act_atom,
-                                    weight_reduce, whittaker_space,
-                                    window_keys)
-from wittmod.witt import TSLOT, WittElement, witt_bracket, witt_act
+                                    weight_reduce, whittaker_functor,
+                                    whittaker_space, window_keys)
+from wittmod.witt import TSLOT, XSLOT, WittElement, witt_bracket, witt_act
 from wittmod.words import OperatorWord, make_watom
 
 from conftest import (make_spec, rand_coeff, rand_superpoly, rand_tensor,
@@ -179,6 +182,65 @@ def test_window_solves_match_dense_route(m, n, rep, D, hb):
         ops = [power(i) for i in range(1, m + 1)]
     assert got == _dense_kernel_of_ops(spec, ops, keys)
     assert len(got) == spec.dim * (1 if hb is None else (hb + 1) ** m * 2 ** n)
+
+
+# ---------------------------------------------------------------------------
+# the Whittaker functor: wh(M) and the operator action read off it
+
+def _gl_words(m, n):
+    """The commutant word of every matrix unit E(row, col), built from the
+    unit (t_row or xi_(row-m) times the col-th derivative), then the
+    commutant words of every degree-2 derivation."""
+    units = {}
+    for row in range(1, m + n + 1):
+        alpha = tuple(int(q == row - 1) for q in range(m))
+        imask = 0 if row <= m else 1 << (row - m - 1)
+        for col in range(1, m + n + 1):
+            slot = (TSLOT, col) if col <= m else (XSLOT, col - m)
+            units[(row, col)] = commutant_element(m, n, alpha, imask,
+                                                  slot).to_word()
+    twos = [commutant_element(m, n, *mono, slot).to_word()
+            for mono, slot in witt_keys(m, n, 2)
+            if sum(mono[0]) + popcount(mono[1]) == 2]
+    return units, twos
+
+
+@pytest.mark.parametrize("m,n,a,rep", [
+    (1, 1, (F(1, 2),), "natural"),
+    (2, 1, (F(1), F(-2)), "sum(natural,trivial)"),
+    (1, 2, (F(3),), "tensor(natural,natural)"),
+    (2, 2, None, "natural"),
+    (0, 2, (), "natural"),
+], ids=["1x1", "2x1-sum", "1x2-tensor", "2x2", "0x2"])
+def test_functor_recovers_the_rep(m, n, a, rep):
+    spec = make_spec(m, n, a=a, rep=rep)
+    units, twos = _gl_words(m, n)
+    basis, mats = whittaker_functor(spec, 2, list(units.values()) + twos)
+    mats = list(mats)
+    assert basis == whittaker_space(spec, 2)
+    assert dict(zip(units, mats)) == spec.rep.mats
+    assert mats[len(units):] == [{}] * len(twos)
+
+
+def test_functor_raises_when_a_word_leaves_wh():
+    spec = make_spec(1, 1)
+    word = OperatorWord.from_word(1, 1, (("mt", 1),))
+    _, mats = whittaker_functor(spec, 2, [word])
+    with pytest.raises(LeavesWhittaker) as info:
+        list(mats)
+    w, col, image = info.value.args
+    assert (w, col) == (0, 0)
+    assert print_expr(image) == "t1 @ e1"
+
+
+def test_functor_reads_negated_odd_rows():
+    spec = make_spec(1, 1)
+    bad = odd_rows_negated(spec)
+    units, _ = _gl_words(1, 1)
+    _, mats = whittaker_functor(bad, 2, list(units.values()))
+    got = dict(zip(units, mats))
+    assert got[(2, 1)] != spec.rep.mats[(2, 1)]
+    assert got == bad.rep.mats
 
 
 def test_descent_fixes_whittaker_vectors():

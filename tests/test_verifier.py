@@ -11,11 +11,12 @@ import pytest
 
 from wittmod import verifier
 from wittmod.dressed import DressedWittElement, dressed_basis, dressed_bracket
-from wittmod.expressions import (as_dressed, as_extended, as_witt,
-                                 parse_expr, print_expr)
+from wittmod.expressions import (as_dressed, as_extended, as_tensor,
+                                 as_witt, parse_expr, print_expr)
+from wittmod.tensor_modules import TensorElement, act_witt
 from wittmod.verifier import (CONTROL_MODES, REGISTRY, Check, CheckParams,
                               run_check)
-from wittmod.witt import (XSLOT, ExtendedWittElement, WittElement,
+from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                           _bracket_basis, bracket_oracle, extended_basis,
                           extended_bracket, term_parity, witt_bracket)
 
@@ -54,6 +55,13 @@ def test_registry_is_complete():
         "gl_realization", "whittaker_dimension", "descent_roundtrip",
         "weight_multiplicity", "difference_recurrence",
         "difference_annihilation", "simplicity_probe"]
+
+
+def test_readme_lists_the_registry():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Verifier checks", 1)[1].split("```", 2)[1]
+    assert [line.split()[0] for line in block.splitlines() if line] \
+        == list(REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +356,63 @@ def test_weight_multiplicity_fails_on_a_representative_dependence(
     monkeypatch.setattr(verifier, "weight_reduce", lambda spec, x, w: x)
     cex = _fails_with("weight_multiplicity", {"D": 2}, "weight", "x", "y")
     assert cex["error"] == "reduction depends on the representative"
+
+
+# gl_realization has no fault mode: its faults are planted here.  Each
+# pinned report is the one the per-vacuum design before the Whittaker
+# functor gave with the same fault planted by a code edit.
+
+def _gl_fault(got):
+    """gl_realization at default parameters fails at E 2 1 on 1 @ e1 (the
+    fifth case) with image got; returns the spec and got parsed back."""
+    report = run_check("gl_realization", {})
+    assert (report.status, report.cases) == ("fail", 5)
+    assert report.counterexample == {
+        "unit": "E 2 1", "dressed": "x1*dt1", "on": "1 @ e1", "got": got,
+        "want": "1 @ e2"}
+    spec = verifier._spec(CheckParams.from_dict("gl_realization", {}))
+    return spec, as_tensor(parse_expr(got), 1, 1, 2)
+
+
+def test_gl_realization_fails_on_negated_odd_rows(monkeypatch):
+    # the action runs on odd_rows_negated(spec); the expected matrices
+    # still come from the original rep
+    real = verifier.whittaker_functor
+    monkeypatch.setattr(verifier, "whittaker_functor",
+                        lambda spec, D, words: real(
+                            verifier.odd_rows_negated(spec), D, words))
+    spec, got = _gl_fault("-1 @ e2")
+    assert got == -1 * TensorElement.vacuum(spec, 1)
+
+
+def test_gl_realization_fails_on_a_word_that_leaves_wh(monkeypatch):
+    # the commutant word of x1*dt1 replaced by the bare derivation, which
+    # maps 1 @ e1 out of the Whittaker space
+    real = verifier.commutant_element
+    x1dt1 = ((0,), 1, (TSLOT, 1))
+
+    def bare(m, n, alpha, imask, slot):
+        if (alpha, imask, slot) == x1dt1:
+            return DressedWittElement.from_witt(
+                WittElement.term(m, n, alpha, imask, slot))
+        return real(m, n, alpha, imask, slot)
+    monkeypatch.setattr(verifier, "commutant_element", bare)
+    spec, got = _gl_fault("1 @ e2 + x1 @ e1")
+    assert got == act_witt(spec, WittElement.term(1, 1, *x1dt1),
+                           TensorElement.vacuum(spec, 0))
+
+
+def test_weight_multiplicity_at_m1_fails_through_the_representatives(
+        monkeypatch):
+    # Cartan operators acting as zero: at m = 1 the image of (h - w) on
+    # window D - 1 is all of it for w != 0, so the quotient is the top
+    # layer and its count is right; only the representative route sees it
+    monkeypatch.setattr(verifier, "act_witt",
+                        lambda spec, w, x: TensorElement.zero(spec))
+    cex = _fails_with("weight_multiplicity", {"m": 1, "n": 1, "D": 2},
+                      "weight", "x", "y")
+    assert cex["error"] == "reduction depends on the representative"
+    assert cex["weight"] == [-2] and "expected" not in cex
 
 
 def test_difference_annihilation_fails_on_an_unstable_window(monkeypatch):
