@@ -8,9 +8,10 @@ exact, so there are no tolerances and no floats anywhere.  The reduced row
 echelon form of a matrix is unique, so no result depends on the order in
 which rows are inserted.
 
-Dense matrices are lists of lists, rows first; `rref` and `invert` take
-and return those.  Sparse solves insert their equations as dicts and read
-the kernel off with `Echelon.kernel`.
+Sparse solves insert their equations as dicts and read the kernel off
+with `Echelon.kernel`.  No code in the package calls the dense `rref` and
+`invert` (lists of lists, rows first): they remain only for the
+benchmark's layer probes, which name them, and as dense test references.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from . import linalg
 from .glmn import Rep
-from .superpoly import (ONE, ZERO, LinComb, accumulate, as_fractions,
-                        enumerate_alphas, enumerate_monomials, mono_mul,
+from .superpoly import (ONE, LinComb, accumulate, as_fractions,
+                        enumerate_monomials, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
 from .witt import TSLOT, WittElement
@@ -54,7 +54,7 @@ class ModuleSpec:
         self.n = n
         self.a = a
         self.rep = rep
-        self._pbw_cache = {}
+        self._pbw_cache = {}  # (s, (kmask, l)) -> h^s u, see _pbw_column
         self._act_cache = {}  # atom -> {tensor key: row}, see _act
 
     @property
@@ -64,13 +64,6 @@ class ModuleSpec:
     @property
     def nonsingular(self) -> bool:
         return all(self.a)
-
-    def pbw(self, max_deg: int) -> "PbwRewrite":
-        got = self._pbw_cache.get(max_deg)
-        if got is None:
-            got = pbw_basis_rewrite(self, max_deg)
-            self._pbw_cache[max_deg] = got
-        return got
 
     def __repr__(self):
         return "ModuleSpec(m=%d,n=%d,a=%s,rep=%r)" % (
@@ -456,39 +449,65 @@ def descent(spec, x: TensorElement) -> TensorElement:
 class PbwRewrite:
     """Transition between the monomial basis of a degree window and the
     products h^s u_j, where h_i = t_i d/dt_i and u_j runs over the
-    xi-monomial (x) module basis."""
+    xi-monomial (x) module basis.  It is triangular: window key
+    ((s, kmask), l) is the top key of column (s, (kmask, l))."""
 
-    __slots__ = ("spec", "keys", "key_index", "cols", "matrix", "inverse")
+    __slots__ = ("spec", "keys")
 
-    def __init__(self, spec, keys, cols, matrix, inverse):
+    def __init__(self, spec, keys):
         self.spec = spec
         self.keys = keys
-        self.key_index = {key: k for k, key in enumerate(keys)}
-        self.cols = cols
-        self.matrix = matrix
-        self.inverse = inverse
 
     def to_products(self, x: TensorElement):
-        """Coordinates of x in the h^s u_j basis as {(s, (kmask, l)): c}."""
-        if not self.key_index.keys() >= x.terms.keys():
+        """Coordinates of x in the h^s u_j basis as {(s, (kmask, l)): c},
+        by back-substitution from the last window key down."""
+        rest = dict(x.terms)
+        coords = []
+        for key in reversed(self.keys):
+            if key in rest:
+                (s, kmask), l = key
+                column = _pbw_column(self.spec, (s, (kmask, l)))
+                q = rest[key] / column.terms[key]
+                coords.append(((s, (kmask, l)), q))
+                for okey, f in column.terms.items():
+                    accumulate(rest, okey, -q * f)
+        if rest:  # no window column reaches these keys
             raise ValueError("element leaves the rewrite window")
-        return _apply(self.inverse, self.key_index, x.terms, self.cols)
+        return dict(reversed(coords))
 
     def from_products(self, coords) -> TensorElement:
-        pos = {col: k for k, col in enumerate(self.cols)}
-        return _element(self.spec, _apply(self.matrix, pos, coords, self.keys))
+        out = {}
+        for col, c in coords.items():
+            for key, f in _pbw_column(self.spec, col).terms.items():
+                accumulate(out, key, c * f)
+        terms = {key: out.pop(key) for key in self.keys if key in out}
+        if out:
+            raise ValueError("coordinates leave the rewrite window")
+        return _element(self.spec, terms)
 
 
-def _apply(matrix, index, vec, labels):
-    """A dense matrix times the vector {index[key]: c for key, c in vec},
-    one column per entry, as {labels[row]: value}, nonzero rows ascending."""
-    acc = {}
-    for key, c in vec.items():
-        k = index[key]
-        for r, row in enumerate(matrix):
-            if row[k]:
-                acc[r] = acc.get(r, ZERO) + row[k] * c
-    return {labels[r]: acc[r] for r in sorted(acc) if acc[r]}
+def _pbw_column(spec, col) -> TensorElement:
+    """h^s u_j for col = (s, (kmask, l)), memoised on the spec: h_i applied
+    to h^(s - e_i) u_j, i the last index with s_i > 0.  h_i acts as a_i t_i
+    plus terms that keep the t-degree, so the degree-|s| part must be the
+    top key ((s, kmask), l) alone, else TransitionSingular."""
+    vec = spec._pbw_cache.get(col)
+    if vec is None:
+        s, (kmask, l) = col
+        i = max((i for i, si in enumerate(s, start=1) if si), default=0)
+        if i:
+            h = tuple(int(q == i) for q in range(1, spec.m + 1))  # t_i dt_i
+            prev = tuple(si - hi for si, hi in zip(s, h))
+            vec = act_term(spec, h, 0, (TSLOT, i),
+                           _pbw_column(spec, (prev, (kmask, l))))
+        else:
+            vec = TensorElement.pure(spec, (s, kmask), l)
+        top = ((s, kmask), l)
+        if top not in vec.terms or any(mono_tdeg(key[0]) >= sum(s)
+                                       and key != top for key in vec.terms):
+            raise TransitionSingular("product %r is not triangular" % (col,))
+        spec._pbw_cache[col] = vec
+    return vec
 
 
 def unit_basis(spec):
@@ -498,32 +517,11 @@ def unit_basis(spec):
 
 
 def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
-    """Expand every h^s u_j (|s| <= max_deg) in monomial coordinates and
-    invert the square transition matrix.  Needs every a_i nonzero."""
+    """The product-basis rewrite on the window of t-degree <= max_deg.
+    Needs every a_i nonzero: the diagonal of the transition is a^s."""
     if not spec.nonsingular:
         raise ValueError("product basis needs a nonsingular twist vector")
-    keys = window_keys(spec, max_deg)
-    units = unit_basis(spec)
-    cols = [(s, u) for s in enumerate_alphas(spec.m, max_deg) for u in units]
-    key_index = {key: k for k, key in enumerate(keys)}
-    matrix = [[ZERO] * len(cols) for _ in keys]
-    for col, (s, (kmask, l)) in enumerate(cols):
-        vec = TensorElement.pure(spec, ((0,) * spec.m, kmask), l)
-        for i, si in enumerate(s, start=1):
-            h = tuple(int(q == i) for q in range(1, spec.m + 1))  # t_i dt_i
-            for _ in range(si):
-                vec = act_term(spec, h, 0, (TSLOT, i), vec)
-        for key, c in vec.terms.items():
-            k = key_index.get(key)
-            if k is None:
-                raise TransitionSingular("product vector leaves the window")
-            matrix[k][col] = c
-    if len(cols) != len(keys):
-        raise TransitionSingular("window and product count disagree")
-    inverse = linalg.invert(matrix)
-    if inverse is None:
-        raise TransitionSingular("transition matrix is singular")
-    return PbwRewrite(spec, keys, cols, matrix, inverse)
+    return PbwRewrite(spec, window_keys(spec, max_deg))
 
 
 def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:
@@ -533,7 +531,7 @@ def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:
     weight = tuple(Fraction(w) for w in weight)
     if len(weight) != spec.m:
         raise ValueError("weight length != m")
-    rewrite = spec.pbw(max(x.tdegree(), 0))
+    rewrite = pbw_basis_rewrite(spec, max(x.tdegree(), 0))
     zero = (0,) * spec.m
     out = {}
     for (s, (kmask, l)), c in rewrite.to_products(x).items():

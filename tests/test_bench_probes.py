@@ -25,12 +25,12 @@ if not TRACER.exists():
     pytest.skip("perfbench/ is absent", allow_module_level=True)
 
 # every one of these must be reached by the request below
-REACHED = ["linalg.rref", "linalg.invert", "tensor_modules.whittaker_space",
-           "tensor_modules.TensorSpan.insert"]
+REACHED = ["tensor_modules.pbw_basis_rewrite",
+           "tensor_modules.whittaker_space", "tensor_modules.TensorSpan.insert"]
 
 REQUEST = [
     ["wh", "--m", "1", "--n", "1", "--D", "2"],
-    # a fresh module per request: the product basis is inverted anew
+    # a fresh module per request: its product-basis columns are built anew
     ["weighting", "t1 @ e1 + 1 @ e2", "--r", "1", "--m", "1", "--n", "1"],
     ["report", "--check", "simplicity_probe", "--m", "1", "--n", "1",
      "--out", "-", "--stable"],

@@ -6,15 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from wittmod import linalg
-from wittmod.superpoly import (accumulate, mono_mul, mono_parity,
-                                mono_partial_t, mono_partial_xi, popcount)
+from wittmod import linalg, tensor_modules
+from wittmod.superpoly import (accumulate, enumerate_alphas, mono_mul,
+                                mono_parity, mono_partial_t, mono_partial_xi,
+                                popcount)
 from wittmod.dressed import commutant_element
 from wittmod.expressions import print_expr
-from wittmod.verifier import odd_rows_negated
-from wittmod.tensor_modules import (LeavesWhittaker, TensorElement,
-                                    TensorSpan, act_mono, act_term, act_witt,
-                                    act_word, descent,
+from wittmod.verifier import odd_rows_negated, run_check
+from wittmod.tensor_modules import (LeavesWhittaker, ModuleSpec,
+                                    TensorElement, TensorSpan,
+                                    TransitionSingular, act_mono, act_term,
+                                    act_witt, act_word, descent,
                                     generalized_whittaker_space, lower_t,
                                     pbw_basis_rewrite, act_atom,
                                     weight_reduce, whittaker_functor,
@@ -283,40 +285,95 @@ def _dense_apply(matrix, vec):
             for row in matrix]
 
 
-def _dense_to_products(rewrite, x):
-    vec = [F(0)] * len(rewrite.keys)
+def _dense_reference(spec, max_deg):
+    """(keys, cols, matrix, inverse): the square transition matrix of the
+    products h^s u_j in the monomial basis of the window, each column
+    built with act_term, and its inverse by dense elimination."""
+    keys = window_keys(spec, max_deg)
+    cols = [(s, (kmask, l)) for s in enumerate_alphas(spec.m, max_deg)
+            for kmask in range(1 << spec.n) for l in range(spec.dim)]
+    matrix = [[F(0)] * len(cols) for _ in keys]
+    for col, (s, (kmask, l)) in enumerate(cols):
+        vec = TensorElement.pure(spec, ((0,) * spec.m, kmask), l)
+        for i, si in enumerate(s, start=1):
+            h = tuple(int(q == i) for q in range(1, spec.m + 1))
+            for _ in range(si):
+                vec = act_term(spec, h, 0, (TSLOT, i), vec)
+        for key, c in vec.terms.items():
+            matrix[keys.index(key)][col] = c
+    return keys, cols, matrix, linalg.invert(matrix)
+
+
+def _dense_to_products(ref, x):
+    keys, cols, _, inverse = ref
+    vec = [F(0)] * len(keys)
     for key, c in x.terms.items():
-        vec[rewrite.keys.index(key)] = c
-    sol = _dense_apply(rewrite.inverse, vec)
-    return {rewrite.cols[k]: c for k, c in enumerate(sol) if c}
+        vec[keys.index(key)] = c
+    sol = _dense_apply(inverse, vec)
+    return {cols[k]: c for k, c in enumerate(sol) if c}
 
 
-def _dense_from_products(rewrite, coords):
-    vec = [F(0)] * len(rewrite.cols)
+def _dense_from_products(spec, ref, coords):
+    keys, cols, matrix, _ = ref
+    vec = [F(0)] * len(cols)
     for col, c in coords.items():
-        vec[rewrite.cols.index(col)] += c
-    spec = rewrite.spec
+        vec[cols.index(col)] += c
     return TensorElement(spec.m, spec.n, spec.dim,
-                         zip(rewrite.keys, _dense_apply(rewrite.matrix, vec)))
+                         zip(keys, _dense_apply(matrix, vec)))
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)],
-                         ids=["11", "21", "12", "22"])
-def test_pbw_matches_dense_reference(m, n):
+@pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 2), (1, 2, 2),
+                                     (2, 2, 2), (2, 1, 4)],
+                         ids=["11", "21", "12", "22", "21-deg4"])
+def test_pbw_matches_dense_reference(m, n, deg):
+    # the triangular solve against the dense inverse it replaced
     spec = make_spec(m, n, a=(F(3), F(-1, 2))[:m])
-    rewrite = pbw_basis_rewrite(spec, 2)
-    rng = random.Random(100 * m + n)
+    rewrite = pbw_basis_rewrite(spec, deg)
+    ref = _dense_reference(spec, deg)
+    rng = random.Random(100 * m + n + 1000 * (deg - 2))
     for _ in range(50):
-        x = rand_tensor(spec, rng, max_deg=2, nterms=rng.randint(1, 4))
-        got, want = rewrite.to_products(x), _dense_to_products(rewrite, x)
+        x = rand_tensor(spec, rng, max_deg=deg, nterms=rng.randint(1, 4))
+        got, want = rewrite.to_products(x), _dense_to_products(ref, x)
         assert got == want and list(got) == list(want)
         assert all(type(c) is F for c in got.values())
-        coords = {rng.choice(rewrite.cols): rand_coeff(rng)
+        coords = {rng.choice(ref[1]): rand_coeff(rng)
                   for _ in range(rng.randint(1, 4))}
         back = rewrite.from_products(coords)
-        want = _dense_from_products(rewrite, coords)
+        want = _dense_from_products(spec, ref, coords)
         assert back == want and list(back.terms) == list(want.terms)
         assert all(type(c) is F for c in back.terms.values())
+
+
+def test_pbw_builds_only_the_columns_a_solve_reaches(monkeypatch):
+    # every column h^s u_j with s != 0 is one act_term on the one below it
+    calls = []
+    real = tensor_modules.act_term
+    monkeypatch.setattr(tensor_modules, "act_term",
+                        lambda *args: calls.append(args) or real(*args))
+    spec = make_spec(2, 2, a=(F(3), F(-1, 2)))
+    x = TensorElement.pure(spec, ((1, 1), 0b10), 2)
+    # t1 t2 u = h1 h2 u / (a1 a2), and h acts on the coset as the weight
+    assert weight_reduce(spec, x, (F(1), F(-2))) \
+        == F(4, 3) * TensorElement.pure(spec, ((0, 0), 0b10), 2)
+    assert 0 < len(calls) < len(window_keys(spec, 2))
+
+
+def test_pbw_untwisted_top_raises_transition_singular(monkeypatch):
+    # a planted fault: h acts without its twist, so no product reaches
+    # its top key; the solve reports it, it does not assume triangularity
+    real = tensor_modules.act_term
+
+    def untwisted(spec, alpha, imask, slot, x):
+        plain = ModuleSpec(spec.m, spec.n, (0,) * spec.m, spec.rep)
+        return real(plain, alpha, imask, slot, x)
+    monkeypatch.setattr(tensor_modules, "act_term", untwisted)
+    spec = make_spec(1, 1, a=(F(3),))
+    x = TensorElement.pure(spec, ((1,), 0), 0)
+    with pytest.raises(TransitionSingular):
+        pbw_basis_rewrite(spec, 1).to_products(x)
+    report = run_check("descent_roundtrip", {"m": 1, "n": 1})
+    assert report.status == "error"
+    assert "not triangular" in report.counterexample["error"]
 
 
 def test_pbw_needs_nonsingular_twist():
