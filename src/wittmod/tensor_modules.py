@@ -36,7 +36,7 @@ from .words import OperatorWord
 
 
 class TransitionSingular(RuntimeError):
-    """The monomial-to-product-basis transition failed to invert."""
+    """A product h^s u_j is not its top key plus lower t-degrees."""
 
 
 class ModuleSpec:
