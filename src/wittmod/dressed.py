@@ -21,9 +21,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .superpoly import (ONE, LinComb, accumulate, merge_sign_masks,
-                        mono_mul, mono_parity, mono_sort_key, mono_tdeg,
-                        popcount)
+from .superpoly import (ONE, LinComb, accumulate, enumerate_monomials,
+                        exact, merge_sign_masks, mono_mul, mono_parity,
+                        mono_sort_key, mono_tdeg, popcount)
 from .witt import (WittElement, _act_basis, _bracket_basis, term_parity,
                    term_sort_key, TSLOT, XSLOT)
 from .words import OperatorWord, make_watom, mono_atoms
@@ -54,7 +54,7 @@ class DressedWittElement(LinComb):
         out = cls(m, n)
         if coeff:
             out.terms[((tuple(amono[0]), amono[1]),
-                       ((tuple(wmono[0]), wmono[1]), slot))] = Fraction(coeff)
+                       ((tuple(wmono[0]), wmono[1]), slot))] = exact(coeff)
         return out
 
     def to_word(self) -> OperatorWord:
@@ -167,7 +167,6 @@ def commutant_of_witt(x: WittElement) -> DressedWittElement:
 
 def dressed_basis(m, n, max_tdeg):
     """Dressed basis terms with combined t-degree <= max_tdeg."""
-    from .superpoly import enumerate_monomials
     out = []
     for amono in enumerate_monomials(m, n, max_tdeg):
         rem = max_tdeg - mono_tdeg(amono)

@@ -13,9 +13,7 @@ and mat_add; custom reps are rejected unless they survive that sweep.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .superpoly import ONE, accumulate
+from .superpoly import ONE, accumulate, exact
 
 
 def mat_mul(a, b):
@@ -76,7 +74,7 @@ class Rep:
                     raise ValueError("entry (%d, %d) of E%r out of range "
                                      "for dim %d" % (r, c, k, dim))
         # entries in row-major order, so readers meet rows ascending
-        self.mats = {k: {rc: Fraction(x) for rc, x in sorted(v.items()) if x}
+        self.mats = {k: {rc: exact(x) for rc, x in sorted(v.items()) if x}
                      for k, v in mats.items()}
 
     def has_weight_basis(self):

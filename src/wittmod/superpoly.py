@@ -21,6 +21,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def exact(value) -> Fraction:
+    """A caller's value as a Fraction.  A float raises TypeError: its
+    binary expansion is almost never the number meant (0.1 is not 1/10)."""
+    if isinstance(value, float):
+        raise TypeError("exact values only, got the float %r" % (value,))
+    return Fraction(value)
+
+
 def popcount(mask: int) -> int:
     return mask.bit_count()
 
@@ -276,7 +284,7 @@ class SuperPoly(LinComb):
             raise ValueError("odd index out of range for n=%d" % n)
         p = cls(m, n)
         if coeff:
-            p.terms[(alpha, mask)] = Fraction(coeff)
+            p.terms[(alpha, mask)] = exact(coeff)
         return p
 
     # -- ring structure ----------------------------------------------------

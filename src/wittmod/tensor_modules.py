@@ -5,14 +5,15 @@ A module is fixed by ModuleSpec(m, n, a, rep): a is the twist vector (the
 derivative d/dt_i acts on the coefficient algebra as d/dt_i + a_i), rep
 the matrix representation supplying the finite tensor factor.
 
-The derivation action on a pure tensor p (x) v splits into three pieces:
-the twisted action on p, a sum over even matrix units weighted by the
-exponents of the coefficient monomial, and a sign-weighted sum over odd
-matrix units from the odd derivatives of the coefficient monomial.  All
-formulas live in _derivation_row, which gives the image of one pure
-tensor; each spec memoises the image of every operator atom, so act_term,
-act_witt, act_atom and act_word are loops over memoised rows and are the
-one action path.  Everything else (Whittaker solves, descent, weight
+A basis derivation f d acts on a pure tensor p (x) v in two parts: the
+coefficient action f d(p), twisted by a_i f p when d = d/dt_i, and one
+first-order loop over the generators g_r of the algebra adding
+(df/dg_r) p (x) E(r, col) v with a Koszul sign, col being d's generator.
+The loop is the |k| = 1 term of the Taylor sum over all jets.  Both live
+in _derivation_row, which gives the image of one pure tensor; each spec
+memoises the image of every operator atom, so act_term, act_witt,
+act_atom and act_word are loops over memoised rows and are the one
+action path.  Everything else (Whittaker solves, descent, weight
 cosets) is built on top of them plus exact linear algebra.
 
 The coefficient algebra itself is the module with twist a = 0 and the
@@ -28,10 +29,10 @@ from fractions import Fraction
 from . import linalg
 from .glmn import Rep
 from .superpoly import (ONE, LinComb, accumulate, as_fractions,
-                        enumerate_monomials, mono_mul,
+                        enumerate_monomials, exact, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
-from .witt import TSLOT, WittElement
+from .witt import TSLOT, WittElement, _act_basis, slot_parity
 from .words import OperatorWord
 
 
@@ -47,7 +48,7 @@ class ModuleSpec:
     def __init__(self, m: int, n: int, a, rep: Rep):
         if (rep.m, rep.n) != (m, n):
             raise ValueError("representation block shape != (m, n)")
-        a = tuple(Fraction(x) for x in a)
+        a = tuple(exact(x) for x in a)
         if len(a) != m:
             raise ValueError("twist vector length != m")
         self.m = m
@@ -90,7 +91,7 @@ class TensorElement(LinComb):
         mono = (tuple(mono[0]), mono[1])
         out = cls(spec.m, spec.n, spec.dim)
         if coeff:
-            out.terms[(mono, vindex)] = Fraction(coeff)
+            out.terms[(mono, vindex)] = exact(coeff)
         return out
 
     @classmethod
@@ -151,66 +152,40 @@ def _row(terms):
 
 
 def _derivation_row(spec, atom, key):
-    """One basis derivation on one pure tensor p (x) e_l (the three-piece
-    formula)."""
+    """One basis derivation f d on one pure tensor p (x) e_l, d the
+    derivative in generator col (t_1..t_m, then xi_1..xi_n):
+    (1) the coefficient action f d(p), plus a_i f p when d = d/dt_i;
+    (2) for each generator g_r with df/dg_r != 0, the first-order term
+        (df/dg_r) p (x) E(r, col) e_l, signed (-1)^{(|g_r| + |d|)|p|}
+        and, for odd g_r, also (-1)^{|f| - 1}."""
     _, alpha, imask, kind, idx = atom
     p, l = key
     m = spec.m
+    f = (alpha, imask)
     out = {}
-    gmono = (alpha, imask)
+    hit = _act_basis((f, (kind, idx)), p)
+    if hit:
+        out[(hit[0], l)] = hit[1]
+    if kind == TSLOT and spec.a[idx - 1]:
+        prod = mono_mul(f, p)
+        if prod:
+            accumulate(out, (prod[0], l), spec.a[idx - 1] * prod[1])
+    dpar = slot_parity((kind, idx))
+    col = idx + m * dpar
     pp = mono_parity(p)
-    gam = 0 if kind == TSLOT else 1  # column parity
-    col_even = idx if kind == TSLOT else m + idx
-    # 1. twisted action on the coefficient factor
-    if kind == TSLOT:
-        hit = mono_partial_t(p, idx)
-        if hit:
-            prod = mono_mul(gmono, hit[0])
-            if prod:
-                accumulate(out, (prod[0], l), hit[1] * prod[1])
-        ai = spec.a[idx - 1]
-        if ai:
-            prod = mono_mul(gmono, p)
-            if prod:
-                accumulate(out, (prod[0], l), ai * prod[1])
-    else:
-        hit = mono_partial_xi(p, idx)
-        if hit:
-            prod = mono_mul(gmono, hit[0])
-            if prod:
-                accumulate(out, (prod[0], l), hit[1] * prod[1])
-    # 2. even matrix units weighted by the exponents, moved past p:
-    #    the unit E_{k, col} has parity gam, hence (-1)^{gam |p|}
-    s2 = -1 if (gam & pp) else 1
-    for k in range(1, m + 1):
-        ak = alpha[k - 1]
-        if not ak:
+    for r in range(1, m + spec.n + 1):
+        odd = r > m
+        hit = mono_partial_xi(f, r - m) if odd else mono_partial_t(f, r)
+        if not hit:
             continue
-        a2 = list(alpha)
-        a2[k - 1] -= 1
-        prod = mono_mul((tuple(a2), imask), p)
+        prod = mono_mul(hit[0], p)
         if not prod:
             continue
-        base = ak * prod[1] * s2
-        for (r, c), f in spec.rep.mats[(k, col_even)].items():
+        flip = (odd + dpar) * pp + odd * (popcount(imask) - 1)
+        base = (-1 if flip & 1 else 1) * hit[1] * prod[1]
+        for (row, c), v in spec.rep.mats[(r, col)].items():
             if c == l:
-                accumulate(out, (prod[0], r), base * f)
-    # 3. odd matrix units from odd derivatives of the monomial;
-    #    E_{m+k, col} has parity 1+gam, hence (-1)^{(1+gam)|p|}, times
-    #    (-1)^{|I|-1}
-    if imask:
-        s3 = -1 if (popcount(imask) - 1 + ((1 ^ gam) & pp)) & 1 else 1
-        for k in range(1, spec.n + 1):
-            hitg = mono_partial_xi(gmono, k)
-            if not hitg:
-                continue
-            prod = mono_mul(hitg[0], p)
-            if not prod:
-                continue
-            base = s3 * hitg[1] * prod[1]
-            for (r, c), f in spec.rep.mats[(m + k, col_even)].items():
-                if c == l:
-                    accumulate(out, (prod[0], r), base * f)
+                accumulate(out, (prod[0], row), base * v)
     return _row(out)
 
 
@@ -528,7 +503,7 @@ def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:
     """The coset of x modulo the weight ideal (h - weight)(A (x) V), as its
     representative sum_j c_j u_j on the unit basis: rewrite in the product
     basis and evaluate each Cartan polynomial at the weight."""
-    weight = tuple(Fraction(w) for w in weight)
+    weight = tuple(exact(w) for w in weight)
     if len(weight) != spec.m:
         raise ValueError("weight length != m")
     rewrite = pbw_basis_rewrite(spec, max(x.tdegree(), 0))

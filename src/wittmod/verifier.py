@@ -37,7 +37,8 @@ from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
                              whittaker_space, window_keys)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                    _bracket_basis, bracket_oracle, extended_basis,
-                   extended_bracket, term_parity, witt_basis, witt_bracket)
+                   extended_bracket, term_parity, witt_act, witt_basis,
+                   witt_bracket)
 from .words import OperatorWord, atom_parity, difference_word, \
     weyl_normal_order
 
@@ -89,8 +90,10 @@ CONTROL_MODES = ("verbatim", "mutated", "tau_flipped")
 
 
 def odd_rows_negated(spec: ModuleSpec) -> ModuleSpec:
-    """spec with every odd-row matrix unit E(i,j), i > m, negated: only
-    act_term's odd-unit piece reads them, so that piece changes sign."""
+    """spec with every odd-row matrix unit E(i,j), i > m, negated: of
+    the module action only the first-order terms of _derivation_row from
+    an odd generator, (df/dxi_k) p (x) E(m+k, col) e_l, read them, so
+    those terms change sign."""
     rep = spec.rep
     mats = {ij: {rc: -f for rc, f in mat.items()} if ij[0] > spec.m
             else mat for ij, mat in rep.mats.items()}
@@ -444,7 +447,6 @@ def check_module_axioms(p: CheckParams):
                 "one_step": print_expr(one_step)}, cases)
     # mixed law: [derivation, multiplication] = multiplication by the
     # plain derivative of the coefficient
-    from .witt import witt_act
     for _ in range(p.trials):
         cases += 1
         kx = keys[rng.randrange(len(keys))]

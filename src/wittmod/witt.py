@@ -21,7 +21,6 @@ so integral coefficients are summed as ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .superpoly import (
@@ -29,6 +28,7 @@ from .superpoly import (
     LinComb,
     SuperPoly,
     enumerate_monomials,
+    exact,
     merge_sign_masks,
     mono_mul,
     mono_parity,
@@ -82,7 +82,7 @@ class WittElement(LinComb):
             raise ValueError("bad slot kind %r" % (kind,))
         x = cls(m, n)
         if coeff:
-            x.terms[((alpha, odd_mask), (kind, idx))] = Fraction(coeff)
+            x.terms[((alpha, odd_mask), (kind, idx))] = exact(coeff)
         return x
 
     @classmethod

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .superpoly import (ONE, LinComb, accumulate, mask_indices,
+from .superpoly import (ONE, LinComb, accumulate, exact, mask_indices,
                         merge_sign_masks, popcount)
 
 
@@ -84,7 +84,7 @@ class OperatorWord(LinComb):
             elif kind == "w":
                 if len(atom[1]) != m or atom[2] >> n:
                     raise ValueError("derivation atom shape mismatch")
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         return cls(m, n)._like({word: coeff} if coeff else {})
 
     def __mul__(self, other):

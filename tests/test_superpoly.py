@@ -13,8 +13,9 @@ from wittmod.dressed import DressedWittElement
 from wittmod.superpoly import (SuperPoly, enumerate_monomials, mask_of,
                                merge_sign, merge_sign_masks, mono_mul,
                                mono_parity, mono_partial_xi)
-from wittmod.tensor_modules import TensorElement
-from wittmod.witt import WittElement
+from wittmod.glmn import Rep, natural_rep
+from wittmod.tensor_modules import ModuleSpec, TensorElement, weight_reduce
+from wittmod.witt import TSLOT, WittElement
 from wittmod.words import OperatorWord
 
 M, N = 2, 2
@@ -217,3 +218,36 @@ def test_lincomb_core(kind):
             assert zero != 0 * make_other(rng)
     if kind == "TensorElement":
         assert zero != TensorElement.zero(make_spec(1, 1, rep="trivial:3"))
+
+
+def _twisted_t1(weight):
+    spec = make_spec(1, 1)
+    return weight_reduce(spec, TensorElement.pure(spec, ((1,), 0), 0), weight)
+
+
+# every constructor or function that turns a caller's value into a
+# Fraction, as value -> what it stores
+EXACT_SITES = {
+    "ModuleSpec.a": lambda v: ModuleSpec(1, 1, [v], natural_rep(1, 1)).a,
+    "weight_reduce": lambda v: _twisted_t1([v]),
+    "Rep": lambda v: Rep(1, 0, 1, (0,), {(1, 1): {(0, 0): v}}),
+    "SuperPoly.monomial": lambda v: SuperPoly.monomial(1, 1, (1,), (), v),
+    "WittElement.term": lambda v: WittElement.term(1, 1, (1,), 0,
+                                                   (TSLOT, 1), v),
+    "DressedWittElement.term": lambda v: DressedWittElement.term(
+        1, 1, ((1,), 0), ((0,), 0), (TSLOT, 1), v),
+    "TensorElement.pure": lambda v: TensorElement.pure(
+        make_spec(1, 1), ((1,), 0), 0, v),
+    "OperatorWord.from_word": lambda v: OperatorWord.from_word(
+        1, 1, (("mt", 1),), v),
+}
+
+
+@pytest.mark.parametrize("site", sorted(EXACT_SITES))
+def test_caller_values_are_exact(site):
+    # a float is refused, as in 0.5 * element; everything else that
+    # Fraction reads is stored exactly
+    make = EXACT_SITES[site]
+    with pytest.raises(TypeError):
+        make(0.1)
+    assert make("1/10") == make(Fraction(1, 10)) != make(Fraction(1, 5))

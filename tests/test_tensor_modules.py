@@ -602,6 +602,10 @@ TABLE_SPECS = [
     (1, 1, (F(3, 2),), "natural"),
     (2, 1, (F(1, 2), F(-2)), "tensor(natural,natural)"),
     (2, 2, (F(-1, 3), F(2)), "natural"),
+    # no t-generator at all, and |I| = 2 coefficients (the (-1)^{|f|-1}
+    # factor of an odd generator's term)
+    (0, 2, (), "natural"),
+    (1, 2, (F(-2),), "tensor(natural,natural)"),
     # the coefficient algebra itself, the module that weyl_relations acts on
     (1, 1, (F(0),), "trivial"),
     (2, 2, (F(0), F(0)), "trivial"),
