@@ -273,23 +273,31 @@ def act_atom(spec, atom, x: TensorElement) -> TensorElement:
     return _element(spec, _act(spec, atom, x.terms))
 
 
-def act_word(spec, w: OperatorWord, x: TensorElement) -> TensorElement:
-    """Words act right to left; the empty word is the identity."""
-    _check_shapes(spec, w, x)
-    out = {}
+def _word(spec, w: OperatorWord, terms, out=None, scale=1):
+    """act_word on a raw terms dict, through _act: adds scale * w(terms)
+    into out (a new dict by default) and returns out."""
+    if out is None:
+        out = {}
     for word, c in w.terms.items():
+        c = (c.numerator if c.denominator == 1 else c) * scale
         if not word:
-            for key, v in x.terms.items():
+            for key, v in terms.items():
                 accumulate(out, key, c * v)
             continue
-        y = x.terms
+        y = terms
         for atom in reversed(word[1:]):
             if not y:
                 break
             y = _act(spec, atom, y)
         if y:  # the word's coefficient scales its last (leftmost) atom
             _act(spec, word[0], y, out, c)
-    return _element(spec, out)
+    return out
+
+
+def act_word(spec, w: OperatorWord, x: TensorElement) -> TensorElement:
+    """Words act right to left; the empty word is the identity."""
+    _check_shapes(spec, w, x)
+    return _element(spec, _word(spec, w, x.terms))
 
 
 def lower_t(spec, i, x: TensorElement) -> TensorElement:

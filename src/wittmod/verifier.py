@@ -29,9 +29,9 @@ from .glmn import Rep, trivial_rep
 from .superpoly import (SuperPoly, enumerate_monomials, mono_mul,
                         mono_parity, popcount)
 from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
-                             TensorSpan, TransitionSingular, act_atom,
-                             act_mono, act_witt, act_word, descent,
-                             generalized_whittaker_space, lower_t,
+                             TensorSpan, TransitionSingular, _act, _element,
+                             _word, act_atom, act_mono, act_witt, act_word,
+                             descent, generalized_whittaker_space, lower_t,
                              matrix_column, pbw_basis_rewrite, unit_basis,
                              weight_reduce, whittaker_functor,
                              whittaker_space, window_keys)
@@ -393,6 +393,9 @@ def check_weyl_relations(p: CheckParams):
 # module_axioms
 
 def check_module_axioms(p: CheckParams):
+    """The bracket law on every (x, y, window key) triple, sampled past
+    60,000, compared as raw images; then coefficient associativity and
+    the mixed law on seeded trials, through act_mono."""
     spec = _spec(p)
     if p.mode == "mutated":
         spec = odd_rows_negated(spec)
@@ -409,22 +412,32 @@ def check_module_axioms(p: CheckParams):
                     keys[rng0.randrange(len(keys))],
                     wkeys[rng0.randrange(len(wkeys))])
                    for _ in range(max(20 * p.trials, 1000))]
+    brackets = {}  # (kx, ky) -> [(atom, c)] of [x, y]
     for kx, ky, wk in triples:
         cases += 1
-        x = _key_elem(p.m, p.n, kx)
-        y = _key_elem(p.m, p.n, ky)
-        v = _pure(spec, wk)
+        b = brackets.get((kx, ky))
+        if b is None:
+            xy = witt_bracket(_key_elem(p.m, p.n, kx),
+                              _key_elem(p.m, p.n, ky))
+            b = brackets[kx, ky] = [(("w",) + k[0] + k[1], c)
+                                    for k, c in xy.terms.items()]
         s = -1 if (term_parity(kx[0], kx[1])
                    & term_parity(ky[0], ky[1])) else 1
-        lhs = act_witt(spec, witt_bracket(x, y), v)
-        rhs = (act_witt(spec, x, act_witt(spec, y, v))
-               - s * act_witt(spec, y, act_witt(spec, x, v)))
+        v = {wk: 1}
+        lhs = {}
+        for atom, c in b:
+            _act(spec, atom, v, lhs, c)
+        ax, ay = ("w",) + kx[0] + kx[1], ("w",) + ky[0] + ky[1]
+        rhs = _act(spec, ax, _act(spec, ay, v))
+        _act(spec, ay, _act(spec, ax, v), rhs, -s)
         if lhs != rhs:
             raise _Fail({
                 "law": "bracket compatibility",
-                "x": print_expr(x), "y": print_expr(y),
-                "v": print_expr(v), "bracket_route": print_expr(lhs),
-                "composition_route": print_expr(rhs)}, cases)
+                "x": print_expr(_key_elem(p.m, p.n, kx)),
+                "y": print_expr(_key_elem(p.m, p.n, ky)),
+                "v": print_expr(_pure(spec, wk)),
+                "bracket_route": print_expr(_element(spec, lhs)),
+                "composition_route": print_expr(_element(spec, rhs))}, cases)
     # coefficient algebra is associative on the module
     rng = random.Random(p.seed + 13)
     monos = enumerate_monomials(p.m, p.n, p.deg)
@@ -484,35 +497,42 @@ def _positive_keys(m, n, deg):
 
 
 def check_commutant_homomorphism(p: CheckParams):
+    """X_[u,v] e = X_u X_v e - (-1)^{|u||v|} X_v X_u e for every pair of
+    positive keys and window key e, compared as raw images.  Each X_k is
+    built once, and X_k e once per e when first needed."""
     spec = _spec(p)
     fault = tau_flipped if p.mode == "tau_flipped" else (lambda x: x)
     keys = _positive_keys(p.m, p.n, p.deg)
     wkeys = window_keys(spec, p.D)
+    words = [fault(commutant_element(p.m, p.n, k[0][0], k[0][1],
+                                     k[1])).to_word() for k in keys]
+    images = {}  # (key index, window key) -> X_k e
+
+    def image(k, wk):
+        out = images.get((k, wk))
+        if out is None:
+            out = images[k, wk] = _word(spec, words[k], {wk: 1})
+        return out
     cases = 0
-    for ku in keys:
+    for iu, ku in enumerate(keys):
         u = _key_elem(p.m, p.n, ku)
-        XU = fault(commutant_element(p.m, p.n, ku[0][0], ku[0][1],
-                                     ku[1])).to_word()
         pu = term_parity(ku[0], ku[1])
-        for kv in keys:
+        for iv, kv in enumerate(keys):
             cases += 1
             v = _key_elem(p.m, p.n, kv)
-            XV = fault(commutant_element(p.m, p.n, kv[0][0], kv[0][1],
-                                         kv[1])).to_word()
-            pv = term_parity(kv[0], kv[1])
-            s = -1 if pu & pv else 1
+            s = -1 if pu & term_parity(kv[0], kv[1]) else 1
             XB = fault(commutant_of_witt(witt_bracket(u, v))).to_word()
             for wk in wkeys:
-                e = _pure(spec, wk)
-                lhs = act_word(spec, XB, e)
-                rhs = (act_word(spec, XU, act_word(spec, XV, e))
-                       - s * act_word(spec, XV, act_word(spec, XU, e)))
+                lhs = _word(spec, XB, {wk: 1})
+                rhs = _word(spec, words[iu], image(iv, wk))
+                _word(spec, words[iv], image(iu, wk), rhs, -s)
                 if lhs != rhs:
                     raise _Fail({
                         "u": print_expr(u), "v": print_expr(v),
-                        "on": print_expr(e),
-                        "bracket_image": print_expr(lhs),
-                        "supercommutator": print_expr(rhs)}, cases)
+                        "on": print_expr(_pure(spec, wk)),
+                        "bracket_image": print_expr(_element(spec, lhs)),
+                        "supercommutator": print_expr(_element(spec, rhs))},
+                        cases)
     return cases, None
 
 
@@ -520,6 +540,8 @@ def check_commutant_homomorphism(p: CheckParams):
 # commutant_weyl_commute
 
 def check_commutant_weyl_commute(p: CheckParams):
+    """Each positive key's commutant word X supercommutes with every Weyl
+    atom on every window key e, compared as raw images; X e is made once."""
     spec = _spec(p)
     keys = _positive_keys(p.m, p.n, p.deg)
     atoms = _weyl_atoms(p.m, p.n)
@@ -529,19 +551,19 @@ def check_commutant_weyl_commute(p: CheckParams):
         X = commutant_element(p.m, p.n, ku[0][0], ku[0][1], ku[1])
         xw = X.to_word()
         px = X.parity()
+        images = [_word(spec, xw, {wk: 1}) for wk in wkeys]
         for atom in atoms:
             cases += 1
             s = -1 if px & atom_parity(atom) else 1
-            for wk in wkeys:
-                e = _pure(spec, wk)
-                lhs = act_word(spec, xw, act_atom(spec, atom, e))
-                rhs = s * act_atom(spec, atom, act_word(spec, xw, e))
+            for wk, xe in zip(wkeys, images):
+                lhs = _word(spec, xw, _act(spec, atom, {wk: 1}))
+                rhs = _act(spec, atom, xe, None, s)
                 if lhs != rhs:
                     raise _Fail({
                         "dressed": print_expr(_key_elem(p.m, p.n, ku)),
-                        "atom": str(atom), "on": print_expr(e),
-                        "left": print_expr(lhs),
-                        "right": print_expr(rhs)}, cases)
+                        "atom": str(atom), "on": print_expr(_pure(spec, wk)),
+                        "left": print_expr(_element(spec, lhs)),
+                        "right": print_expr(_element(spec, rhs))}, cases)
     return cases, None
 
 
@@ -764,7 +786,7 @@ def _diff_label(alpha, beta, imask, jmask, j, s1, s2):
 
 def _annihilates_on_keys(spec, word, keys):
     for key in keys:
-        if act_word(spec, word, _pure(spec, key)):
+        if _word(spec, word, {key: 1}):
             return key
     return None
 

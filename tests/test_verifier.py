@@ -432,6 +432,59 @@ def test_coset_route_fails_without_an_order():
     assert cex["error"] == "no annihilation order found"
 
 
+def test_commutant_weyl_commute_fails_on_flipped_commutants(monkeypatch):
+    # every commutant word re-signed by tau_flipped: at n = 2 the flipped
+    # convention no longer commutes with multiplication by t1
+    real = verifier.commutant_element
+    monkeypatch.setattr(verifier, "commutant_element",
+                        lambda *args: verifier.tau_flipped(real(*args)))
+    report = run_check("commutant_weyl_commute",
+                       {"m": 1, "n": 2, "deg": 2, "D": 3})
+    assert (report.status, report.cases) == ("fail", 37)
+    assert report.counterexample == {
+        "dressed": "x1*x2*dt1", "atom": "('mt', 1)", "on": "1 @ e1",
+        "left": "4*x1*x2 @ e1 + 2*t1*x1 @ e3 - 2*t1*x2 @ e2"
+                " + 4*t1*x1*x2 @ e1",
+        "right": "2*t1*x1 @ e3 - 2*t1*x2 @ e2 + 4*t1*x1*x2 @ e1"}
+    assert report.counterexample["left"] != report.counterexample["right"]
+
+
+# past 60,000 (x, y, window key) triples module_axioms samples 1,000 of
+# them: 36^2 * 60 = 77,760 at (2,1)
+@pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
+def test_module_axioms_sampled_triples_pass(m, n):
+    report = run_check("module_axioms", {"m": m, "n": n})
+    assert (report.status, report.cases) == ("pass", 1100)
+
+
+@pytest.mark.parametrize("m,n,cases,cex", [
+    (2, 1, 22, {
+        "x": "t2*x1*dt1", "y": "x1*dx1", "v": "t1^3 @ e1",
+        "bracket_route": "-3*t1^2*t2*x1 @ e1 - t1^3*x1 @ e2"
+                         " + t1^3*t2 @ e3 - t1^3*t2*x1 @ e1",
+        "composition_route": "-3*t1^2*t2*x1 @ e1 - t1^3*x1 @ e2"
+                             " - t1^3*t2 @ e3 - t1^3*t2*x1 @ e1"}),
+    (1, 2, 9, {
+        "x": "x1*dt1", "y": "t1^2*dx1", "v": "x1 @ e1",
+        "bracket_route": "4*t1*x1 @ e1 + t1^2*x1 @ e1",
+        "composition_route": "t1^2*x1 @ e1"}),
+])
+def test_module_axioms_sampled_triples_catch_the_mutation(m, n, cases, cex):
+    report = run_check("module_axioms", {"m": m, "n": n, "mode": "mutated"})
+    assert (report.status, report.cases) == ("fail", cases)
+    assert report.counterexample == {"law": "bracket compatibility", **cex}
+
+
+def test_commutant_homomorphism_builds_each_commutant_once(monkeypatch):
+    real = verifier.commutant_element
+    calls = []
+    monkeypatch.setattr(verifier, "commutant_element",
+                        lambda *args: calls.append(args) or real(*args))
+    report = run_check("commutant_homomorphism", {})
+    assert (report.status, report.cases) == ("pass", 64)
+    assert len(calls) == len(set(calls)) == 8
+
+
 def test_rep_file_with_wrong_parities_is_an_error_status(tmp_path):
     # natural(1,1) with both basis vectors even: E 1 2 is odd but maps
     # an even vector to an even one
