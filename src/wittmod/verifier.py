@@ -798,10 +798,10 @@ def _diff_word(p, item, r):
 
 def check_difference_annihilation(p: CheckParams):
     """The least r <= rmax whose difference word annihilates, for every
-    sweep item.  The untwisted route acts on the untwisted module's window
-    D + 1 and asks the same r of window D; the coset route acts on the
-    unit basis and reduces modulo the weight ideal at every weight in
-    {-1, 0, 1}^m."""
+    sweep item.  The untwisted route tests raw images (_word) on each key
+    of window D + 1 and asks the same r of window D; the coset route acts
+    on the unit basis and reduces modulo the weight ideal at every weight
+    in {-1, 0, 1}^m."""
     rep = resolve_rep(p.rep, p.m, p.n)
     if not rep.has_weight_basis():
         raise ConfigError("difference annihilation needs a rep with a "
