@@ -17,8 +17,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from itertools import chain, product
 
 from . import linalg, witt
 from .config import CheckParams, ConfigError, resolve_rep
@@ -81,6 +80,15 @@ class _Fail(Exception):
 
 def _spec(p: CheckParams) -> ModuleSpec:
     return ModuleSpec(p.m, p.n, p.a, resolve_rep(p.rep, p.m, p.n))
+
+
+def _nonsingular(spec: ModuleSpec, what) -> ModuleSpec:
+    """spec, else a ConfigError: what reads the product basis or the
+    weight ideal, which need every twist entry nonzero."""
+    if not spec.nonsingular:
+        raise ConfigError("%s requires a nonsingular twist vector; got "
+                          "a = (%s)" % (what, ", ".join(map(str, spec.a))))
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -186,29 +194,36 @@ def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
     bilinearity through the memo, for each batch (y, z, xs) of basis ids:
     the defects of every x in xs at once, keyed l*size + x, read through
     columns (the x in xs with [x, k] != 0), so the work follows the
-    nonzero products.  A failing batch reports its first failing x, the
-    cases counted triple by triple.  render maps a terms dict to the
-    expression grammar; extra ends a counterexample."""
+    nonzero products.  Only the current x-range's columns are kept.  A
+    failing batch reports its first failing x, the cases counted triple by
+    triple.  render maps a terms dict to the expression grammar; extra
+    ends a counterexample."""
     size = len(parity)
+    columns, current = {}, None
 
-    @cache
-    def column(xs, k):
-        return tuple((x, row) for x in xs if (row := memo[x, k]))
+    def column(k):  # reads the loop's xs
+        col = columns.get(k)
+        if col is None:
+            col = columns[k] = tuple((x, row) for x in xs
+                                     if (row := memo[x, k]))
+        return col
 
     for y, z, xs in batches:
+        if xs != current:
+            columns, current = {}, xs
         out = {}
         for k, c in memo[y, z]:             # [x,[y,z]]
-            for x, row in column(xs, k):
+            for x, row in column(k):
                 for l, c2 in row:
                     key = l * size + x
                     out[key] = out.get(key, 0) + c * c2
-        for x, row in column(xs, y):        # -[[x,y],z]
+        for x, row in column(y):            # -[[x,y],z]
             for k, c in row:
                 for l, c2 in memo[k, z]:
                     key = l * size + x
                     out[key] = out.get(key, 0) - c * c2
         py = parity[y]
-        for x, row in column(xs, z):        # -(-1)^{xy}[y,[x,z]]
+        for x, row in column(z):            # -(-1)^{xy}[y,[x,z]]
             s = 1 if parity[x] & py else -1
             for k, c in row:
                 for l, c2 in memo[y, k]:
@@ -229,12 +244,53 @@ def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
     return cases
 
 
+def _antisymmetric(memo, size, key_parity):
+    """Whether [b, a] = -(-1)^{|a||b|} [a, b] through the memo for every
+    basis id b and every a in the basis or the support of a basis-pair
+    bracket (the pairs an ordered sweep reads), and every basis-pair
+    bracket is homogeneous of parity |a| + |b|."""
+    rows = [memo[i, j] for i in range(size) for j in range(size)]
+    parity = [key_parity(key) for key in memo.interned]
+    for (i, j), row in zip(product(range(size), repeat=2), rows):
+        if any(parity[k] != parity[i] ^ parity[j] for k, _ in row):
+            return False
+    support = sorted({k for row in rows for k, _ in row if k >= size})
+    for b in range(size):
+        for a in chain(range(b, size), support):
+            s = 1 if parity[a] & parity[b] else -1
+            if dict(memo[b, a]) != {k: s * c for k, c in memo[a, b]}:
+                return False
+    return True
+
+
+def _sorted_route(level, memo, parity, key_parity, render):
+    """Whether the level passes on every ordered basis triple, certified
+    on the sorted triples x <= y <= z alone: the bracket is
+    super-antisymmetric on the pairs the sweep reads, so the Jacobiator
+    is super-alternating and each ordered triple's defect is, up to sign,
+    its sorted permutation's.  False names no triple."""
+    size = len(parity)
+    if not _antisymmetric(memo, size, key_parity):
+        return False
+    batches = ((y, z, range(y + 1)) for y in range(size)
+               for z in range(y, size))
+    try:
+        _jacobi_sweep(level, memo, parity, batches, render, 0)
+    except _Fail:
+        return False
+    return True
+
+
 def check_jacobi(p: CheckParams):
     """The derivation table exhaustively; the extension and the dressed
     product exhaustively up to 300000 triples, else a seeded sample.
-    Exhaustive levels run in (y, z, x) order, one (y, z) batch at a time;
-    sampled triples are singleton batches.  Each level's memo is filled
-    by that level's own bracket."""
+    An exhaustive level is first certified on the sorted route
+    (_sorted_route: super-antisymmetry plus the sorted triples) and then
+    counts its size**3 ordered triples as cases.  Else it runs every
+    ordered triple in (y, z, x) order, one (y, z) batch at a time, which
+    names the first failing triple and its case count.  Sampled triples
+    are singleton batches.  Each level's memo is filled by that level's
+    own bracket."""
     m, n = p.m, p.n
 
     def pair(cls, bracket):
@@ -270,7 +326,11 @@ def check_jacobi(p: CheckParams):
             memo[i, j] = [(k, -c) for k, c in memo[i, j]]
             extra["mutated_pair"] = "[%s, %s]" % (
                 render({basis[i]: ONE}), render({basis[j]: ONE}))
+        parity = [cls.key_parity(k) for k in basis]
         if cls is WittElement or size ** 3 <= 300000:
+            if _sorted_route(level, memo, parity, cls.key_parity, render):
+                cases += size ** 3
+                continue
             xs = range(size)
             batches = ((y, z, xs) for y in xs for z in xs)
         else:
@@ -278,8 +338,8 @@ def check_jacobi(p: CheckParams):
             batches = [(y, z, (x,)) for x, y, z in (
                 [rng.randrange(size) for _ in range(3)]
                 for _ in range(max(p.trials, 500)))]
-        cases = _jacobi_sweep(level, memo, [cls.key_parity(k) for k in basis],
-                              batches, render, cases, extra)
+        cases = _jacobi_sweep(level, memo, parity, batches, render, cases,
+                              extra)
     return cases, None
 
 
@@ -656,10 +716,7 @@ def check_whittaker_dimension(p: CheckParams):
 # descent_roundtrip
 
 def check_descent_roundtrip(p: CheckParams):
-    spec = _spec(p)
-    if not spec.nonsingular:
-        raise ConfigError("descent requires a nonsingular twist vector; "
-                          "got a = (%s)" % ", ".join(str(x) for x in p.a))
+    spec = _nonsingular(_spec(p), "descent")
     rewrite = pbw_basis_rewrite(spec, p.D)
     rng = random.Random(p.seed)
     cases = 0
@@ -694,7 +751,7 @@ def check_weight_multiplicity(p: CheckParams):
         raise ConfigError("weight_multiplicity needs m >= 1: weights are "
                           "eigenvalues of the even Cartan operators "
                           "t_i dt_i, and there are none at m = 0")
-    spec = _spec(p)
+    spec = _nonsingular(_spec(p), "weight_multiplicity")
     expected = (1 << p.n) * spec.dim
     big = window_keys(spec, p.D)
     small = window_keys(spec, p.D - 1)
@@ -807,9 +864,7 @@ def check_difference_annihilation(p: CheckParams):
         raise ConfigError("difference annihilation needs a rep with a "
                           "weight basis (all Cartan matrices diagonal)")
     if p.mode == "coset":
-        spec = ModuleSpec(p.m, p.n, p.a, rep)
-        if not spec.nonsingular:
-            raise ConfigError("coset mode needs a nonsingular twist vector")
+        spec = _nonsingular(ModuleSpec(p.m, p.n, p.a, rep), "coset mode")
         units = [_pure(spec, (((0,) * p.m, kmask), l))
                  for kmask, l in unit_basis(spec)]
         weights = list(product(range(-1, 2), repeat=p.m))

@@ -18,6 +18,7 @@ from wittmod.cli import run_command
 from wittmod.config import resolve_rep
 from wittmod.expressions import MAX_WORD_ATOMS, print_expr
 from wittmod.reporting import report_schema
+from wittmod.verifier import REGISTRY
 
 from conftest import COEFF_POOL, make_spec, rand_coeff, rand_tensor
 
@@ -343,6 +344,28 @@ def test_check_error_status_exits_2(capsys, command):
     else:
         report = json.loads(out)
         assert [c["status"] for c in report["checks"]] == ["error"]
+
+
+def test_singular_twist_gives_every_verdict(tmp_path, capsys):
+    # at a = 0 the checks that read the product basis or the weight ideal
+    # report error; every other check still gives its verdict
+    rc, out, err = run(capsys, ["verify", "all", "--a", "0"])
+    assert rc == 2
+    verdicts = [ln.split()[:2] for ln in out.splitlines()
+                if not ln.startswith(" ")]
+    assert [v[0] for v in verdicts] == list(REGISTRY)
+    assert len(verdicts) == 13
+    errors = {v[0] for v in verdicts if v[1] == "error"}
+    assert errors == {"descent_roundtrip", "weight_multiplicity"}
+    assert "Traceback" not in out + err
+    path = tmp_path / "singular.json"
+    rc, _, _ = run(capsys, ["report", "--check", "all", "--a", "0",
+                            "--out", str(path), "--stable"])
+    assert rc == 2
+    report = json.loads(path.read_text())
+    assert len(report["checks"]) == 13
+    assert {c["id"] for c in report["checks"]
+            if c["status"] == "error"} == errors
 
 
 def test_config_error_exits_2(tmp_path, capsys):

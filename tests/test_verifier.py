@@ -170,6 +170,15 @@ def test_singular_twist_is_error_status():
     assert "nonsingular" in report.counterexample["error"]
 
 
+@pytest.mark.parametrize("check_id,params", [
+    ("weight_multiplicity", {"m": 2, "a": (F(1), F(0))}),
+    ("difference_annihilation", {"mode": "coset", "a": (F(0),)})])
+def test_other_singular_twist_routes_are_error_status(check_id, params):
+    report = run_check(check_id, params)
+    assert report.status == "error"
+    assert "nonsingular" in report.counterexample["error"]
+
+
 def test_missing_rep_file_is_error_status():
     report = run_check("whittaker_dimension",
                        {"rep": "file:/nonexistent.rep"})
@@ -650,22 +659,153 @@ def test_sampled_triples_are_singleton_batches(plant):
     assert isinstance(got, tuple) == plant
 
 
-def test_check_jacobi_batches(monkeypatch):
-    # (1,2) deg 1: 24 and 32 basis keys swept exhaustively, the 144 of the
-    # dressed product sampled, through the one kernel
+# the sorted route: super-antisymmetry plus the sorted triples certify an
+# exhaustive level; the ordered sweep runs only to name a failure
+
+LEVEL_CLASSES = (WittElement, ExtendedWittElement, DressedWittElement)
+
+
+def _ordered_verdict(level, memo, parity, render):
+    xs = range(len(parity))
+    try:
+        verifier._jacobi_sweep(level, memo, parity,
+                               ((y, z, xs) for y in xs for z in xs), render, 0)
+    except verifier._Fail:
+        return False
+    return True
+
+
+def _scaled(memo, i, j, scale):
+    """[i, j] and [j, i] scaled alike: the memo stays antisymmetric."""
+    for ij in {(i, j), (j, i)}:
+        memo[ij] = tuple((k, scale * c) for k, c in memo[ij])
+
+
+@pytest.mark.parametrize("scale", [-1, 2])
+@pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 1)])
+@pytest.mark.parametrize("index", [0, 1, 2],
+                         ids=["derivation", "extension", "dressed"])
+def test_sorted_route_agrees_with_the_ordered_sweep(m, n, deg, index, scale):
+    level, basis, pair, parity, render = _jacobi_levels(m, n, deg)[index]
+    key_parity = LEVEL_CLASSES[index].key_parity
+    pair = cache(pair)
+    size = len(basis)
+    probe = verifier._PairMemo(basis, pair)
+    pairs = [(i, j) for i in range(size) for j in range(i, size)
+             if probe[i, j]]
+    for i, j in random.Random(index).sample(pairs, 3):
+        verdicts = []
+        for route in ("sorted", "ordered"):
+            memo = verifier._PairMemo(basis, pair)
+            _scaled(memo, i, j, scale)
+            # the fault reaches the sorted sweep, not the antisymmetry pass
+            assert verifier._antisymmetric(memo, size, key_parity)
+            verdicts.append(
+                verifier._sorted_route(level, memo, parity, key_parity,
+                                       render) if route == "sorted"
+                else _ordered_verdict(level, memo, parity, render))
+        assert verdicts[0] == verdicts[1], (i, j)
+
+
+@pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 1)])
+@pytest.mark.parametrize("index", [0, 1, 2],
+                         ids=["derivation", "extension", "dressed"])
+def test_sorted_route_reads_the_ordered_sweeps_pairs(m, n, deg, index):
+    # a passing level fills the same memo pairs either way (ids may differ)
+    level, basis, pair, parity, render = _jacobi_levels(m, n, deg)[index]
+    pair = cache(pair)
+    filled = []
+    for route in ("sorted", "ordered"):
+        memo = verifier._PairMemo(basis, pair)
+        assert (verifier._sorted_route(
+            level, memo, parity, LEVEL_CLASSES[index].key_parity, render)
+            if route == "sorted" else
+            _ordered_verdict(level, memo, parity, render))
+        filled.append({(memo.interned[i], memo.interned[j])
+                       for i, j in memo})
+    assert filled[0] == filled[1]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2],
+                         ids=["derivation", "extension", "dressed"])
+def test_one_sided_fault_falls_back_to_the_reference(monkeypatch, index):
+    # [b, k] negated for one basis b and one k outside the basis, [k, b]
+    # kept: antisymmetry fails, and check_jacobi names the ordered sweep's
+    # first failing triple with its case count
+    levels = _jacobi_levels(1, 1, 2)
+    size = len(levels[index][1])
+    _, (want, _) = _both_sweeps(
+        *levels[index], plant=lambda memo: _planted(memo, "outside", size))
+    built = []
+
+    class Planted(verifier._PairMemo):
+        def __init__(self, basis, pair):
+            super().__init__(basis, pair)
+            if len(built) == index:
+                _planted(self, "outside", len(basis))
+            built.append(self)
+
+    monkeypatch.setattr(verifier, "_PairMemo", Planted)
+    report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
+    before = sum(len(level[1]) ** 3 for level in levels[:index])
+    assert report.status == "fail"
+    assert (report.counterexample, report.cases) == (
+        want[0], want[1] - 7 + before)
+
+
+def _spied_jacobi(monkeypatch, params):
+    """The report and, per kernel call, the level and its batches' shape:
+    sorted (y, z >= y, x <= y), ordered (y, z, every x) or sampled."""
     seen = []
     sweep = verifier._jacobi_sweep
 
     def spy(level, memo, parity, batches, render, cases, extra=None):
         batches = list(batches)
-        seen.append((level, len(parity), {len(xs) for _, _, xs in batches},
-                     len(batches)))
+        ids = range(len(parity))
+        if batches == [(y, z, range(y + 1)) for y in ids
+                       for z in range(y, len(ids))]:
+            shape = "sorted"
+        elif batches == [(y, z, ids) for y in ids for z in ids]:
+            shape = "ordered"
+        else:
+            assert {len(xs) for _, _, xs in batches} == {1}
+            shape = "sampled %d" % len(batches)
+        seen.append((level, len(parity), shape))
         return sweep(level, memo, parity, batches, render, cases, extra)
 
     monkeypatch.setattr(verifier, "_jacobi_sweep", spy)
-    report = run_check("jacobi", {"m": 1, "n": 2, "deg": 1})
+    return run_check("jacobi", params), seen
+
+
+def test_check_jacobi_batches(monkeypatch):
+    # (1,2) deg 1: 24 and 32 basis keys certified on sorted batches, the
+    # 144 of the dressed product sampled, through the one kernel
+    report, seen = _spied_jacobi(monkeypatch, {"m": 1, "n": 2, "deg": 1})
     assert report.status == "pass"
-    assert seen == [("derivation table", 24, {24}, 24 ** 2),
-                    ("abelian extension", 32, {32}, 32 ** 2),
-                    ("dressed product", 144, {1}, 500)]
+    assert seen == [("derivation table", 24, "sorted"),
+                    ("abelian extension", 32, "sorted"),
+                    ("dressed product", 144, "sampled 500")]
     assert report.cases == 24 ** 3 + 32 ** 3 + 500
+
+
+def test_check_jacobi_orders_triples_only_after_a_failure(monkeypatch):
+    # the mutated control breaks antisymmetry: no sorted sweep runs
+    report, seen = _spied_jacobi(monkeypatch, {"m": 1, "n": 2, "deg": 1,
+                                               "mode": "mutated"})
+    assert report.status == "fail"
+    assert seen == [("derivation table", 24, "ordered")]
+    # [dt1, t1*dt1] doubled in both orders stays antisymmetric: the sorted
+    # sweep fails, then the ordered sweep names the triple
+    doubled = {(((0,), 0), (TSLOT, 1)), (((1,), 0), (TSLOT, 1))}
+
+    def faulty(m, mono1, slot1, mono2, slot2):
+        scale = 2 if {(mono1, slot1), (mono2, slot2)} == doubled else 1
+        return [(k, scale * c)
+                for k, c in _bracket_basis(m, mono1, slot1, mono2, slot2)]
+
+    monkeypatch.setattr(verifier, "_bracket_basis", faulty)
+    report, seen = _spied_jacobi(monkeypatch, {"m": 1, "n": 2, "deg": 1})
+    assert report.status == "fail"
+    assert seen == [("derivation table", 24, "sorted"),
+                    ("derivation table", 24, "ordered")]
+    assert report.counterexample["level"] == "derivation table"
