@@ -666,6 +666,8 @@ LEVEL_CLASSES = (WittElement, ExtendedWittElement, DressedWittElement)
 
 
 def _ordered_verdict(level, memo, parity, render):
+    """Whether every ordered triple passes, swept as check_jacobi falls
+    back to it."""
     xs = range(len(parity))
     try:
         verifier._jacobi_sweep(level, memo, parity,
