@@ -18,6 +18,7 @@ on the Whittaker vectors.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -71,42 +72,52 @@ def dressed_sort_key(key):
     return mono_sort_key(amono) + term_sort_key(wkey)
 
 
-def _dressed_bracket_basis(m, k1, k2, corrected=True):
-    """[a.x, b.y] for two dressed basis terms as a list of (key, int)."""
+def _dressed_tables(m, corrected):
+    """Lookups for _dressed_bracket_basis at one shape and mode, filled on
+    first use: _act_basis by (key, mono), mono_mul by monomial pair and
+    the derivation bracket by key pair; none outlives its user."""
+    return cache(_act_basis), cache(mono_mul), cache(
+        lambda xkey, ykey: _bracket_basis(m, *xkey, *ykey, corrected))
+
+
+def _dressed_bracket_basis(tables, k1, k2):
+    """[a.x, b.y] for two dressed basis terms as a list of (key, int),
+    read through _dressed_tables."""
+    act, mul, bracket = tables
     (a, xkey), (b, ykey) = k1, k2
     px, py = term_parity(*xkey), term_parity(*ykey)
     pa, pb = mono_parity(a), mono_parity(b)
     out = []
     # a x(b) . y
-    hit = _act_basis(xkey, b)
+    hit = act(xkey, b)
     if hit:
-        prod = mono_mul(a, hit[0])
+        prod = mul(a, hit[0])
         if prod:
             out.append(((prod[0], ykey), hit[1] * prod[1]))
     # -(-1)^{|a.x||b.y|} b y(a) . x
-    hit = _act_basis(ykey, a)
+    hit = act(ykey, a)
     if hit:
-        prod = mono_mul(b, hit[0])
+        prod = mul(b, hit[0])
         if prod:
             sign = -1 if (pa + px) * (pb + py) & 1 else 1
             out.append(((prod[0], xkey), -sign * hit[1] * prod[1]))
     # (-1)^{|x||b|} ab . [x,y]
-    prod = mono_mul(a, b)
+    prod = mul(a, b)
     if prod:
         s = -prod[1] if px * pb & 1 else prod[1]
-        out.extend(((prod[0], key), s * c) for key, c in
-                   _bracket_basis(m, *xkey, *ykey, corrected))
+        out.extend(((prod[0], key), s * c) for key, c in bracket(xkey, ykey))
     return out
 
 
 def dressed_bracket(u: DressedWittElement, v: DressedWittElement,
                     mode="corrected") -> DressedWittElement:
-    """The bilinear extension of _dressed_bracket_basis."""
+    """The bilinear extension of _dressed_bracket_basis, over tables that
+    live for this call."""
     if mode not in ("corrected", "verbatim"):
         raise ValueError("unknown bracket mode %r" % (mode,))
-    m, corrected = u.m, mode == "corrected"
+    tables = _dressed_tables(u.m, mode == "corrected")
     return u._bilinear(v, lambda k1, k2: _dressed_bracket_basis(
-        m, k1, k2, corrected))
+        tables, k1, k2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from itertools import chain, product
 
 from . import linalg, witt
 from .config import CheckParams, ConfigError, resolve_rep
-from .dressed import (DressedWittElement, commutant_element,
-                      commutant_of_witt, dressed_basis, dressed_bracket)
+from .dressed import (DressedWittElement, _dressed_bracket_basis,
+                      _dressed_tables, commutant_element, commutant_of_witt,
+                      dressed_basis, dressed_bracket)
 from .expressions import print_expr
 from .glmn import Rep, trivial_rep
 from .superpoly import (SuperPoly, enumerate_monomials, mono_mul,
@@ -35,7 +36,8 @@ from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
                              weight_reduce, whittaker_functor,
                              whittaker_space, window_keys)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
-                   _bracket_basis, bracket_oracle, extended_basis,
+                   _bracket_basis, _extended_bracket_basis,
+                   bracket_oracle, extended_basis,
                    extended_bracket, term_parity, witt_act, witt_basis,
                    witt_bracket)
 from .words import OperatorWord, atom_parity, difference_word, \
@@ -176,16 +178,18 @@ class _PairMemo(dict):
     def __missing__(self, ij):
         acc = {}
         for key, c in self.pair(self.interned[ij[0]], self.interned[ij[1]]):
-            k = self._intern(key)
             # exact either way; a non-integral constant stays a Fraction
-            c0 = acc.get(k, 0) + (c.numerator if c.denominator == 1 else c)
+            c0 = acc.get(key, 0) + (c.numerator if c.denominator == 1 else c)
             if c0:
-                acc[k] = c0
+                acc[key] = c0
             else:
-                del acc[k]
-        # from a list: a generator here raised verify all's peak RSS 0.6 MB
-        items = self[ij] = tuple([self.shared.setdefault(t, t)
-                                  for t in acc.items()])
+                del acc[key]
+        # interned once summed: a key whose terms cancel takes no id, so
+        # the ids follow the public bracket's terms; from a list: a
+        # generator here raised verify all's peak RSS 0.6 MB
+        intern, shared = self._intern, self.shared
+        items = self[ij] = tuple([shared.setdefault(t, t) for t in [
+            (intern(key), c) for key, c in acc.items()]])
         return items
 
 
@@ -194,23 +198,30 @@ def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
     bilinearity through the memo, for each batch (y, z, xs) of basis ids:
     the defects of every x in xs at once, keyed l*size + x, read through
     columns (the x in xs with [x, k] != 0), so the work follows the
-    nonzero products.  Only the current x-range's columns are kept.  A
-    failing batch reports its first failing x, the cases counted triple by
-    triple.  render maps a terms dict to the expression grammar; extra
-    ends a counterexample."""
+    nonzero products.  Only the current x-range's columns are kept; a
+    batch whose x-range extends the last one's (the sorted batches'
+    range(y + 1)) grows them in place.  A failing batch reports its first
+    failing x, the cases counted triple by triple.  render maps a terms
+    dict to the expression grammar; extra ends a counterexample."""
     size = len(parity)
-    columns, current = {}, None
+    columns, grown, current = {}, {}, ()
 
     def column(k):  # reads the loop's xs
         col = columns.get(k)
         if col is None:
-            col = columns[k] = tuple((x, row) for x in xs
-                                     if (row := memo[x, k]))
+            col = grown.pop(k, None)
+            if col is None:
+                col = [(x, row) for x in xs if (row := memo[x, k])]
+            else:
+                col.extend((x, row) for x in new if (row := memo[x, k]))
+            columns[k] = col
         return col
 
     for y, z, xs in batches:
         if xs != current:
-            columns, current = {}, xs
+            old = len(current)
+            grown = columns if xs[:old] == current else {}
+            columns, current, new = {}, xs, xs[old:]
         out = {}
         for k, c in memo[y, z]:             # [x,[y,z]]
             for x, row in column(k):
@@ -281,6 +292,23 @@ def _sorted_route(level, memo, parity, key_parity, render):
     return True
 
 
+def _memo_agrees(level, memo, basis, bracket, unit, render, draw, cases):
+    """The level's public bracket against the memo's bilinear expansion on
+    one pair of random elements, 2 or 3 basis terms each: the memo is
+    filled from the kernel, and this keeps the bracket users call under
+    the verdict.  A mismatch fails with both sides; no case is added."""
+    keys, ids = memo.interned, memo.ids
+    x, y = (unit({key: _random_coeff(draw) for key in draw.sample(
+        basis, min(len(basis), draw.choice((2, 3))))}) for _ in range(2))
+    got = bracket(x, y)
+    want = x._bilinear(y, lambda k1, k2: [
+        (keys[k], c) for k, c in memo[ids[k1], ids[k2]]])
+    if got.terms != want.terms:
+        raise _Fail({"level": level, "x": render(x.terms),
+                     "y": render(y.terms), "bracket": render(got.terms),
+                     "memo": render(want.terms)}, cases)
+
+
 def check_jacobi(p: CheckParams):
     """The derivation table exhaustively; the extension and the dressed
     product exhaustively up to 300000 triples, else a seeded sample.
@@ -289,29 +317,32 @@ def check_jacobi(p: CheckParams):
     counts its size**3 ordered triples as cases.  Else it runs every
     ordered triple in (y, z, x) order, one (y, z) batch at a time, which
     names the first failing triple and its case count.  Sampled triples
-    are singleton batches.  Each level's memo is filled by that level's
-    own bracket."""
+    are singleton batches.  Each level's memo is filled from that level's
+    basis-pair kernel: _bracket_basis, _extended_bracket_basis, and
+    _dressed_bracket_basis over tables built for the check
+    (_dressed_tables).  A level that passes then compares its public
+    bracket (witt_bracket, extended_bracket, dressed_bracket) with the
+    memo on one pair of random elements seeded by seed + 2
+    (_memo_agrees)."""
     m, n = p.m, p.n
-
-    def pair(cls, bracket):
-        unit = cls(m, n)._like  # a basis key as an element, no accumulate
-        return lambda k1, k2: bracket(
-            unit({k1: ONE}), unit({k2: ONE})).terms.items()
-
     exdeg = min(p.deg, 2)
+    tables = _dressed_tables(m, True)
     levels = [
         ("derivation table", WittElement, _witt_keys(m, n, p.deg),
-         lambda k1, k2: _bracket_basis(m, *k1, *k2)),
+         lambda k1, k2: _bracket_basis(m, *k1, *k2), witt_bracket),
         ("abelian extension", ExtendedWittElement,
          _witt_keys(m, n, exdeg, extended_basis),
-         pair(ExtendedWittElement, extended_bracket)),
+         lambda k1, k2: _extended_bracket_basis(m, k1, k2),
+         extended_bracket),
         ("dressed product", DressedWittElement,
          _witt_keys(m, n, exdeg, dressed_basis),
-         pair(DressedWittElement, dressed_bracket)),
+         lambda k1, k2: _dressed_bracket_basis(tables, k1, k2),
+         dressed_bracket),
     ]
+    draw = random.Random(p.seed + 2)
     cases = 0
-    for level, cls, basis, bracket in levels:
-        memo = _PairMemo(basis, bracket)
+    for level, cls, basis, kernel, bracket in levels:
+        memo = _PairMemo(basis, kernel)
         size = len(basis)
 
         def render(terms, cls=cls):
@@ -327,19 +358,23 @@ def check_jacobi(p: CheckParams):
             extra["mutated_pair"] = "[%s, %s]" % (
                 render({basis[i]: ONE}), render({basis[j]: ONE}))
         parity = [cls.key_parity(k) for k in basis]
-        if cls is WittElement or size ** 3 <= 300000:
-            if _sorted_route(level, memo, parity, cls.key_parity, render):
-                cases += size ** 3
-                continue
-            xs = range(size)
-            batches = ((y, z, xs) for y in xs for z in xs)
+        exhaustive = cls is WittElement or size ** 3 <= 300000
+        if exhaustive and _sorted_route(level, memo, parity, cls.key_parity,
+                                        render):
+            cases += size ** 3
         else:
-            rng = random.Random(p.seed + 1)
-            batches = [(y, z, (x,)) for x, y, z in (
-                [rng.randrange(size) for _ in range(3)]
-                for _ in range(max(p.trials, 500)))]
-        cases = _jacobi_sweep(level, memo, parity, batches, render, cases,
-                              extra)
+            if exhaustive:
+                xs = range(size)
+                batches = ((y, z, xs) for y in xs for z in xs)
+            else:
+                rng = random.Random(p.seed + 1)
+                batches = [(y, z, (x,)) for x, y, z in (
+                    [rng.randrange(size) for _ in range(3)]
+                    for _ in range(max(p.trials, 500)))]
+            cases = _jacobi_sweep(level, memo, parity, batches, render,
+                                  cases, extra)
+        _memo_agrees(level, memo, basis, bracket, cls(m, n)._like, render,
+                     draw, cases)
     return cases, None
 
 

@@ -15,8 +15,12 @@ routes are compared mechanically by the verifier and must never be
 collapsed into one.
 
 Each bracket is LinComb._bilinear over one basis-pair kernel returning
-(key, int) pairs (_bracket_basis, _oracle_basis, _extended_bracket_basis),
-so integral coefficients are summed as ints.
+(key, int) pairs (_bracket_basis, _oracle_basis, _extended_bracket_basis
+and dressed._dressed_bracket_basis), so integral coefficients are summed
+as ints.  The oracle and dressed kernels read lookup tables of their
+sub-kernels (_oracle_tables, dressed._dressed_tables), built per bracket
+call or per check and dropped with it: no table is module-level, so one
+check never warms another.
 """
 
 from __future__ import annotations

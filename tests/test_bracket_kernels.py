@@ -9,11 +9,12 @@ agree with its element bracket on each pair of basis terms.
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from wittmod.dressed import (_dressed_bracket_basis, dressed_basis,
-                             dressed_bracket)
+from wittmod.dressed import (_dressed_bracket_basis, _dressed_tables,
+                             dressed_basis, dressed_bracket)
 from wittmod.superpoly import accumulate, mono_mul, mono_parity
 from wittmod.witt import (TSLOT, XSLOT, _act_basis, _bracket_basis,
                           _extended_bracket_basis, _oracle_basis,
@@ -178,22 +179,24 @@ def test_x_slot_t_slot_is_the_swapped_pair(corrected):
         assert nonzero > len(keys)
 
 
-# name: (basis, kernel(m, n, k1, k2), its element bracket)
+# name: (basis, kernel(m, n) -> kernel(k1, k2), its element bracket); a
+# kernel that reads tables reads one set for every pair of a test
 KERNELS = {
     "oracle": (witt_basis,
-               lambda m, n, k1, k2: _oracle_basis(_oracle_tables(m, n), k1,
-                                                  k2),
+               lambda m, n: partial(_oracle_basis, _oracle_tables(m, n)),
                _reference_bracket_oracle),
     "extended": (extended_basis,
-                 lambda m, n, k1, k2: _extended_bracket_basis(m, k1, k2),
+                 lambda m, n: partial(_extended_bracket_basis, m),
                  _reference_extended_bracket),
     "dressed-corrected": (
         dressed_basis,
-        lambda m, n, k1, k2: _dressed_bracket_basis(m, k1, k2, True),
+        lambda m, n: partial(_dressed_bracket_basis,
+                             _dressed_tables(m, True)),
         _reference_dressed_bracket),
     "dressed-verbatim": (
         dressed_basis,
-        lambda m, n, k1, k2: _dressed_bracket_basis(m, k1, k2, False),
+        lambda m, n: partial(_dressed_bracket_basis,
+                             _dressed_tables(m, False)),
         lambda u, v: _reference_dressed_bracket(u, v, "verbatim")),
 }
 
@@ -204,14 +207,15 @@ KERNELS = {
                          ids=["11-deg2", "12-deg1"])
 @pytest.mark.parametrize("name", list(KERNELS))
 def test_kernel_matches_element_bracket(name, m, n, deg):
-    basis_of, kernel, reference = KERNELS[name]
+    basis_of, make_kernel, reference = KERNELS[name]
     basis = basis_of(m, n, deg)
+    kernel = make_kernel(m, n)
     nonzero = 0
     for x in basis:
         (k1,) = x.terms
         for y in basis:
             (k2,) = y.terms
-            pairs = kernel(m, n, k1, k2)
+            pairs = kernel(k1, k2)
             assert all(type(c) is int and c for _, c in pairs), pairs
             summed = {}
             for key, c in pairs:

@@ -3,21 +3,24 @@ counterexample self-containment."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
 
 from wittmod import verifier
-from wittmod.dressed import DressedWittElement, dressed_basis, dressed_bracket
+from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
+                             _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_extended, as_tensor,
                                  as_witt, parse_expr, print_expr)
 from wittmod.tensor_modules import TensorElement, act_witt
 from wittmod.verifier import (CONTROL_MODES, REGISTRY, Check, CheckParams,
                               run_check)
 from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
-                          _bracket_basis, bracket_oracle, extended_basis,
+                          _bracket_basis, _extended_bracket_basis,
+                          bracket_oracle, extended_basis,
                           extended_bracket, term_parity, witt_bracket)
 
 F = Fraction
@@ -221,68 +224,160 @@ def test_jacobi_mutation_counterexample_names_the_pair():
 
 
 # ---------------------------------------------------------------------------
-# the extension and dressed levels can fail: a bilinear fault in the bracket
-# a level calls (odd-slot output terms negated) surfaces at that level
+# the extension and dressed levels can fail: a bilinear fault in the kernel
+# a level's memo is filled from (odd-slot output terms negated) surfaces at
+# that level, and _bilinear over the faulty kernel replays its defect
 
-def _faulty_dressed(u, v, mode="corrected"):
-    out = dressed_bracket(u, v, mode)
-    return out._like({k: -c if k[1][1][0] == XSLOT else c
-                      for k, c in out.terms.items()})
-
-
-def _faulty_extended(u, v):
-    out = extended_bracket(u, v)
-    return out._like({k: -c if k[1] and k[1][0] == XSLOT else c
-                      for k, c in out.terms.items()})
+def _faulty_dressed(tables, k1, k2):
+    return [(k, -c if k[1][1][0] == XSLOT else c)
+            for k, c in _dressed_bracket_basis(tables, k1, k2)]
 
 
-def _faulty_extended_function_part(u, v):
+def _faulty_extended(m, k1, k2):
+    return [(k, -c if k[1] and k[1][0] == XSLOT else c)
+            for k, c in _extended_bracket_basis(m, k1, k2)]
+
+
+def _faulty_extended_function_part(m, k1, k2):
     # function terms (slot None) divisible by t1 negated
-    out = extended_bracket(u, v)
-    return out._like({k: -c if k[1] is None and k[0][0][0] else c
-                      for k, c in out.terms.items()})
+    return [(k, -c if k[1] is None and k[0][0][0] else c)
+            for k, c in _extended_bracket_basis(m, k1, k2)]
+
+
+def _replay_kernel_fault(monkeypatch, name, faulty, first, convert):
+    """The report with verifier.<name> patched to faulty, whose first
+    argument is first; the counterexample parses back, and the bilinear
+    extension of the faulty kernel recomputes its defect."""
+    monkeypatch.setattr(verifier, name, faulty)
+    report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
+    cex = report.counterexample
+    assert report.status == "fail"
+    x, y, z = (convert(parse_expr(cex[k]), 1, 1) for k in "xyz")
+
+    def f(u, v):
+        return u._bilinear(v, lambda k1, k2: faulty(first, k1, k2))
+    s = -1 if x.parity() & y.parity() else 1
+    defect = f(x, f(y, z)) - f(f(x, y), z) - s * f(y, f(x, z))
+    assert defect
+    assert print_expr(defect) == cex["defect"]
+    return report
 
 
 def test_dressed_level_fault_is_caught_and_replays(monkeypatch):
-    monkeypatch.setattr(verifier, "dressed_bracket", _faulty_dressed)
-    report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
-    cex = report.counterexample
-    assert report.status == "fail"
-    assert cex["level"] == "dressed product"
-    x, y, z = (as_dressed(parse_expr(cex[k]), 1, 1) for k in "xyz")
-    f = _faulty_dressed
-    s = -1 if x.parity() & y.parity() else 1
-    defect = f(x, f(y, z)) - f(f(x, y), z) - s * f(y, f(x, z))
-    assert defect
-    assert print_expr(defect) == cex["defect"]
-
-
-def _replay_extension_fault(monkeypatch, f):
-    """The counterexample parses back and the patched bracket recomputes
-    its defect."""
-    monkeypatch.setattr(verifier, "extended_bracket", f)
-    report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
-    cex = report.counterexample
-    assert report.status == "fail"
-    assert cex["level"] == "abelian extension"
-    x, y, z = (as_extended(parse_expr(cex[k]), 1, 1) for k in "xyz")
-    s = -1 if x.parity() & y.parity() else 1
-    defect = f(x, f(y, z)) - f(f(x, y), z) - s * f(y, f(x, z))
-    assert defect
-    assert print_expr(defect) == cex["defect"]
-    return cex
+    report = _replay_kernel_fault(monkeypatch, "_dressed_bracket_basis",
+                                  _faulty_dressed, _dressed_tables(1, True),
+                                  as_dressed)
+    assert (report.counterexample, report.cases) == ({
+        "level": "dressed product", "x": "t1*dx1", "y": "dt1",
+        "z": "x1*dt1", "defect": "-2*dt1"}, 7662)
 
 
 def test_extension_level_fault_is_caught(monkeypatch):
-    _replay_extension_fault(monkeypatch, _faulty_extended)
+    report = _replay_kernel_fault(monkeypatch, "_extended_bracket_basis",
+                                  _faulty_extended, 1, as_extended)
+    assert (report.counterexample, report.cases) == ({
+        "level": "abelian extension", "x": "t1*dx1", "y": "dt1",
+        "z": "x1*dt1", "defect": "-2*dt1"}, 1790)
 
 
 def test_extension_function_part_fault_replays(monkeypatch):
-    cex = _replay_extension_fault(monkeypatch,
-                                  _faulty_extended_function_part)
+    report = _replay_kernel_fault(monkeypatch, "_extended_bracket_basis",
+                                  _faulty_extended_function_part, 1,
+                                  as_extended)
+    cex = report.counterexample
+    assert (cex, report.cases) == ({
+        "level": "abelian extension", "x": "t1*x1", "y": "dt1",
+        "z": "dx1", "defect": "2"}, 1758)
     # the counterexample carries function-part terms
     assert any(not as_extended(parse_expr(cex[k]), 1, 1).der
                for k in ("x", "y", "z", "defect"))
+
+
+# the memos are filled from the kernels; a fault in a level's public
+# bracket alone fails the comparison that follows the level's pass
+
+def _negated_odd_slots(bracket, odd):
+    def faulty(u, v):
+        out = bracket(u, v)
+        return out._like({k: -c if odd(k) else c
+                          for k, c in out.terms.items()})
+    return faulty
+
+
+@pytest.mark.parametrize("name,bracket,odd,convert,level,cases", [
+    ("witt_bracket", witt_bracket, lambda k: k[1][0] == XSLOT, as_witt,
+     "derivation table", 12 ** 3),
+    ("extended_bracket", extended_bracket,
+     lambda k: k[1] and k[1][0] == XSLOT, as_extended, "abelian extension",
+     12 ** 3 + 18 ** 3),
+    ("dressed_bracket", dressed_bracket, lambda k: k[1][1][0] == XSLOT,
+     as_dressed, "dressed product", 12 ** 3 + 18 ** 3 + 48 ** 3),
+], ids=["derivation", "extension", "dressed"])
+def test_public_bracket_fault_fails_the_memo_comparison(
+        monkeypatch, name, bracket, odd, convert, level, cases):
+    faulty = _negated_odd_slots(bracket, odd)
+    monkeypatch.setattr(verifier, name, faulty)
+    report = run_check("jacobi", {"m": 1, "n": 1, "deg": 2})
+    cex = report.counterexample
+    assert report.status == "fail"
+    assert (cex["level"], report.cases) == (level, cases)
+    x, y = (convert(parse_expr(cex[k]), 1, 1) for k in "xy")
+    assert len(x.terms) in (2, 3) and len(y.terms) in (2, 3)
+    assert print_expr(faulty(x, y)) == cex["bracket"]
+    assert print_expr(bracket(x, y)) == cex["memo"] != cex["bracket"]
+
+
+# the kernel route and the public route fill equal memos, entry by entry;
+# the dressed kernel's tables belong to one mode
+
+def _filled(basis, pair):
+    """A memo with every basis pair filled, and every pair of a basis key
+    and a key in the support of a basis-pair bracket in both orders."""
+    memo = verifier._PairMemo(basis, pair)
+    size = len(basis)
+    rows = [memo[i, j] for i in range(size) for j in range(size)]
+    for k in sorted({k for row in rows for k, _ in row if k >= size}):
+        for i in range(size):
+            memo[i, k], memo[k, i]
+    return memo
+
+
+@pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 1)])
+def test_kernel_memos_equal_public_bracket_memos(m, n, deg):
+    def public(cls, bracket):
+        unit = cls(m, n)._like
+        return lambda k1, k2: bracket(unit({k1: F(1)}),
+                                      unit({k2: F(1)})).terms.items()
+
+    routes = [(verifier._witt_keys(m, n, deg, extended_basis),
+               partial(_extended_bracket_basis, m),
+               public(ExtendedWittElement, extended_bracket))]
+    dressed = verifier._witt_keys(m, n, deg, dressed_basis)
+    for mode in ("corrected", "verbatim"):
+        tables = _dressed_tables(m, mode == "corrected")
+        routes.append((dressed, partial(_dressed_bracket_basis, tables),
+                       public(DressedWittElement,
+                              partial(dressed_bracket, mode=mode))))
+    memos = []
+    for basis, kernel, bracket in routes:
+        got, want = _filled(basis, kernel), _filled(basis, bracket)
+        assert got.interned == want.interned
+        assert dict(got) == dict(want)
+        memos.append(dict(got))
+    assert memos[1] != memos[2]  # the modes differ at these shapes
+
+
+def test_jacobi_peak_memory_is_bounded():
+    # the sweep keeps the current x-range's columns only; a column kept per
+    # (x-range, key) reads a peak of about 2.9 MB here, against about 1.5
+    tracemalloc.start()
+    try:
+        report = run_check("jacobi", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.status, report.cases) == ("pass", 118152)
+    assert peak < 2.0 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
