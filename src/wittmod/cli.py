@@ -5,21 +5,18 @@ configuration error.  Any other exception is an internal bug and
 propagates.
 """
 
-import argparse
+from __future__ import annotations
+
 import functools
 import os
 import sys
 
-from .config import (CheckParams, ConfigError, load_config, parse_twist,
-                     resolve_rep)
-from .dressed import dressed_bracket
+# only the layers of a Witt bracket load with the module (the converters
+# load their own element types on first call); every other layer is
+# imported by the command that uses it, and config, dataclasses and
+# argparse wait for the first command (see the package docstring)
 from .expressions import (ExpressionError, as_dressed, as_tensor, as_witt,
                           as_word, parse_expr, print_expr)
-from .reporting import emit_report
-from .tensor_modules import (ModuleSpec, act_word, descent,
-                             generalized_whittaker_space, weight_reduce,
-                             whittaker_space)
-from .verifier import REGISTRY, run_check
 from .witt import witt_bracket
 
 
@@ -38,6 +35,7 @@ def _infer_mn(parsed_lists):
 
 
 def _shape(args, parsed_lists):
+    from .config import CheckParams
     m, n = _infer_mn(parsed_lists)
     if args.m is not None:
         m = args.m
@@ -48,6 +46,8 @@ def _shape(args, parsed_lists):
 
 
 def _module_spec(args, m, n, nonsingular_for=None) -> ModuleSpec:
+    from .config import ConfigError, parse_twist, resolve_rep
+    from .tensor_modules import ModuleSpec
     spec = ModuleSpec(m, n, parse_twist(args.a, m),
                       resolve_rep(args.rep, m, n))
     if nonsingular_for and not spec.nonsingular:
@@ -78,6 +78,7 @@ def _cmd_bracket(args) -> int:
     # a term with a dressing segment ('a . derivation') selects the dressed
     # route; anything else must parse as a plain derivation
     if any(len(segs) > 1 for _, segs, _ in t1 + t2):
+        from .dressed import dressed_bracket
         u, v = as_dressed(t1, m, n), as_dressed(t2, m, n)
         out = dressed_bracket(u, v, mode=args.mode)
     else:
@@ -88,6 +89,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_act(args) -> int:
+    from .tensor_modules import act_word
     top, telem = parse_expr(args.op), parse_expr(args.elem)
     m, n = _shape(args, [top, telem])
     spec = _module_spec(args, m, n)
@@ -98,6 +100,9 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_wh(args) -> int:
+    from .config import load_config, resolve_rep
+    from .tensor_modules import (ModuleSpec, generalized_whittaker_space,
+                                 whittaker_space)
     cfg = load_config(args.spec)
     merged = cfg.params_for("whittaker_dimension", _cli_dict(args))
     m, n = merged["m"], merged["n"]
@@ -113,6 +118,7 @@ def _cmd_wh(args) -> int:
 
 
 def _cmd_descent(args) -> int:
+    from .tensor_modules import descent
     telem = parse_expr(args.elem)
     m, n = _shape(args, [telem])
     spec = _module_spec(args, m, n, nonsingular_for="descent")
@@ -122,16 +128,19 @@ def _cmd_descent(args) -> int:
 
 
 def _cmd_weighting(args) -> int:
+    from .config import parse_twist
+    from .tensor_modules import weight_reduce
     telem = parse_expr(args.elem)
     m, n = _shape(args, [telem])
     spec = _module_spec(args, m, n, nonsingular_for="product basis")
     x = as_tensor(telem, m, n, spec.dim)
-    weight = parse_twist(args.r, m)
+    weight = parse_twist(args.r, m, "weight --r")
     print(print_expr(weight_reduce(spec, x, weight)))
     return 0
 
 
 def _cli_dict(args) -> dict:
+    from .config import CheckParams, ConfigError
     out = {}
     for key in CheckParams.keys():
         val = getattr(args, key, None)
@@ -147,30 +156,38 @@ def _cli_dict(args) -> dict:
     return out
 
 
-def _run_checks(check_ids, cfg, cli):
-    # every selected check's parameters are resolved before any check runs
-    params = [cfg.params_for(cid, cli) for cid in check_ids]
-    return [run_check(cid, p) for cid, p in zip(check_ids, params)]
+def _run_checks(args):
+    """Run the checks that args select: (reports, config, CLI values).
+    Every selected check's parameters are resolved before any check
+    runs."""
+    # the verifier before the config: compiling the largest module before
+    # the config loads dataclasses keeps the process's peak memory low
+    from .verifier import REGISTRY, run_check
+    from .config import load_config
+    cfg = load_config(args.config)
+    ids = _selected_checks(args.check, cfg, REGISTRY)
+    cli = _cli_dict(args)
+    params = [cfg.params_for(cid, cli) for cid in ids]
+    return [run_check(cid, p) for cid, p in zip(ids, params)], cfg, cli
 
 
-def _selected_checks(selector, cfg):
+def _selected_checks(selector, cfg, registry):
+    from .config import ConfigError
     if selector == "all":
-        ids = cfg.checks if cfg.checks is not None else list(REGISTRY)
-        bad = [c for c in ids if c not in REGISTRY]
+        ids = cfg.checks if cfg.checks is not None else list(registry)
+        bad = [c for c in ids if c not in registry]
         if bad:
             raise ConfigError("unknown check ids in config: %s"
                               % ", ".join(bad))
         return ids
-    if selector not in REGISTRY:
+    if selector not in registry:
         raise ConfigError("unknown check id %r (known: %s)"
-                          % (selector, ", ".join(REGISTRY)))
+                          % (selector, ", ".join(registry)))
     return [selector]
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    ids = _selected_checks(args.check, cfg)
-    reports = _run_checks(ids, cfg, _cli_dict(args))
+    reports, _, _ = _run_checks(args)
     for r in reports:
         print("%-26s %-5s cases=%-8d %dms"
               % (r.id, r.status, r.cases, r.elapsed_ms))
@@ -180,10 +197,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = load_config(args.config)
-    ids = _selected_checks(args.check, cfg)
-    cli = _cli_dict(args)
-    reports = _run_checks(ids, cfg, cli)
+    from .reporting import emit_report
+    reports, cfg, cli = _run_checks(args)
     seed = cli.get("seed", cfg.base.get("seed", 0))
     emit_report(reports, args.out, seed=int(seed), stable=args.stable)
     return _exit_code(reports)
@@ -211,6 +226,7 @@ def _add_check_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     ap = argparse.ArgumentParser(
         prog="wittmod",
         description="Exact super Witt algebra and Whittaker module tool")
@@ -282,7 +298,10 @@ def run_command(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.fn(args)
-    except (ExpressionError, ConfigError) as e:
+    except ValueError as e:
+        from .config import ConfigError
+        if not isinstance(e, (ExpressionError, ConfigError)):
+            raise
         print("error: %s" % e, file=sys.stderr)
         return 2
 

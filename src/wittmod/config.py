@@ -21,7 +21,6 @@ Rep descriptors: natural | trivial | trivial:<dim> | tensor(d1, d2)
 matrix unit, "E i j : d*d rationals row-major".
 """
 
-import configparser
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -40,16 +39,17 @@ def parse_rational(text) -> Fraction:
         raise ConfigError("bad rational %r: %s" % (text, e))
 
 
-def parse_twist(value, m) -> tuple:
+def parse_twist(value, m, name="twist vector") -> tuple:
     """A twist vector from text ("1, -1/2") or a sequence of rationals;
-    None or an empty value is the default, all ones."""
+    None or an empty value is the default, all ones.  name is what an
+    error calls the vector."""
     if not value:
         return (Fraction(1),) * m
     parts = value.replace(",", " ").split() if isinstance(value, str) \
         else value
     if len(parts) != m:
-        raise ConfigError("twist vector needs %d entries, got %d"
-                          % (m, len(parts)))
+        raise ConfigError("%s needs %d entries, got %d"
+                          % (name, m, len(parts)))
     return tuple(parse_rational(str(p)) for p in parts)
 
 
@@ -153,6 +153,10 @@ def load_rep_file(path, m, n) -> Rep:
 # the run-parameter schema
 
 _BOUNDED = {"min": 0}
+# the largest m and n: a bracket's cost grows with the shape (linearly in
+# m for a Witt bracket, far faster for the checks), and no test, acceptance
+# criterion or benchmark request goes above 3
+_SHAPE = {"min": 0, "max": 8}
 _TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string",
                tuple: "a twist vector"}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -185,6 +189,9 @@ def _check_bound(f, value):
     if "min" in f.metadata and value < f.metadata["min"]:
         raise ConfigError("%s must be >= %d, got %d"
                           % (f.name, f.metadata["min"], value))
+    if "max" in f.metadata and value > f.metadata["max"]:
+        raise ConfigError("%s must be <= %d, got %d"
+                          % (f.name, f.metadata["max"], value))
 
 
 @dataclass
@@ -195,8 +202,8 @@ class CheckParams:
     parameter is a ConfigError raised before any work."""
 
     check: str
-    m: int = field(default=1, metadata=_BOUNDED)
-    n: int = field(default=1, metadata=_BOUNDED)
+    m: int = field(default=1, metadata=_SHAPE)
+    n: int = field(default=1, metadata=_SHAPE)
     a: tuple = ()
     rep: str = "natural"
     D: int = field(default=3, metadata=_BOUNDED)
@@ -281,6 +288,7 @@ class RunConfig:
 def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
+    import configparser
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: D is not d
     try:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dressed import DressedWittElement, dressed_sort_key
+# the dressed, word and tensor layers load on first use (as_dressed,
+# as_word, as_tensor, _seg_atoms, print_expr), so a Witt bracket reply
+# loads none of them
 from .superpoly import (SuperPoly, accumulate, mask_indices, mono_mul,
                         mono_sort_key)
-from .tensor_modules import TensorElement, tensor_key_sort
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                    term_sort_key)
-from .words import OperatorWord, make_watom
 
 
 # the most atoms as_word expands all words of one expression into
@@ -287,6 +287,7 @@ def _seg_atoms(seg, m, n, room):
         raise ExpressionError("operator expression expands to more than "
                               "%d atoms" % MAX_WORD_ATOMS)
     if derivation:
+        from .words import make_watom
         hit = _seg_witt(seg, m, n)
         if hit is None:
             return None
@@ -357,6 +358,8 @@ def as_extended(terms, m, n) -> ExtendedWittElement:
 
 
 def as_dressed(terms, m, n) -> DressedWittElement:
+    from .dressed import DressedWittElement
+
     def read(segs, eidx):
         if not 1 <= len(segs) <= 2:
             raise ExpressionError("a dressed term has at most two segments")
@@ -370,6 +373,7 @@ def as_dressed(terms, m, n) -> DressedWittElement:
 
 
 def as_word(terms, m, n) -> OperatorWord:
+    from .words import OperatorWord
     room = MAX_WORD_ATOMS
 
     def read(segs, eidx):
@@ -388,6 +392,8 @@ def as_word(terms, m, n) -> OperatorWord:
 
 
 def as_tensor(terms, m, n, dim) -> TensorElement:
+    from .tensor_modules import TensorElement
+
     def read(segs, eidx):
         if eidx is None:
             raise ExpressionError("tensor element needs '@ e<j>' on every "
@@ -467,17 +473,30 @@ def _fmt_word(word):
     return " . ".join(_atom_str(a) for a in word)
 
 
-# element type -> (key order, key -> (body, suffix))
+# element type -> (key order, key -> (body, suffix)); the element types of
+# the layers that load on first use join on their first print
 _PRINTERS = {
     SuperPoly: (mono_sort_key, lambda key: (_fmt_mono(key), "")),
     WittElement: (term_sort_key, lambda key: (_fmt_witt_term(key), "")),
     ExtendedWittElement: (_ext_sort_key, lambda key: (_fmt_ext(key), "")),
-    DressedWittElement: (dressed_sort_key,
-                         lambda key: (_fmt_dressed(key), "")),
-    OperatorWord: (word_sort_key, lambda key: (_fmt_word(key), "")),
-    TensorElement: (tensor_key_sort,
-                    lambda key: (_fmt_mono(key[0]), " @ e%d" % (key[1] + 1))),
 }
+
+
+def _late_printer(name):
+    """(element type, key order, spelling) of the type called name in a
+    layer that loads on first use, or None for any other name."""
+    if name == "DressedWittElement":
+        from .dressed import DressedWittElement, dressed_sort_key
+        return (DressedWittElement, dressed_sort_key,
+                lambda key: (_fmt_dressed(key), ""))
+    if name == "OperatorWord":
+        from .words import OperatorWord
+        return OperatorWord, word_sort_key, lambda key: (_fmt_word(key), "")
+    if name == "TensorElement":
+        from .tensor_modules import TensorElement, tensor_key_sort
+        return (TensorElement, tensor_key_sort,
+                lambda key: (_fmt_mono(key[0]), " @ e%d" % (key[1] + 1)))
+    return None
 
 
 def _join(obj, order, spell):
@@ -504,6 +523,10 @@ def _join(obj, order, spell):
 def print_expr(obj) -> str:
     if isinstance(obj, (int, Fraction)):
         return str(obj)
-    if type(obj) not in _PRINTERS:
-        raise TypeError("no printer for %r" % type(obj).__name__)
-    return _join(obj, *_PRINTERS[type(obj)])
+    kind = type(obj)
+    if kind not in _PRINTERS:
+        late = _late_printer(kind.__name__)
+        if late is None or late[0] is not kind:
+            raise TypeError("no printer for %r" % kind.__name__)
+        _PRINTERS[kind] = late[1:]
+    return _join(obj, *_PRINTERS[kind])

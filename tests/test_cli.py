@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import wittmod
-from wittmod import cli
+from wittmod import tensor_modules, verifier
 from wittmod.cli import run_command
 from wittmod.config import resolve_rep
 from wittmod.expressions import MAX_WORD_ATOMS, print_expr
@@ -175,7 +175,7 @@ def test_overlong_operator_word_exits_2_before_acting(capsys, monkeypatch):
     # t1^1000000 used to expand to a million atoms (9 s, 392 MB)
     def unreachable(*args):
         raise AssertionError("act_word ran on an over-long word")
-    monkeypatch.setattr(cli, "act_word", unreachable)
+    monkeypatch.setattr(tensor_modules, "act_word", unreachable)
     start = time.perf_counter()
     rc, out, err = run(capsys, ["act", "t1^1000000", "1 @ e1",
                                 "--m", "1", "--n", "1"])
@@ -207,7 +207,7 @@ def test_internal_value_error_propagates(capsys, monkeypatch):
     # a ValueError from the library is a bug, not a usage error
     def broken(*args):
         raise ValueError("internal")
-    monkeypatch.setattr(cli, "act_word", broken)
+    monkeypatch.setattr(tensor_modules, "act_word", broken)
     with pytest.raises(ValueError, match="internal"):
         run_command(["act", "dt1", "1 @ e1"])
 
@@ -215,7 +215,7 @@ def test_internal_value_error_propagates(capsys, monkeypatch):
 def test_weighting_singular_twist_exits_2_before_work(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("weight_reduce ran on a singular twist")
-    monkeypatch.setattr(cli, "weight_reduce", unreachable)
+    monkeypatch.setattr(tensor_modules, "weight_reduce", unreachable)
     rc, out, err = run(capsys, ["weighting", "t1 @ e1", "--r", "1",
                                 "--m", "1", "--n", "1", "--a", "0"])
     assert (rc, out) == (2, "")
@@ -309,11 +309,32 @@ def test_empty_shape_exits_2(capsys):
     (["act", "dt1", "1 @ e1", "--m", "-1"], "m must be >= 0, got -1"),
     (["descent", "1 @ e1", "--m", "0", "--n", "0"],
      "empty shape: m and n are both 0"),
-], ids=["act-negative-m", "descent-empty-shape"])
+    # the shape's ceiling: this bracket used to run at m = 10**6
+    (["bracket", "dt1", "t1*dt1", "--m", "1000000"],
+     "m must be <= 8, got 1000000"),
+    (["weighting", "1 @ e1", "--r", "1", "--n", "9"],
+     "n must be <= 8, got 9"),
+    (["wh", "--m", "9"], "m must be <= 8, got 9"),
+], ids=["act-negative-m", "descent-empty-shape", "bracket-huge-m",
+        "weighting-large-n", "wh-large-m"])
 def test_calculator_shape_rule_exits_2(capsys, argv, message):
     # the calculator commands share the run parameters' shape rule
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_largest_shape_is_accepted(capsys):
+    assert run(capsys, ["bracket", "dt1", "t1*dt1", "--m", "8",
+                        "--n", "8"]) == (0, "dt1\n", "")
+
+
+@pytest.mark.parametrize("r,m", [("1,2", 1), ("1,2,3", 2)])
+def test_weight_length_error_names_the_flag(capsys, r, m):
+    # the value is the weight --r, not the twist vector --a
+    rc, out, err = run(capsys, ["weighting", "1 @ e1", "--r", r,
+                                "--m", str(m), "--n", "1"])
+    assert (rc, out, err) == (2, "", "error: weight --r needs %d entries, "
+                              "got %d\n" % (m, len(r.split(","))))
 
 
 def test_weight_multiplicity_rejects_m0(capsys):
@@ -410,7 +431,7 @@ def test_misspelt_check_section_exits_2(tmp_path, capsys):
 def test_bad_late_section_exits_2_before_any_check(tmp_path, capsys,
                                                    monkeypatch):
     ran = []
-    monkeypatch.setattr(cli, "run_check",
+    monkeypatch.setattr(verifier, "run_check",
                         lambda cid, params: ran.append(cid))
     ini = tmp_path / "run.ini"
     ini.write_text("[check:simplicity_probe]\nD = -1\n")
@@ -588,6 +609,44 @@ def run_alone(argv):
 
 def test_python_dash_m_runs_the_cli():
     assert run_alone(["bracket", "dt1", "t1*dt1"]) == (0, "dt1\n", "")
+
+
+# a fresh interpreter reports what it loaded: at `import wittmod.cli`,
+# after one Witt bracket, then after one dressed bracket
+LOADS = """
+import json, sys
+import wittmod.cli
+seen = [sorted(sys.modules)]
+for argv in (["bracket", "dt1", "t1*dt1"], ["bracket", "t1 . dt1", "dt1"]):
+    assert wittmod.cli.run_command(argv) == 0
+    seen.append(sorted(sys.modules))
+print(json.dumps(seen))
+"""
+
+# layers a Witt bracket never needs
+NOT_FOR_BRACKET = ["wittmod.verifier", "wittmod.reporting",
+                   "wittmod.tensor_modules", "wittmod.dressed",
+                   "wittmod.words", "wittmod.linalg"]
+
+
+def test_bracket_loads_only_its_layers():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", LOADS], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.stdout.startswith("dt1\n-dt1\n"), done.stderr
+    early, witt, dressed = json.loads(done.stdout.splitlines()[-1])
+    assert [m for m in NOT_FOR_BRACKET if m in witt] == []
+    assert {"wittmod.config", "wittmod.glmn"} <= set(witt)
+    # the dressed route adds its own layer and the words it builds on
+    assert sorted(set(dressed) - set(witt)) == ["wittmod.dressed",
+                                                "wittmod.words"]
+    # the peak-memory order: importing the cli loads none of these, so a
+    # process that imports the verifier next compiles it before the config
+    # loads dataclasses
+    assert [m for m in ("wittmod.config", "dataclasses", "argparse")
+            if m in early] == []
 
 
 # a twist, a rep and a mode first, then requests that rely on the defaults,

@@ -166,6 +166,14 @@ def test_params_reject_empty_shape():
     assert RunConfig().params_for("jacobi", {"m": 0, "n": 1})["m"] == 0
 
 
+def test_shape_ceiling_is_inclusive():
+    # the largest shape is legal; the calculator reads the same bound
+    assert RunConfig().params_for("jacobi", {"m": 8, "n": 8})["m"] == 8
+    CheckParams.check_shape(8, 8)
+    with pytest.raises(ConfigError, match="m must be <= 8, got 9"):
+        CheckParams.check_shape(9, 0)
+
+
 # ---------------------------------------------------------------------------
 # one schema: the INI file, the command line and the library agree
 
@@ -207,7 +215,10 @@ REJECTED = [
      "check jacobi has no mode 'verbatim' (modes: corrected, mutated)"),
     ({"deg": "two"}, "key deg must be an integer, got 'two'"),
 ] + [({key: -1}, "%s must be >= 0, got -1" % key)
-     for key in ("m", "n", "D", "deg", "rmax", "trials", "height")]
+     for key in ("m", "n", "D", "deg", "rmax", "trials", "height")] + [
+    ({"m": 9}, "m must be <= 8, got 9"),
+    ({"n": 1000000}, "n must be <= 8, got 1000000"),
+]
 
 
 @pytest.mark.parametrize("params,message", REJECTED)

@@ -357,3 +357,13 @@ def test_seeded_extended_roundtrips():
         assert as_extended(parse_expr(text), m, n) == obj, text
         mixed += len({slot is None for _, slot in obj.terms}) == 2
     assert mixed >= 50
+
+
+def test_printer_only_for_its_own_types():
+    # a late printer joins on the element type of its layer, not on a name
+    class TensorElement(SuperPoly):
+        pass
+
+    for obj in (object(), TensorElement(1, 0), "t1"):
+        with pytest.raises(TypeError, match="no printer for"):
+            print_expr(obj)
