@@ -595,15 +595,20 @@ def test_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
 SRC = str(Path(wittmod.__file__).resolve().parents[1])
 
 
-def run_alone(argv):
-    """(exit code, stdout, stderr) of `python -m wittmod argv` in a fresh
-    interpreter, so with a parser of its own."""
+def run_python(args):
+    """A fresh interpreter run with `python args`, this checkout's sources
+    first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-m", "wittmod", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_alone(argv):
+    """(exit code, stdout, stderr) of `python -m wittmod argv` in a fresh
+    interpreter, so with a parser of its own."""
+    done = run_python(["-m", "wittmod", *argv])
     return done.returncode, done.stdout, done.stderr
 
 
@@ -630,11 +635,7 @@ NOT_FOR_BRACKET = ["wittmod.verifier", "wittmod.reporting",
 
 
 def test_bracket_loads_only_its_layers():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", LOADS], capture_output=True,
-                          text=True, env=env, timeout=60)
+    done = run_python(["-c", LOADS])
     assert done.stdout.startswith("dt1\n-dt1\n"), done.stderr
     early, witt, dressed = json.loads(done.stdout.splitlines()[-1])
     assert [m for m in NOT_FOR_BRACKET if m in witt] == []
