@@ -134,7 +134,7 @@ def _cmd_weighting(args) -> int:
     m, n = _shape(args, [telem])
     spec = _module_spec(args, m, n, nonsingular_for="product basis")
     x = as_tensor(telem, m, n, spec.dim)
-    weight = parse_twist(args.r, m, "weight --r")
+    weight = parse_twist(args.r, m, "weight --r", required=True)
     print(print_expr(weight_reduce(spec, x, weight)))
     return 0
 

@@ -39,11 +39,12 @@ def parse_rational(text) -> Fraction:
         raise ConfigError("bad rational %r: %s" % (text, e))
 
 
-def parse_twist(value, m, name="twist vector") -> tuple:
+def parse_twist(value, m, name="twist vector", required=False) -> tuple:
     """A twist vector from text ("1, -1/2") or a sequence of rationals;
-    None or an empty value is the default, all ones.  name is what an
-    error calls the vector."""
-    if not value:
+    None or an empty value is the default, all ones, unless the vector is
+    required, when it must have its m entries.  name is what an error
+    calls the vector."""
+    if not value and not required:
         return (Fraction(1),) * m
     parts = value.replace(",", " ").split() if isinstance(value, str) \
         else value
@@ -153,6 +154,12 @@ def load_rep_file(path, m, n) -> Rep:
 # the run-parameter schema
 
 _BOUNDED = {"min": 0}
+# the largest window degree D and derivation degree deg: a window grows
+# like D^m and a basis like deg^m, and no test, acceptance criterion or
+# benchmark request goes above D = 6 (criterion 7 solves D + 1 = 5) or
+# deg = 3
+_WINDOW = {"min": 0, "max": 8}
+_DEGREE = {"min": 0, "max": 4}
 # the largest m and n: a bracket's cost grows with the shape (linearly in
 # m for a Witt bracket, far faster for the checks), and no test, acceptance
 # criterion or benchmark request goes above 3
@@ -206,8 +213,8 @@ class CheckParams:
     n: int = field(default=1, metadata=_SHAPE)
     a: tuple = ()
     rep: str = "natural"
-    D: int = field(default=3, metadata=_BOUNDED)
-    deg: int = field(default=2, metadata=_BOUNDED)
+    D: int = field(default=3, metadata=_WINDOW)
+    deg: int = field(default=2, metadata=_DEGREE)
     rmax: int = field(default=8, metadata=_BOUNDED)
     trials: int = field(default=50, metadata=_BOUNDED)
     seed: int = 0

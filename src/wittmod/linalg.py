@@ -8,6 +8,16 @@ exact, so there are no tolerances and no floats anywhere.  The reduced row
 echelon form of a matrix is unique, so no result depends on the order in
 which rows are inserted.
 
+Coefficients may be ints or Fractions, and integral rows stay in ints: a
+new row is stored as it is when its pivot coefficient is 1, divided in
+ints when that coefficient divides every entry, and scaled by a Fraction
+only otherwise.  An index from each key to the pivots whose rows hold it
+off their pivot (`Echelon.holders`) lets an insert back-substitute into
+just the rows that hold its new pivot, so its cost follows the rows it
+changes, not the rank.  Values leave the engine as Fractions: `kernel`
+and `rref` convert them, and so does `TensorSpan.reduce`, the one reader
+of `reduce` that returns a row.
+
 Sparse solves insert their equations as dicts and read the kernel off
 with `Echelon.kernel`.  No code in the package calls the dense `rref` and
 `invert` (lists of lists, rows first): they remain only for the
@@ -18,14 +28,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .superpoly import as_fractions
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
 
 def _sub_scaled(target, f, row):
     """target -= f * row in place, dropping the keys that vanish."""
     for k, c in row.items():
-        c = target.get(k, ZERO) - f * c
+        c = target.get(k, 0) - f * c
         if c:
             target[k] = c
         else:
@@ -36,14 +47,16 @@ class Echelon:
     """Fully reduced echelon rows over Q, grown one row at a time.
 
     Every stored row has coefficient 1 at its pivot, which is its least key,
-    and no other stored row has a nonzero at that pivot.
+    and no other stored row has a nonzero at that pivot.  holders maps each
+    key that some row holds off its pivot to the set of those pivots.
     """
 
-    __slots__ = ("rows", "key")
+    __slots__ = ("rows", "key", "holders")
 
     def __init__(self, key=None):
         self.rows = {}  # pivot key -> row
         self.key = key
+        self.holders = {}  # key -> pivots whose rows hold it off the pivot
 
     def reduce(self, row) -> dict:
         """A new row: row minus the combination of stored rows that clears
@@ -60,14 +73,37 @@ class Echelon:
         row = self.reduce(row)
         if not row:
             return False
+        rows, holders = self.rows, self.holders
         p = min(row, key=self.key)
-        inv = ONE / row[p]
-        row = {k: c * inv for k, c in row.items()}
-        for other in self.rows.values():
-            f = other.get(p)
-            if f:
-                _sub_scaled(other, f, row)
-        self.rows[p] = row
+        c = row[p]
+        if c != 1:
+            if type(c) is int and all(type(v) is int and not v % c
+                                      for v in row.values()):
+                row = {k: v // c for k, v in row.items()}
+            else:
+                inv = ONE / c
+                row = {k: v * inv for k, v in row.items()}
+        rest = [(k, v) for k, v in row.items() if k != p]
+        # back-substitute into the rows that hold p, keeping holders exact
+        for q in holders.pop(p, ()):
+            other = rows[q]
+            f = other.pop(p)
+            for k, v in rest:
+                old = other.get(k)
+                v = (old or 0) - f * v
+                if v:
+                    other[k] = v
+                    if old is None:
+                        holders.setdefault(k, set()).add(q)
+                else:
+                    del other[k]
+                    pivots = holders[k]
+                    pivots.discard(q)
+                    if not pivots:
+                        del holders[k]
+        for k, _ in rest:
+            holders.setdefault(k, set()).add(p)
+        rows[p] = row
         return True
 
     def kernel(self, columns) -> list:
@@ -75,13 +111,10 @@ class Echelon:
         annihilates: one per free column, in the order given, with 1 at
         that column and -row[col] at each pivot.  Stored rows must only
         use keys among columns."""
-        off_pivot = {}
-        for p, row in self.rows.items():
-            for k, c in row.items():
-                if k != p:
-                    off_pivot.setdefault(k, {})[p] = -c
-        return [{col: ONE, **off_pivot.get(col, {})}
-                for col in columns if col not in self.rows]
+        rows, holders = self.rows, self.holders
+        return [{col: ONE, **as_fractions({p: -rows[p][col]
+                                           for p in holders.get(col, ())})}
+                for col in columns if col not in rows]
 
 
 def rref(rows):
@@ -95,7 +128,7 @@ def rref(rows):
     out = []
     for p in pivots:
         dense = [ZERO] * nc
-        for k, c in ech.rows[p].items():
+        for k, c in as_fractions(ech.rows[p]).items():
             dense[k] = c
         out.append(dense)
     out += [[ZERO] * nc for _ in range(len(rows) - len(pivots))]
@@ -111,4 +144,3 @@ def invert(rows):
     if pivots != list(range(n)):
         return None
     return [r[n:] for r in red]
-

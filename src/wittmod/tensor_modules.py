@@ -300,14 +300,21 @@ def act_word(spec, w: OperatorWord, x: TensorElement) -> TensorElement:
     return _element(spec, _word(spec, w, x.terms))
 
 
-def lower_t(spec, i, x: TensorElement) -> TensorElement:
-    """(d/dt_i - a_i) on the module = plain d/dt_i on the coefficients."""
-    out = TensorElement.zero(spec)
-    for (p, l), c in x.terms.items():
+def _lower(i, terms):
+    """lower_t on a raw terms dict: the plain d/dt_i on the coefficients,
+    in ints where the values are.  It is injective on keys, so nothing
+    is summed."""
+    out = {}
+    for (p, l), c in terms.items():
         hit = mono_partial_t(p, i)
         if hit:
-            accumulate(out.terms, (hit[0], l), c * hit[1])
+            out[(hit[0], l)] = c * hit[1]
     return out
+
+
+def lower_t(spec, i, x: TensorElement) -> TensorElement:
+    """(d/dt_i - a_i) on the module = plain d/dt_i on the coefficients."""
+    return _element(spec, _lower(i, x.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +328,31 @@ def window_keys(spec, max_deg):
 def _kernel_of_ops(spec, ops, max_deg):
     """Exact joint kernel of linear operators on the degree window.
 
-    ops: callables TensorElement -> TensorElement.  Output support may
-    leave the window; every output coordinate of an op becomes one
-    equation {window key index: coefficient}.  The kernel is read off in
-    window key order, one basis vector per free key.
+    ops: callables raw terms dict -> raw terms dict, read on {key: 1} for
+    each window key, so the equations stay in ints where the operators
+    do.  Output support may leave the window; every output coordinate of
+    an op becomes one equation {window key index: coefficient}.  The
+    kernel is read off in window key order, one basis vector per free
+    key, and _element makes each a TensorElement.
     """
     keys = window_keys(spec, max_deg)
     ech = linalg.Echelon()
     for op in ops:
         eqs = {}
-        for k, (mono, l) in enumerate(keys):
-            for okey, c in op(TensorElement.pure(spec, mono, l)).terms.items():
+        for k, key in enumerate(keys):
+            for okey, c in op({key: 1}).items():
                 eqs.setdefault(okey, {})[k] = c
         for eq in eqs.values():
             ech.insert(eq)
-    return [TensorElement(spec.m, spec.n, spec.dim,
-                          {keys[k]: c for k, c in vec.items()})
+    return [_element(spec, {keys[k]: c for k, c in vec.items()})
             for vec in ech.kernel(range(len(keys)))]
 
 
 def whittaker_space(spec, max_deg):
     """Basis of the joint kernel of (d/dt_i - a_i) and d/dxi_j on the
     degree window."""
-    ops = [lambda x, i=i: lower_t(spec, i, x) for i in range(1, spec.m + 1)]
-    ops += [lambda x, j=j: act_atom(spec, ("dx", j), x)
+    ops = [lambda t, i=i: _lower(i, t) for i in range(1, spec.m + 1)]
+    ops += [lambda t, j=j: _act(spec, ("dx", j), t)
             for j in range(1, spec.n + 1)]
     return _kernel_of_ops(spec, ops, max_deg)
 
@@ -385,11 +393,11 @@ def whittaker_functor(spec, max_deg, words):
 def generalized_whittaker_space(spec, max_deg, height_bound=0):
     """Joint kernel of (d/dt_i - a_i)^(height_bound+1), no xi condition."""
 
-    def power_op(x, i):
+    def power_op(t, i):
         for _ in range(height_bound + 1):
-            x = lower_t(spec, i, x)
-        return x
-    return _kernel_of_ops(spec, [lambda x, i=i: power_op(x, i)
+            t = _lower(i, t)
+        return t
+    return _kernel_of_ops(spec, [lambda t, i=i: power_op(t, i)
                                  for i in range(1, spec.m + 1)], max_deg)
 
 
@@ -535,7 +543,7 @@ class TensorSpan:
         self.echelon = linalg.Echelon(tensor_key_sort)
 
     def reduce(self, x: TensorElement) -> TensorElement:
-        return x._like(self.echelon.reduce(x.terms))
+        return x._like(as_fractions(self.echelon.reduce(x.terms)))
 
     def insert(self, x: TensorElement) -> bool:
         """Add to the span; True if the dimension grew."""

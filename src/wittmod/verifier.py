@@ -791,16 +791,17 @@ def check_weight_multiplicity(p: CheckParams):
     big = window_keys(spec, p.D)
     small = window_keys(spec, p.D - 1)
     hs = [_cartan(p.m, p.n, i) for i in range(1, p.m + 1)]
+    # each h_i is one basis term with coefficient 1
+    atoms = [("w",) + key + slot for h in hs for key, slot in h.terms]
     cases = 0
     rng = random.Random(p.seed)
     for weight in product(range(-2, 3), repeat=p.m):
         cases += 1
         image = linalg.Echelon()
-        for i, h in enumerate(hs):
-            for key in small:
-                img = act_witt(spec, h, _pure(spec, key)) \
-                    - Fraction(weight[i]) * _pure(spec, key)
-                image.insert(img.terms)
+        for atom, w in zip(atoms, weight):
+            for key in small:  # (h_i - w_i) on one window key, in ints
+                image.insert(_act(spec, atom, {key: 1},
+                                  {key: -w} if w else None))
         quotient = len(big) - len(image.rows)
         if quotient != expected:
             raise _Fail({"weight": list(weight), "window": p.D,

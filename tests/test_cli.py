@@ -337,6 +337,39 @@ def test_weight_length_error_names_the_flag(capsys, r, m):
                               "got %d\n" % (m, len(r.split(","))))
 
 
+def test_empty_weight_exits_2(capsys):
+    # an empty --r is no weight: it used to reduce modulo the all-ones
+    # weight, the default of the twist --a that shares its parser
+    rc, out, err = run(capsys, ["weighting", "t1 @ e1 + 1 @ e2", "--r", "",
+                                "--m", "1", "--n", "1"])
+    assert (rc, out, err) == (2, "", "error: weight --r needs 1 entries, "
+                              "got 0\n")
+    # an empty --a still means the default twist
+    assert run(capsys, ["weighting", "t1 @ e1 + 1 @ e2", "--r", "1",
+                        "--a", "", "--m", "1", "--n", "1"]) \
+        == run(capsys, ["weighting", "t1 @ e1 + 1 @ e2", "--r", "1",
+                        "--m", "1", "--n", "1"]) == (0, "1 @ e2\n", "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    # this window took 2 s before the ceiling
+    (["wh", "--m", "2", "--n", "2", "--D", "30"], "D must be <= 8, got 30"),
+    (["verify", "whittaker_dimension", "--D", "9"], "D must be <= 8, got 9"),
+    (["verify", "jacobi", "--deg", "5"], "deg must be <= 4, got 5"),
+], ids=["wh-D30", "verify-D9", "verify-deg5"])
+def test_window_ceilings_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_largest_window_is_accepted(capsys):
+    rc, out, _ = run(capsys, ["wh", "--m", "1", "--n", "1", "--D", "8"])
+    assert (rc, out) == (0, "1 @ e1\n1 @ e2\n")
+    rc, out, _ = run(capsys, ["verify", "bracket_oracle", "--m", "1",
+                              "--n", "0", "--deg", "4"])
+    assert rc == 0 and " pass " in out
+
+
 def test_weight_multiplicity_rejects_m0(capsys):
     # no even variables means no Cartan weights: a configuration error
     # named before any work, not an internal ValueError

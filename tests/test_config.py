@@ -218,6 +218,9 @@ REJECTED = [
      for key in ("m", "n", "D", "deg", "rmax", "trials", "height")] + [
     ({"m": 9}, "m must be <= 8, got 9"),
     ({"n": 1000000}, "n must be <= 8, got 1000000"),
+    ({"D": 9}, "D must be <= 8, got 9"),
+    ({"deg": 5}, "deg must be <= 4, got 5"),
+    ({"D": 30, "deg": 3}, "D must be <= 8, got 30"),
 ]
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittmod.linalg import Echelon, invert, rref
 
@@ -212,3 +214,94 @@ def test_exactness_no_drift():
     m = [[F(1, 3), F(1, 7)], [F(1, 11), F(1, 13)]]
     inv = invert(m)
     assert _mat_mul(m, inv) == [[F(1), F(0)], [F(0), F(1)]]
+
+
+# ---------------------------------------------------------------------------
+# the engine's invariants under any insertion order
+
+def _assert_echelon_invariants(ech, inserted, ncols):
+    """ech holds the fully reduced span of inserted (dicts over columns
+    0..ncols-1), its holders index is a scan of its rows, and kernel and
+    rref agree with the dense reference in Fractions."""
+    rows = ech.rows
+    for p, row in rows.items():
+        assert row[p] == 1 and min(row) == p and all(row.values())
+        assert all(p not in other for q, other in rows.items() if q != p)
+    scan = {}
+    for p, row in rows.items():
+        for k in row:
+            if k != p:
+                scan.setdefault(k, set()).add(p)
+    assert ech.holders == scan
+    dense = [[r.get(c, 0) for c in range(ncols)] for r in inserted]
+    red, pivots = _dense_rref(dense)
+    assert sorted(rows) == pivots
+    assert [[rows[p].get(c, 0) for c in range(ncols)] for p in pivots] \
+        == red[:len(pivots)]
+    ker = ech.kernel(range(ncols))
+    assert [[v.get(c, 0) for c in range(ncols)] for v in ker] \
+        == _dense_kernel(dense, ncols)[1]
+    assert all(type(x) is F for v in ker for x in v.values())
+    got, got_pivots = rref(dense)
+    assert (got, got_pivots) == (red, pivots)
+    assert all(type(x) is F for row in got for x in row)
+
+
+_values = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(F, st.integers(-4, 4).filter(bool), st.integers(2, 3)))
+
+
+@st.composite
+def _sparse_rows(draw):
+    ncols = draw(st.integers(1, 7))
+    row = st.dictionaries(st.integers(0, ncols - 1), _values, max_size=4)
+    return ncols, draw(st.lists(row, max_size=8))
+
+
+@given(case=_sparse_rows(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_echelon_invariants_in_any_order(case, data):
+    ncols, rows = case
+    order = data.draw(st.permutations(rows))
+    ech = Echelon()
+    for i, row in enumerate(order):
+        ech.insert(row)
+        _assert_echelon_invariants(ech, order[:i + 1], ncols)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_late_pivot_back_substitutes_into_every_holder(data):
+    # rows 0..3 all hold column 4 (and some hold 5); the last row makes 4
+    # a pivot, which must leave every earlier row
+    early = [{p: data.draw(_values), 4: data.draw(_values),
+              5: data.draw(st.sampled_from([0, 1, F(1, 2)]))}
+             for p in range(4)]
+    late = {4: data.draw(_values), 5: data.draw(_values),
+            6: data.draw(_values)}
+    order = data.draw(st.permutations(early)) + [late]
+    ech = Echelon()
+    for row in order:
+        assert ech.insert(row)
+    _assert_echelon_invariants(ech, order, 7)
+    assert 4 not in ech.holders
+    assert ech.holders[6] == {0, 1, 2, 3, 4}
+
+
+def test_integral_rows_stay_integral():
+    # a pivot that divides its row keeps the row in ints; another pivot
+    # scales it by a Fraction, which then reaches the rows holding it
+    ech = Echelon()
+    ech.insert({0: 1, 2: 3, 3: -2})
+    ech.insert({1: -1, 2: 2})
+    assert ech.rows == {0: {0: 1, 2: 3, 3: -2}, 1: {1: 1, 2: -2}}
+    assert all(type(c) is int for row in ech.rows.values()
+               for c in row.values())
+    ech.insert({2: 2, 3: 1})
+    assert ech.rows == {0: {0: 1, 3: F(-7, 2)}, 1: {1: 1, 3: 1},
+                        2: {2: 1, 3: F(1, 2)}}
+    assert ech.holders == {3: {0, 1, 2}}
+    assert ech.kernel(range(4)) == [{3: 1, 0: F(7, 2), 1: -1, 2: F(-1, 2)}]
+    assert all(type(c) is F for v in ech.kernel(range(4))
+               for c in v.values())

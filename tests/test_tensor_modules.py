@@ -26,6 +26,7 @@ from wittmod.words import OperatorWord, make_watom
 
 from conftest import (make_spec, rand_coeff, rand_superpoly, rand_tensor,
                       rand_witt, witt_keys)
+from test_linalg import _dense_kernel
 
 F = Fraction
 
@@ -123,38 +124,46 @@ def test_generalized_whittaker_dimensions():
     assert len(generalized_whittaker_space(spec, 3, 1)) == 8
 
 
+def _old_route_ops(spec, hb=None):
+    """The window solves' operators on TensorElements, as the solves read
+    them before they moved to raw terms dicts: lower_t and act_atom for
+    wh, or the powers of lower_t up to height hb + 1."""
+    if hb is None:
+        ops = [lambda x, i=i: lower_t(spec, i, x)
+               for i in range(1, spec.m + 1)]
+        return ops + [lambda x, j=j: act_atom(spec, ("dx", j), x)
+                      for j in range(1, spec.n + 1)]
+
+    def power(i):
+        def op(x):
+            for _ in range(hb + 1):
+                x = lower_t(spec, i, x)
+            return x
+        return op
+    return [power(i) for i in range(1, spec.m + 1)]
+
+
 def _dense_kernel_of_ops(spec, ops, keys):
-    """Second route for the window solves: one dense row over the window
-    keys per output coordinate of each op, dense Gauss-Jordan, and one
-    kernel vector per free key in window order."""
+    """Second route for the window solves: one TensorElement per window
+    key, one dense row over the window keys per output coordinate of each
+    op, and the dense Gauss-Jordan kernel of tests/test_linalg.py, one
+    vector per free key in window order."""
     rows = []
     for op in ops:
         images = [op(TensorElement.pure(spec, mono, l)) for mono, l in keys]
         out_keys = {k for img in images for k in img.terms}
         rows += [[img.terms.get(okey, F(0)) for img in images]
                  for okey in out_keys]
-    rows = [r for r in rows if any(r)]
-    pivots = []
-    for c in range(len(keys)):
-        r = len(pivots)
-        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    basis = []
-    for fc in (c for c in range(len(keys)) if c not in pivots):
-        terms = {keys[fc]: F(1)}
-        for r, pc in enumerate(pivots):
-            if rows[r][fc]:
-                terms[keys[pc]] = -rows[r][fc]
-        basis.append(TensorElement(spec.m, spec.n, spec.dim, terms))
-    return basis
+    _, vectors = _dense_kernel(rows, len(keys))
+    return [TensorElement(spec.m, spec.n, spec.dim,
+                          {key: c for key, c in zip(keys, v) if c})
+            for v in vectors]
+
+
+def _solve(spec, D, hb):
+    if hb is None:
+        return whittaker_space(spec, D)
+    return generalized_whittaker_space(spec, D, height_bound=hb)
 
 
 @pytest.mark.parametrize("m,n,rep,D,hb", [
@@ -166,24 +175,35 @@ def _dense_kernel_of_ops(spec, ops, keys):
 def test_window_solves_match_dense_route(m, n, rep, D, hb):
     spec = make_spec(m, n, a=tuple(F(i + 2, i + 1) for i in range(m)),
                      rep=rep)
-    keys = window_keys(spec, D)
-    if hb is None:
-        got = whittaker_space(spec, D)
-        ops = [lambda x, i=i: lower_t(spec, i, x) for i in range(1, m + 1)]
-        ops += [lambda x, j=j: act_atom(spec, ("dx", j), x)
-                for j in range(1, n + 1)]
-    else:
-        got = generalized_whittaker_space(spec, D, height_bound=hb)
-
-        def power(i):
-            def op(x):
-                for _ in range(hb + 1):
-                    x = lower_t(spec, i, x)
-                return x
-            return op
-        ops = [power(i) for i in range(1, m + 1)]
-    assert got == _dense_kernel_of_ops(spec, ops, keys)
+    got = _solve(spec, D, hb)
+    assert got == _dense_kernel_of_ops(spec, _old_route_ops(spec, hb),
+                                       window_keys(spec, D))
     assert len(got) == spec.dim * (1 if hb is None else (hb + 1) ** m * 2 ** n)
+
+
+@pytest.mark.parametrize("hb", [None, 0, 1], ids=["wh", "height0",
+                                                  "height1"])
+@pytest.mark.parametrize("m,n,a", [
+    (1, 1, None), (2, 1, None), (2, 2, None), (2, 1, (F(3), F(-1, 2))),
+], ids=["1x1", "2x1", "2x2", "2x1-twist3,-1/2"])
+def test_window_solves_build_no_element_per_key(monkeypatch, m, n, a, hb):
+    # the solves read raw terms dicts: the only TensorElements they build
+    # are the solved vectors, each holding Fractions only
+    spec = make_spec(m, n, a=a)
+    keys = window_keys(spec, 3)
+    want = _dense_kernel_of_ops(spec, _old_route_ops(spec, hb), keys)
+    built = []
+    init = TensorElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(TensorElement, "__init__", counting_init)
+    got = _solve(spec, 3, hb)
+    monkeypatch.undo()
+    assert len(built) == len(got) < len(keys)
+    assert got == want
+    assert all(type(c) is F for x in got for c in x.terms.values())
 
 
 # ---------------------------------------------------------------------------

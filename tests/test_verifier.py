@@ -447,11 +447,21 @@ def _fails_with(check_id, params, *keys):
 
 def test_weight_multiplicity_fails_on_a_wrong_quotient(monkeypatch):
     # Cartan operators acting as the scalar -2, the first weight tried:
-    # the whole window is then its quotient
-    monkeypatch.setattr(verifier, "act_witt", lambda spec, w, x: -2 * x)
+    # the whole window is then its quotient.  The quotient reads the
+    # raw action, so the fault is planted in the check's _act.
+    def scalar(spec, atom, terms, out=None, scale=None):
+        out = {} if out is None else out
+        for key, c in terms.items():
+            c = out.get(key, 0) - 2 * c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+        return out
+    monkeypatch.setattr(verifier, "_act", scalar)
     cex = _fails_with("weight_multiplicity", {"D": 2},
                       "weight", "expected", "got")
-    assert cex["got"] > cex["expected"]
+    assert cex == {"weight": [-2], "window": 2, "expected": 4, "got": 12}
 
 
 def test_weight_multiplicity_fails_on_a_representative_dependence(
