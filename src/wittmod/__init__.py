@@ -5,11 +5,12 @@ comparisons are exact, and no check carries a tolerance.
 
 Importing the package loads no layer.  Each name below is served from its
 submodule on first access (PEP 562), so `import wittmod.cli` compiles only
-what the command line needs before any command runs.  The rule that keeps
-the import's peak memory low: `import wittmod.cli` loads neither
-wittmod.config, dataclasses nor argparse, so a process that imports the
-cli and then the verifier compiles the verifier, the largest module,
-before dataclasses loads.
+what the command line needs before any command runs: neither
+wittmod.config nor argparse.  A Witt bracket then loads config for its
+shape rule, but neither dataclasses nor glmn, and `wh` validates its
+parameters without the verifier.  The rule that keeps a process's peak
+memory low: only the verifier loads dataclasses, so the verifier, the
+largest module, compiles before dataclasses loads.
 """
 
 __version__ = "0.1.0"

@@ -13,8 +13,10 @@ import sys
 
 # only the layers of a Witt bracket load with the module (the converters
 # load their own element types on first call); every other layer is
-# imported by the command that uses it, and config, dataclasses and
-# argparse wait for the first command (see the package docstring)
+# imported by the command that uses it, and config and argparse wait for
+# the first command.  A Witt bracket adds config alone, for the shape
+# rule, and wh validates its parameters without the verifier (see the
+# package docstring)
 from .expressions import (ExpressionError, as_dressed, as_tensor, as_witt,
                           as_word, parse_expr, print_expr)
 from .witt import witt_bracket
@@ -160,8 +162,9 @@ def _run_checks(args):
     """Run the checks that args select: (reports, config, CLI values).
     Every selected check's parameters are resolved before any check
     runs."""
-    # the verifier before the config: compiling the largest module before
-    # the config loads dataclasses keeps the process's peak memory low
+    # the verifier, the largest module, compiles before anything loads
+    # dataclasses (only the verifier does), which keeps the process's peak
+    # memory low
     from .verifier import REGISTRY, run_check
     from .config import load_config
     cfg = load_config(args.config)

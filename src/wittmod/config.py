@@ -19,13 +19,18 @@ Rep descriptors: natural | trivial | trivial:<dim> | tensor(d1, d2)
 | sum(d1, d2) | file:<path>.  The file format is a header line
 "dim p1 .. pd" (parities of the chosen basis) followed by one line per
 matrix unit, "E i j : d*d rationals row-major".
+
+The module is cheap to import, since a Witt bracket loads it for the shape
+rule alone: the schema is one table read by a plain class (no
+dataclasses), the check ids and their modes are declared here (the
+verifier is not loaded to validate them), and glmn loads when a rep is
+built.
 """
 
-from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from __future__ import annotations
 
-from .glmn import (Rep, custom_rep, direct_sum_rep, natural_rep, tensor_rep,
-                   trivial_rep)
+from fractions import Fraction
+from operator import add, mul
 
 
 class ConfigError(ValueError):
@@ -77,12 +82,36 @@ def _split_args(body):
     return body[:cut].strip(), body[cut + 1:].strip()
 
 
+# the largest rep dimension: the module's action rows grow with it, the
+# tensor square of natural at the largest shape (8, 8) has 256, and no
+# test, acceptance criterion or benchmark request goes above 9
+MAX_REP_DIM = 256
+
+
+def _check_rep_dim(dim):
+    if dim > MAX_REP_DIM:
+        raise ConfigError("rep dimension must be <= %d, got %d"
+                          % (MAX_REP_DIM, dim))
+
+
 def resolve_rep(descriptor, m, n) -> Rep:
+    """The rep a descriptor names.  Its dimension is read off the
+    descriptor before any rep is built (a file's rep, once its header is
+    within the ceiling), and one above MAX_REP_DIM is a ConfigError."""
+    dim, build = _plan_rep(descriptor, m, n)
+    _check_rep_dim(dim)
+    return build()
+
+
+def _plan_rep(descriptor, m, n):
+    """(dim, build): the dimension of the rep a descriptor names and a
+    function that builds it."""
+    from . import glmn
     d = descriptor.strip()
     if d == "natural":
-        return natural_rep(m, n)
+        return m + n, lambda: glmn.natural_rep(m, n)
     if d == "trivial":
-        return trivial_rep(m, n)
+        return 1, lambda: glmn.trivial_rep(m, n)
     if d.startswith("trivial:"):
         try:
             k = int(d.split(":", 1)[1])
@@ -90,13 +119,16 @@ def resolve_rep(descriptor, m, n) -> Rep:
             raise ConfigError("bad trivial dimension in %r" % d)
         if k < 1:
             raise ConfigError("trivial dimension must be >= 1")
-        return trivial_rep(m, n, k)
-    for name, combine in (("tensor", tensor_rep), ("sum", direct_sum_rep)):
+        return k, lambda: glmn.trivial_rep(m, n, k)
+    for name, combine, size in (("tensor", glmn.tensor_rep, mul),
+                                ("sum", glmn.direct_sum_rep, add)):
         if d.startswith(name + "(") and d.endswith(")"):
             left, right = _split_args(d[len(name) + 1:-1])
-            return combine(resolve_rep(left, m, n), resolve_rep(right, m, n))
+            (dl, bl), (dr, br) = _plan_rep(left, m, n), _plan_rep(right, m, n)
+            return size(dl, dr), lambda: combine(bl(), br())
     if d.startswith("file:"):
-        return load_rep_file(d[5:].strip(), m, n)
+        rep = load_rep_file(d[5:].strip(), m, n)
+        return rep.dim, lambda: rep
     raise ConfigError("unknown rep descriptor %r" % descriptor)
 
 
@@ -120,6 +152,7 @@ def load_rep_file(path, m, n) -> Rep:
     if any(p not in (0, 1) for p in parities):
         raise ConfigError("rep file %s: parities must be 0/1" % path)
     dim = len(parities)
+    _check_rep_dim(dim)
     mats = {}
     for ln in lines[1:]:
         head, _, tail = ln.partition(":")
@@ -144,6 +177,7 @@ def load_rep_file(path, m, n) -> Rep:
     if missing:
         raise ConfigError("rep file %s: missing matrix for E %d %d"
                           % (path, missing[0][0], missing[0][1]))
+    from .glmn import custom_rep
     try:
         return custom_rep(m, n, dim, parities, mats)
     except ValueError as e:
@@ -153,28 +187,71 @@ def load_rep_file(path, m, n) -> Rep:
 # ---------------------------------------------------------------------------
 # the run-parameter schema
 
-_BOUNDED = {"min": 0}
+# the checks in `verify all` order, each with the modes it implements
+# besides "corrected"; the verifier pairs each id with its function
+CHECKS = {
+    "jacobi": ("mutated",),
+    "bracket_oracle": ("verbatim",),
+    "weyl_relations": (),
+    "module_axioms": ("mutated",),
+    "commutant_homomorphism": ("tau_flipped",),
+    "commutant_weyl_commute": (),
+    "gl_realization": (),
+    "whittaker_dimension": (),
+    "descent_roundtrip": (),
+    "weight_multiplicity": (),
+    "difference_recurrence": (),
+    "difference_annihilation": ("untwisted", "coset"),
+    "simplicity_probe": (),
+}
+
+_UNBOUNDED = {}
 # the largest window degree D and derivation degree deg: a window grows
 # like D^m and a basis like deg^m, and no test, acceptance criterion or
 # benchmark request goes above D = 6 (criterion 7 solves D + 1 = 5) or
-# deg = 3
+# deg = 3.  A height at or above D gives the whole window, so D's ceiling
+# bounds the height too (no request goes above height 1).
 _WINDOW = {"min": 0, "max": 8}
 _DEGREE = {"min": 0, "max": 4}
 # the largest m and n: a bracket's cost grows with the shape (linearly in
 # m for a Witt bracket, far faster for the checks), and no test, acceptance
 # criterion or benchmark request goes above 3
 _SHAPE = {"min": 0, "max": 8}
+# the most trials and the largest difference order: a sampled check costs
+# linearly in its trials, difference_annihilation tries every order up to
+# rmax, and no test, acceptance criterion or benchmark request goes above
+# trials = 500 (criterion 3) or rmax = 8 (the default)
+_TRIALS = {"min": 0, "max": 1000}
+_ORDER = {"min": 0, "max": 16}
+
+# the check id, then the run parameters in order: name -> (type, default,
+# bound); the check id has no default
+_FIELDS = {
+    "check": (str, None, _UNBOUNDED),
+    "m": (int, 1, _SHAPE),
+    "n": (int, 1, _SHAPE),
+    "a": (tuple, (), _UNBOUNDED),
+    "rep": (str, "natural", _UNBOUNDED),
+    "D": (int, 3, _WINDOW),
+    "deg": (int, 2, _DEGREE),
+    "rmax": (int, 8, _ORDER),
+    "trials": (int, 50, _TRIALS),
+    "seed": (int, 0, _UNBOUNDED),
+    "mode": (str, "corrected", _UNBOUNDED),
+    "expect_reducible": (bool, False, _UNBOUNDED),
+    "height": (int, 0, _WINDOW),
+}
 _TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string",
                tuple: "a twist vector"}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(f, value):
-    """value as the type of field f.  Text (an INI value) is parsed; any
-    other value must have the type already.  The twist vector is left as
-    given: it is parsed once m is known."""
-    kind = f.type
+def _coerce(name, value):
+    """value as the type of field name.  Text (an INI value) is parsed;
+    any other value must have the type already.  The twist vector is left
+    as given: it is parsed once m is known."""
+    kind = _FIELDS[name][0]
     if isinstance(value, str) and kind is not tuple:
         text = value.strip()
         if kind is int:
@@ -189,69 +266,61 @@ def _coerce(f, value):
             value is None or isinstance(value, (str, list))):
         return value
     raise ConfigError("key %s must be %s, got %r"
-                      % (f.name, _TYPE_NAMES[kind], value))
+                      % (name, _TYPE_NAMES[kind], value))
 
 
-def _check_bound(f, value):
-    if "min" in f.metadata and value < f.metadata["min"]:
+def _check_bound(name, value):
+    bound = _FIELDS[name][2]
+    if "min" in bound and value < bound["min"]:
         raise ConfigError("%s must be >= %d, got %d"
-                          % (f.name, f.metadata["min"], value))
-    if "max" in f.metadata and value > f.metadata["max"]:
+                          % (name, bound["min"], value))
+    if "max" in bound and value > bound["max"]:
         raise ConfigError("%s must be <= %d, got %d"
-                          % (f.name, f.metadata["max"], value))
+                          % (name, bound["max"], value))
 
 
-@dataclass
 class CheckParams:
-    """The run parameters of one check: the one place that names each of
-    them and gives its default, its type (int, bool, str, or the twist
-    vector a) and its bound.  Construction validates, so every bad
-    parameter is a ConfigError raised before any work."""
+    """The run parameters of one check, as read from _FIELDS: the one
+    place that names each of them and gives its default, its type (int,
+    bool, str, or the twist vector a) and its bound.  Construction
+    validates, so every bad parameter is a ConfigError raised before any
+    work."""
 
-    check: str
-    m: int = field(default=1, metadata=_SHAPE)
-    n: int = field(default=1, metadata=_SHAPE)
-    a: tuple = ()
-    rep: str = "natural"
-    D: int = field(default=3, metadata=_WINDOW)
-    deg: int = field(default=2, metadata=_DEGREE)
-    rmax: int = field(default=8, metadata=_BOUNDED)
-    trials: int = field(default=50, metadata=_BOUNDED)
-    seed: int = 0
-    mode: str = "corrected"
-    expect_reducible: bool = False
-    height: int = field(default=0, metadata=_BOUNDED)
+    __slots__ = tuple(_FIELDS)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = _coerce(f, getattr(self, f.name))
-            _check_bound(f, value)
-            setattr(self, f.name, value)
+    def __init__(self, check, **values):
+        unknown = [key for key in values if key not in _FIELDS]
+        if unknown:
+            raise TypeError("CheckParams.__init__() got an unexpected "
+                            "keyword argument %r" % unknown[0])
+        values["check"] = check
+        for name, (_, default, _) in _FIELDS.items():
+            value = _coerce(name, values.get(name, default))
+            _check_bound(name, value)
+            setattr(self, name, value)
         self.check_shape(self.m, self.n)
         self.a = parse_twist(self.a, self.m)
-        from .verifier import REGISTRY  # the verifier imports this module
-        if self.check not in REGISTRY:
+        if self.check not in CHECKS:
             raise ConfigError("unknown check id %r (known: %s)"
-                              % (self.check, ", ".join(sorted(REGISTRY))))
-        modes = ("corrected",) + REGISTRY[self.check].modes
+                              % (self.check, ", ".join(sorted(CHECKS))))
+        modes = ("corrected",) + CHECKS[self.check]
         if self.mode not in modes:
             raise ConfigError("check %s has no mode %r (modes: %s)"
                               % (self.check, self.mode, ", ".join(modes)))
 
-    @classmethod
-    def check_shape(cls, m, n):
+    @staticmethod
+    def check_shape(m, n):
         """The shape rule, shared with the calculator commands: m and n
         within their bounds, and not both 0."""
-        schema = cls.__dataclass_fields__
-        _check_bound(schema["m"], m)
-        _check_bound(schema["n"], n)
+        _check_bound("m", m)
+        _check_bound("n", n)
         if m == n == 0:
             raise ConfigError("empty shape: m and n are both 0")
 
-    @classmethod
-    def keys(cls):
+    @staticmethod
+    def keys():
         """The parameter names, in order: every field but the check id."""
-        return [f.name for f in fields(cls) if f.name != "check"]
+        return list(_FIELDS)[1:]
 
     @classmethod
     def from_dict(cls, check, values):
@@ -263,7 +332,7 @@ class CheckParams:
     def as_dict(self):
         """The fields in order with the twist as strings: a report's
         params."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {name: getattr(self, name) for name in _FIELDS}
         out["a"] = [str(x) for x in self.a]
         return out
 
@@ -305,14 +374,13 @@ def load_config(path=None) -> RunConfig:
         raise ConfigError("cannot read config %s: %s" % (path, e))
     except configparser.Error as e:
         raise ConfigError("bad config %s: %s" % (path, e))
-    schema = {f.name: f for f in fields(CheckParams) if f.name != "check"}
+    params = CheckParams.keys()
     base, overrides, checks = {}, {}, None
     for section in parser.sections():
         if section == "run":
             values = base
         elif section.startswith("check:"):
-            from .verifier import REGISTRY  # the verifier imports this module
-            if section[6:] not in REGISTRY:
+            if section[6:] not in CHECKS:
                 raise ConfigError("unknown check id %r in [%s]"
                                   % (section[6:], section))
             values = overrides[section[6:]] = {}
@@ -321,8 +389,8 @@ def load_config(path=None) -> RunConfig:
         for key, raw in parser.items(section):
             if section == "run" and key == "checks":
                 checks = [c.strip() for c in raw.split(",") if c.strip()]
-            elif key in schema:
-                values[key] = _coerce(schema[key], raw)
+            elif key in params:
+                values[key] = _coerce(key, raw)
             else:
                 raise ConfigError("unknown key %r in [%s]" % (key, section))
     return RunConfig(base, overrides, None if checks == ["all"] else checks)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 from . import linalg, witt
-from .config import CheckParams, ConfigError, resolve_rep
+from .config import CHECKS, CheckParams, ConfigError, resolve_rep
 from .dressed import (DressedWittElement, _dressed_bracket_basis,
                       _dressed_tables, commutant_element, commutant_of_witt,
                       dressed_basis, dressed_bracket)
@@ -1034,26 +1034,12 @@ def check_simplicity_probe(p: CheckParams):
 # ---------------------------------------------------------------------------
 # registry and runner
 
-# a check and the modes it implements besides "corrected"
+# a check and the modes it implements besides "corrected": each id of
+# config.CHECKS, in its order, paired with its function check_<id>
 Check = namedtuple("Check", "run modes")
 
-REGISTRY = {
-    "jacobi": Check(check_jacobi, ("mutated",)),
-    "bracket_oracle": Check(check_bracket_oracle, ("verbatim",)),
-    "weyl_relations": Check(check_weyl_relations, ()),
-    "module_axioms": Check(check_module_axioms, ("mutated",)),
-    "commutant_homomorphism": Check(check_commutant_homomorphism,
-                                    ("tau_flipped",)),
-    "commutant_weyl_commute": Check(check_commutant_weyl_commute, ()),
-    "gl_realization": Check(check_gl_realization, ()),
-    "whittaker_dimension": Check(check_whittaker_dimension, ()),
-    "descent_roundtrip": Check(check_descent_roundtrip, ()),
-    "weight_multiplicity": Check(check_weight_multiplicity, ()),
-    "difference_recurrence": Check(check_difference_recurrence, ()),
-    "difference_annihilation": Check(check_difference_annihilation,
-                                     ("untwisted", "coset")),
-    "simplicity_probe": Check(check_simplicity_probe, ()),
-}
+REGISTRY = {cid: Check(globals()["check_" + cid], modes)
+            for cid, modes in CHECKS.items()}
 
 
 def run_check(check_id, merged) -> CheckReport:

@@ -356,7 +356,16 @@ def test_empty_weight_exits_2(capsys):
     (["wh", "--m", "2", "--n", "2", "--D", "30"], "D must be <= 8, got 30"),
     (["verify", "whittaker_dimension", "--D", "9"], "D must be <= 8, got 9"),
     (["verify", "jacobi", "--deg", "5"], "deg must be <= 4, got 5"),
-], ids=["wh-D30", "verify-D9", "verify-deg5"])
+    # linear in the height: this took 0.76 s at height 0 + 10**6
+    (["wh", "--m", "1", "--n", "0", "--D", "1", "--height", "1000000"],
+     "height must be <= 8, got 1000000"),
+    # linear in the trials: this took 3.3 s
+    (["verify", "weyl_relations", "--trials", "20000"],
+     "trials must be <= 1000, got 20000"),
+    (["verify", "difference_annihilation", "--rmax", "17"],
+     "rmax must be <= 16, got 17"),
+], ids=["wh-D30", "verify-D9", "verify-deg5", "wh-height", "verify-trials",
+        "verify-rmax"])
 def test_window_ceilings_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
@@ -368,6 +377,32 @@ def test_largest_window_is_accepted(capsys):
     rc, out, _ = run(capsys, ["verify", "bracket_oracle", "--m", "1",
                               "--n", "0", "--deg", "4"])
     assert rc == 0 and " pass " in out
+    # any height at or above D gives the whole window
+    assert run(capsys, ["wh", "--m", "1", "--n", "0", "--D", "1",
+                        "--height", "8"]) \
+        == run(capsys, ["wh", "--m", "1", "--n", "0", "--D", "1",
+                        "--height", "1"])
+    for check, flag, top in (("simplicity_probe", "--trials", "1000"),
+                             ("difference_annihilation", "--rmax", "16")):
+        rc, out, _ = run(capsys, ["verify", check, flag, top])
+        assert rc == 0 and " pass " in out
+
+
+@pytest.mark.parametrize("rep,dim", [
+    # this peaked at 31 MB; the ceiling is read before anything is built
+    ("trivial:1000000", 1000000),
+    ("tensor(trivial:16,trivial:17)", 272),
+    ("sum(trivial:256,natural)", 258),
+    ("sum(tensor(natural,trivial:64),tensor(trivial:64,natural))", 256),
+], ids=["trivial", "tensor", "sum", "nested"])
+def test_rep_dimension_ceiling_exits_2(capsys, rep, dim):
+    argv = ["act", "dt1", "1 @ e1", "--m", "1", "--n", "1", "--rep", rep]
+    rc, out, err = run(capsys, argv)
+    if dim <= 256:
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, out, err) == (2, "", "error: rep dimension must be "
+                                  "<= 256, got %d\n" % dim)
 
 
 def test_weight_multiplicity_rejects_m0(capsys):
@@ -649,38 +684,63 @@ def test_python_dash_m_runs_the_cli():
     assert run_alone(["bracket", "dt1", "t1*dt1"]) == (0, "dt1\n", "")
 
 
-# a fresh interpreter reports what it loaded: at `import wittmod.cli`,
-# after one Witt bracket, then after one dressed bracket
+# a fresh interpreter reports what it loaded: at `import wittmod.cli`, then
+# after each command of the JSON list in argv[1]
 LOADS = """
 import json, sys
 import wittmod.cli
 seen = [sorted(sys.modules)]
-for argv in (["bracket", "dt1", "t1*dt1"], ["bracket", "t1 . dt1", "dt1"]):
+for argv in json.loads(sys.argv[1]):
     assert wittmod.cli.run_command(argv) == 0
     seen.append(sorted(sys.modules))
 print(json.dumps(seen))
 """
 
+
+def loads_after(*argvs):
+    """(stdout lines before the report, the modules loaded at
+    `import wittmod.cli` and after each command) of one fresh
+    interpreter."""
+    done = run_python(["-c", LOADS, json.dumps(argvs)])
+    assert done.returncode == 0, done.stderr
+    *out, seen = done.stdout.splitlines()
+    return out, json.loads(seen)
+
+
 # layers a Witt bracket never needs
 NOT_FOR_BRACKET = ["wittmod.verifier", "wittmod.reporting",
                    "wittmod.tensor_modules", "wittmod.dressed",
-                   "wittmod.words", "wittmod.linalg"]
+                   "wittmod.words", "wittmod.linalg", "wittmod.glmn"]
 
 
 def test_bracket_loads_only_its_layers():
-    done = run_python(["-c", LOADS])
-    assert done.stdout.startswith("dt1\n-dt1\n"), done.stderr
-    early, witt, dressed = json.loads(done.stdout.splitlines()[-1])
+    out, (early, witt, dressed) = loads_after(
+        ["bracket", "dt1", "t1*dt1"], ["bracket", "t1 . dt1", "dt1"])
+    assert out == ["dt1", "-dt1"]
     assert [m for m in NOT_FOR_BRACKET if m in witt] == []
-    assert {"wittmod.config", "wittmod.glmn"} <= set(witt)
+    # the config for the shape rule, without what a rep or a dataclass needs
+    assert "wittmod.config" in witt
+    assert [m for m in ("dataclasses", "inspect") if m in witt] == []
     # the dressed route adds its own layer and the words it builds on
     assert sorted(set(dressed) - set(witt)) == ["wittmod.dressed",
                                                 "wittmod.words"]
-    # the peak-memory order: importing the cli loads none of these, so a
-    # process that imports the verifier next compiles it before the config
-    # loads dataclasses
+    # importing the cli loads none of what the first command needs
     assert [m for m in ("wittmod.config", "dataclasses", "argparse")
             if m in early] == []
+
+
+def test_wh_validates_without_the_verifier(tmp_path):
+    # a [check:] section and its mode are validated without the verifier
+    spec = tmp_path / "wh.ini"
+    spec.write_text("[run]\nm = 1\nn = 1\n\n"
+                    "[check:whittaker_dimension]\nD = 2\n")
+    out, (_, wh, from_spec) = loads_after(
+        ["wh", "--m", "1", "--n", "1", "--D", "2"],
+        ["wh", "--spec", str(spec)])
+    assert out == ["1 @ e1", "1 @ e2"] * 2
+    assert "wittmod.tensor_modules" in wh
+    assert [m for m in ("wittmod.verifier", "wittmod.dressed")
+            if m in from_spec] == []
 
 
 # a twist, a rep and a mode first, then requests that rely on the defaults,

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from wittmod.cli import _cli_dict, build_parser
-from wittmod.config import (CheckParams, ConfigError, RunConfig, load_config,
-                            load_rep_file, parse_rational, parse_twist,
-                            resolve_rep)
+from wittmod import glmn
+from wittmod.config import (CHECKS, MAX_REP_DIM, CheckParams, ConfigError,
+                            RunConfig, load_config, load_rep_file,
+                            parse_rational, parse_twist, resolve_rep)
 from wittmod.verifier import REGISTRY, run_check
 from wittmod.glmn import natural_rep, verify_rep
 
@@ -221,6 +222,9 @@ REJECTED = [
     ({"D": 9}, "D must be <= 8, got 9"),
     ({"deg": 5}, "deg must be <= 4, got 5"),
     ({"D": 30, "deg": 3}, "D must be <= 8, got 30"),
+    ({"height": 9}, "height must be <= 8, got 9"),
+    ({"trials": 1001}, "trials must be <= 1000, got 1001"),
+    ({"rmax": 17}, "rmax must be <= 16, got 17"),
 ]
 
 
@@ -240,3 +244,102 @@ def test_check_modes_are_declared():
             assert RunConfig().params_for(check_id, {"mode": mode})
     with pytest.raises(ConfigError, match="unknown check id"):
         RunConfig().params_for("nonsense")
+    # the config's table and the registry name the same checks and modes
+    assert [(cid, entry.modes) for cid, entry in REGISTRY.items()] \
+        == list(CHECKS.items())
+
+
+def test_ini_check_sections_are_validated(tmp_path):
+    f = tmp_path / "run.ini"
+    f.write_text("[check:nonsense]\nD = 2\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(f))
+    assert str(err.value) == "unknown check id 'nonsense' in [check:nonsense]"
+    # whittaker_dimension, which wh reads, has no fault mode
+    f.write_text("[check:whittaker_dimension]\nmode = mutated\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(f)).params_for("whittaker_dimension")
+    assert str(err.value) == ("check whittaker_dimension has no mode "
+                              "'mutated' (modes: corrected)")
+
+
+# ---------------------------------------------------------------------------
+# CheckParams behaves as the dataclass it replaced
+
+DEFAULTS = {"m": 1, "n": 1, "a": (F(1),), "rep": "natural", "D": 3,
+            "deg": 2, "rmax": 8, "trials": 50, "seed": 0, "mode": "corrected",
+            "expect_reducible": False, "height": 0}
+
+
+def test_checkparams_keys_and_defaults():
+    assert CheckParams.keys() == list(DEFAULTS)
+    p = CheckParams("jacobi")
+    assert {key: getattr(p, key) for key in p.keys()} == DEFAULTS
+    assert list(p.as_dict()) == ["check", *DEFAULTS]
+    assert p.as_dict() == {"check": "jacobi", **DEFAULTS, "a": ["1"]}
+
+
+def test_checkparams_keyword_construction():
+    p = CheckParams(check="difference_annihilation", m=2, n=0, a="1, -1/2",
+                    D="4", mode="coset", expect_reducible="yes")
+    assert (p.check, p.m, p.n, p.a, p.D, p.mode, p.expect_reducible) == (
+        "difference_annihilation", 2, 0, (F(1), F(-1, 2)), 4, "coset", True)
+    assert p.as_dict()["a"] == ["1", "-1/2"]
+    with pytest.raises(TypeError, match="unexpected keyword argument 'dee'"):
+        CheckParams("jacobi", dee=3)
+    with pytest.raises(ConfigError) as err:
+        CheckParams(7)
+    assert str(err.value) == "key check must be a string, got 7"
+
+
+def test_checkparams_from_dict_names_the_unknown_key():
+    # the check id is an argument, not a key
+    for values, key in (({"dee": 3, "m": 1}, "dee"), ({"check": "x"},
+                                                       "check")):
+        with pytest.raises(ConfigError) as err:
+            CheckParams.from_dict("jacobi", values)
+        assert str(err.value) == "unknown key %r" % key
+
+
+def test_check_shape_is_a_class_attribute():
+    # the calculator calls it on the class, with no check to validate
+    assert CheckParams.check_shape(1, 0) is None
+    assert CheckParams("jacobi").check_shape(0, 1) is None
+    with pytest.raises(ConfigError, match="n must be >= 0, got -1"):
+        CheckParams.check_shape(1, -1)
+
+
+# ---------------------------------------------------------------------------
+# the rep dimension ceiling
+
+def test_rep_dimension_is_read_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a rep was built")
+    for name in ("natural_rep", "trivial_rep", "tensor_rep",
+                 "direct_sum_rep"):
+        monkeypatch.setattr(glmn, name, unreachable)
+    for descriptor, dim in (("trivial:1000000000", 10 ** 9),
+                            ("tensor(natural,trivial:200)", 600),
+                            ("sum(trivial:250,tensor(natural,natural))",
+                             259)):
+        with pytest.raises(ConfigError) as err:
+            resolve_rep(descriptor, 2, 1)
+        assert str(err.value) == ("rep dimension must be <= %d, got %d"
+                                  % (MAX_REP_DIM, dim))
+
+
+def test_largest_rep_is_accepted():
+    assert MAX_REP_DIM == 256
+    assert resolve_rep("sum(trivial:255,trivial)", 1, 1).dim == 256
+    assert resolve_rep("tensor(natural,natural)", 8, 8).dim == 256
+
+
+def test_rep_file_header_over_the_ceiling(tmp_path):
+    # rejected at its header, before any matrix line is read
+    f = tmp_path / "big.rep"
+    f.write_text("dim " + "0 " * (MAX_REP_DIM + 1) + "\nE 1 1 : oops\n")
+    for load in (lambda: load_rep_file(str(f), 1, 1),
+                 lambda: resolve_rep("file:%s" % f, 1, 1)):
+        with pytest.raises(ConfigError) as err:
+            load()
+        assert str(err.value) == "rep dimension must be <= 256, got 257"
