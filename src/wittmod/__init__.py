@@ -7,10 +7,8 @@ Importing the package loads no layer.  Each name below is served from its
 submodule on first access (PEP 562), so `import wittmod.cli` compiles only
 what the command line needs before any command runs: neither
 wittmod.config nor argparse.  A Witt bracket then loads config for its
-shape rule, but neither dataclasses nor glmn, and `wh` validates its
-parameters without the verifier.  The rule that keeps a process's peak
-memory low: only the verifier loads dataclasses, so the verifier, the
-largest module, compiles before dataclasses loads.
+shape rule, but not glmn, and `wh` validates its parameters without
+the verifier.  No module of the package loads dataclasses.
 """
 
 __version__ = "0.1.0"

@@ -162,9 +162,6 @@ def _run_checks(args):
     """Run the checks that args select: (reports, config, CLI values).
     Every selected check's parameters are resolved before any check
     runs."""
-    # the verifier, the largest module, compiles before anything loads
-    # dataclasses (only the verifier does), which keeps the process's peak
-    # memory low
     from .verifier import REGISTRY, run_check
     from .config import load_config
     cfg = load_config(args.config)

@@ -11,17 +11,16 @@ which rows are inserted.
 Coefficients may be ints or Fractions, and integral rows stay in ints: a
 new row is stored as it is when its pivot coefficient is 1, divided in
 ints when that coefficient divides every entry, and scaled by a Fraction
-only otherwise.  An index from each key to the pivots whose rows hold it
-off their pivot (`Echelon.holders`) lets an insert back-substitute into
-just the rows that hold its new pivot, so its cost follows the rows it
-changes, not the rank.  Values leave the engine as Fractions: `kernel`
-and `rref` convert them, and so does `TensorSpan.reduce`, the one reader
-of `reduce` that returns a row.
+only otherwise.  Values leave the engine as Fractions: `rref` converts
+them, and so does `TensorSpan.reduce`, the one reader of `reduce` that
+returns a row.
 
-Sparse solves insert their equations as dicts and read the kernel off
-with `Echelon.kernel`.  No code in the package calls the dense `rref` and
-`invert` (lists of lists, rows first): they remain only for the
-benchmark's layer probes, which name them, and as dense test references.
+Spans and ranks (`TensorSpan`, the weight quotient) insert their rows as
+dicts.  The Whittaker window solves build no `Echelon`: their operators
+move each window key to at most one key, so they filter keys instead.
+No code in the package calls the dense `rref` and `invert` (lists of
+lists, rows first): they remain only for the benchmark's layer probes,
+which name them, and as dense test references.
 """
 
 from __future__ import annotations
@@ -47,16 +46,14 @@ class Echelon:
     """Fully reduced echelon rows over Q, grown one row at a time.
 
     Every stored row has coefficient 1 at its pivot, which is its least key,
-    and no other stored row has a nonzero at that pivot.  holders maps each
-    key that some row holds off its pivot to the set of those pivots.
+    and no other stored row has a nonzero at that pivot.
     """
 
-    __slots__ = ("rows", "key", "holders")
+    __slots__ = ("rows", "key")
 
     def __init__(self, key=None):
         self.rows = {}  # pivot key -> row
         self.key = key
-        self.holders = {}  # key -> pivots whose rows hold it off the pivot
 
     def reduce(self, row) -> dict:
         """A new row: row minus the combination of stored rows that clears
@@ -73,7 +70,6 @@ class Echelon:
         row = self.reduce(row)
         if not row:
             return False
-        rows, holders = self.rows, self.holders
         p = min(row, key=self.key)
         c = row[p]
         if c != 1:
@@ -83,38 +79,10 @@ class Echelon:
             else:
                 inv = ONE / c
                 row = {k: v * inv for k, v in row.items()}
-        rest = [(k, v) for k, v in row.items() if k != p]
-        # back-substitute into the rows that hold p, keeping holders exact
-        for q in holders.pop(p, ()):
-            other = rows[q]
-            f = other.pop(p)
-            for k, v in rest:
-                old = other.get(k)
-                v = (old or 0) - f * v
-                if v:
-                    other[k] = v
-                    if old is None:
-                        holders.setdefault(k, set()).add(q)
-                else:
-                    del other[k]
-                    pivots = holders[k]
-                    pivots.discard(q)
-                    if not pivots:
-                        del holders[k]
-        for k, _ in rest:
-            holders.setdefault(k, set()).add(p)
-        rows[p] = row
+        for other in [r for r in self.rows.values() if p in r]:
+            _sub_scaled(other, other[p], row)
+        self.rows[p] = row
         return True
-
-    def kernel(self, columns) -> list:
-        """Basis of the vectors over columns that every stored row
-        annihilates: one per free column, in the order given, with 1 at
-        that column and -row[col] at each pivot.  Stored rows must only
-        use keys among columns."""
-        rows, holders = self.rows, self.holders
-        return [{col: ONE, **as_fractions({p: -rows[p][col]
-                                           for p in holders.get(col, ())})}
-                for col in columns if col not in rows]
 
 
 def rref(rows):

@@ -326,26 +326,20 @@ def window_keys(spec, max_deg):
 
 
 def _kernel_of_ops(spec, ops, max_deg):
-    """Exact joint kernel of linear operators on the degree window.
+    """Exact joint kernel of linear operators on the degree window: one
+    unit vector {key: 1} per window key that every op sends to zero, in
+    window key order.
 
-    ops: callables raw terms dict -> raw terms dict, read on {key: 1} for
-    each window key, so the equations stay in ints where the operators
-    do.  Output support may leave the window; every output coordinate of
-    an op becomes one equation {window key index: coefficient}.  The
-    kernel is read off in window key order, one basis vector per free
-    key, and _element makes each a TensorElement.
+    ops: callables raw terms dict -> raw terms dict, read on {key: 1}.
+    Each op (d/dt_i on the coefficients, its powers, d/dxi_j) sends a
+    window key to 0 or to a nonzero multiple of one key, and never two
+    keys to the same key.  So the images of the keys an op moves are
+    linearly independent, a combination lies in its kernel only if its
+    coefficient at each moved key is 0, and the joint kernel is spanned
+    by the keys that every op kills.
     """
-    keys = window_keys(spec, max_deg)
-    ech = linalg.Echelon()
-    for op in ops:
-        eqs = {}
-        for k, key in enumerate(keys):
-            for okey, c in op({key: 1}).items():
-                eqs.setdefault(okey, {})[k] = c
-        for eq in eqs.values():
-            ech.insert(eq)
-    return [_element(spec, {keys[k]: c for k, c in vec.items()})
-            for vec in ech.kernel(range(len(keys)))]
+    return [_element(spec, {key: 1}) for key in window_keys(spec, max_deg)
+            if not any(op({key: 1}) for op in ops)]
 
 
 def whittaker_space(spec, max_deg):
@@ -361,31 +355,23 @@ class LeavesWhittaker(ValueError):
     """args (w, col, image): words[w] maps basis[col] to image, not in wh."""
 
 
-def matrix_column(spec, basis, mat, col) -> TensorElement:
-    """Column col of a sparse matrix {(row, col): c} on basis, summed."""
-    return sum((c * basis[r] for (r, k), c in mat.items() if k == col),
-               TensorElement.zero(spec))
-
-
 def whittaker_functor(spec, max_deg, words):
     """(basis, mats): basis = whittaker_space(spec, max_deg), and mats
     yields each word's sparse matrix on it in Rep.mats format, each made
-    when read, so a caller meets failures in word order.  A basis vector
-    is 1 at its free key (its last in window order) and 0 at the
-    others', so an image's values there are its coordinates; an image
-    that is not their sum raises LeavesWhittaker."""
-    index = {key: k for k, key in enumerate(window_keys(spec, max_deg))}
+    when read, so a caller meets failures in word order.  Each basis
+    vector is one window key, so an image's values at those keys are its
+    coordinates; an image holding any other key raises LeavesWhittaker."""
     basis = whittaker_space(spec, max_deg)
-    free = [max(x.terms, key=index.get) for x in basis]
+    row_of = {key: row for row, x in enumerate(basis) for key in x.terms}
 
     def matrix(w, word):
         mat = {}
         for col, x in enumerate(basis):
             image = act_word(spec, word, x)
-            mat.update(((row, col), image.terms[key])
-                       for row, key in enumerate(free) if key in image.terms)
-            if image != matrix_column(spec, basis, mat, col):
+            if image.terms.keys() - row_of.keys():
                 raise LeavesWhittaker(w, col, image)
+            mat.update(sorted(((row_of[key], col), c)
+                              for key, c in image.terms.items()))
         return mat
     return basis, (matrix(w, word) for w, word in enumerate(words))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
@@ -32,7 +31,7 @@ from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
                              TensorSpan, TransitionSingular, _act, _element,
                              _word, act_atom, act_mono, act_witt, act_word,
                              descent, generalized_whittaker_space, lower_t,
-                             matrix_column, pbw_basis_rewrite, unit_basis,
+                             pbw_basis_rewrite, unit_basis,
                              weight_reduce, whittaker_functor,
                              whittaker_space, window_keys)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
@@ -47,15 +46,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass
 class CheckReport:
-    id: str
-    params: dict
-    status: str
-    cases: int
-    elapsed_ms: int = 0
-    counterexample: dict = None
-    data: dict = None
+    """One check's verdict: status "pass", "fail" or "error", the cases
+    examined, the time taken, and a counterexample or data if any."""
+
+    __slots__ = ("id", "params", "status", "cases", "elapsed_ms",
+                 "counterexample", "data")
+
+    def __init__(self, id, params, status, cases, elapsed_ms=0,
+                 counterexample=None, data=None):
+        self.id, self.params, self.status = id, params, status
+        self.cases, self.elapsed_ms = cases, elapsed_ms
+        self.counterexample, self.data = counterexample, data
 
     @property
     def ok(self):
@@ -665,6 +667,12 @@ def check_commutant_weyl_commute(p: CheckParams):
 # ---------------------------------------------------------------------------
 # gl_realization
 
+def matrix_column(spec, basis, mat, col) -> TensorElement:
+    """Column col of a sparse matrix {(row, col): c} on basis, summed."""
+    return sum((c * basis[r] for (r, k), c in mat.items() if k == col),
+               TensorElement.zero(spec))
+
+
 def check_gl_realization(p: CheckParams):
     """The action read off wh: the commutant element of t_row d_col or
     xi_(row-m) d_col acts as E(row, col), every degree-2 one as zero."""
@@ -706,7 +714,7 @@ def check_gl_realization(p: CheckParams):
 def _whittaker_violation(spec, x):
     """The first Whittaker operator (d/dt_i - a_i, then d/dxi_j) that does
     not kill x, named as in a counterexample; None if all of them do.
-    Applied directly, not through the kernel solve it checks."""
+    Applied to the element itself, not through a window solve."""
     for i in range(1, spec.m + 1):
         if lower_t(spec, i, x):
             return "dt%d - a%d" % (i, i)
@@ -717,6 +725,10 @@ def _whittaker_violation(spec, x):
 
 
 def check_whittaker_dimension(p: CheckParams):
+    """wh has dimension dim V at windows D and D + 1, and the generalized
+    space the count below.  The solves are key filters, so the per-vector
+    Whittaker test re-applies the operators the filter read; the
+    dimension tests fail only if _lower or the dx row breaks."""
     spec = _spec(p)
     cases = 0
     dims = {}

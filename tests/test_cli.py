@@ -743,6 +743,14 @@ def test_wh_validates_without_the_verifier(tmp_path):
             if m in from_spec] == []
 
 
+def test_verify_loads_no_dataclasses():
+    # the reports are plain classes too, so no command loads dataclasses
+    out, (_, verify) = loads_after(["verify", "whittaker_dimension"])
+    assert out[0].split()[:3] == ["whittaker_dimension", "pass", "cases=7"]
+    assert "wittmod.verifier" in verify
+    assert "dataclasses" not in verify
+
+
 # a twist, a rep and a mode first, then requests that rely on the defaults,
 # then usage errors: the shared parser must carry nothing between them
 BACK_TO_BACK = [

@@ -62,13 +62,23 @@ def _rank(rows):
     return len(rref(rows)[1])
 
 
+def _row_kernel(ech, ncols):
+    """The kernel that ech's stored rows determine over columns
+    0..ncols-1, as dense vectors: one per free column, increasing, with 1
+    there and minus each row's entry there at that row's pivot."""
+    rows = ech.rows
+    return [[F(1) if c == fc else -F(rows[c].get(fc, 0)) if c in rows
+             else F(0) for c in range(ncols)]
+            for fc in range(ncols) if fc not in rows]
+
+
 def _kernel(rows, ncols):
-    """Echelon.kernel over columns 0..ncols-1, as dense vectors."""
+    """The kernel of rows over columns 0..ncols-1, read off the Echelon
+    they span."""
     ech = Echelon()
     for r in rows:
         ech.insert(dict(enumerate(r)))
-    return [[v.get(c, F(0)) for c in range(ncols)]
-            for v in ech.kernel(range(ncols))]
+    return _row_kernel(ech, ncols)
 
 
 def _sparse_matrix(rng, rows, cols):
@@ -142,13 +152,10 @@ def test_echelon_kernel_matches_dense_reference(shape):
         ech = Echelon()
         for r in m:
             ech.insert(dict(enumerate(r)))
-        ker = ech.kernel(range(ncols))
         free, ref = _dense_kernel(m, ncols)
-        # the same free columns, in order, and the same vectors
-        assert [[c for c in v if c not in ech.rows] for v in ker] \
-            == [[c] for c in free]
-        assert [[v.get(c, 0) for c in range(ncols)] for v in ker] == ref
-        assert all(type(x) is F and x for v in ker for x in v.values())
+        # the same free columns, and the same vectors read off the rows
+        assert [c for c in range(ncols) if c not in ech.rows] == free
+        assert _row_kernel(ech, ncols) == ref
 
 
 def test_rref_matches_sympy():
@@ -221,27 +228,17 @@ def test_exactness_no_drift():
 
 def _assert_echelon_invariants(ech, inserted, ncols):
     """ech holds the fully reduced span of inserted (dicts over columns
-    0..ncols-1), its holders index is a scan of its rows, and kernel and
-    rref agree with the dense reference in Fractions."""
+    0..ncols-1), and its rows and rref agree with the dense reference in
+    Fractions."""
     rows = ech.rows
     for p, row in rows.items():
         assert row[p] == 1 and min(row) == p and all(row.values())
         assert all(p not in other for q, other in rows.items() if q != p)
-    scan = {}
-    for p, row in rows.items():
-        for k in row:
-            if k != p:
-                scan.setdefault(k, set()).add(p)
-    assert ech.holders == scan
     dense = [[r.get(c, 0) for c in range(ncols)] for r in inserted]
     red, pivots = _dense_rref(dense)
     assert sorted(rows) == pivots
     assert [[rows[p].get(c, 0) for c in range(ncols)] for p in pivots] \
         == red[:len(pivots)]
-    ker = ech.kernel(range(ncols))
-    assert [[v.get(c, 0) for c in range(ncols)] for v in ker] \
-        == _dense_kernel(dense, ncols)[1]
-    assert all(type(x) is F for v in ker for x in v.values())
     got, got_pivots = rref(dense)
     assert (got, got_pivots) == (red, pivots)
     assert all(type(x) is F for row in got for x in row)
@@ -285,8 +282,9 @@ def test_late_pivot_back_substitutes_into_every_holder(data):
     for row in order:
         assert ech.insert(row)
     _assert_echelon_invariants(ech, order, 7)
-    assert 4 not in ech.holders
-    assert ech.holders[6] == {0, 1, 2, 3, 4}
+    assert [p for p, row in ech.rows.items() if 4 in row] == [4]
+    assert sorted(p for p, row in ech.rows.items() if 6 in row) \
+        == [0, 1, 2, 3, 4]
 
 
 def test_integral_rows_stay_integral():
@@ -301,7 +299,4 @@ def test_integral_rows_stay_integral():
     ech.insert({2: 2, 3: 1})
     assert ech.rows == {0: {0: 1, 3: F(-7, 2)}, 1: {1: 1, 3: 1},
                         2: {2: 1, 3: F(1, 2)}}
-    assert ech.holders == {3: {0, 1, 2}}
-    assert ech.kernel(range(4)) == [{3: 1, 0: F(7, 2), 1: -1, 2: F(-1, 2)}]
-    assert all(type(c) is F for v in ech.kernel(range(4))
-               for c in v.values())
+    assert [type(c) for c in ech.rows[0].values()] == [int, F]

@@ -206,6 +206,68 @@ def test_window_solves_build_no_element_per_key(monkeypatch, m, n, a, hb):
     assert all(type(c) is F for x in got for c in x.terms.values())
 
 
+# the window solves are key filters; the premise that makes a filter
+# exact is pinned below on the operators the solves read
+
+FILTER_SHAPES = [(1, 1, "natural"), (0, 2, "natural"), (2, 2, "natural"),
+                 (2, 1, "tensor(natural,natural)")]
+FILTER_IDS = ["1x1", "0x2", "2x2", "2x1-tensor"]
+
+
+@pytest.mark.parametrize("m,n,rep", FILTER_SHAPES, ids=FILTER_IDS)
+def test_window_solves_need_no_elimination(monkeypatch, m, n, rep):
+    spec = make_spec(m, n, a=tuple(F(i + 2, i + 1) for i in range(m)),
+                     rep=rep)
+    keys = window_keys(spec, 3)
+    want = {hb: _dense_kernel_of_ops(spec, _old_route_ops(spec, hb), keys)
+            for hb in (None, 0, 1)}
+    units, _ = _gl_words(m, n)
+
+    def no_echelon(*args, **kwargs):
+        raise AssertionError("a window solve built an Echelon")
+    monkeypatch.setattr(linalg, "Echelon", no_echelon)
+    got = {hb: _solve(spec, 3, hb) for hb in want}
+    basis, mats = whittaker_functor(spec, 3, list(units.values()))
+    mats = list(mats)
+    monkeypatch.undo()
+    assert got == want
+    assert basis == want[None]
+    assert dict(zip(units, mats)) == spec.rep.mats
+
+
+def _window_ops(spec, height):
+    """name -> raw op, for every operator the window solves read up to
+    height: the powers 1..height+1 of the plain d/dt_i, and d/dxi_j."""
+    def power(i, k):
+        def op(terms):
+            for _ in range(k):
+                terms = tensor_modules._lower(i, terms)
+            return terms
+        return op
+    ops = {"dt%d^%d" % (i, k): power(i, k) for i in range(1, spec.m + 1)
+           for k in range(1, height + 2)}
+    ops.update({"dx%d" % j: lambda t, j=j: tensor_modules._act(
+        spec, ("dx", j), t) for j in range(1, spec.n + 1)})
+    return ops
+
+
+@pytest.mark.parametrize("m,n,rep", FILTER_SHAPES, ids=FILTER_IDS)
+def test_window_operators_are_injective_on_keys(m, n, rep):
+    # each op maps a window key to 0 or to a nonzero multiple of one key,
+    # and no two keys to the same key, so its kernel on the window is
+    # spanned by the keys it kills
+    spec = make_spec(m, n, rep=rep)
+    for D in range(5):
+        keys = window_keys(spec, D)
+        for name, op in _window_ops(spec, 2).items():
+            source = {}
+            for key in keys:
+                image = op({key: 1})
+                assert len(image) <= 1 and all(image.values()), (name, key)
+                for okey in image:
+                    assert source.setdefault(okey, key) == key, (name, key)
+
+
 # ---------------------------------------------------------------------------
 # the Whittaker functor: wh(M) and the operator action read off it
 
