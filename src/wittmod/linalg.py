@@ -16,8 +16,8 @@ them, and so does `TensorSpan.reduce`, the one reader of `reduce` that
 returns a row.
 
 Spans and ranks (`TensorSpan`, the weight quotient) insert their rows as
-dicts.  The Whittaker window solves build no `Echelon`: their operators
-move each window key to at most one key, so they filter keys instead.
+dicts.  The Whittaker spaces build no `Echelon`: they are closed forms
+(see tensor_modules).
 No code in the package calls the dense `rref` and `invert` (lists of
 lists, rows first): they remain only for the benchmark's layer probes,
 which name them, and as dense test references.

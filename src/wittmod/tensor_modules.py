@@ -13,8 +13,9 @@ The loop is the |k| = 1 term of the Taylor sum over all jets.  Both live
 in _derivation_row, which gives the image of one pure tensor; each spec
 memoises the image of every operator atom, so act_term, act_witt,
 act_atom and act_word are loops over memoised rows and are the one
-action path.  Everything else (Whittaker solves, descent, weight
-cosets) is built on top of them plus exact linear algebra.
+action path.  Weight cosets build on them plus exact linear algebra.
+The Whittaker space, its generalized form and descent are closed forms:
+(d/dt_i - a_i) and d/dxi_j act on coefficients as plain derivatives.
 
 The coefficient algebra itself is the module with twist a = 0 and the
 trivial one-dimensional rep: d/dt_i is then the plain derivative, and the
@@ -23,8 +24,6 @@ has no separate action.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .glmn import Rep
@@ -249,20 +248,22 @@ def _element(spec, terms) -> TensorElement:
     return out
 
 
-def _check_shapes(spec, w, x):
-    if ((w.m, w.n) != (spec.m, spec.n)
-            or (x.m, x.n, x.dim) != (spec.m, spec.n, spec.dim)):
+def _check_shapes(spec, x, w=None):
+    """ValueError unless x (and w, if given) has the spec's shape."""
+    if (x.dim != spec.rep.dim or x.m != spec.m or x.n != spec.n
+            or w is not None and (w.m != spec.m or w.n != spec.n)):
         raise ValueError("shape mismatch")
 
 
 def act_term(spec, alpha, imask, slot, x: TensorElement) -> TensorElement:
     """One basis derivation on the module."""
+    _check_shapes(spec, x)
     return _element(spec, _act(spec, ("w", tuple(alpha), imask) + tuple(slot),
                                x.terms))
 
 
 def act_witt(spec, w: WittElement, x: TensorElement) -> TensorElement:
-    _check_shapes(spec, w, x)
+    _check_shapes(spec, x, w)
     out = {}
     for ((alpha, imask), (kind, idx)), c in w.terms.items():
         _act(spec, ("w", alpha, imask, kind, idx), x.terms, out, c)
@@ -270,6 +271,7 @@ def act_witt(spec, w: WittElement, x: TensorElement) -> TensorElement:
 
 
 def act_atom(spec, atom, x: TensorElement) -> TensorElement:
+    _check_shapes(spec, x)
     return _element(spec, _act(spec, atom, x.terms))
 
 
@@ -296,7 +298,7 @@ def _word(spec, w: OperatorWord, terms, out=None, scale=1):
 
 def act_word(spec, w: OperatorWord, x: TensorElement) -> TensorElement:
     """Words act right to left; the empty word is the identity."""
-    _check_shapes(spec, w, x)
+    _check_shapes(spec, x, w)
     return _element(spec, _word(spec, w, x.terms))
 
 
@@ -314,41 +316,24 @@ def _lower(i, terms):
 
 def lower_t(spec, i, x: TensorElement) -> TensorElement:
     """(d/dt_i - a_i) on the module = plain d/dt_i on the coefficients."""
+    _check_shapes(spec, x)
     return _element(spec, _lower(i, x.terms))
 
 
 # ---------------------------------------------------------------------------
-# windows and exact solves
+# windows and the Whittaker side
 
 def window_keys(spec, max_deg):
     return [(mono, l) for mono in enumerate_monomials(spec.m, spec.n, max_deg)
             for l in range(spec.dim)]
 
 
-def _kernel_of_ops(spec, ops, max_deg):
-    """Exact joint kernel of linear operators on the degree window: one
-    unit vector {key: 1} per window key that every op sends to zero, in
-    window key order.
-
-    ops: callables raw terms dict -> raw terms dict, read on {key: 1}.
-    Each op (d/dt_i on the coefficients, its powers, d/dxi_j) sends a
-    window key to 0 or to a nonzero multiple of one key, and never two
-    keys to the same key.  So the images of the keys an op moves are
-    linearly independent, a combination lies in its kernel only if its
-    coefficient at each moved key is 0, and the joint kernel is spanned
-    by the keys that every op kills.
-    """
-    return [_element(spec, {key: 1}) for key in window_keys(spec, max_deg)
-            if not any(op({key: 1}) for op in ops)]
-
-
 def whittaker_space(spec, max_deg):
     """Basis of the joint kernel of (d/dt_i - a_i) and d/dxi_j on the
-    degree window."""
-    ops = [lambda t, i=i: _lower(i, t) for i in range(1, spec.m + 1)]
-    ops += [lambda t, j=j: _act(spec, ("dx", j), t)
-            for j in range(1, spec.n + 1)]
-    return _kernel_of_ops(spec, ops, max_deg)
+    degree window: the vacuums 1 (x) e_l (none if max_deg < 0), as these
+    operators are the plain derivatives on the coefficients."""
+    return [TensorElement.vacuum(spec, l)
+            for l in range(spec.dim if max_deg >= 0 else 0)]
 
 
 class LeavesWhittaker(ValueError):
@@ -377,47 +362,24 @@ def whittaker_functor(spec, max_deg, words):
 
 
 def generalized_whittaker_space(spec, max_deg, height_bound=0):
-    """Joint kernel of (d/dt_i - a_i)^(height_bound+1), no xi condition."""
-
-    def power_op(t, i):
-        for _ in range(height_bound + 1):
-            t = _lower(i, t)
-        return t
-    return _kernel_of_ops(spec, [lambda t, i=i: power_op(t, i)
-                                 for i in range(1, spec.m + 1)], max_deg)
+    """Joint kernel of (d/dt_i - a_i)^(height_bound+1), no xi condition:
+    the window keys whose every t-exponent is <= height_bound, in window
+    key order, as the plain d/dt_i^(h+1) kills t_i^k just when k <= h."""
+    return [_element(spec, {(mono, l): 1})
+            for mono in enumerate_monomials(spec.m, spec.n, max_deg)
+            if all(k <= height_bound for k in mono[0])
+            for l in range(spec.dim)]
 
 
 def descent(spec, x: TensorElement) -> TensorElement:
-    """Project onto the Whittaker space.
-
-    First the odd corrections y -> y - xi_j (d/dxi_j y), then for each
-    even index the telescoping sum_k (-1)^k/k! t_i^k (d/dt_i - a_i)^k y up
-    to the height.  Linear on any degree window, fixes Whittaker vectors,
-    idempotent.
-    """
-    y = x
-    for j in range(1, spec.n + 1):
-        dy = act_atom(spec, ("dx", j), y)
-        if dy:
-            y = y - act_atom(spec, ("mx", j), dy)
-    for i in range(1, spec.m + 1):
-        if not y:
-            break
-        acc = TensorElement.zero(spec)
-        term = y
-        k = 0
-        fact = Fraction(1)
-        while term:
-            piece = term
-            for _ in range(k):
-                piece = act_atom(spec, ("mt", i), piece)
-            sign = -1 if k & 1 else 1
-            acc = acc + (sign * fact) * piece
-            k += 1
-            fact = fact / k
-            term = lower_t(spec, i, term)
-        y = acc
-    return y
+    """Project onto the Whittaker space: keep the terms of x at the
+    vacuums 1 (x) e_l.  Exact: sum_k (-t_i)^k/k! (d/dt_i - a_i)^k f is f
+    at t_i = 0 (Taylor at 0), and y - xi_j d/dxi_j y drops every term
+    that holds xi_j.  Linear, fixes Whittaker vectors, idempotent, and
+    reads no twist."""
+    _check_shapes(spec, x)
+    zero = ((0,) * spec.m, 0)
+    return _element(spec, {k: c for k, c in x.terms.items() if k[0] == zero})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 import time
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, zip_longest
 
 from . import linalg, witt
 from .config import CHECKS, CheckParams, ConfigError, resolve_rep
@@ -29,9 +29,9 @@ from .superpoly import (SuperPoly, enumerate_monomials, mono_mul,
                         mono_parity, popcount)
 from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
                              TensorSpan, TransitionSingular, _act, _element,
-                             _word, act_atom, act_mono, act_witt, act_word,
-                             descent, generalized_whittaker_space, lower_t,
-                             pbw_basis_rewrite, unit_basis,
+                             _lower, _word, act_atom, act_mono, act_witt,
+                             act_word, descent, generalized_whittaker_space,
+                             lower_t, pbw_basis_rewrite, unit_basis,
                              weight_reduce, whittaker_functor,
                              whittaker_space, window_keys)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
@@ -713,8 +713,7 @@ def check_gl_realization(p: CheckParams):
 
 def _whittaker_violation(spec, x):
     """The first Whittaker operator (d/dt_i - a_i, then d/dxi_j) that does
-    not kill x, named as in a counterexample; None if all of them do.
-    Applied to the element itself, not through a window solve."""
+    not kill x, named as in a counterexample; None if all of them do."""
     for i in range(1, spec.m + 1):
         if lower_t(spec, i, x):
             return "dt%d - a%d" % (i, i)
@@ -724,32 +723,59 @@ def _whittaker_violation(spec, x):
     return None
 
 
+def _kernel_mismatch(spec, closed, max_deg, ops):
+    """The first closed-form vector and unit vector of the ops' joint
+    kernel on the window that differ, printed (None past an end); None if
+    the two agree key for key.  The kernel is the window keys that every
+    op (raw terms dict -> raw terms dict) kills, in window order: each op
+    maps a key to 0 or to a nonzero multiple of one key, never two keys
+    to one (test_window_operators_are_injective_on_keys), so the images
+    of the keys it moves are independent."""
+    kernel = [_element(spec, {key: 1}) for key in window_keys(spec, max_deg)
+              if not any(op({key: 1}) for op in ops)]
+    for x, unit in zip_longest(closed, kernel):
+        if x != unit:
+            return {"closed_form": None if x is None else print_expr(x),
+                    "kernel": None if unit is None else print_expr(unit)}
+    return None
+
+
 def check_whittaker_dimension(p: CheckParams):
-    """wh has dimension dim V at windows D and D + 1, and the generalized
-    space the count below.  The solves are key filters, so the per-vector
-    Whittaker test re-applies the operators the filter read; the
-    dimension tests fail only if _lower or the dx row breaks."""
+    """The closed forms against the operators, key for key: wh at windows
+    D and D + 1 against the joint kernel of _lower (d/dt_i - a_i on the
+    coefficients) and the dx row, and the generalized space against the
+    kernel of the powers of _lower.  Then wh has dimension dim V at both
+    windows, and the generalized space the count below."""
     spec = _spec(p)
+    ops = [lambda t, i=i: _lower(i, t) for i in range(1, spec.m + 1)]
+    ops += [lambda t, j=j: _act(spec, ("dx", j), t)
+            for j in range(1, spec.n + 1)]
     cases = 0
     dims = {}
     for D in (p.D, p.D + 1):
         basis = whittaker_space(spec, D)
         dims[D] = len(basis)
-        cases += 1
-        for x in basis:
-            cases += 1
-            bad = _whittaker_violation(spec, x)
-            if bad:
-                raise _Fail({"window": D, "element": print_expr(x),
-                             "violates": bad}, cases)
+        cases += 1 + len(basis)
+        bad = _kernel_mismatch(spec, basis, D, ops)
+        if bad:
+            raise _Fail(dict({"window": D}, **bad), cases)
     if dims[p.D] != spec.dim or dims[p.D + 1] != spec.dim:
         raise _Fail({"expected_dim": spec.dim,
                      "window_%d" % p.D: dims[p.D],
                      "window_%d" % (p.D + 1): dims[p.D + 1]}, cases)
+
+    def power(t, i):
+        for _ in range(p.height + 1):
+            t = _lower(i, t)
+        return t
     # generalized vectors up to the height bound: every odd layer times
     # t-degrees at most `height` in each coordinate
     gw = generalized_whittaker_space(spec, p.D, height_bound=p.height)
     cases += 1
+    bad = _kernel_mismatch(spec, gw, p.D, [lambda t, i=i: power(t, i)
+                                           for i in range(1, spec.m + 1)])
+    if bad:
+        raise _Fail(dict({"generalized_height": p.height}, **bad), cases)
     if p.height * p.m <= p.D:
         expected = ((p.height + 1) ** p.m) * (1 << p.n) * spec.dim
         if len(gw) != expected:

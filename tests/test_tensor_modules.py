@@ -125,9 +125,9 @@ def test_generalized_whittaker_dimensions():
 
 
 def _old_route_ops(spec, hb=None):
-    """The window solves' operators on TensorElements, as the solves read
-    them before they moved to raw terms dicts: lower_t and act_atom for
-    wh, or the powers of lower_t up to height hb + 1."""
+    """The Whittaker operators on TensorElements, for the dense route:
+    lower_t and act_atom for wh, or the powers of lower_t up to height
+    hb + 1."""
     if hb is None:
         ops = [lambda x, i=i: lower_t(spec, i, x)
                for i in range(1, spec.m + 1)]
@@ -144,7 +144,7 @@ def _old_route_ops(spec, hb=None):
 
 
 def _dense_kernel_of_ops(spec, ops, keys):
-    """Second route for the window solves: one TensorElement per window
+    """Second route for the Whittaker spaces: one TensorElement per window
     key, one dense row over the window keys per output coordinate of each
     op, and the dense Gauss-Jordan kernel of tests/test_linalg.py, one
     vector per free key in window order."""
@@ -187,8 +187,8 @@ def test_window_solves_match_dense_route(m, n, rep, D, hb):
     (1, 1, None), (2, 1, None), (2, 2, None), (2, 1, (F(3), F(-1, 2))),
 ], ids=["1x1", "2x1", "2x2", "2x1-twist3,-1/2"])
 def test_window_solves_build_no_element_per_key(monkeypatch, m, n, a, hb):
-    # the solves read raw terms dicts: the only TensorElements they build
-    # are the solved vectors, each holding Fractions only
+    # the only TensorElements the closed forms build are their basis
+    # vectors, each holding Fractions only
     spec = make_spec(m, n, a=a)
     keys = window_keys(spec, 3)
     want = _dense_kernel_of_ops(spec, _old_route_ops(spec, hb), keys)
@@ -206,8 +206,9 @@ def test_window_solves_build_no_element_per_key(monkeypatch, m, n, a, hb):
     assert all(type(c) is F for x in got for c in x.terms.values())
 
 
-# the window solves are key filters; the premise that makes a filter
-# exact is pinned below on the operators the solves read
+# whittaker_dimension derives the closed forms by a scan of the window
+# keys; the premise that makes the scan exact is pinned below on the
+# operators it reads
 
 FILTER_SHAPES = [(1, 1, "natural"), (0, 2, "natural"), (2, 2, "natural"),
                  (2, 1, "tensor(natural,natural)")]
@@ -236,8 +237,9 @@ def test_window_solves_need_no_elimination(monkeypatch, m, n, rep):
 
 
 def _window_ops(spec, height):
-    """name -> raw op, for every operator the window solves read up to
-    height: the powers 1..height+1 of the plain d/dt_i, and d/dxi_j."""
+    """name -> raw op, for every operator whittaker_dimension's scan reads
+    up to height: the powers 1..height+1 of the plain d/dt_i, and
+    d/dxi_j."""
     def power(i, k):
         def op(terms):
             for _ in range(k):
@@ -349,6 +351,68 @@ def test_descent_kills_augmentation_multiples():
     spec = make_spec(1, 1)
     vac = TensorElement.vacuum(spec, 0)
     assert not descent(spec, act_mono(spec, ((1,), 0), vac))
+
+
+def _telescoped_descent(spec, x):
+    """descent by element operations, the reference for its closed form:
+    the odd corrections y - xi_j (d/dxi_j y), then for each even index the
+    telescoping sum_k (-1)^k/k! t_i^k (d/dt_i - a_i)^k y."""
+    y = x
+    for j in range(1, spec.n + 1):
+        dy = act_atom(spec, ("dx", j), y)
+        if dy:
+            y = y - act_atom(spec, ("mx", j), dy)
+    for i in range(1, spec.m + 1):
+        acc = TensorElement.zero(spec)
+        term, k, fact = y, 0, F(1)
+        while term:
+            piece = term
+            for _ in range(k):
+                piece = act_atom(spec, ("mt", i), piece)
+            acc = acc + ((-1) ** k * fact) * piece
+            k += 1
+            fact /= k
+            term = lower_t(spec, i, term)
+        y = acc
+    return y
+
+
+DESCENT_REPS = ["natural", "trivial", "tensor(natural,natural)",
+                "sum(natural,trivial)"]
+
+
+@pytest.mark.parametrize("rep", DESCENT_REPS)
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2),
+                                 (0, 2)])
+def test_descent_is_the_telescoped_projection(m, n, rep):
+    rng = random.Random(31 * m + n)
+    for a in (tuple(F(2 * i + 3, i + 2) for i in range(m)), (0,) * m):
+        spec = make_spec(m, n, a=a, rep=rep)
+        for _ in range(6):
+            x = rand_tensor(spec, rng, max_deg=3, nterms=4)
+            assert descent(spec, x) == _telescoped_descent(spec, x)
+
+
+@pytest.mark.parametrize("m,n,rep", FILTER_SHAPES, ids=FILTER_IDS)
+def test_whittaker_side_applies_no_operator(monkeypatch, m, n, rep):
+    spec = make_spec(m, n, a=tuple(F(i + 2, i + 1) for i in range(m)),
+                     rep=rep)
+    keys = window_keys(spec, 3)
+    want = {hb: _dense_kernel_of_ops(spec, _old_route_ops(spec, hb), keys)
+            for hb in (None, 0, 1, 2)}
+    rng = random.Random(7)
+    xs = [rand_tensor(spec, rng, max_deg=3, nterms=4) for _ in range(8)]
+    projected = [_telescoped_descent(spec, x) for x in xs]
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the Whittaker side applied an operator")
+    for name in ("_lower", "_act", "act_atom", "lower_t"):
+        monkeypatch.setattr(tensor_modules, name, no_operator)
+    got = {hb: _solve(spec, 3, hb) for hb in want}
+    got_projected = [descent(spec, x) for x in xs]
+    monkeypatch.undo()
+    assert got == want
+    assert got_projected == projected
 
 
 def test_pbw_roundtrip():
@@ -562,6 +626,23 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         act_witt(spec, WittElement.term(2, 1, (1, 0), 0, ("t", 1)),
                  TensorElement.vacuum(spec, 0))
+
+
+def test_every_action_rejects_an_element_of_another_shape():
+    spec = make_spec(1, 1)  # natural: dim 2
+    wide = TensorElement(1, 1, 3, {(((1,), 1), 2): F(1)})  # t1*x1 @ e3
+    other = TensorElement.vacuum(make_spec(2, 1, rep="trivial:2"), 0)
+    actions = [
+        lambda x: act_atom(spec, ("dx", 1), x),
+        lambda x: act_atom(spec, ("w", (1,), 0, TSLOT, 1), x),
+        lambda x: act_term(spec, (1,), 0, (TSLOT, 1), x),
+        lambda x: lower_t(spec, 1, x),
+        lambda x: descent(spec, x),
+    ]
+    for x in (wide, other):
+        for act in actions:
+            with pytest.raises(ValueError, match="shape mismatch"):
+                act(x)
 
 
 # ---------------------------------------------------------------------------

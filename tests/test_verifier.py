@@ -15,6 +15,7 @@ from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_extended, as_tensor,
                                  as_witt, parse_expr, print_expr)
+from wittmod.superpoly import mono_tdeg
 from wittmod.tensor_modules import TensorElement, act_witt
 from wittmod.verifier import (CONTROL_MODES, REGISTRY, Check, CheckParams,
                               run_check)
@@ -514,6 +515,61 @@ def test_gl_realization_fails_on_a_word_that_leaves_wh(monkeypatch):
     spec, got = _gl_fault("1 @ e2 + x1 @ e1")
     assert got == act_witt(spec, WittElement.term(1, 1, *x1dt1),
                            TensorElement.vacuum(spec, 0))
+
+
+# whittaker_dimension: the closed forms against the operator kernels.  Each
+# route below fails on its own fault and names its window or height.
+
+def _whittaker_dimension_fails(window=None, height=None):
+    report = run_check("whittaker_dimension", {})
+    assert report.status == "fail"
+    cex = report.counterexample
+    if window is not None:
+        assert cex["window"] == window
+    else:
+        assert cex["generalized_height"] == height
+    json.dumps(cex)
+    return cex
+
+
+def test_whittaker_dimension_fails_on_a_missing_vacuum(monkeypatch):
+    real = verifier.whittaker_space
+    monkeypatch.setattr(verifier, "whittaker_space",
+                        lambda spec, D: real(spec, D)[:-1])
+    cex = _whittaker_dimension_fails(window=3)
+    assert (cex["closed_form"], cex["kernel"]) == (None, "1 @ e2")
+
+
+def test_whittaker_dimension_fails_on_a_vector_that_is_not_whittaker(
+        monkeypatch):
+    real = verifier.whittaker_space
+
+    def shifted(spec, D):
+        x1 = TensorElement.pure(spec, ((0,) * spec.m, 1), 0)
+        return [x1] + real(spec, D)[1:]
+    monkeypatch.setattr(verifier, "whittaker_space", shifted)
+    cex = _whittaker_dimension_fails(window=3)
+    assert (cex["closed_form"], cex["kernel"]) == ("x1 @ e1", "1 @ e1")
+
+
+def test_whittaker_dimension_fails_when_the_operators_kill_too_much(
+        monkeypatch):
+    # d/dt_i also killing the t-degree-1 keys widens the operator kernel
+    real = verifier._lower
+    monkeypatch.setattr(verifier, "_lower", lambda i, terms: real(
+        i, {key: c for key, c in terms.items() if mono_tdeg(key[0]) != 1}))
+    cex = _whittaker_dimension_fails(window=3)
+    assert (cex["closed_form"], cex["kernel"]) == (None, "t1 @ e1")
+
+
+def test_whittaker_dimension_fails_on_a_missing_generalized_key(
+        monkeypatch):
+    real = verifier.generalized_whittaker_space
+    monkeypatch.setattr(verifier, "generalized_whittaker_space",
+                        lambda spec, D, height_bound=0: real(
+                            spec, D, height_bound)[:-1])
+    cex = _whittaker_dimension_fails(height=0)
+    assert (cex["closed_form"], cex["kernel"]) == (None, "x1 @ e2")
 
 
 def test_weight_multiplicity_at_m1_fails_through_the_representatives(
