@@ -11,13 +11,13 @@ which rows are inserted.
 Coefficients may be ints or Fractions, and integral rows stay in ints: a
 new row is stored as it is when its pivot coefficient is 1, divided in
 ints when that coefficient divides every entry, and scaled by a Fraction
-only otherwise.  Values leave the engine as Fractions: `rref` converts
-them, and so does `TensorSpan.reduce`, the one reader of `reduce` that
-returns a row.
+only otherwise.  `rref` makes its values Fractions again.
 
 Spans and ranks (`TensorSpan`, the weight quotient) insert their rows as
-dicts.  The Whittaker spaces build no `Echelon`: they are closed forms
-(see tensor_modules).
+dicts.  The weight quotient keys each row's pivot to its t_i-raised key,
+of coefficient a_i, so its rows stay integral at an integral twist.  The
+Whittaker spaces and weight cosets build no `Echelon`: they are closed
+forms (see tensor_modules).
 No code in the package calls the dense `rref` and `invert` (lists of
 lists, rows first): they remain only for the benchmark's layer probes,
 which name them, and as dense test references.

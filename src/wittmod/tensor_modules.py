@@ -13,9 +13,11 @@ The loop is the |k| = 1 term of the Taylor sum over all jets.  Both live
 in _derivation_row, which gives the image of one pure tensor; each spec
 memoises the image of every operator atom, so act_term, act_witt,
 act_atom and act_word are loops over memoised rows and are the one
-action path.  Weight cosets build on them plus exact linear algebra.
-The Whittaker space, its generalized form and descent are closed forms:
-(d/dt_i - a_i) and d/dxi_j act on coefficients as plain derivatives.
+action path.  The Whittaker space, its generalized form, descent and
+weight cosets are closed forms: (d/dt_i - a_i) and d/dxi_j act on
+coefficients as plain derivatives, and modulo (h_i - w_i) each t_i comes
+off as a matrix on V (weight_reduce).  The product-basis rewrite builds
+h^s u_j through the action; it is descent_roundtrip's reference route.
 
 The coefficient algebra itself is the module with twist a = 0 and the
 trivial one-dimensional rep: d/dt_i is then the plain derivative, and the
@@ -26,7 +28,7 @@ has no separate action.
 from __future__ import annotations
 
 from . import linalg
-from .glmn import Rep
+from .glmn import Rep, mat_add, mat_mul
 from .superpoly import (ONE, LinComb, accumulate, as_fractions,
                         enumerate_monomials, exact, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
@@ -414,16 +416,6 @@ class PbwRewrite:
             raise ValueError("element leaves the rewrite window")
         return dict(reversed(coords))
 
-    def from_products(self, coords) -> TensorElement:
-        out = {}
-        for col, c in coords.items():
-            for key, f in _pbw_column(self.spec, col).terms.items():
-                accumulate(out, key, c * f)
-        terms = {key: out.pop(key) for key in self.keys if key in out}
-        if out:
-            raise ValueError("coordinates leave the rewrite window")
-        return _element(self.spec, terms)
-
 
 def _pbw_column(spec, col) -> TensorElement:
     """h^s u_j for col = (s, (kmask, l)), memoised on the spec: h_i applied
@@ -449,12 +441,6 @@ def _pbw_column(spec, col) -> TensorElement:
     return vec
 
 
-def unit_basis(spec):
-    """(kmask, l) labels for the xi (x) module basis, ascending."""
-    return [(kmask, l) for kmask in range(1 << spec.n)
-            for l in range(spec.dim)]
-
-
 def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
     """The product-basis rewrite on the window of t-degree <= max_deg.
     Needs every a_i nonzero: the diagonal of the transition is a^s."""
@@ -464,19 +450,28 @@ def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
 
 
 def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:
-    """The coset of x modulo the weight ideal (h - weight)(A (x) V), as its
-    representative sum_j c_j u_j on the unit basis: rewrite in the product
-    basis and evaluate each Cartan polynomial at the weight."""
+    """The coset of x modulo the weight ideal (h - w)(A (x) V), w the
+    weight, as its representative on the unit basis.  As h_i sends
+    t^s xi^K (x) v to a_i t_i t^s xi^K (x) v + t^s xi^K (x) (s_i + E_ii) v
+    and the even E_ii commute, the closed form applies no operator:
+        t^s xi^K (x) v = xi^K (x) prod_i prod_{k<s_i} (w_i - k - E_ii)/a_i v"""
     weight = tuple(exact(w) for w in weight)
     if len(weight) != spec.m:
         raise ValueError("weight length != m")
-    rewrite = pbw_basis_rewrite(spec, max(x.tdegree(), 0))
+    if not spec.nonsingular:
+        raise ValueError("weight cosets need a nonsingular twist vector")
+    _check_shapes(spec, x)
     zero = (0,) * spec.m
     out = {}
-    for (s, (kmask, l)), c in rewrite.to_products(x).items():
-        for wi, si in zip(weight, s):
-            c *= wi ** si
-        accumulate(out, ((zero, kmask), l), c)
+    for ((s, kmask), l), c in x.terms.items():
+        for ai, si in zip(spec.a, s):
+            c /= (-ai) ** si
+        v = {(l, 0): c}  # the column c e_l
+        for i, (w, si) in enumerate(zip(weight, s), start=1):
+            for k in range(si):  # (E_ii - (w - k)) v; c carries -1/a_i
+                v = mat_add(mat_mul(spec.rep.mats[(i, i)], v), v, k - w)
+        for (r, _), f in v.items():
+            accumulate(out, ((zero, kmask), r), f)
     return _element(spec, out)
 
 
@@ -489,9 +484,6 @@ class TensorSpan:
 
     def __init__(self):
         self.echelon = linalg.Echelon(tensor_key_sort)
-
-    def reduce(self, x: TensorElement) -> TensorElement:
-        return x._like(as_fractions(self.echelon.reduce(x.terms)))
 
     def insert(self, x: TensorElement) -> bool:
         """Add to the span; True if the dimension grew."""

@@ -100,7 +100,8 @@ def test_criterion_08_descent_and_rewrite_roundtrip():
                   {"m": 2, "n": 1, "a": (F(1), F(1)), "rep": "natural",
                    "D": 3, "trials": 100, "seed": 0})
     _verdict(8, "descent of 100 seeded elements lands in the Whittaker "
-             "space; ordered-product rewrite round-trips exactly",
+             "space; each one's closed-form weight coset equals its "
+             "ordered-product rewrite evaluated at a seeded weight",
              r.status == "pass" and r.cases >= 100, r.counterexample)
 
 

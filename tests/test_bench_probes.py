@@ -30,10 +30,12 @@ REACHED = ["tensor_modules.pbw_basis_rewrite",
 
 REQUEST = [
     ["wh", "--m", "1", "--n", "1", "--D", "2"],
-    # a fresh module per request: its product-basis columns are built anew
     ["weighting", "t1 @ e1 + 1 @ e2", "--r", "1", "--m", "1", "--n", "1"],
     ["report", "--check", "simplicity_probe", "--m", "1", "--n", "1",
      "--out", "-", "--stable"],
+    # the product basis is descent_roundtrip's reference route
+    ["report", "--check", "descent_roundtrip", "--m", "1", "--n", "1",
+     "--trials", "2", "--out", "-", "--stable"],
 ]
 
 
@@ -61,7 +63,7 @@ def test_probes_install_and_trace_the_same_result():
     finally:
         tracer.uninstall()
     assert traced == plain
-    assert plain[0] == [0, 0, 0]
+    assert plain[0] == [0, 0, 0, 0]
     calls = {name: got[0] for name, got in tracer.layer_times().items()}
     assert [name for name in REACHED if not calls[name]] == []
     # uninstall restores the originals

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from wittmod import linalg, tensor_modules
+from wittmod.config import resolve_rep
+from wittmod.glmn import custom_rep, mat_mul, natural_rep, verify_rep
 from wittmod.superpoly import (accumulate, enumerate_alphas, mono_mul,
                                 mono_parity, mono_partial_t, mono_partial_xi,
                                 popcount)
@@ -415,18 +417,9 @@ def test_whittaker_side_applies_no_operator(monkeypatch, m, n, rep):
     assert got_projected == projected
 
 
-def test_pbw_roundtrip():
-    spec = make_spec(1, 1, a=(F(3),))
-    rewrite = pbw_basis_rewrite(spec, 3)
-    rng = random.Random(2)
-    for _ in range(20):
-        x = rand_tensor(spec, rng, max_deg=3, nterms=3)
-        assert rewrite.from_products(rewrite.to_products(x)) == x
-
-
 def _dense_apply(matrix, vec):
     """A dense matrix times a vector, one Fraction sum per row: the
-    reference for the rewrite's column-by-column product."""
+    dense inverse applied to an element's coordinates."""
     return [sum((f * x for f, x in zip(row, vec) if f and x), F(0))
             for row in matrix]
 
@@ -459,15 +452,6 @@ def _dense_to_products(ref, x):
     return {cols[k]: c for k, c in enumerate(sol) if c}
 
 
-def _dense_from_products(spec, ref, coords):
-    keys, cols, matrix, _ = ref
-    vec = [F(0)] * len(cols)
-    for col, c in coords.items():
-        vec[cols.index(col)] += c
-    return TensorElement(spec.m, spec.n, spec.dim,
-                         zip(keys, _dense_apply(matrix, vec)))
-
-
 @pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 2), (1, 2, 2),
                                      (2, 2, 2), (2, 1, 4)],
                          ids=["11", "21", "12", "22", "21-deg4"])
@@ -482,12 +466,6 @@ def test_pbw_matches_dense_reference(m, n, deg):
         got, want = rewrite.to_products(x), _dense_to_products(ref, x)
         assert got == want and list(got) == list(want)
         assert all(type(c) is F for c in got.values())
-        coords = {rng.choice(ref[1]): rand_coeff(rng)
-                  for _ in range(rng.randint(1, 4))}
-        back = rewrite.from_products(coords)
-        want = _dense_from_products(spec, ref, coords)
-        assert back == want and list(back.terms) == list(want.terms)
-        assert all(type(c) is F for c in back.terms.values())
 
 
 def test_pbw_builds_only_the_columns_a_solve_reaches(monkeypatch):
@@ -498,10 +476,61 @@ def test_pbw_builds_only_the_columns_a_solve_reaches(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     spec = make_spec(2, 2, a=(F(3), F(-1, 2)))
     x = TensorElement.pure(spec, ((1, 1), 0b10), 2)
+    coords = pbw_basis_rewrite(spec, 2).to_products(x)
+    assert coords[((1, 1), (0b10, 2))] == F(-2, 3)
+    assert 0 < len(calls) < len(window_keys(spec, 2))
+
+
+def test_weight_reduce_applies_no_operator(monkeypatch):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("weight_reduce applied an operator")
+    for name in ("act_term", "_act", "_pbw_column"):
+        monkeypatch.setattr(tensor_modules, name, no_operator)
+    spec = make_spec(2, 2, a=(F(3), F(-1, 2)))
+    x = TensorElement.pure(spec, ((1, 1), 0b10), 2)
     # t1 t2 u = h1 h2 u / (a1 a2), and h acts on the coset as the weight
     assert weight_reduce(spec, x, (F(1), F(-2))) \
         == F(4, 3) * TensorElement.pure(spec, ((0, 0), 0b10), 2)
-    assert 0 < len(calls) < len(window_keys(spec, 2))
+
+
+def _conjugated_natural(m, n):
+    """natural conjugated by g = 1 + E_12: E_11 becomes E_11 - E_12, so
+    the Cartan matrices are not diagonal on this basis."""
+    nat = natural_rep(m, n)
+    g = {(r, r): F(1) for r in range(nat.dim)}
+    inv = dict(g)
+    g[(0, 1)], inv[(0, 1)] = F(1), F(-1)
+    return custom_rep(m, n, nat.dim, nat.parities,
+                      {ij: mat_mul(mat_mul(g, a), inv)
+                       for ij, a in nat.mats.items()})
+
+
+@pytest.mark.parametrize("m,n,rep", [
+    (1, 0, "natural"), (1, 1, "natural"), (2, 1, "natural"),
+    (1, 2, "tensor(natural,natural)"), (2, 1, "sum(natural,trivial)"),
+    (2, 2, "natural"), (2, 1, "trivial:2"),
+    (2, 1, "conjugated"), (2, 2, "conjugated")])
+def test_weight_reduce_is_the_product_basis_evaluation(m, n, rep):
+    # the closed form against the reference route: x = sum c h^s u_j
+    # reduces at weight w to sum c w^s u_j
+    if rep == "conjugated":
+        rep = _conjugated_natural(m, n)
+        assert verify_rep(rep).ok and not rep.has_weight_basis()
+    else:
+        rep = resolve_rep(rep, m, n)
+    rng = random.Random(10 * m + n)
+    for a in [(F(1),) * m, (F(3), F(-1, 2))[:m]]:
+        spec = ModuleSpec(m, n, a, rep)
+        rewrite = pbw_basis_rewrite(spec, 3)
+        for _ in range(15):
+            x = rand_tensor(spec, rng, max_deg=3, nterms=rng.randint(1, 4))
+            weight = tuple(rand_coeff(rng) for _ in range(m))
+            want = TensorElement.zero(spec)
+            for (s, (kmask, l)), c in rewrite.to_products(x).items():
+                for w, si in zip(weight, s):
+                    c *= w ** si
+                want = want + TensorElement.pure(spec, ((0,) * m, kmask), l, c)
+            assert weight_reduce(spec, x, weight) == want
 
 
 def test_pbw_untwisted_top_raises_transition_singular(monkeypatch):
@@ -597,7 +626,7 @@ def test_tensor_span():
     assert span.insert(v1 + v2)
     assert span.contains(v2)
     assert span.dim == 2
-    assert not span.reduce(v1 - 3 * v2)
+    assert span.contains(v1 - 3 * v2)
 
 
 def test_tensor_span_matches_rank():
@@ -618,7 +647,6 @@ def test_tensor_span_matches_rank():
                 row = [y.terms.get(k, 0) for k in keys]
                 inside = _rank(coords + [row]) == _rank(coords)
                 assert span.contains(y) == inside
-                assert (not span.reduce(y)) == inside
 
 
 def test_shape_mismatch_rejected():

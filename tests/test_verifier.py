@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from wittmod import verifier
+from wittmod import tensor_modules, verifier
 from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_extended, as_tensor,
                                  as_witt, parse_expr, print_expr)
 from wittmod.superpoly import mono_tdeg
-from wittmod.tensor_modules import TensorElement, act_witt
+from wittmod.glmn import Rep, mat_add, mat_mul
+from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_witt,
+                                    weight_reduce)
 from wittmod.verifier import (CONTROL_MODES, REGISTRY, Check, CheckParams,
                               run_check)
 from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
@@ -583,6 +585,67 @@ def test_weight_multiplicity_at_m1_fails_through_the_representatives(
                       "weight", "x", "y")
     assert cex["error"] == "reduction depends on the representative"
     assert cex["weight"] == [-2] and "expected" not in cex
+
+
+# descent_roundtrip's planted faults: one in the action the product basis
+# is built from, one in weight_reduce's closed form.  Both fail on the
+# first trial's element.
+X0 = "-t1 @ e1 - 3/2*t1^3 @ e2 - 1/2*t1^3*x1 @ e2"
+
+
+def test_descent_roundtrip_fails_on_a_doubled_cartan_term(monkeypatch):
+    # every derivation reads E(i, i), i <= m, twice over.  E_ii keeps the
+    # t-degree, so the columns h^s u_j stay triangular and the rewrite
+    # still solves; only the closed form sees the wrong product basis
+    real = tensor_modules._derivation_row
+
+    def doubled(spec, atom, key):
+        rep = spec.rep
+        mats = {ij: {rc: 2 * f for rc, f in mat.items()}
+                if ij[0] == ij[1] <= spec.m else mat
+                for ij, mat in rep.mats.items()}
+        rep = Rep(rep.m, rep.n, rep.dim, rep.parities, mats)
+        return real(ModuleSpec(spec.m, spec.n, spec.a, rep), atom, key)
+    monkeypatch.setattr(tensor_modules, "_derivation_row", doubled)
+    cex = _fails_with("descent_roundtrip", {}, "trial", "x", "weight",
+                      "closed_form", "product_basis")
+    # t1 @ e1 at weight -1: (-1 - E_11)/a_1 gives -2 @ e1, not -3 @ e1
+    assert cex == {"trial": 0, "x": X0, "weight": [-1],
+                   "closed_form": "2 @ e1 + 9 @ e2 + 3*x1 @ e2",
+                   "product_basis": "3 @ e1 + 9 @ e2 + 3*x1 @ e2"}
+
+
+def _closed_form(spec, x, weight, shift):
+    """weight_reduce's closed form, each factor (w_i - k - E_ii)/a_i with
+    its -k dropped unless shift."""
+    out = TensorElement.zero(spec)
+    for ((s, kmask), l), c in x.terms.items():
+        v = {(l, 0): c}
+        for i, (w, si, ai) in enumerate(zip(weight, s, spec.a), start=1):
+            for k in range(si):
+                v = mat_add(mat_mul(spec.rep.mats[(i, i)], v), v,
+                            k * shift - w)
+                v = {rc: -f / ai for rc, f in v.items()}
+        for (r, _), f in v.items():
+            out = out + TensorElement.pure(spec, ((0,) * spec.m, kmask), r, f)
+    return out
+
+
+def test_descent_roundtrip_fails_on_a_closed_form_without_the_shift(
+        monkeypatch):
+    # right while every s_i <= 1, wrong from t_i^2 on
+    monkeypatch.setattr(verifier, "weight_reduce",
+                        partial(_closed_form, shift=False))
+    cex = _fails_with("descent_roundtrip", {}, "trial", "x", "weight",
+                      "closed_form", "product_basis")
+    assert cex == {"trial": 0, "x": X0, "weight": [-1],
+                   "closed_form": "2 @ e1 + 3/2 @ e2 + 1/2*x1 @ e2",
+                   "product_basis": "2 @ e1 + 9 @ e2 + 3*x1 @ e2"}
+    # with the shift the planted copy is weight_reduce again
+    spec = verifier._spec(CheckParams.from_dict("descent_roundtrip", {}))
+    x = as_tensor(parse_expr(X0), 1, 1, 2)
+    assert _closed_form(spec, x, [-1], shift=True) \
+        == weight_reduce(spec, x, [-1])
 
 
 def test_difference_annihilation_fails_on_an_unstable_window(monkeypatch):
