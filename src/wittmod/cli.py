@@ -134,7 +134,7 @@ def _cmd_weighting(args) -> int:
     from .tensor_modules import weight_reduce
     telem = parse_expr(args.elem)
     m, n = _shape(args, [telem])
-    spec = _module_spec(args, m, n, nonsingular_for="product basis")
+    spec = _module_spec(args, m, n, nonsingular_for="weighting")
     x = as_tensor(telem, m, n, spec.dim)
     weight = parse_twist(args.r, m, "weight --r", required=True)
     print(print_expr(weight_reduce(spec, x, weight)))

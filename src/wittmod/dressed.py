@@ -82,11 +82,14 @@ def _dressed_tables(m, corrected):
 
 def _dressed_bracket_basis(tables, k1, k2):
     """[a.x, b.y] for two dressed basis terms as a list of (key, int),
-    read through _dressed_tables."""
+    read through _dressed_tables.  The four parities are counts read off
+    the masks (an x-slot adds one): only the low bits of their products
+    are used."""
     act, mul, bracket = tables
     (a, xkey), (b, ykey) = k1, k2
-    px, py = term_parity(*xkey), term_parity(*ykey)
-    pa, pb = mono_parity(a), mono_parity(b)
+    px = xkey[0][1].bit_count() + (xkey[1][0] == XSLOT)
+    py = ykey[0][1].bit_count() + (ykey[1][0] == XSLOT)
+    pa, pb = a[1].bit_count(), b[1].bit_count()
     out = []
     # a x(b) . y
     hit = act(xkey, b)

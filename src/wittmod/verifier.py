@@ -178,20 +178,28 @@ class _PairMemo(dict):
         return i
 
     def __missing__(self, ij):
-        acc = {}
-        for key, c in self.pair(self.interned[ij[0]], self.interned[ij[1]]):
-            # exact either way; a non-integral constant stays a Fraction
-            c0 = acc.get(key, 0) + (c.numerator if c.denominator == 1 else c)
-            if c0:
-                acc[key] = c0
-            else:
-                del acc[key]
-        # interned once summed: a key whose terms cancel takes no id, so
+        terms = self.pair(self.interned[ij[0]], self.interned[ij[1]])
+        if len(terms) > 1:
+            acc = {}
+            for key, c in terms:
+                c0 = acc.get(key, 0) + c
+                if c0:
+                    acc[key] = c0
+                else:
+                    del acc[key]
+            terms = acc.items()
+        elif terms:  # one term, most rows: nothing to sum
+            (_, c), = terms
+            if not c:
+                terms = ()
+        # exact either way; a non-integral constant stays a Fraction.
+        # Interned once summed: a key whose terms cancel takes no id, so
         # the ids follow the public bracket's terms; from a list: a
         # generator here raised verify all's peak RSS 0.6 MB
         intern, shared = self._intern, self.shared
         items = self[ij] = tuple([shared.setdefault(t, t) for t in [
-            (intern(key), c) for key, c in acc.items()]])
+            (intern(key), c.numerator if c.denominator == 1 else c)
+            for key, c in terms]])
         return items
 
 
@@ -261,7 +269,9 @@ def _antisymmetric(memo, size, key_parity):
     """Whether [b, a] = -(-1)^{|a||b|} [a, b] through the memo for every
     basis id b and every a in the basis or the support of a basis-pair
     bracket (the pairs an ordered sweep reads), and every basis-pair
-    bracket is homogeneous of parity |a| + |b|."""
+    bracket is homogeneous of parity |a| + |b|.  A row lists each key
+    once, so rows of different lengths differ; one-term rows are compared
+    directly, longer ones as dicts."""
     rows = [memo[i, j] for i in range(size) for j in range(size)]
     parity = [key_parity(key) for key in memo.interned]
     for (i, j), row in zip(product(range(size), repeat=2), rows):
@@ -271,7 +281,14 @@ def _antisymmetric(memo, size, key_parity):
     for b in range(size):
         for a in chain(range(b, size), support):
             s = 1 if parity[a] & parity[b] else -1
-            if dict(memo[b, a]) != {k: s * c for k, c in memo[a, b]}:
+            ab, ba = memo[a, b], memo[b, a]
+            if len(ab) != len(ba):
+                return False
+            if len(ab) == 1:
+                (k, c), = ab
+                if ba[0] != (k, s * c):
+                    return False
+            elif ab and dict(ba) != {k: s * c for k, c in ab}:
                 return False
     return True
 
@@ -385,15 +402,22 @@ def check_jacobi(p: CheckParams):
 
 def check_bracket_oracle(p: CheckParams):
     """Table and oracle kernels on every pair of basis keys, read through
-    witt like the two public brackets, which render a failing pair."""
+    witt like the two public brackets, which render a failing pair.  Two
+    lists equal as they are or once sorted agree; only others are summed
+    key by key, so a table that splits a coefficient still passes."""
     m, n, mode = p.m, p.n, p.mode
     keys = _witt_keys(m, n, p.deg)
     table, tables = witt._bracket_basis, witt._oracle_tables(m, n)
+    corrected = mode == "corrected"
     for cases, (k1, k2) in enumerate(product(keys, keys), 1):
+        got = table(m, *k1, *k2, corrected)
+        want = witt._oracle_basis(tables, k1, k2)
+        if got == want or sorted(got) == sorted(want):
+            continue
         defect = {}
-        for key, c in table(m, *k1, *k2, mode == "corrected"):
+        for key, c in got:
             defect[key] = defect.get(key, 0) + c
-        for key, c in witt._oracle_basis(tables, k1, k2):
+        for key, c in want:
             defect[key] = defect.get(key, 0) - c
         if any(defect.values()):
             x, y = _key_elem(m, n, k1), _key_elem(m, n, k2)
@@ -787,8 +811,11 @@ def check_whittaker_dimension(p: CheckParams):
 # descent_roundtrip
 
 def check_descent_roundtrip(p: CheckParams):
-    """descent lands in wh and is idempotent, and weight_reduce at a weight
-    w agrees with sum c w^s u_j over x = sum c h^s u_j (to_products)."""
+    """descent lands in wh, which _whittaker_violation checks by applying
+    every Whittaker operator to its output, and weight_reduce at a weight
+    w agrees with sum c w^s u_j over x = sum c h^s u_j (to_products).
+    descent is a filter on keys, so it is idempotent whatever keys it
+    keeps: a test of that could not fail, and none is made."""
     spec = _nonsingular(_spec(p), "descent")
     rewrite = pbw_basis_rewrite(spec, p.D)
     rng, weights = random.Random(p.seed), random.Random(p.seed + 1)
@@ -801,9 +828,6 @@ def check_descent_roundtrip(p: CheckParams):
         if bad:
             raise _Fail({"trial": t, "x": print_expr(x),
                          "descended": print_expr(y), "violates": bad}, cases)
-        if descent(spec, y) != y:
-            raise _Fail({"trial": t, "x": print_expr(x),
-                         "error": "descent is not idempotent"}, cases)
         weight = [weights.randint(-2, 2) for _ in range(p.m)]
         products = {}
         for (s, (kmask, l)), c in rewrite.to_products(x).items():

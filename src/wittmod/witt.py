@@ -26,6 +26,7 @@ check never warms another.
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
 from .superpoly import (
     ONE,
@@ -40,8 +41,6 @@ from .superpoly import (
     mono_partial_xi,
     mono_sort_key,
     mono_tdeg,
-    popcount,
-    xi_position,
 )
 
 TSLOT = "t"
@@ -101,7 +100,10 @@ class WittElement(LinComb):
 # structure constants
 
 def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
-    """[basis term, basis term] as a list of (key, int coefficient)."""
+    """[basis term, basis term] as a list of (key, int coefficient).
+
+    Overlapping masks are tested before merge_sign_masks, which then only
+    counts inversions, and parities are read with int.bit_count."""
     alpha, imask = mono1
     beta, jmask = mono2
     k1, i = slot1
@@ -110,65 +112,62 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
     f = 1
     if k1 == XSLOT and k2 == TSLOT:
         # [u,v] = -(-1)^{|u||v|} [v,u], |u| = |I| + 1, |v| = |J|: swap
-        f = 1 if (popcount(imask) + 1) * popcount(jmask) & 1 else -1
+        f = 1 if (imask.bit_count() + 1) * jmask.bit_count() & 1 else -1
         alpha, imask, i, beta, jmask, j = beta, jmask, j, alpha, imask, i
         k1, k2 = k2, k1
 
     out = []
     if k1 == TSLOT and k2 == TSLOT:
+        if imask & jmask:
+            return out
         sign, union = merge_sign_masks(imask, jmask)
-        if sign:
-            bi = beta[i - 1]
+        bi, aj = beta[i - 1], alpha[j - 1]
+        if bi or aj:
+            g = list(map(add, alpha, beta))
             if bi:
-                g = list(a + b for a, b in zip(alpha, beta))
                 g[i - 1] -= 1
                 out.append((((tuple(g), union), (TSLOT, j)), sign * bi))
-            aj = alpha[j - 1]
+                g[i - 1] += 1
             if aj:
-                g = list(a + b for a, b in zip(alpha, beta))
                 g[j - 1] -= 1
                 out.append((((tuple(g), union), (TSLOT, i)), -sign * aj))
         return out
 
     if k1 == TSLOT and k2 == XSLOT:
-        sign, union = merge_sign_masks(imask, jmask)
-        if sign:
-            bi = beta[i - 1]
-            if bi:
-                g = list(a + b for a, b in zip(alpha, beta))
-                g[i - 1] -= 1
-                out.append((((tuple(g), union), (XSLOT, j)), f * sign * bi))
+        bi = beta[i - 1]
+        if bi and not imask & jmask:
+            sign, union = merge_sign_masks(imask, jmask)
+            g = list(map(add, alpha, beta))
+            g[i - 1] -= 1
+            out.append((((tuple(g), union), (XSLOT, j)), f * sign * bi))
         bit = 1 << (j - 1)
-        if imask & bit:
-            pI = popcount(imask)
-            pJ = popcount(jmask)
+        rest = imask & ~bit
+        if imask & bit and not jmask & rest:
             # -(-1)^{|I|(|J|-1)} (-1)^{pos}
-            s0 = 1 if (pI * (pJ - 1) + xi_position(imask, j)) & 1 else -1
-            msign, munion = merge_sign_masks(jmask, imask & ~bit)
-            if msign:
-                g = (tuple(a + b for a, b in zip(alpha, beta))
-                     if corrected else (0,) * m)
-                out.append((((g, munion), (TSLOT, i)), f * s0 * msign))
+            s0 = (1 if (imask.bit_count() * (jmask.bit_count() - 1)
+                        + (imask & (bit - 1)).bit_count()) & 1 else -1)
+            msign, munion = merge_sign_masks(jmask, rest)
+            g = tuple(map(add, alpha, beta)) if corrected else (0,) * m
+            out.append((((g, munion), (TSLOT, i)), f * s0 * msign))
         return out
 
     # both odd slots
     bit_i = 1 << (i - 1)
-    if jmask & bit_i:
-        s1 = -1 if xi_position(jmask, i) & 1 else 1
-        msign, munion = merge_sign_masks(imask, jmask & ~bit_i)
-        if msign:
-            g = tuple(a + b for a, b in zip(alpha, beta))
-            out.append((((g, munion), (XSLOT, j)), s1 * msign))
+    rest = jmask & ~bit_i
+    if jmask & bit_i and not imask & rest:
+        s1 = -1 if (jmask & (bit_i - 1)).bit_count() & 1 else 1
+        msign, munion = merge_sign_masks(imask, rest)
+        g = tuple(map(add, alpha, beta))
+        out.append((((g, munion), (XSLOT, j)), s1 * msign))
     bit_j = 1 << (j - 1)
-    if imask & bit_j:
-        pI = popcount(imask)
-        pJ = popcount(jmask)
-        s2 = -1 if (xi_position(imask, j) + (pI - 1) * (pJ - 1)) & 1 else 1
-        msign, munion = merge_sign_masks(jmask, imask & ~bit_j)
-        if msign:
-            g = (tuple(a + b for a, b in zip(alpha, beta))
-                 if corrected else (0,) * m)
-            out.append((((g, munion), (XSLOT, i)), -s2 * msign))
+    rest = imask & ~bit_j
+    if imask & bit_j and not jmask & rest:
+        s2 = (-1 if ((imask & (bit_j - 1)).bit_count()
+                     + (imask.bit_count() - 1) * (jmask.bit_count() - 1)) & 1
+              else 1)
+        msign, munion = merge_sign_masks(jmask, rest)
+        g = tuple(map(add, alpha, beta)) if corrected else (0,) * m
+        out.append((((g, munion), (XSLOT, i)), -s2 * msign))
     return out
 
 

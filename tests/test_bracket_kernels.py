@@ -4,18 +4,22 @@ The _reference_* functions are the element brackets as they were before
 each became a bilinear loop over a kernel: Fraction arithmetic
 throughout, the extension through witt_act.  Every bracket must equal its
 reference and hand out only Fractions; every kernel must return ints and
-agree with its element bracket on each pair of basis terms.
+agree with its element bracket on each pair of basis terms.  The
+_frozen_* kernels are _bracket_basis and _dressed_bracket_basis as they
+were before they tested mask overlap first and read parities off the
+masks; the kernels must return their lists term for term, in order.
 """
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
 from wittmod.dressed import (_dressed_bracket_basis, _dressed_tables,
                              dressed_basis, dressed_bracket)
-from wittmod.superpoly import accumulate, mono_mul, mono_parity
+from wittmod.superpoly import (accumulate, merge_sign_masks, mono_mul,
+                               mono_parity, popcount, xi_position)
 from wittmod.witt import (TSLOT, XSLOT, _act_basis, _bracket_basis,
                           _extended_bracket_basis, _oracle_basis,
                           _oracle_tables, bracket_oracle, extended_basis,
@@ -223,3 +227,156 @@ def test_kernel_matches_element_bracket(name, m, n, deg):
             assert summed == reference(x, y).terms, (k1, k2)
             nonzero += bool(summed)
     assert nonzero > len(basis)
+
+
+# ---------------------------------------------------------------------------
+# the kernels against frozen copies of themselves
+
+def _frozen_bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
+    alpha, imask = mono1
+    beta, jmask = mono2
+    k1, i = slot1
+    k2, j = slot2
+
+    f = 1
+    if k1 == XSLOT and k2 == TSLOT:
+        f = 1 if (popcount(imask) + 1) * popcount(jmask) & 1 else -1
+        alpha, imask, i, beta, jmask, j = beta, jmask, j, alpha, imask, i
+        k1, k2 = k2, k1
+
+    out = []
+    if k1 == TSLOT and k2 == TSLOT:
+        sign, union = merge_sign_masks(imask, jmask)
+        if sign:
+            bi = beta[i - 1]
+            if bi:
+                g = list(a + b for a, b in zip(alpha, beta))
+                g[i - 1] -= 1
+                out.append((((tuple(g), union), (TSLOT, j)), sign * bi))
+            aj = alpha[j - 1]
+            if aj:
+                g = list(a + b for a, b in zip(alpha, beta))
+                g[j - 1] -= 1
+                out.append((((tuple(g), union), (TSLOT, i)), -sign * aj))
+        return out
+
+    if k1 == TSLOT and k2 == XSLOT:
+        sign, union = merge_sign_masks(imask, jmask)
+        if sign:
+            bi = beta[i - 1]
+            if bi:
+                g = list(a + b for a, b in zip(alpha, beta))
+                g[i - 1] -= 1
+                out.append((((tuple(g), union), (XSLOT, j)), f * sign * bi))
+        bit = 1 << (j - 1)
+        if imask & bit:
+            pI = popcount(imask)
+            pJ = popcount(jmask)
+            s0 = 1 if (pI * (pJ - 1) + xi_position(imask, j)) & 1 else -1
+            msign, munion = merge_sign_masks(jmask, imask & ~bit)
+            if msign:
+                g = (tuple(a + b for a, b in zip(alpha, beta))
+                     if corrected else (0,) * m)
+                out.append((((g, munion), (TSLOT, i)), f * s0 * msign))
+        return out
+
+    bit_i = 1 << (i - 1)
+    if jmask & bit_i:
+        s1 = -1 if xi_position(jmask, i) & 1 else 1
+        msign, munion = merge_sign_masks(imask, jmask & ~bit_i)
+        if msign:
+            g = tuple(a + b for a, b in zip(alpha, beta))
+            out.append((((g, munion), (XSLOT, j)), s1 * msign))
+    bit_j = 1 << (j - 1)
+    if imask & bit_j:
+        pI = popcount(imask)
+        pJ = popcount(jmask)
+        s2 = -1 if (xi_position(imask, j) + (pI - 1) * (pJ - 1)) & 1 else 1
+        msign, munion = merge_sign_masks(jmask, imask & ~bit_j)
+        if msign:
+            g = (tuple(a + b for a, b in zip(alpha, beta))
+                 if corrected else (0,) * m)
+            out.append((((g, munion), (XSLOT, i)), -s2 * msign))
+    return out
+
+
+def _frozen_dressed_bracket_basis(tables, k1, k2):
+    act, mul, bracket = tables
+    (a, xkey), (b, ykey) = k1, k2
+    px, py = term_parity(*xkey), term_parity(*ykey)
+    pa, pb = mono_parity(a), mono_parity(b)
+    out = []
+    hit = act(xkey, b)
+    if hit:
+        prod = mul(a, hit[0])
+        if prod:
+            out.append(((prod[0], ykey), hit[1] * prod[1]))
+    hit = act(ykey, a)
+    if hit:
+        prod = mul(b, hit[0])
+        if prod:
+            sign = -1 if (pa + px) * (pb + py) & 1 else 1
+            out.append(((prod[0], xkey), -sign * hit[1] * prod[1]))
+    prod = mul(a, b)
+    if prod:
+        s = -prod[1] if px * pb & 1 else prod[1]
+        out.extend(((prod[0], key), s * c) for key, c in bracket(xkey, ykey))
+    return out
+
+
+def _frozen_dressed_tables(m, corrected):
+    return cache(_act_basis), cache(mono_mul), cache(
+        lambda xkey, ykey: _frozen_bracket_basis(m, *xkey, *ykey, corrected))
+
+
+def _assert_same_lists(keys, kernel, frozen, support=True):
+    """kernel and frozen give the same list on every ordered pair of keys,
+    and with support on every ordered pair of a key and a key of a
+    key-pair bracket's support, the pairs a Jacobi sweep reads; returns
+    the count of nonzero lists."""
+    others = list(keys)
+    if support:
+        others += sorted({key for k1 in keys for k2 in keys
+                          for key, _ in frozen(k1, k2)}.difference(keys))
+    nonzero = 0
+    for k1 in keys:
+        for k2 in others:
+            for pair in ((k1, k2), (k2, k1)):
+                got = kernel(*pair)
+                assert got == frozen(*pair), pair
+                nonzero += bool(got)
+    return nonzero
+
+
+SHAPES = [(1, 0), (1, 1), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("corrected", [True, False],
+                         ids=["corrected", "verbatim"])
+@pytest.mark.parametrize("m,n", SHAPES, ids=["10", "11", "21", "22"])
+def test_bracket_basis_equals_its_frozen_copy(m, n, corrected):
+    # every key of t-degree <= 3 and every key of their brackets
+    keys = [next(iter(b.terms)) for b in witt_basis(m, n, 3)]
+    assert _assert_same_lists(
+        keys, lambda k1, k2: _bracket_basis(m, *k1, *k2, corrected),
+        lambda k1, k2: _frozen_bracket_basis(m, *k1, *k2, corrected))
+
+
+# (degree, with support): the dressed kernel reads its parities off the
+# masks and slot kinds, and every combination of those is already in the
+# degree-1 basis; at (2,1) and (2,2) the support pairs number 0.3 and 0.6
+# million, so the basis pairs alone are read there
+DRESSED = {(1, 0): (3, True), (1, 1): (3, True), (2, 1): (2, False),
+           (2, 2): (1, False)}
+
+
+@pytest.mark.parametrize("corrected", [True, False],
+                         ids=["corrected", "verbatim"])
+@pytest.mark.parametrize("m,n", SHAPES, ids=["10", "11", "21", "22"])
+def test_dressed_bracket_basis_equals_its_frozen_copy(m, n, corrected):
+    deg, support = DRESSED[m, n]
+    keys = [next(iter(b.terms)) for b in dressed_basis(m, n, deg)]
+    assert _assert_same_lists(
+        keys, partial(_dressed_bracket_basis, _dressed_tables(m, corrected)),
+        partial(_frozen_dressed_bracket_basis,
+                _frozen_dressed_tables(m, corrected)), support)

@@ -219,7 +219,7 @@ def test_weighting_singular_twist_exits_2_before_work(capsys, monkeypatch):
     rc, out, err = run(capsys, ["weighting", "t1 @ e1", "--r", "1",
                                 "--m", "1", "--n", "1", "--a", "0"])
     assert (rc, out) == (2, "")
-    assert err == "error: product basis needs a nonsingular twist vector\n"
+    assert err == "error: weighting needs a nonsingular twist vector\n"
 
 
 def test_non_integer_seed_env_exits_2(capsys, monkeypatch):

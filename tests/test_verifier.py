@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wittmod import tensor_modules, verifier
+from wittmod import dressed, tensor_modules, verifier, witt
 from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_extended, as_tensor,
@@ -615,6 +615,24 @@ def test_descent_roundtrip_fails_on_a_doubled_cartan_term(monkeypatch):
                    "product_basis": "3 @ e1 + 9 @ e2 + 3*x1 @ e2"}
 
 
+def test_descent_roundtrip_fails_on_a_descent_that_keeps_a_non_vacuum_term(
+        monkeypatch):
+    # the vacuum terms plus the first other term of x: still a filter on
+    # keys, so idempotent; only the Whittaker operators on the output see it
+    real = tensor_modules.descent
+
+    def leaky(spec, x):
+        y = real(spec, x)
+        kept = next((k, c) for k, c in x.terms.items() if k not in y.terms)
+        return y + tensor_modules._element(spec, dict([kept]))
+    monkeypatch.setattr(verifier, "descent", leaky)
+    report = run_check("descent_roundtrip", {})
+    assert (report.status, report.cases) == ("fail", 1)
+    assert report.counterexample == {
+        "trial": 0, "x": X0, "descended": "-3/2*t1^3 @ e2",
+        "violates": "dt1 - a1"}
+
+
 def _closed_form(spec, x, weight, shift):
     """weight_reduce's closed form, each factor (w_i - k - E_ii)/a_i with
     its -k dropped unless shift."""
@@ -1035,3 +1053,95 @@ def test_check_jacobi_orders_triples_only_after_a_failure(monkeypatch):
     assert seen == [("derivation table", 24, "sorted"),
                     ("derivation table", 24, "ordered")]
     assert report.counterexample["level"] == "derivation table"
+
+
+# ---------------------------------------------------------------------------
+# the cheap comparisons can still fail: bracket_oracle reads two equal
+# lists, or two lists equal once sorted, as agreeing and sums any others
+# key by key; _antisymmetric compares one-term rows without dicts
+
+def _faulty_table(monkeypatch, fault):
+    real = witt._bracket_basis
+    monkeypatch.setattr(witt, "_bracket_basis",
+                        lambda *args: fault(real(*args)))
+
+
+def _split(out):
+    """The first term (key, c) as (key, 2c) and (key, -c): a duplicate key
+    with the right sum."""
+    if not out:
+        return out
+    (key, c), rest = out[0], out[1:]
+    return [(key, 2 * c), (key, -c)] + rest
+
+
+@pytest.mark.parametrize("fault", [_split, lambda out: out[::-1]],
+                         ids=["split", "reversed"])
+def test_bracket_oracle_passes_a_table_with_the_right_sums(monkeypatch,
+                                                           fault):
+    _faulty_table(monkeypatch, fault)
+    report = run_check("bracket_oracle", {"m": 2, "n": 2, "deg": 2})
+    assert (report.status, report.cases) == ("pass", 96 ** 2)
+
+
+def test_bracket_oracle_fails_on_a_duplicate_key_with_a_wrong_sum(
+        monkeypatch):
+    # the first term emitted twice; the counterexample is the one the
+    # check gave when it summed every pair
+    _faulty_table(monkeypatch, lambda out: out[:1] + out)
+    report = run_check("bracket_oracle", {"m": 2, "n": 2, "deg": 2})
+    assert (report.status, report.cases) == ("fail", 17)
+    assert report.counterexample == {"x": "dt1", "y": "t1*dt1",
+                                     "mode": "corrected", "table": "2*dt1",
+                                     "oracle": "dt1"}
+
+
+def _antisymmetric_with_a_fault(length, fault):
+    """_antisymmetric on the (1,1) deg 2 derivation memo with one row
+    [b, a], a > b in the basis, of the given length faulted.  The faulted
+    row keeps parity |a| + |b|, so only the comparison can reject it."""
+    basis = verifier._witt_keys(1, 1, 2)
+    size = len(basis)
+    memo = verifier._PairMemo(basis,
+                              lambda k1, k2: _bracket_basis(1, *k1, *k2))
+    assert verifier._antisymmetric(memo, size, WittElement.key_parity)
+    parity = [WittElement.key_parity(k) for k in memo.interned]
+    b, a = next((b, a) for a in range(size) for b in range(a)
+                if len(memo[b, a]) == length)
+    row = list(memo[b, a])
+    k, c = row[0]
+    other = next(j for j in range(len(parity))
+                 if parity[j] == parity[k] and j not in dict(row))
+    if fault == "coefficient":
+        row[0] = (k, 2 * c)
+    elif fault == "key":
+        row[0] = (other, c)
+    else:
+        row = row[:-1] if length == 2 else row + [(other, c)]
+    memo[b, a] = tuple(row)
+    return verifier._antisymmetric(memo, size, WittElement.key_parity)
+
+
+@pytest.mark.parametrize("fault", ["coefficient", "key", "length"])
+@pytest.mark.parametrize("length", [1, 2])
+def test_antisymmetric_rejects_a_faulted_row(length, fault):
+    assert _antisymmetric_with_a_fault(length, fault) is False
+
+
+def test_no_check_warms_another(monkeypatch):
+    # every table a check reads is built for that check and dropped with
+    # it: a second identical run computes every structure constant again
+    calls = []
+    real = witt._bracket_basis
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+    for module in (witt, verifier, dressed):
+        monkeypatch.setattr(module, "_bracket_basis", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run_check("jacobi", {"m": 2, "n": 1}).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
