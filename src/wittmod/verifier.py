@@ -178,8 +178,12 @@ class _PairMemo(dict):
         return i
 
     def __missing__(self, ij):
-        terms = self.pair(self.interned[ij[0]], self.interned[ij[1]])
-        if len(terms) > 1:
+        i, j = ij
+        terms = self.pair(self.interned[i], self.interned[j])
+        if not terms:  # about half the rows
+            self[ij] = ()
+            return ()
+        if len(terms) > 1:  # most nonzero rows have one term: no sum
             acc = {}
             for key, c in terms:
                 c0 = acc.get(key, 0) + c
@@ -188,19 +192,16 @@ class _PairMemo(dict):
                 else:
                     del acc[key]
             terms = acc.items()
-        elif terms:  # one term, most rows: nothing to sum
-            (_, c), = terms
-            if not c:
-                terms = ()
-        # exact either way; a non-integral constant stays a Fraction.
-        # Interned once summed: a key whose terms cancel takes no id, so
-        # the ids follow the public bracket's terms; from a list: a
-        # generator here raised verify all's peak RSS 0.6 MB
-        intern, shared = self._intern, self.shared
-        items = self[ij] = tuple([shared.setdefault(t, t) for t in [
-            (intern(key), c.numerator if c.denominator == 1 else c)
-            for key, c in terms]])
-        return items
+        # interned once summed: a key whose terms cancel takes no id, so
+        # the ids follow the public bracket's terms; exact either way: a
+        # non-integral constant stays a Fraction
+        intern, shared, row = self._intern, self.shared, []
+        for key, c in terms:
+            if c:
+                t = (intern(key), c.numerator if c.denominator == 1 else c)
+                row.append(shared.setdefault(t, t))
+        row = self[ij] = tuple(row)
+        return row
 
 
 def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
@@ -348,7 +349,8 @@ def check_jacobi(p: CheckParams):
     tables = _dressed_tables(m, True)
     levels = [
         ("derivation table", WittElement, _witt_keys(m, n, p.deg),
-         lambda k1, k2: _bracket_basis(m, *k1, *k2), witt_bracket),
+         lambda k1, k2: _bracket_basis(m, k1[0], k1[1], k2[0], k2[1]),
+         witt_bracket),
         ("abelian extension", ExtendedWittElement,
          _witt_keys(m, n, exdeg, extended_basis),
          lambda k1, k2: _extended_bracket_basis(m, k1, k2),
@@ -410,7 +412,8 @@ def check_bracket_oracle(p: CheckParams):
     table, tables = witt._bracket_basis, witt._oracle_tables(m, n)
     corrected = mode == "corrected"
     for cases, (k1, k2) in enumerate(product(keys, keys), 1):
-        got = table(m, *k1, *k2, corrected)
+        (mono1, slot1), (mono2, slot2) = k1, k2
+        got = table(m, mono1, slot1, mono2, slot2, corrected)
         want = witt._oracle_basis(tables, k1, k2)
         if got == want or sorted(got) == sorted(want):
             continue

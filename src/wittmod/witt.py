@@ -114,23 +114,22 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
         # [u,v] = -(-1)^{|u||v|} [v,u], |u| = |I| + 1, |v| = |J|: swap
         f = 1 if (imask.bit_count() + 1) * jmask.bit_count() & 1 else -1
         alpha, imask, i, beta, jmask, j = beta, jmask, j, alpha, imask, i
-        k1, k2 = k2, k1
+        k1, k2, slot1, slot2 = k2, k1, slot2, slot1
 
     out = []
     if k1 == TSLOT and k2 == TSLOT:
-        if imask & jmask:
+        bi, aj = beta[i - 1], alpha[j - 1]
+        if imask & jmask or not (bi or aj):
             return out
         sign, union = merge_sign_masks(imask, jmask)
-        bi, aj = beta[i - 1], alpha[j - 1]
-        if bi or aj:
-            g = list(map(add, alpha, beta))
-            if bi:
-                g[i - 1] -= 1
-                out.append((((tuple(g), union), (TSLOT, j)), sign * bi))
-                g[i - 1] += 1
-            if aj:
-                g[j - 1] -= 1
-                out.append((((tuple(g), union), (TSLOT, i)), -sign * aj))
+        g = list(map(add, alpha, beta))
+        if bi:
+            g[i - 1] -= 1
+            out.append((((tuple(g), union), slot2), sign * bi))
+            g[i - 1] += 1
+        if aj:
+            g[j - 1] -= 1
+            out.append((((tuple(g), union), slot1), -sign * aj))
         return out
 
     if k1 == TSLOT and k2 == XSLOT:
@@ -139,7 +138,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
             sign, union = merge_sign_masks(imask, jmask)
             g = list(map(add, alpha, beta))
             g[i - 1] -= 1
-            out.append((((tuple(g), union), (XSLOT, j)), f * sign * bi))
+            out.append((((tuple(g), union), slot2), f * sign * bi))
         bit = 1 << (j - 1)
         rest = imask & ~bit
         if imask & bit and not jmask & rest:
@@ -148,7 +147,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
                         + (imask & (bit - 1)).bit_count()) & 1 else -1)
             msign, munion = merge_sign_masks(jmask, rest)
             g = tuple(map(add, alpha, beta)) if corrected else (0,) * m
-            out.append((((g, munion), (TSLOT, i)), f * s0 * msign))
+            out.append((((g, munion), slot1), f * s0 * msign))
         return out
 
     # both odd slots
@@ -158,7 +157,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
         s1 = -1 if (jmask & (bit_i - 1)).bit_count() & 1 else 1
         msign, munion = merge_sign_masks(imask, rest)
         g = tuple(map(add, alpha, beta))
-        out.append((((g, munion), (XSLOT, j)), s1 * msign))
+        out.append((((g, munion), slot2), s1 * msign))
     bit_j = 1 << (j - 1)
     rest = imask & ~bit_j
     if imask & bit_j and not jmask & rest:
@@ -167,7 +166,7 @@ def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
               else 1)
         msign, munion = merge_sign_masks(jmask, rest)
         g = tuple(map(add, alpha, beta)) if corrected else (0,) * m
-        out.append((((g, munion), (XSLOT, i)), -s2 * msign))
+        out.append((((g, munion), slot1), -s2 * msign))
     return out
 
 
