@@ -347,6 +347,8 @@ def check_jacobi(p: CheckParams):
     m, n = p.m, p.n
     exdeg = min(p.deg, 2)
     tables = _dressed_tables(m, True)
+    # a key's parts passed as they are: star-unpacking took about a
+    # quarter of each table call
     levels = [
         ("derivation table", WittElement, _witt_keys(m, n, p.deg),
          lambda k1, k2: _bracket_basis(m, k1[0], k1[1], k2[0], k2[1]),

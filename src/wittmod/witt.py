@@ -100,10 +100,8 @@ class WittElement(LinComb):
 # structure constants
 
 def _bracket_basis(m, mono1, slot1, mono2, slot2, corrected=True):
-    """[basis term, basis term] as a list of (key, int coefficient).
-
-    Overlapping masks are tested before merge_sign_masks, which then only
-    counts inversions, and parities are read with int.bit_count."""
+    """[basis term, basis term] as a list of (key, int coefficient); a
+    key's slot is the slot argument itself."""
     alpha, imask = mono1
     beta, jmask = mono2
     k1, i = slot1
