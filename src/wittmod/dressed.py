@@ -77,7 +77,8 @@ def _dressed_tables(m, corrected):
     first use: _act_basis by (key, mono), mono_mul by monomial pair and
     the derivation bracket by key pair; none outlives its user."""
     return cache(_act_basis), cache(mono_mul), cache(
-        lambda xkey, ykey: _bracket_basis(m, *xkey, *ykey, corrected))
+        lambda xkey, ykey: _bracket_basis(m, xkey[0], xkey[1], ykey[0],
+                                          ykey[1], corrected))
 
 
 def _dressed_bracket_basis(tables, k1, k2):

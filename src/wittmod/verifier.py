@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product, zip_longest
 from math import prod
+from weakref import ref
 
 from . import linalg, witt
 from .config import CHECKS, CheckParams, ConfigError, resolve_rep
@@ -153,55 +155,84 @@ def _witt_keys(m, n, deg, basis=witt_basis):
     return [next(iter(el.terms)) for el in basis(m, n, deg)]
 
 
-class _PairMemo(dict):
+class _Row(dict):
+    """Row i of a _PairMemo; a missing j is computed from the kernel.  It
+    holds its memo weakly: a cycle would outlive the check."""
+
+    __slots__ = ("memo", "i")
+
+    def __init__(self, memo, i):
+        super().__init__()
+        self.memo, self.i = ref(memo), i
+
+    def __missing__(self, j):
+        self.memo().fill(self.i, (j,))
+        return self[j]
+
+
+class _PairMemo(list):
     """Brackets of basis pairs at one level, each computed on first use.
 
-    Keys are interned to small ints, the basis first and in its order:
-    memo[i, j] is the bracket of interned[i] and interned[j] as a tuple of
-    (key id, coefficient).  Structure constants are integers, so the
+    Keys are interned to small ints, the basis first and in its order,
+    each with a row by int id: memo[i][j] is the bracket of interned[i]
+    and interned[j] as a tuple of (key id, coefficient), filled on a miss
+    or by fill.  Structure constants are integers, so the
     coefficients are ints and a sweep over the memo builds no element.
     Equal (key id, coefficient) pairs are stored once: most brackets
     repeat a few of them, and the memo's size is a sweep's peak memory."""
 
     def __init__(self, basis, pair):
         super().__init__()
-        self.interned = list(basis)
-        self.ids = {key: i for i, key in enumerate(self.interned)}
+        self.interned, self.ids = [], {}
         self.pair = pair
         self.shared = {}
+        for key in basis:
+            self._intern(key)
 
     def _intern(self, key):
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.interned)
             self.interned.append(key)
+            self.append(_Row(self, i))
         return i
 
-    def __missing__(self, ij):
-        i, j = ij
-        terms = self.pair(self.interned[i], self.interned[j])
-        if not terms:  # about half the rows
-            self[ij] = ()
-            return ()
-        if len(terms) > 1:  # most nonzero rows have one term: no sum
-            acc = {}
+    def fill(self, i, js):
+        """Row i's entries for the ids in js it lacks, in one loop."""
+        row, keys, pair = self[i], self.interned, self.pair
+        left, intern, shared = keys[i], self._intern, self.shared
+        for j in js:
+            if j in row:
+                continue
+            terms = pair(left, keys[j])
+            if not terms:  # about half the pairs
+                row[j] = ()
+                continue
+            if len(terms) > 1:  # most nonzero pairs have one term: no sum
+                acc = {}
+                for key, c in terms:
+                    c0 = acc.get(key, 0) + c
+                    if c0:
+                        acc[key] = c0
+                    else:
+                        del acc[key]
+                terms = acc.items()
+            # interned once summed: a key whose terms cancel takes no id,
+            # so the ids follow the public bracket's terms; exact either
+            # way: a non-integral constant stays a Fraction
+            out = []
             for key, c in terms:
-                c0 = acc.get(key, 0) + c
-                if c0:
-                    acc[key] = c0
-                else:
-                    del acc[key]
-            terms = acc.items()
-        # interned once summed: a key whose terms cancel takes no id, so
-        # the ids follow the public bracket's terms; exact either way: a
-        # non-integral constant stays a Fraction
-        intern, shared, row = self._intern, self.shared, []
-        for key, c in terms:
-            if c:
-                t = (intern(key), c.numerator if c.denominator == 1 else c)
-                row.append(shared.setdefault(t, t))
-        row = self[ij] = tuple(row)
-        return row
+                if c:
+                    t = (intern(key), c.numerator if c.denominator == 1 else c)
+                    out.append(shared.setdefault(t, t))
+            row[j] = tuple(out)
+
+
+def _support(memo, size):
+    """The ids outside the basis in the basis-pair brackets, ascending."""
+    basis = range(size)
+    return sorted({k for row in memo[:size] for j in basis
+                   for k, _ in row[j] if k >= size})
 
 
 def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
@@ -209,46 +240,51 @@ def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
     bilinearity through the memo, for each batch (y, z, xs) of basis ids:
     the defects of every x in xs at once, keyed l*size + x, read through
     columns (the x in xs with [x, k] != 0), so the work follows the
-    nonzero products.  Only the current x-range's columns are kept; a
-    batch whose x-range extends the last one's (the sorted batches'
-    range(y + 1)) grows them in place.  A failing batch reports its first
-    failing x, the cases counted triple by triple.  render maps a terms
-    dict to the expression grammar; extra ends a counterexample."""
+    nonzero products.  For xs = range(last + 1) (ordered and sorted
+    batches) a column is built once over the basis and cut after last;
+    other xs (sampled singletons) build their own.  A failing batch
+    reports its first failing x, the cases counted triple by triple.
+    render maps a terms dict to the expression grammar; extra ends a
+    counterexample."""
     size = len(parity)
-    columns, grown, current = {}, {}, ()
+    basis_rows = memo[:size]
+    whole, columns, current = {}, {}, None
 
-    def column(k):  # reads the loop's xs
+    def column(k):  # reads the loop's xs and cut
         col = columns.get(k)
         if col is None:
-            col = grown.pop(k, None)
-            if col is None:
-                col = [(x, row) for x in xs if (row := memo[x, k])]
+            if cut is None:
+                col = [(x, r) for x in xs if (r := memo[x][k])]
             else:
-                col.extend((x, row) for x in new if (row := memo[x, k]))
+                col = whole.get(k)
+                if col is None:
+                    col = whole[k] = [(x, r) for x, row in
+                                      enumerate(basis_rows) if (r := row[k])]
+                if cut < size:  # the entries with x < cut
+                    col = col[:bisect_left(col, (cut,))]
             columns[k] = col
         return col
 
     for y, z, xs in batches:
         if xs != current:
-            old = len(current)
-            grown = columns if xs[:old] == current else {}
-            columns, current, new = {}, xs, xs[old:]
-        out = {}
-        for k, c in memo[y, z]:             # [x,[y,z]]
+            columns, current = {}, xs
+            cut = len(xs) if xs == range(len(xs)) else None
+        rowy, out = memo[y], {}
+        for k, c in rowy[z]:                # [x,[y,z]]
             for x, row in column(k):
                 for l, c2 in row:
                     key = l * size + x
                     out[key] = out.get(key, 0) + c * c2
         for x, row in column(y):            # -[[x,y],z]
             for k, c in row:
-                for l, c2 in memo[k, z]:
+                for l, c2 in memo[k][z]:
                     key = l * size + x
                     out[key] = out.get(key, 0) - c * c2
         py = parity[y]
         for x, row in column(z):            # -(-1)^{xy}[y,[x,z]]
             s = 1 if parity[x] & py else -1
             for k, c in row:
-                for l, c2 in memo[y, k]:
+                for l, c2 in rowy[k]:
                     key = l * size + x
                     out[key] = out.get(key, 0) + s * c * c2
         if not any(out.values()):
@@ -273,16 +309,21 @@ def _antisymmetric(memo, size, key_parity):
     bracket is homogeneous of parity |a| + |b|.  A row lists each key
     once, so rows of different lengths differ; one-term rows are compared
     directly, longer ones as dicts."""
-    rows = [memo[i, j] for i in range(size) for j in range(size)]
+    basis = range(size)
+    support = _support(memo, size)
     parity = [key_parity(key) for key in memo.interned]
-    for (i, j), row in zip(product(range(size), repeat=2), rows):
-        if any(parity[k] != parity[i] ^ parity[j] for k, _ in row):
-            return False
-    support = sorted({k for row in rows for k, _ in row if k >= size})
-    for b in range(size):
+    for i in basis:
+        row, pi = memo[i], parity[i]
+        for j in basis:
+            pij = pi ^ parity[j]
+            for k, _ in row[j]:
+                if parity[k] != pij:
+                    return False
+    for b in basis:
+        rb, pb = memo[b], parity[b]
         for a in chain(range(b, size), support):
-            s = 1 if parity[a] & parity[b] else -1
-            ab, ba = memo[a, b], memo[b, a]
+            s = 1 if parity[a] & pb else -1
+            ab, ba = memo[a][b], rb[a]
             if len(ab) != len(ba):
                 return False
             if len(ab) == 1:
@@ -299,11 +340,21 @@ def _sorted_route(level, memo, parity, key_parity, render):
     on the sorted triples x <= y <= z alone: the bracket is
     super-antisymmetric on the pairs the sweep reads, so the Jacobiator
     is super-alternating and each ordered triple's defect is, up to sign,
-    its sorted permutation's.  False names no triple."""
+    its sorted permutation's.  The memo is filled first, row by row:
+    basis by basis, then support by basis and basis by support.  False
+    names no triple."""
     size = len(parity)
+    basis = range(size)
+    for i in basis:
+        memo.fill(i, basis)
+    support = _support(memo, size)
+    for k in support:
+        memo.fill(k, basis)
+    for i in basis:
+        memo.fill(i, support)
     if not _antisymmetric(memo, size, key_parity):
         return False
-    batches = ((y, z, range(y + 1)) for y in range(size)
+    batches = ((y, z, range(y + 1)) for y in basis
                for z in range(y, size))
     try:
         _jacobi_sweep(level, memo, parity, batches, render, 0)
@@ -322,7 +373,7 @@ def _memo_agrees(level, memo, basis, bracket, unit, render, draw, cases):
         basis, min(len(basis), draw.choice((2, 3))))}) for _ in range(2))
     got = bracket(x, y)
     want = x._bilinear(y, lambda k1, k2: [
-        (keys[k], c) for k, c in memo[ids[k1], ids[k2]]])
+        (keys[k], c) for k, c in memo[ids[k1]][ids[k2]]])
     if got.terms != want.terms:
         raise _Fail({"level": level, "x": render(x.terms),
                      "y": render(y.terms), "bracket": render(got.terms),
@@ -375,9 +426,14 @@ def check_jacobi(p: CheckParams):
         if cls is WittElement and p.mode == "mutated":
             rng = random.Random(p.seed)
             candidates = [(i, j) for i in range(size) for j in range(size)
-                          if memo[i, j]]
+                          if memo[i][j]]
+            if not candidates:
+                raise ConfigError(
+                    "jacobi mode mutated needs a nonzero basis-pair "
+                    "bracket to negate; m=%d, n=%d, deg=%d has none"
+                    % (m, n, p.deg))
             i, j = candidates[rng.randrange(len(candidates))]
-            memo[i, j] = [(k, -c) for k, c in memo[i, j]]
+            memo[i][j] = tuple((k, -c) for k, c in memo[i][j])
             extra["mutated_pair"] = "[%s, %s]" % (
                 render({basis[i]: ONE}), render({basis[j]: ONE}))
         parity = [cls.key_parity(k) for k in basis]
@@ -855,6 +911,12 @@ def _cartan(m, n, i):
 
 
 def check_weight_multiplicity(p: CheckParams):
+    """At each weight w in [-2, 2]^m: window D modulo the image of the
+    (h_i - w_i) on window D - 1 has 2^n * dim keys, and weight_reduce
+    does not see a shift by that image.  At m = 1 the count cannot fail
+    where h - w is injective on window D - 1, as for an h that acts as
+    zero at w != 0: the quotient is then window D's top layer, 2^n * dim
+    keys.  The shift test is what catches such a fault."""
     if p.m == 0:
         raise ConfigError("weight_multiplicity needs m >= 1: weights are "
                           "eigenvalues of the even Cartan operators "

@@ -178,8 +178,8 @@ def witt_bracket(x: WittElement, y: WittElement, mode="corrected") -> WittElemen
     if mode not in ("corrected", "verbatim"):
         raise ValueError("unknown bracket mode %r" % (mode,))
     m, corrected = x.m, mode == "corrected"
-    return x._bilinear(y, lambda k1, k2: _bracket_basis(m, *k1, *k2,
-                                                        corrected))
+    return x._bilinear(y, lambda k1, k2: _bracket_basis(
+        m, k1[0], k1[1], k2[0], k2[1], corrected))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,17 @@ def test_unknown_check_exits_2(capsys):
     assert "unknown check id" in err
 
 
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_mutated_jacobi_with_nothing_to_mutate_exits_2(capsys, m):
+    rc, out, _ = run(capsys, ["verify", "jacobi", "--mode", "mutated",
+                              "--m", m, "--n", "0", "--deg", "0"])
+    assert rc == 2
+    assert out.startswith("jacobi ")
+    assert "error cases=0" in out
+    assert "needs a nonzero basis-pair bracket" in out
+    assert "m=%s, n=0, deg=0 has none" % m in out
+
+
 def test_out_of_range_vector_exits_2(capsys):
     rc, _, err = run(capsys, ["act", "dt1", "1 @ e5", "--m", "1", "--n", "1"])
     assert rc == 2

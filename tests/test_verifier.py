@@ -338,11 +338,17 @@ def _filled(basis, pair):
     and a key in the support of a basis-pair bracket in both orders."""
     memo = verifier._PairMemo(basis, pair)
     size = len(basis)
-    rows = [memo[i, j] for i in range(size) for j in range(size)]
+    rows = [memo[i][j] for i in range(size) for j in range(size)]
     for k in sorted({k for row in rows for k, _ in row if k >= size}):
         for i in range(size):
-            memo[i, k], memo[k, i]
+            memo[i][k], memo[k][i]
     return memo
+
+
+def _pairs(memo):
+    """Every filled memo entry, by (left id, right id)."""
+    return {(i, j): terms for i, row in enumerate(memo)
+            for j, terms in row.items()}
 
 
 @pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 1)])
@@ -365,14 +371,15 @@ def test_kernel_memos_equal_public_bracket_memos(m, n, deg):
     for basis, kernel, bracket in routes:
         got, want = _filled(basis, kernel), _filled(basis, bracket)
         assert got.interned == want.interned
-        assert dict(got) == dict(want)
-        memos.append(dict(got))
+        assert _pairs(got) == _pairs(want)
+        memos.append(_pairs(got))
     assert memos[1] != memos[2]  # the modes differ at these shapes
 
 
 def test_jacobi_peak_memory_is_bounded():
-    # the sweep keeps the current x-range's columns only; a column kept per
-    # (x-range, key) reads a peak of about 2.9 MB here, against about 1.5
+    # the sweep keeps one column per key, cut for the current x-range; a
+    # column kept per (x-range, key) reads a peak of about 2.9 MB here,
+    # against about 1.3
     tracemalloc.start()
     try:
         report = run_check("jacobi", {})
@@ -773,15 +780,15 @@ def _reference_jacobi_sweep(level, memo, parity, triples, render, cases,
     for x, y, z in triples:
         cases += 1
         out = {}
-        for k, c in memo[y, z]:                            # [x,[y,z]]
-            for k2, c2 in memo[x, k]:
+        for k, c in memo[y][z]:                            # [x,[y,z]]
+            for k2, c2 in memo[x][k]:
                 out[k2] = out.get(k2, 0) + c * c2
-        for k, c in memo[x, y]:                            # -[[x,y],z]
-            for k2, c2 in memo[k, z]:
+        for k, c in memo[x][y]:                            # -[[x,y],z]
+            for k2, c2 in memo[k][z]:
                 out[k2] = out.get(k2, 0) - c * c2
         s = -1 if parity[x] & parity[y] else 1             # -(-1)^{xy}[y,[x,z]]
-        for k, c in memo[x, z]:
-            for k2, c2 in memo[y, k]:
+        for k, c in memo[x][z]:
+            for k2, c2 in memo[y][k]:
                 out[k2] = out.get(k2, 0) - s * c * c2
         if any(out.values()):
             key = memo.interned
@@ -816,6 +823,14 @@ def _jacobi_levels(m, n, deg):
     return out
 
 
+def _outcome(sweep, *args):
+    """A sweep's case count, or its (counterexample, cases) on failure."""
+    try:
+        return sweep(*args)
+    except verifier._Fail as e:
+        return e.cex, e.cases
+
+
 def _both_sweeps(level, basis, pair, parity, render, plant=None,
                  triples=None):
     """(cases or (counterexample, cases), memo keys filled) of the batched
@@ -835,11 +850,8 @@ def _both_sweeps(level, basis, pair, parity, render, plant=None,
         memo = verifier._PairMemo(basis, pair)
         if plant:
             plant(memo)
-        try:
-            got = sweep(level, memo, parity, todo, render, 7)
-        except verifier._Fail as e:
-            got = (e.cex, e.cases)
-        results.append((got, set(memo)))
+        got = _outcome(sweep, level, memo, parity, todo, render, 7)
+        results.append((got, set(_pairs(memo))))
     return results
 
 
@@ -858,18 +870,18 @@ def _planted(memo, kind, size):
     """Negate one nonzero memo entry: a basis pair whose bracket stays in
     the basis, one whose bracket leaves it, or a pair whose second key
     lies outside the basis."""
-    pairs = [(i, j) for i in range(size) for j in range(size) if memo[i, j]]
+    pairs = [(i, j) for i in range(size) for j in range(size) if memo[i][j]]
     if kind == "outside":  # keys the basis pairs bracket into
         top = len(memo.interned)
         pairs = [(i, k) for i in range(size) for k in range(size, top)
-                 if memo[i, k]]
+                 if memo[i][k]]
     else:
         leaves = kind == "leaves"
         pairs = [(i, j) for i, j in pairs
-                 if any(k >= size for k, _ in memo[i, j]) == leaves]
+                 if any(k >= size for k, _ in memo[i][j]) == leaves]
     assert pairs, "no %s pair" % kind
-    ij = pairs[len(pairs) // 2]
-    memo[ij] = tuple((k, -c) for k, c in memo[ij])
+    i, j = pairs[len(pairs) // 2]
+    memo[i][j] = tuple((k, -c) for k, c in memo[i][j])
 
 
 @pytest.mark.parametrize("kind", ["inside", "leaves", "outside"])
@@ -921,8 +933,8 @@ def _ordered_verdict(level, memo, parity, render):
 
 def _scaled(memo, i, j, scale):
     """[i, j] and [j, i] scaled alike: the memo stays antisymmetric."""
-    for ij in {(i, j), (j, i)}:
-        memo[ij] = tuple((k, scale * c) for k, c in memo[ij])
+    for a, b in {(i, j), (j, i)}:
+        memo[a][b] = tuple((k, scale * c) for k, c in memo[a][b])
 
 
 @pytest.mark.parametrize("scale", [-1, 2])
@@ -936,7 +948,7 @@ def test_sorted_route_agrees_with_the_ordered_sweep(m, n, deg, index, scale):
     size = len(basis)
     probe = verifier._PairMemo(basis, pair)
     pairs = [(i, j) for i in range(size) for j in range(i, size)
-             if probe[i, j]]
+             if probe[i][j]]
     for i, j in random.Random(index).sample(pairs, 3):
         verdicts = []
         for route in ("sorted", "ordered"):
@@ -949,6 +961,32 @@ def test_sorted_route_agrees_with_the_ordered_sweep(m, n, deg, index, scale):
                                        render) if route == "sorted"
                 else _ordered_verdict(level, memo, parity, render))
         assert verdicts[0] == verdicts[1], (i, j)
+
+
+def test_each_sorted_batch_reads_every_x_up_to_y():
+    # one sorted batch (y, z, range(y + 1)) at a time against the
+    # reference on its triples, with [i, j] and [j, i] doubled for each
+    # odd i: some batches fail first at x = y, which a column cut before
+    # y would miss
+    level, basis, pair, parity, render = _jacobi_levels(1, 1, 2)[0]
+    size = len(basis)
+    pair = cache(pair)
+    probe = verifier._PairMemo(basis, pair)
+    at_y = 0
+    for i, j in [(i, j) for i in range(size) for j in range(i + 1, size)
+                 if parity[i] and probe[i][j]]:
+        memo = verifier._PairMemo(basis, pair)
+        _scaled(memo, i, j, 2)
+        for y in range(size):
+            for z in range(y, size):
+                xs = range(y + 1)
+                got = _outcome(verifier._jacobi_sweep, level, memo, parity,
+                               [(y, z, xs)], render, 0)
+                want = _outcome(_reference_jacobi_sweep, level, memo,
+                                parity, [(x, y, z) for x in xs], render, 0)
+                assert got == want, (i, j, y, z)
+                at_y += isinstance(want, tuple) and want[1] == y + 1
+    assert at_y
 
 
 @pytest.mark.parametrize("m,n,deg", [(1, 1, 2), (2, 1, 1)])
@@ -966,7 +1004,7 @@ def test_sorted_route_reads_the_ordered_sweeps_pairs(m, n, deg, index):
             if route == "sorted" else
             _ordered_verdict(level, memo, parity, render))
         filled.append({(memo.interned[i], memo.interned[j])
-                       for i, j in memo})
+                       for i, j in _pairs(memo)})
     assert filled[0] == filled[1]
 
 
@@ -1107,8 +1145,8 @@ def _antisymmetric_with_a_fault(length, fault):
     assert verifier._antisymmetric(memo, size, WittElement.key_parity)
     parity = [WittElement.key_parity(k) for k in memo.interned]
     b, a = next((b, a) for a in range(size) for b in range(a)
-                if len(memo[b, a]) == length)
-    row = list(memo[b, a])
+                if len(memo[b][a]) == length)
+    row = list(memo[b][a])
     k, c = row[0]
     other = next(j for j in range(len(parity))
                  if parity[j] == parity[k] and j not in dict(row))
@@ -1118,7 +1156,7 @@ def _antisymmetric_with_a_fault(length, fault):
         row[0] = (other, c)
     else:
         row = row[:-1] if length == 2 else row + [(other, c)]
-    memo[b, a] = tuple(row)
+    memo[b][a] = tuple(row)
     return verifier._antisymmetric(memo, size, WittElement.key_parity)
 
 
@@ -1144,4 +1182,33 @@ def test_no_check_warms_another(monkeypatch):
         calls.clear()
         assert run_check("jacobi", {"m": 2, "n": 1}).ok
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    # pinned: filling the memo row by row brackets no pair twice
+    assert counts == [10454, 10454]
+
+
+def test_derivation_memo_size_at_the_acceptance_shape(monkeypatch):
+    # (2,2) deg 2: the 96 basis keys and the 144 of their brackets' support
+    # against the basis in both orders, over 448 interned keys
+    built = []
+
+    class Kept(verifier._PairMemo):
+        def __init__(self, basis, pair):
+            super().__init__(basis, pair)
+            built.append(self)
+
+    monkeypatch.setattr(verifier, "_PairMemo", Kept)
+    assert run_check("jacobi", {"m": 2, "n": 2, "deg": 2}).ok
+    memo = built[0]
+    assert (len(_pairs(memo)), len(memo.interned)) == (36864, 448)
+    assert len(memo) == 448
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_mutated_jacobi_without_a_bracket_to_negate_is_an_error(m):
+    # (m,0) deg 0: the d/dt_i commute, so no basis pair can be mutated
+    report = run_check("jacobi", {"m": m, "n": 0, "deg": 0,
+                                  "mode": "mutated"})
+    assert (report.status, report.cases) == ("error", 0)
+    assert report.counterexample == {"error": (
+        "jacobi mode mutated needs a nonzero basis-pair bracket to "
+        "negate; m=%d, n=0, deg=0 has none" % m)}
