@@ -176,8 +176,8 @@ class _PairMemo(list):
     Keys are interned to small ints, the basis first and in its order,
     each with a row by int id: memo[i][j] is the bracket of interned[i]
     and interned[j] as a tuple of (key id, coefficient), filled on a miss
-    or by fill.  Structure constants are integers, so the
-    coefficients are ints and a sweep over the memo builds no element.
+    or by fill.  Structure constants are integers, so the coefficients
+    are ints and a sweep over the memo builds no element.
     Equal (key id, coefficient) pairs are stored once: most brackets
     repeat a few of them, and the memo's size is a sweep's peak memory."""
 
