@@ -14,9 +14,10 @@ import sys
 # only the layers of a Witt bracket load with the module (the converters
 # load their own element types on first call); every other layer is
 # imported by the command that uses it, and config and argparse wait for
-# the first command.  A Witt bracket adds config alone, for the shape
-# rule, and wh validates its parameters without the verifier (see the
-# package docstring)
+# the first command, which builds the argparse parser of that command
+# alone.  A Witt bracket adds config alone, for the shape rule, and wh
+# validates its parameters without the verifier (see the package
+# docstring)
 from .expressions import (ExpressionError, as_dressed, as_tensor, as_witt,
                           as_word, parse_expr, print_expr)
 from .witt import witt_bracket
@@ -225,75 +226,110 @@ def _add_check_flags(sub):
     sub.add_argument("--config", default=None, help="INI config file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _bracket_args(sub):
+    sub.add_argument("e1")
+    sub.add_argument("e2")
+    sub.add_argument("--mode", default="corrected",
+                     choices=["corrected", "verbatim"])
+    _add_shape_flags(sub)
+    sub.set_defaults(fn=_cmd_bracket)
+
+
+def _act_args(sub):
+    sub.add_argument("op")
+    sub.add_argument("elem")
+    _add_module_flags(sub)
+    sub.set_defaults(fn=_cmd_act)
+
+
+def _wh_args(sub):
+    sub.add_argument("--spec", default=None, help="INI config file")
+    _add_module_flags(sub)
+    sub.add_argument("--D", type=int, default=None)
+    sub.add_argument("--height", type=int, default=None)
+    sub.set_defaults(fn=_cmd_wh)
+
+
+def _descent_args(sub):
+    sub.add_argument("elem")
+    _add_module_flags(sub)
+    sub.set_defaults(fn=_cmd_descent)
+
+
+def _weighting_args(sub):
+    sub.add_argument("elem")
+    sub.add_argument("--r", required=True,
+                     help="weight, comma separated rationals")
+    _add_module_flags(sub)
+    sub.set_defaults(fn=_cmd_weighting)
+
+
+def _verify_args(sub):
+    sub.add_argument("check", help="check id or 'all'")
+    _add_check_flags(sub)
+    sub.set_defaults(fn=_cmd_verify)
+
+
+def _report_args(sub):
+    sub.add_argument("--check", default="all", help="check id or 'all'")
+    sub.add_argument("--out", required=True, help="output path or '-'")
+    sub.add_argument("--stable", action="store_true",
+                     help="pin timestamp and timings for byte-stable output")
+    _add_check_flags(sub)
+    sub.set_defaults(fn=_cmd_report)
+
+
+# command -> (help, the function that adds its arguments), in help order
+_COMMANDS = {
+    "bracket": ("bracket of two derivation elements", _bracket_args),
+    "act": ("apply an operator word to a module element", _act_args),
+    "wh": ("Whittaker vector basis on the degree window", _wh_args),
+    "descent": ("project onto the Whittaker space", _descent_args),
+    "weighting": ("reduce modulo the weight ideal", _weighting_args),
+    "verify": ("run verifier checks", _verify_args),
+    "report": ("run checks and write a JSON report", _report_args),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The whole argparse tree, or with a command the parser of that
+    command alone.  Either way each command's parser comes from the same
+    add_subparsers().add_parser() call, so its prog ('wittmod bracket')
+    and usage lines are those of the tree."""
     import argparse
     ap = argparse.ArgumentParser(
         prog="wittmod",
         description="Exact super Witt algebra and Whittaker module tool")
     sp = ap.add_subparsers(dest="command", required=True)
-
-    b = sp.add_parser("bracket", help="bracket of two derivation elements")
-    b.add_argument("e1")
-    b.add_argument("e2")
-    b.add_argument("--mode", default="corrected",
-                   choices=["corrected", "verbatim"])
-    _add_shape_flags(b)
-    b.set_defaults(fn=_cmd_bracket)
-
-    a = sp.add_parser("act", help="apply an operator word to a module "
-                                  "element")
-    a.add_argument("op")
-    a.add_argument("elem")
-    _add_module_flags(a)
-    a.set_defaults(fn=_cmd_act)
-
-    w = sp.add_parser("wh", help="Whittaker vector basis on the degree "
-                                 "window")
-    w.add_argument("--spec", default=None, help="INI config file")
-    _add_module_flags(w)
-    w.add_argument("--D", type=int, default=None)
-    w.add_argument("--height", type=int, default=None)
-    w.set_defaults(fn=_cmd_wh)
-
-    d = sp.add_parser("descent", help="project onto the Whittaker space")
-    d.add_argument("elem")
-    _add_module_flags(d)
-    d.set_defaults(fn=_cmd_descent)
-
-    g = sp.add_parser("weighting", help="reduce modulo the weight ideal")
-    g.add_argument("elem")
-    g.add_argument("--r", required=True,
-                   help="weight, comma separated rationals")
-    _add_module_flags(g)
-    g.set_defaults(fn=_cmd_weighting)
-
-    v = sp.add_parser("verify", help="run verifier checks")
-    v.add_argument("check", help="check id or 'all'")
-    _add_check_flags(v)
-    v.set_defaults(fn=_cmd_verify)
-
-    r = sp.add_parser("report", help="run checks and write a JSON report")
-    r.add_argument("--check", default="all", help="check id or 'all'")
-    r.add_argument("--out", required=True, help="output path or '-'")
-    r.add_argument("--stable", action="store_true",
-                   help="pin timestamp and timings for byte-stable output")
-    _add_check_flags(r)
-    r.set_defaults(fn=_cmd_report)
-
-    return ap
+    for name in [command] if command else _COMMANDS:
+        help_, add_args = _COMMANDS[name]
+        add_args(sp.add_parser(name, help=help_))
+    return sp.choices[command] if command else ap
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on first use and kept for the process: it
-    holds no per-request state (prog is fixed, and errors go to the
-    sys.stderr of the moment)."""
-    return build_parser()
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one command, or with none the whole tree, built on
+    first use and kept for the process: a parser holds no per-request
+    state (prog is fixed, and errors go to the sys.stderr of the
+    moment)."""
+    return build_parser(command)
 
 
 def run_command(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            # what the tree does for a command, without classifying every
+            # argument a second time: its parser reads the rest, and the
+            # tree reports what that parser leaves
+            args, extras = _parser(argv[0]).parse_known_args(argv[1:])
+            if extras:
+                _parser().error("unrecognized arguments: %s"
+                                % " ".join(extras))
+        else:
+            args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

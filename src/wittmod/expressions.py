@@ -344,19 +344,6 @@ def as_witt(terms, m, n) -> WittElement:
     return _convert(terms, WittElement(m, n), "a derivation", read)
 
 
-def as_extended(terms, m, n) -> ExtendedWittElement:
-    """A segment ending in a slot is a derivation term; any other segment
-    (or a bare number) is a monomial of the function part."""
-    def read(segs, eidx):
-        seg = _one_seg(segs, "an extension term is a single segment")
-        if seg and seg[-1][0] in ("dt", "dx"):
-            return _seg_witt(seg, m, n)
-        hit = _seg_mono(seg, m, n)
-        return hit and ((hit[0], None), hit[1])
-    return _convert(terms, ExtendedWittElement(m, n), "an extension element",
-                    read)
-
-
 def as_dressed(terms, m, n) -> DressedWittElement:
     from .dressed import DressedWittElement
 

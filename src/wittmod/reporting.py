@@ -61,8 +61,12 @@ def emit_report(reports, path, seed: int, stable: bool = False) -> dict:
         import sys
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            from .config import ConfigError
+            raise ConfigError("cannot write report %s: %s" % (path, e))
     return doc
 
 

@@ -274,22 +274,6 @@ class ExtendedWittElement(LinComb):
     def from_witt(cls, x: WittElement):
         return cls(x.m, x.n, x.terms)
 
-    @classmethod
-    def from_poly(cls, a: SuperPoly):
-        return cls(a.m, a.n, {(mono, None): c for mono, c in a.terms.items()})
-
-    @property
-    def der(self) -> WittElement:
-        out = WittElement(self.m, self.n)
-        out.terms = {k: c for k, c in self.terms.items() if k[1]}
-        return out
-
-    @property
-    def fun(self) -> SuperPoly:
-        out = SuperPoly(self.m, self.n)
-        out.terms = {k[0]: c for k, c in self.terms.items() if not k[1]}
-        return out
-
 
 def _extended_bracket_basis(m, k1, k2):
     """[k1, k2] for two basis keys of the extension as a list of (key,

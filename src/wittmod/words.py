@@ -99,21 +99,6 @@ class OperatorWord(LinComb):
         return self._like(acc)
 
 
-def word_commutator(u: OperatorWord, v: OperatorWord) -> OperatorWord:
-    """Supercommutator uv - (-1)^{|u||v|}vu, split over homogeneous parts."""
-    u._check(v)
-    out = OperatorWord(u.m, u.n)
-    for uh in u.homogeneous_parts():
-        if not uh:
-            continue
-        for vh in v.homogeneous_parts():
-            if not vh:
-                continue
-            sign = -1 if uh.parity() * vh.parity() & 1 else 1
-            out = out + uh * vh - sign * (vh * uh)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # normal ordering in the algebra of polynomial differential operators
 

@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 from wittmod.config import resolve_rep
+from wittmod.expressions import _convert, _one_seg, _seg_mono, _seg_witt
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_word,
                                     window_keys)
-from wittmod.witt import WittElement, witt_basis
+from wittmod.witt import ExtendedWittElement, WittElement, witt_basis
+from wittmod.words import OperatorWord
 
 COEFF_POOL = [Fraction(k) for k in (-3, -2, -1, 1, 2, 3, 5)] \
     + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 3)]
@@ -69,6 +71,54 @@ def act_on_poly(w, p: SuperPoly) -> SuperPoly:
                                     for mono, c in p.terms.items()})
     y = act_word(spec, w, x)
     return SuperPoly(p.m, p.n, {mono: c for (mono, _), c in y.terms.items()})
+
+
+# references on the abelian extension and on words, read by tests alone
+
+def ext_from_poly(a: SuperPoly) -> ExtendedWittElement:
+    """A polynomial as the function part of the extension."""
+    return ExtendedWittElement(a.m, a.n, {(mono, None): c
+                                          for mono, c in a.terms.items()})
+
+
+def ext_der(u: ExtendedWittElement) -> WittElement:
+    """The derivation part of an extension element."""
+    return WittElement(u.m, u.n, {k: c for k, c in u.terms.items() if k[1]})
+
+
+def ext_fun(u: ExtendedWittElement) -> SuperPoly:
+    """The function part of an extension element."""
+    return SuperPoly(u.m, u.n, {k[0]: c for k, c in u.terms.items()
+                                if not k[1]})
+
+
+def as_extended(terms, m, n) -> ExtendedWittElement:
+    """Parsed terms as an extension element: a segment ending in a slot is
+    a derivation term; any other segment (or a bare number) is a monomial
+    of the function part."""
+    def read(segs, eidx):
+        seg = _one_seg(segs, "an extension term is a single segment")
+        if seg and seg[-1][0] in ("dt", "dx"):
+            return _seg_witt(seg, m, n)
+        hit = _seg_mono(seg, m, n)
+        return hit and ((hit[0], None), hit[1])
+    return _convert(terms, ExtendedWittElement(m, n), "an extension element",
+                    read)
+
+
+def word_commutator(u: OperatorWord, v: OperatorWord) -> OperatorWord:
+    """Supercommutator uv - (-1)^{|u||v|}vu, split over homogeneous parts."""
+    u._check(v)
+    out = OperatorWord(u.m, u.n)
+    for uh in u.homogeneous_parts():
+        if not uh:
+            continue
+        for vh in v.homogeneous_parts():
+            if not vh:
+                continue
+            sign = -1 if uh.parity() * vh.parity() & 1 else 1
+            out = out + uh * vh - sign * (vh * uh)
+    return out
 
 
 @pytest.fixture

@@ -26,6 +26,8 @@ from wittmod.witt import (TSLOT, XSLOT, _act_basis, _bracket_basis,
                           extended_bracket, term_parity, witt_act,
                           witt_basis, witt_bracket)
 
+from conftest import ext_der, ext_fun
+
 
 def _reference_witt_bracket(x, y, mode="corrected"):
     x._check(y)
@@ -68,8 +70,8 @@ def _reference_bracket_oracle(x, y):
 
 def _reference_extended_bracket(u, v):
     u._check(v)
-    x, y, a = u.der, v.der, u.fun
-    fun = witt_act(x, v.fun)
+    x, y, a = ext_der(u), ext_der(v), ext_fun(u)
+    fun = witt_act(x, ext_fun(v))
     if y and a:
         for yh in y.homogeneous_parts():
             for ah in a.homogeneous_parts():

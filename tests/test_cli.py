@@ -14,7 +14,7 @@ import pytest
 
 import wittmod
 from wittmod import tensor_modules, verifier
-from wittmod.cli import run_command
+from wittmod.cli import build_parser, run_command
 from wittmod.config import resolve_rep
 from wittmod.expressions import MAX_WORD_ATOMS, print_expr
 from wittmod.reporting import report_schema
@@ -566,6 +566,15 @@ def test_report_to_stdout(capsys):
     jsonschema.validate(doc, report_schema())
 
 
+def test_report_to_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    rc, out, err = run(capsys, ["report", "--check", "whittaker_dimension",
+                                "--out", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot write report %s: " % path)
+    assert not path.parent.exists()
+
+
 def test_report_checks_are_sorted_by_id(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nchecks = gl_realization, bracket_oracle\ndeg = 1\n")
@@ -772,6 +781,8 @@ BACK_TO_BACK = [
     ["bracket", "dx1", "t1*x1*dt1"],
     ["weighting", "t1 @ e1 + 1 @ e2", "--m", "1", "--n", "1"],
     ["bracket", "dt1", "t1*dt1", "--mode", "bogus"],
+    ["frobnicate", "dt1"],
+    ["act", "dt1", "t1 @ e1", "--m", "1", "--n", "1", "extra"],
 ]
 
 
@@ -781,4 +792,73 @@ def test_requests_in_one_process_match_each_run_alone(capsys, monkeypatch):
     together = [run(capsys, argv) for argv in BACK_TO_BACK]
     alone = [run_alone(argv) for argv in BACK_TO_BACK]
     assert together == alone
-    assert [rc for rc, _, _ in together] == [0, 0, 0, 0, 2, 2]
+    assert [rc for rc, _, _ in together] == [0, 0, 0, 0, 2, 2, 2, 2]
+
+
+# usage errors and help at each level: run_command parses a command with its
+# own parser, and must answer as the whole tree does
+PARSER_CASES = [
+    [],
+    ["-h"],
+    ["frobnicate", "dt1"],
+    ["--version"],
+    ["-h", "bracket"],
+    ["bracket", "dt1"],
+    ["bracket", "dt1", "t1*dt1", "extra"],
+    ["bracket", "dt1", "t1*dt1", "extra", "more", "--bogus"],
+    ["bracket", "dt1", "t1*dt1", "--bogus"],
+    ["bracket", "dt1", "t1*dt1", "--mode", "bogus"],
+    ["bracket", "dx1", "t1*x1*dt1", "--mo", "verbatim"],
+    ["bracket", "--", "-dt1", "t1*dt1"],
+    ["bracket", "-dt1", "t1*dt1"],
+    ["bracket", "dt1", "t1*dt1", "-h"],
+    ["bracket", "dt1", "t1*dt1", "--m", "x"],
+    ["act", "dx1", "x1 @ e2", "--m", "1", "--n", "1"],
+    ["wh", "--height"],
+    ["weighting", "t1 @ e1", "--m", "1", "--n", "1"],
+    ["verify"],
+    ["verify", "whittaker_dimension", "--stable"],
+    ["report", "--check", "whittaker_dimension", "--out", "-", "--stable"],
+]
+
+
+def run_through_tree(capsys, argv):
+    """(exit code, stdout, stderr) of argv parsed by the whole tree."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        rc = 2 if e.code else 0
+    else:
+        rc = args.fn(args)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=[" ".join(a) or "-" for a in PARSER_CASES])
+def test_command_parser_answers_as_the_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, argv) == run_through_tree(capsys, argv)
+
+
+# a fresh interpreter lists the parsers it built for the command in argv
+BUILDS = """
+import json, sys
+import wittmod.cli as cli
+built, build = [], cli.build_parser
+def recorded(command=None):
+    built.append(command)
+    return build(command)
+cli.build_parser = recorded
+assert cli.run_command(sys.argv[1:]) == 0
+print(json.dumps(built))
+"""
+
+
+def test_a_command_builds_its_own_parser_alone():
+    done = run_python(["-c", BUILDS, "bracket", "dt1", "t1*dt1"])
+    assert done.returncode == 0, done.stderr
+    out, built = done.stdout.splitlines()
+    assert out == "dt1"
+    # one parser, that of bracket, and never the whole tree (None)
+    assert json.loads(built) == ["bracket"]

@@ -12,9 +12,9 @@ from wittmod.dressed import (DressedWittElement, commutant_element,
 from wittmod.expressions import parse_expr, as_dressed, as_witt, print_expr
 from wittmod.verifier import tau_flipped
 from wittmod.witt import TSLOT, XSLOT, witt_bracket
-from wittmod.words import OperatorWord, word_commutator
+from wittmod.words import OperatorWord
 
-from conftest import act_on_poly, rand_superpoly
+from conftest import act_on_poly, rand_superpoly, word_commutator
 
 
 def D(text, m=1, n=1):

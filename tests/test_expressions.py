@@ -7,14 +7,14 @@ import pytest
 
 from wittmod.dressed import DressedWittElement
 from wittmod.expressions import (ExpressionError, ParseError, as_dressed,
-                                 as_extended, as_superpoly, as_tensor,
-                                 as_witt, as_word, parse_expr, print_expr)
+                                 as_superpoly, as_tensor, as_witt, as_word,
+                                 parse_expr, print_expr)
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.tensor_modules import TensorElement
 from wittmod.witt import TSLOT, XSLOT, ExtendedWittElement, WittElement
 from wittmod.words import OperatorWord, make_watom
 
-from conftest import rand_coeff
+from conftest import as_extended, rand_coeff
 
 # (kind, source text, m, n, dim, canonical rendering)
 GOLDEN = [

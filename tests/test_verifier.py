@@ -13,8 +13,8 @@ import pytest
 from wittmod import dressed, tensor_modules, verifier, witt
 from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
-from wittmod.expressions import (as_dressed, as_extended, as_tensor,
-                                 as_witt, parse_expr, print_expr)
+from wittmod.expressions import (as_dressed, as_tensor, as_witt, parse_expr,
+                                 print_expr)
 from wittmod.superpoly import mono_tdeg
 from wittmod.glmn import Rep, mat_add, mat_mul
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_witt,
@@ -25,6 +25,8 @@ from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                           _bracket_basis, _extended_bracket_basis,
                           bracket_oracle, extended_basis,
                           extended_bracket, term_parity, witt_bracket)
+
+from conftest import as_extended, ext_der
 
 F = Fraction
 
@@ -292,7 +294,7 @@ def test_extension_function_part_fault_replays(monkeypatch):
         "level": "abelian extension", "x": "t1*x1", "y": "dt1",
         "z": "dx1", "defect": "2"}, 1758)
     # the counterexample carries function-part terms
-    assert any(not as_extended(parse_expr(cex[k]), 1, 1).der
+    assert any(not ext_der(as_extended(parse_expr(cex[k]), 1, 1))
                for k in ("x", "y", "z", "defect"))
 
 

@@ -15,7 +15,8 @@ from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                           bracket_oracle, extended_basis, extended_bracket,
                           witt_act, witt_basis, witt_bracket)
 
-from conftest import rand_superpoly, rand_witt, witt_keys
+from conftest import (ext_der, ext_from_poly, ext_fun, rand_superpoly,
+                      rand_witt, witt_keys)
 
 
 def W(text, m=1, n=1):
@@ -257,20 +258,20 @@ def test_bracket_of_actions_equals_action_of_bracket():
 
 
 def test_extension_function_part_is_abelian():
-    a = ExtendedWittElement.from_poly(SuperPoly.monomial(1, 1, (1,)))
-    b = ExtendedWittElement.from_poly(SuperPoly.monomial(1, 1, (0,), (1,)))
+    a = ext_from_poly(SuperPoly.monomial(1, 1, (1,)))
+    b = ext_from_poly(SuperPoly.monomial(1, 1, (0,), (1,)))
     assert not extended_bracket(a, b)
 
 
 def test_extension_mixed_bracket_is_the_action():
     x = ExtendedWittElement.from_witt(W("t1*dt1"))
-    f = ExtendedWittElement.from_poly(SuperPoly.monomial(1, 1, (2,), ()))
+    f = ext_from_poly(SuperPoly.monomial(1, 1, (2,), ()))
     out = extended_bracket(x, f)
-    assert not out.der
-    assert out.fun == SuperPoly.monomial(1, 1, (2,), (), Fraction(2))
+    assert not ext_der(out)
+    assert ext_fun(out) == SuperPoly.monomial(1, 1, (2,), (), Fraction(2))
     # and antisymmetrically
     back = extended_bracket(f, x)
-    assert back.fun == -out.fun
+    assert ext_fun(back) == -ext_fun(out)
 
 
 def test_extension_jacobi_sample():
@@ -278,8 +279,8 @@ def test_extension_jacobi_sample():
     basis = extended_basis(1, 1, 2)
     for _ in range(60):
         x, y, z = (rng.choice(basis) for _ in range(3))
-        px = x.der.parity() if x.der else x.fun.parity()
-        py = y.der.parity() if y.der else y.fun.parity()
+        px = ext_der(x).parity() if ext_der(x) else ext_fun(x).parity()
+        py = ext_der(y).parity() if ext_der(y) else ext_fun(y).parity()
         s = -1 if px and py else 1
         defect = (extended_bracket(x, extended_bracket(y, z))
                   - extended_bracket(extended_bracket(x, y), z)

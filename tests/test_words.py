@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.witt import TSLOT, XSLOT
 from wittmod.words import (OperatorWord, atom_parity, difference_word,
-                           make_watom, weyl_equal, weyl_normal_order,
-                           word_commutator)
+                           make_watom, weyl_equal, weyl_normal_order)
 
-from conftest import act_on_poly, rand_coeff, rand_superpoly
+from conftest import act_on_poly, rand_coeff, rand_superpoly, word_commutator
 
 M, N = 1, 2
 
