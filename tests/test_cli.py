@@ -772,7 +772,8 @@ def test_verify_loads_no_dataclasses():
 
 
 # a twist, a rep and a mode first, then requests that rely on the defaults,
-# then usage errors: the shared parser must carry nothing between them
+# then usage errors, the last two answered by the whole tree: the parsers kept
+# for the process must carry nothing between requests
 BACK_TO_BACK = [
     ["act", "dt1", "t1 @ e1", "--m", "1", "--n", "1", "--a", "3/2",
      "--rep", "tensor(natural,natural)"],
