@@ -198,7 +198,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .reporting import emit_report
+    from .reporting import check_out_path, emit_report
+    if args.out != "-":
+        check_out_path(args.out)
     reports, cfg, cli = _run_checks(args)
     seed = cli.get("seed", cfg.base.get("seed", 0))
     emit_report(reports, args.out, seed=int(seed), stable=args.stable)

@@ -389,6 +389,8 @@ def load_config(path=None) -> RunConfig:
         for key, raw in parser.items(section):
             if section == "run" and key == "checks":
                 checks = [c.strip() for c in raw.split(",") if c.strip()]
+                if not checks:  # a pass must mean something was checked
+                    raise ConfigError("no check ids in [run] checks")
             elif key in params:
                 values[key] = _coerce(key, raw)
             else:

@@ -43,13 +43,6 @@ class DressedWittElement(LinComb):
     key_parity = staticmethod(dressed_parity)
 
     @classmethod
-    def from_witt(cls, x: WittElement):
-        unit = ((0,) * x.m, 0)
-        out = cls(x.m, x.n)
-        out.terms = {(unit, key): c for key, c in x.terms.items()}
-        return out
-
-    @classmethod
     def term(cls, m, n, amono, wmono, slot, coeff=ONE):
         WittElement.term(m, n, wmono[0], wmono[1], slot)  # validates
         out = cls(m, n)

@@ -11,10 +11,7 @@ import os
 import time
 
 from . import __version__
-
-# key order is part of the contract: documents are compared byte-wise
-_CHECK_KEYS = ("id", "params", "status", "cases", "elapsed_ms",
-               "counterexample", "data")
+from .config import ConfigError
 
 
 def _timestamp(stable: bool) -> str:
@@ -28,20 +25,13 @@ def _timestamp(stable: bool) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-def _check_dict(report, stable: bool) -> dict:
-    raw = report.as_dict()
-    if stable:
-        raw = dict(raw, elapsed_ms=0)
-    return {k: raw[k] for k in _CHECK_KEYS if k in raw}
-
-
-def _sort_key(d: dict):
-    return (d["id"], json.dumps(d.get("params", {}), sort_keys=True))
-
-
 def build_report(reports, seed: int, stable: bool = False) -> dict:
     """Assemble the report document; check order is (id, params) sorted."""
-    checks = sorted((_check_dict(r, stable) for r in reports), key=_sort_key)
+    checks = sorted((r.as_dict() for r in reports), key=lambda d: (
+        d["id"], json.dumps(d["params"], sort_keys=True)))
+    if stable:
+        for check in checks:
+            check["elapsed_ms"] = 0
     return {
         "version": __version__,
         "timestamp": _timestamp(stable),
@@ -52,6 +42,16 @@ def build_report(reports, seed: int, stable: bool = False) -> dict:
 
 def render_report(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def check_out_path(path):
+    """ConfigError unless path is a writable file or can be made in a
+    writable directory; it makes and truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise ConfigError("cannot write report %s: not a writable file"
+                          % path)
 
 
 def emit_report(reports, path, seed: int, stable: bool = False) -> dict:
@@ -65,7 +65,6 @@ def emit_report(reports, path, seed: int, stable: bool = False) -> dict:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            from .config import ConfigError
             raise ConfigError("cannot write report %s: %s" % (path, e))
     return doc
 

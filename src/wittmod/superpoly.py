@@ -5,7 +5,7 @@ Fraction.  A monomial key is a pair (alpha, imask): alpha is a length-m
 tuple of nonnegative integer t-exponents and imask is a bitmask over the
 odd generators (bit j-1 set means xi_j is present).  The bitmask encodes
 the ascending product xi_{j1} xi_{j2} ... (j1 < j2 < ...); every sign in
-the algebra is produced by merge_sign below, never by ad hoc counting.
+the algebra is produced by merge_sign_masks below, never by ad hoc counting.
 
 All arithmetic is exact over Q.  No floats anywhere.
 """
@@ -76,12 +76,6 @@ def merge_sign_masks(a: int, b: int):
         rest >>= 1
         j += 1
     return (-1 if inversions & 1 else 1), a | b
-
-
-def merge_sign(I, J):
-    """Public sequence form: merge_sign((2,), (1,)) == (-1, (1, 2))."""
-    sign, union = merge_sign_masks(mask_of(I), mask_of(J))
-    return sign, mask_indices(union)
 
 
 def xi_position(mask: int, j: int) -> int:
@@ -251,14 +245,6 @@ class LinComb:
         key_parity = self.key_parity
         seen = {key_parity(key) for key in self.terms}
         return seen.pop() if len(seen) == 1 else None
-
-    def homogeneous_parts(self):
-        """Split into (even, odd)."""
-        ev, od = {}, {}
-        key_parity = self.key_parity
-        for key, c in self.terms.items():
-            (od if key_parity(key) else ev)[key] = c
-        return self._like(ev), self._like(od)
 
 
 class SuperPoly(LinComb):

@@ -16,8 +16,8 @@ act_atom and act_word are loops over memoised rows and are the one
 action path.  The Whittaker space, its generalized form, descent and
 weight cosets are closed forms: (d/dt_i - a_i) and d/dxi_j act on
 coefficients as plain derivatives, and modulo (h_i - w_i) each t_i comes
-off as a matrix on V (weight_reduce).  The product-basis rewrite builds
-h^s u_j through the action; it is descent_roundtrip's reference route.
+off as a matrix on V (weight_reduce).  pbw_basis_rewrite, the reference
+route of descent_roundtrip, solves x in the products h^s u_j via the action.
 
 The coefficient algebra itself is the module with twist a = 0 and the
 trivial one-dimensional rep: d/dt_i is then the plain derivative, and the
@@ -387,36 +387,6 @@ def descent(spec, x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 # product-basis rewriting and weight cosets
 
-class PbwRewrite:
-    """Transition between the monomial basis of a degree window and the
-    products h^s u_j, where h_i = t_i d/dt_i and u_j runs over the
-    xi-monomial (x) module basis.  It is triangular: window key
-    ((s, kmask), l) is the top key of column (s, (kmask, l))."""
-
-    __slots__ = ("spec", "keys")
-
-    def __init__(self, spec, keys):
-        self.spec = spec
-        self.keys = keys
-
-    def to_products(self, x: TensorElement):
-        """Coordinates of x in the h^s u_j basis as {(s, (kmask, l)): c},
-        by back-substitution from the last window key down."""
-        rest = dict(x.terms)
-        coords = []
-        for key in reversed(self.keys):
-            if key in rest:
-                (s, kmask), l = key
-                column = _pbw_column(self.spec, (s, (kmask, l)))
-                q = rest[key] / column.terms[key]
-                coords.append(((s, (kmask, l)), q))
-                for okey, f in column.terms.items():
-                    accumulate(rest, okey, -q * f)
-        if rest:  # no window column reaches these keys
-            raise ValueError("element leaves the rewrite window")
-        return dict(reversed(coords))
-
-
 def _pbw_column(spec, col) -> TensorElement:
     """h^s u_j for col = (s, (kmask, l)), memoised on the spec: h_i applied
     to h^(s - e_i) u_j, i the last index with s_i > 0.  h_i acts as a_i t_i
@@ -441,12 +411,26 @@ def _pbw_column(spec, col) -> TensorElement:
     return vec
 
 
-def pbw_basis_rewrite(spec, max_deg) -> PbwRewrite:
-    """The product-basis rewrite on the window of t-degree <= max_deg.
-    Needs every a_i nonzero: the diagonal of the transition is a^s."""
+def pbw_basis_rewrite(spec, max_deg, x: TensorElement):
+    """x in the products h^s u_j (h_i = t_i d/dt_i, u_j = xi^K (x) e_l) as
+    {(s, (kmask, l)): c} on the window of t-degree <= max_deg, solved from
+    the last window key down: key ((s, kmask), l) tops column
+    (s, (kmask, l)), and the diagonal a^s needs every a_i nonzero."""
     if not spec.nonsingular:
         raise ValueError("product basis needs a nonsingular twist vector")
-    return PbwRewrite(spec, window_keys(spec, max_deg))
+    rest = dict(x.terms)
+    coords = []
+    for key in reversed(window_keys(spec, max_deg)):
+        if key in rest:
+            (s, kmask), l = key
+            column = _pbw_column(spec, (s, (kmask, l)))
+            q = rest[key] / column.terms[key]
+            coords.append(((s, (kmask, l)), q))
+            for okey, f in column.terms.items():
+                accumulate(rest, okey, -q * f)
+    if rest:  # no window column reaches these keys
+        raise ValueError("element leaves the rewrite window")
+    return dict(reversed(coords))
 
 
 def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left
-from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product, zip_longest
 from math import prod
@@ -66,6 +65,7 @@ class CheckReport:
         return self.status == "pass"
 
     def as_dict(self):
+        # key order is part of the contract: documents are compared byte-wise
         out = {"id": self.id, "params": self.params, "status": self.status,
                "cases": self.cases, "elapsed_ms": self.elapsed_ms}
         if self.counterexample is not None:
@@ -117,7 +117,7 @@ def odd_rows_negated(spec: ModuleSpec) -> ModuleSpec:
 
 def tau_flipped(x: DressedWittElement) -> DressedWittElement:
     """Each term (t^b xi_J).(t^c xi_K d) re-signed by (-1)^{|J||K|}, which
-    turns merge_sign(J, K) into merge_sign(K, J); a key fixes its term."""
+    turns the Koszul sign of J, K into that of K, J; a key fixes its term."""
     return DressedWittElement(x.m, x.n, {
         key: -c if popcount(key[0][1]) * popcount(key[1][0][1]) & 1 else c
         for key, c in x.terms.items()})
@@ -302,15 +302,14 @@ def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
     return cases
 
 
-def _antisymmetric(memo, size, key_parity):
+def _antisymmetric(memo, size, support, key_parity):
     """Whether [b, a] = -(-1)^{|a||b|} [a, b] through the memo for every
-    basis id b and every a in the basis or the support of a basis-pair
-    bracket (the pairs an ordered sweep reads), and every basis-pair
-    bracket is homogeneous of parity |a| + |b|.  A row lists each key
-    once, so rows of different lengths differ; one-term rows are compared
-    directly, longer ones as dicts."""
+    basis id b and every a in the basis or in support, the _support of
+    the basis-pair brackets (the pairs an ordered sweep reads), and every
+    basis-pair bracket is homogeneous of parity |a| + |b|.  A row lists
+    each key once, so rows of different lengths differ; one-term rows are
+    compared directly, longer ones as dicts."""
     basis = range(size)
-    support = _support(memo, size)
     parity = [key_parity(key) for key in memo.interned]
     for i in basis:
         row, pi = memo[i], parity[i]
@@ -352,7 +351,7 @@ def _sorted_route(level, memo, parity, key_parity, render):
         memo.fill(k, basis)
     for i in basis:
         memo.fill(i, support)
-    if not _antisymmetric(memo, size, key_parity):
+    if not _antisymmetric(memo, size, support, key_parity):
         return False
     batches = ((y, z, range(y + 1)) for y in basis
                for z in range(y, size))
@@ -874,11 +873,10 @@ def check_whittaker_dimension(p: CheckParams):
 def check_descent_roundtrip(p: CheckParams):
     """descent lands in wh, which _whittaker_violation checks by applying
     every Whittaker operator to its output, and weight_reduce at a weight
-    w agrees with sum c w^s u_j over x = sum c h^s u_j (to_products).
+    w agrees with sum c w^s u_j over x = sum c h^s u_j (pbw_basis_rewrite).
     descent is a filter on keys, so it is idempotent whatever keys it
     keeps: a test of that could not fail, and none is made."""
     spec = _nonsingular(_spec(p), "descent")
-    rewrite = pbw_basis_rewrite(spec, p.D)
     rng, weights = random.Random(p.seed), random.Random(p.seed + 1)
     cases = 0
     for t in range(p.trials):
@@ -891,7 +889,7 @@ def check_descent_roundtrip(p: CheckParams):
                          "descended": print_expr(y), "violates": bad}, cases)
         weight = [weights.randint(-2, 2) for _ in range(p.m)]
         products = {}
-        for (s, (kmask, l)), c in rewrite.to_products(x).items():
+        for (s, (kmask, l)), c in pbw_basis_rewrite(spec, p.D, x).items():
             c *= prod(w ** si for w, si in zip(weight, s))
             accumulate(products, (((0,) * p.m, kmask), l), c)
         got, want = weight_reduce(spec, x, weight), _element(spec, products)
@@ -1169,12 +1167,8 @@ def check_simplicity_probe(p: CheckParams):
 # ---------------------------------------------------------------------------
 # registry and runner
 
-# a check and the modes it implements besides "corrected": each id of
-# config.CHECKS, in its order, paired with its function check_<id>
-Check = namedtuple("Check", "run modes")
-
-REGISTRY = {cid: Check(globals()["check_" + cid], modes)
-            for cid, modes in CHECKS.items()}
+# each id of config.CHECKS, in its order, to its function check_<id>
+REGISTRY = {cid: globals()["check_" + cid] for cid in CHECKS}
 
 
 def run_check(check_id, merged) -> CheckReport:
@@ -1185,7 +1179,7 @@ def run_check(check_id, merged) -> CheckReport:
     params = CheckParams.from_dict(check_id, merged)
     start = time.monotonic()
     try:
-        cases, data = REGISTRY[check_id].run(params)
+        cases, data = REGISTRY[check_id](params)
         if not cases:
             raise _Fail({"error": "no cases were examined"}, 0)
         if params.mode in CONTROL_MODES:

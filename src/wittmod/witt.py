@@ -270,10 +270,6 @@ class ExtendedWittElement(LinComb):
         mono, slot = key
         return term_parity(mono, slot) if slot else mono_parity(mono)
 
-    @classmethod
-    def from_witt(cls, x: WittElement):
-        return cls(x.m, x.n, x.terms)
-
 
 def _extended_bracket_basis(m, k1, k2):
     """[k1, k2] for two basis keys of the extension as a list of (key,

@@ -87,17 +87,6 @@ class OperatorWord(LinComb):
         coeff = exact(coeff)
         return cls(m, n)._like({word: coeff} if coeff else {})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LinComb.__mul__(self, other)
-        # composition: concatenate words
-        self._check(other)
-        acc = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                accumulate(acc, w1 + w2, c1 * c2)
-        return self._like(acc)
-
 
 # ---------------------------------------------------------------------------
 # normal ordering in the algebra of polynomial differential operators

@@ -10,7 +10,9 @@ import pytest
 
 from wittmod.config import resolve_rep
 from wittmod.expressions import _convert, _one_seg, _seg_mono, _seg_witt
-from wittmod.superpoly import SuperPoly, enumerate_monomials
+from wittmod.dressed import DressedWittElement
+from wittmod.superpoly import (SuperPoly, accumulate, enumerate_monomials,
+                               mask_indices, mask_of, merge_sign_masks)
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_word,
                                     window_keys)
 from wittmod.witt import ExtendedWittElement, WittElement, witt_basis
@@ -73,7 +75,35 @@ def act_on_poly(w, p: SuperPoly) -> SuperPoly:
     return SuperPoly(p.m, p.n, {mono: c for (mono, _), c in y.terms.items()})
 
 
-# references on the abelian extension and on words, read by tests alone
+# references on the algebra, the abelian extension and words, read by
+# tests alone
+
+def merge_sign(I, J):
+    """merge_sign_masks on index sequences: merge_sign((2,), (1,)) ==
+    (-1, (1, 2))."""
+    sign, union = merge_sign_masks(mask_of(I), mask_of(J))
+    return sign, mask_indices(union)
+
+
+def homogeneous_parts(x):
+    """x split into (even, odd)."""
+    ev, od = {}, {}
+    for key, c in x.terms.items():
+        (od if x.key_parity(key) else ev)[key] = c
+    return x._like(ev), x._like(od)
+
+
+def ext_from_witt(x: WittElement) -> ExtendedWittElement:
+    """A derivation as an element of the extension."""
+    return ExtendedWittElement(x.m, x.n, x.terms)
+
+
+def dressed_from_witt(x: WittElement) -> DressedWittElement:
+    """A derivation as a dressed element with the unit dressing."""
+    unit = ((0,) * x.m, 0)
+    return DressedWittElement(x.m, x.n, {(unit, key): c
+                                         for key, c in x.terms.items()})
+
 
 def ext_from_poly(a: SuperPoly) -> ExtendedWittElement:
     """A polynomial as the function part of the extension."""
@@ -106,18 +136,28 @@ def as_extended(terms, m, n) -> ExtendedWittElement:
                     read)
 
 
+def compose(u: OperatorWord, v: OperatorWord) -> OperatorWord:
+    """The composition uv: words concatenated, coefficients multiplied."""
+    u._check(v)
+    acc = {}
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            accumulate(acc, w1 + w2, c1 * c2)
+    return u._like(acc)
+
+
 def word_commutator(u: OperatorWord, v: OperatorWord) -> OperatorWord:
     """Supercommutator uv - (-1)^{|u||v|}vu, split over homogeneous parts."""
     u._check(v)
     out = OperatorWord(u.m, u.n)
-    for uh in u.homogeneous_parts():
+    for uh in homogeneous_parts(u):
         if not uh:
             continue
-        for vh in v.homogeneous_parts():
+        for vh in homogeneous_parts(v):
             if not vh:
                 continue
             sign = -1 if uh.parity() * vh.parity() & 1 else 1
-            out = out + uh * vh - sign * (vh * uh)
+            out = out + compose(uh, vh) - sign * compose(vh, uh)
     return out
 
 

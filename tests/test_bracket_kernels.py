@@ -26,7 +26,7 @@ from wittmod.witt import (TSLOT, XSLOT, _act_basis, _bracket_basis,
                           extended_bracket, term_parity, witt_act,
                           witt_basis, witt_bracket)
 
-from conftest import ext_der, ext_fun
+from conftest import ext_der, ext_fun, homogeneous_parts
 
 
 def _reference_witt_bracket(x, y, mode="corrected"):
@@ -73,8 +73,8 @@ def _reference_extended_bracket(u, v):
     x, y, a = ext_der(u), ext_der(v), ext_fun(u)
     fun = witt_act(x, ext_fun(v))
     if y and a:
-        for yh in y.homogeneous_parts():
-            for ah in a.homogeneous_parts():
+        for yh in homogeneous_parts(y):
+            for ah in homogeneous_parts(a):
                 if yh and ah:
                     sign = -1 if yh.parity() * ah.parity() & 1 else 1
                     fun = fun - sign * witt_act(yh, ah)

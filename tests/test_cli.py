@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -15,9 +16,9 @@ import pytest
 import wittmod
 from wittmod import tensor_modules, verifier
 from wittmod.cli import build_parser, run_command
-from wittmod.config import resolve_rep
+from wittmod.config import ConfigError, resolve_rep
 from wittmod.expressions import MAX_WORD_ATOMS, print_expr
-from wittmod.reporting import report_schema
+from wittmod.reporting import emit_report, report_schema
 from wittmod.verifier import REGISTRY
 
 from conftest import COEFF_POOL, make_spec, rand_coeff, rand_tensor
@@ -491,6 +492,17 @@ def test_config_selects_and_overrides(tmp_path, capsys):
     assert lines[1].startswith("gl_realization")
 
 
+@pytest.mark.parametrize("argv", [["verify", "all"],
+                                  ["report", "--out", "-", "--stable"]])
+@pytest.mark.parametrize("value", ["", ","])
+def test_empty_checks_list_exits_2(tmp_path, capsys, argv, value):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nchecks = %s\n" % value)
+    rc, out, err = run(capsys, argv + ["--config", str(ini)])
+    assert (rc, out) == (2, "")
+    assert err == "error: no check ids in [run] checks\n"
+
+
 def test_cli_flag_beats_config(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nchecks = bracket_oracle\nmode = corrected\n")
@@ -573,6 +585,50 @@ def test_report_to_unwritable_path_exits_2(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("error: cannot write report %s: " % path)
     assert not path.parent.exists()
+
+
+def test_report_rejects_an_unwritable_path_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(verifier, "run_check", no_check)
+    a_file = tmp_path / "f"
+    a_file.write_text("")
+    # no directory, a directory, a file in place of the directory
+    for path in (tmp_path / "missing" / "r.json", tmp_path,
+                 a_file / "r.json"):
+        rc, out, err = run(capsys, ["report", "--check", "all",
+                                    "--out", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot write report %s: " % path)
+    assert list(tmp_path.iterdir()) == [a_file]
+
+
+def test_report_makes_no_file_until_the_report_is_ready(
+        tmp_path, capsys, monkeypatch):
+    # a new path is not made, an old file not truncated, while checks run
+    real = verifier.run_check
+    for path, before in ((tmp_path / "new.json", None),
+                         (tmp_path / "old.json", "old\n")):
+        if before is not None:
+            path.write_text(before)
+
+        def probe(*args, path=path, before=before):
+            assert (path.read_text() if path.exists() else None) == before
+            return real(*args)
+        monkeypatch.setattr(verifier, "run_check", probe)
+        rc, _, _ = run(capsys, ["report", "--check", "gl_realization",
+                                "--out", str(path)])
+        assert rc == 0
+        assert [c["id"] for c in json.loads(_read(path))["checks"]] \
+            == ["gl_realization"]
+
+
+def test_emit_report_still_reports_a_failed_write(tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    with pytest.raises(ConfigError, match="cannot write report %s: "
+                       % re.escape(str(path))):
+        emit_report([], str(path), seed=0)
 
 
 def test_report_checks_are_sorted_by_id(tmp_path, capsys):

@@ -135,6 +135,15 @@ def test_load_config_file(tmp_path):
     assert cfg.params_for("bracket_oracle", None)["deg"] == 2
 
 
+@pytest.mark.parametrize("value", ["", ",", " , ,"])
+def test_load_config_rejects_an_empty_checks_list(tmp_path, value):
+    # a run that selects no check would pass with zero cases
+    f = tmp_path / "run.ini"
+    f.write_text("[run]\nchecks = %s\n" % value)
+    with pytest.raises(ConfigError, match="no check ids"):
+        load_config(str(f))
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     f = tmp_path / "run.ini"
     f.write_text("[run]\nvolume = 11\n")
@@ -239,14 +248,14 @@ def test_library_and_config_reject_alike(params, message):
 
 def test_check_modes_are_declared():
     # every check takes "corrected" and the modes its entry declares
-    for check_id, entry in REGISTRY.items():
-        for mode in ("corrected",) + entry.modes:
+    for check_id, modes in CHECKS.items():
+        for mode in ("corrected",) + modes:
             assert RunConfig().params_for(check_id, {"mode": mode})
     with pytest.raises(ConfigError, match="unknown check id"):
         RunConfig().params_for("nonsense")
-    # the config's table and the registry name the same checks and modes
-    assert [(cid, entry.modes) for cid, entry in REGISTRY.items()] \
-        == list(CHECKS.items())
+    # the registry runs each check of the config's table, in its order
+    assert list(REGISTRY) == list(CHECKS)
+    assert all(fn.__name__ == "check_" + cid for cid, fn in REGISTRY.items())
 
 
 def test_ini_check_sections_are_validated(tmp_path):

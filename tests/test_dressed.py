@@ -14,7 +14,8 @@ from wittmod.verifier import tau_flipped
 from wittmod.witt import TSLOT, XSLOT, witt_bracket
 from wittmod.words import OperatorWord
 
-from conftest import act_on_poly, rand_superpoly, word_commutator
+from conftest import (act_on_poly, dressed_from_witt, rand_superpoly,
+                      word_commutator)
 
 
 def D(text, m=1, n=1):
@@ -26,8 +27,7 @@ def test_witt_embedding_preserves_brackets():
     for s1, s2 in pairs:
         u, v = D(s1), D(s2)
         x, y = as_witt(parse_expr(s1), 1, 1), as_witt(parse_expr(s2), 1, 1)
-        assert dressed_bracket(u, v) == DressedWittElement.from_witt(
-            witt_bracket(x, y))
+        assert dressed_bracket(u, v) == dressed_from_witt(witt_bracket(x, y))
 
 
 def _weyl_expand(w):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_spec, rand_coeff, rand_superpoly, rand_tensor,
+from conftest import (dressed_from_witt, homogeneous_parts, make_spec,
+                      merge_sign, rand_coeff, rand_superpoly, rand_tensor,
                       rand_witt)
 from wittmod.dressed import DressedWittElement
 from wittmod.superpoly import (SuperPoly, enumerate_monomials, mask_of,
-                               merge_sign, merge_sign_masks, mono_mul,
-                               mono_parity, mono_partial_xi)
+                               merge_sign_masks, mono_mul, mono_parity,
+                               mono_partial_xi)
 from wittmod.glmn import Rep, natural_rep
 from wittmod.tensor_modules import ModuleSpec, TensorElement, weight_reduce
 from wittmod.witt import TSLOT, WittElement
@@ -155,7 +156,7 @@ def test_mono_mul_overlap_is_none():
 # the shared linear-combination core, over every element type
 
 def _dressed(rng):
-    x = DressedWittElement.from_witt(rand_witt(rng, 1, 1, nterms=3))
+    x = dressed_from_witt(rand_witt(rng, 1, 1, nterms=3))
     return x + DressedWittElement.term(1, 1, ((1,), 1), ((0,), 0), ("t", 1),
                                        rand_coeff(rng))
 
@@ -209,7 +210,7 @@ def test_lincomb_core(kind):
         # two terms cannot cancel
         mixed = x + Fraction(1, 7) * even + Fraction(1, 7) * odd
         assert mixed.parity() is None
-        ev, od = mixed.homogeneous_parts()
+        ev, od = homogeneous_parts(mixed)
         assert ev + od == mixed
         assert (ev.parity(), od.parity()) == (0, 1)
     zero = 0 * x

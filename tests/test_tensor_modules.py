@@ -458,12 +458,12 @@ def _dense_to_products(ref, x):
 def test_pbw_matches_dense_reference(m, n, deg):
     # the triangular solve against the dense inverse it replaced
     spec = make_spec(m, n, a=(F(3), F(-1, 2))[:m])
-    rewrite = pbw_basis_rewrite(spec, deg)
     ref = _dense_reference(spec, deg)
     rng = random.Random(100 * m + n + 1000 * (deg - 2))
     for _ in range(50):
         x = rand_tensor(spec, rng, max_deg=deg, nterms=rng.randint(1, 4))
-        got, want = rewrite.to_products(x), _dense_to_products(ref, x)
+        got = pbw_basis_rewrite(spec, deg, x)
+        want = _dense_to_products(ref, x)
         assert got == want and list(got) == list(want)
         assert all(type(c) is F for c in got.values())
 
@@ -476,7 +476,7 @@ def test_pbw_builds_only_the_columns_a_solve_reaches(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     spec = make_spec(2, 2, a=(F(3), F(-1, 2)))
     x = TensorElement.pure(spec, ((1, 1), 0b10), 2)
-    coords = pbw_basis_rewrite(spec, 2).to_products(x)
+    coords = pbw_basis_rewrite(spec, 2, x)
     assert coords[((1, 1), (0b10, 2))] == F(-2, 3)
     assert 0 < len(calls) < len(window_keys(spec, 2))
 
@@ -521,12 +521,11 @@ def test_weight_reduce_is_the_product_basis_evaluation(m, n, rep):
     rng = random.Random(10 * m + n)
     for a in [(F(1),) * m, (F(3), F(-1, 2))[:m]]:
         spec = ModuleSpec(m, n, a, rep)
-        rewrite = pbw_basis_rewrite(spec, 3)
         for _ in range(15):
             x = rand_tensor(spec, rng, max_deg=3, nterms=rng.randint(1, 4))
             weight = tuple(rand_coeff(rng) for _ in range(m))
             want = TensorElement.zero(spec)
-            for (s, (kmask, l)), c in rewrite.to_products(x).items():
+            for (s, (kmask, l)), c in pbw_basis_rewrite(spec, 3, x).items():
                 for w, si in zip(weight, s):
                     c *= w ** si
                 want = want + TensorElement.pure(spec, ((0,) * m, kmask), l, c)
@@ -545,7 +544,7 @@ def test_pbw_untwisted_top_raises_transition_singular(monkeypatch):
     spec = make_spec(1, 1, a=(F(3),))
     x = TensorElement.pure(spec, ((1,), 0), 0)
     with pytest.raises(TransitionSingular):
-        pbw_basis_rewrite(spec, 1).to_products(x)
+        pbw_basis_rewrite(spec, 1, x)
     report = run_check("descent_roundtrip", {"m": 1, "n": 1})
     assert report.status == "error"
     assert "not triangular" in report.counterexample["error"]
@@ -554,7 +553,18 @@ def test_pbw_untwisted_top_raises_transition_singular(monkeypatch):
 def test_pbw_needs_nonsingular_twist():
     spec = make_spec(1, 1, a=(F(0),))
     with pytest.raises(ValueError):
-        pbw_basis_rewrite(spec, 2)
+        pbw_basis_rewrite(spec, 2, TensorElement.vacuum(spec, 0))
+
+
+@pytest.mark.parametrize("D", [0, 1, 2])
+def test_pbw_rejects_an_element_outside_the_window(D):
+    # x of t-degree D + 1 has a key no column of window D clears
+    spec = make_spec(2, 1, a=(F(3), F(-1, 2)))
+    x = TensorElement.vacuum(spec, 0) \
+        + TensorElement.pure(spec, ((D + 1, 0), 1), 1)
+    with pytest.raises(ValueError, match="leaves the rewrite window"):
+        pbw_basis_rewrite(spec, D, x)
+    assert pbw_basis_rewrite(spec, D + 1, x)
 
 
 def _rank(rows):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from wittmod import dressed, tensor_modules, verifier, witt
+from wittmod.config import CHECKS
 from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_tensor, as_witt, parse_expr,
@@ -19,14 +20,14 @@ from wittmod.superpoly import mono_tdeg
 from wittmod.glmn import Rep, mat_add, mat_mul
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_witt,
                                     weight_reduce)
-from wittmod.verifier import (CONTROL_MODES, REGISTRY, Check, CheckParams,
+from wittmod.verifier import (CONTROL_MODES, REGISTRY, CheckParams,
                               run_check)
 from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                           _bracket_basis, _extended_bracket_basis,
                           bracket_oracle, extended_basis,
                           extended_bracket, term_parity, witt_bracket)
 
-from conftest import as_extended, ext_der
+from conftest import as_extended, dressed_from_witt, ext_der
 
 F = Fraction
 
@@ -138,7 +139,7 @@ def test_undetected_control_is_a_fail():
 
 
 def test_control_modes_are_the_declared_fault_modes():
-    declared = {mode for check in REGISTRY.values() for mode in check.modes}
+    declared = {mode for modes in CHECKS.values() for mode in modes}
     assert set(CONTROL_MODES) == declared - {"untwisted", "coset"}
 
 
@@ -203,7 +204,7 @@ def test_internal_value_error_is_not_an_error_status(monkeypatch):
     # only configuration problems become status error; a bug surfaces
     def broken(p):
         raise ValueError("internal bug")
-    monkeypatch.setitem(REGISTRY, "gl_realization", Check(broken, ()))
+    monkeypatch.setitem(REGISTRY, "gl_realization", broken)
     with pytest.raises(ValueError, match="internal bug"):
         run_check("gl_realization", {})
 
@@ -519,7 +520,7 @@ def test_gl_realization_fails_on_a_word_that_leaves_wh(monkeypatch):
 
     def bare(m, n, alpha, imask, slot):
         if (alpha, imask, slot) == x1dt1:
-            return DressedWittElement.from_witt(
+            return dressed_from_witt(
                 WittElement.term(m, n, alpha, imask, slot))
         return real(m, n, alpha, imask, slot)
     monkeypatch.setattr(verifier, "commutant_element", bare)
@@ -957,7 +958,8 @@ def test_sorted_route_agrees_with_the_ordered_sweep(m, n, deg, index, scale):
             memo = verifier._PairMemo(basis, pair)
             _scaled(memo, i, j, scale)
             # the fault reaches the sorted sweep, not the antisymmetry pass
-            assert verifier._antisymmetric(memo, size, key_parity)
+            assert verifier._antisymmetric(
+                memo, size, verifier._support(memo, size), key_parity)
             verdicts.append(
                 verifier._sorted_route(level, memo, parity, key_parity,
                                        render) if route == "sorted"
@@ -1144,7 +1146,8 @@ def _antisymmetric_with_a_fault(length, fault):
     size = len(basis)
     memo = verifier._PairMemo(basis,
                               lambda k1, k2: _bracket_basis(1, *k1, *k2))
-    assert verifier._antisymmetric(memo, size, WittElement.key_parity)
+    assert verifier._antisymmetric(memo, size, verifier._support(memo, size),
+                                   WittElement.key_parity)
     parity = [WittElement.key_parity(k) for k in memo.interned]
     b, a = next((b, a) for a in range(size) for b in range(a)
                 if len(memo[b][a]) == length)
@@ -1159,7 +1162,8 @@ def _antisymmetric_with_a_fault(length, fault):
     else:
         row = row[:-1] if length == 2 else row + [(other, c)]
     memo[b][a] = tuple(row)
-    return verifier._antisymmetric(memo, size, WittElement.key_parity)
+    return verifier._antisymmetric(memo, size, verifier._support(memo, size),
+                                   WittElement.key_parity)
 
 
 @pytest.mark.parametrize("fault", ["coefficient", "key", "length"])

@@ -15,8 +15,8 @@ from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                           bracket_oracle, extended_basis, extended_bracket,
                           witt_act, witt_basis, witt_bracket)
 
-from conftest import (ext_der, ext_from_poly, ext_fun, rand_superpoly,
-                      rand_witt, witt_keys)
+from conftest import (ext_der, ext_from_poly, ext_from_witt, ext_fun,
+                      homogeneous_parts, rand_superpoly, rand_witt, witt_keys)
 
 
 def W(text, m=1, n=1):
@@ -47,8 +47,8 @@ def composition_reference(x, y):
     gens += [(SuperPoly.monomial(m, n, (0,) * m, (j,)), (XSLOT, j))
              for j in range(1, n + 1)]
     out = WittElement(m, n)
-    for xh in x.homogeneous_parts():
-        for yh in y.homogeneous_parts():
+    for xh in homogeneous_parts(x):
+        for yh in homogeneous_parts(y):
             if xh and yh:
                 sign = -1 if xh.parity() * yh.parity() & 1 else 1
                 for g, slot in gens:
@@ -264,7 +264,7 @@ def test_extension_function_part_is_abelian():
 
 
 def test_extension_mixed_bracket_is_the_action():
-    x = ExtendedWittElement.from_witt(W("t1*dt1"))
+    x = ext_from_witt(W("t1*dt1"))
     f = ext_from_poly(SuperPoly.monomial(1, 1, (2,), ()))
     out = extended_bracket(x, f)
     assert not ext_der(out)
