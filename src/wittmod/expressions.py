@@ -22,14 +22,20 @@ from fractions import Fraction
 # the dressed, word and tensor layers load on first use (as_dressed,
 # as_word, as_tensor, _seg_atoms, print_expr), so a Witt bracket reply
 # loads none of them
-from .superpoly import (SuperPoly, accumulate, mask_indices, mono_mul,
-                        mono_sort_key)
+from .superpoly import (SuperPoly, as_fractions, mask_indices,
+                        merge_sign_masks, mono_sort_key)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                    term_sort_key)
 
 
 # the most atoms as_word expands all words of one expression into
 MAX_WORD_ATOMS = 10000
+# the largest t-exponent of a monomial (an operator word's t-powers count
+# against MAX_WORD_ATOMS instead)
+MAX_EXPONENT = 1000
+# the most digits in one number or index: CPython's default limit on
+# reading a decimal string as an int
+MAX_DIGITS = 4300
 
 
 class ExpressionError(ValueError):
@@ -49,217 +55,197 @@ class ParseError(ExpressionError):
 _PUNCT = {"{": "LBRACE", "}": "RBRACE", ",": "COMMA", "^": "CARET",
           "*": "STAR", "+": "PLUS", "-": "MINUS", "/": "SLASH",
           "@": "AT", ".": "DOT"}
+_DIGITS = "0123456789"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_ALNUM = _LETTERS + _DIGITS
 
 
 def tokenize(text):
+    """(kind, value, line, col) tokens ending in END.  Only ASCII letters
+    and digits are read, a digit run at most MAX_DIGITS long."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
+    line, start = 1, 0  # the column of text[i] is i - start + 1
+    i, end = 0, len(text)
+    while i < end:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
         if ch in _PUNCT:
-            toks.append((_PUNCT[ch], ch, line, col))
+            toks.append((_PUNCT[ch], ch, line, i - start + 1))
             i += 1
-            col += 1
-            continue
-        if ch.isdigit():
+        elif ch in " \t\r":
+            i += 1
+        elif ch == "\n":
+            i += 1
+            line, start = line + 1, i
+        elif ch in _ALNUM:  # a number, or a name and its index
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < end and text[j] in _LETTERS:
                 j += 1
-            toks.append(("NUM", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            name = text[i:j]
             k = j
-            while k < len(text) and text[k].isdigit():
+            while k < end and text[k] in _DIGITS:
                 k += 1
-            idx = int(text[j:k]) if k > j else None
-            if name not in ("t", "x", "dt", "dx", "e"):
-                raise ParseError("unknown name %r" % (text[i:k],), line, col,
+            if k - j > MAX_DIGITS:
+                raise ParseError("number longer than %d digits" % MAX_DIGITS,
+                                 line, j - start + 1)
+            name = text[i:j]
+            if j == i:
+                toks.append(("NUM", int(text[j:k]), line, i - start + 1))
+            elif name in ("t", "x", "dt", "dx", "e"):
+                toks.append(("NAME", (name, int(text[j:k]) if k > j else None),
+                             line, i - start + 1))
+            else:
+                raise ParseError("unknown name %r" % (text[i:k],), line,
+                                 i - start + 1,
                                  ("t<k>", "x<k>", "dt<k>", "dx<k>", "e<j>"))
-            toks.append(("NAME", (name, idx), line, col))
-            col += k - i
             i = k
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    toks.append(("END", None, line, col))
+        else:
+            raise ParseError("unexpected character %r" % ch, line,
+                             i - start + 1)
+    toks.append(("END", None, line, end - start + 1))
     return toks
 
 
-class _Parser:
-    def __init__(self, text):
-        self.toks = tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message, expected=None):
-        kind, _, line, col = self.peek()
-        raise ParseError(message, line, col, expected)
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            self.fail("got %s" % tok[0], (kind,))
-        return self.next()
-
-    # expr := ['-'] term (('+'|'-') term)*
-    def parse(self):
-        terms = []
-        sign = 1
-        if self.peek()[0] == "MINUS":
-            self.next()
-            sign = -1
-        elif self.peek()[0] == "PLUS":
-            self.next()
-        terms.append(self.term(sign))
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            sign = 1 if self.next()[0] == "PLUS" else -1
-            terms.append(self.term(sign))
-        self.expect("END")
-        return terms
-
-    # term := rat ['*' segments] ['@' e<j>] | segments ['@' e<j>]
-    def term(self, sign):
-        coeff = Fraction(sign)
-        segments = []
-        tok = self.peek()
-        if tok[0] == "NUM":
-            coeff *= self.rational()
-            if self.peek()[0] == "STAR":
-                self.next()
-                segments = self.segments()
-        elif tok[0] == "NAME":
-            segments = self.segments()
-        else:
-            self.fail("got %s" % tok[0], ("number", "name"))
-        eidx = None
-        if self.peek()[0] == "AT":
-            self.next()
-            tok = self.expect("NAME")
-            name, idx = tok[1]
-            if name != "e" or idx is None:
-                raise ParseError("tensor marker needs e<j>", tok[2], tok[3],
-                                 ("e<j>",))
-            eidx = idx
-        return (coeff, tuple(tuple(s) for s in segments), eidx)
-
-    def rational(self):
-        tok = self.expect("NUM")
-        num = tok[1]
-        if self.peek()[0] == "SLASH":
-            self.next()
-            den = self.expect("NUM")[1]
-            if den == 0:
-                raise ParseError("zero denominator", tok[2], tok[3])
-            return Fraction(num, den)
-        return Fraction(num)
-
-    # segments := factors ('.' factors)*
-    def segments(self):
-        segs = [self.factors()]
-        while self.peek()[0] == "DOT":
-            self.next()
-            segs.append(self.factors())
-        return segs
-
-    # factors := factor ('*' factor)*
-    def factors(self):
-        atoms = list(self.factor())
-        while self.peek()[0] == "STAR":
-            self.next()
-            atoms.extend(self.factor())
-        return atoms
-
-    # factor := t<k>['^' NUM] | x<k> | x{i,j,...} | dt<k> | dx<k>
-    def factor(self):
-        tok = self.expect("NAME")
-        name, idx = tok[1]
-        if name == "e":
-            raise ParseError("e<j> only follows @", tok[2], tok[3])
-        if name == "x" and idx is None:
-            self.expect("LBRACE")
-            idxs = [self.expect("NUM")[1]]
-            while self.peek()[0] == "COMMA":
-                self.next()
-                idxs.append(self.expect("NUM")[1])
-            self.expect("RBRACE")
-            for u, v in zip(idxs, idxs[1:]):
-                if v <= u:
-                    raise ParseError("odd index set must be strictly "
-                                     "ascending", tok[2], tok[3])
-            return [("x", k) for k in idxs]
-        if idx is None or idx < 1:
-            raise ParseError("missing variable index", tok[2], tok[3])
-        if name == "t":
-            power = 1
-            if self.peek()[0] == "CARET":
-                self.next()
-                power = self.expect("NUM")[1]
-            return [("t", idx, power)]
-        if self.peek()[0] == "CARET":
-            self.fail("exponent only allowed on t variables")
-        if name == "x":
-            return [("x", idx)]
-        return [(name, idx)]  # dt | dx
+def _got(tok, *expected):
+    """The error for a token of another kind than expected."""
+    return ParseError("got %s" % tok[0], tok[2], tok[3], expected)
 
 
 def parse_expr(text):
-    """Neutral parse: list of (coeff, segments, tensor index)."""
-    return _Parser(text).parse()
+    """Neutral parse: list of (coeff, segments, tensor index), the coeff an
+    int unless a p/q literal is not integral.  The grammar:
+        expr     := ['+'|'-'] term (('+'|'-') term)*
+        term     := rat ['*' segments] ['@' e<j>] | segments ['@' e<j>]
+        rat      := NUM ['/' NUM]
+        segments := factors ('.' factors)*
+        factors  := factor ('*' factor)*
+        factor   := t<k>['^' NUM] | x<k> | x{i,j,...} | dt<k> | dx<k>"""
+    toks = tokenize(text)
+    terms = []
+    i, sign = 0, 1
+    if toks[0][0] in ("PLUS", "MINUS"):
+        i, sign = 1, (1 if toks[0][0] == "PLUS" else -1)
+    while True:
+        tok = toks[i]
+        coeff, segs = sign, []
+        if tok[0] == "NUM":
+            coeff *= tok[1]
+            i += 1
+            if toks[i][0] == "SLASH":
+                den = toks[i + 1]
+                if den[0] != "NUM":
+                    raise _got(den, "NUM")
+                if not den[1]:
+                    raise ParseError("zero denominator", tok[2], tok[3])
+                coeff = (coeff // den[1] if not coeff % den[1]
+                         else Fraction(coeff, den[1]))
+                i += 2
+            more = toks[i][0] == "STAR"
+            i += more
+        elif tok[0] == "NAME":
+            more = True
+        else:
+            raise _got(tok, "number", "name")
+        seg = []
+        while more:  # one factor
+            tok = toks[i]
+            if tok[0] != "NAME":
+                raise _got(tok, "NAME")
+            name, idx = tok[1]
+            i += 1
+            if name == "e":
+                raise ParseError("e<j> only follows @", tok[2], tok[3])
+            if name == "x" and idx is None:
+                if toks[i][0] != "LBRACE":
+                    raise _got(toks[i], "LBRACE")
+                idxs = []
+                while True:
+                    if toks[i + 1][0] != "NUM":
+                        raise _got(toks[i + 1], "NUM")
+                    idxs.append(toks[i + 1][1])
+                    i += 2
+                    if toks[i][0] != "COMMA":
+                        break
+                if toks[i][0] != "RBRACE":
+                    raise _got(toks[i], "RBRACE")
+                i += 1
+                for u, v in zip(idxs, idxs[1:]):
+                    if v <= u:
+                        raise ParseError("odd index set must be strictly "
+                                         "ascending", tok[2], tok[3])
+                seg.extend(("x", k) for k in idxs)
+            elif idx is None or idx < 1:
+                raise ParseError("missing variable index", tok[2], tok[3])
+            elif name == "t":
+                power = 1
+                if toks[i][0] == "CARET":
+                    if toks[i + 1][0] != "NUM":
+                        raise _got(toks[i + 1], "NUM")
+                    power = toks[i + 1][1]
+                    i += 2
+                seg.append(("t", idx, power))
+            elif toks[i][0] == "CARET":
+                raise ParseError("exponent only allowed on t variables",
+                                 toks[i][2], toks[i][3])
+            else:
+                seg.append((name, idx))  # x | dt | dx
+            kind = toks[i][0]
+            if kind == "DOT":
+                segs.append(tuple(seg))
+                seg = []
+            elif kind != "STAR":
+                segs.append(tuple(seg))
+                break
+            i += 1
+        eidx = None
+        if toks[i][0] == "AT":
+            tok = toks[i + 1]
+            if tok[0] != "NAME":
+                raise _got(tok, "NAME")
+            name, eidx = tok[1]
+            if name != "e" or eidx is None:
+                raise ParseError("tensor marker needs e<j>", tok[2], tok[3],
+                                 ("e<j>",))
+            i += 2
+        terms.append((coeff, tuple(segs), eidx))
+        kind = toks[i][0]
+        if kind == "END":
+            return terms
+        if kind not in ("PLUS", "MINUS"):
+            raise _got(toks[i], "END")
+        sign = 1 if kind == "PLUS" else -1
+        i += 1
 
 
 # ---------------------------------------------------------------------------
 # segment interpretation
 
 def _check_index(atom, m, n, where=""):
-    """The one range check of a t, x, dt or dx index.  Every atom is checked
-    before any product is taken, so a term that vanishes is checked too."""
+    """The one range check of a t, x, dt or dx index.  Every atom of a
+    segment is checked, so a term that vanishes is checked too."""
     kind, k = atom[0], atom[1]
     if not 1 <= k <= (m if kind in ("t", "dt") else n):
         raise ExpressionError("%s index %d out of range%s" % (kind, k, where))
 
 
 def _seg_mono(seg, m, n, where="monomial"):
-    """Interpret a segment as a monomial; returns ((alpha, imask), sign)."""
+    """Interpret a segment as a monomial; returns ((alpha, imask), sign), or
+    None when an odd variable repeats.  The exponent is summed in a list,
+    each odd bit merged in with its Koszul sign."""
+    alpha = [0] * m
+    imask, sign = 0, 1
     for atom in seg:
-        if atom[0] in ("dt", "dx"):
+        kind = atom[0]
+        if kind == "dt" or kind == "dx":
             raise ExpressionError("derivation slot not allowed in %s" % where)
         _check_index(atom, m, n, " in " + where)
-    mono = ((0,) * m, 0)
-    sign = 1
-    for atom in seg:
-        if atom[0] == "t":
-            _, k, power = atom
-            step = (tuple(power if q == k - 1 else 0 for q in range(m)), 0)
-        else:
-            step = ((0,) * m, 1 << (atom[1] - 1))
-        hit = mono_mul(mono, step)
-        if hit is None:
-            return None
-        mono = hit[0]
-        sign *= hit[1]
-    return mono, sign
+        if kind == "t":
+            alpha[atom[1] - 1] += atom[2]
+            if alpha[atom[1] - 1] > MAX_EXPONENT:
+                raise ExpressionError("t exponent above %d in %s"
+                                      % (MAX_EXPONENT, where))
+        elif sign:
+            step, imask = merge_sign_masks(imask, 1 << (atom[1] - 1))
+            sign *= step
+    return ((tuple(alpha), imask), sign) if sign else None
 
 
 def _seg_witt(seg, m, n):
@@ -272,9 +258,7 @@ def _seg_witt(seg, m, n):
     kind, idx = seg[-1]
     _check_index(seg[-1], m, n)
     hit = _seg_mono(seg[:-1], m, n, "derivation term")
-    if hit is None:
-        return None
-    return (hit[0], (TSLOT if kind == "dt" else XSLOT, idx)), hit[1]
+    return hit and ((hit[0], (TSLOT if kind == "dt" else XSLOT, idx)), hit[1])
 
 
 def _seg_atoms(seg, m, n, room):
@@ -288,11 +272,8 @@ def _seg_atoms(seg, m, n, room):
                               "%d atoms" % MAX_WORD_ATOMS)
     if derivation:
         from .words import make_watom
-        hit = _seg_witt(seg, m, n)
-        if hit is None:
-            return None
-        (mono, slot), sign = hit
-        return [make_watom(mono[0], mono[1], slot)], sign
+        hit = _seg_witt(seg, m, n)  # ((mono, slot), sign) or None
+        return hit and ([make_watom(*hit[0][0], hit[0][1])], hit[1])
     atoms = []
     for atom in seg:
         _check_index(atom, m, n)
@@ -317,7 +298,9 @@ def _convert(terms, out, noun, read):
     """Add coeff * sign for each term into out.terms, where read(segs,
     eidx) gives the term's (key, sign), or None when the term vanishes.
     noun names the type when a tensor marker is misplaced; the tensor
-    reader, which needs the marker, passes None and checks it itself."""
+    reader, which needs the marker, passes None and checks it itself.
+    The sums are ints where they can be, made Fractions at the end."""
+    acc = {}
     for coeff, segs, eidx in terms:
         if eidx is not None and noun:
             raise ExpressionError("tensor marker not allowed in " + noun)
@@ -325,7 +308,12 @@ def _convert(terms, out, noun, read):
             continue  # a bare 0
         hit = read(segs, eidx)
         if hit:
-            accumulate(out.terms, hit[0], coeff * hit[1])
+            c = acc.get(hit[0], 0) + coeff * hit[1]
+            if c:
+                acc[hit[0]] = c
+            else:
+                acc.pop(hit[0], None)
+    out.terms = as_fractions(acc)
     return out
 
 
@@ -491,6 +479,8 @@ def _join(obj, order, spell):
     out = []
     for key in sorted(obj.terms, key=order):
         c = obj.terms[key]
+        if c.denominator == 1:
+            c = c.numerator
         body, suffix = spell(key)
         mag = abs(c)
         if not body:

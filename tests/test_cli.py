@@ -17,7 +17,8 @@ import wittmod
 from wittmod import tensor_modules, verifier
 from wittmod.cli import build_parser, run_command
 from wittmod.config import ConfigError, resolve_rep
-from wittmod.expressions import MAX_WORD_ATOMS, print_expr
+from wittmod.expressions import (MAX_DIGITS, MAX_EXPONENT, MAX_WORD_ATOMS,
+                                 print_expr)
 from wittmod.reporting import emit_report, report_schema
 from wittmod.verifier import REGISTRY
 
@@ -213,6 +214,72 @@ def test_operator_word_ceiling(capsys, word, expected):
                                   "to more than 10000 atoms\n")
     else:
         assert (rc, out, err) == (0, expected, "")
+
+
+# inputs that reached int() or a loop over the exponent unchecked: a
+# non-ASCII digit raised a ValueError traceback or was read as an index,
+# a 5000-digit literal hit CPython's int-string limit, and each unit of a
+# t-exponent was one step of weight_reduce
+_DIGITS5000 = "1" * 5000
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bracket", "t1^\u00b2*dt1", "dt1"],
+     "line 1 col 4: unexpected character '\u00b2'"),
+    (["bracket", "t\u0661*dt1", "dt1"],
+     "line 1 col 2: unexpected character '\u0661'"),
+    (["bracket", "t1 +\n \u00e9*dt1", "dt1"],
+     "line 2 col 2: unexpected character '\u00e9'"),
+    (["bracket", "--", "-" + _DIGITS5000 + "*dt1", "dt1"],
+     "line 1 col 2: number longer than 4300 digits"),
+    (["bracket", "dt1", "t" + _DIGITS5000 + "*dt1"],
+     "line 1 col 2: number longer than 4300 digits"),
+    (["weighting", "--r", "1", "--m", "1", "--n", "1", "--",
+      "t1^1000000 @ e1"], "t exponent above 1000 in tensor coefficient"),
+    (["weighting", "--r", "1", "--m", "1", "--n", "1", "--",
+      "t1^99999999 @ e1"], "t exponent above 1000 in tensor coefficient"),
+    (["weighting", "--r", "1", "--m", "1", "--n", "1", "--",
+      "t1^600*t1^401 @ e1"], "t exponent above 1000 in tensor coefficient"),
+    (["bracket", "t1^1001*dt1", "dt1"],
+     "t exponent above 1000 in derivation term"),
+    (["bracket", "t1^1001 . dt1", "dt1"], "t exponent above 1000 in dressing"),
+], ids=["superscript-two", "arabic-indic-one", "latin-letter", "long-number",
+        "long-index", "exponent-1e6", "exponent-1e8", "exponent-sum",
+        "witt-exponent", "dressing-exponent"])
+def test_newly_rejected_inputs_exit_2_before_work(capsys, monkeypatch, argv,
+                                                  message):
+    def unreachable(*args):
+        raise AssertionError("weight_reduce ran on a rejected input")
+    monkeypatch.setattr(tensor_modules, "weight_reduce", unreachable)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_literal_and_exponent_bounds_are_inclusive(capsys):
+    assert (MAX_DIGITS, MAX_EXPONENT) == (4300, 1000)
+    big = "9" * MAX_DIGITS
+    rc, out, err = run(capsys, ["bracket", big + "*t1*dt1", "dt1"])
+    assert (rc, out, err) == (0, "-%s*dt1\n" % big, "")
+    rc, out, err = run(capsys, ["weighting", "--r", "1", "--m", "1", "--n",
+                                "1", "--", "t1^600*t1^400 @ e1"])
+    assert (rc, out, err) == (0, "0\n", "")
+
+
+GOLDEN_CALCULATOR = json.loads(Path(__file__).with_name(
+    "golden_calculator.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", GOLDEN_CALCULATOR, ids=[
+    "%02d-%s" % (k, e["argv"][0]) for k, e in enumerate(GOLDEN_CALCULATOR)])
+def test_golden_calculator_transcript(capsys, monkeypatch, entry):
+    # seeded requests of every calculator command at shapes (1,0) to (2,2)
+    # and malformed ones, recorded with their exit code, stdout and stderr
+    # (usage lines wrap at COLUMNS); a reply changes only on purpose
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, entry["argv"]) == (entry["exit"], entry["stdout"],
+                                          entry["stderr"])
 
 
 def test_internal_value_error_propagates(capsys, monkeypatch):

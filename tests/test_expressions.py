@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittmod.dressed import DressedWittElement
 from wittmod.expressions import (ExpressionError, ParseError, as_dressed,
@@ -222,6 +224,31 @@ def test_converter_messages(kind, text, message):
         _to_object(kind, text, 1, 1, 2)
     assert type(info.value) is ExpressionError
     assert str(info.value) == message
+
+
+# pieces of the grammar, the non-ASCII digits and letters that str.isdigit
+# and str.isalpha accept, and any printable character
+_PIECES = st.one_of(
+    st.sampled_from(["t1", "t2", "x1", "x2", "dt1", "dx2", "x{1,2}", "e1",
+                     "^", "2", "3/2", "/", "*", ".", " @ e2", "+", "-", "{",
+                     "}", ",", " ", "\n", "\u00b2", "\u0661", "\u00e9",
+                     "9" * 4301]),
+    st.characters(blacklist_categories=("Cc", "Cs")))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=12).map("".join))
+def test_fuzzed_text_raises_only_expression_errors(text):
+    try:
+        terms = parse_expr(text)
+    except ExpressionError:
+        return
+    for convert in (*_CONVERT.values(),
+                    lambda t, m, n: as_tensor(t, m, n, 4)):
+        try:
+            convert(terms, 2, 2)
+        except ExpressionError:
+            pass
 
 
 # ---------------------------------------------------------------------------
