@@ -234,7 +234,7 @@ def _seg_mono(seg, m, n, where="monomial"):
     imask, sign = 0, 1
     for atom in seg:
         kind = atom[0]
-        if kind == "dt" or kind == "dx":
+        if kind in ("dt", "dx"):
             raise ExpressionError("derivation slot not allowed in %s" % where)
         _check_index(atom, m, n, " in " + where)
         if kind == "t":
@@ -252,13 +252,16 @@ def _seg_witt(seg, m, n):
     """Segment = multiplications ending in one slot -> ((mono, slot), sign)."""
     if not seg or seg[-1][0] not in ("dt", "dx"):
         raise ExpressionError("derivation term must end in dt<k> or dx<k>")
-    if any(atom[0] in ("dt", "dx") for atom in seg[:-1]):
-        raise ExpressionError("only the final factor of a derivation term "
-                              "may be a slot")
+    for atom in seg[:-1]:
+        if atom[0] in ("dt", "dx"):
+            raise ExpressionError("only the final factor of a derivation "
+                                  "term may be a slot")
     kind, idx = seg[-1]
     _check_index(seg[-1], m, n)
     hit = _seg_mono(seg[:-1], m, n, "derivation term")
-    return hit and ((hit[0], (TSLOT if kind == "dt" else XSLOT, idx)), hit[1])
+    if hit is None:
+        return None
+    return (hit[0], (TSLOT if kind == "dt" else XSLOT, idx)), hit[1]
 
 
 def _seg_atoms(seg, m, n, room):
@@ -272,8 +275,11 @@ def _seg_atoms(seg, m, n, room):
                               "%d atoms" % MAX_WORD_ATOMS)
     if derivation:
         from .words import make_watom
-        hit = _seg_witt(seg, m, n)  # ((mono, slot), sign) or None
-        return hit and ([make_watom(*hit[0][0], hit[0][1])], hit[1])
+        hit = _seg_witt(seg, m, n)
+        if hit is None:
+            return None
+        (mono, slot), sign = hit
+        return [make_watom(mono[0], mono[1], slot)], sign
     atoms = []
     for atom in seg:
         _check_index(atom, m, n)
@@ -307,12 +313,14 @@ def _convert(terms, out, noun, read):
         if not segs and not coeff and eidx is None:
             continue  # a bare 0
         hit = read(segs, eidx)
-        if hit:
-            c = acc.get(hit[0], 0) + coeff * hit[1]
+        if hit:  # a sign of -1 negates, as a Fraction product costs more
+            key, c = hit[0], (coeff if hit[1] > 0 else -coeff)
+            if key in acc:
+                c += acc[key]
             if c:
-                acc[hit[0]] = c
+                acc[key] = c
             else:
-                acc.pop(hit[0], None)
+                acc.pop(key, None)
     out.terms = as_fractions(acc)
     return out
 

@@ -176,9 +176,30 @@ def test_out_of_range_vector_exits_2(capsys):
      "t index 9 out of range in tensor coefficient"),
     (["act", "x1*x1*dt9", "1 @ e1", "--m", "1", "--n", "1"],
      "dt index 9 out of range"),
+    # only ASCII digits and letters are read: '²' raised a ValueError
+    # traceback and 't١' read as t1
+    (["bracket", "t1^\u00b2*dt1", "dt1"],
+     "line 1 col 4: unexpected character '\u00b2'"),
+    (["bracket", "t\u0661*dt1", "dt1"],
+     "line 1 col 2: unexpected character '\u0661'"),
+    (["bracket", "t1 +\n \u00e9*dt1", "dt1"],
+     "line 2 col 2: unexpected character '\u00e9'"),
+    # a digit run past CPython's int-string limit raised a traceback
+    (["bracket", "--", "-" + "1" * 5000 + "*dt1", "dt1"],
+     "line 1 col 2: number longer than 4300 digits"),
+    (["bracket", "dt1", "t" + "1" * 5000 + "*dt1"],
+     "line 1 col 2: number longer than 4300 digits"),
+    # a t-exponent is bounded summed over a monomial's factors
+    (["weighting", "--r", "1", "--m", "1", "--n", "1", "--",
+      "t1^600*t1^401 @ e1"], "t exponent above 1000 in tensor coefficient"),
+    (["bracket", "t1^1001*dt1", "dt1"],
+     "t exponent above 1000 in derivation term"),
+    (["bracket", "t1^1001 . dt1", "dt1"], "t exponent above 1000 in dressing"),
 ], ids=["word-marker", "bracket-no-slot", "dressed-segments",
         "tensor-dot", "vanishing-witt", "vanishing-word", "vanishing-dressed",
-        "vanishing-tensor", "vanishing-word-slot"])
+        "vanishing-tensor", "vanishing-word-slot", "superscript-two",
+        "arabic-indic-one", "latin-letter", "long-number", "long-index",
+        "exponent-sum", "witt-exponent", "dressing-exponent"])
 def test_expression_errors_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
@@ -216,45 +237,19 @@ def test_operator_word_ceiling(capsys, word, expected):
         assert (rc, out, err) == (0, expected, "")
 
 
-# inputs that reached int() or a loop over the exponent unchecked: a
-# non-ASCII digit raised a ValueError traceback or was read as an index,
-# a 5000-digit literal hit CPython's int-string limit, and each unit of a
-# t-exponent was one step of weight_reduce
-_DIGITS5000 = "1" * 5000
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["bracket", "t1^\u00b2*dt1", "dt1"],
-     "line 1 col 4: unexpected character '\u00b2'"),
-    (["bracket", "t\u0661*dt1", "dt1"],
-     "line 1 col 2: unexpected character '\u0661'"),
-    (["bracket", "t1 +\n \u00e9*dt1", "dt1"],
-     "line 2 col 2: unexpected character '\u00e9'"),
-    (["bracket", "--", "-" + _DIGITS5000 + "*dt1", "dt1"],
-     "line 1 col 2: number longer than 4300 digits"),
-    (["bracket", "dt1", "t" + _DIGITS5000 + "*dt1"],
-     "line 1 col 2: number longer than 4300 digits"),
-    (["weighting", "--r", "1", "--m", "1", "--n", "1", "--",
-      "t1^1000000 @ e1"], "t exponent above 1000 in tensor coefficient"),
-    (["weighting", "--r", "1", "--m", "1", "--n", "1", "--",
-      "t1^99999999 @ e1"], "t exponent above 1000 in tensor coefficient"),
-    (["weighting", "--r", "1", "--m", "1", "--n", "1", "--",
-      "t1^600*t1^401 @ e1"], "t exponent above 1000 in tensor coefficient"),
-    (["bracket", "t1^1001*dt1", "dt1"],
-     "t exponent above 1000 in derivation term"),
-    (["bracket", "t1^1001 . dt1", "dt1"], "t exponent above 1000 in dressing"),
-], ids=["superscript-two", "arabic-indic-one", "latin-letter", "long-number",
-        "long-index", "exponent-1e6", "exponent-1e8", "exponent-sum",
-        "witt-exponent", "dressing-exponent"])
-def test_newly_rejected_inputs_exit_2_before_work(capsys, monkeypatch, argv,
-                                                  message):
+def test_huge_exponent_exits_2_before_weighting(capsys, monkeypatch):
+    # weight_reduce takes one step per unit of a t-exponent: t1^1000000
+    # took 3.6 s, and t1^99999999 outran a 10 s timeout
     def unreachable(*args):
-        raise AssertionError("weight_reduce ran on a rejected input")
+        raise AssertionError("weight_reduce ran on a rejected exponent")
     monkeypatch.setattr(tensor_modules, "weight_reduce", unreachable)
-    start = time.perf_counter()
-    rc, out, err = run(capsys, argv)
-    assert time.perf_counter() - start < 1.0
-    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+    for power in ("1000000", "99999999"):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["weighting", "--r", "1", "--m", "1",
+                                    "--n", "1", "--", "t1^%s @ e1" % power])
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, err) == (2, "", "error: t exponent above %d in "
+                                  "tensor coefficient\n" % MAX_EXPONENT)
 
 
 def test_literal_and_exponent_bounds_are_inclusive(capsys):

@@ -198,6 +198,9 @@ MESSAGES = [
     ("word", "t1^9999 . t1*dt1 . t1", _BUDGET),
     # a derivation-term segment is one atom of the budget
     ("word", "t1^10000 . t1*dt1 . t1*dt1", _BUDGET),
+    # the t-exponent of a monomial, which a word's own t-powers are not
+    ("superpoly", "t1^1001", "t exponent above 1000 in monomial"),
+    ("word", "t1^1001*dt1", "t exponent above 1000 in derivation term"),
 ]
 
 
