@@ -30,8 +30,8 @@ from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
 
 # the most atoms as_word expands all words of one expression into
 MAX_WORD_ATOMS = 10000
-# the largest t-exponent of a monomial (an operator word's t-powers count
-# against MAX_WORD_ATOMS instead)
+# the largest t-exponent of a monomial, summed over its factors (an
+# operator word's t-powers count against MAX_WORD_ATOMS instead)
 MAX_EXPONENT = 1000
 # the most digits in one number or index: CPython's default limit on
 # reading a decimal string as an int
