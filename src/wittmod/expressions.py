@@ -17,6 +17,7 @@ parse(print(obj)) reproduces obj exactly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 # the dressed, word and tensor layers load on first use (as_dressed,
@@ -62,7 +63,10 @@ _ALNUM = _LETTERS + _DIGITS
 
 def tokenize(text):
     """(kind, value, line, col) tokens ending in END.  Only ASCII letters
-    and digits are read, a digit run at most MAX_DIGITS long."""
+    and digits are read, a digit run at most MAX_DIGITS long, or at most
+    the interpreter's int-string limit where that is lower."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    max_digits = min(MAX_DIGITS, limit) if limit else MAX_DIGITS
     toks = []
     line, start = 1, 0  # the column of text[i] is i - start + 1
     i, end = 0, len(text)
@@ -83,8 +87,8 @@ def tokenize(text):
             k = j
             while k < end and text[k] in _DIGITS:
                 k += 1
-            if k - j > MAX_DIGITS:
-                raise ParseError("number longer than %d digits" % MAX_DIGITS,
+            if k - j > max_digits:
+                raise ParseError("number longer than %d digits" % max_digits,
                                  line, j - start + 1)
             name = text[i:j]
             if j == i:
@@ -506,6 +510,9 @@ def _join(obj, order, spell):
 
 
 def print_expr(obj) -> str:
+    """The canonical spelling of obj.  An element with a coefficient of
+    more digits than the interpreter's int-string limit raises
+    ExpressionError."""
     if isinstance(obj, (int, Fraction)):
         return str(obj)
     kind = type(obj)
@@ -514,4 +521,9 @@ def print_expr(obj) -> str:
         if late is None or late[0] is not kind:
             raise TypeError("no printer for %r" % kind.__name__)
         _PRINTERS[kind] = late[1:]
-    return _join(obj, *_PRINTERS[kind])
+    try:  # str() of an int raises ValueError only past that limit
+        return _join(obj, *_PRINTERS[kind])
+    except ValueError:
+        raise ExpressionError(
+            "a coefficient has more than %d digits, the interpreter's "
+            "int-string limit" % sys.get_int_max_str_digits()) from None

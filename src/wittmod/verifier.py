@@ -1102,22 +1102,28 @@ def check_difference_annihilation(p: CheckParams):
 # simplicity_probe
 
 def _probe(spec, gens, x, cap):
-    """x's orbit span under gens within the cap, and the vacuums it misses."""
+    """x's orbit span under gens within the cap, and the vacuums it misses.
+    A span only grows, so after each insert that grows it only the vacuums
+    still missing are tested again; the probe returns when none is."""
     span = TensorSpan()
     span.insert(x)
     vacuums = [TensorElement.vacuum(spec, l) for l in range(spec.dim)]
+    missing = [l for l, v in enumerate(vacuums) if not span.contains(v)]
     frontier = [x]
-    while frontier and not all(span.contains(v) for v in vacuums):
+    while frontier and missing:
         new = []
         for f in frontier:
             for atom in gens:
                 y = act_atom(spec, atom, f)
-                if not y or y.tdegree() > cap:
+                if not y or y.tdegree() > cap or not span.insert(y):
                     continue
-                if span.insert(y):
-                    new.append(y)
+                missing = [l for l in missing
+                           if not span.contains(vacuums[l])]
+                if not missing:
+                    return span, missing
+                new.append(y)
         frontier = new
-    return span, [l for l, v in enumerate(vacuums) if not span.contains(v)]
+    return span, missing
 
 
 def _probe_generators(m, n, cap):
@@ -1132,6 +1138,16 @@ def _probe_generators(m, n, cap):
 
 
 def check_simplicity_probe(p: CheckParams):
+    """Every vacuum, then random starts up to min(trials, 10) starts in
+    all, must generate a span holding every vacuum 1 @ e_l.  The span
+    grows breadth first under the generators, in their fixed order, within
+    the degree cap D (which makes the capped closure depend on that
+    order), and a start passes at the first insert after which every
+    vacuum lies in the span.  A start whose span misses a vacuum is closed
+    to the end of its breadth-first search, so its span_dim is that of the
+    whole capped orbit and does not depend on where a passing start
+    stops.  With expect_reducible a missing vacuum is the evidence sought,
+    and the last such start is reported."""
     spec = _spec(p)
     gens = _probe_generators(p.m, p.n, p.D)
     rng = random.Random(p.seed)

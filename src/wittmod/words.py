@@ -22,11 +22,10 @@ weyl_normal_order is for.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .superpoly import (ONE, LinComb, accumulate, exact, mask_indices,
-                        merge_sign_masks, popcount)
+from .superpoly import (ONE, LinComb, accumulate, as_fractions, exact,
+                        mask_indices, merge_sign_masks, popcount)
 
 
 def make_watom(alpha, imask, slot):
@@ -198,13 +197,13 @@ def difference_word(m, n, alpha, beta, imask, jmask, r, j, slot1, slot2):
         raise ValueError("t index %d out of range" % j)
     alpha = tuple(alpha)
     beta = tuple(beta)
-    out = OperatorWord(m, n)
+    terms = {}  # the words differ in i, so no weight adds to another
     for i in range(r + 1):
         a = list(alpha)
         a[j - 1] += r - i
         b = list(beta)
         b[j - 1] += i
-        word = (make_watom(a, imask, slot1), make_watom(b, jmask, slot2))
-        coeff = Fraction(comb(r, i)) * (-1 if i & 1 else 1)
-        accumulate(out.terms, word, coeff)
-    return out
+        c = comb(r, i)
+        terms[make_watom(a, imask, slot1), make_watom(b, jmask, slot2)] = (
+            -c if i & 1 else c)
+    return OperatorWord(m, n)._like(as_fractions(terms))

@@ -262,6 +262,45 @@ def test_literal_and_exponent_bounds_are_inclusive(capsys):
     assert (rc, out, err) == (0, "0\n", "")
 
 
+@pytest.fixture
+def set_int_digit_limit():
+    """sys.set_int_max_str_digits, the limit restored after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_literal_past_a_lower_int_string_limit_exits_2(capsys,
+                                                       set_int_digit_limit):
+    # under a limit below MAX_DIGITS, a 1,000-digit literal raised a
+    # ValueError traceback from int() in the tokenizer
+    set_int_digit_limit(640)
+    rc, out, err = run(capsys, ["bracket", "1" * 1000 + "*t1*dt1", "dt1"])
+    assert (rc, out, err) == (2, "", "error: line 1 col 1: number longer "
+                              "than 640 digits\n")
+    big = "9" * 640
+    rc, out, err = run(capsys, ["bracket", big + "*t1*dt1", "dt1"])
+    assert (rc, out, err) == (0, "-%s*dt1\n" % big, "")
+
+
+@pytest.mark.parametrize("limit,argv", [
+    # about 1000!^2, over 5,000 digits
+    (4300, ["weighting", "--r=-1,-1", "--m", "2", "--n", "0", "--",
+            "t1^1000*t2^1000 @ e1"]),
+    (640, ["bracket", "9" * 640 + "*t1^2*dt1", "9" * 640 + "*t1*dt1"]),
+], ids=["default-limit", "lower-limit"])
+def test_reply_past_the_int_string_limit_exits_2(capsys, set_int_digit_limit,
+                                                 limit, argv):
+    # str() of such a coefficient raised a ValueError traceback (exit 1)
+    set_int_digit_limit(limit)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (2, "", "error: a coefficient has more than %d "
+                              "digits, the interpreter's int-string "
+                              "limit\n" % limit)
+
+
 GOLDEN_CALCULATOR = json.loads(Path(__file__).with_name(
     "golden_calculator.json").read_text(encoding="utf-8"))
 

@@ -144,11 +144,33 @@ def test_control_modes_are_the_declared_fault_modes():
 
 
 def test_reducible_module_is_detected():
+    # a start that misses a vacuum closes its whole capped orbit, so its
+    # span_dim is the one the probe gave before it stopped at its verdict
     report = run_check("simplicity_probe", {
         "rep": "sum(trivial,trivial)", "expect_reducible": True,
         "trials": 10})
     assert report.status == "pass"
-    assert "reducibility_evidence" in report.data
+    assert report.data == {"reducibility_evidence": {
+        "seed": "random7", "span_dim": 8, "missing_vacuum": "e2"}}
+
+
+def test_failing_probe_start_keeps_its_full_span():
+    report = run_check("simplicity_probe", {"rep": "tensor(natural,natural)"})
+    assert report.status == "fail"
+    assert report.counterexample == {"seed": "0", "start": "1 @ e1",
+                                     "span_dim": 16, "missing_vacuum": "e2"}
+
+
+def test_simplicity_probe_stops_at_its_verdict(monkeypatch):
+    # at defaults and seed 0 each start stops at the insert that brings
+    # the last vacuum into its span; closing every BFS round took 1,224
+    calls = []
+    act_atom = verifier.act_atom
+    monkeypatch.setattr(verifier, "act_atom",
+                        lambda *args: calls.append(1) or act_atom(*args))
+    report = run_check("simplicity_probe", {})
+    assert (report.status, report.cases) == ("pass", 10)
+    assert len(calls) == 560
 
 
 def test_difference_annihilation_coset_mode_passes():

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittmod.superpoly import SuperPoly, enumerate_monomials
+from wittmod.superpoly import SuperPoly, accumulate, enumerate_monomials
+from wittmod.verifier import _difference_sweep
 from wittmod.witt import TSLOT, XSLOT
 from wittmod.words import (OperatorWord, atom_parity, difference_word,
                            make_watom, weyl_equal, weyl_normal_order)
@@ -136,3 +138,33 @@ def test_difference_word_shape():
     assert len(w3.terms) == 4
     assert sorted(w3.terms.values()) == [Fraction(-3), Fraction(-1),
                                          Fraction(1), Fraction(3)]
+
+
+def _frozen_difference_word(m, n, alpha, beta, imask, jmask, r, j, slot1,
+                            slot2):
+    """difference_word as it was before it summed its weights as ints:
+    one Fraction product and one Fraction accumulation per term."""
+    out = OperatorWord(m, n)
+    for i in range(r + 1):
+        a = list(alpha)
+        a[j - 1] += r - i
+        b = list(beta)
+        b[j - 1] += i
+        word = (make_watom(a, imask, slot1), make_watom(b, jmask, slot2))
+        coeff = Fraction(comb(r, i)) * (-1 if i & 1 else 1)
+        accumulate(out.terms, word, coeff)
+    return out
+
+
+def test_difference_word_matches_its_frozen_reference():
+    # the same terms in the same order, every coefficient a Fraction
+    for m, n, deg in ((1, 1, 2), (2, 1, 1)):
+        for item in _difference_sweep(m, n, deg):
+            alpha, beta, imask, jmask, j, s1, s2 = item
+            for r in range(6):
+                got = difference_word(m, n, alpha, beta, imask, jmask, r, j,
+                                      s1, s2)
+                want = _frozen_difference_word(m, n, alpha, beta, imask,
+                                               jmask, r, j, s1, s2)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert all(type(c) is Fraction for c in got.terms.values())
