@@ -145,7 +145,7 @@ def test_control_modes_are_the_declared_fault_modes():
 
 def test_reducible_module_is_detected():
     # a start that misses a vacuum closes its whole capped orbit, so its
-    # span_dim is the one the probe gave before it stopped at its verdict
+    # span_dim does not depend on where the passing starts stop
     report = run_check("simplicity_probe", {
         "rep": "sum(trivial,trivial)", "expect_reducible": True,
         "trials": 10})
@@ -163,7 +163,7 @@ def test_failing_probe_start_keeps_its_full_span():
 
 def test_simplicity_probe_stops_at_its_verdict(monkeypatch):
     # at defaults and seed 0 each start stops at the insert that brings
-    # the last vacuum into its span; closing every BFS round took 1,224
+    # the last vacuum into its span; finishing each BFS round makes 1,224
     calls = []
     act_atom = verifier.act_atom
     monkeypatch.setattr(verifier, "act_atom",
