@@ -26,10 +26,9 @@ _LAYERS = {
     "glmn": ["Rep", "natural_rep", "trivial_rep", "tensor_rep",
              "direct_sum_rep", "custom_rep", "verify_rep"],
     "tensor_modules": ["ModuleSpec", "TensorElement", "TensorSpan",
-                       "TransitionSingular", "act_witt", "act_mono",
-                       "act_word", "whittaker_space",
-                       "generalized_whittaker_space", "descent",
-                       "pbw_basis_rewrite", "weight_reduce"],
+                       "TransitionSingular", "act_witt", "act_word",
+                       "whittaker_space", "generalized_whittaker_space",
+                       "descent", "pbw_basis_rewrite", "weight_reduce"],
     "expressions": ["ExpressionError", "ParseError", "parse_expr",
                     "print_expr", "as_superpoly", "as_witt", "as_dressed",
                     "as_word", "as_tensor"],

@@ -198,7 +198,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .reporting import check_out_path, emit_report
+    from .reporting import _timestamp, check_out_path, emit_report
+    _timestamp(args.stable)  # a bad SOURCE_DATE_EPOCH fails before a check
     if args.out != "-":
         check_out_path(args.out)
     reports, cfg, cli = _run_checks(args)

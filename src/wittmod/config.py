@@ -38,7 +38,14 @@ class ConfigError(ValueError):
 
 
 def parse_rational(text) -> Fraction:
+    """A rational literal, bounded before Fraction expands an exponent:
+    its longest part's digits plus the exponent may not pass max_digits."""
+    from .expressions import max_digits
+    mantissa, _, exponent = text.strip().lower().partition("e")
     try:
+        size = max(sum(map(str.isdigit, part)) for part in mantissa.split("/"))
+        if size + (abs(int(exponent)) if exponent else 0) > max_digits():
+            raise ValueError("more than %d digits" % max_digits())
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError("bad rational %r: %s" % (text, e))
@@ -56,7 +63,8 @@ def parse_twist(value, m, name="twist vector", required=False) -> tuple:
     if len(parts) != m:
         raise ConfigError("%s needs %d entries, got %d"
                           % (name, m, len(parts)))
-    return tuple(parse_rational(str(p)) for p in parts)
+    return tuple(Fraction(p) if type(p) in (int, Fraction) else
+                 parse_rational(str(p)) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +77,9 @@ def _split_args(body):
     for i, ch in enumerate(body):
         if ch == "(":
             depth += 1
+            if depth >= MAX_REP_NESTING:
+                raise ConfigError("rep descriptors nest at most %d "
+                                  "combinators deep" % MAX_REP_NESTING)
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
@@ -86,6 +97,9 @@ def _split_args(body):
 # tensor square of natural at the largest shape (8, 8) has 256, and no
 # test, acceptance criterion or benchmark request goes above 9
 MAX_REP_DIM = 256
+# the deepest nesting of rep combinators: each level is one recursion
+# (1,500 overflowed the stack), and no test or request nests above 2
+MAX_REP_NESTING = 64
 
 
 def _check_rep_dim(dim):
@@ -97,7 +111,8 @@ def _check_rep_dim(dim):
 def resolve_rep(descriptor, m, n) -> Rep:
     """The rep a descriptor names.  Its dimension is read off the
     descriptor before any rep is built (a file's rep, once its header is
-    within the ceiling), and one above MAX_REP_DIM is a ConfigError."""
+    within the ceiling), and one above MAX_REP_DIM, or combinators nested
+    past MAX_REP_NESTING, is a ConfigError."""
     dim, build = _plan_rep(descriptor, m, n)
     _check_rep_dim(dim)
     return build()

@@ -25,8 +25,8 @@ from math import comb
 from .superpoly import (ONE, LinComb, accumulate, enumerate_monomials,
                         exact, merge_sign_masks, mono_mul, mono_parity,
                         mono_sort_key, mono_tdeg, popcount)
-from .witt import (WittElement, _act_basis, _bracket_basis, term_parity,
-                   term_sort_key, TSLOT, XSLOT)
+from .witt import (WittElement, _act_basis, _bracket_basis, slot_list,
+                   term_parity, term_sort_key, XSLOT)
 from .words import OperatorWord, make_watom, mono_atoms
 
 
@@ -175,14 +175,8 @@ def commutant_of_witt(x: WittElement) -> DressedWittElement:
 
 def dressed_basis(m, n, max_tdeg):
     """Dressed basis terms with combined t-degree <= max_tdeg."""
-    out = []
-    for amono in enumerate_monomials(m, n, max_tdeg):
-        rem = max_tdeg - mono_tdeg(amono)
-        for wmono in enumerate_monomials(m, n, rem):
-            for i in range(1, m + 1):
-                out.append(DressedWittElement.term(m, n, amono, wmono,
-                                                   (TSLOT, i)))
-            for j in range(1, n + 1):
-                out.append(DressedWittElement.term(m, n, amono, wmono,
-                                                   (XSLOT, j)))
-    return out
+    return [DressedWittElement.term(m, n, amono, wmono, slot)
+            for amono in enumerate_monomials(m, n, max_tdeg)
+            for wmono in enumerate_monomials(m, n,
+                                             max_tdeg - mono_tdeg(amono))
+            for slot in slot_list(m, n)]

@@ -61,12 +61,16 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _ALNUM = _LETTERS + _DIGITS
 
 
+def max_digits():
+    """MAX_DIGITS, or the interpreter's int-string limit where lower."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    return min(MAX_DIGITS, limit) if limit else MAX_DIGITS
+
+
 def tokenize(text):
     """(kind, value, line, col) tokens ending in END.  Only ASCII letters
-    and digits are read, a digit run at most MAX_DIGITS long, or at most
-    the interpreter's int-string limit where that is lower."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
-    max_digits = min(MAX_DIGITS, limit) if limit else MAX_DIGITS
+    and digits are read, a digit run at most max_digits() long."""
+    limit = max_digits()
     toks = []
     line, start = 1, 0  # the column of text[i] is i - start + 1
     i, end = 0, len(text)
@@ -87,8 +91,8 @@ def tokenize(text):
             k = j
             while k < end and text[k] in _DIGITS:
                 k += 1
-            if k - j > max_digits:
-                raise ParseError("number longer than %d digits" % max_digits,
+            if k - j > limit:
+                raise ParseError("number longer than %d digits" % limit,
                                  line, j - start + 1)
             name = text[i:j]
             if j == i:

@@ -15,13 +15,17 @@ from .config import ConfigError
 
 
 def _timestamp(stable: bool) -> str:
+    """SOURCE_DATE_EPOCH if set, else 0 if stable, else now; an epoch not
+    an integer from 0 to 253402300799 (end of year 9999) is a ConfigError."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        t = int(epoch)
-    elif stable:
-        t = 0
-    else:
-        t = int(time.time())
+    try:
+        t = int(epoch) if epoch is not None else 0 if stable else \
+            int(time.time())
+    except ValueError:
+        t = -1
+    if not 0 <= t <= 253402300799:
+        raise ConfigError("SOURCE_DATE_EPOCH must be an integer from 0 to "
+                          "253402300799, got %r" % epoch)
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 

@@ -167,6 +167,10 @@ class LinComb:
             for key, c in terms.items() if isinstance(terms, dict) else terms:
                 accumulate(self.terms, key, c)
 
+    @classmethod
+    def zero(cls, m, n):
+        return cls(m, n)
+
     def _like(self, terms):
         """Same type and shape around an already reduced terms dict."""
         out = object.__new__(self.__class__)
@@ -257,10 +261,6 @@ class SuperPoly(LinComb):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, m, n):
-        return cls(m, n)
-
-    @classmethod
     def monomial(cls, m, n, alpha, odd=(), coeff=ONE):
         alpha = tuple(alpha)
         if len(alpha) != m or any(a < 0 for a in alpha):
@@ -307,21 +307,17 @@ class SuperPoly(LinComb):
     # -- calculus ----------------------------------------------------------
 
     def partial_t(self, i: int) -> "SuperPoly":
-        if not 1 <= i <= self.m:
-            raise ValueError("t index %d out of range" % i)
-        out = SuperPoly(self.m, self.n)
-        for mono, c in self.terms.items():
-            hit = mono_partial_t(mono, i)
-            if hit:
-                out.terms[hit[0]] = c * hit[1]
-        return out
+        return self._partial(mono_partial_t, i, self.m, "t")
 
     def partial_xi(self, j: int) -> "SuperPoly":
-        if not 1 <= j <= self.n:
-            raise ValueError("xi index %d out of range" % j)
+        return self._partial(mono_partial_xi, j, self.n, "xi")
+
+    def _partial(self, mono_partial, i, top, name):
+        if not 1 <= i <= top:
+            raise ValueError("%s index %d out of range" % (name, i))
         out = SuperPoly(self.m, self.n)
         for mono, c in self.terms.items():
-            hit = mono_partial_xi(mono, j)
+            hit = mono_partial(mono, i)
             if hit:
                 out.terms[hit[0]] = c * hit[1]
         return out

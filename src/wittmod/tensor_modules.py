@@ -11,13 +11,15 @@ first-order loop over the generators g_r of the algebra adding
 (df/dg_r) p (x) E(r, col) v with a Koszul sign, col being d's generator.
 The loop is the |k| = 1 term of the Taylor sum over all jets.  Both live
 in _derivation_row, which gives the image of one pure tensor; each spec
-memoises the image of every operator atom, so act_term, act_witt,
-act_atom and act_word are loops over memoised rows and are the one
-action path.  The Whittaker space, its generalized form, descent and
-weight cosets are closed forms: (d/dt_i - a_i) and d/dxi_j act on
-coefficients as plain derivatives, and modulo (h_i - w_i) each t_i comes
-off as a matrix on V (weight_reduce).  pbw_basis_rewrite, the reference
-route of descent_roundtrip, solves x in the products h^s u_j via the action.
+memoises the image of every operator atom (_atom_row), so act_term,
+act_witt, act_atom and act_word are loops over memoised rows and are the
+one action path.  A coefficient monomial acts as its word of mt and mx
+atoms (words.mono_atoms); no other code multiplies a module element.
+The Whittaker space, its generalized form, descent and weight cosets are
+closed forms: (d/dt_i - a_i) and d/dxi_j act on coefficients as plain
+derivatives, and modulo (h_i - w_i) each t_i comes off as a matrix on V
+(weight_reduce).  pbw_basis_rewrite, the reference route of
+descent_roundtrip, solves x in the products h^s u_j via the action.
 
 The coefficient algebra itself is the module with twist a = 0 and the
 trivial one-dimensional rep: d/dt_i is then the plain derivative, and the
@@ -125,17 +127,6 @@ def tensor_key_sort(key):
 
 # ---------------------------------------------------------------------------
 # actions
-
-def act_mono(spec, amono, x: TensorElement) -> TensorElement:
-    """Multiply the coefficient part by a monomial on the left."""
-    amono = (tuple(amono[0]), amono[1])
-    out = TensorElement.zero(spec)
-    for (mono, l), c in x.terms.items():
-        prod = mono_mul(amono, mono)
-        if prod:
-            accumulate(out.terms, (prod[0], l), c * prod[1])
-    return out
-
 
 # Every operator atom acts through one memo per spec, spec._act_cache:
 # atom -> {tensor key: row}, a row being the image of that one pure tensor

@@ -31,17 +31,17 @@ from .superpoly import (SuperPoly, accumulate, enumerate_monomials,
                         mono_mul, mono_parity, popcount)
 from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
                              TensorSpan, TransitionSingular, _act, _element,
-                             _lower, _word, act_atom, act_mono, act_witt,
+                             _lower, _word, act_atom, act_witt,
                              act_word, descent, generalized_whittaker_space,
                              lower_t, pbw_basis_rewrite, weight_reduce,
                              whittaker_functor, whittaker_space, window_keys)
-from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
+from .witt import (TSLOT, ExtendedWittElement, WittElement,
                    _bracket_basis, _extended_bracket_basis,
-                   bracket_oracle, extended_basis,
-                   extended_bracket, term_parity, witt_act, witt_basis,
+                   bracket_oracle, extended_basis, extended_bracket,
+                   slot_list, term_parity, witt_act, witt_basis,
                    witt_bracket)
 from .words import OperatorWord, atom_parity, difference_word, \
-    weyl_normal_order
+    mono_atoms, weyl_normal_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -500,15 +500,9 @@ def _weyl_atoms(m, n):
     return atoms
 
 
-# the nonzero supercommutators of two Weyl atoms with one index
+# the nonzero supercommutators of two Weyl atoms with one index: scalars
 _PAIR_SIGNS = {("dt", "mt"): 1, ("mt", "dt"): -1, ("dx", "mx"): 1,
                ("mx", "dx"): 1}
-
-
-def _expected_pair_relation(u, v, m, n):
-    """[u, v]_super as a WeylNormalForm-equal OperatorWord (scalar)."""
-    sign = _PAIR_SIGNS.get((u[0], v[0]), 0) if u[1] == v[1] else 0
-    return sign * OperatorWord.identity(m, n)
 
 
 def _as_poly(x: TensorElement) -> SuperPoly:
@@ -526,7 +520,8 @@ def check_weyl_relations(p: CheckParams):
             s = -1 if atom_parity(u) & atom_parity(v) else 1
             w = (OperatorWord.from_word(m, n, (u, v))
                  - s * OperatorWord.from_word(m, n, (v, u)))
-            want = _expected_pair_relation(u, v, m, n)
+            want = (_PAIR_SIGNS.get((u[0], v[0]), 0) if u[1] == v[1]
+                    else 0) * OperatorWord.identity(m, n)
             if weyl_normal_order(w) != weyl_normal_order(want):
                 raise _Fail({"u": str(u), "v": str(v),
                              "got": print_expr(weyl_normal_order(w).to_word()),
@@ -574,12 +569,21 @@ def check_weyl_relations(p: CheckParams):
 # module_axioms
 
 def check_module_axioms(p: CheckParams):
-    """The bracket law on every (x, y, window key) triple, sampled past
-    60,000, compared as raw images; then coefficient associativity and
-    the mixed law on seeded trials, through act_mono."""
+    """The module laws over the extended algebra as raw images of the
+    atom table (_act, _word), a monomial acting as its mono_atoms word:
+    the bracket law on every (x, y, window key) triple, sampled past
+    60,000; then on seeded trials coefficient associativity against
+    mono_mul, and the mixed law [x, f] = x(f) against witt_act."""
     spec = _spec(p)
     if p.mode == "mutated":
         spec = odd_rows_negated(spec)
+
+    def times(mono, terms, out=None, scale=1):
+        word = OperatorWord.from_word(p.m, p.n, mono_atoms(mono))
+        return _word(spec, word, terms, out, scale)
+
+    def show(terms):
+        return print_expr(_element(spec, terms))
     keys = _witt_keys(p.m, p.n, p.deg)
     wkeys = window_keys(spec, p.D)
     cases = 0
@@ -626,41 +630,38 @@ def check_module_axioms(p: CheckParams):
         cases += 1
         am = monos[rng.randrange(len(monos))]
         bm = monos[rng.randrange(len(monos))]
-        wk = wkeys[rng.randrange(len(wkeys))]
-        v = _pure(spec, wk)
-        two_step = act_mono(spec, am, act_mono(spec, bm, v))
+        v = {wkeys[rng.randrange(len(wkeys))]: 1}
+        two_step = times(am, times(bm, v))
         hit = mono_mul(am, bm)
-        one_step = TensorElement.zero(spec) if hit is None \
-            else hit[1] * act_mono(spec, hit[0], v)
+        one_step = times(hit[0], v, None, hit[1]) if hit else {}
         if two_step != one_step:
             raise _Fail({
                 "law": "coefficient associativity",
                 "p": print_expr(SuperPoly.monomial(p.m, p.n, am[0], am[1])),
                 "q": print_expr(SuperPoly.monomial(p.m, p.n, bm[0], bm[1])),
-                "v": print_expr(v), "two_step": print_expr(two_step),
-                "one_step": print_expr(one_step)}, cases)
+                "v": show(v), "two_step": show(two_step),
+                "one_step": show(one_step)}, cases)
     # mixed law: [derivation, multiplication] = multiplication by the
     # plain derivative of the coefficient
     for _ in range(p.trials):
         cases += 1
         kx = keys[rng.randrange(len(keys))]
         fm = monos[rng.randrange(len(monos))]
-        wk = wkeys[rng.randrange(len(wkeys))]
-        x = _key_elem(p.m, p.n, kx)
-        v = _pure(spec, wk)
+        v = {wkeys[rng.randrange(len(wkeys))]: 1}
+        x, ax = _key_elem(p.m, p.n, kx), ("w",) + kx[0] + kx[1]
         fpoly = SuperPoly.monomial(p.m, p.n, fm[0], fm[1])
         s = -1 if (term_parity(kx[0], kx[1]) & mono_parity(fm)) else 1
-        lhs = (act_witt(spec, x, act_mono(spec, fm, v))
-               - s * act_mono(spec, fm, act_witt(spec, x, v)))
-        rhs = TensorElement.zero(spec)
+        lhs = _act(spec, ax, times(fm, v))
+        times(fm, _act(spec, ax, v), lhs, -s)
+        rhs = {}
         for gm, c in witt_act(x, fpoly).terms.items():
-            rhs = rhs + c * act_mono(spec, gm, v)
+            times(gm, v, rhs, c)
         if lhs != rhs:
             raise _Fail({
                 "law": "mixed derivation-multiplication",
-                "x": print_expr(x), "f": print_expr(fpoly), "v": print_expr(v),
-                "commutator_route": print_expr(lhs),
-                "derivative_route": print_expr(rhs)}, cases)
+                "x": print_expr(x), "f": print_expr(fpoly), "v": show(v),
+                "commutator_route": show(lhs),
+                "derivative_route": show(rhs)}, cases)
     return cases, None
 
 
@@ -958,15 +959,10 @@ def check_weight_multiplicity(p: CheckParams):
 # ---------------------------------------------------------------------------
 # difference_recurrence
 
-def _slot_list(m, n):
-    return [(TSLOT, i) for i in range(1, m + 1)] \
-        + [(XSLOT, j) for j in range(1, n + 1)]
-
-
 def _difference_sweep(m, n, deg):
     """Every (alpha, beta, I, J, j, s1, s2) with exponents in 0..deg, odd
     masks I and J, an even index j and two slots, in a fixed order."""
-    slots = _slot_list(m, n)
+    slots = slot_list(m, n)
     exps = list(product(range(deg + 1), repeat=m))
     return product(exps, exps, range(1 << n), range(1 << n),
                    range(1, m + 1), slots, slots)

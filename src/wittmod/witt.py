@@ -51,6 +51,12 @@ def slot_parity(slot) -> int:
     return 0 if slot[0] == TSLOT else 1
 
 
+def slot_list(m, n):
+    """The slots d/dt_1 .. d/dt_m, then d/dxi_1 .. d/dxi_n."""
+    return ([(TSLOT, i) for i in range(1, m + 1)]
+            + [(XSLOT, j) for j in range(1, n + 1)])
+
+
 def term_parity(mono, slot) -> int:
     return (mono_parity(mono) + slot_parity(slot)) & 1
 
@@ -87,10 +93,6 @@ class WittElement(LinComb):
         if coeff:
             x.terms[((alpha, odd_mask), (kind, idx))] = exact(coeff)
         return x
-
-    @classmethod
-    def zero(cls, m, n):
-        return cls(m, n)
 
     def tdegree(self):
         return max((mono_tdeg(mono) for mono, _ in self.terms), default=-1)
@@ -299,8 +301,7 @@ def extended_bracket(u: ExtendedWittElement,
 def extended_basis(m, n, max_tdeg):
     """Homogeneous basis of the extension up to a t-degree bound:
     all basis derivations plus all monomials."""
-    slots = [(TSLOT, i) for i in range(1, m + 1)]
-    slots += [(XSLOT, j) for j in range(1, n + 1)] + [None]
+    slots = slot_list(m, n) + [None]
     unit = ExtendedWittElement(m, n)._like  # reduced already
     return [unit({(mono, slot): ONE})
             for mono in enumerate_monomials(m, n, max_tdeg) for slot in slots]
@@ -308,10 +309,6 @@ def extended_basis(m, n, max_tdeg):
 
 def witt_basis(m, n, max_tdeg):
     """All basis derivations with t-degree <= max_tdeg."""
-    out = []
-    for mono in enumerate_monomials(m, n, max_tdeg):
-        for i in range(1, m + 1):
-            out.append(WittElement.term(m, n, mono[0], mono[1], (TSLOT, i)))
-        for j in range(1, n + 1):
-            out.append(WittElement.term(m, n, mono[0], mono[1], (XSLOT, j)))
-    return out
+    return [WittElement.term(m, n, mono[0], mono[1], slot)
+            for mono in enumerate_monomials(m, n, max_tdeg)
+            for slot in slot_list(m, n)]

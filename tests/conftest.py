@@ -12,7 +12,8 @@ from wittmod.config import resolve_rep
 from wittmod.expressions import _convert, _one_seg, _seg_mono, _seg_witt
 from wittmod.dressed import DressedWittElement
 from wittmod.superpoly import (SuperPoly, accumulate, enumerate_monomials,
-                               mask_indices, mask_of, merge_sign_masks)
+                               mask_indices, mask_of, merge_sign_masks,
+                               mono_mul)
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_word,
                                     window_keys)
 from wittmod.witt import ExtendedWittElement, WittElement, witt_basis
@@ -63,6 +64,18 @@ def make_spec(m, n, a=None, rep="natural") -> ModuleSpec:
     if a is None:
         a = (Fraction(1),) * m
     return ModuleSpec(m, n, a, resolve_rep(rep, m, n))
+
+
+def act_mono(spec, amono, x: TensorElement) -> TensorElement:
+    """Multiply the coefficient part by a monomial on the left, through
+    mono_mul: a reference apart from the module's mt and mx rows."""
+    amono = (tuple(amono[0]), amono[1])
+    out = TensorElement.zero(spec)
+    for (mono, l), c in x.terms.items():
+        prod = mono_mul(amono, mono)
+        if prod:
+            accumulate(out.terms, (prod[0], l), c * prod[1])
+    return out
 
 
 def act_on_poly(w, p: SuperPoly) -> SuperPoly:

@@ -342,6 +342,39 @@ def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
     assert err == "error: WITTMOD_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999", "-1",
+                                   "253402300800"])
+def test_bad_source_date_epoch_exits_2_before_any_check(capsys, monkeypatch,
+                                                        epoch):
+    # abc and 10**20 raised a traceback after every check had run, and
+    # 253402300800 wrote the timestamp 10000-01-01T00:00:00Z
+    def no_check(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(verifier, "run_check", no_check)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    rc, out, err = run(capsys, ["report", "--check", "all", "--out", "-"])
+    assert (rc, out, err) == (2, "", "error: SOURCE_DATE_EPOCH must be an "
+                              "integer from 0 to 253402300799, got %r\n"
+                              % epoch)
+
+
+def test_input_bounds_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "253402300799")
+    rc, out, _ = run(capsys, ["report", "--check", "gl_realization",
+                              "--out", "-"])
+    assert rc == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, report_schema())
+    assert doc["timestamp"] == "9999-12-31T23:59:59Z"
+    for a in ("1e3", "1/2", "1e4299", "1e-4299"):
+        rc, out, _ = run(capsys, ["descent", "1 @ e1", "--m", "1", "--n", "0",
+                                  "--a", a])
+        assert (rc, out) == (0, "1 @ e1\n")
+    rep = "tensor(trivial," * 63 + "natural" + ")" * 63
+    assert run(capsys, ["act", "dt1", "1 @ e1", "--m", "1", "--n", "1",
+                        "--rep", rep]) == (0, "1 @ e1\n", "")
+
+
 def test_weight_basis_rejection(tmp_path, capsys):
     # natural(2,0) in the basis b1 = e1, b2 = e1 + e2: E11 b2 = b1, so the
     # Cartan matrices are not diagonal
@@ -477,8 +510,22 @@ def test_empty_weight_exits_2(capsys):
      "trials must be <= 1000, got 20000"),
     (["verify", "difference_annihilation", "--rmax", "17"],
      "rmax must be <= 16, got 17"),
+    # a rational's exponent was expanded first: 9 s, then exit 0
+    (["descent", "t1 @ e1", "--m", "1", "--n", "0", "--a", "1e10000000"],
+     "bad rational '1e10000000': more than 4300 digits"),
+    # 3.3 s before an exit 2
+    (["weighting", "t1 @ e1", "--m", "1", "--n", "0", "--r", "1e5000000"],
+     "bad rational '1e5000000': more than 4300 digits"),
+    # a ValueError traceback from printing the twist to read it again
+    (["verify", "descent_roundtrip", "--m", "1", "--n", "0",
+      "--a", "1e5000"], "bad rational '1e5000': more than 4300 digits"),
+    # 1,500 levels raised a RecursionError
+    (["act", "dt1", "1 @ e1", "--m", "1", "--n", "1",
+      "--rep", "tensor(trivial," * 1500 + "trivial" + ")" * 1500],
+     "rep descriptors nest at most 64 combinators deep"),
 ], ids=["wh-D30", "verify-D9", "verify-deg5", "wh-height", "verify-trials",
-        "verify-rmax"])
+        "verify-rmax", "descent-twist-exponent", "weighting-weight-exponent",
+        "verify-twist-digits", "rep-nesting"])
 def test_window_ceilings_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (2, "", "error: %s\n" % message)

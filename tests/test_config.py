@@ -6,9 +6,10 @@ import pytest
 
 from wittmod.cli import _cli_dict, build_parser
 from wittmod import glmn
-from wittmod.config import (CHECKS, MAX_REP_DIM, CheckParams, ConfigError,
-                            RunConfig, load_config, load_rep_file,
-                            parse_rational, parse_twist, resolve_rep)
+from wittmod.config import (CHECKS, MAX_REP_DIM, MAX_REP_NESTING,
+                            CheckParams, ConfigError, RunConfig, load_config,
+                            load_rep_file, parse_rational, parse_twist,
+                            resolve_rep)
 from wittmod.verifier import REGISTRY, run_check
 from wittmod.glmn import natural_rep, verify_rep
 
@@ -22,6 +23,25 @@ def test_parse_rational():
         parse_rational("1.5e3x")
     with pytest.raises(ConfigError):
         parse_rational("1/0")
+
+
+def test_parse_rational_bounds_digits_before_expanding():
+    # the longest part's digits plus the exponent's size
+    assert parse_rational("1e4299") == 10 ** 4299
+    assert parse_rational("-2.5E-3") == F(-1, 400)
+    assert parse_rational("1/" + "3" * 4300) == F(1, int("3" * 4300))
+    for text in ("1e4300", "1e-4300", "1.5e4299", "3" * 4301,
+                 "1/" + "3" * 4301, "1e" + "9" * 5000):
+        with pytest.raises(ConfigError):
+            parse_rational(text)
+
+
+def test_parse_twist_keeps_rational_entries():
+    # a parsed twist is not printed and read again: str() of a number past
+    # the interpreter's int-string limit raises ValueError
+    big = F(10 ** 5000, 3)
+    assert parse_twist((big, 2), 2) == (big, F(2))
+    assert parse_twist(["1/2", 2], 2) == (F(1, 2), F(2))
 
 
 def test_parse_twist():
@@ -335,6 +355,20 @@ def test_rep_dimension_is_read_before_building(monkeypatch):
             resolve_rep(descriptor, 2, 1)
         assert str(err.value) == ("rep dimension must be <= %d, got %d"
                                   % (MAX_REP_DIM, dim))
+
+
+def test_rep_nesting_is_bounded_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a rep was built")
+    for name in ("natural_rep", "trivial_rep", "tensor_rep",
+                 "direct_sum_rep"):
+        monkeypatch.setattr(glmn, name, unreachable)
+    for combinator in ("tensor", "sum"):
+        deep = "%s(trivial," % combinator * 65 + "trivial" + ")" * 65
+        with pytest.raises(ConfigError) as err:
+            resolve_rep(deep, 1, 1)
+        assert str(err.value) == ("rep descriptors nest at most %d "
+                                  "combinators deep" % MAX_REP_NESTING)
 
 
 def test_largest_rep_is_accepted():

@@ -17,7 +17,7 @@ from wittmod.expressions import print_expr
 from wittmod.verifier import odd_rows_negated, run_check
 from wittmod.tensor_modules import (LeavesWhittaker, ModuleSpec,
                                     TensorElement, TensorSpan,
-                                    TransitionSingular, act_mono, act_term,
+                                    TransitionSingular, act_term,
                                     act_witt, act_word, descent,
                                     generalized_whittaker_space, lower_t,
                                     pbw_basis_rewrite, act_atom,
@@ -26,8 +26,8 @@ from wittmod.tensor_modules import (LeavesWhittaker, ModuleSpec,
 from wittmod.witt import TSLOT, XSLOT, WittElement, witt_bracket, witt_act
 from wittmod.words import OperatorWord, make_watom
 
-from conftest import (make_spec, rand_coeff, rand_superpoly, rand_tensor,
-                      rand_witt, witt_keys)
+from conftest import (act_mono, make_spec, rand_coeff, rand_superpoly,
+                      rand_tensor, rand_witt, witt_keys)
 from test_linalg import _dense_kernel
 
 F = Fraction

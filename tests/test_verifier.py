@@ -758,6 +758,24 @@ def test_module_axioms_sampled_triples_catch_the_mutation(m, n, cases, cex):
     assert report.counterexample == {"law": "bracket compatibility", **cex}
 
 
+def test_module_laws_read_the_multiplication_rows(monkeypatch):
+    # an mx row without its Koszul sign: xi_j p is read as +xi_j p.  The
+    # bracket law reads no mx row, so only the associativity and mixed
+    # laws can see it, and only if they multiply through the atom table
+    params = {"m": 2, "n": 2, "deg": 1, "D": 2}
+    assert run_check("module_axioms", params).status == "pass"
+    real = tensor_modules._atom_row
+
+    def unsigned(spec, atom, key):
+        row = real(spec, atom, key)
+        return tuple((k, abs(c)) for k, c in row) if atom[0] == "mx" \
+            else row
+    monkeypatch.setattr(tensor_modules, "_atom_row", unsigned)
+    report = run_check("module_axioms", params)
+    assert report.status == "fail"
+    assert report.counterexample["law"] == "coefficient associativity"
+
+
 def test_commutant_homomorphism_builds_each_commutant_once(monkeypatch):
     real = verifier.commutant_element
     calls = []
