@@ -19,7 +19,7 @@ import sys
 # validates its parameters without the verifier (see the package
 # docstring)
 from .expressions import (ExpressionError, as_dressed, as_tensor, as_witt,
-                          as_word, parse_expr, print_expr)
+                          as_word, parse_expr, print_expr, quoted)
 from .witt import witt_bracket
 
 
@@ -154,21 +154,23 @@ def _cli_dict(args) -> dict:
         try:
             out["seed"] = int(env_seed)
         except ValueError:
-            raise ConfigError("WITTMOD_SEED must be an integer, got %r"
-                              % env_seed)
+            raise ConfigError("WITTMOD_SEED must be an integer, got %s"
+                              % quoted(env_seed))
     return out
 
 
 def _run_checks(args):
     """Run the checks that args select: (reports, config, CLI values).
-    Every selected check's parameters are resolved before any check
-    runs."""
+    Every selected check's parameters and rep are resolved first."""
     from .verifier import REGISTRY, run_check
-    from .config import load_config
+    from .config import load_config, resolve_rep
     cfg = load_config(args.config)
     ids = _selected_checks(args.check, cfg, REGISTRY)
     cli = _cli_dict(args)
     params = [cfg.params_for(cid, cli) for cid in ids]
+    for rep, m, n in dict.fromkeys((p["rep"], p["m"], p["n"])
+                                   for p in params):
+        resolve_rep(rep, m, n)
     return [run_check(cid, p) for cid, p in zip(ids, params)], cfg, cli
 
 
@@ -179,11 +181,11 @@ def _selected_checks(selector, cfg, registry):
         bad = [c for c in ids if c not in registry]
         if bad:
             raise ConfigError("unknown check ids in config: %s"
-                              % ", ".join(bad))
+                              % quoted(", ".join(bad), str))
         return ids
     if selector not in registry:
-        raise ConfigError("unknown check id %r (known: %s)"
-                          % (selector, ", ".join(registry)))
+        raise ConfigError("unknown check id %s (known: %s)"
+                          % (quoted(selector), ", ".join(registry)))
     return [selector]
 
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul
 
+from .expressions import MAX_ECHO, max_digits, quoted
+
 
 class ConfigError(ValueError):
     pass
@@ -40,7 +42,6 @@ class ConfigError(ValueError):
 def parse_rational(text) -> Fraction:
     """A rational literal, bounded before Fraction expands an exponent:
     its longest part's digits plus the exponent may not pass max_digits."""
-    from .expressions import max_digits
     mantissa, _, exponent = text.strip().lower().partition("e")
     try:
         size = max(sum(map(str.isdigit, part)) for part in mantissa.split("/"))
@@ -48,7 +49,8 @@ def parse_rational(text) -> Fraction:
             raise ValueError("more than %d digits" % max_digits())
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError("bad rational %r: %s" % (text, e))
+        reason = str(e) if len(text) <= MAX_ECHO else quoted(str(e), str)
+        raise ConfigError("bad rational %s: %s" % (quoted(text), reason))
 
 
 def parse_twist(value, m, name="twist vector", required=False) -> tuple:
@@ -85,11 +87,11 @@ def _split_args(body):
         elif ch == "," and depth == 0:
             if cut is not None:
                 raise ConfigError("rep combinators take exactly two "
-                                  "arguments: %r" % body)
+                                  "arguments: %s" % quoted(body))
             cut = i
     if cut is None:
-        raise ConfigError("rep combinators take exactly two arguments: %r"
-                          % body)
+        raise ConfigError("rep combinators take exactly two arguments: %s"
+                          % quoted(body))
     return body[:cut].strip(), body[cut + 1:].strip()
 
 
@@ -131,7 +133,7 @@ def _plan_rep(descriptor, m, n):
         try:
             k = int(d.split(":", 1)[1])
         except ValueError:
-            raise ConfigError("bad trivial dimension in %r" % d)
+            raise ConfigError("bad trivial dimension in %s" % quoted(d))
         if k < 1:
             raise ConfigError("trivial dimension must be >= 1")
         return k, lambda: glmn.trivial_rep(m, n, k)
@@ -144,7 +146,7 @@ def _plan_rep(descriptor, m, n):
     if d.startswith("file:"):
         rep = load_rep_file(d[5:].strip(), m, n)
         return rep.dim, lambda: rep
-    raise ConfigError("unknown rep descriptor %r" % descriptor)
+    raise ConfigError("unknown rep descriptor %s" % quoted(descriptor))
 
 
 def load_rep_file(path, m, n) -> Rep:
@@ -173,15 +175,16 @@ def load_rep_file(path, m, n) -> Rep:
         head, _, tail = ln.partition(":")
         parts = head.split()
         if len(parts) != 3 or parts[0] != "E":
-            raise ConfigError("rep file %s: bad matrix line %r" % (path, ln))
+            raise ConfigError("rep file %s: bad matrix line %s"
+                              % (path, quoted(ln)))
         try:
             i, j = int(parts[1]), int(parts[2])
         except ValueError:
-            raise ConfigError("rep file %s: bad unit indices in %r"
-                              % (path, ln))
+            raise ConfigError("rep file %s: bad unit indices in %s"
+                              % (path, quoted(ln)))
         if not (1 <= i <= m + n and 1 <= j <= m + n):
-            raise ConfigError("rep file %s: unit E %d %d out of range"
-                              % (path, i, j))
+            raise ConfigError("rep file %s: unit E %s %s out of range"
+                              % (path, quoted(i, str), quoted(j, str)))
         entries = [parse_rational(p) for p in tail.split()]
         if len(entries) != dim * dim:
             raise ConfigError("rep file %s: E %d %d needs %d entries, got %d"
@@ -280,18 +283,18 @@ def _coerce(name, value):
     if type(value) is kind or kind is tuple and (
             value is None or isinstance(value, (str, list))):
         return value
-    raise ConfigError("key %s must be %s, got %r"
-                      % (name, _TYPE_NAMES[kind], value))
+    raise ConfigError("key %s must be %s, got %s"
+                      % (name, _TYPE_NAMES[kind], quoted(value)))
 
 
 def _check_bound(name, value):
     bound = _FIELDS[name][2]
     if "min" in bound and value < bound["min"]:
-        raise ConfigError("%s must be >= %d, got %d"
-                          % (name, bound["min"], value))
+        raise ConfigError("%s must be >= %d, got %s"
+                          % (name, bound["min"], quoted(value, str)))
     if "max" in bound and value > bound["max"]:
-        raise ConfigError("%s must be <= %d, got %d"
-                          % (name, bound["max"], value))
+        raise ConfigError("%s must be <= %d, got %s"
+                          % (name, bound["max"], quoted(value, str)))
 
 
 class CheckParams:
@@ -316,12 +319,14 @@ class CheckParams:
         self.check_shape(self.m, self.n)
         self.a = parse_twist(self.a, self.m)
         if self.check not in CHECKS:
-            raise ConfigError("unknown check id %r (known: %s)"
-                              % (self.check, ", ".join(sorted(CHECKS))))
+            raise ConfigError("unknown check id %s (known: %s)"
+                              % (quoted(self.check),
+                                 ", ".join(sorted(CHECKS))))
         modes = ("corrected",) + CHECKS[self.check]
         if self.mode not in modes:
-            raise ConfigError("check %s has no mode %r (modes: %s)"
-                              % (self.check, self.mode, ", ".join(modes)))
+            raise ConfigError("check %s has no mode %s (modes: %s)"
+                              % (self.check, quoted(self.mode),
+                                 ", ".join(modes)))
 
     @staticmethod
     def check_shape(m, n):
@@ -341,7 +346,7 @@ class CheckParams:
     def from_dict(cls, check, values):
         unknown = [key for key in values if key not in cls.keys()]
         if unknown:
-            raise ConfigError("unknown key %r" % unknown[0])
+            raise ConfigError("unknown key %s" % quoted(unknown[0]))
         return cls(check, **values)
 
     def as_dict(self):
@@ -396,11 +401,12 @@ def load_config(path=None) -> RunConfig:
             values = base
         elif section.startswith("check:"):
             if section[6:] not in CHECKS:
-                raise ConfigError("unknown check id %r in [%s]"
-                                  % (section[6:], section))
+                raise ConfigError("unknown check id %s in [%s]"
+                                  % (quoted(section[6:]),
+                                     quoted(section, str)))
             values = overrides[section[6:]] = {}
         else:
-            raise ConfigError("unknown section [%s]" % section)
+            raise ConfigError("unknown section [%s]" % quoted(section, str))
         for key, raw in parser.items(section):
             if section == "run" and key == "checks":
                 checks = [c.strip() for c in raw.split(",") if c.strip()]
@@ -409,5 +415,6 @@ def load_config(path=None) -> RunConfig:
             elif key in params:
                 values[key] = _coerce(key, raw)
             else:
-                raise ConfigError("unknown key %r in [%s]" % (key, section))
+                raise ConfigError("unknown key %s in [%s]"
+                                  % (quoted(key), quoted(section, str)))
     return RunConfig(base, overrides, None if checks == ["all"] else checks)

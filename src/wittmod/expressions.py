@@ -37,6 +37,7 @@ MAX_EXPONENT = 1000
 # the most digits in one number or index: CPython's default limit on
 # reading a decimal string as an int
 MAX_DIGITS = 4300
+MAX_ECHO = 64  # the longest user text an error message echoes whole
 
 
 class ExpressionError(ValueError):
@@ -59,6 +60,15 @@ _PUNCT = {"{": "LBRACE", "}": "RBRACE", ",": "COMMA", "^": "CARET",
 _DIGITS = "0123456789"
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _ALNUM = _LETTERS + _DIGITS
+
+
+def quoted(value, form=repr) -> str:
+    """form(value) as an error message echoes user text: whole up to
+    MAX_ECHO characters, else its first half plus its length."""
+    text = value if isinstance(value, str) else str(value)
+    if len(text) <= MAX_ECHO:
+        return form(value)
+    return "%s... (%d characters)" % (form(text[:MAX_ECHO // 2]), len(text))
 
 
 def max_digits():
@@ -101,7 +111,7 @@ def tokenize(text):
                 toks.append(("NAME", (name, int(text[j:k]) if k > j else None),
                              line, i - start + 1))
             else:
-                raise ParseError("unknown name %r" % (text[i:k],), line,
+                raise ParseError("unknown name %s" % quoted(text[i:k]), line,
                                  i - start + 1,
                                  ("t<k>", "x<k>", "dt<k>", "dx<k>", "e<j>"))
             i = k
@@ -231,7 +241,8 @@ def _check_index(atom, m, n, where=""):
     segment is checked, so a term that vanishes is checked too."""
     kind, k = atom[0], atom[1]
     if not 1 <= k <= (m if kind in ("t", "dt") else n):
-        raise ExpressionError("%s index %d out of range%s" % (kind, k, where))
+        raise ExpressionError("%s index %s out of range%s"
+                              % (kind, quoted(k, str), where))
 
 
 def _seg_mono(seg, m, n, where="monomial"):
@@ -390,8 +401,8 @@ def as_tensor(terms, m, n, dim) -> TensorElement:
             raise ExpressionError("tensor element needs '@ e<j>' on every "
                                   "term")
         if not 1 <= eidx <= dim:
-            raise ExpressionError("vector index e%d out of range (dim %d)"
-                                  % (eidx, dim))
+            raise ExpressionError("vector index e%s out of range (dim %d)"
+                                  % (quoted(eidx, str), dim))
         seg = _one_seg(segs, "'.' not allowed in a tensor coefficient")
         hit = _seg_mono(seg, m, n, "tensor coefficient")
         return hit and ((hit[0], eidx - 1), hit[1])

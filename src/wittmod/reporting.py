@@ -12,6 +12,7 @@ import time
 
 from . import __version__
 from .config import ConfigError
+from .expressions import quoted
 
 
 def _timestamp(stable: bool) -> str:
@@ -25,7 +26,7 @@ def _timestamp(stable: bool) -> str:
         t = -1
     if not 0 <= t <= 253402300799:
         raise ConfigError("SOURCE_DATE_EPOCH must be an integer from 0 to "
-                          "253402300799, got %r" % epoch)
+                          "253402300799, got %s" % quoted(epoch))
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 

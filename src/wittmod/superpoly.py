@@ -4,8 +4,9 @@ Elements are kept as sparse dicts mapping a monomial key to a nonzero
 Fraction.  A monomial key is a pair (alpha, imask): alpha is a length-m
 tuple of nonnegative integer t-exponents and imask is a bitmask over the
 odd generators (bit j-1 set means xi_j is present).  The bitmask encodes
-the ascending product xi_{j1} xi_{j2} ... (j1 < j2 < ...); every sign in
-the algebra is produced by merge_sign_masks below, never by ad hoc counting.
+the ascending product xi_{j1} xi_{j2} ... (j1 < j2 < ...).  A product's
+sign is merge_sign_masks' below; mono_partial_xi, _bracket_basis,
+_dressed_bracket_basis and _nf_append count bits for theirs.
 
 All arithmetic is exact over Q.  No floats anywhere.
 """

@@ -15,6 +15,8 @@ memoises the image of every operator atom (_atom_row), so act_term,
 act_witt, act_atom and act_word are loops over memoised rows and are the
 one action path.  A coefficient monomial acts as its word of mt and mx
 atoms (words.mono_atoms); no other code multiplies a module element.
+_lower (lower_t) is (d/dt_i - a_i) as the plain d/dt_i, off the table:
+about four times faster than the dt row less the twist.
 The Whittaker space, its generalized form, descent and weight cosets are
 closed forms: (d/dt_i - a_i) and d/dxi_j act on coefficients as plain
 derivatives, and modulo (h_i - w_i) each t_i comes off as a matrix on V

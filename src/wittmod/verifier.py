@@ -128,8 +128,9 @@ def _key_elem(m, n, key):
     return WittElement.term(m, n, mono[0], mono[1], slot)
 
 
-def _pure(spec, key):
-    return TensorElement.pure(spec, key[0], key[1])
+def _show(spec, terms):
+    """A raw terms dict of the module, printed."""
+    return print_expr(_element(spec, terms))
 
 
 def _random_coeff(rng):
@@ -140,11 +141,10 @@ def _random_coeff(rng):
 
 def _random_tensor(spec, rng, max_deg, nterms=3):
     keys = window_keys(spec, max_deg)
-    out = TensorElement.zero(spec)
+    terms = {}
     for _ in range(nterms):
-        key = keys[rng.randrange(len(keys))]
-        out = out + _random_coeff(rng) * _pure(spec, key)
-    return out
+        accumulate(terms, keys[rng.randrange(len(keys))], _random_coeff(rng))
+    return _element(spec, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +522,10 @@ def check_weyl_relations(p: CheckParams):
                  - s * OperatorWord.from_word(m, n, (v, u)))
             want = (_PAIR_SIGNS.get((u[0], v[0]), 0) if u[1] == v[1]
                     else 0) * OperatorWord.identity(m, n)
-            if weyl_normal_order(w) != weyl_normal_order(want):
+            got = weyl_normal_order(w)
+            if got != weyl_normal_order(want):
                 raise _Fail({"u": str(u), "v": str(v),
-                             "got": print_expr(weyl_normal_order(w).to_word()),
+                             "got": print_expr(got),
                              "want": print_expr(want)}, cases)
     # squares of odd atoms vanish
     for j in range(1, n + 1):
@@ -548,15 +549,15 @@ def check_weyl_relations(p: CheckParams):
                           for _ in range(rng.randint(1, 4)))
             w = w + OperatorWord.from_word(m, n, word2, _random_coeff(rng))
         nf = weyl_normal_order(w)
-        nf2 = weyl_normal_order(nf.to_word())
+        nf2 = weyl_normal_order(nf)
         if nf != nf2:
             raise _Fail({"trial": t, "word": print_expr(w),
-                         "first": print_expr(nf.to_word()),
-                         "second": print_expr(nf2.to_word())}, cases)
+                         "first": print_expr(nf),
+                         "second": print_expr(nf2)}, cases)
         mono = mono_pool[rng.randrange(len(mono_pool))]
         v = TensorElement.pure(plain, mono, 0)
         got = act_word(plain, w, v)
-        want = act_word(plain, nf.to_word(), v)
+        want = act_word(plain, nf, v)
         if got != want:
             raise _Fail({"trial": t, "word": print_expr(w),
                          "argument": print_expr(_as_poly(v)),
@@ -582,8 +583,6 @@ def check_module_axioms(p: CheckParams):
         word = OperatorWord.from_word(p.m, p.n, mono_atoms(mono))
         return _word(spec, word, terms, out, scale)
 
-    def show(terms):
-        return print_expr(_element(spec, terms))
     keys = _witt_keys(p.m, p.n, p.deg)
     wkeys = window_keys(spec, p.D)
     cases = 0
@@ -620,9 +619,8 @@ def check_module_axioms(p: CheckParams):
                 "law": "bracket compatibility",
                 "x": print_expr(_key_elem(p.m, p.n, kx)),
                 "y": print_expr(_key_elem(p.m, p.n, ky)),
-                "v": print_expr(_pure(spec, wk)),
-                "bracket_route": print_expr(_element(spec, lhs)),
-                "composition_route": print_expr(_element(spec, rhs))}, cases)
+                "v": _show(spec, {wk: 1}), "bracket_route": _show(spec, lhs),
+                "composition_route": _show(spec, rhs)}, cases)
     # coefficient algebra is associative on the module
     rng = random.Random(p.seed + 13)
     monos = enumerate_monomials(p.m, p.n, p.deg)
@@ -639,8 +637,8 @@ def check_module_axioms(p: CheckParams):
                 "law": "coefficient associativity",
                 "p": print_expr(SuperPoly.monomial(p.m, p.n, am[0], am[1])),
                 "q": print_expr(SuperPoly.monomial(p.m, p.n, bm[0], bm[1])),
-                "v": show(v), "two_step": show(two_step),
-                "one_step": show(one_step)}, cases)
+                "v": _show(spec, v), "two_step": _show(spec, two_step),
+                "one_step": _show(spec, one_step)}, cases)
     # mixed law: [derivation, multiplication] = multiplication by the
     # plain derivative of the coefficient
     for _ in range(p.trials):
@@ -659,9 +657,9 @@ def check_module_axioms(p: CheckParams):
         if lhs != rhs:
             raise _Fail({
                 "law": "mixed derivation-multiplication",
-                "x": print_expr(x), "f": print_expr(fpoly), "v": show(v),
-                "commutator_route": show(lhs),
-                "derivative_route": show(rhs)}, cases)
+                "x": print_expr(x), "f": print_expr(fpoly),
+                "v": _show(spec, v), "commutator_route": _show(spec, lhs),
+                "derivative_route": _show(spec, rhs)}, cases)
     return cases, None
 
 
@@ -709,10 +707,9 @@ def check_commutant_homomorphism(p: CheckParams):
                 if lhs != rhs:
                     raise _Fail({
                         "u": print_expr(u), "v": print_expr(v),
-                        "on": print_expr(_pure(spec, wk)),
-                        "bracket_image": print_expr(_element(spec, lhs)),
-                        "supercommutator": print_expr(_element(spec, rhs))},
-                        cases)
+                        "on": _show(spec, {wk: 1}),
+                        "bracket_image": _show(spec, lhs),
+                        "supercommutator": _show(spec, rhs)}, cases)
     return cases, None
 
 
@@ -741,24 +738,19 @@ def check_commutant_weyl_commute(p: CheckParams):
                 if lhs != rhs:
                     raise _Fail({
                         "dressed": print_expr(_key_elem(p.m, p.n, ku)),
-                        "atom": str(atom), "on": print_expr(_pure(spec, wk)),
-                        "left": print_expr(_element(spec, lhs)),
-                        "right": print_expr(_element(spec, rhs))}, cases)
+                        "atom": str(atom), "on": _show(spec, {wk: 1}),
+                        "left": _show(spec, lhs),
+                        "right": _show(spec, rhs)}, cases)
     return cases, None
 
 
 # ---------------------------------------------------------------------------
 # gl_realization
 
-def matrix_column(spec, basis, mat, col) -> TensorElement:
-    """Column col of a sparse matrix {(row, col): c} on basis, summed."""
-    return sum((c * basis[r] for (r, k), c in mat.items() if k == col),
-               TensorElement.zero(spec))
-
-
 def check_gl_realization(p: CheckParams):
     """The action read off wh: the commutant element of t_row d_col or
-    xi_(row-m) d_col acts as E(row, col), every degree-2 one as zero."""
+    xi_(row-m) d_col acts as E(row, col), every degree-2 one as zero.
+    One case per column; a failure names the first column that differs."""
     spec = _spec(p)
     units = {}  # (row, col) of each degree-1 key, None at degree 2
     for key in _positive_keys(p.m, p.n, 2):
@@ -771,23 +763,26 @@ def check_gl_realization(p: CheckParams):
     words = (commutant_element(p.m, p.n, *k[0], k[1]).to_word() for k in keys)
     basis, mats = whittaker_functor(spec, p.D, words)
 
-    def fail(w, col, got, cases):
-        unit, want = units[keys[w]], matrix_column(spec, basis, wants[w], col)
+    def column(mat, col):  # of a sparse matrix, summed on the basis
+        return sum((c * basis[r] for (r, k), c in mat.items() if k == col),
+                   TensorElement.zero(spec))
+
+    def fail(w, col, got):  # its case: the columns before, then col + 1
+        unit, want = units[keys[w]], column(wants[w], col)
         raise _Fail({**({"unit": "E %d %d" % unit} if unit else {}),
                      "dressed": print_expr(_key_elem(p.m, p.n, keys[w])),
                      "on": print_expr(basis[col]), "got": print_expr(got),
-                     "want": print_expr(want)}, cases)
+                     "want": print_expr(want)}, cases + col + 1)
     cases = 0
     try:
         for w, mat in enumerate(mats):
-            for col in range(len(basis)):
-                cases += 1
-                got = matrix_column(spec, basis, mat, col)
-                if got != matrix_column(spec, basis, wants[w], col):
-                    fail(w, col, got, cases)
+            diff = mat.items() ^ wants[w].items()
+            if diff:
+                col = min(k for (_, k), _ in diff)
+                fail(w, col, column(mat, col))
+            cases += len(basis)
     except LeavesWhittaker as e:
-        w, col, image = e.args
-        fail(w, col, image, cases + col + 1)
+        fail(*e.args)
     return cases, None
 
 
@@ -1031,7 +1026,7 @@ def check_difference_annihilation(p: CheckParams):
                           "weight basis (all Cartan matrices diagonal)")
     if p.mode == "coset":
         spec = _nonsingular(ModuleSpec(p.m, p.n, p.a, rep), "coset mode")
-        units = [_pure(spec, key) for key in window_keys(spec, 0)]
+        units = [_element(spec, {key: 1}) for key in window_keys(spec, 0)]
         weights = list(product(range(-1, 2), repeat=p.m))
         deg = min(p.deg, 1)
 
@@ -1073,7 +1068,7 @@ def check_difference_annihilation(p: CheckParams):
                 bad = _annihilates_on_keys(spec, word, keys_lo)
                 return {"rmax": p.rmax, "surviving_image":
                         "none within the window" if bad is None else
-                        print_expr(act_word(spec, word, _pure(spec, bad)))}
+                        _show(spec, _word(spec, word, {bad: 1}))}
             # window stability: the same order must do on the smaller window
             for r in range(found):
                 if _annihilates_on_keys(spec, _diff_word(p, item, r),
@@ -1097,14 +1092,14 @@ def check_difference_annihilation(p: CheckParams):
 # ---------------------------------------------------------------------------
 # simplicity_probe
 
-def _probe(spec, gens, x, cap):
-    """x's orbit span under gens within the cap, and the vacuums it misses.
-    A span only grows, so after each insert that grows it only the vacuums
-    still missing are tested again; the probe returns when none is."""
+def _probe(spec, gens, x, wh, cap):
+    """x's orbit span under gens within the cap, and the indices of the
+    vectors of wh it misses.  A span only grows, so after each insert that
+    grows it only the vectors still missing are tested again; the probe
+    returns when none is, that is when wh lies in the span."""
     span = TensorSpan()
     span.insert(x)
-    vacuums = [TensorElement.vacuum(spec, l) for l in range(spec.dim)]
-    missing = [l for l, v in enumerate(vacuums) if not span.contains(v)]
+    missing = [l for l, v in enumerate(wh) if not span.contains(v)]
     frontier = [x]
     while frontier and missing:
         new = []
@@ -1113,8 +1108,7 @@ def _probe(spec, gens, x, cap):
                 y = act_atom(spec, atom, f)
                 if not y or y.tdegree() > cap or not span.insert(y):
                     continue
-                missing = [l for l in missing
-                           if not span.contains(vacuums[l])]
+                missing = [l for l in missing if not span.contains(wh[l])]
                 if not missing:
                     return span, missing
                 new.append(y)
@@ -1147,7 +1141,8 @@ def check_simplicity_probe(p: CheckParams):
     spec = _spec(p)
     gens = _probe_generators(p.m, p.n, p.D)
     rng = random.Random(p.seed)
-    seeds = [(l, TensorElement.vacuum(spec, l)) for l in range(spec.dim)]
+    wh = whittaker_space(spec, p.D)  # the vacuums 1 @ e_l
+    seeds = list(enumerate(wh))
     extra = max(0, min(p.trials, 10) - len(seeds))
     for t in range(extra):
         x = None
@@ -1159,7 +1154,7 @@ def check_simplicity_probe(p: CheckParams):
     evidence = None
     for tag, x in seeds:
         cases += 1
-        span, missing = _probe(spec, gens, x, p.D)
+        span, missing = _probe(spec, gens, x, wh, p.D)
         if missing and p.expect_reducible:
             evidence = {"seed": str(tag), "span_dim": span.dim,
                         "missing_vacuum": "e%d" % (missing[0] + 1)}

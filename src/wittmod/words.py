@@ -90,26 +90,9 @@ class OperatorWord(LinComb):
 # ---------------------------------------------------------------------------
 # normal ordering in the algebra of polynomial differential operators
 
-class WeylNormalForm(LinComb):
-    """Multiplications left of derivatives, indices ascending.
-
-    terms maps (alpha, imask, gamma, kmask) -> Fraction, standing for
-    t^alpha xi_imask dt^gamma dxi_kmask with both odd products ascending.
-    """
-
-    __slots__ = ()
-
-    def to_word(self) -> OperatorWord:
-        out = OperatorWord(self.m, self.n)
-        for (alpha, imask, gamma, kmask), c in self.terms.items():
-            word = (mono_atoms((alpha, imask))
-                    + mono_atoms((gamma, kmask), ("dt", "dx")))
-            out.terms[word] = c
-        return out
-
-
-def _nf_append(terms, m, atom):
-    """Multiply every normal-form term on the right by one atom."""
+def _nf_append(terms, atom):
+    """Multiply every term (alpha, imask, gamma, kmask) -> c, standing for
+    c t^alpha xi_imask dt^gamma dxi_kmask, on the right by one atom."""
     kind, idx = atom[0], atom[1]
     acc = {}
     for (alpha, imask, gamma, kmask), c in terms.items():
@@ -131,12 +114,10 @@ def _nf_append(terms, m, atom):
             if s:
                 accumulate(acc, (alpha, union, gamma, kmask),
                            c * pass_sign * s)
-            # contraction branch: dxi_idx xi_idx -> 1
+            # contraction: dxi_idx passes the factors after it, xi_idx -> 1
             if kmask & bit:
-                hops = popcount(kmask >> idx)  # factors to the right
-                s2 = -1 if hops & 1 else 1
-                accumulate(acc, (alpha, imask, gamma, kmask & ~bit),
-                           c * s2)
+                s2 = -1 if popcount(kmask >> idx) & 1 else 1
+                accumulate(acc, (alpha, imask, gamma, kmask & ~bit), c * s2)
         elif kind == "dt":
             g2 = list(gamma)
             g2[idx - 1] += 1
@@ -145,8 +126,7 @@ def _nf_append(terms, m, atom):
             bit = 1 << (idx - 1)
             if kmask & bit:
                 continue  # dxi^2 = 0
-            hops = popcount(kmask >> idx)
-            s = -1 if hops & 1 else 1
+            s = -1 if popcount(kmask >> idx) & 1 else 1
             accumulate(acc, (alpha, imask, gamma, kmask | bit), c * s)
         else:
             raise ValueError("normal ordering is defined for multiply and "
@@ -154,24 +134,24 @@ def _nf_append(terms, m, atom):
     return acc
 
 
-def weyl_normal_order(w: OperatorWord) -> WeylNormalForm:
-    """Rewrite a multiply/derive word into normal form.
-
-    Idempotent: normal-ordering to_word() of a normal form returns the
-    same normal form.  Raises on derivation atoms with a coefficient
-    monomial ('w' atoms); expand those through a module action instead.
-    """
+def weyl_normal_order(w: OperatorWord) -> OperatorWord:
+    """The normal form of a multiply/derive word: words t^alpha xi_I
+    dt^gamma dxi_K, each odd run ascending, which are their own normal
+    order.  Raises on derivation atoms with a coefficient monomial ('w'
+    atoms); expand those through a module action instead."""
     zero_key_alpha = (0,) * w.m
     total = {}
     for word, c in w.terms.items():
         terms = {(zero_key_alpha, 0, zero_key_alpha, 0): c}
         for atom in word:
-            terms = _nf_append(terms, w.m, atom)
+            terms = _nf_append(terms, atom)
             if not terms:
                 break
         for key, cc in terms.items():
             accumulate(total, key, cc)
-    return WeylNormalForm(w.m, w.n, total)
+    return w._like({mono_atoms((alpha, imask))
+                    + mono_atoms((gamma, kmask), ("dt", "dx")): c
+                    for (alpha, imask, gamma, kmask), c in total.items()})
 
 
 def weyl_equal(w1: OperatorWord, w2: OperatorWord) -> bool:

@@ -1,4 +1,4 @@
-"""Acceptance gate: the twelve headline guarantees, run at full strength.
+"""Acceptance gate: the thirteen headline guarantees, run at full strength.
 
 Every test prints one verdict line and tolerates nothing: equality is
 exact over the rationals, windows are the stated sizes, and the seeded
@@ -190,3 +190,35 @@ def test_criterion_12_cli_contract(tmp_path, capsys):
     _verdict(12, "expression round-trips (golden corpus plus 1000 "
              "seeded), byte-stable schema-valid report, exit codes "
              "0/1/2", ok, detail)
+
+
+# the seed-0 case counts of `verify all` at (1,2) with a = 2, as floors
+CRITERION_13_FLOORS = {
+    "jacobi": 157748, "bracket_oracle": 1296, "weyl_relations": 90,
+    "module_axioms": 1100, "commutant_homomorphism": 441,
+    "commutant_weyl_commute": 126, "gl_realization": 63,
+    "whittaker_dimension": 9, "descent_roundtrip": 50,
+    "weight_multiplicity": 10, "difference_recurrence": 2304,
+    "difference_annihilation": 1296, "simplicity_probe": 10,
+}
+
+
+def test_criterion_13_verify_all_at_two_odd_variables(capsys):
+    # n = 2 is the least n at which tau_flipped re-signs a term (two odd
+    # masks of odd size) and a dx atom's position sign can be -1
+    rc = run_command(["verify", "all", "--m", "1", "--n", "2", "--a", "2"])
+    lines = [ln.split() for ln in capsys.readouterr().out.splitlines()
+             if not ln.startswith(" ")]
+    verdicts = {ln[0]: (ln[1], int(ln[2][len("cases="):])) for ln in lines}
+    ok = rc == 0 and list(verdicts) == list(CRITERION_13_FLOORS) and all(
+        status == "pass" and cases >= CRITERION_13_FLOORS[cid]
+        for cid, (status, cases) in verdicts.items())
+    control = run_check("commutant_homomorphism",
+                        {"m": 1, "n": 2, "a": (F(2),), "mode": "tau_flipped"})
+    cex = control.counterexample or {}
+    ok = ok and control.status == "fail" and (
+        cex.get("u"), cex.get("v"), cex.get("on")) == (
+        "x1*dt1", "x1*x2*dx1", "1 @ e1")
+    _verdict(13, "verify all passes at (1,2) with a = 2 at its seed-0 case "
+             "counts; the tau-flipped commutant map is refuted there",
+             ok, (verdicts, cex))

@@ -679,6 +679,124 @@ def test_bad_late_section_exits_2_before_any_check(tmp_path, capsys,
     assert err == "error: D must be >= 0, got -1\n"
 
 
+def _exits_2_before_any_check(capsys, monkeypatch, argv):
+    """The one error line of argv, which must exit 2 with nothing on
+    stdout and run no check."""
+    ran = []
+    monkeypatch.setattr(verifier, "run_check",
+                        lambda cid, params: ran.append(cid))
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, ran) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+NESTED_65 = "tensor(trivial," * 65 + "trivial" + ")" * 65
+
+
+@pytest.mark.parametrize("command", [["verify", "all"],
+                                     ["report", "--out", "-", "--stable"]])
+@pytest.mark.parametrize("rep,message", [
+    ("bogus", "unknown rep descriptor 'bogus'"),
+    ("trivial:1000", "rep dimension must be <= 256, got 1000"),
+    (NESTED_65, "rep descriptors nest at most 64 combinators deep"),
+    ("file:/nonexistent.rep", "cannot read rep file /nonexistent.rep: "),
+], ids=["unknown", "dimension", "nesting", "missing-file"])
+def test_a_rep_that_cannot_be_built_exits_2_before_any_check(
+        capsys, monkeypatch, command, rep, message):
+    # each distinct rep of the selected checks is built before the first
+    # check runs; this ran three checks to a pass and then printed an
+    # error line for each of the ten module checks
+    err = _exits_2_before_any_check(capsys, monkeypatch,
+                                    command + ["--rep", rep])
+    assert err.startswith("error: " + message)
+
+
+# README's configuration errors "found before any work", one row each, as
+# `verify all` meets them: a change to either must change this table
+def _unknown_key_config(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nbogus = 1\n")
+    return ["--config", str(ini)]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--m", "9"], "m must be <= 8, got 9"),
+    (["--n", "-1"], "n must be >= 0, got -1"),
+    (["--D", "9"], "D must be <= 8, got 9"),
+    (["--deg", "5"], "deg must be <= 4, got 5"),
+    (["--rmax", "17"], "rmax must be <= 16, got 17"),
+    (["--trials", "1001"], "trials must be <= 1000, got 1001"),
+    (["--height", "9"], "height must be <= 8, got 9"),
+    (["--rep", "trivial:257"], "rep dimension must be <= 256, got 257"),
+    (["--rep", NESTED_65], "rep descriptors nest at most 64 combinators "
+                           "deep"),
+    (["--rep", "bogus"], "unknown rep descriptor 'bogus'"),
+    (["--a", "1e5000"], "bad rational '1e5000': more than 4300 digits"),
+    (["--m", "0", "--n", "0"], "empty shape: m and n are both 0"),
+    (["--a", "1, 2"], "twist vector needs 1 entries, got 2"),
+    (_unknown_key_config, "unknown key 'bogus' in [run]"),
+    (["--mode", "bogus"], "check jacobi has no mode 'bogus' (modes: "
+                          "corrected, mutated)"),
+], ids=["m", "n", "D", "deg", "rmax", "trials", "height", "rep-dimension",
+        "rep-nesting", "rep-unknown", "rational", "empty-shape",
+        "twist-length", "unknown-key", "unknown-mode"])
+def test_readme_configuration_errors_exit_2_before_any_check(
+        tmp_path, capsys, monkeypatch, flags, message):
+    if callable(flags):
+        flags = flags(tmp_path)
+    err = _exits_2_before_any_check(capsys, monkeypatch,
+                                    ["verify", "all"] + flags)
+    assert err == "error: %s\n" % message
+
+
+def _rep_file_with_a_long_line(tmp_path):
+    rep = tmp_path / "long.rep"
+    rep.write_text("dim 0\n" + "E" * 100000 + "\n")
+    return ["act", "dt1", "1 @ e1", "--m", "1", "--n", "0",
+            "--rep", "file:%s" % rep]
+
+
+def _config_with_a_long_key(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\n%s = 1\n" % ("k" * 100000))
+    return ["verify", "all", "--config", str(ini)]
+
+
+# user text past 64 characters is echoed as its first 32 and its length.
+# Each row: argv (or a function of tmp_path that makes it), the
+# environment, and what the line carries besides the text: the known
+# check ids, or a path
+@pytest.mark.parametrize("argv,env,carried", [
+    (["act", "dt1", "1 @ e1", "--a", "1" * 4301], {}, ""),
+    (["bracket", "q" * 100000, "dt1"], {}, ""),
+    (["act", "dt1", "1 @ e1", "--rep", "r" * 100000], {}, ""),
+    (["verify", "v" * 100000], {}, ", ".join(REGISTRY)),
+    (["bracket", "t%s*dt1" % ("9" * 4000), "dt1"], {}, ""),
+    (["act", "dt1", "1 @ e%s" % ("9" * 4000)], {}, ""),
+    (["act", "dt1", "1 @ e1", "--a", "x" * 100000], {}, ""),
+    (_rep_file_with_a_long_line, {}, "path"),
+    (_config_with_a_long_key, {}, ""),
+    (["verify", "jacobi"], {"WITTMOD_SEED": "s" * 100000}, ""),
+    (["report", "--check", "jacobi", "--out", "-"],
+     {"SOURCE_DATE_EPOCH": "s" * 100000}, ""),
+], ids=["literal", "name", "rep", "check-id", "index", "vector-index",
+        "rational", "rep-file-line", "config-key", "seed", "epoch"])
+def test_long_user_text_is_cut_in_error_lines(tmp_path, capsys, monkeypatch,
+                                              argv, env, carried):
+    if callable(argv):
+        argv = argv(tmp_path)
+    if carried == "path":
+        carried = str(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert " characters)" in err
+    assert len(err.encode()) - len(carried) < 200
+
+
 # ---------------------------------------------------------------------------
 # report files
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wittmod.dressed import DressedWittElement
 from wittmod.expressions import (ExpressionError, ParseError, as_dressed,
                                  as_superpoly, as_tensor, as_witt, as_word,
-                                 parse_expr, print_expr)
+                                 parse_expr, print_expr, quoted)
 from wittmod.superpoly import SuperPoly, enumerate_monomials
 from wittmod.tensor_modules import TensorElement
 from wittmod.witt import TSLOT, XSLOT, ExtendedWittElement, WittElement
@@ -397,3 +397,11 @@ def test_printer_only_for_its_own_types():
     for obj in (object(), TensorElement(1, 0), "t1"):
         with pytest.raises(TypeError, match="no printer for"):
             print_expr(obj)
+
+
+def test_quoted_cuts_only_text_past_64_characters():
+    assert quoted("a" * 64) == repr("a" * 64)
+    assert quoted("a" * 65) == "'%s'... (65 characters)" % ("a" * 32)
+    assert quoted("x\ny") == "'x\\ny'"  # as %r gives it
+    assert quoted(10 ** 63, str) == str(10 ** 63)
+    assert quoted(10 ** 64, str) == "1%s... (65 characters)" % ("0" * 31)

@@ -173,6 +173,17 @@ def test_simplicity_probe_stops_at_its_verdict(monkeypatch):
     assert len(calls) == 560
 
 
+def test_simplicity_probe_reads_the_whittaker_space(monkeypatch):
+    # the vacuums the probe starts from and stops at are wh at window D
+    calls = []
+    real = verifier.whittaker_space
+    monkeypatch.setattr(verifier, "whittaker_space", lambda spec, D: (
+        calls.append((spec.dim, D)) or real(spec, D)))
+    report = run_check("simplicity_probe", {"D": 2})
+    assert (report.status, report.cases) == ("pass", 10)
+    assert calls == [(2, 2)]
+
+
 def test_difference_annihilation_coset_mode_passes():
     report = run_check("difference_annihilation", {"mode": "coset"})
     assert report.status == "pass", report.counterexample
@@ -549,6 +560,29 @@ def test_gl_realization_fails_on_a_word_that_leaves_wh(monkeypatch):
     spec, got = _gl_fault("1 @ e2 + x1 @ e1")
     assert got == act_witt(spec, WittElement.term(1, 1, *x1dt1),
                            TensorElement.vacuum(spec, 0))
+
+
+@pytest.mark.parametrize("word,cases,cex", [
+    (0, 2, {"unit": "E 1 1", "dressed": "t1*dt1", "on": "1 @ e2",
+            "got": "1 @ e1", "want": "0"}),
+    (2, 6, {"unit": "E 2 1", "dressed": "x1*dt1", "on": "1 @ e2",
+            "got": "1 @ e1", "want": "0"}),
+])
+def test_gl_realization_names_the_first_differing_column(monkeypatch, word,
+                                                         cases, cex):
+    # one extra entry in column 1 of a functor matrix: the report names
+    # column 1 and counts the columns before it; the numbers are those of
+    # the column-by-column comparison with the same fault
+    real = verifier.whittaker_functor
+
+    def planted(spec, D, words):
+        basis, mats = real(spec, D, words)
+        return basis, ({**mat, (0, 1): 1} if w == word else mat
+                       for w, mat in enumerate(mats))
+    monkeypatch.setattr(verifier, "whittaker_functor", planted)
+    report = run_check("gl_realization", {})
+    assert (report.status, report.cases) == ("fail", cases)
+    assert report.counterexample == cex
 
 
 # whittaker_dimension: the closed forms against the operator kernels.  Each
