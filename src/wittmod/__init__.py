@@ -28,7 +28,8 @@ _LAYERS = {
     "tensor_modules": ["ModuleSpec", "TensorElement", "TensorSpan",
                        "TransitionSingular", "act_witt", "act_word",
                        "whittaker_space", "generalized_whittaker_space",
-                       "descent", "pbw_basis_rewrite", "weight_reduce"],
+                       "descent", "pbw_basis_rewrite", "weight_reduce",
+                       "lower_t"],
     "expressions": ["ExpressionError", "ParseError", "parse_expr",
                     "print_expr", "as_superpoly", "as_witt", "as_dressed",
                     "as_word", "as_tensor"],

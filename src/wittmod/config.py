@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul
 
-from .expressions import MAX_ECHO, max_digits, quoted
+from .expressions import MAX_ECHO, MAX_PATH, max_digits, quoted
 
 
 class ConfigError(ValueError):
@@ -150,24 +150,25 @@ def _plan_rep(descriptor, m, n):
 
 
 def load_rep_file(path, m, n) -> Rep:
+    shown = quoted(path, str, MAX_PATH)  # the path as every message echoes it
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh]
     except OSError as e:
-        raise ConfigError("cannot read rep file %s: %s" % (path, e))
+        raise ConfigError("cannot read rep file %s: %s" % (shown, e.strerror))
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("dim"):
         raise ConfigError("rep file %s: first line must be 'dim p1 .. pd'"
-                          % path)
+                          % shown)
     bits = lines[0].split()[1:]
     if not bits:
-        raise ConfigError("rep file %s: no basis parities" % path)
+        raise ConfigError("rep file %s: no basis parities" % shown)
     try:
         parities = tuple(int(b) for b in bits)
     except ValueError:
-        raise ConfigError("rep file %s: parities must be 0/1" % path)
+        raise ConfigError("rep file %s: parities must be 0/1" % shown)
     if any(p not in (0, 1) for p in parities):
-        raise ConfigError("rep file %s: parities must be 0/1" % path)
+        raise ConfigError("rep file %s: parities must be 0/1" % shown)
     dim = len(parities)
     _check_rep_dim(dim)
     mats = {}
@@ -176,30 +177,30 @@ def load_rep_file(path, m, n) -> Rep:
         parts = head.split()
         if len(parts) != 3 or parts[0] != "E":
             raise ConfigError("rep file %s: bad matrix line %s"
-                              % (path, quoted(ln)))
+                              % (shown, quoted(ln)))
         try:
             i, j = int(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError("rep file %s: bad unit indices in %s"
-                              % (path, quoted(ln)))
+                              % (shown, quoted(ln)))
         if not (1 <= i <= m + n and 1 <= j <= m + n):
             raise ConfigError("rep file %s: unit E %s %s out of range"
-                              % (path, quoted(i, str), quoted(j, str)))
+                              % (shown, quoted(i, str), quoted(j, str)))
         entries = [parse_rational(p) for p in tail.split()]
         if len(entries) != dim * dim:
             raise ConfigError("rep file %s: E %d %d needs %d entries, got %d"
-                              % (path, i, j, dim * dim, len(entries)))
+                              % (shown, i, j, dim * dim, len(entries)))
         mats[(i, j)] = {divmod(k, dim): f for k, f in enumerate(entries)}
     missing = [(i, j) for i in range(1, m + n + 1)
                for j in range(1, m + n + 1) if (i, j) not in mats]
     if missing:
         raise ConfigError("rep file %s: missing matrix for E %d %d"
-                          % (path, missing[0][0], missing[0][1]))
+                          % (shown, missing[0][0], missing[0][1]))
     from .glmn import custom_rep
     try:
         return custom_rep(m, n, dim, parities, mats)
     except ValueError as e:
-        raise ConfigError("rep file %s: %s" % (path, e))
+        raise ConfigError("rep file %s: %s" % (shown, e))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +388,14 @@ def load_config(path=None) -> RunConfig:
     import configparser
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: D is not d
+    shown = quoted(path, str, MAX_PATH)
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except OSError as e:
-        raise ConfigError("cannot read config %s: %s" % (path, e))
+        raise ConfigError("cannot read config %s: %s" % (shown, e.strerror))
     except configparser.Error as e:
-        raise ConfigError("bad config %s: %s" % (path, e))
+        raise ConfigError("bad config %s: %s" % (shown, quoted(str(e), str)))
     params = CheckParams.keys()
     base, overrides, checks = {}, {}, None
     for section in parser.sections():

@@ -25,8 +25,8 @@ from math import comb
 from .superpoly import (ONE, LinComb, accumulate, enumerate_monomials,
                         exact, merge_sign_masks, mono_mul, mono_parity,
                         mono_sort_key, mono_tdeg, popcount)
-from .witt import (WittElement, _act_basis, _bracket_basis, slot_list,
-                   term_parity, term_sort_key, XSLOT)
+from .witt import (WittElement, _act_basis, _bracket_basis, check_key,
+                   slot_list, term_parity, term_sort_key, XSLOT)
 from .words import OperatorWord, make_watom, mono_atoms
 
 
@@ -44,19 +44,18 @@ class DressedWittElement(LinComb):
 
     @classmethod
     def term(cls, m, n, amono, wmono, slot, coeff=ONE):
-        WittElement.term(m, n, wmono[0], wmono[1], slot)  # validates
+        wkey = ((tuple(wmono[0]), wmono[1]), slot)
+        check_key(m, n, wkey)
         out = cls(m, n)
         if coeff:
-            out.terms[((tuple(amono[0]), amono[1]),
-                       ((tuple(wmono[0]), wmono[1]), slot))] = exact(coeff)
+            out.terms[((tuple(amono[0]), amono[1]), wkey)] = exact(coeff)
         return out
 
     def to_word(self) -> OperatorWord:
         """Multiplication atoms for the dressing, then the derivation."""
         out = OperatorWord(self.m, self.n)
-        for (amono, (wmono, slot)), c in self.terms.items():
-            word = mono_atoms(amono) + (make_watom(wmono[0], wmono[1], slot),)
-            accumulate(out.terms, word, c)
+        for (amono, wkey), c in self.terms.items():
+            accumulate(out.terms, mono_atoms(amono) + (make_watom(wkey),), c)
         return out
 
 
@@ -145,7 +144,7 @@ def commutant_element(m, n, alpha, imask, slot) -> DressedWittElement:
     if sum(alpha) + popcount(imask) == 0:
         raise ValueError("requires a coefficient monomial in the "
                          "augmentation ideal")
-    WittElement.term(m, n, alpha, imask, slot)  # validates shape
+    check_key(m, n, ((alpha, imask), slot))
     out = DressedWittElement(m, n)
     beta_ranges = [range(a + 1) for a in alpha]
     for beta in product(*beta_ranges):

@@ -38,6 +38,9 @@ MAX_EXPONENT = 1000
 # reading a decimal string as an int
 MAX_DIGITS = 4300
 MAX_ECHO = 64  # the longest user text an error message echoes whole
+# the longest file path an error message echoes whole: PATH_MAX on Linux
+# (os.pathconf('/', 'PC_PATH_MAX')), so no path that opens is cut
+MAX_PATH = 4096
 
 
 class ExpressionError(ValueError):
@@ -62,11 +65,12 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _ALNUM = _LETTERS + _DIGITS
 
 
-def quoted(value, form=repr) -> str:
+def quoted(value, form=repr, whole=MAX_ECHO) -> str:
     """form(value) as an error message echoes user text: whole up to
-    MAX_ECHO characters, else its first half plus its length."""
+    `whole` characters (MAX_ECHO, or MAX_PATH for a file path), else its
+    first MAX_ECHO // 2 characters plus its length."""
     text = value if isinstance(value, str) else str(value)
-    if len(text) <= MAX_ECHO:
+    if len(text) <= whole:
         return form(value)
     return "%s... (%d characters)" % (form(text[:MAX_ECHO // 2]), len(text))
 
@@ -297,8 +301,7 @@ def _seg_atoms(seg, m, n, room):
         hit = _seg_witt(seg, m, n)
         if hit is None:
             return None
-        (mono, slot), sign = hit
-        return [make_watom(mono[0], mono[1], slot)], sign
+        return [make_watom(hit[0])], hit[1]
     atoms = []
     for atom in seg:
         _check_index(atom, m, n)
@@ -451,15 +454,14 @@ def _atom_str(atom):
         return "x%d" % atom[1]
     if kind in ("dt", "dx"):
         return "%s%d" % (kind, atom[1])
-    # 'w' atom: its derivation-term spelling
-    return _fmt_witt_term(((atom[1], atom[2]), (atom[3], atom[4])))
+    return _fmt_witt_term(atom[1])  # a 'w' atom's derivation term
 
 
 def atom_sort_key(atom):
     kind = atom[0]
     order = {"mt": 0, "mx": 1, "dt": 2, "dx": 3, "w": 4}
     if kind == "w":
-        return (4, mono_sort_key((atom[1], atom[2])), atom[3], atom[4])
+        return (4,) + term_sort_key(atom[1])
     return (order[kind], atom[1])
 
 

@@ -12,7 +12,7 @@ import time
 
 from . import __version__
 from .config import ConfigError
-from .expressions import quoted
+from .expressions import MAX_PATH, quoted
 
 
 def _timestamp(stable: bool) -> str:
@@ -56,7 +56,7 @@ def check_out_path(path):
     if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
             path if os.path.exists(path) else parent, os.W_OK):
         raise ConfigError("cannot write report %s: not a writable file"
-                          % path)
+                          % quoted(path, str, MAX_PATH))
 
 
 def emit_report(reports, path, seed: int, stable: bool = False) -> dict:
@@ -70,7 +70,8 @@ def emit_report(reports, path, seed: int, stable: bool = False) -> dict:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            raise ConfigError("cannot write report %s: %s" % (path, e))
+            raise ConfigError("cannot write report %s: %s"
+                              % (quoted(path, str, MAX_PATH), e.strerror))
     return doc
 
 

@@ -133,9 +133,9 @@ def tensor_key_sort(key):
 # Every operator atom acts through one memo per spec, spec._act_cache:
 # atom -> {tensor key: row}, a row being the image of that one pure tensor
 # as ((key, coefficient), ...) with integral coefficients stored as ints.
-# An atom is ("w", alpha, imask, kind, idx) for a basis derivation, or
-# ("mt", i), ("mx", j), ("dt", i), ("dx", j).  Rows are linear in the
-# input, so an element acts term by term through them.
+# An atom is ("w", key) for the basis derivation of a Witt key, or
+# ("mt", i), ("mx", j), ("dt", i), ("dx", j) (see words).  Rows are linear
+# in the input, so an element acts term by term through them.
 
 _ATOM_KINDS = frozenset(("w", "mt", "mx", "dt", "dx"))
 
@@ -152,19 +152,20 @@ def _derivation_row(spec, atom, key):
     (2) for each generator g_r with df/dg_r != 0, the first-order term
         (df/dg_r) p (x) E(r, col) e_l, signed (-1)^{(|g_r| + |d|)|p|}
         and, for odd g_r, also (-1)^{|f| - 1}."""
-    _, alpha, imask, kind, idx = atom
+    wkey = atom[1]
+    f, slot = wkey
+    kind, idx = slot
     p, l = key
     m = spec.m
-    f = (alpha, imask)
     out = {}
-    hit = _act_basis((f, (kind, idx)), p)
+    hit = _act_basis(wkey, p)
     if hit:
         out[(hit[0], l)] = hit[1]
     if kind == TSLOT and spec.a[idx - 1]:
         prod = mono_mul(f, p)
         if prod:
             accumulate(out, (prod[0], l), spec.a[idx - 1] * prod[1])
-    dpar = slot_parity((kind, idx))
+    dpar = slot_parity(slot)
     col = idx + m * dpar
     pp = mono_parity(p)
     for r in range(1, m + spec.n + 1):
@@ -175,7 +176,7 @@ def _derivation_row(spec, atom, key):
         prod = mono_mul(hit[0], p)
         if not prod:
             continue
-        flip = (odd + dpar) * pp + odd * (popcount(imask) - 1)
+        flip = (odd + dpar) * pp + odd * (popcount(f[1]) - 1)
         base = (-1 if flip & 1 else 1) * hit[1] * prod[1]
         for (row, c), v in spec.rep.mats[(r, col)].items():
             if c == l:
@@ -253,15 +254,15 @@ def _check_shapes(spec, x, w=None):
 def act_term(spec, alpha, imask, slot, x: TensorElement) -> TensorElement:
     """One basis derivation on the module."""
     _check_shapes(spec, x)
-    return _element(spec, _act(spec, ("w", tuple(alpha), imask) + tuple(slot),
-                               x.terms))
+    return _element(spec, _act(spec, ("w", ((tuple(alpha), imask),
+                                            tuple(slot))), x.terms))
 
 
 def act_witt(spec, w: WittElement, x: TensorElement) -> TensorElement:
     _check_shapes(spec, x, w)
     out = {}
-    for ((alpha, imask), (kind, idx)), c in w.terms.items():
-        _act(spec, ("w", alpha, imask, kind, idx), x.terms, out, c)
+    for key, c in w.terms.items():
+        _act(spec, ("w", key), x.terms, out, c)
     return _element(spec, out)
 
 

@@ -33,7 +33,7 @@ from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
                              TensorSpan, TransitionSingular, _act, _element,
                              _lower, _word, act_atom, act_witt,
                              act_word, descent, generalized_whittaker_space,
-                             lower_t, pbw_basis_rewrite, weight_reduce,
+                             pbw_basis_rewrite, weight_reduce,
                              whittaker_functor, whittaker_space, window_keys)
 from .witt import (TSLOT, ExtendedWittElement, WittElement,
                    _bracket_basis, _extended_bracket_basis,
@@ -126,6 +126,11 @@ def tau_flipped(x: DressedWittElement) -> DressedWittElement:
 def _key_elem(m, n, key):
     (mono, slot) = key
     return WittElement.term(m, n, mono[0], mono[1], slot)
+
+
+def _show_atom(m, n, atom):
+    """An operator atom in the expression grammar, as t1 or x1*dt1."""
+    return print_expr(OperatorWord.from_word(m, n, (atom,)))
 
 
 def _show(spec, terms):
@@ -524,7 +529,8 @@ def check_weyl_relations(p: CheckParams):
                     else 0) * OperatorWord.identity(m, n)
             got = weyl_normal_order(w)
             if got != weyl_normal_order(want):
-                raise _Fail({"u": str(u), "v": str(v),
+                raise _Fail({"u": _show_atom(m, n, u),
+                             "v": _show_atom(m, n, v),
                              "got": print_expr(got),
                              "want": print_expr(want)}, cases)
     # squares of odd atoms vanish
@@ -533,7 +539,8 @@ def check_weyl_relations(p: CheckParams):
             cases += 1
             w = OperatorWord.from_word(m, n, (atom, atom))
             if weyl_normal_order(w):
-                raise _Fail({"atom": str(atom), "square": "nonzero"}, cases)
+                raise _Fail({"atom": _show_atom(m, n, atom),
+                             "square": "nonzero"}, cases)
     # idempotence of normal ordering + action faithfulness, seeded; the
     # algebra acts as the untwisted trivial module
     plain = ModuleSpec(m, n, (ZERO,) * m, trivial_rep(m, n))
@@ -603,7 +610,7 @@ def check_module_axioms(p: CheckParams):
         if b is None:
             xy = witt_bracket(_key_elem(p.m, p.n, kx),
                               _key_elem(p.m, p.n, ky))
-            b = brackets[kx, ky] = [(("w",) + k[0] + k[1], c)
+            b = brackets[kx, ky] = [(("w", k), c)
                                     for k, c in xy.terms.items()]
         s = -1 if (term_parity(kx[0], kx[1])
                    & term_parity(ky[0], ky[1])) else 1
@@ -611,7 +618,7 @@ def check_module_axioms(p: CheckParams):
         lhs = {}
         for atom, c in b:
             _act(spec, atom, v, lhs, c)
-        ax, ay = ("w",) + kx[0] + kx[1], ("w",) + ky[0] + ky[1]
+        ax, ay = ("w", kx), ("w", ky)
         rhs = _act(spec, ax, _act(spec, ay, v))
         _act(spec, ay, _act(spec, ax, v), rhs, -s)
         if lhs != rhs:
@@ -646,7 +653,7 @@ def check_module_axioms(p: CheckParams):
         kx = keys[rng.randrange(len(keys))]
         fm = monos[rng.randrange(len(monos))]
         v = {wkeys[rng.randrange(len(wkeys))]: 1}
-        x, ax = _key_elem(p.m, p.n, kx), ("w",) + kx[0] + kx[1]
+        x, ax = _key_elem(p.m, p.n, kx), ("w", kx)
         fpoly = SuperPoly.monomial(p.m, p.n, fm[0], fm[1])
         s = -1 if (term_parity(kx[0], kx[1]) & mono_parity(fm)) else 1
         lhs = _act(spec, ax, times(fm, v))
@@ -738,7 +745,8 @@ def check_commutant_weyl_commute(p: CheckParams):
                 if lhs != rhs:
                     raise _Fail({
                         "dressed": print_expr(_key_elem(p.m, p.n, ku)),
-                        "atom": str(atom), "on": _show(spec, {wk: 1}),
+                        "atom": _show_atom(p.m, p.n, atom),
+                        "on": _show(spec, {wk: 1}),
                         "left": _show(spec, lhs),
                         "right": _show(spec, rhs)}, cases)
     return cases, None
@@ -789,16 +797,15 @@ def check_gl_realization(p: CheckParams):
 # ---------------------------------------------------------------------------
 # whittaker_dimension
 
-def _whittaker_violation(spec, x):
-    """The first Whittaker operator (d/dt_i - a_i, then d/dxi_j) that does
-    not kill x, named as in a counterexample; None if all of them do."""
-    for i in range(1, spec.m + 1):
-        if lower_t(spec, i, x):
-            return "dt%d - a%d" % (i, i)
-    for j in range(1, spec.n + 1):
-        if act_atom(spec, ("dx", j), x):
-            return "dx%d" % j
-    return None
+def _whittaker_ops(spec):
+    """The Whittaker operators as (name, op), op mapping a raw terms dict
+    to one: d/dt_i - a_i, the plain d/dt_i on the coefficients (_lower),
+    then d/dxi_j, the dx row; each named as in a counterexample."""
+    ops = [("dt%d - a%d" % (i, i), lambda t, i=i: _lower(i, t))
+           for i in range(1, spec.m + 1)]
+    ops += [("dx%d" % j, lambda t, j=j: _act(spec, ("dx", j), t))
+            for j in range(1, spec.n + 1)]
+    return ops
 
 
 def _kernel_mismatch(spec, closed, max_deg, ops):
@@ -820,14 +827,12 @@ def _kernel_mismatch(spec, closed, max_deg, ops):
 
 def check_whittaker_dimension(p: CheckParams):
     """The closed forms against the operators, key for key: wh at windows
-    D and D + 1 against the joint kernel of _lower (d/dt_i - a_i on the
-    coefficients) and the dx row, and the generalized space against the
-    kernel of the powers of _lower.  Then wh has dimension dim V at both
-    windows, and the generalized space the count below."""
+    D and D + 1 against the joint kernel of the _whittaker_ops, and the
+    generalized space against the kernel of the powers of _lower.  Then wh
+    has dimension dim V at both windows, and the generalized space the
+    count below."""
     spec = _spec(p)
-    ops = [lambda t, i=i: _lower(i, t) for i in range(1, spec.m + 1)]
-    ops += [lambda t, j=j: _act(spec, ("dx", j), t)
-            for j in range(1, spec.n + 1)]
+    ops = [op for _, op in _whittaker_ops(spec)]
     cases = 0
     dims = {}
     for D in (p.D, p.D + 1):
@@ -867,19 +872,20 @@ def check_whittaker_dimension(p: CheckParams):
 # descent_roundtrip
 
 def check_descent_roundtrip(p: CheckParams):
-    """descent lands in wh, which _whittaker_violation checks by applying
-    every Whittaker operator to its output, and weight_reduce at a weight
+    """descent lands in wh, checked by applying every Whittaker operator
+    (_whittaker_ops) to its output, and weight_reduce at a weight
     w agrees with sum c w^s u_j over x = sum c h^s u_j (pbw_basis_rewrite).
     descent is a filter on keys, so it is idempotent whatever keys it
     keeps: a test of that could not fail, and none is made."""
     spec = _nonsingular(_spec(p), "descent")
+    ops = _whittaker_ops(spec)
     rng, weights = random.Random(p.seed), random.Random(p.seed + 1)
     cases = 0
     for t in range(p.trials):
         cases += 1
         x = _random_tensor(spec, rng, p.D, nterms=rng.randint(1, 4))
         y = descent(spec, x)
-        bad = _whittaker_violation(spec, y)
+        bad = next((name for name, op in ops if op(y.terms)), None)
         if bad:
             raise _Fail({"trial": t, "x": print_expr(x),
                          "descended": print_expr(y), "violates": bad}, cases)
@@ -921,7 +927,7 @@ def check_weight_multiplicity(p: CheckParams):
     small = window_keys(spec, p.D - 1)
     hs = [_cartan(p.m, p.n, i) for i in range(1, p.m + 1)]
     # each h_i is one basis term with coefficient 1
-    atoms = [("w",) + key + slot for h in hs for key, slot in h.terms]
+    atoms = [("w", key) for h in hs for key in h.terms]
     cases = 0
     rng = random.Random(p.seed)
     for weight in product(range(-2, 3), repeat=p.m):
@@ -1122,8 +1128,7 @@ def _probe_generators(m, n, cap):
     structure being probed is over the extended algebra, so both families
     belong to the generating set."""
     gens = _weyl_atoms(m, n)[:m + n]  # the multiplications
-    gens += [("w", alpha, imask, kind, idx)
-             for (alpha, imask), (kind, idx) in _witt_keys(m, n, cap)]
+    gens += [("w", key) for key in _witt_keys(m, n, cap)]
     return gens
 
 

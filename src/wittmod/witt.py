@@ -1,8 +1,10 @@
 """Superderivations of the supercommutative algebra and their brackets.
 
 A basis derivation is a monomial times a coordinate derivative, stored as
-a key ((alpha, imask), slot) where slot is ('t', i) or ('x', j).  The
-parity of such a term is |imask| for a t-slot and |imask|+1 for an x-slot.
+a key ((alpha, imask), slot) where slot is ('t', i) or ('x', j): the one
+spelling of a basis derivation, which operator words carry whole in the
+atom ('w', key), and check_key its one validator.  The parity of such a
+term is |imask| for a t-slot and |imask|+1 for an x-slot.
 
 witt_bracket computes the supercommutator from closed structure-constant
 formulas.  Two of those formulas circulate with the factor t^(alpha+beta)
@@ -40,7 +42,6 @@ from .superpoly import (
     mono_partial_t,
     mono_partial_xi,
     mono_sort_key,
-    mono_tdeg,
 )
 
 TSLOT = "t"
@@ -61,6 +62,23 @@ def term_parity(mono, slot) -> int:
     return (mono_parity(mono) + slot_parity(slot)) & 1
 
 
+def check_key(m, n, key):
+    """ValueError unless key = ((alpha, odd_mask), (kind, idx)) is a basis
+    derivation at shape (m, n): m exponents, none negative, an odd mask
+    within n bits, and a slot d/dt_idx or d/dxi_idx in range."""
+    (alpha, odd_mask), (kind, idx) = key
+    if len(alpha) != m or any(a < 0 for a in alpha):
+        raise ValueError("bad exponent tuple %r" % (alpha,))
+    if odd_mask >> n:
+        raise ValueError("odd index out of range for n=%d" % n)
+    if kind == TSLOT and not 1 <= idx <= m:
+        raise ValueError("d/dt index %d out of range" % idx)
+    if kind == XSLOT and not 1 <= idx <= n:
+        raise ValueError("d/dxi index %d out of range" % idx)
+    if kind not in (TSLOT, XSLOT):
+        raise ValueError("bad slot kind %r" % (kind,))
+
+
 def term_sort_key(key):
     mono, slot = key
     return mono_sort_key(mono) + (slot_parity(slot), slot[1])
@@ -77,25 +95,12 @@ class WittElement(LinComb):
 
     @classmethod
     def term(cls, m, n, alpha, odd_mask, slot, coeff=ONE):
-        alpha = tuple(alpha)
-        if len(alpha) != m or any(a < 0 for a in alpha):
-            raise ValueError("bad exponent tuple %r" % (alpha,))
-        if odd_mask >> n:
-            raise ValueError("odd index out of range for n=%d" % n)
-        kind, idx = slot
-        if kind == TSLOT and not 1 <= idx <= m:
-            raise ValueError("d/dt index %d out of range" % idx)
-        if kind == XSLOT and not 1 <= idx <= n:
-            raise ValueError("d/dxi index %d out of range" % idx)
-        if kind not in (TSLOT, XSLOT):
-            raise ValueError("bad slot kind %r" % (kind,))
+        key = ((tuple(alpha), odd_mask), tuple(slot))
+        check_key(m, n, key)
         x = cls(m, n)
         if coeff:
-            x.terms[((alpha, odd_mask), (kind, idx))] = exact(coeff)
+            x.terms[key] = exact(coeff)
         return x
-
-    def tdegree(self):
-        return max((mono_tdeg(mono) for mono, _ in self.terms), default=-1)
 
 
 # ---------------------------------------------------------------------------

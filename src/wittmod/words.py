@@ -1,18 +1,20 @@
 """Words of operator atoms and Weyl-superalgebra normal ordering.
 
-An atom is one of
+An atom is a pair, one of
     ('mt', i)   multiply by t_i
     ('mx', j)   multiply by xi_j
     ('dt', i)   d/dt_i
     ('dx', j)   d/dxi_j
-    ('w', alpha, imask, kind, idx)   basis superderivation with a
-                                     nontrivial coefficient monomial
+    ('w', key)  the basis superderivation of a Witt key
+                ((alpha, imask), (kind, idx)), as every element type
+                spells it, with a nontrivial coefficient monomial
 
 A word is a tuple of atoms read left to right in composition order: the
-rightmost atom acts first.  A derivation atom with trivial monomial is
-always stored as the plain ('dt',i)/('dx',j) atom -- on every module this
+rightmost atom acts first.  make_watom stores a derivation with trivial
+monomial as the plain ('dt',i)/('dx',j) atom -- on every module this
 package exposes the two act identically, and the normalization keeps
-printing unambiguous.
+printing unambiguous.  OperatorWord.from_word checks each atom, a key
+through witt.check_key, and takes a derivation in that spelling only.
 
 OperatorWord is a formal Q-linear combination of words; equality is exact
 equality of the combinations, never equality of operators.  Deciding
@@ -26,14 +28,16 @@ from math import comb
 
 from .superpoly import (ONE, LinComb, accumulate, as_fractions, exact,
                         mask_indices, merge_sign_masks, popcount)
+from .witt import TSLOT, check_key, term_parity
 
 
-def make_watom(alpha, imask, slot):
-    """Derivation atom, collapsing the trivial-monomial case."""
-    alpha = tuple(alpha)
+def make_watom(key):
+    """The derivation atom ('w', key) of a Witt key, collapsing the
+    trivial-monomial case to the plain dt/dx atom."""
+    (alpha, imask), (kind, idx) = key
     if not any(alpha) and imask == 0:
-        return ("dt" if slot[0] == "t" else "dx", slot[1])
-    return ("w", alpha, imask, slot[0], slot[1])
+        return ("dt" if kind == TSLOT else "dx", idx)
+    return ("w", key)
 
 
 def mono_atoms(mono, kinds=("mt", "mx")) -> tuple:
@@ -53,7 +57,7 @@ def atom_parity(atom) -> int:
         return 0
     if kind in ("mx", "dx"):
         return 1
-    return (popcount(atom[2]) + (atom[3] == "x")) & 1
+    return term_parity(*atom[1])
 
 
 def word_parity(word) -> int:
@@ -75,14 +79,20 @@ class OperatorWord(LinComb):
     def from_word(cls, m, n, word, coeff=ONE):
         word = tuple(word)
         for atom in word:
-            kind = atom[0]
-            if kind in ("mt", "dt") and not 1 <= atom[1] <= m:
-                raise ValueError("t index %d out of range" % atom[1])
-            elif kind in ("mx", "dx") and not 1 <= atom[1] <= n:
-                raise ValueError("xi index %d out of range" % atom[1])
-            elif kind == "w":
-                if len(atom[1]) != m or atom[2] >> n:
-                    raise ValueError("derivation atom shape mismatch")
+            kind, arg = atom
+            if kind == "w":
+                check_key(m, n, arg)
+                if make_watom(arg)[0] != "w":
+                    raise ValueError("a derivation with trivial monomial is "
+                                     "the atom %r" % (make_watom(arg),))
+            elif kind in ("mt", "dt"):
+                if not 1 <= arg <= m:
+                    raise ValueError("t index %d out of range" % arg)
+            elif kind in ("mx", "dx"):
+                if not 1 <= arg <= n:
+                    raise ValueError("xi index %d out of range" % arg)
+            else:
+                raise ValueError("unknown atom kind %r" % (kind,))
         coeff = exact(coeff)
         return cls(m, n)._like({word: coeff} if coeff else {})
 
@@ -184,6 +194,6 @@ def difference_word(m, n, alpha, beta, imask, jmask, r, j, slot1, slot2):
         b = list(beta)
         b[j - 1] += i
         c = comb(r, i)
-        terms[make_watom(a, imask, slot1), make_watom(b, jmask, slot2)] = (
-            -c if i & 1 else c)
+        terms[make_watom(((tuple(a), imask), slot1)),
+              make_watom(((tuple(b), jmask), slot2))] = -c if i & 1 else c
     return OperatorWord(m, n)._like(as_fractions(terms))

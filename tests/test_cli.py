@@ -17,8 +17,8 @@ import wittmod
 from wittmod import tensor_modules, verifier
 from wittmod.cli import build_parser, run_command
 from wittmod.config import ConfigError, resolve_rep
-from wittmod.expressions import (MAX_DIGITS, MAX_EXPONENT, MAX_WORD_ATOMS,
-                                 print_expr)
+from wittmod.expressions import (MAX_DIGITS, MAX_EXPONENT, MAX_PATH,
+                                 MAX_WORD_ATOMS, print_expr)
 from wittmod.reporting import emit_report, report_schema
 from wittmod.verifier import REGISTRY
 
@@ -763,6 +763,13 @@ def _config_with_a_long_key(tmp_path):
     return ["verify", "all", "--config", str(ini)]
 
 
+def _config_of_one_long_line(tmp_path):
+    # configparser's message repeats the line
+    ini = tmp_path / "run.ini"
+    ini.write_text("k" * 100000 + "\n")
+    return ["verify", "all", "--config", str(ini)]
+
+
 # user text past 64 characters is echoed as its first 32 and its length.
 # Each row: argv (or a function of tmp_path that makes it), the
 # environment, and what the line carries besides the text: the known
@@ -780,8 +787,13 @@ def _config_with_a_long_key(tmp_path):
     (["verify", "jacobi"], {"WITTMOD_SEED": "s" * 100000}, ""),
     (["report", "--check", "jacobi", "--out", "-"],
      {"SOURCE_DATE_EPOCH": "s" * 100000}, ""),
+    (["act", "dt1", "1 @ e1", "--rep", "file:" + "r" * 100000], {}, ""),
+    (["report", "--out", "/nonexistent/" + "r" * 100000], {}, ""),
+    (["verify", "all", "--config", "/nonexistent/" + "c" * 100000], {}, ""),
+    (_config_of_one_long_line, {}, "path"),
 ], ids=["literal", "name", "rep", "check-id", "index", "vector-index",
-        "rational", "rep-file-line", "config-key", "seed", "epoch"])
+        "rational", "rep-file-line", "config-key", "seed", "epoch",
+        "rep-file-path", "report-path", "config-path", "config-line"])
 def test_long_user_text_is_cut_in_error_lines(tmp_path, capsys, monkeypatch,
                                               argv, env, carried):
     if callable(argv):
@@ -795,6 +807,26 @@ def test_long_user_text_is_cut_in_error_lines(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert " characters)" in err
     assert len(err.encode()) - len(carried) < 200
+
+
+# a path is echoed whole up to MAX_PATH characters, Linux's PATH_MAX, past
+# which no path opens; then cut like other user text.  The OSError's
+# strerror follows, not its text, which repeats the path
+@pytest.mark.parametrize("length", [100, MAX_PATH, MAX_PATH + 1])
+@pytest.mark.parametrize("argv,message", [
+    (["act", "dt1", "1 @ e1", "--rep", "file:%s"], "cannot read rep file"),
+    (["report", "--out", "%s"], "cannot write report"),
+    (["verify", "all", "--config", "%s"], "cannot read config"),
+], ids=["rep-file", "report", "config"])
+def test_a_path_is_echoed_whole_up_to_max_path(capsys, argv, message,
+                                               length):
+    path = "/nonexistent/" + "p" * (length - len("/nonexistent/"))
+    rc, out, err = run(capsys, [a.replace("%s", path) for a in argv])
+    assert (rc, out) == (2, "")
+    shown = path if length <= MAX_PATH else "%s... (%d characters)" % (
+        path[:32], length)
+    assert err.startswith("error: %s %s: " % (message, shown))
+    assert err.count("\n") == 1 and err.count(shown) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def _weyl_expand(w):
             if atom[0] != "w":
                 atoms.append(atom)
                 continue
-            _, alpha, imask, slotkind, k = atom
+            (alpha, imask), (slotkind, k) = atom[1]
             for i, e in enumerate(alpha, start=1):
                 atoms.extend([("mt", i)] * e)
             for j in range(1, w.n + 1):

@@ -312,8 +312,7 @@ def _random_word(rng, m, n):
         for _ in range(rng.randint(0, 4)):
             if rng.random() < 0.25:
                 mono = pool[rng.randrange(len(pool))]
-                word.append(make_watom(mono[0], mono[1],
-                                       rng.choice(slots)))
+                word.append(make_watom((mono, rng.choice(slots))))
             else:
                 word.append(rng.choice(atoms))
         out = out + OperatorWord.from_word(m, n, tuple(word),

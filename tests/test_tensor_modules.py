@@ -672,7 +672,7 @@ def test_every_action_rejects_an_element_of_another_shape():
     other = TensorElement.vacuum(make_spec(2, 1, rep="trivial:2"), 0)
     actions = [
         lambda x: act_atom(spec, ("dx", 1), x),
-        lambda x: act_atom(spec, ("w", (1,), 0, TSLOT, 1), x),
+        lambda x: act_atom(spec, ("w", (((1,), 0), (TSLOT, 1))), x),
         lambda x: act_term(spec, (1,), 0, (TSLOT, 1), x),
         lambda x: lower_t(spec, 1, x),
         lambda x: descent(spec, x),
@@ -752,8 +752,8 @@ def _reference_act_term(spec, alpha, imask, slot, x):
 def _reference_act_atom(spec, atom, x):
     kind = atom[0]
     if kind == "w":
-        return _reference_act_term(spec, atom[1], atom[2],
-                                   (atom[3], atom[4]), x)
+        (alpha, imask), slot = atom[1]
+        return _reference_act_term(spec, alpha, imask, slot, x)
     i = atom[1]
     if kind == "mt":
         return act_mono(spec, (tuple(int(k == i - 1)
@@ -788,7 +788,7 @@ def _reference_act_word(spec, w, x):
 
 
 def _rand_word(spec, rng, keys, nterms=3, length=3):
-    atoms = [make_watom(mono[0], mono[1], slot) for mono, slot in keys]
+    atoms = [make_watom(key) for key in keys]
     atoms += [(kind, i) for kind in ("mt", "dt") for i in range(1, spec.m + 1)]
     atoms += [(kind, j) for kind in ("mx", "dx") for j in range(1, spec.n + 1)]
     out = OperatorWord(spec.m, spec.n)
@@ -898,7 +898,7 @@ def test_int_lane_never_leaks(m, n, a, coeff):
     spec = make_spec(m, n, a=a)
     rng = random.Random(11)
     keys = witt_keys(m, n, 2)
-    atoms = [make_watom(mono[0], mono[1], slot) for mono, slot in keys]
+    atoms = [make_watom(key) for key in keys]
     atoms += [(kind, i) for kind in ("mt", "dt") for i in range(1, m + 1)]
     atoms += [(kind, j) for kind in ("mx", "dx") for j in range(1, n + 1)]
     wkeys = window_keys(spec, 2)

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from wittmod import dressed, tensor_modules, verifier, witt
+from wittmod import dressed, tensor_modules, verifier, witt, words
 from wittmod.config import CHECKS
 from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_tensor, as_witt, parse_expr,
                                  print_expr)
-from wittmod.superpoly import mono_tdeg
+from wittmod.superpoly import mono_tdeg, popcount
 from wittmod.glmn import Rep, mat_add, mat_mul
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_witt,
                                     weight_reduce)
@@ -640,6 +640,33 @@ def test_whittaker_dimension_fails_on_a_missing_generalized_key(
     assert (cex["closed_form"], cex["kernel"]) == (None, "x1 @ e2")
 
 
+def test_whittaker_dimension_fails_on_a_space_short_of_dim_v(monkeypatch):
+    # the closed form and the window both one vector index short: they
+    # agree key for key, so only the count against dim V sees it
+    real_space, real_keys = verifier.whittaker_space, verifier.window_keys
+    monkeypatch.setattr(verifier, "whittaker_space",
+                        lambda spec, D: real_space(spec, D)[:-1])
+    monkeypatch.setattr(verifier, "window_keys", lambda spec, D: [
+        key for key in real_keys(spec, D) if key[1] < spec.dim - 1])
+    report = run_check("whittaker_dimension", {})
+    assert (report.status, report.cases) == ("fail", 4)
+    assert report.counterexample == {"expected_dim": 2, "window_3": 1,
+                                     "window_4": 1}
+
+
+def test_whittaker_dimension_fails_on_a_window_without_odd_keys(
+        monkeypatch):
+    # a window that forgets the odd variables: wh is still the vacuums and
+    # the generalized space still its kernel, but 2^n times too small
+    real = tensor_modules.enumerate_monomials
+    monkeypatch.setattr(tensor_modules, "enumerate_monomials",
+                        lambda m, n, deg: real(m, 0, deg))
+    report = run_check("whittaker_dimension", {})
+    assert (report.status, report.cases) == ("fail", 7)
+    assert report.counterexample == {"generalized_height": 0, "expected": 4,
+                                     "got": 2}
+
+
 def test_weight_multiplicity_at_m1_fails_through_the_representatives(
         monkeypatch):
     # Cartan operators acting as zero: at m = 1 the image of (h - w) on
@@ -697,6 +724,18 @@ def test_descent_roundtrip_fails_on_a_descent_that_keeps_a_non_vacuum_term(
     assert report.counterexample == {
         "trial": 0, "x": X0, "descended": "-3/2*t1^3 @ e2",
         "violates": "dt1 - a1"}
+
+
+def test_descent_roundtrip_names_a_surviving_odd_variable(monkeypatch):
+    # a descent that sets t = 0 but keeps xi: the first trial with a term
+    # free of t and holding xi_1 violates d/dxi_1 alone
+    monkeypatch.setattr(verifier, "descent", lambda spec, x: verifier._element(
+        spec, {k: c for k, c in x.terms.items() if not any(k[0][0])}))
+    report = run_check("descent_roundtrip", {})
+    assert (report.status, report.cases) == ("fail", 3)
+    assert report.counterexample == {
+        "trial": 2, "x": "3*x1 @ e2 + t1^2*x1 @ e1 + 1/2*t1^2*x1 @ e2",
+        "descended": "3*x1 @ e2", "violates": "dx1"}
 
 
 def _closed_form(spec, x, weight, shift):
@@ -759,11 +798,84 @@ def test_commutant_weyl_commute_fails_on_flipped_commutants(monkeypatch):
                        {"m": 1, "n": 2, "deg": 2, "D": 3})
     assert (report.status, report.cases) == ("fail", 37)
     assert report.counterexample == {
-        "dressed": "x1*x2*dt1", "atom": "('mt', 1)", "on": "1 @ e1",
+        "dressed": "x1*x2*dt1", "atom": "t1", "on": "1 @ e1",
         "left": "4*x1*x2 @ e1 + 2*t1*x1 @ e3 - 2*t1*x2 @ e2"
                 " + 4*t1*x1*x2 @ e1",
         "right": "2*t1*x1 @ e3 - 2*t1*x2 @ e2 + 4*t1*x1*x2 @ e1"}
     assert report.counterexample["left"] != report.counterexample["right"]
+
+
+# weyl_relations: one planted fault per failure branch, each named with
+# its atoms in the expression grammar
+
+def _weyl_relations_fails(cases):
+    report = run_check("weyl_relations", {})
+    assert (report.status, report.cases) == ("fail", cases)
+    return report.counterexample
+
+
+def test_weyl_relations_fails_on_an_ordering_without_contractions(
+        monkeypatch):
+    # dt1 t1 ordered as t1 dt1 with the + 1 dropped: [t1, dt1] reads 0
+    real = words._nf_append
+
+    def degree(key):
+        alpha, imask, gamma, kmask = key
+        return sum(alpha) + popcount(imask) + sum(gamma) + popcount(kmask)
+
+    def no_contraction(terms, atom):
+        out = real(terms, atom)
+        top = max(map(degree, out), default=0)
+        return {key: c for key, c in out.items() if degree(key) == top}
+    monkeypatch.setattr(words, "_nf_append", no_contraction)
+    assert _weyl_relations_fails(3) == {"u": "t1", "v": "dt1", "got": "0",
+                                        "want": "-1"}
+
+
+def test_weyl_relations_fails_on_a_square_taken_as_its_own_normal_form(
+        monkeypatch):
+    # a shortcut that returns a lone word of coefficient 1 as it stands;
+    # every pair relation orders a sum or a multiple of 2, so only the
+    # squares see it
+    real = verifier.weyl_normal_order
+    monkeypatch.setattr(verifier, "weyl_normal_order", lambda w: (
+        w if list(w.terms.values()) == [1] else real(w)))
+    assert _weyl_relations_fails(17) == {"atom": "x1", "square": "nonzero"}
+
+
+def test_weyl_relations_fails_on_a_normal_order_that_doubles(monkeypatch):
+    # both sides of every relation double alike; ordering twice does not
+    real = verifier.weyl_normal_order
+    monkeypatch.setattr(verifier, "weyl_normal_order",
+                        lambda w: 2 * real(w))
+    assert _weyl_relations_fails(21) == {
+        "trial": 2, "word": "t1 . t1 . dt1 + 5/2*x1 . dx1 . dx1",
+        "first": "2*t1 . t1 . dt1", "second": "4*t1 . t1 . dt1"}
+
+
+def test_weyl_relations_fails_on_words_acting_left_to_right(monkeypatch):
+    # the leftmost atom acting first: a word and its normal form then act
+    # differently
+    real = verifier.act_word
+    monkeypatch.setattr(verifier, "act_word", lambda spec, w, x: real(
+        spec, w._like({word[::-1]: c for word, c in w.terms.items()}), x))
+    assert _weyl_relations_fails(31) == {
+        "trial": 12, "word": "-2*t1 . dx1 + 2*t1 . dt1 . t1 . t1",
+        "argument": "1", "direct": "2*t1^2", "normal_ordered": "10*t1^2"}
+
+
+def test_difference_recurrence_fails_on_a_doubled_order(monkeypatch):
+    # D(alpha, beta; 2) doubled: the recurrence at r = 1 reads it
+    real = verifier.difference_word
+    monkeypatch.setattr(verifier, "difference_word", lambda *args: (
+        2 if args[6] == 2 else 1) * real(*args))
+    report = run_check("difference_recurrence", {})
+    assert (report.status, report.cases) == ("fail", 2)
+    assert report.counterexample == {
+        "route": "formal words", "alpha": [0], "beta": [0], "I": 0, "J": 0,
+        "r": 1, "j": 1,
+        "lhs": "dt1 . t1^2*dt1 - 2*t1*dt1 . t1*dt1 + t1^2*dt1 . dt1",
+        "rhs": "2*dt1 . t1^2*dt1 - 4*t1*dt1 . t1*dt1 + 2*t1^2*dt1 . dt1"}
 
 
 # past 60,000 (x, y, window key) triples module_axioms samples 1,000 of
@@ -808,6 +920,19 @@ def test_module_laws_read_the_multiplication_rows(monkeypatch):
     report = run_check("module_axioms", params)
     assert report.status == "fail"
     assert report.counterexample["law"] == "coefficient associativity"
+
+
+def test_module_axioms_fails_on_a_doubled_derivative(monkeypatch):
+    # witt_act doubled: only the mixed law reads it, on its derivative
+    # route
+    real = verifier.witt_act
+    monkeypatch.setattr(verifier, "witt_act", lambda x, f: 2 * real(x, f))
+    report = run_check("module_axioms", {})
+    assert (report.status, report.cases) == ("fail", 2355)
+    assert report.counterexample == {
+        "law": "mixed derivation-multiplication", "x": "t1^2*x1*dx1",
+        "f": "x1", "v": "t1^2 @ e1", "commutator_route": "t1^4*x1 @ e1",
+        "derivative_route": "2*t1^4*x1 @ e1"}
 
 
 def test_commutant_homomorphism_builds_each_commutant_once(monkeypatch):
@@ -1215,7 +1340,9 @@ def test_bracket_oracle_fails_on_a_duplicate_key_with_a_wrong_sum(
 def _antisymmetric_with_a_fault(length, fault):
     """_antisymmetric on the (1,1) deg 2 derivation memo with one row
     [b, a], a > b in the basis, of the given length faulted.  The faulted
-    row keeps parity |a| + |b|, so only the comparison can reject it."""
+    row keeps parity |a| + |b|, so only the comparison can reject it,
+    except under the parity fault, which swaps a key for one of the other
+    parity."""
     basis = verifier._witt_keys(1, 1, 2)
     size = len(basis)
     memo = verifier._PairMemo(basis,
@@ -1228,10 +1355,11 @@ def _antisymmetric_with_a_fault(length, fault):
     row = list(memo[b][a])
     k, c = row[0]
     other = next(j for j in range(len(parity))
-                 if parity[j] == parity[k] and j not in dict(row))
+                 if (parity[j] == parity[k]) == (fault != "parity")
+                 and j not in dict(row))
     if fault == "coefficient":
         row[0] = (k, 2 * c)
-    elif fault == "key":
+    elif fault in ("key", "parity"):
         row[0] = (other, c)
     else:
         row = row[:-1] if length == 2 else row + [(other, c)]
@@ -1240,7 +1368,7 @@ def _antisymmetric_with_a_fault(length, fault):
                                    WittElement.key_parity)
 
 
-@pytest.mark.parametrize("fault", ["coefficient", "key", "length"])
+@pytest.mark.parametrize("fault", ["coefficient", "key", "length", "parity"])
 @pytest.mark.parametrize("length", [1, 2])
 def test_antisymmetric_rejects_a_faulted_row(length, fault):
     assert _antisymmetric_with_a_fault(length, fault) is False

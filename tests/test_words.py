@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,7 +97,7 @@ def test_word_commutator_against_action():
 
 def test_word_constructors_match_accumulated_construction():
     assert OperatorWord.identity(M, N) == OperatorWord(M, N, {(): Fraction(1)})
-    atoms = (("dt", 1), ("mx", 2), make_watom((1,), 1, (XSLOT, 2)))
+    atoms = (("dt", 1), ("mx", 2), make_watom((((1,), 1), (XSLOT, 2))))
     for coeff in (1, -2, Fraction(3, 4), Fraction(-1, 2)):
         got = OperatorWord.from_word(M, N, atoms, coeff)
         assert got == OperatorWord(M, N, {atoms: Fraction(coeff)})
@@ -112,6 +113,32 @@ def test_atom_parity():
     assert atom_parity(("dt", 1)) == 0
     assert atom_parity(("mx", 2)) == 1
     assert atom_parity(("dx", 1)) == 1
+    # a derivation atom's parity is its key's: |I|, plus 1 on an x-slot
+    assert atom_parity(make_watom((((1,), 0), (XSLOT, 1)))) == 1
+    assert atom_parity(make_watom((((0,), 3), (XSLOT, 1)))) == 1
+    assert atom_parity(make_watom((((0,), 1), (TSLOT, 1)))) == 1
+    assert atom_parity(make_watom((((2,), 3), (TSLOT, 1)))) == 0
+
+
+# a bad atom fails when the word is built, not when it acts or prints; a
+# derivation key is checked field by field, as WittElement.term checks it,
+# and one with a trivial monomial has one spelling, the plain dt/dx atom
+@pytest.mark.parametrize("atom,message", [
+    (("w", (((1,), 0), (TSLOT, 2))), "d/dt index 2 out of range"),
+    (("w", (((1,), 0), (XSLOT, 3))), "d/dxi index 3 out of range"),
+    (("w", (((1,), 0), ("q", 1))), "bad slot kind 'q'"),
+    (("w", (((-1,), 0), (TSLOT, 1))), r"bad exponent tuple \(-1,\)"),
+    (("w", (((1, 0), 0), (TSLOT, 1))), r"bad exponent tuple \(1, 0\)"),
+    (("w", (((1,), 4), (XSLOT, 1))), "odd index out of range for n=2"),
+    (("zz", 1), "unknown atom kind 'zz'"),
+    (("w", (1,), 0, TSLOT, 1), "too many values to unpack"),
+    (("w", (((0,), 0), (XSLOT, 2))), r"is the atom \('dx', 2\)"),
+], ids=["slot-index", "odd-slot-index", "slot-kind", "negative-exponent",
+        "exponent-count", "odd-mask", "atom-kind", "flattened",
+        "trivial-monomial"])
+def test_from_word_rejects_a_bad_atom(atom, message):
+    with pytest.raises(ValueError, match=message):
+        OperatorWord.from_word(M, N, [("mt", 1), atom])
 
 
 def test_difference_word_recurrence_formal():
@@ -151,7 +178,8 @@ def _frozen_difference_word(m, n, alpha, beta, imask, jmask, r, j, slot1,
         a[j - 1] += r - i
         b = list(beta)
         b[j - 1] += i
-        word = (make_watom(a, imask, slot1), make_watom(b, jmask, slot2))
+        word = (make_watom(((tuple(a), imask), slot1)),
+                make_watom(((tuple(b), jmask), slot2)))
         coeff = Fraction(comb(r, i)) * (-1 if i & 1 else 1)
         accumulate(out.terms, word, coeff)
     return out
