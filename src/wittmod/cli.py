@@ -18,8 +18,8 @@ import sys
 # alone.  A Witt bracket adds config alone, for the shape rule, and wh
 # validates its parameters without the verifier (see the package
 # docstring)
-from .expressions import (ExpressionError, as_dressed, as_tensor, as_witt,
-                          as_word, parse_expr, print_expr, quoted)
+from .expressions import (MAX_ECHO, ExpressionError, as_dressed, as_tensor,
+                          as_witt, as_word, parse_expr, print_expr, quoted)
 from .witt import witt_bracket
 
 
@@ -37,64 +37,64 @@ def _infer_mn(parsed_lists):
     return m, n
 
 
-def _shape(args, parsed_lists):
+def _shape(args, *texts):
+    """m, n and the parsed texts; --m/--n pass the shape rule first."""
     from .config import CheckParams
-    m, n = _infer_mn(parsed_lists)
-    if args.m is not None:
-        m = args.m
-    if args.n is not None:
-        n = args.n
+    CheckParams.check_shape(args.m, args.n)
+    parsed = [parse_expr(text) for text in texts]
+    m, n = _infer_mn(parsed)
+    m, n = (m if args.m is None else int(args.m),
+            n if args.n is None else int(args.n))
     CheckParams.check_shape(m, n)
-    return m, n
+    return (m, n, *parsed)
 
 
 def _module_spec(args, m, n, nonsingular_for=None) -> ModuleSpec:
-    from .config import ConfigError, parse_twist, resolve_rep
+    from .config import _FIELDS, ConfigError, parse_twist, resolve_rep
     from .tensor_modules import ModuleSpec
-    spec = ModuleSpec(m, n, parse_twist(args.a, m),
-                      resolve_rep(args.rep, m, n))
+    rep = _FIELDS["rep"][1] if args.rep is None else args.rep
+    spec = ModuleSpec(m, n, parse_twist(args.a, m), resolve_rep(rep, m, n))
     if nonsingular_for and not spec.nonsingular:
         raise ConfigError("%s needs a nonsingular twist vector"
                           % nonsingular_for)
     return spec
 
 
+# the run-parameter flags are named here and read by config, which types,
+# defaults, bounds and echoes them as it does an INI value
 def _add_shape_flags(sub):
-    sub.add_argument("--m", type=int, default=None,
-                     help="number of even variables (default: inferred)")
-    sub.add_argument("--n", type=int, default=None,
-                     help="number of odd variables (default: inferred)")
+    for flag, parity in (("--m", "even"), ("--n", "odd")):
+        sub.add_argument(flag, help="number of %s variables (default: "
+                                    "inferred)" % parity)
 
 
 def _add_module_flags(sub):
     _add_shape_flags(sub)
-    sub.add_argument("--a", default=None,
-                     help="twist vector, comma separated rationals")
-    sub.add_argument("--rep", default="natural",
-                     help="rep descriptor: natural | trivial[:d] | "
-                          "tensor(r,s) | sum(r,s) | file:PATH")
+    sub.add_argument("--a", help="twist vector, comma separated rationals")
+    sub.add_argument("--rep", help="rep descriptor: natural | trivial[:d] | "
+                                   "tensor(r,s) | sum(r,s) | file:PATH")
 
 
 def _cmd_bracket(args) -> int:
-    t1, t2 = parse_expr(args.e1), parse_expr(args.e2)
-    m, n = _shape(args, [t1, t2])
+    from .config import _FIELDS
+    m, n, t1, t2 = _shape(args, args.e1, args.e2)
+    mode = args.mode or _FIELDS["mode"][1]
     # a term with a dressing segment ('a . derivation') selects the dressed
     # route; anything else must parse as a plain derivation
     if any(len(segs) > 1 for _, segs, _ in t1 + t2):
         from .dressed import dressed_bracket
         u, v = as_dressed(t1, m, n), as_dressed(t2, m, n)
-        out = dressed_bracket(u, v, mode=args.mode)
+        out = dressed_bracket(u, v, mode=mode)
     else:
         u, v = as_witt(t1, m, n), as_witt(t2, m, n)
-        out = witt_bracket(u, v, mode=args.mode)
+        out = witt_bracket(u, v, mode=mode)
     print(print_expr(out))
     return 0
 
 
 def _cmd_act(args) -> int:
     from .tensor_modules import act_word
-    top, telem = parse_expr(args.op), parse_expr(args.elem)
-    m, n = _shape(args, [top, telem])
+    m, n, top, telem = _shape(args, args.op, args.elem)
     spec = _module_spec(args, m, n)
     w = as_word(top, m, n)
     x = as_tensor(telem, m, n, spec.dim)
@@ -106,8 +106,8 @@ def _cmd_wh(args) -> int:
     from .config import load_config, resolve_rep
     from .tensor_modules import (ModuleSpec, generalized_whittaker_space,
                                  whittaker_space)
-    cfg = load_config(args.spec)
-    merged = cfg.params_for("whittaker_dimension", _cli_dict(args))
+    cli = _cli_dict(args)
+    merged = load_config(args.spec).params_for("whittaker_dimension", cli)
     m, n = merged["m"], merged["n"]
     spec = ModuleSpec(m, n, merged["a"], resolve_rep(merged["rep"], m, n))
     if merged["height"]:
@@ -122,8 +122,7 @@ def _cmd_wh(args) -> int:
 
 def _cmd_descent(args) -> int:
     from .tensor_modules import descent
-    telem = parse_expr(args.elem)
-    m, n = _shape(args, [telem])
+    m, n, telem = _shape(args, args.elem)
     spec = _module_spec(args, m, n, nonsingular_for="descent")
     x = as_tensor(telem, m, n, spec.dim)
     print(print_expr(descent(spec, x)))
@@ -133,8 +132,7 @@ def _cmd_descent(args) -> int:
 def _cmd_weighting(args) -> int:
     from .config import parse_twist
     from .tensor_modules import weight_reduce
-    telem = parse_expr(args.elem)
-    m, n = _shape(args, [telem])
+    m, n, telem = _shape(args, args.elem)
     spec = _module_spec(args, m, n, nonsingular_for="weighting")
     x = as_tensor(telem, m, n, spec.dim)
     weight = parse_twist(args.r, m, "weight --r", required=True)
@@ -143,12 +141,13 @@ def _cmd_weighting(args) -> int:
 
 
 def _cli_dict(args) -> dict:
-    from .config import CheckParams, ConfigError
+    """The run parameters of the flags and WITTMOD_SEED, typed first."""
+    from .config import CheckParams, ConfigError, _coerce
     out = {}
     for key in CheckParams.keys():
         val = getattr(args, key, None)
         if val is not None:
-            out[key] = val
+            out[key] = _coerce(key, val)
     env_seed = os.environ.get("WITTMOD_SEED")
     if "seed" not in out and env_seed:
         try:
@@ -164,9 +163,9 @@ def _run_checks(args):
     Every selected check's parameters and rep are resolved first."""
     from .verifier import REGISTRY, run_check
     from .config import load_config, resolve_rep
+    cli = _cli_dict(args)
     cfg = load_config(args.config)
     ids = _selected_checks(args.check, cfg, REGISTRY)
-    cli = _cli_dict(args)
     params = [cfg.params_for(cid, cli) for cid in ids]
     for rep, m, n in dict.fromkeys((p["rep"], p["m"], p["n"])
                                    for p in params):
@@ -206,7 +205,7 @@ def _cmd_report(args) -> int:
         check_out_path(args.out)
     reports, cfg, cli = _run_checks(args)
     seed = cli.get("seed", cfg.base.get("seed", 0))
-    emit_report(reports, args.out, seed=int(seed), stable=args.stable)
+    emit_report(reports, args.out, seed=seed, stable=args.stable)
     return _exit_code(reports)
 
 
@@ -219,46 +218,55 @@ def _exit_code(reports) -> int:
     return 1 if "fail" in statuses else 0
 
 
+def _answer(cmd, args) -> int:
+    """cmd(args), whichever parser read args: a parse or configuration
+    error is one error line and exit 2, any other exception a bug."""
+    from .config import ConfigError
+    try:
+        return cmd(args)
+    except (ExpressionError, ConfigError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+
+
 def _add_check_flags(sub):
     _add_module_flags(sub)
     for flag in ("D", "deg", "rmax", "trials", "seed", "height"):
-        sub.add_argument("--%s" % flag, type=int, default=None)
-    sub.add_argument("--mode", default=None,
-                     help="corrected | verbatim | mutated | tau_flipped | "
-                          "untwisted | coset (check dependent)")
+        sub.add_argument("--" + flag)
+    sub.add_argument("--mode", help="corrected | verbatim | mutated | "
+                     "tau_flipped | untwisted | coset (check dependent)")
     sub.add_argument("--expect-reducible", dest="expect_reducible",
-                     action="store_const", const=True, default=None)
+                     action="store_const", const=True)
     sub.add_argument("--config", default=None, help="INI config file")
 
 
 def _bracket_args(sub):
     sub.add_argument("e1")
     sub.add_argument("e2")
-    sub.add_argument("--mode", default="corrected",
-                     choices=["corrected", "verbatim"])
+    sub.add_argument("--mode", choices=["corrected", "verbatim"])
     _add_shape_flags(sub)
-    sub.set_defaults(fn=_cmd_bracket)
+    sub.set_defaults(fn=functools.partial(_answer, _cmd_bracket))
 
 
 def _act_args(sub):
     sub.add_argument("op")
     sub.add_argument("elem")
     _add_module_flags(sub)
-    sub.set_defaults(fn=_cmd_act)
+    sub.set_defaults(fn=functools.partial(_answer, _cmd_act))
 
 
 def _wh_args(sub):
     sub.add_argument("--spec", default=None, help="INI config file")
     _add_module_flags(sub)
-    sub.add_argument("--D", type=int, default=None)
-    sub.add_argument("--height", type=int, default=None)
-    sub.set_defaults(fn=_cmd_wh)
+    sub.add_argument("--D")
+    sub.add_argument("--height")
+    sub.set_defaults(fn=functools.partial(_answer, _cmd_wh))
 
 
 def _descent_args(sub):
     sub.add_argument("elem")
     _add_module_flags(sub)
-    sub.set_defaults(fn=_cmd_descent)
+    sub.set_defaults(fn=functools.partial(_answer, _cmd_descent))
 
 
 def _weighting_args(sub):
@@ -266,13 +274,13 @@ def _weighting_args(sub):
     sub.add_argument("--r", required=True,
                      help="weight, comma separated rationals")
     _add_module_flags(sub)
-    sub.set_defaults(fn=_cmd_weighting)
+    sub.set_defaults(fn=functools.partial(_answer, _cmd_weighting))
 
 
 def _verify_args(sub):
     sub.add_argument("check", help="check id or 'all'")
     _add_check_flags(sub)
-    sub.set_defaults(fn=_cmd_verify)
+    sub.set_defaults(fn=functools.partial(_answer, _cmd_verify))
 
 
 def _report_args(sub):
@@ -281,7 +289,7 @@ def _report_args(sub):
     sub.add_argument("--stable", action="store_true",
                      help="pin timestamp and timings for byte-stable output")
     _add_check_flags(sub)
-    sub.set_defaults(fn=_cmd_report)
+    sub.set_defaults(fn=functools.partial(_answer, _cmd_report))
 
 
 # command -> (help, the function that adds its arguments), in help order
@@ -302,7 +310,18 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     add_subparsers().add_parser() call, so its prog ('wittmod bracket')
     and usage lines are those of the tree."""
     import argparse
-    ap = argparse.ArgumentParser(
+    import re
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # argparse echoes a user token bare or in quotes: one past
+            # MAX_ECHO is cut by quoted's rule, as in every error line
+            super().error(re.sub(
+                r"'([^']{%d,})'|\S{%d,}" % (MAX_ECHO + 1, MAX_ECHO + 1),
+                lambda t: quoted(t[1], "'{}'".format) if t[1]
+                else quoted(t[0], str), message))
+
+    ap = Parser(
         prog="wittmod",
         description="Exact super Witt algebra and Whittaker module tool")
     sp = ap.add_subparsers(dest="command", required=True)
@@ -325,26 +344,20 @@ def run_command(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
+        # what the tree does, without classifying every argument of a
+        # command a second time: that command's parser reads the rest,
+        # and the tree reports what is left, each token cut alone (one may
+        # hold spaces)
         if argv and argv[0] in _COMMANDS:
-            # what the tree does for a command, without classifying every
-            # argument a second time: its parser reads the rest, and the
-            # tree reports what that parser leaves
             args, extras = _parser(argv[0]).parse_known_args(argv[1:])
-            if extras:
-                _parser().error("unrecognized arguments: %s"
-                                % " ".join(extras))
         else:
-            args = _parser().parse_args(argv)
+            args, extras = _parser().parse_known_args(argv)
+        if extras:
+            _parser().error("unrecognized arguments: %s"
+                            % " ".join(quoted(x, str) for x in extras))
     except SystemExit as e:
         return 2 if e.code else 0
-    try:
-        return args.fn(args)
-    except ValueError as e:
-        from .config import ConfigError
-        if not isinstance(e, (ExpressionError, ConfigError)):
-            raise
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    return args.fn(args)
 
 
 def main() -> None:

@@ -296,6 +296,7 @@ def _check_bound(name, value):
     if "max" in bound and value > bound["max"]:
         raise ConfigError("%s must be <= %d, got %s"
                           % (name, bound["max"], quoted(value, str)))
+    return value
 
 
 class CheckParams:
@@ -315,8 +316,7 @@ class CheckParams:
         values["check"] = check
         for name, (_, default, _) in _FIELDS.items():
             value = _coerce(name, values.get(name, default))
-            _check_bound(name, value)
-            setattr(self, name, value)
+            setattr(self, name, _check_bound(name, value))
         self.check_shape(self.m, self.n)
         self.a = parse_twist(self.a, self.m)
         if self.check not in CHECKS:
@@ -331,11 +331,10 @@ class CheckParams:
 
     @staticmethod
     def check_shape(m, n):
-        """The shape rule, shared with the calculator commands: m and n
-        within their bounds, and not both 0."""
-        _check_bound("m", m)
-        _check_bound("n", n)
-        if m == n == 0:
+        """The shape rule, also the calculator's: m and n (ints or a flag's
+        text; None if not known yet) within their bounds, not both 0."""
+        if [_check_bound(k, _coerce(k, v))
+                for k, v in (("m", m), ("n", n)) if v is not None] == [0, 0]:
             raise ConfigError("empty shape: m and n are both 0")
 
     @staticmethod
@@ -386,16 +385,18 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     import configparser
-    parser = configparser.ConfigParser()
+    # values are read as written: a '%' is no interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive: D is not d
     shown = quoted(path, str, MAX_PATH)
     try:
         with open(path) as fh:
-            parser.read_file(fh)
+            text = fh.read()
+        parser.read_string(text, path)
     except OSError as e:
         raise ConfigError("cannot read config %s: %s" % (shown, e.strerror))
     except configparser.Error as e:
-        raise ConfigError("bad config %s: %s" % (shown, quoted(str(e), str)))
+        raise ConfigError("bad config %s: %s" % (shown, _ini_fault(e, text)))
     params = CheckParams.keys()
     base, overrides, checks = {}, {}, None
     for section in parser.sections():
@@ -420,3 +421,20 @@ def load_config(path=None) -> RunConfig:
                 raise ConfigError("unknown key %s in [%s]"
                                   % (quoted(key), quoted(section, str)))
     return RunConfig(base, overrides, None if checks == ["all"] else checks)
+
+
+def _ini_fault(e, text):
+    """configparser's error e, which names a line of text, as 'line N:
+    <reason> <the line>'."""
+    import configparser
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        reason = "no [section] above"
+    elif isinstance(e, configparser.ParsingError):
+        reason = "no '=' or ':' in"
+    elif isinstance(e, configparser.DuplicateSectionError):
+        reason = "repeated section"
+    else:  # DuplicateOptionError, the last error that reading raises
+        reason = "repeated key"
+    lineno = getattr(e, "lineno", None) or e.errors[0][0]
+    return "line %d: %s %s" % (lineno, reason,
+                               quoted(text.split("\n")[lineno - 1].strip()))

@@ -16,9 +16,9 @@ import pytest
 import wittmod
 from wittmod import tensor_modules, verifier
 from wittmod.cli import build_parser, run_command
-from wittmod.config import ConfigError, resolve_rep
+from wittmod.config import CheckParams, ConfigError, resolve_rep
 from wittmod.expressions import (MAX_DIGITS, MAX_EXPONENT, MAX_PATH,
-                                 MAX_WORD_ATOMS, print_expr)
+                                 MAX_WORD_ATOMS, print_expr, quoted)
 from wittmod.reporting import emit_report, report_schema
 from wittmod.verifier import REGISTRY
 
@@ -659,6 +659,67 @@ def test_cli_flag_beats_config(tmp_path, capsys):
     assert rc == 1
 
 
+def _report_checks(capsys, argv):
+    rc, out, err = run(capsys, ["report", "--out", "-", "--stable"] + argv)
+    assert (rc, err) == (0, ""), err
+    return json.loads(out)["checks"]
+
+
+def _readme_config():
+    """The ini block under README's "Config files" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Config files", 1)[1].split("```ini\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def test_readme_config_example_sets_every_key(tmp_path, capsys):
+    # the argument parser's --rep default used to beat the file's rep
+    import configparser
+    text = _readme_config()
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    sections = configparser.ConfigParser()
+    sections.optionxform = str
+    sections.read_string(text)
+    run_keys = dict(sections["run"])
+    selected = [c.strip() for c in run_keys.pop("checks").split(",")]
+    checks = _report_checks(capsys, ["--config", str(ini)])
+    assert [c["id"] for c in checks] == sorted(selected)
+    for check in checks:
+        keys = dict(run_keys)
+        if sections.has_section("check:" + check["id"]):
+            keys.update(sections["check:" + check["id"]])
+        for key, raw in keys.items():
+            value = check["params"][key]
+            assert (", ".join(value) if isinstance(value, list)
+                    else str(value)) == raw, key
+
+
+# defaults < [run] < [check:<id>] < flags, for the rep as for every key
+@pytest.mark.parametrize("flags,dims", [
+    ([], {"3": 3, "4": 3}),
+    (["--rep", "natural"], {"3": 2, "4": 2}),
+], ids=["check-section", "flag"])
+def test_a_check_section_rep_beats_run_and_a_flag_beats_both(
+        tmp_path, capsys, flags, dims):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nrep = trivial\n\n"
+                   "[check:whittaker_dimension]\nrep = trivial:3\n")
+    (check,) = _report_checks(capsys, ["--check", "whittaker_dimension",
+                                       "--config", str(ini)] + flags)
+    assert check["data"]["dims"] == dims
+
+
+@pytest.mark.parametrize("flags,out", [
+    ([], "1 @ e1\n"),
+    (["--rep", "natural"], "1 @ e1\n1 @ e2\n"),
+], ids=["run-section", "flag"])
+def test_wh_spec_rep_beats_the_default(tmp_path, capsys, flags, out):
+    spec = tmp_path / "wh.ini"
+    spec.write_text("[run]\nm = 1\nn = 1\nD = 2\nrep = trivial\n")
+    assert run(capsys, ["wh", "--spec", str(spec)] + flags) == (0, out, "")
+
+
 def test_misspelt_check_section_exits_2(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[check:jacobbi]\ndeg = 9\n")
@@ -770,6 +831,12 @@ def _config_of_one_long_line(tmp_path):
     return ["verify", "all", "--config", str(ini)]
 
 
+def _config_with_a_long_bad_line(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\n" + "k" * 100000 + "\n")
+    return ["verify", "all", "--config", str(ini)]
+
+
 # user text past 64 characters is echoed as its first 32 and its length.
 # Each row: argv (or a function of tmp_path that makes it), the
 # environment, and what the line carries besides the text: the known
@@ -791,9 +858,13 @@ def _config_of_one_long_line(tmp_path):
     (["report", "--out", "/nonexistent/" + "r" * 100000], {}, ""),
     (["verify", "all", "--config", "/nonexistent/" + "c" * 100000], {}, ""),
     (_config_of_one_long_line, {}, "path"),
+    (_config_with_a_long_bad_line, {}, "path"),
+    (["verify", "jacobi", "--D", "9" * 100000], {}, ""),
+    (["bracket", "dt1", "dt1", "--m", "m" * 100000], {}, ""),
 ], ids=["literal", "name", "rep", "check-id", "index", "vector-index",
         "rational", "rep-file-line", "config-key", "seed", "epoch",
-        "rep-file-path", "report-path", "config-path", "config-line"])
+        "rep-file-path", "report-path", "config-path", "config-line",
+        "config-bad-line", "int-flag", "shape-flag"])
 def test_long_user_text_is_cut_in_error_lines(tmp_path, capsys, monkeypatch,
                                               argv, env, carried):
     if callable(argv):
@@ -827,6 +898,95 @@ def test_a_path_is_echoed_whole_up_to_max_path(capsys, argv, message,
         path[:32], length)
     assert err.startswith("error: %s %s: " % (message, shown))
     assert err.count("\n") == 1 and err.count(shown) == 1
+
+
+LONG = "q" * 100000
+SPACED = "q " * 50000
+
+
+# argparse's own usage errors cut a long token by quoted's rule too: each
+# row is argv and the token as the error line shows it
+@pytest.mark.parametrize("argv,shown", [
+    (["bracket", "dt1", "dt1", "--mode", LONG], quoted(LONG)),
+    (["verify", "jacobi", LONG], quoted(LONG, str)),
+    ([LONG], quoted(LONG)),
+    (["verify", "jacobi", "--" + LONG], quoted("--" + LONG, str)),
+    (["bracket", "dt1", "dt1", "--mode", SPACED], quoted(SPACED)),
+    (["verify", "jacobi", SPACED], quoted(SPACED, str)),
+    (["-v", "verify", "jacobi", SPACED], quoted(SPACED, str)),
+], ids=["choice", "stray-argument", "command", "flag", "spaced-choice",
+        "spaced-argument", "spaced-argument-to-the-tree"])
+def test_usage_errors_cut_a_long_token(capsys, monkeypatch, argv, shown):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert shown in err.splitlines()[-1]
+    assert len(err.encode()) < 300
+
+
+# a config file that configparser cannot read: the line is named and quoted
+@pytest.mark.parametrize("text,message", [
+    ("foo\n", "line 1: no [section] above 'foo'"),
+    ("[run]\nm = 1\nkkk\n", "line 3: no '=' or ':' in 'kkk'"),
+    ("[run]\nm = 1\n\n[run]\n", "line 4: repeated section '[run]'"),
+    ("[run]\nm = 1\nm = 2\n", "line 3: repeated key 'm = 2'"),
+], ids=["no-section", "no-delimiter", "repeated-section", "repeated-key"])
+def test_a_config_syntax_error_names_its_line(tmp_path, capsys, text,
+                                              message):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    rc, out, err = run(capsys, ["verify", "all", "--config", str(ini)])
+    assert (rc, out, err) == (2, "", "error: bad config %s: %s\n"
+                              % (ini, message))
+
+
+def test_a_config_value_is_read_as_written(tmp_path, capsys):
+    # a '%' is no interpolation: this raised a configparser traceback
+    rep = tmp_path / "50%.rep"
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nrep = file:%s\n" % rep)
+    rc, out, err = run(capsys, ["verify", "all", "--config", str(ini)])
+    assert (rc, out, err) == (2, "", "error: cannot read rep file %s: No "
+                              "such file or directory\n" % rep)
+
+
+# rejections of a rep descriptor, a rep file and a config file, one row
+# each, as the error line gives them; FILE is the file the row's text is
+# written to
+REP_FILE = ["act", "dt1", "1 @ e1", "--m", "1", "--n", "0", "--rep",
+            "file:FILE"]
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["act", "dt1", "1 @ e1", "--rep", "tensor(natural, trivial, natural)"],
+     None, "rep combinators take exactly two arguments: "
+           "'natural, trivial, natural'"),
+    (["act", "dt1", "1 @ e1", "--rep", "trivial:0"], None,
+     "trivial dimension must be >= 1"),
+    (REP_FILE, "0\nE 1 1 : 1\n",
+     "rep file FILE: first line must be 'dim p1 .. pd'"),
+    (REP_FILE, "dim\nE 1 1 : 1\n", "rep file FILE: no basis parities"),
+    (REP_FILE, "dim x\nE 1 1 : 1\n", "rep file FILE: parities must be 0/1"),
+    (REP_FILE, "dim 2\nE 1 1 : 1\n", "rep file FILE: parities must be 0/1"),
+    (REP_FILE, "dim 0\nE a b : 1\n",
+     "rep file FILE: bad unit indices in 'E a b : 1'"),
+    (REP_FILE, "dim 0\nE 9 1 : 1\n", "rep file FILE: unit E 9 1 out of range"),
+    (REP_FILE, "dim 0\nE 1 1 : 1 2\n",
+     "rep file FILE: E 1 1 needs 1 entries, got 2"),
+    (["verify", "all", "--config", "FILE"], "[run]\nchecks = jacobi, bogus\n",
+     "unknown check ids in config: bogus"),
+], ids=["three-arguments", "trivial-0", "no-dim", "no-parities", "parity-x",
+        "parity-2", "unit-indices", "unit-range", "unit-entries",
+        "unknown-check-ids"])
+def test_each_rejection_names_its_fault(tmp_path, capsys, argv, text,
+                                        message):
+    path = tmp_path / "in.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = [a.replace("FILE", str(path)) for a in argv]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: %s\n" % message.replace("FILE", str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -1217,3 +1377,16 @@ def test_a_command_builds_its_own_parser_alone():
     assert out == "dt1"
     # one parser, that of bracket, and never the whole tree (None)
     assert json.loads(built) == ["bracket"]
+
+
+def test_flags_leave_types_and_defaults_to_config():
+    # a run-parameter flag is a name and help text: config types, defaults,
+    # bounds and echoes its text as it does an INI value
+    keys = set(CheckParams.keys())
+    for command in ("bracket", "act", "wh", "descent", "weighting", "verify",
+                    "report"):
+        actions = [a for a in build_parser(command)._actions
+                   if a.dest in keys]
+        assert actions, command
+        assert [a.dest for a in actions
+                if a.type is not None or a.default is not None] == []

@@ -546,7 +546,7 @@ def test_pbw_untwisted_top_raises_transition_singular(monkeypatch):
     with pytest.raises(TransitionSingular):
         pbw_basis_rewrite(spec, 1, x)
     report = run_check("descent_roundtrip", {"m": 1, "n": 1})
-    assert report.status == "error"
+    assert report.status == "fail"
     assert "not triangular" in report.counterexample["error"]
 
 
