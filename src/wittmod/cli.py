@@ -8,7 +8,6 @@ propagates.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 
 # only the layers of a Witt bracket load with the module (the converters
@@ -40,12 +39,11 @@ def _infer_mn(parsed_lists):
 def _shape(args, *texts):
     """m, n and the parsed texts; --m/--n pass the shape rule first."""
     from .config import CheckParams
-    CheckParams.check_shape(args.m, args.n)
+    m, n = CheckParams.check_shape(args.m, args.n)
     parsed = [parse_expr(text) for text in texts]
-    m, n = _infer_mn(parsed)
-    m, n = (m if args.m is None else int(args.m),
-            n if args.n is None else int(args.n))
-    CheckParams.check_shape(m, n)
+    inferred = _infer_mn(parsed)
+    m, n = CheckParams.check_shape(inferred[0] if m is None else m,
+                                   inferred[1] if n is None else n)
     return (m, n, *parsed)
 
 
@@ -103,11 +101,10 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_wh(args) -> int:
-    from .config import load_config, resolve_rep
+    from .config import plan_run, resolve_rep
     from .tensor_modules import (ModuleSpec, generalized_whittaker_space,
                                  whittaker_space)
-    cli = _cli_dict(args)
-    merged = load_config(args.spec).params_for("whittaker_dimension", cli)
+    _, (merged,), _ = plan_run(args.spec, "whittaker_dimension", vars(args))
     m, n = merged["m"], merged["n"]
     spec = ModuleSpec(m, n, merged["a"], resolve_rep(merged["rep"], m, n))
     if merged["height"]:
@@ -140,56 +137,21 @@ def _cmd_weighting(args) -> int:
     return 0
 
 
-def _cli_dict(args) -> dict:
-    """The run parameters of the flags and WITTMOD_SEED, typed first."""
-    from .config import CheckParams, ConfigError, _coerce
-    out = {}
-    for key in CheckParams.keys():
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = _coerce(key, val)
-    env_seed = os.environ.get("WITTMOD_SEED")
-    if "seed" not in out and env_seed:
-        try:
-            out["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError("WITTMOD_SEED must be an integer, got %s"
-                              % quoted(env_seed))
-    return out
-
-
 def _run_checks(args):
-    """Run the checks that args select: (reports, config, CLI values).
-    Every selected check's parameters and rep are resolved first."""
-    from .verifier import REGISTRY, run_check
-    from .config import load_config, resolve_rep
-    cli = _cli_dict(args)
-    cfg = load_config(args.config)
-    ids = _selected_checks(args.check, cfg, REGISTRY)
-    params = [cfg.params_for(cid, cli) for cid in ids]
+    """Run the checks that args select: (reports, the run's seed).  The
+    run is planned, and each distinct rep it names is built, before the
+    verifier loads."""
+    from .config import plan_run, resolve_rep
+    ids, params, seed = plan_run(args.config, args.check, vars(args))
     for rep, m, n in dict.fromkeys((p["rep"], p["m"], p["n"])
                                    for p in params):
         resolve_rep(rep, m, n)
-    return [run_check(cid, p) for cid, p in zip(ids, params)], cfg, cli
-
-
-def _selected_checks(selector, cfg, registry):
-    from .config import ConfigError
-    if selector == "all":
-        ids = cfg.checks if cfg.checks is not None else list(registry)
-        bad = [c for c in ids if c not in registry]
-        if bad:
-            raise ConfigError("unknown check ids in config: %s"
-                              % quoted(", ".join(bad), str))
-        return ids
-    if selector not in registry:
-        raise ConfigError("unknown check id %s (known: %s)"
-                          % (quoted(selector), ", ".join(registry)))
-    return [selector]
+    from .verifier import run_check
+    return [run_check(cid, p) for cid, p in zip(ids, params)], seed
 
 
 def _cmd_verify(args) -> int:
-    reports, _, _ = _run_checks(args)
+    reports, _ = _run_checks(args)
     for r in reports:
         print("%-26s %-5s cases=%-8d %dms"
               % (r.id, r.status, r.cases, r.elapsed_ms))
@@ -203,8 +165,7 @@ def _cmd_report(args) -> int:
     _timestamp(args.stable)  # a bad SOURCE_DATE_EPOCH fails before a check
     if args.out != "-":
         check_out_path(args.out)
-    reports, cfg, cli = _run_checks(args)
-    seed = cli.get("seed", cfg.base.get("seed", 0))
+    reports, seed = _run_checks(args)
     emit_report(reports, args.out, seed=seed, stable=args.stable)
     return _exit_code(reports)
 
@@ -221,10 +182,12 @@ def _exit_code(reports) -> int:
 def _answer(cmd, args) -> int:
     """cmd(args), whichever parser read args: a parse or configuration
     error is one error line and exit 2, any other exception a bug."""
-    from .config import ConfigError
     try:
         return cmd(args)
-    except (ExpressionError, ConfigError) as e:
+    except ValueError as e:  # config loads only for an error
+        from .config import ConfigError
+        if not isinstance(e, (ExpressionError, ConfigError)):
+            raise
         print("error: %s" % e, file=sys.stderr)
         return 2
 

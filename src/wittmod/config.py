@@ -1,5 +1,5 @@
 """Run configuration: the run-parameter schema (CheckParams), INI files,
-twist vectors, rep descriptors.
+twist vectors, rep descriptors, and what a run selects (plan_run).
 
 A config file has a [run] section plus optional [check:<id>] sections:
 
@@ -29,6 +29,7 @@ built.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from operator import add, mul
 
@@ -149,13 +150,24 @@ def _plan_rep(descriptor, m, n):
     raise ConfigError("unknown rep descriptor %s" % quoted(descriptor))
 
 
-def load_rep_file(path, m, n) -> Rep:
-    shown = quoted(path, str, MAX_PATH)  # the path as every message echoes it
+def _read_text(path, what):
+    """The text of the UTF-8 file at path, whatever the locale; a file
+    that cannot be read or is not UTF-8 is a ConfigError naming it as
+    what."""
     try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh]
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as e:
-        raise ConfigError("cannot read rep file %s: %s" % (shown, e.strerror))
+        reason = e.strerror
+    except UnicodeDecodeError as e:
+        reason = "not UTF-8 text at byte %d" % e.start
+    raise ConfigError("cannot read %s %s: %s"
+                      % (what, quoted(path, str, MAX_PATH), reason))
+
+
+def load_rep_file(path, m, n) -> Rep:
+    lines = [ln.strip() for ln in _read_text(path, "rep file").split("\n")]
+    shown = quoted(path, str, MAX_PATH)  # the path as every message echoes it
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("dim"):
         raise ConfigError("rep file %s: first line must be 'dim p1 .. pd'"
@@ -266,10 +278,11 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(name, value):
+def _coerce(name, value, label=None):
     """value as the type of field name.  Text (an INI value) is parsed;
     any other value must have the type already.  The twist vector is left
-    as given: it is parsed once m is known."""
+    as given: it is parsed once m is known.  An error calls the value
+    label, by default 'key <name>'."""
     kind = _FIELDS[name][0]
     if isinstance(value, str) and kind is not tuple:
         text = value.strip()
@@ -284,8 +297,9 @@ def _coerce(name, value):
     if type(value) is kind or kind is tuple and (
             value is None or isinstance(value, (str, list))):
         return value
-    raise ConfigError("key %s must be %s, got %s"
-                      % (name, _TYPE_NAMES[kind], quoted(value)))
+    raise ConfigError("%s must be %s, got %s"
+                      % (label or "key " + name, _TYPE_NAMES[kind],
+                         quoted(value)))
 
 
 def _check_bound(name, value):
@@ -313,16 +327,15 @@ class CheckParams:
         if unknown:
             raise TypeError("CheckParams.__init__() got an unexpected "
                             "keyword argument %r" % unknown[0])
-        values["check"] = check
-        for name, (_, default, _) in _FIELDS.items():
-            value = _coerce(name, values.get(name, default))
+        self.check = _coerce("check", check)
+        if check not in CHECKS:
+            raise ConfigError("unknown check id %s (known: %s)"
+                              % (quoted(check), ", ".join(CHECKS)))
+        for name in self.keys():
+            value = _coerce(name, values.get(name, _FIELDS[name][1]))
             setattr(self, name, _check_bound(name, value))
         self.check_shape(self.m, self.n)
         self.a = parse_twist(self.a, self.m)
-        if self.check not in CHECKS:
-            raise ConfigError("unknown check id %s (known: %s)"
-                              % (quoted(self.check),
-                                 ", ".join(sorted(CHECKS))))
         modes = ("corrected",) + CHECKS[self.check]
         if self.mode not in modes:
             raise ConfigError("check %s has no mode %s (modes: %s)"
@@ -332,10 +345,13 @@ class CheckParams:
     @staticmethod
     def check_shape(m, n):
         """The shape rule, also the calculator's: m and n (ints or a flag's
-        text; None if not known yet) within their bounds, not both 0."""
-        if [_check_bound(k, _coerce(k, v))
-                for k, v in (("m", m), ("n", n)) if v is not None] == [0, 0]:
+        text; None if not known yet) within their bounds, not both 0.
+        Returns them typed, None as given."""
+        shape = tuple(v if v is None else _check_bound(k, _coerce(k, v))
+                      for k, v in (("m", m), ("n", n)))
+        if shape == (0, 0):
             raise ConfigError("empty shape: m and n are both 0")
+        return shape
 
     @staticmethod
     def keys():
@@ -388,15 +404,12 @@ def load_config(path=None) -> RunConfig:
     # values are read as written: a '%' is no interpolation
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive: D is not d
-    shown = quoted(path, str, MAX_PATH)
+    text = _read_text(path, "config")
     try:
-        with open(path) as fh:
-            text = fh.read()
         parser.read_string(text, path)
-    except OSError as e:
-        raise ConfigError("cannot read config %s: %s" % (shown, e.strerror))
     except configparser.Error as e:
-        raise ConfigError("bad config %s: %s" % (shown, _ini_fault(e, text)))
+        raise ConfigError("bad config %s: %s" % (quoted(path, str, MAX_PATH),
+                                                 _ini_fault(e, text)))
     params = CheckParams.keys()
     base, overrides, checks = {}, {}, None
     for section in parser.sections():
@@ -415,12 +428,34 @@ def load_config(path=None) -> RunConfig:
                 checks = [c.strip() for c in raw.split(",") if c.strip()]
                 if not checks:  # a pass must mean something was checked
                     raise ConfigError("no check ids in [run] checks")
+                bad = [c for c in checks if c not in CHECKS]
+                if bad and checks != ["all"]:
+                    raise ConfigError("unknown check ids in config: %s"
+                                      % quoted(", ".join(bad), str))
             elif key in params:
                 values[key] = _coerce(key, raw)
             else:
                 raise ConfigError("unknown key %s in [%s]"
                                   % (quoted(key), quoted(section, str)))
     return RunConfig(base, overrides, None if checks == ["all"] else checks)
+
+
+def plan_run(path, selector, flags) -> tuple:
+    """(check ids, the parameters of each, the seed) of the run that a
+    config file (or None), a selector (a check id, or 'all': [run] checks
+    or every check) and flags (parameter -> text or None) select.  A value
+    comes from the first of its flag, WITTMOD_SEED (the seed alone),
+    [check:<id>], [run] and the default; the run's seed skips [check:].
+    Every fault is a ConfigError raised before any check runs."""
+    cli = {key: _coerce(key, flags[key]) for key in CheckParams.keys()
+           if flags.get(key) is not None}
+    env_seed = os.environ.get("WITTMOD_SEED")
+    if "seed" not in cli and env_seed:
+        cli["seed"] = _coerce("seed", env_seed, "WITTMOD_SEED")
+    cfg = load_config(path)
+    ids = [selector] if selector != "all" else cfg.checks or list(CHECKS)
+    params = [cfg.params_for(cid, cli) for cid in ids]
+    return ids, params, {**cfg.base, **cli}.get("seed", _FIELDS["seed"][1])
 
 
 def _ini_fault(e, text):

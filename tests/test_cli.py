@@ -975,18 +975,55 @@ REP_FILE = ["act", "dt1", "1 @ e1", "--m", "1", "--n", "0", "--rep",
      "rep file FILE: E 1 1 needs 1 entries, got 2"),
     (["verify", "all", "--config", "FILE"], "[run]\nchecks = jacobi, bogus\n",
      "unknown check ids in config: bogus"),
+    (["verify", "jacobi", "--config", "FILE"], "[run]\nm = \xff\xfe\n",
+     "cannot read config FILE: not UTF-8 text at byte 10"),
+    (REP_FILE, "dim 0\nE 1 1 : \xff\n",
+     "cannot read rep file FILE: not UTF-8 text at byte 14"),
 ], ids=["three-arguments", "trivial-0", "no-dim", "no-parities", "parity-x",
         "parity-2", "unit-indices", "unit-range", "unit-entries",
-        "unknown-check-ids"])
+        "unknown-check-ids", "config-not-utf8", "rep-file-not-utf8"])
 def test_each_rejection_names_its_fault(tmp_path, capsys, argv, text,
                                         message):
     path = tmp_path / "in.txt"
-    if text is not None:
-        path.write_text(text)
+    if text is not None:  # one byte per character: \xff is the byte 0xff
+        path.write_bytes(text.encode("latin-1"))
     argv = [a.replace("FILE", str(path)) for a in argv]
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "")
     assert err == "error: %s\n" % message.replace("FILE", str(path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "weyl_relations", "--config"],
+    ["report", "--check", "jacobi", "--out", "-", "--config"],
+    ["wh", "--spec"],
+], ids=["verify", "report", "wh"])
+def test_config_check_ids_are_validated_for_every_command(
+        tmp_path, capsys, monkeypatch, argv):
+    # [run] checks is read by `all` alone, but a bad id in it is a bad
+    # config for every command, as a bad [check:<id>] section is
+    def no_check(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(verifier, "run_check", no_check)
+    monkeypatch.setattr(tensor_modules, "whittaker_space", no_check)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nchecks = jacobi, bogus\n")
+    assert run(capsys, argv + [str(ini)]) == (
+        2, "", "error: unknown check ids in config: bogus\n")
+
+
+def test_config_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode open() decodes ASCII, and a
+    # comment in UTF-8 raised UnicodeDecodeError
+    rep = tmp_path / "r.rep"
+    rep.write_bytes("# \u00e9\ndim 0\nE 1 1 : 2\n".encode())
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(("# \u00e9\n[run]\nm = 1\nn = 0\nrep = file:%s\n"
+                     % rep).encode())
+    done = run_python(["-X", "utf8=0", "-m", "wittmod", "wh", "--D", "1",
+                       "--spec", str(ini)],
+                      {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 @ e1\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -1197,10 +1234,10 @@ def test_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
 SRC = str(Path(wittmod.__file__).resolve().parents[1])
 
 
-def run_python(args):
+def run_python(args, env=()):
     """A fresh interpreter run with `python args`, this checkout's sources
-    first on its path."""
-    env = dict(os.environ)
+    first on its path and env over the environment."""
+    env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], capture_output=True,
@@ -1283,6 +1320,33 @@ def test_verify_loads_no_dataclasses():
     assert out[0].split()[:3] == ["whittaker_dimension", "pass", "cases=7"]
     assert "wittmod.verifier" in verify
     assert "dataclasses" not in verify
+
+
+# a fresh interpreter runs one command with sys.argv[1:] and reports its
+# exit code and whether the verifier loaded
+VERIFIER_LOADED = """
+import sys
+import wittmod.cli
+code = wittmod.cli.run_command(sys.argv[1:])
+print(code, "wittmod.verifier" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,env,err", [
+    (["verify", "bogus"], {}, "unknown check id 'bogus' (known: %s)"
+     % ", ".join(REGISTRY)),
+    (["verify", "jacobi", "--D", "x"], {},
+     "key D must be an integer, got 'x'"),
+    (["verify", "all", "--rep", "bogus"], {},
+     "unknown rep descriptor 'bogus'"),
+    (["verify", "jacobi"], {"WITTMOD_SEED": "abc"},
+     "WITTMOD_SEED must be an integer, got 'abc'"),
+], ids=["check-id", "flag", "rep", "seed-env"])
+def test_a_rejected_run_never_loads_the_verifier(monkeypatch, argv, env, err):
+    # the run is planned, and its reps built, before the verifier loads
+    monkeypatch.delenv("WITTMOD_SEED", raising=False)
+    done = run_python(["-c", VERIFIER_LOADED, *argv], env)
+    assert (done.stdout, done.stderr) == ("2 False\n", "error: %s\n" % err)
 
 
 # a twist, a rep and a mode first, then requests that rely on the defaults,

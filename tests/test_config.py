@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from wittmod.cli import _cli_dict, build_parser
+from wittmod.cli import build_parser
 from wittmod import glmn
 from wittmod.config import (CHECKS, MAX_REP_DIM, MAX_REP_NESTING,
                             CheckParams, ConfigError, RunConfig, load_config,
                             load_rep_file, parse_rational, parse_twist,
-                            resolve_rep)
+                            plan_run, resolve_rep)
 from wittmod.verifier import REGISTRY, run_check
 from wittmod.glmn import natural_rep, verify_rep
 
@@ -231,7 +231,28 @@ def test_every_parameter_is_an_ini_key_and_a_cli_flag(tmp_path):
         argv += [flag] if key == "expect_reducible" \
             else [flag, SAMPLE_VALUES[key]]
     args = build_parser().parse_args(argv)
-    assert RunConfig().params_for("jacobi", _cli_dict(args)) == merged
+    assert plan_run(None, "jacobi", vars(args))[1] == [merged]
+
+
+# the run's seed and the check's: a flag beats WITTMOD_SEED, which beats
+# every config file; [check:<id>] sets the check's seed, not the run's
+@pytest.mark.parametrize("ini,flags,env,run_seed,check_seed", [
+    ("", {}, None, 0, 0),
+    ("[run]\nseed = 5\n", {}, None, 5, 5),
+    ("[run]\nseed = 5\n", {"seed": "3"}, "7", 3, 3),
+    ("[check:jacobi]\nseed = 5\n", {}, "7", 7, 7),
+    ("[check:jacobi]\nseed = 5\n", {}, None, 0, 5),
+])
+def test_plan_run_resolves_the_seed(tmp_path, monkeypatch, ini, flags, env,
+                                    run_seed, check_seed):
+    f = tmp_path / "run.ini"
+    f.write_text(ini)
+    monkeypatch.delenv("WITTMOD_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("WITTMOD_SEED", env)
+    ids, params, seed = plan_run(str(f), "jacobi", flags)
+    assert (ids, seed, params[0]["seed"]) == (["jacobi"], run_seed,
+                                              check_seed)
 
 
 REJECTED = [
@@ -332,8 +353,10 @@ def test_checkparams_from_dict_names_the_unknown_key():
 
 def test_check_shape_is_a_class_attribute():
     # the calculator calls it on the class, with no check to validate
-    assert CheckParams.check_shape(1, 0) is None
-    assert CheckParams("jacobi").check_shape(0, 1) is None
+    assert CheckParams.check_shape(1, 0) == (1, 0)
+    assert CheckParams("jacobi").check_shape(0, 1) == (0, 1)
+    # a flag's text comes back typed, an unknown side as None
+    assert CheckParams.check_shape("0", None) == (0, None)
     with pytest.raises(ConfigError, match="n must be >= 0, got -1"):
         CheckParams.check_shape(1, -1)
 

@@ -1,5 +1,6 @@
 """The package's re-exports: served lazily, each the defining module's
-own object; and every definition in src/ has a reader in src/."""
+own object; every definition in src/ has a reader in src/; and the
+library's own rejections name their fault."""
 
 import ast
 import importlib
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import wittmod
+from wittmod import dressed, glmn, superpoly, tensor_modules, witt, words
 from wittmod.config import CHECKS
+
+from conftest import make_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,3 +75,82 @@ def test_every_src_definition_has_a_reader():
               if name not in read | exempt
               and not (name.startswith("__") and name.endswith("__"))}
     assert not unread
+
+
+# ---------------------------------------------------------------------------
+# the library's own rejections: each row reaches one `raise ValueError` of
+# src/ that no command reaches, and pins its message
+
+LIBRARY_REJECTIONS = [
+    ("mask_of-base", lambda: superpoly.mask_of([0]),
+     "odd indices are 1-based"),
+    ("mask_of-repeat", lambda: superpoly.mask_of([2, 2]),
+     "repeated odd index 2"),
+    ("monomial-exponents",
+     lambda: superpoly.SuperPoly.monomial(2, 0, (1, -1)),
+     "bad exponent tuple (1, -1) for m=2"),
+    ("monomial-odd", lambda: superpoly.SuperPoly.monomial(1, 1, (0,), (2,)),
+     "odd index out of range for n=1"),
+    ("partial", lambda: superpoly.SuperPoly(1, 1).partial_xi(2),
+     "xi index 2 out of range"),
+    ("spec-shape",
+     lambda: tensor_modules.ModuleSpec(1, 1, [1], glmn.natural_rep(1, 0)),
+     "representation block shape != (m, n)"),
+    ("spec-twist",
+     lambda: tensor_modules.ModuleSpec(1, 1, [1, 2], glmn.natural_rep(1, 1)),
+     "twist vector length != m"),
+    ("pure", lambda: tensor_modules.TensorElement.pure(
+        make_spec(1, 1), ((0,), 0), 2), "vector index out of range"),
+    ("tensor-dim", lambda: tensor_modules.TensorElement(1, 1, 2)
+     + tensor_modules.TensorElement(1, 1, 3), "shape mismatch: dim 2 vs 3"),
+    ("act-atom", lambda: tensor_modules._act(make_spec(1, 1), ("zz", 1), {}),
+     "unknown atom ('zz', 1)"),
+    ("weight-length", lambda: tensor_modules.weight_reduce(
+        make_spec(1, 1), tensor_modules.TensorElement(1, 1, 2), [1, 2]),
+     "weight length != m"),
+    ("weight-singular", lambda: tensor_modules.weight_reduce(
+        make_spec(1, 1, [0]), tensor_modules.TensorElement(1, 1, 2), [1]),
+     "weight cosets need a nonsingular twist vector"),
+    ("from_word-t", lambda: words.OperatorWord.from_word(1, 1, [("dt", 2)]),
+     "t index 2 out of range"),
+    ("from_word-xi", lambda: words.OperatorWord.from_word(1, 1, [("mx", 0)]),
+     "xi index 0 out of range"),
+    ("normal-order-w", lambda: words.weyl_normal_order(
+        words.OperatorWord.from_word(1, 0, [("w", (((1,), 0), ("t", 1)))])),
+     "normal ordering is defined for multiply and derive atoms only, got "
+     "('w', (((1,), 0), ('t', 1)))"),
+    ("difference-order", lambda: words.difference_word(
+        1, 0, (0,), (0,), 0, 0, -1, 1, ("t", 1), ("t", 1)),
+     "difference order must be >= 0"),
+    ("difference-index", lambda: words.difference_word(
+        1, 0, (0,), (0,), 0, 0, 1, 2, ("t", 1), ("t", 1)),
+     "t index 2 out of range"),
+    ("dressed-mode", lambda: dressed.dressed_bracket(
+        dressed.DressedWittElement(1, 0), dressed.DressedWittElement(1, 0),
+        mode="mutated"), "unknown bracket mode 'mutated'"),
+    ("commutant-trivial",
+     lambda: dressed.commutant_element(1, 0, (0,), 0, ("t", 1)),
+     "requires a coefficient monomial in the augmentation ideal"),
+    ("rep-parity-count", lambda: glmn.Rep(1, 0, 2, [0], {(1, 1): {}}),
+     "parity list length != dim"),
+    ("rep-parities", lambda: glmn.Rep(1, 0, 1, [2], {(1, 1): {}}),
+     "parities must be 0/1"),
+    ("tensor_rep-shape", lambda: glmn.tensor_rep(
+        glmn.natural_rep(1, 0), glmn.natural_rep(1, 1)),
+     "block shape mismatch"),
+    ("direct_sum_rep-shape", lambda: glmn.direct_sum_rep(
+        glmn.natural_rep(1, 0), glmn.natural_rep(1, 1)),
+     "block shape mismatch"),
+    ("witt_act-shape", lambda: witt.witt_act(
+        witt.WittElement(1, 0), superpoly.SuperPoly(1, 1)),
+     "shape mismatch between derivation and polynomial"),
+]
+
+
+@pytest.mark.parametrize("call,message", [row[1:] for row in
+                                          LIBRARY_REJECTIONS],
+                         ids=[row[0] for row in LIBRARY_REJECTIONS])
+def test_each_library_rejection_names_its_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
