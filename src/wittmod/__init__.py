@@ -33,8 +33,8 @@ _LAYERS = {
     "expressions": ["ExpressionError", "ParseError", "parse_expr",
                     "print_expr", "as_superpoly", "as_witt", "as_dressed",
                     "as_word", "as_tensor"],
-    "config": ["ConfigError", "RunConfig", "load_config", "resolve_rep",
-               "parse_twist", "CheckParams"],
+    "config": ["ConfigError", "plan_run", "resolve_rep", "parse_twist",
+               "CheckParams"],
     "verifier": ["CheckReport", "REGISTRY", "run_check"],
     "reporting": ["build_report", "emit_report", "render_report",
                   "report_schema"],

@@ -139,13 +139,9 @@ def _cmd_weighting(args) -> int:
 
 def _run_checks(args):
     """Run the checks that args select: (reports, the run's seed).  The
-    run is planned, and each distinct rep it names is built, before the
-    verifier loads."""
-    from .config import plan_run, resolve_rep
+    run is planned before the verifier loads."""
+    from .config import plan_run
     ids, params, seed = plan_run(args.config, args.check, vars(args))
-    for rep, m, n in dict.fromkeys((p["rep"], p["m"], p["n"])
-                                   for p in params):
-        resolve_rep(rep, m, n)
     from .verifier import run_check
     return [run_check(cid, p) for cid, p in zip(ids, params)], seed
 

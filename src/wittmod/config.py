@@ -374,32 +374,12 @@ class CheckParams:
 
 
 # ---------------------------------------------------------------------------
-# INI loading
+# INI loading and the run plan
 
-class RunConfig:
-    """Merged run settings plus per-check overrides."""
-
-    __slots__ = ("base", "overrides", "checks")
-
-    def __init__(self, base=None, overrides=None, checks=None):
-        self.base = dict(base or {})
-        self.overrides = {k: dict(v) for k, v in (overrides or {}).items()}
-        self.checks = list(checks) if checks is not None else None
-
-    def params_for(self, check_id, cli=None) -> dict:
-        """Validated settings for one check: defaults < [run] < [check:]
-        < CLI."""
-        merged = dict(self.base)
-        merged.update(self.overrides.get(check_id, {}))
-        if cli:
-            merged.update({k: v for k, v in cli.items() if v is not None})
-        params = CheckParams.from_dict(check_id, merged)
-        return {key: getattr(params, key) for key in params.keys()}
-
-
-def load_config(path=None) -> RunConfig:
-    if path is None:
-        return RunConfig()
+def _read_config(path) -> tuple:
+    """(base, overrides, checks) of the INI file at path: the [run]
+    values, the [check:<id>] values by id, and the ids that [run] checks
+    names (None for all of them)."""
     import configparser
     # values are read as written: a '%' is no interpolation
     parser = configparser.ConfigParser(interpolation=None)
@@ -437,7 +417,7 @@ def load_config(path=None) -> RunConfig:
             else:
                 raise ConfigError("unknown key %s in [%s]"
                                   % (quoted(key), quoted(section, str)))
-    return RunConfig(base, overrides, None if checks == ["all"] else checks)
+    return base, overrides, None if checks == ["all"] else checks
 
 
 def plan_run(path, selector, flags) -> tuple:
@@ -446,16 +426,25 @@ def plan_run(path, selector, flags) -> tuple:
     or every check) and flags (parameter -> text or None) select.  A value
     comes from the first of its flag, WITTMOD_SEED (the seed alone),
     [check:<id>], [run] and the default; the run's seed skips [check:].
+    Each distinct rep is planned (a file's rep is loaded), not built.
     Every fault is a ConfigError raised before any check runs."""
     cli = {key: _coerce(key, flags[key]) for key in CheckParams.keys()
            if flags.get(key) is not None}
     env_seed = os.environ.get("WITTMOD_SEED")
     if "seed" not in cli and env_seed:
         cli["seed"] = _coerce("seed", env_seed, "WITTMOD_SEED")
-    cfg = load_config(path)
-    ids = [selector] if selector != "all" else cfg.checks or list(CHECKS)
-    params = [cfg.params_for(cid, cli) for cid in ids]
-    return ids, params, {**cfg.base, **cli}.get("seed", _FIELDS["seed"][1])
+    base, overrides, checks = ({}, {}, None) if path is None \
+        else _read_config(path)
+    ids = [selector] if selector != "all" else checks or list(CHECKS)
+    params = []
+    for cid in ids:
+        p = CheckParams.from_dict(cid, {**base, **overrides.get(cid, {}),
+                                        **cli})
+        params.append({key: getattr(p, key) for key in p.keys()})
+    for rep, m, n in dict.fromkeys((p["rep"], p["m"], p["n"])
+                                   for p in params):
+        _check_rep_dim(_plan_rep(rep, m, n)[0])
+    return ids, params, {**base, **cli}.get("seed", _FIELDS["seed"][1])
 
 
 def _ini_fault(e, text):

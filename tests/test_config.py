@@ -7,9 +7,9 @@ import pytest
 from wittmod.cli import build_parser
 from wittmod import glmn
 from wittmod.config import (CHECKS, MAX_REP_DIM, MAX_REP_NESTING,
-                            CheckParams, ConfigError, RunConfig, load_config,
-                            load_rep_file, parse_rational, parse_twist,
-                            plan_run, resolve_rep)
+                            CheckParams, ConfigError, load_rep_file,
+                            parse_rational, parse_twist, plan_run,
+                            resolve_rep)
 from wittmod.verifier import REGISTRY, run_check
 from wittmod.glmn import natural_rep, verify_rep
 
@@ -116,26 +116,34 @@ def test_rep_file_rejects_non_representation(tmp_path):
         load_rep_file(str(f), 1, 1)
 
 
-def test_params_merge_precedence():
-    cfg = RunConfig(base={"m": 2, "D": 5, "a": "1,2"},
-                    overrides={"jacobi": {"D": 6}})
-    merged = cfg.params_for("jacobi", {"deg": 3})
+def _params(check_id, flags, path=None):
+    """The parameters plan_run gives one check."""
+    return plan_run(path, check_id, flags)[1][0]
+
+
+def test_params_merge_precedence(tmp_path):
+    f = tmp_path / "run.ini"
+    f.write_text("[run]\nm = 2\nD = 5\na = 1,2\ndeg = 1\n"
+                 "[check:jacobi]\nD = 6\ndeg = 2\n")
+    merged = _params("jacobi", {"deg": "3"}, str(f))
     assert merged["m"] == 2
     assert merged["D"] == 6          # per-check beats [run]
     assert merged["deg"] == 3        # CLI beats everything
     assert merged["a"] == (F(1), F(2))
-    other = cfg.params_for("bracket_oracle", None)
+    other = _params("bracket_oracle", {}, str(f))
     assert other["D"] == 5
 
 
 def test_twist_defaults_to_ones():
-    merged = RunConfig().params_for("jacobi", {"m": 2})
+    merged = _params("jacobi", {"m": 2})
     assert merged["a"] == (F(1), F(1))
 
 
-def test_twist_length_mismatch():
+def test_twist_length_mismatch(tmp_path):
+    f = tmp_path / "run.ini"
+    f.write_text("[run]\na = 1,2\n")
     with pytest.raises(ConfigError):
-        RunConfig(base={"a": "1,2"}).params_for("jacobi", {"m": 1})
+        _params("jacobi", {"m": 1}, str(f))
 
 
 def test_load_config_file(tmp_path):
@@ -149,10 +157,10 @@ def test_load_config_file(tmp_path):
         "\n"
         "[check:jacobi]\n"
         "deg = 1\n")
-    cfg = load_config(str(f))
-    assert cfg.checks == ["jacobi", "bracket_oracle"]
-    assert cfg.params_for("jacobi", None)["deg"] == 1
-    assert cfg.params_for("bracket_oracle", None)["deg"] == 2
+    ids, params, _ = plan_run(str(f), "all", {})
+    assert ids == ["jacobi", "bracket_oracle"]
+    assert params[0]["deg"] == 1
+    assert params[1]["deg"] == 2
 
 
 @pytest.mark.parametrize("value", ["", ",", " , ,"])
@@ -161,44 +169,42 @@ def test_load_config_rejects_an_empty_checks_list(tmp_path, value):
     f = tmp_path / "run.ini"
     f.write_text("[run]\nchecks = %s\n" % value)
     with pytest.raises(ConfigError, match="no check ids"):
-        load_config(str(f))
+        plan_run(str(f), "all", {})
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     f = tmp_path / "run.ini"
-    f.write_text("[run]\nvolume = 11\n")
-    with pytest.raises(ConfigError):
-        load_config(str(f))
-    f.write_text("[mystery]\nm = 1\n")
-    with pytest.raises(ConfigError):
-        load_config(str(f))
-    f.write_text("[run]\nm = one\n")
-    with pytest.raises(ConfigError):
-        load_config(str(f))
+    for text in ("[run]\nvolume = 11\n", "[mystery]\nm = 1\n",
+                 "[run]\nm = one\n"):
+        f.write_text(text)
+        with pytest.raises(ConfigError):
+            plan_run(str(f), "jacobi", {})
 
 
 def test_load_config_missing_file():
-    with pytest.raises(ConfigError):
-        load_config("/nonexistent/run.ini")
+    # None is the only "no file": an empty path is a file that is not there
+    for path in ("/nonexistent/run.ini", ""):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            plan_run(path, "jacobi", {})
 
 
 @pytest.mark.parametrize("key", ["m", "n", "D", "deg", "rmax", "trials",
                                  "height"])
 def test_params_reject_negative(key):
     with pytest.raises(ConfigError, match="%s must be >= 0" % key):
-        RunConfig().params_for("jacobi", {key: -1})
+        _params("jacobi", {key: -1})
 
 
 def test_params_reject_empty_shape():
     with pytest.raises(ConfigError, match="empty shape"):
-        RunConfig().params_for("jacobi", {"m": 0, "n": 0})
+        _params("jacobi", {"m": 0, "n": 0})
     # one empty side is a legal shape
-    assert RunConfig().params_for("jacobi", {"m": 0, "n": 1})["m"] == 0
+    assert _params("jacobi", {"m": 0, "n": 1})["m"] == 0
 
 
 def test_shape_ceiling_is_inclusive():
     # the largest shape is legal; the calculator reads the same bound
-    assert RunConfig().params_for("jacobi", {"m": 8, "n": 8})["m"] == 8
+    assert _params("jacobi", {"m": 8, "n": 8})["m"] == 8
     CheckParams.check_shape(8, 8)
     with pytest.raises(ConfigError, match="m must be <= 8, got 9"):
         CheckParams.check_shape(9, 0)
@@ -213,14 +219,16 @@ SAMPLE_VALUES = {"m": "2", "n": "0", "a": "1, 2", "rep": "trivial",
                  "height": "1"}
 
 
-def test_every_parameter_is_an_ini_key_and_a_cli_flag(tmp_path):
+def test_every_parameter_is_an_ini_key_and_a_cli_flag(tmp_path,
+                                                       monkeypatch):
     # a new field needs a sample here, so it is checked on both routes
+    monkeypatch.delenv("WITTMOD_SEED", raising=False)
     keys = CheckParams.keys()
     assert sorted(SAMPLE_VALUES) == sorted(keys)
     f = tmp_path / "run.ini"
     f.write_text("[run]\n" + "".join("%s = %s\n" % kv
                                      for kv in SAMPLE_VALUES.items()))
-    merged = load_config(str(f)).params_for("jacobi")
+    merged = _params("jacobi", {}, str(f))
     assert merged == {
         "m": 2, "n": 0, "a": (F(1), F(2)), "rep": "trivial", "D": 4,
         "deg": 1, "rmax": 3, "trials": 7, "seed": 5, "mode": "mutated",
@@ -280,20 +288,23 @@ REJECTED = [
 
 @pytest.mark.parametrize("params,message", REJECTED)
 def test_library_and_config_reject_alike(params, message):
-    with pytest.raises(ConfigError) as via_config:
-        RunConfig().params_for("jacobi", params)
-    with pytest.raises(ConfigError) as via_library:
-        run_check("jacobi", params)
-    assert str(via_config.value) == str(via_library.value) == message
+    routes = [lambda: run_check("jacobi", params),
+              lambda: CheckParams.from_dict("jacobi", params)]
+    if set(params) <= set(CheckParams.keys()):  # a flag names a known key
+        routes.append(lambda: _params("jacobi", params))
+    for route in routes:
+        with pytest.raises(ConfigError) as err:
+            route()
+        assert str(err.value) == message
 
 
 def test_check_modes_are_declared():
     # every check takes "corrected" and the modes its entry declares
     for check_id, modes in CHECKS.items():
         for mode in ("corrected",) + modes:
-            assert RunConfig().params_for(check_id, {"mode": mode})
+            assert _params(check_id, {"mode": mode})
     with pytest.raises(ConfigError, match="unknown check id"):
-        RunConfig().params_for("nonsense")
+        _params("nonsense", {})
     # the registry runs each check of the config's table, in its order
     assert list(REGISTRY) == list(CHECKS)
     assert all(fn.__name__ == "check_" + cid for cid, fn in REGISTRY.items())
@@ -303,12 +314,12 @@ def test_ini_check_sections_are_validated(tmp_path):
     f = tmp_path / "run.ini"
     f.write_text("[check:nonsense]\nD = 2\n")
     with pytest.raises(ConfigError) as err:
-        load_config(str(f))
+        plan_run(str(f), "jacobi", {})
     assert str(err.value) == "unknown check id 'nonsense' in [check:nonsense]"
     # whittaker_dimension, which wh reads, has no fault mode
     f.write_text("[check:whittaker_dimension]\nmode = mutated\n")
     with pytest.raises(ConfigError) as err:
-        load_config(str(f)).params_for("whittaker_dimension")
+        plan_run(str(f), "whittaker_dimension", {})
     assert str(err.value) == ("check whittaker_dimension has no mode "
                               "'mutated' (modes: corrected)")
 
@@ -409,3 +420,34 @@ def test_rep_file_header_over_the_ceiling(tmp_path):
         with pytest.raises(ConfigError) as err:
             load()
         assert str(err.value) == "rep dimension must be <= 256, got 257"
+
+
+# ---------------------------------------------------------------------------
+# plan_run plans each rep of the run, and builds none
+
+@pytest.mark.parametrize("rep,message", [
+    ("bogus", "unknown rep descriptor 'bogus'"),
+    ("trivial:300", "rep dimension must be <= 256, got 300"),
+    ("file:/nonexistent/R",
+     "cannot read rep file /nonexistent/R: No such file or directory"),
+])
+def test_plan_run_rejects_a_bad_rep(rep, message):
+    for selector in ("all", "jacobi"):
+        with pytest.raises(ConfigError) as err:
+            plan_run(None, selector, {"rep": rep})
+        assert str(err.value) == message
+
+
+def test_plan_run_builds_no_rep(tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a rep was built")
+    for name in ("natural_rep", "trivial_rep", "tensor_rep",
+                 "direct_sum_rep"):
+        monkeypatch.setattr(glmn, name, unreachable)
+    f = tmp_path / "run.ini"
+    f.write_text("[run]\nrep = sum(natural, trivial:2)\n"
+                 "[check:jacobi]\nrep = tensor(natural, natural)\n")
+    ids, params, _ = plan_run(str(f), "all", {"m": "2"})
+    assert ids == list(CHECKS)
+    assert {p["rep"] for p in params} == {"sum(natural, trivial:2)",
+                                          "tensor(natural, natural)"}
