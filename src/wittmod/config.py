@@ -412,6 +412,10 @@ def _read_config(path) -> tuple:
                 if bad and checks != ["all"]:
                     raise ConfigError("unknown check ids in config: %s"
                                       % quoted(", ".join(bad), str))
+                if len(set(checks)) < len(checks):  # a report lists each once
+                    twice = next(c for c in checks if checks.count(c) > 1)
+                    raise ConfigError("check id %s named twice in [run] "
+                                      "checks" % quoted(twice))
             elif key in params:
                 values[key] = _coerce(key, raw)
             else:
@@ -430,8 +434,8 @@ def plan_run(path, selector, flags) -> tuple:
     Every fault is a ConfigError raised before any check runs."""
     cli = {key: _coerce(key, flags[key]) for key in CheckParams.keys()
            if flags.get(key) is not None}
-    env_seed = os.environ.get("WITTMOD_SEED")
-    if "seed" not in cli and env_seed:
+    env_seed = os.environ.get("WITTMOD_SEED", "")
+    if "seed" not in cli and env_seed.strip():  # blank reads as unset
         cli["seed"] = _coerce("seed", env_seed, "WITTMOD_SEED")
     base, overrides, checks = ({}, {}, None) if path is None \
         else _read_config(path)

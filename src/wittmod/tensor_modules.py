@@ -38,7 +38,7 @@ from .superpoly import (ONE, LinComb, accumulate, as_fractions,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
 from .witt import TSLOT, WittElement, _act_basis, slot_parity
-from .words import OperatorWord
+from .words import OperatorWord, make_watom
 
 
 class TransitionSingular(RuntimeError):
@@ -133,9 +133,11 @@ def tensor_key_sort(key):
 # Every operator atom acts through one memo per spec, spec._act_cache:
 # atom -> {tensor key: row}, a row being the image of that one pure tensor
 # as ((key, coefficient), ...) with integral coefficients stored as ints.
-# An atom is ("w", key) for the basis derivation of a Witt key, or
-# ("mt", i), ("mx", j), ("dt", i), ("dx", j) (see words).  Rows are linear
-# in the input, so an element acts term by term through them.
+# An atom is ("mt", i), ("mx", j), ("dt", i), ("dx", j), or ("w", key)
+# for the basis derivation of a Witt key with a nontrivial monomial: every
+# derivation atom comes from words.make_watom, so each operator has one
+# row family.  Rows are linear in the input, so an element acts term by
+# term through them.
 
 _ATOM_KINDS = frozenset(("w", "mt", "mx", "dt", "dx"))
 
@@ -254,15 +256,15 @@ def _check_shapes(spec, x, w=None):
 def act_term(spec, alpha, imask, slot, x: TensorElement) -> TensorElement:
     """One basis derivation on the module."""
     _check_shapes(spec, x)
-    return _element(spec, _act(spec, ("w", ((tuple(alpha), imask),
-                                            tuple(slot))), x.terms))
+    return _element(spec, _act(spec, make_watom(((tuple(alpha), imask),
+                                                 tuple(slot))), x.terms))
 
 
 def act_witt(spec, w: WittElement, x: TensorElement) -> TensorElement:
     _check_shapes(spec, x, w)
     out = {}
     for key, c in w.terms.items():
-        _act(spec, ("w", key), x.terms, out, c)
+        _act(spec, make_watom(key), x.terms, out, c)
     return _element(spec, out)
 
 

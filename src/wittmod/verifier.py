@@ -41,7 +41,7 @@ from .witt import (TSLOT, ExtendedWittElement, WittElement,
                    slot_list, term_parity, witt_act, witt_basis,
                    witt_bracket)
 from .words import OperatorWord, atom_parity, difference_word, \
-    mono_atoms, weyl_normal_order
+    make_watom, mono_atoms, weyl_normal_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -610,7 +610,7 @@ def check_module_axioms(p: CheckParams):
         if b is None:
             xy = witt_bracket(_key_elem(p.m, p.n, kx),
                               _key_elem(p.m, p.n, ky))
-            b = brackets[kx, ky] = [(("w", k), c)
+            b = brackets[kx, ky] = [(make_watom(k), c)
                                     for k, c in xy.terms.items()]
         s = -1 if (term_parity(kx[0], kx[1])
                    & term_parity(ky[0], ky[1])) else 1
@@ -618,7 +618,7 @@ def check_module_axioms(p: CheckParams):
         lhs = {}
         for atom, c in b:
             _act(spec, atom, v, lhs, c)
-        ax, ay = ("w", kx), ("w", ky)
+        ax, ay = make_watom(kx), make_watom(ky)
         rhs = _act(spec, ax, _act(spec, ay, v))
         _act(spec, ay, _act(spec, ax, v), rhs, -s)
         if lhs != rhs:
@@ -653,7 +653,7 @@ def check_module_axioms(p: CheckParams):
         kx = keys[rng.randrange(len(keys))]
         fm = monos[rng.randrange(len(monos))]
         v = {wkeys[rng.randrange(len(wkeys))]: 1}
-        x, ax = _key_elem(p.m, p.n, kx), ("w", kx)
+        x, ax = _key_elem(p.m, p.n, kx), make_watom(kx)
         fpoly = SuperPoly.monomial(p.m, p.n, fm[0], fm[1])
         s = -1 if (term_parity(kx[0], kx[1]) & mono_parity(fm)) else 1
         lhs = _act(spec, ax, times(fm, v))
@@ -933,7 +933,7 @@ def check_weight_multiplicity(p: CheckParams):
     small = window_keys(spec, p.D - 1)
     hs = [_cartan(p.m, p.n, i) for i in range(1, p.m + 1)]
     # each h_i is one basis term with coefficient 1
-    atoms = [("w", key) for h in hs for key in h.terms]
+    atoms = [make_watom(key) for h in hs for key in h.terms]
     cases = 0
     rng = random.Random(p.seed)
     for weight in product(range(-2, 3), repeat=p.m):
@@ -1134,7 +1134,7 @@ def _probe_generators(m, n, cap):
     structure being probed is over the extended algebra, so both families
     belong to the generating set."""
     gens = _weyl_atoms(m, n)[:m + n]  # the multiplications
-    gens += [("w", key) for key in _witt_keys(m, n, cap)]
+    gens += [make_watom(key) for key in _witt_keys(m, n, cap)]
     return gens
 
 

@@ -975,13 +975,17 @@ REP_FILE = ["act", "dt1", "1 @ e1", "--m", "1", "--n", "0", "--rep",
      "rep file FILE: E 1 1 needs 1 entries, got 2"),
     (["verify", "all", "--config", "FILE"], "[run]\nchecks = jacobi, bogus\n",
      "unknown check ids in config: bogus"),
+    (["verify", "all", "--config", "FILE"],
+     "[run]\nchecks = weyl_relations, jacobi, weyl_relations\n",
+     "check id 'weyl_relations' named twice in [run] checks"),
     (["verify", "jacobi", "--config", "FILE"], "[run]\nm = \xff\xfe\n",
      "cannot read config FILE: not UTF-8 text at byte 10"),
     (REP_FILE, "dim 0\nE 1 1 : \xff\n",
      "cannot read rep file FILE: not UTF-8 text at byte 14"),
 ], ids=["three-arguments", "trivial-0", "no-dim", "no-parities", "parity-x",
         "parity-2", "unit-indices", "unit-range", "unit-entries",
-        "unknown-check-ids", "config-not-utf8", "rep-file-not-utf8"])
+        "unknown-check-ids", "repeated-check-id", "config-not-utf8",
+        "rep-file-not-utf8"])
 def test_each_rejection_names_its_fault(tmp_path, capsys, argv, text,
                                         message):
     path = tmp_path / "in.txt"
@@ -1157,6 +1161,19 @@ def test_golden_report_is_byte_identical(capsys, monkeypatch):
                                 "--stable"])
     assert (rc, err) == (0, "")
     assert out.encode() == GOLDEN_REPORT.read_bytes()
+
+
+def test_golden_report_at_m1_n2_a2_is_byte_identical(capsys, monkeypatch):
+    # the same report at --m 1 --n 2 --a 2, the shape where tau re-signs a
+    # term and a dx position sign can be -1
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    monkeypatch.delenv("WITTMOD_SEED", raising=False)
+    rc, out, err = run(capsys, ["report", "--check", "all", "--out", "-",
+                                "--stable", "--m", "1", "--n", "2", "--a",
+                                "2"])
+    assert (rc, err) == (0, "")
+    assert out.encode() == GOLDEN_REPORT.with_name(
+        "golden_report_m1_n2_a2.json").read_bytes()
 
 
 GOLDEN_CONTROLS = json.loads(

@@ -250,6 +250,10 @@ def test_every_parameter_is_an_ini_key_and_a_cli_flag(tmp_path,
     ("[run]\nseed = 5\n", {"seed": "3"}, "7", 3, 3),
     ("[check:jacobi]\nseed = 5\n", {}, "7", 7, 7),
     ("[check:jacobi]\nseed = 5\n", {}, None, 0, 5),
+    # blank reads as unset, as the empty string does
+    ("[run]\nseed = 5\n", {}, "", 5, 5),
+    ("[run]\nseed = 5\n", {}, " ", 5, 5),
+    ("[run]\nseed = 5\n", {}, "\t", 5, 5),
 ])
 def test_plan_run_resolves_the_seed(tmp_path, monkeypatch, ini, flags, env,
                                     run_seed, check_seed):

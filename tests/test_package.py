@@ -77,6 +77,25 @@ def test_every_src_definition_has_a_reader():
     assert not unread
 
 
+def test_every_derivation_atom_is_built_by_make_watom():
+    # a ("w", key) built by hand may hold a trivial monomial, which the
+    # action would then compute through a second row beside dt's or dx's
+    found, definitions = [], 0
+    for path in sorted((ROOT / "src" / "wittmod").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(inner) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "make_watom" for inner in ast.walk(node)}
+        definitions += bool(allowed)
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Tuple) and len(node.elts) == 2
+                  and isinstance(node.elts[0], ast.Constant)
+                  and node.elts[0].value == "w" and id(node) not in allowed]
+    assert definitions == 1  # the walk read src/, where words defines it
+    assert not found
+
+
 # ---------------------------------------------------------------------------
 # the library's own rejections: each row reaches one `raise ValueError` of
 # src/ that no command reaches, and pins its message

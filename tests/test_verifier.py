@@ -922,6 +922,22 @@ def test_module_laws_read_the_multiplication_rows(monkeypatch):
     assert report.counterexample["law"] == "coefficient associativity"
 
 
+def test_module_axioms_reads_the_twisted_dt_row(monkeypatch):
+    # the dt row without its twist a_i: d/dt_i is the derivation atom of
+    # a trivial monomial, so the bracket law reads that row, as act and
+    # commutant words do
+    real = tensor_modules._atom_row
+
+    def untwisted(spec, atom, key):
+        row = real(spec, atom, key)
+        return tuple((k, c) for k, c in row if k != key) \
+            if atom[0] == "dt" else row
+    monkeypatch.setattr(tensor_modules, "_atom_row", untwisted)
+    report = run_check("module_axioms", {})
+    assert report.status == "fail"
+    assert report.counterexample["law"] == "bracket compatibility"
+
+
 def test_module_axioms_fails_on_a_doubled_derivative(monkeypatch):
     # witt_act doubled: only the mixed law reads it, on its derivative
     # route
