@@ -22,9 +22,9 @@ from functools import cache
 from itertools import product
 from math import comb
 
-from .superpoly import (ONE, LinComb, accumulate, enumerate_monomials,
-                        exact, merge_sign_masks, mono_mul, mono_parity,
-                        mono_sort_key, mono_tdeg, popcount)
+from .superpoly import (ONE, LinComb, accumulate, check_mono,
+                        enumerate_monomials, exact, merge_sign_masks, mono_mul,
+                        mono_parity, mono_sort_key, mono_tdeg, popcount)
 from .witt import (WittElement, _act_basis, _bracket_basis, check_key,
                    slot_list, term_parity, term_sort_key, XSLOT)
 from .words import OperatorWord, make_watom, mono_atoms
@@ -44,11 +44,13 @@ class DressedWittElement(LinComb):
 
     @classmethod
     def term(cls, m, n, amono, wmono, slot, coeff=ONE):
+        amono = (tuple(amono[0]), amono[1])
         wkey = ((tuple(wmono[0]), wmono[1]), slot)
+        check_mono(m, n, amono)
         check_key(m, n, wkey)
         out = cls(m, n)
         if coeff:
-            out.terms[((tuple(amono[0]), amono[1]), wkey)] = exact(coeff)
+            out.terms[(amono, wkey)] = exact(coeff)
         return out
 
     def to_word(self) -> OperatorWord:

@@ -59,6 +59,16 @@ def mask_indices(mask: int):
     return tuple(out)
 
 
+def check_mono(m, n, mono):
+    """ValueError unless mono = (alpha, imask) is a monomial at shape
+    (m, n): m exponents, none negative, and an odd mask within n bits."""
+    alpha, mask = mono
+    if len(alpha) != m or any(a < 0 for a in alpha):
+        raise ValueError("bad exponent tuple %r for m=%d" % (alpha, m))
+    if mask >> n:
+        raise ValueError("odd index out of range for n=%d" % n)
+
+
 def merge_sign_masks(a: int, b: int):
     """Koszul sign for xi_a * xi_b given as masks.
 
@@ -263,15 +273,11 @@ class SuperPoly(LinComb):
 
     @classmethod
     def monomial(cls, m, n, alpha, odd=(), coeff=ONE):
-        alpha = tuple(alpha)
-        if len(alpha) != m or any(a < 0 for a in alpha):
-            raise ValueError("bad exponent tuple %r for m=%d" % (alpha, m))
-        mask = odd if isinstance(odd, int) else mask_of(odd)
-        if mask >> n:
-            raise ValueError("odd index out of range for n=%d" % n)
+        mono = (tuple(alpha), odd if isinstance(odd, int) else mask_of(odd))
+        check_mono(m, n, mono)
         p = cls(m, n)
         if coeff:
-            p.terms[(alpha, mask)] = exact(coeff)
+            p.terms[mono] = exact(coeff)
         return p
 
     # -- ring structure ----------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from . import linalg
 from .glmn import Rep, mat_add, mat_mul
-from .superpoly import (ONE, LinComb, accumulate, as_fractions,
+from .superpoly import (ONE, LinComb, accumulate, as_fractions, check_mono,
                         enumerate_monomials, exact, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
@@ -94,6 +94,7 @@ class TensorElement(LinComb):
         if not 0 <= vindex < spec.dim:
             raise ValueError("vector index out of range")
         mono = (tuple(mono[0]), mono[1])
+        check_mono(spec.m, spec.n, mono)
         out = cls(spec.m, spec.n, spec.dim)
         if coeff:
             out.terms[(mono, vindex)] = exact(coeff)
@@ -136,10 +137,10 @@ def tensor_key_sort(key):
 # An atom is ("mt", i), ("mx", j), ("dt", i), ("dx", j), or ("w", key)
 # for the basis derivation of a Witt key with a nontrivial monomial: every
 # derivation atom comes from words.make_watom, so each operator has one
-# row family.  Rows are linear in the input, so an element acts term by
-# term through them.
-
-_ATOM_KINDS = frozenset(("w", "mt", "mx", "dt", "dx"))
+# row family.  _act puts an atom through OperatorWord.from_word when it
+# first enters the memo, so no other spelling, and no atom out of the
+# spec's shape, gets a row.  Rows are linear in the input, so an element
+# acts term by term through them.
 
 
 def _row(terms):
@@ -216,8 +217,7 @@ def _act(spec, atom, terms, out=None, scale=None):
     _element makes them Fractions again."""
     rows = spec._act_cache.get(atom)
     if rows is None:
-        if atom[0] not in _ATOM_KINDS:
-            raise ValueError("unknown atom %r" % (atom,))
+        OperatorWord.from_word(spec.m, spec.n, (atom,))
         rows = spec._act_cache[atom] = {}
     if out is None:
         out = {}

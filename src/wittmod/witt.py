@@ -34,6 +34,7 @@ from .superpoly import (
     ONE,
     LinComb,
     SuperPoly,
+    check_mono,
     enumerate_monomials,
     exact,
     merge_sign_masks,
@@ -63,14 +64,11 @@ def term_parity(mono, slot) -> int:
 
 
 def check_key(m, n, key):
-    """ValueError unless key = ((alpha, odd_mask), (kind, idx)) is a basis
-    derivation at shape (m, n): m exponents, none negative, an odd mask
-    within n bits, and a slot d/dt_idx or d/dxi_idx in range."""
-    (alpha, odd_mask), (kind, idx) = key
-    if len(alpha) != m or any(a < 0 for a in alpha):
-        raise ValueError("bad exponent tuple %r" % (alpha,))
-    if odd_mask >> n:
-        raise ValueError("odd index out of range for n=%d" % n)
+    """ValueError unless key = (mono, (kind, idx)) is a basis derivation
+    at shape (m, n): a monomial that check_mono accepts and a slot d/dt_idx
+    or d/dxi_idx in range."""
+    mono, (kind, idx) = key
+    check_mono(m, n, mono)
     if kind == TSLOT and not 1 <= idx <= m:
         raise ValueError("d/dt index %d out of range" % idx)
     if kind == XSLOT and not 1 <= idx <= n:

@@ -13,7 +13,7 @@ from wittmod.expressions import _convert, _one_seg, _seg_mono, _seg_witt
 from wittmod.dressed import DressedWittElement
 from wittmod.superpoly import (SuperPoly, accumulate, enumerate_monomials,
                                mask_indices, mask_of, merge_sign_masks,
-                               mono_mul)
+                               mono_mul, popcount)
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_word,
                                     window_keys)
 from wittmod.witt import ExtendedWittElement, WittElement, witt_basis
@@ -96,6 +96,23 @@ def merge_sign(I, J):
     (-1, (1, 2))."""
     sign, union = merge_sign_masks(mask_of(I), mask_of(J))
     return sign, mask_indices(union)
+
+
+def next_generator_sign(a: int, b: int):
+    """A planted fault in merge_sign_masks: each generator of b walks past
+    only the next generator of a, not every larger one.  It agrees with
+    merge_sign_masks at n <= 2, so only three odd generators refute it."""
+    if a & b:
+        return 0, 0
+    inversions = 0
+    rest = b
+    j = 0
+    while rest:
+        if rest & 1:
+            inversions += popcount((a >> (j + 1)) & 1)
+        rest >>= 1
+        j += 1
+    return (-1 if inversions & 1 else 1), a | b
 
 
 def homogeneous_parts(x):

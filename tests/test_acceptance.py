@@ -1,4 +1,4 @@
-"""Acceptance gate: the thirteen headline guarantees, run at full strength.
+"""Acceptance gate: the fourteen headline guarantees, run at full strength.
 
 Every test prints one verdict line and tolerates nothing: equality is
 exact over the rationals, windows are the stated sizes, and the seeded
@@ -222,3 +222,25 @@ def test_criterion_13_verify_all_at_two_odd_variables(capsys):
     _verdict(13, "verify all passes at (1,2) with a = 2 at its seed-0 case "
              "counts; the tau-flipped commutant map is refuted there",
              ok, (verdicts, cex))
+
+
+# the seed-0 case counts of the six checks at (1,3) with a = 2, as floors
+CRITERION_14_FLOORS = {
+    "jacobi": 885736, "bracket_oracle": 9216, "weyl_relations": 120,
+    "module_axioms": 1100, "gl_realization": 176,
+    "commutant_weyl_commute": 352,
+}
+
+
+def test_criterion_14_six_checks_at_three_odd_variables():
+    # n = 3 is the least n at which a Koszul sign can need three odd
+    # generators: a merge_sign_masks fault there passes every n <= 2 shape
+    runs = {cid: run_check(cid, {"m": 1, "n": 3, "a": (F(2),)})
+            for cid in CRITERION_14_FLOORS}
+    _verdict(14, "jacobi, bracket_oracle, weyl_relations, module_axioms, "
+             "gl_realization and commutant_weyl_commute pass at (1,3) "
+             "with a = 2 at their seed-0 case counts",
+             all(r.status == "pass" and r.cases >= CRITERION_14_FLOORS[cid]
+                 for cid, r in runs.items()),
+             {cid: (r.status, r.cases, r.counterexample)
+              for cid, r in runs.items()})

@@ -1176,6 +1176,19 @@ def test_golden_report_at_m1_n2_a2_is_byte_identical(capsys, monkeypatch):
         "golden_report_m1_n2_a2.json").read_bytes()
 
 
+def test_golden_report_at_m1_n3_a2_is_byte_identical(capsys, monkeypatch):
+    # the six checks of criterion_14.ini at --m 1 --n 3 --a 2, the least
+    # shape where a Koszul sign can need three odd generators
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    monkeypatch.delenv("WITTMOD_SEED", raising=False)
+    rc, out, err = run(capsys, ["report", "--config", str(
+        GOLDEN_REPORT.with_name("criterion_14.ini")), "--out", "-",
+        "--stable"])
+    assert (rc, err) == (0, "")
+    assert out.encode() == GOLDEN_REPORT.with_name(
+        "golden_report_m1_n3_a2.json").read_bytes()
+
+
 GOLDEN_CONTROLS = json.loads(
     Path(__file__).with_name("golden_controls.json").read_text())
 

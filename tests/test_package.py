@@ -120,10 +120,18 @@ LIBRARY_REJECTIONS = [
      "twist vector length != m"),
     ("pure", lambda: tensor_modules.TensorElement.pure(
         make_spec(1, 1), ((0,), 0), 2), "vector index out of range"),
+    ("pure-exponents", lambda: tensor_modules.TensorElement.pure(
+        make_spec(1, 1), ((-3,), 0), 0), "bad exponent tuple (-3,) for m=1"),
+    ("dressing-exponents", lambda: dressed.DressedWittElement.term(
+        1, 1, ((1, 2), 8), ((1,), 0), ("t", 1)),
+     "bad exponent tuple (1, 2) for m=1"),
+    ("dressing-odd", lambda: dressed.DressedWittElement.term(
+        1, 1, ((1,), 2), ((1,), 0), ("t", 1)),
+     "odd index out of range for n=1"),
     ("tensor-dim", lambda: tensor_modules.TensorElement(1, 1, 2)
      + tensor_modules.TensorElement(1, 1, 3), "shape mismatch: dim 2 vs 3"),
     ("act-atom", lambda: tensor_modules._act(make_spec(1, 1), ("zz", 1), {}),
-     "unknown atom ('zz', 1)"),
+     "unknown atom kind 'zz'"),
     ("weight-length", lambda: tensor_modules.weight_reduce(
         make_spec(1, 1), tensor_modules.TensorElement(1, 1, 2), [1, 2]),
      "weight length != m"),

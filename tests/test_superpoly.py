@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (dressed_from_witt, homogeneous_parts, make_spec,
-                      merge_sign, rand_coeff, rand_superpoly, rand_tensor,
-                      rand_witt)
+                      merge_sign, next_generator_sign, rand_coeff,
+                      rand_superpoly, rand_tensor, rand_witt)
 from wittmod.dressed import DressedWittElement
 from wittmod.superpoly import (SuperPoly, enumerate_monomials, mask_of,
                                merge_sign_masks, mono_mul, mono_parity,
@@ -68,6 +69,50 @@ def test_merge_sign_values():
     assert merge_sign((1, 2), (1,))[0] == 0
     assert merge_sign_masks(mask_of((1, 3)), mask_of((2,))) == (
         -1, mask_of((1, 2, 3)))
+
+
+# a reference for the one sign premise that both routes of every check
+# share: the Koszul sign counted pair by pair on index lists
+SUBSETS_4 = [I for k in range(5) for I in combinations(range(1, 5), k)]
+
+
+def _inversion_sign(I, J):
+    """The sign of xi_I * xi_J for ascending index lists: 0 when they
+    share an index, else -1 to the number of pairs i in I, j in J, i > j."""
+    if set(I) & set(J):
+        return 0
+    return (-1) ** sum(1 for i in I for j in J if i > j)
+
+
+def _mask(indices):
+    return sum(2 ** (i - 1) for i in indices)
+
+
+def _sign_disagreements(merge):
+    """The pairs (I, J) at n <= 4 on which merge differs from the count."""
+    bad = []
+    for I in SUBSETS_4:
+        for J in SUBSETS_4:
+            sign = _inversion_sign(I, J)
+            want = (sign, _mask(set(I) | set(J)) if sign else 0)
+            if merge(_mask(I), _mask(J)) != want:
+                bad.append((I, J))
+    return bad
+
+
+def test_merge_sign_masks_is_the_inversion_count():
+    assert len(SUBSETS_4) == 16
+    assert _sign_disagreements(merge_sign_masks) == []
+
+
+def test_inversion_count_refutes_the_next_generator_fault():
+    # xi_2 xi_3 * xi_1: xi_1 passes two generators, the fault counts one
+    assert _inversion_sign((2, 3), (1,)) == 1
+    assert next_generator_sign(_mask((2, 3)), _mask((1,))) == (-1, 7)
+    bad = _sign_disagreements(next_generator_sign)
+    assert ((2, 3), (1,)) in bad
+    # the fault needs three odd generators: no pair within xi_1, xi_2
+    assert all(max(I + J) >= 3 for I, J in bad)
 
 
 def test_known_product():

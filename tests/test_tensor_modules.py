@@ -666,6 +666,68 @@ def test_shape_mismatch_rejected():
                  TensorElement.vacuum(spec, 0))
 
 
+# an atom is checked by OperatorWord.from_word when it first enters a
+# spec's action table, whichever entry brings it: an index out of the
+# shape would act as another generator, as zero or raise IndexError, and
+# a trivial-monomial "w" atom would get a second row family beside dt's
+BAD_ATOMS = [
+    (("mt", 0), "t index 0 out of range"),
+    (("mt", 2), "t index 2 out of range"),
+    (("dt", 0), "t index 0 out of range"),
+    (("dt", 2), "t index 2 out of range"),
+    (("dx", 2), "xi index 2 out of range"),
+    (("w", (((0,), 0), (TSLOT, 1))),
+     "a derivation with trivial monomial is the atom ('dt', 1)"),
+]
+
+
+@pytest.mark.parametrize("atom,message", BAD_ATOMS,
+                         ids=["mt0", "mt2", "dt0", "dt2", "dx2", "w-dt1"])
+def test_action_table_rejects_a_bad_atom(atom, message):
+    spec = make_spec(1, 1, a=(F(2),))
+    x = TensorElement.pure(spec, ((1,), 0), 0)  # t1 @ e1
+    with pytest.raises(ValueError) as built:
+        OperatorWord.from_word(1, 1, [atom])
+    raw_word = OperatorWord(1, 1)._like({(("mx", 1), atom): F(1)})
+    for act in (lambda: act_atom(spec, atom, x),
+                lambda: act_word(spec, raw_word, x),
+                lambda: tensor_modules._act(spec, atom, x.terms)):
+        with pytest.raises(ValueError) as err:
+            act()
+        assert str(err.value) == str(built.value) == message
+    assert spec._act_cache == {}
+
+
+def test_act_term_and_act_witt_reject_a_slot_out_of_range():
+    spec = make_spec(1, 1, a=(F(2),))
+    x = TensorElement.pure(spec, ((1,), 0), 0)
+    raw = WittElement(1, 1)._like({(((0,), 0), (XSLOT, 2)): F(1)})
+    with pytest.raises(ValueError, match="t index 2 out of range"):
+        act_term(spec, (0,), 0, (TSLOT, 2), x)
+    with pytest.raises(ValueError, match="xi index 2 out of range"):
+        act_witt(spec, raw, x)
+    assert spec._act_cache == {}
+
+
+def test_an_atom_is_checked_once_per_table(monkeypatch):
+    checked = []
+    real = OperatorWord.from_word.__func__
+
+    def counting(cls, m, n, word, coeff=F(1)):
+        checked.append(tuple(word))
+        return real(cls, m, n, word, coeff)
+    monkeypatch.setattr(OperatorWord, "from_word", classmethod(counting))
+    spec = make_spec(1, 1, a=(F(2),))
+    x = TensorElement.pure(spec, ((1,), 1), 0)  # t1*x1 @ e1
+    for _ in range(3):
+        act_atom(spec, ("dt", 1), x)
+        act_term(spec, (1,), 0, (TSLOT, 1), x)
+        act_term(spec, (0,), 0, (XSLOT, 1), x)
+    assert checked == [(("dt", 1),), (("w", (((1,), 0), (TSLOT, 1))),),
+                       (("dx", 1),)]
+    assert list(spec._act_cache) == [atom for (atom,) in checked]
+
+
 def test_every_action_rejects_an_element_of_another_shape():
     spec = make_spec(1, 1)  # natural: dim 2
     wide = TensorElement(1, 1, 3, {(((1,), 1), 2): F(1)})  # t1*x1 @ e3

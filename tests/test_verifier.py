@@ -1,7 +1,9 @@
 """The check registry: quick positive runs, every mutation control, and
 counterexample self-containment."""
 
+import importlib
 import json
+import pkgutil
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
+import wittmod
 from wittmod import dressed, tensor_modules, verifier, witt, words
 from wittmod.config import CHECKS
 from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_tensor, as_witt, parse_expr,
                                  print_expr)
-from wittmod.superpoly import mono_tdeg, popcount
+from wittmod.superpoly import merge_sign_masks, mono_tdeg, popcount
 from wittmod.glmn import Rep, mat_add, mat_mul
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_witt,
                                     weight_reduce)
@@ -27,7 +30,8 @@ from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                           bracket_oracle, extended_basis,
                           extended_bracket, term_parity, witt_bracket)
 
-from conftest import as_extended, dressed_from_witt, ext_der
+from conftest import (as_extended, dressed_from_witt, ext_der,
+                      next_generator_sign)
 
 F = Fraction
 
@@ -300,6 +304,28 @@ def _replay_kernel_fault(monkeypatch, name, faulty, first, convert):
     assert defect
     assert print_expr(defect) == cex["defect"]
     return report
+
+
+def test_three_generator_sign_fault_fails_jacobi_at_n3(monkeypatch):
+    # the fault agrees with merge_sign_masks at n <= 2, so (1,2) passes
+    # it and (1,3), the least shape with three odd generators, refutes it
+    bound = []
+    for info in pkgutil.iter_modules(wittmod.__path__):
+        if info.name == "__main__":  # runs the command line
+            continue
+        module = importlib.import_module("wittmod." + info.name)
+        if getattr(module, "merge_sign_masks", None) is merge_sign_masks:
+            bound.append(info.name)
+            monkeypatch.setattr(module, "merge_sign_masks",
+                                next_generator_sign)
+    assert sorted(bound) == ["dressed", "expressions", "superpoly", "witt",
+                             "words"]
+    params = {"m": 1, "a": (F(2),)}
+    assert run_check("jacobi", dict(params, n=2)).status == "pass"
+    report = run_check("jacobi", dict(params, n=3))
+    assert (report.status, report.cases, report.counterexample) == (
+        "fail", 9649, {"level": "derivation table", "x": "t1*x3*dt1",
+                       "y": "dx1", "z": "x1*dt1", "defect": "-2*x3*dt1"})
 
 
 def test_dressed_level_fault_is_caught_and_replays(monkeypatch):
