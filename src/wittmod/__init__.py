@@ -1,7 +1,8 @@
 """Exact computation in the super Witt algebra and its Whittaker modules.
 
-Everything is over the rationals: coefficients are fractions.Fraction,
-comparisons are exact, and no check carries a tolerance.
+Everything is over the rationals: a coefficient is an int when it is
+integral and a fractions.Fraction otherwise (superpoly.exact), comparisons
+are exact, and no check carries a tolerance.
 
 Importing the package loads no layer.  Each name below is served from its
 submodule on first access (PEP 562), so `import wittmod.cli` compiles only

@@ -34,21 +34,23 @@ from fractions import Fraction
 from operator import add, mul
 
 from .expressions import MAX_ECHO, MAX_PATH, max_digits, quoted
+from .superpoly import exact
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_rational(text) -> Fraction:
-    """A rational literal, bounded before Fraction expands an exponent:
-    its longest part's digits plus the exponent may not pass max_digits."""
+def parse_rational(text):
+    """A rational literal under superpoly.exact's rule, bounded before
+    Fraction expands an exponent: its longest part's digits plus the
+    exponent may not pass max_digits."""
     mantissa, _, exponent = text.strip().lower().partition("e")
     try:
         size = max(sum(map(str.isdigit, part)) for part in mantissa.split("/"))
         if size + (abs(int(exponent)) if exponent else 0) > max_digits():
             raise ValueError("more than %d digits" % max_digits())
-        return Fraction(text.strip())
+        return exact(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as e:
         reason = str(e) if len(text) <= MAX_ECHO else quoted(str(e), str)
         raise ConfigError("bad rational %s: %s" % (quoted(text), reason))
@@ -60,13 +62,13 @@ def parse_twist(value, m, name="twist vector", required=False) -> tuple:
     required, when it must have its m entries.  name is what an error
     calls the vector."""
     if not value and not required:
-        return (Fraction(1),) * m
+        return (1,) * m
     parts = value.replace(",", " ").split() if isinstance(value, str) \
         else value
     if len(parts) != m:
         raise ConfigError("%s needs %d entries, got %d"
                           % (name, m, len(parts)))
-    return tuple(Fraction(p) if type(p) in (int, Fraction) else
+    return tuple(exact(p) if type(p) in (int, Fraction) else
                  parse_rational(str(p)) for p in parts)
 
 

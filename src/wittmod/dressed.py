@@ -17,12 +17,11 @@ on the Whittaker vectors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb
 
-from .superpoly import (ONE, LinComb, accumulate, check_mono,
+from .superpoly import (LinComb, accumulate, check_mono,
                         enumerate_monomials, exact, merge_sign_masks, mono_mul,
                         mono_parity, mono_sort_key, mono_tdeg, popcount)
 from .witt import (WittElement, _act_basis, _bracket_basis, check_key,
@@ -43,7 +42,7 @@ class DressedWittElement(LinComb):
     key_parity = staticmethod(dressed_parity)
 
     @classmethod
-    def term(cls, m, n, amono, wmono, slot, coeff=ONE):
+    def term(cls, m, n, amono, wmono, slot, coeff=1):
         amono = (tuple(amono[0]), amono[1])
         wkey = ((tuple(wmono[0]), wmono[1]), slot)
         check_mono(m, n, amono)
@@ -161,7 +160,7 @@ def commutant_element(m, n, alpha, imask, slot) -> DressedWittElement:
             if (sum(beta) + popcount(jmask)) & 1:
                 sign = -sign
             key = ((beta, jmask), ((rest_alpha, kmask), slot))
-            accumulate(out.terms, key, Fraction(cbin * sign))
+            accumulate(out.terms, key, cbin * sign)
     return out
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 # the dressed, word and tensor layers load on first use (as_dressed,
 # as_word, as_tensor, _seg_atoms, print_expr), so a Witt bracket reply
 # loads none of them
-from .superpoly import (SuperPoly, as_fractions, mask_indices,
+from .superpoly import (SuperPoly, divide, exact, mask_indices,
                         merge_sign_masks, mono_sort_key)
 from .witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                    term_sort_key)
@@ -157,8 +157,7 @@ def parse_expr(text):
                     raise _got(den, "NUM")
                 if not den[1]:
                     raise ParseError("zero denominator", tok[2], tok[3])
-                coeff = (coeff // den[1] if not coeff % den[1]
-                         else Fraction(coeff, den[1]))
+                coeff = divide(coeff, den[1])
                 i += 2
             more = toks[i][0] == "STAR"
             i += more
@@ -326,8 +325,7 @@ def _convert(terms, out, noun, read):
     """Add coeff * sign for each term into out.terms, where read(segs,
     eidx) gives the term's (key, sign), or None when the term vanishes.
     noun names the type when a tensor marker is misplaced; the tensor
-    reader, which needs the marker, passes None and checks it itself.
-    The sums are ints where they can be, made Fractions at the end."""
+    reader, which needs the marker, passes None and checks it itself."""
     acc = {}
     for coeff, segs, eidx in terms:
         if eidx is not None and noun:
@@ -340,10 +338,10 @@ def _convert(terms, out, noun, read):
             if key in acc:
                 c += acc[key]
             if c:
-                acc[key] = c
+                acc[key] = c if type(c) is int else exact(c)
             else:
                 acc.pop(key, None)
-    out.terms = as_fractions(acc)
+    out.terms = acc
     return out
 
 
@@ -508,8 +506,6 @@ def _join(obj, order, spell):
     out = []
     for key in sorted(obj.terms, key=order):
         c = obj.terms[key]
-        if c.denominator == 1:
-            c = c.numerator
         body, suffix = spell(key)
         mag = abs(c)
         if not body:

@@ -6,14 +6,15 @@ elementary matrix; its parity is the XOR of its row and column blocks.
 
 A Rep carries explicit action matrices for every E(i,j) against a chosen
 homogeneous basis of the module.  A matrix is sparse, like every other
-linear object here: a dict {(row, col): nonzero Fraction} with 0-based
-indices.  verify_rep replays every commutation relation through mat_mul
-and mat_add; custom reps are rejected unless they survive that sweep.
+linear object here: a dict {(row, col): nonzero coefficient} with 0-based
+indices, each entry an int when integral and a Fraction otherwise.
+verify_rep replays every commutation relation through mat_mul and
+mat_add; custom reps are rejected unless they survive that sweep.
 """
 
 from __future__ import annotations
 
-from .superpoly import ONE, accumulate, exact
+from .superpoly import accumulate, exact
 
 
 def mat_mul(a, b):
@@ -53,7 +54,8 @@ def basis_parity(m, i, j):
 
 class Rep:
     """Explicit matrices for every E(i,j) on a parity-graded basis:
-    mats[(i, j)] is a dict {(row, col): nonzero Fraction}, 0-based."""
+    mats[(i, j)] is a dict {(row, col): nonzero coefficient}, 0-based,
+    each entry put through superpoly.exact: an int when integral."""
 
     __slots__ = ("m", "n", "dim", "parities", "mats")
 
@@ -138,7 +140,7 @@ def verify_rep(rep: Rep) -> RepCheck:
 
 def natural_rep(m, n) -> Rep:
     return Rep(m, n, m + n, [0] * m + [1] * n,
-               {(i, j): {(i - 1, j - 1): ONE} for i, j in _units(m, n)})
+               {(i, j): {(i - 1, j - 1): 1} for i, j in _units(m, n)})
 
 
 def trivial_rep(m, n, dim=1) -> Rep:

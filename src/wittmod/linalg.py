@@ -8,10 +8,10 @@ exact, so there are no tolerances and no floats anywhere.  The reduced row
 echelon form of a matrix is unique, so no result depends on the order in
 which rows are inserted.
 
-Coefficients may be ints or Fractions, and integral rows stay in ints: a
-new row is stored as it is when its pivot coefficient is 1, divided in
-ints when that coefficient divides every entry, and scaled by a Fraction
-only otherwise.  `rref` makes its values Fractions again.
+Coefficients follow superpoly.exact's rule, an int when integral and a
+Fraction otherwise, in every stored row and in `rref`'s output: a new row
+is stored as it is when its pivot coefficient is 1 and otherwise each
+entry is put through superpoly.divide, so integral rows stay in ints.
 
 Spans and ranks (`TensorSpan`, the weight quotient) insert their rows as
 dicts.  The weight quotient keys each row's pivot to its t_i-raised key,
@@ -25,19 +25,15 @@ which name them, and as dense test references.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .superpoly import divide, exact
 
-from .superpoly import as_fractions
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 def _sub_scaled(target, f, row):
     """target -= f * row in place, dropping the keys that vanish."""
     for k, c in row.items():
         c = target.get(k, 0) - f * c
         if c:
-            target[k] = c
+            target[k] = c if type(c) is int else exact(c)
         else:
             del target[k]
 
@@ -46,7 +42,8 @@ class Echelon:
     """Fully reduced echelon rows over Q, grown one row at a time.
 
     Every stored row has coefficient 1 at its pivot, which is its least key,
-    and no other stored row has a nonzero at that pivot.
+    and no other stored row has a nonzero at that pivot.  Each entry is an
+    int when integral and a Fraction otherwise.
     """
 
     __slots__ = ("rows", "key")
@@ -59,7 +56,7 @@ class Echelon:
         """A new row: row minus the combination of stored rows that clears
         every pivot key from it (zero iff row lies in the span)."""
         rows = self.rows
-        out = {k: c for k, c in row.items() if c}
+        out = {k: exact(c) for k, c in row.items() if c}
         # stored rows hold no pivot but their own, so one pass suffices
         for p in [k for k in out if k in rows]:
             _sub_scaled(out, out[p], rows[p])
@@ -73,12 +70,7 @@ class Echelon:
         p = min(row, key=self.key)
         c = row[p]
         if c != 1:
-            if type(c) is int and all(type(v) is int and not v % c
-                                      for v in row.values()):
-                row = {k: v // c for k, v in row.items()}
-            else:
-                inv = ONE / c
-                row = {k: v * inv for k, v in row.items()}
+            row = {k: divide(v, c) for k, v in row.items()}
         for other in [r for r in self.rows.values() if p in r]:
             _sub_scaled(other, other[p], row)
         self.rows[p] = row
@@ -95,18 +87,18 @@ def rref(rows):
     pivots = sorted(ech.rows)
     out = []
     for p in pivots:
-        dense = [ZERO] * nc
-        for k, c in as_fractions(ech.rows[p]).items():
+        dense = [0] * nc
+        for k, c in ech.rows[p].items():
             dense[k] = c
         out.append(dense)
-    out += [[ZERO] * nc for _ in range(len(rows) - len(pivots))]
+    out += [[0] * nc for _ in range(len(rows) - len(pivots))]
     return out, pivots
 
 
 def invert(rows):
     """Inverse of a square matrix, or None if singular."""
     n = len(rows)
-    aug = [list(rows[i]) + [ONE if j == i else ZERO for j in range(n)]
+    aug = [list(rows[i]) + [int(j == i) for j in range(n)]
            for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

@@ -1,14 +1,16 @@
 """Supercommutative polynomial algebra Q[t_1..t_m] (x) Lambda(xi_1..xi_n).
 
 Elements are kept as sparse dicts mapping a monomial key to a nonzero
-Fraction.  A monomial key is a pair (alpha, imask): alpha is a length-m
+coefficient.  A monomial key is a pair (alpha, imask): alpha is a length-m
 tuple of nonnegative integer t-exponents and imask is a bitmask over the
 odd generators (bit j-1 set means xi_j is present).  The bitmask encodes
 the ascending product xi_{j1} xi_{j2} ... (j1 < j2 < ...).  A product's
 sign is merge_sign_masks' below; mono_partial_xi, _bracket_basis,
 _dressed_bracket_basis and _nf_append count bits for theirs.
 
-All arithmetic is exact over Q.  No floats anywhere.
+All arithmetic is exact over Q.  No floats anywhere: a coefficient is an
+int when it is integral and a Fraction only otherwise (exact), and every
+true division goes through divide.
 """
 
 from __future__ import annotations
@@ -18,16 +20,26 @@ from itertools import combinations
 
 Mono = tuple  # (alpha: tuple[int, ...], imask: int)
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def exact(value):
+    """A value under the one coefficient rule: an int when it is integral,
+    else a Fraction.  A float raises TypeError: its binary expansion is
+    almost never the number meant (0.1 is not 1/10)."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError("exact values only, got the float %r" % (value,))
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
-def exact(value) -> Fraction:
-    """A caller's value as a Fraction.  A float raises TypeError: its
-    binary expansion is almost never the number meant (0.1 is not 1/10)."""
-    if isinstance(value, float):
-        raise TypeError("exact values only, got the float %r" % (value,))
-    return Fraction(value)
+def divide(a, b):
+    """a / b under exact's rule: the one division in the package, so an
+    int / int never makes a float.  ZeroDivisionError when b is 0."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b) if a % b else a // b
+    return exact(Fraction(a) / b)
 
 
 def popcount(mask: int) -> int:
@@ -61,10 +73,13 @@ def mask_indices(mask: int):
 
 def check_mono(m, n, mono):
     """ValueError unless mono = (alpha, imask) is a monomial at shape
-    (m, n): m exponents, none negative, and an odd mask within n bits."""
+    (m, n): m exponents, each an int (not a bool) and none negative, and
+    an int odd mask within n bits."""
     alpha, mask = mono
-    if len(alpha) != m or any(a < 0 for a in alpha):
+    if len(alpha) != m or any(type(a) is not int or a < 0 for a in alpha):
         raise ValueError("bad exponent tuple %r for m=%d" % (alpha, m))
+    if type(mask) is not int:
+        raise ValueError("odd mask %r is not an int" % (mask,))
     if mask >> n:
         raise ValueError("odd index out of range for n=%d" % n)
 
@@ -143,22 +158,20 @@ def mono_sort_key(p: Mono):
 
 
 def accumulate(acc: dict, key, c) -> None:
-    """Add c to acc[key], dropping the key when the sum vanishes."""
-    c0 = acc.get(key, ZERO) + c
+    """Add c to acc[key] under exact's rule, dropping the key when the
+    sum vanishes."""
+    c0 = acc.get(key, 0) + c
     if c0:
-        acc[key] = c0
+        acc[key] = exact(c0)
     else:
         acc.pop(key, None)
 
 
-def as_fractions(terms: dict) -> dict:
-    """A terms dict summed in the int lane, its ints made Fractions."""
-    return {key: c if type(c) is Fraction else Fraction(c)
-            for key, c in terms.items()}
-
-
 class LinComb:
-    """Sparse exact linear combination: dict basis key -> nonzero Fraction.
+    """Sparse exact linear combination: dict basis key -> nonzero
+    coefficient, an int when integral and a Fraction otherwise (exact).
+    Every loop that sums or scales coefficients puts a non-int result
+    through exact, as a Fraction product or sum can be integral.
 
     The shared core of every element type.  Subclasses fix what a key
     means and add their own validating constructors; a Z/2-graded type
@@ -197,33 +210,29 @@ class LinComb:
 
     def _bilinear(self, other, kernel):
         """The bilinear extension of kernel(key1, key2), a list of (key,
-        int) for one pair of basis keys.  Integral products are summed as
-        ints; each output value becomes a Fraction once, at the end."""
+        int) for one pair of basis keys."""
         self._check(other)
-        right = [(k, c.numerator if c.denominator == 1 else c)
-                 for k, c in other.terms.items()]
+        right = other.terms.items()
         acc = {}
         for k1, c1 in self.terms.items():
-            if c1.denominator == 1:
-                c1 = c1.numerator
             for k2, c2 in right:
                 c12 = c1 * c2
                 for key, c in kernel(k1, k2):
                     c0 = acc.get(key, 0) + c12 * c
                     if c0:
-                        acc[key] = c0
+                        acc[key] = c0 if type(c0) is int else exact(c0)
                     else:
                         del acc[key]
-        return self._like(as_fractions(acc))
+        return self._like(acc)
 
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
         # accumulate() inlined: a call per term here costs measurable time
         for key, c in other.terms.items():
-            c0 = terms.get(key, ZERO) + c
+            c0 = terms.get(key, 0) + c
             if c0:
-                terms[key] = c0
+                terms[key] = c0 if type(c0) is int else exact(c0)
             else:
                 del terms[key]
         return self._like(terms)
@@ -239,7 +248,8 @@ class LinComb:
             return NotImplemented
         if not scalar:
             return self._like({})
-        return self._like({k: c * scalar for k, c in self.terms.items()})
+        return self._like({k: exact(c * scalar)
+                           for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -272,7 +282,7 @@ class SuperPoly(LinComb):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, m, n, alpha, odd=(), coeff=ONE):
+    def monomial(cls, m, n, alpha, odd=(), coeff=1):
         mono = (tuple(alpha), odd if isinstance(odd, int) else mask_of(odd))
         check_mono(m, n, mono)
         p = cls(m, n)
@@ -304,9 +314,9 @@ class SuperPoly(LinComb):
                 if hit is None:
                     continue
                 mono, sign = hit
-                c0 = acc.get(mono, ZERO) + sign * cp * cq
+                c0 = acc.get(mono, 0) + sign * cp * cq
                 if c0:
-                    acc[mono] = c0
+                    acc[mono] = c0 if type(c0) is int else exact(c0)
                 else:
                     del acc[mono]
         return self._like(acc)
@@ -326,7 +336,7 @@ class SuperPoly(LinComb):
         for mono, c in self.terms.items():
             hit = mono_partial(mono, i)
             if hit:
-                out.terms[hit[0]] = c * hit[1]
+                out.terms[hit[0]] = exact(c * hit[1])
         return out
 
     # -- grading -----------------------------------------------------------

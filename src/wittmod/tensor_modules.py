@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from . import linalg
 from .glmn import Rep, mat_add, mat_mul
-from .superpoly import (ONE, LinComb, accumulate, as_fractions, check_mono,
+from .superpoly import (LinComb, accumulate, check_mono, divide,
                         enumerate_monomials, exact, mono_mul,
                         mono_parity, mono_partial_t, mono_partial_xi,
                         mono_sort_key, mono_tdeg, popcount)
@@ -77,7 +77,8 @@ class ModuleSpec:
 
 
 class TensorElement(LinComb):
-    """Sparse element: dict ((alpha, imask), vindex) -> Fraction."""
+    """Sparse element: dict ((alpha, imask), vindex) -> coefficient, an
+    int when integral and a Fraction otherwise."""
 
     __slots__ = ("dim",)
 
@@ -90,7 +91,7 @@ class TensorElement(LinComb):
         return cls(spec.m, spec.n, spec.dim)
 
     @classmethod
-    def pure(cls, spec, mono, vindex, coeff=ONE):
+    def pure(cls, spec, mono, vindex, coeff=1):
         if not 0 <= vindex < spec.dim:
             raise ValueError("vector index out of range")
         mono = (tuple(mono[0]), mono[1])
@@ -133,7 +134,8 @@ def tensor_key_sort(key):
 
 # Every operator atom acts through one memo per spec, spec._act_cache:
 # atom -> {tensor key: row}, a row being the image of that one pure tensor
-# as ((key, coefficient), ...) with integral coefficients stored as ints.
+# as ((key, coefficient), ...), each coefficient an int when integral and a
+# Fraction otherwise, as everywhere.
 # An atom is ("mt", i), ("mx", j), ("dt", i), ("dx", j), or ("w", key)
 # for the basis derivation of a Witt key with a nontrivial monomial: every
 # derivation atom comes from words.make_watom, so each operator has one
@@ -141,11 +143,6 @@ def tensor_key_sort(key):
 # first enters the memo, so no other spelling, and no atom out of the
 # spec's shape, gets a row.  Rows are linear in the input, so an element
 # acts term by term through them.
-
-
-def _row(terms):
-    return tuple((key, c.numerator if c.denominator == 1 else c)
-                 for key, c in terms.items())
 
 
 def _derivation_row(spec, atom, key):
@@ -184,7 +181,7 @@ def _derivation_row(spec, atom, key):
         for (row, c), v in spec.rep.mats[(r, col)].items():
             if c == l:
                 accumulate(out, (prod[0], row), base * v)
-    return _row(out)
+    return tuple(out.items())
 
 
 def _atom_row(spec, atom, key):
@@ -202,7 +199,7 @@ def _atom_row(spec, atom, key):
         out = {(hit[0], l): hit[1]} if hit else {}
         if spec.a[i - 1]:
             out[key] = spec.a[i - 1]
-        return _row(out)
+        return tuple(out.items())
     if kind == "mt":
         amono = (tuple(1 if k == i - 1 else 0 for k in range(spec.m)), 0)
     else:
@@ -213,28 +210,23 @@ def _atom_row(spec, atom, key):
 
 def _act(spec, atom, terms, out=None, scale=None):
     """Add scale * (atom applied to a raw terms dict) into out (a new dict
-    by default) and return out.  Integral values are summed as ints, and
-    _element makes them Fractions again."""
+    by default) and return out."""
     rows = spec._act_cache.get(atom)
     if rows is None:
         OperatorWord.from_word(spec.m, spec.n, (atom,))
         rows = spec._act_cache[atom] = {}
     if out is None:
         out = {}
-    if scale is not None and scale.denominator == 1:
-        scale = scale.numerator
     for key, c in terms.items():
         row = rows.get(key)
         if row is None:
             row = rows[key] = _atom_row(spec, atom, key)
-        if c.denominator == 1:
-            c = c.numerator
         if scale is not None:
             c = c * scale
         for okey, f in row:
             c0 = out.get(okey, 0) + c * f
             if c0:
-                out[okey] = c0
+                out[okey] = c0 if type(c0) is int else exact(c0)
             else:
                 del out[okey]
     return out
@@ -242,7 +234,7 @@ def _act(spec, atom, terms, out=None, scale=None):
 
 def _element(spec, terms) -> TensorElement:
     out = TensorElement.zero(spec)
-    out.terms = as_fractions(terms)
+    out.terms = terms
     return out
 
 
@@ -279,7 +271,7 @@ def _word(spec, w: OperatorWord, terms, out=None, scale=1):
     if out is None:
         out = {}
     for word, c in w.terms.items():
-        c = (c.numerator if c.denominator == 1 else c) * scale
+        c = c * scale
         if not word:
             for key, v in terms.items():
                 accumulate(out, key, c * v)
@@ -301,14 +293,13 @@ def act_word(spec, w: OperatorWord, x: TensorElement) -> TensorElement:
 
 
 def _lower(i, terms):
-    """lower_t on a raw terms dict: the plain d/dt_i on the coefficients,
-    in ints where the values are.  It is injective on keys, so nothing
-    is summed."""
+    """lower_t on a raw terms dict: the plain d/dt_i on the coefficients.
+    It is injective on keys, so nothing is summed."""
     out = {}
     for (p, l), c in terms.items():
         hit = mono_partial_t(p, i)
         if hit:
-            out[(hit[0], l)] = c * hit[1]
+            out[(hit[0], l)] = exact(c * hit[1])
     return out
 
 
@@ -420,7 +411,7 @@ def pbw_basis_rewrite(spec, max_deg, x: TensorElement):
         if key in rest:
             (s, kmask), l = key
             column = _pbw_column(spec, (s, (kmask, l)))
-            q = rest[key] / column.terms[key]
+            q = divide(rest[key], column.terms[key])
             coords.append(((s, (kmask, l)), q))
             for okey, f in column.terms.items():
                 accumulate(rest, okey, -q * f)
@@ -445,7 +436,7 @@ def weight_reduce(spec, x: TensorElement, weight) -> TensorElement:
     out = {}
     for ((s, kmask), l), c in x.terms.items():
         for ai, si in zip(spec.a, s):
-            c /= (-ai) ** si
+            c = divide(c, (-ai) ** si)
         v = {(l, 0): c}  # the column c e_l
         for i, (w, si) in enumerate(zip(weight, s), start=1):
             for k in range(si):  # (E_ii - (w - k)) v; c carries -1/a_i

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import chain, product, zip_longest
 from math import prod
 from weakref import ref
@@ -27,7 +26,7 @@ from .dressed import (DressedWittElement, _dressed_bracket_basis,
                       dressed_basis, dressed_bracket)
 from .expressions import print_expr
 from .glmn import Rep, trivial_rep
-from .superpoly import (SuperPoly, accumulate, enumerate_monomials,
+from .superpoly import (SuperPoly, accumulate, divide, enumerate_monomials,
                         mono_mul, mono_parity, popcount)
 from .tensor_modules import (LeavesWhittaker, ModuleSpec, TensorElement,
                              TensorSpan, TransitionSingular, _act, _element,
@@ -42,9 +41,6 @@ from .witt import (TSLOT, ExtendedWittElement, WittElement,
                    witt_bracket)
 from .words import OperatorWord, atom_parity, difference_word, \
     make_watom, mono_atoms, weyl_normal_order
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class CheckReport:
@@ -141,7 +137,7 @@ def _show(spec, terms):
 def _random_coeff(rng):
     num = rng.choice([-3, -2, -1, 1, 2, 3, 5])
     den = rng.choice([1, 1, 2, 3])
-    return Fraction(num, den)
+    return divide(num, den)
 
 
 def _random_tensor(spec, rng, max_deg, nterms=3):
@@ -223,12 +219,11 @@ class _PairMemo(list):
                         del acc[key]
                 terms = acc.items()
             # interned once summed: a key whose terms cancel takes no id,
-            # so the ids follow the public bracket's terms; exact either
-            # way: a non-integral constant stays a Fraction
+            # so the ids follow the public bracket's terms
             out = []
             for key, c in terms:
                 if c:
-                    t = (intern(key), c.numerator if c.denominator == 1 else c)
+                    t = (intern(key), c)
                     out.append(shared.setdefault(t, t))
             row[j] = tuple(out)
 
@@ -297,9 +292,9 @@ def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
             continue
         x = min(key % size for key, c in out.items() if c)
         ids = memo.interned
-        raise _Fail({"level": level, "x": render({ids[x]: ONE}),
-                     "y": render({ids[y]: ONE}),
-                     "z": render({ids[z]: ONE}),
+        raise _Fail({"level": level, "x": render({ids[x]: 1}),
+                     "y": render({ids[y]: 1}),
+                     "z": render({ids[z]: 1}),
                      "defect": render({ids[key // size]: c
                                        for key, c in out.items()
                                        if c and key % size == x}),
@@ -439,7 +434,7 @@ def check_jacobi(p: CheckParams):
             i, j = candidates[rng.randrange(len(candidates))]
             memo[i][j] = tuple((k, -c) for k, c in memo[i][j])
             extra["mutated_pair"] = "[%s, %s]" % (
-                render({basis[i]: ONE}), render({basis[j]: ONE}))
+                render({basis[i]: 1}), render({basis[j]: 1}))
         parity = [cls.key_parity(k) for k in basis]
         exhaustive = cls is WittElement or size ** 3 <= 300000
         if exhaustive and _sorted_route(level, memo, parity, cls.key_parity,
@@ -543,7 +538,7 @@ def check_weyl_relations(p: CheckParams):
                              "square": "nonzero"}, cases)
     # idempotence of normal ordering + action faithfulness, seeded; the
     # algebra acts as the untwisted trivial module
-    plain = ModuleSpec(m, n, (ZERO,) * m, trivial_rep(m, n))
+    plain = ModuleSpec(m, n, (0,) * m, trivial_rep(m, n))
     rng = random.Random(p.seed)
     mono_pool = enumerate_monomials(m, n, 3)
     for t in range(p.trials):
@@ -952,7 +947,7 @@ def check_weight_multiplicity(p: CheckParams):
         x = _random_tensor(spec, rng, max(p.D - 2, 0), nterms=2)
         y = _random_tensor(spec, rng, max(p.D - 2, 0), nterms=2)
         i = rng.randrange(p.m)
-        shifted = x + act_witt(spec, hs[i], y) - Fraction(weight[i]) * y
+        shifted = x + act_witt(spec, hs[i], y) - weight[i] * y
         cases += 1
         if weight_reduce(spec, shifted, weight) != weight_reduce(
                 spec, x, weight):
@@ -1065,7 +1060,7 @@ def check_difference_annihilation(p: CheckParams):
                         "error": "no annihilation order found"}
             return None
     else:  # "untwisted", the default route
-        spec = ModuleSpec(p.m, p.n, (ZERO,) * p.m, rep)
+        spec = ModuleSpec(p.m, p.n, (0,) * p.m, rep)
         keys_lo = window_keys(spec, p.D)
         keys_hi = window_keys(spec, p.D + 1)
         deg = p.deg

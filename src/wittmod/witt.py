@@ -31,7 +31,6 @@ from functools import cache
 from operator import add
 
 from .superpoly import (
-    ONE,
     LinComb,
     SuperPoly,
     check_mono,
@@ -92,7 +91,7 @@ class WittElement(LinComb):
         return term_parity(*key)
 
     @classmethod
-    def term(cls, m, n, alpha, odd_mask, slot, coeff=ONE):
+    def term(cls, m, n, alpha, odd_mask, slot, coeff=1):
         key = ((tuple(alpha), odd_mask), tuple(slot))
         check_key(m, n, key)
         x = cls(m, n)
@@ -306,7 +305,7 @@ def extended_basis(m, n, max_tdeg):
     all basis derivations plus all monomials."""
     slots = slot_list(m, n) + [None]
     unit = ExtendedWittElement(m, n)._like  # reduced already
-    return [unit({(mono, slot): ONE})
+    return [unit({(mono, slot): 1})
             for mono in enumerate_monomials(m, n, max_tdeg) for slot in slots]
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .superpoly import (ONE, LinComb, accumulate, as_fractions, exact,
-                        mask_indices, merge_sign_masks, popcount)
+from .superpoly import (LinComb, accumulate, exact, mask_indices,
+                        merge_sign_masks, popcount)
 from .witt import TSLOT, check_key, term_parity
 
 
@@ -73,10 +73,10 @@ class OperatorWord(LinComb):
 
     @classmethod
     def identity(cls, m, n):
-        return cls(m, n)._like({(): ONE})
+        return cls(m, n)._like({(): 1})
 
     @classmethod
-    def from_word(cls, m, n, word, coeff=ONE):
+    def from_word(cls, m, n, word, coeff=1):
         word = tuple(word)
         for atom in word:
             kind, arg = atom
@@ -196,4 +196,4 @@ def difference_word(m, n, alpha, beta, imask, jmask, r, j, slot1, slot2):
         c = comb(r, i)
         terms[make_watom(((tuple(a), imask), slot1)),
               make_watom(((tuple(b), jmask), slot2))] = -c if i & 1 else c
-    return OperatorWord(m, n)._like(as_fractions(terms))
+    return OperatorWord(m, n)._like(terms)

@@ -23,6 +23,12 @@ COEFF_POOL = [Fraction(k) for k in (-3, -2, -1, 1, 2, 3, 5)] \
     + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 3)]
 
 
+def canonical(c) -> bool:
+    """The package's one coefficient rule: an int, or a Fraction whose
+    denominator is not 1; never a float, a bool or an integral Fraction."""
+    return type(c) is int or type(c) is Fraction and c.denominator != 1
+
+
 def rand_coeff(rng: random.Random) -> Fraction:
     return rng.choice(COEFF_POOL)
 

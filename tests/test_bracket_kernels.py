@@ -3,7 +3,8 @@
 The _reference_* functions are the element brackets as they were before
 each became a bilinear loop over a kernel: Fraction arithmetic
 throughout, the extension through witt_act.  Every bracket must equal its
-reference and hand out only Fractions; every kernel must return ints and
+reference and hand out coefficients under the package's one rule (an int
+when integral, else a Fraction); every kernel must return ints and
 agree with its element bracket on each pair of basis terms.  The
 _frozen_* kernels are _bracket_basis and _dressed_bracket_basis as they
 were before they tested mask overlap first and read parities off the
@@ -26,7 +27,7 @@ from wittmod.witt import (TSLOT, XSLOT, _act_basis, _bracket_basis,
                           extended_bracket, term_parity, witt_act,
                           witt_basis, witt_bracket)
 
-from conftest import ext_der, ext_fun, homogeneous_parts
+from conftest import canonical, ext_der, ext_fun, homogeneous_parts
 
 
 def _reference_witt_bracket(x, y, mode="corrected"):
@@ -158,7 +159,7 @@ def test_int_lane_never_leaks(name, m, n):
             for key in rng.sample(keys, rng.choice((3, 4)))})
             for _ in range(2))
         out = bracket(x, y, **_mode(mode))
-        assert all(type(c) is Fraction and c for c in out.terms.values()), \
+        assert all(canonical(c) and c for c in out.terms.values()), \
             out.terms
         assert out == reference(x, y, **_mode(mode))
         denominators.update(c.denominator for c in out.terms.values())

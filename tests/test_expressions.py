@@ -16,7 +16,7 @@ from wittmod.tensor_modules import TensorElement
 from wittmod.witt import TSLOT, XSLOT, ExtendedWittElement, WittElement
 from wittmod.words import OperatorWord, make_watom
 
-from conftest import as_extended, rand_coeff
+from conftest import as_extended, canonical, rand_coeff
 
 # (kind, source text, m, n, dim, canonical rendering)
 GOLDEN = [
@@ -242,16 +242,20 @@ _PIECES = st.one_of(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(_PIECES, max_size=12).map("".join))
 def test_fuzzed_text_raises_only_expression_errors(text):
+    # and what parses holds its coefficients under the one rule, an int
+    # when integral and a Fraction otherwise, as does every converter
     try:
         terms = parse_expr(text)
     except ExpressionError:
         return
+    assert all(canonical(coeff) for coeff, _, _ in terms), terms
     for convert in (*_CONVERT.values(),
                     lambda t, m, n: as_tensor(t, m, n, 4)):
         try:
-            convert(terms, 2, 2)
+            out = convert(terms, 2, 2)
         except ExpressionError:
-            pass
+            continue
+        assert all(canonical(c) and c for c in out.terms.values()), out.terms
 
 
 # ---------------------------------------------------------------------------

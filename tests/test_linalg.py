@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from wittmod.linalg import Echelon, invert, rref
 
+from conftest import canonical
+
 F = Fraction
 
 
@@ -140,7 +142,7 @@ def test_rref_matches_dense_reference(shape):
         red, pivots = rref(m)
         assert (red, pivots) == _dense_rref(m)
         assert len(red) == len(m)
-        assert all(type(x) is F for row in red for x in row)
+        assert all(canonical(x) for row in red for x in row)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%dx%d" % s)
@@ -229,10 +231,12 @@ def test_exactness_no_drift():
 def _assert_echelon_invariants(ech, inserted, ncols):
     """ech holds the fully reduced span of inserted (dicts over columns
     0..ncols-1), and its rows and rref agree with the dense reference in
-    Fractions."""
+    Fractions; every stored and every output entry is under the one
+    coefficient rule."""
     rows = ech.rows
     for p, row in rows.items():
         assert row[p] == 1 and min(row) == p and all(row.values())
+        assert all(canonical(x) for x in row.values())
         assert all(p not in other for q, other in rows.items() if q != p)
     dense = [[r.get(c, 0) for c in range(ncols)] for r in inserted]
     red, pivots = _dense_rref(dense)
@@ -241,7 +245,7 @@ def _assert_echelon_invariants(ech, inserted, ncols):
         == red[:len(pivots)]
     got, got_pivots = rref(dense)
     assert (got, got_pivots) == (red, pivots)
-    assert all(type(x) is F for row in got for x in row)
+    assert all(canonical(x) for row in got for x in row)
 
 
 _values = st.one_of(

@@ -96,9 +96,45 @@ def test_every_derivation_atom_is_built_by_make_watom():
     assert not found
 
 
+# every true division is superpoly.divide's: an int / int elsewhere would
+# make a float where an exact quotient was meant.  A power of an int base
+# stays an int only for an exponent that cannot be negative; each site
+# names why its exponent cannot be
+POWERS = {
+    ("tensor_modules.py", "(-ai) ** si"):
+        "si is a monomial exponent, a nonnegative int (check_mono)",
+    ("verifier.py", "size ** 3"): "a constant exponent",
+    ("verifier.py", "len(keys) ** 2"): "a constant exponent",
+    ("verifier.py", "(p.height + 1) ** p.m"):
+        "p.m is a shape, a nonnegative int (CheckParams)",
+    ("verifier.py", "w ** si"):
+        "si is a monomial exponent, a nonnegative int (check_mono)",
+}
+
+
+def test_every_division_is_the_exact_helper_and_every_power_is_listed():
+    divisions, powers, helpers = [], set(), 0
+    for path in sorted((ROOT / "src" / "wittmod").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(inner) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "divide" for inner in ast.walk(node)}
+        helpers += bool(allowed)
+        for node in ast.walk(tree):
+            op = getattr(node, "op", None)
+            if isinstance(op, ast.Div) and id(node) not in allowed:
+                divisions.append("%s:%d" % (path.name, node.lineno))
+            if isinstance(node, ast.BinOp) and isinstance(op, ast.Pow):
+                powers.add((path.name, ast.unparse(node)))
+    assert helpers == 1  # the walk read src/, where superpoly defines it
+    assert not divisions
+    assert powers == set(POWERS)
+
+
 # ---------------------------------------------------------------------------
 # the library's own rejections: each row reaches one `raise ValueError` of
-# src/ that no command reaches, and pins its message
+# src/ that no command reaches (or the error type a fourth item names), and
+# pins its message
 
 LIBRARY_REJECTIONS = [
     ("mask_of-base", lambda: superpoly.mask_of([0]),
@@ -110,6 +146,17 @@ LIBRARY_REJECTIONS = [
      "bad exponent tuple (1, -1) for m=2"),
     ("monomial-odd", lambda: superpoly.SuperPoly.monomial(1, 1, (0,), (2,)),
      "odd index out of range for n=1"),
+    ("monomial-float-exponent",
+     lambda: superpoly.SuperPoly.monomial(1, 0, (1.5,)),
+     "bad exponent tuple (1.5,) for m=1"),
+    ("mono-bool-exponent", lambda: superpoly.check_mono(1, 1, ((True,), 0)),
+     "bad exponent tuple (True,) for m=1"),
+    ("mono-float-mask", lambda: superpoly.check_mono(1, 1, ((1,), 1.0)),
+     "odd mask 1.0 is not an int"),
+    ("mono-bool-mask", lambda: superpoly.check_mono(1, 1, ((1,), True)),
+     "odd mask True is not an int"),
+    ("exact-float", lambda: superpoly.exact(2.0),
+     "exact values only, got the float 2.0", TypeError),
     ("partial", lambda: superpoly.SuperPoly(1, 1).partial_xi(2),
      "xi index 2 out of range"),
     ("spec-shape",
@@ -174,10 +221,11 @@ LIBRARY_REJECTIONS = [
 ]
 
 
-@pytest.mark.parametrize("call,message", [row[1:] for row in
-                                          LIBRARY_REJECTIONS],
-                         ids=[row[0] for row in LIBRARY_REJECTIONS])
-def test_each_library_rejection_names_its_fault(call, message):
-    with pytest.raises(ValueError) as err:
+@pytest.mark.parametrize("call,message,error", [
+    (row + (ValueError,))[1:4] for row in LIBRARY_REJECTIONS],
+    ids=[row[0] for row in LIBRARY_REJECTIONS])
+def test_each_library_rejection_names_its_fault(call, message, error):
+    with pytest.raises(error) as err:
         call()
+    assert type(err.value) is error
     assert str(err.value) == message

@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dressed_from_witt, homogeneous_parts, make_spec,
+from conftest import (canonical, dressed_from_witt, homogeneous_parts,
+                      make_spec,
                       merge_sign, next_generator_sign, rand_coeff,
                       rand_superpoly, rand_tensor, rand_witt)
 from wittmod.dressed import DressedWittElement
-from wittmod.superpoly import (SuperPoly, enumerate_monomials, mask_of,
-                               merge_sign_masks, mono_mul, mono_parity,
-                               mono_partial_xi)
+from wittmod.config import parse_twist
+from wittmod.linalg import Echelon
+from wittmod.superpoly import (SuperPoly, divide, enumerate_monomials, exact,
+                               mask_of, merge_sign_masks, mono_mul,
+                               mono_parity, mono_partial_xi)
 from wittmod.glmn import Rep, natural_rep
-from wittmod.tensor_modules import ModuleSpec, TensorElement, weight_reduce
-from wittmod.witt import TSLOT, WittElement
+from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_word,
+                                    lower_t, pbw_basis_rewrite, weight_reduce)
+from wittmod.witt import TSLOT, WittElement, witt_bracket
 from wittmod.words import OperatorWord
 
 M, N = 2, 2
@@ -297,3 +301,78 @@ def test_caller_values_are_exact(site):
     with pytest.raises(TypeError):
         make(0.1)
     assert make("1/10") == make(Fraction(1, 10)) != make(Fraction(1, 5))
+
+
+F_HALF = Fraction(1, 2)
+
+
+def _stored(obj):
+    """Every coefficient that a site's result holds."""
+    if isinstance(obj, tuple):
+        return list(obj)
+    if isinstance(obj, Rep):
+        return [c for mat in obj.mats.values() for c in mat.values()]
+    return list(obj.terms.values())
+
+
+@pytest.mark.parametrize("site", sorted(EXACT_SITES))
+def test_caller_values_follow_the_one_rule(site):
+    # an integral value is stored as an int however it is spelt, any
+    # other as a Fraction
+    make = EXACT_SITES[site]
+    for value in (2, Fraction(4, 2), "6/3", Fraction(1, 3), "-1/2"):
+        assert all(canonical(c) for c in _stored(make(value))), value
+    assert make(Fraction(4, 2)) == make("6/3") == make(2)
+
+
+def test_exact_and_divide_follow_the_one_rule():
+    for value, want in ((Fraction(6, 3), 2), (True, 1), ("3/6", F_HALF),
+                        (-4, -4), (Fraction(-1, 2), -F_HALF)):
+        got = exact(value)
+        assert canonical(got) and got == want, value
+    for a, b, want in ((4, 2, 2), (1, -2, -F_HALF), (-7, 7, -1),
+                       (F_HALF, Fraction(1, 4), 2), (Fraction(3, 2), 3, F_HALF),
+                       (3, F_HALF, 6), (0, Fraction(-5, 3), 0)):
+        got = divide(a, b)
+        assert canonical(got) and got == want, (a, b)
+    with pytest.raises(ZeroDivisionError):
+        divide(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        divide(F_HALF, 0)
+    assert parse_twist("1, -1/2, 4/2", 3) == (1, -F_HALF, 2)
+    assert [type(x) for x in parse_twist("1, -1/2, 4/2", 3)] \
+        == [int, Fraction, int]
+    assert [type(x) for x in parse_twist([Fraction(2), 1], 2)] == [int, int]
+
+
+def test_fraction_arithmetic_that_lands_on_an_integer_gives_an_int():
+    # each loop that sums or scales coefficients: halves summed, scaled
+    # or multiplied into an integer leave an int, never Fraction(n, 1)
+    half = SuperPoly.monomial(1, 1, (2,), (), F_HALF)
+    spec = make_spec(1, 1, a=(2,))
+    x = TensorElement.pure(spec, ((2,), 0), 0, F_HALF)
+    dt = WittElement.term(1, 1, (0,), 0, (TSLOT, 1), F_HALF)
+    results = {
+        "sum": half + half,
+        "scalar": 4 * half,
+        "product": half * SuperPoly.monomial(1, 1, (0,), (), 2),
+        "partial": half.partial_t(1),
+        "constructor": SuperPoly(1, 1, [(((1,), 0), F_HALF)] * 2),
+        "bracket": witt_bracket(dt, WittElement.term(1, 1, (2,), 0,
+                                                     (TSLOT, 1))),
+        "act": act_word(spec, OperatorWord.from_word(1, 1, [("dt", 1)], 2),
+                        x),
+        "lower": lower_t(spec, 1, x),
+        "weight": weight_reduce(spec, x, [10]),  # (10-1)(10-2)/(2*2^2)
+    }
+    for name, got in results.items():
+        values = list(got.terms.values())
+        assert values and all(type(c) is int for c in values), (name, values)
+    coords = pbw_basis_rewrite(make_spec(1, 1), 2, x)
+    assert coords and all(canonical(c) for c in coords.values())
+    ech = Echelon()
+    ech.insert({0: F_HALF, 1: Fraction(3, 2)})
+    ech.insert({1: Fraction(2, 3), 0: Fraction(2, 3)})
+    assert ech.rows == {0: {0: 1}, 1: {1: 1}}
+    assert all(type(c) is int for row in ech.rows.values()
+               for c in row.values())

@@ -26,8 +26,8 @@ from wittmod.tensor_modules import (LeavesWhittaker, ModuleSpec,
 from wittmod.witt import TSLOT, XSLOT, WittElement, witt_bracket, witt_act
 from wittmod.words import OperatorWord, make_watom
 
-from conftest import (act_mono, make_spec, rand_coeff, rand_superpoly,
-                      rand_tensor, rand_witt, witt_keys)
+from conftest import (act_mono, canonical, make_spec, rand_coeff,
+                      rand_superpoly, rand_tensor, rand_witt, witt_keys)
 from test_linalg import _dense_kernel
 
 F = Fraction
@@ -190,7 +190,7 @@ def test_window_solves_match_dense_route(m, n, rep, D, hb):
 ], ids=["1x1", "2x1", "2x2", "2x1-twist3,-1/2"])
 def test_window_solves_build_no_element_per_key(monkeypatch, m, n, a, hb):
     # the only TensorElements the closed forms build are their basis
-    # vectors, each holding Fractions only
+    # vectors, each coefficient under the one rule
     spec = make_spec(m, n, a=a)
     keys = window_keys(spec, 3)
     want = _dense_kernel_of_ops(spec, _old_route_ops(spec, hb), keys)
@@ -205,7 +205,7 @@ def test_window_solves_build_no_element_per_key(monkeypatch, m, n, a, hb):
     monkeypatch.undo()
     assert len(built) == len(got) < len(keys)
     assert got == want
-    assert all(type(c) is F for x in got for c in x.terms.values())
+    assert all(canonical(c) for x in got for c in x.terms.values())
 
 
 # whittaker_dimension derives the closed forms by a scan of the window
@@ -465,7 +465,7 @@ def test_pbw_matches_dense_reference(m, n, deg):
         got = pbw_basis_rewrite(spec, deg, x)
         want = _dense_to_products(ref, x)
         assert got == want and list(got) == list(want)
-        assert all(type(c) is F for c in got.values())
+        assert all(canonical(c) for c in got.values())
 
 
 def test_pbw_builds_only_the_columns_a_solve_reaches(monkeypatch):
@@ -937,8 +937,8 @@ def test_empty_word_is_the_identity_and_zero_maps_to_zero():
     assert act_term(spec, (1, 0), 1, (TSLOT, 2), zero) == zero
 
 
-# integral sums are accumulated as ints inside the action; every element
-# handed out holds Fractions, and the same values as the formula gives
+# every element handed out holds coefficients under the one rule (an int
+# when integral, else a Fraction), and the same values as the formula gives
 LANE_SPECS = [
     (1, 1, (F(1),)),
     (2, 1, (F(2), F(-1))),
@@ -947,8 +947,8 @@ LANE_SPECS = [
 ]
 
 
-def _only_fractions(x):
-    assert all(type(c) is Fraction and c for c in x.terms.values()), x.terms
+def _canonical(x):
+    assert all(canonical(c) and c for c in x.terms.values()), x.terms
     return x
 
 
@@ -969,18 +969,18 @@ def test_int_lane_never_leaks(m, n, a, coeff):
         for mono, l in rng.sample(wkeys, 3):
             x = x + TensorElement.pure(spec, mono, l, rng.choice([coeff, -1]))
         for (alpha, imask), slot in keys:
-            assert _only_fractions(act_term(spec, alpha, imask, slot, x)) \
+            assert _canonical(act_term(spec, alpha, imask, slot, x)) \
                 == _reference_act_term(spec, alpha, imask, slot, x)
         for atom in atoms:
-            assert _only_fractions(act_atom(spec, atom, x)) == \
+            assert _canonical(act_atom(spec, atom, x)) == \
                 _reference_act_atom(spec, atom, x)
         w = sum((_witt_elem(m, n, key, rng.choice([coeff, 1, -2]))
                  for key in rng.sample(keys, 3)), WittElement.zero(m, n))
-        assert _only_fractions(act_witt(spec, w, x)) == \
+        assert _canonical(act_witt(spec, w, x)) == \
             _reference_act_witt(spec, w, x)
         word = OperatorWord(m, n)
         for length in (0, 1, 2, 3):
             word = word + OperatorWord.from_word(
                 m, n, rng.sample(atoms, length), rng.choice([coeff, 3]))
-        assert _only_fractions(act_word(spec, word, x)) == \
+        assert _canonical(act_word(spec, word, x)) == \
             _reference_act_word(spec, word, x)

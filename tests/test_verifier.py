@@ -19,7 +19,7 @@ from wittmod.dressed import (DressedWittElement, _dressed_bracket_basis,
                              _dressed_tables, dressed_basis, dressed_bracket)
 from wittmod.expressions import (as_dressed, as_tensor, as_witt, parse_expr,
                                  print_expr)
-from wittmod.superpoly import merge_sign_masks, mono_tdeg, popcount
+from wittmod.superpoly import divide, merge_sign_masks, mono_tdeg, popcount
 from wittmod.glmn import Rep, mat_add, mat_mul
 from wittmod.tensor_modules import (ModuleSpec, TensorElement, act_witt,
                                     weight_reduce)
@@ -766,7 +766,8 @@ def test_descent_roundtrip_names_a_surviving_odd_variable(monkeypatch):
 
 def _closed_form(spec, x, weight, shift):
     """weight_reduce's closed form, each factor (w_i - k - E_ii)/a_i with
-    its -k dropped unless shift."""
+    its -k dropped unless shift; it divides exactly, as weight_reduce
+    does."""
     out = TensorElement.zero(spec)
     for ((s, kmask), l), c in x.terms.items():
         v = {(l, 0): c}
@@ -774,7 +775,7 @@ def _closed_form(spec, x, weight, shift):
             for k in range(si):
                 v = mat_add(mat_mul(spec.rep.mats[(i, i)], v), v,
                             k * shift - w)
-                v = {rc: -f / ai for rc, f in v.items()}
+                v = {rc: divide(-f, ai) for rc, f in v.items()}
         for (r, _), f in v.items():
             out = out + TensorElement.pure(spec, ((0,) * spec.m, kmask), r, f)
     return out

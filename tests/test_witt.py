@@ -15,8 +15,9 @@ from wittmod.witt import (TSLOT, XSLOT, ExtendedWittElement, WittElement,
                           bracket_oracle, extended_basis, extended_bracket,
                           witt_act, witt_basis, witt_bracket)
 
-from conftest import (ext_der, ext_from_poly, ext_from_witt, ext_fun,
-                      homogeneous_parts, rand_superpoly, rand_witt, witt_keys)
+from conftest import (canonical, ext_der, ext_from_poly, ext_from_witt,
+                      ext_fun, homogeneous_parts, rand_superpoly, rand_witt,
+                      witt_keys)
 
 
 def W(text, m=1, n=1):
@@ -296,7 +297,7 @@ def test_extended_basis_matches_accumulated_construction():
                for mono in enumerate_monomials(m, n, 2) for slot in slots]
         got = extended_basis(m, n, 2)
         assert got == old
-        assert all(type(c) is Fraction and c
+        assert all(canonical(c) and c
                    for x in got for c in x.terms.values())
 
 
