@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import functools
 import sys
+from types import SimpleNamespace
 
 # only the layers of a Witt bracket load with the module (the converters
 # load their own element types on first call); every other layer is
-# imported by the command that uses it, and config and argparse wait for
-# the first command, which builds the argparse parser of that command
-# alone.  A Witt bracket adds config alone, for the shape rule, and wh
-# validates its parameters without the verifier (see the package
-# docstring)
+# imported by the command that uses it.  config waits for the first
+# command, and argparse for a request not spelt canonically (see _scan).
+# A Witt bracket adds config alone, for the shape rule, and wh validates
+# its parameters without the verifier (see the package docstring)
 from .expressions import (MAX_ECHO, ExpressionError, as_dressed, as_tensor,
                           as_witt, as_word, parse_expr, print_expr, quoted)
 from .witt import witt_bracket
@@ -56,21 +56,6 @@ def _module_spec(args, m, n, nonsingular_for=None) -> ModuleSpec:
         raise ConfigError("%s needs a nonsingular twist vector"
                           % nonsingular_for)
     return spec
-
-
-# the run-parameter flags are named here and read by config, which types,
-# defaults, bounds and echoes them as it does an INI value
-def _add_shape_flags(sub):
-    for flag, parity in (("--m", "even"), ("--n", "odd")):
-        sub.add_argument(flag, help="number of %s variables (default: "
-                                    "inferred)" % parity)
-
-
-def _add_module_flags(sub):
-    _add_shape_flags(sub)
-    sub.add_argument("--a", help="twist vector, comma separated rationals")
-    sub.add_argument("--rep", help="rep descriptor: natural | trivial[:d] | "
-                                   "tensor(r,s) | sum(r,s) | file:PATH")
 
 
 def _cmd_bracket(args) -> int:
@@ -188,78 +173,61 @@ def _answer(cmd, args) -> int:
         return 2
 
 
-def _add_check_flags(sub):
-    _add_module_flags(sub)
-    for flag in ("D", "deg", "rmax", "trials", "seed", "height"):
-        sub.add_argument("--" + flag)
-    sub.add_argument("--mode", help="corrected | verbatim | mutated | "
-                     "tau_flipped | untwisted | coset (check dependent)")
-    sub.add_argument("--expect-reducible", dest="expect_reducible",
-                     action="store_const", const=True)
-    sub.add_argument("--config", default=None, help="INI config file")
+# the run-parameter flags are named here and read by config, which types,
+# defaults, bounds and echoes them as it does an INI value
+_SHAPE_FLAGS = tuple(
+    ("--" + flag, {"help": "number of %s variables (default: inferred)"
+                           % parity})
+    for flag, parity in (("m", "even"), ("n", "odd")))
+_MODULE_FLAGS = _SHAPE_FLAGS + (
+    ("--a", {"help": "twist vector, comma separated rationals"}),
+    ("--rep", {"help": "rep descriptor: natural | trivial[:d] | "
+                       "tensor(r,s) | sum(r,s) | file:PATH"}),
+)
+_CHECK_FLAGS = _MODULE_FLAGS + tuple(
+    ("--" + flag, {}) for flag in ("D", "deg", "rmax", "trials", "seed",
+                                   "height")) + (
+    ("--mode", {"help": "corrected | verbatim | mutated | tau_flipped | "
+                        "untwisted | coset (check dependent)"}),
+    ("--expect-reducible", {"action": "store_const", "const": True}),
+    ("--config", {"help": "INI config file"}),
+)
 
-
-def _bracket_args(sub):
-    sub.add_argument("e1")
-    sub.add_argument("e2")
-    sub.add_argument("--mode", choices=["corrected", "verbatim"])
-    _add_shape_flags(sub)
-    sub.set_defaults(fn=functools.partial(_answer, _cmd_bracket))
-
-
-def _act_args(sub):
-    sub.add_argument("op")
-    sub.add_argument("elem")
-    _add_module_flags(sub)
-    sub.set_defaults(fn=functools.partial(_answer, _cmd_act))
-
-
-def _wh_args(sub):
-    sub.add_argument("--spec", default=None, help="INI config file")
-    _add_module_flags(sub)
-    sub.add_argument("--D")
-    sub.add_argument("--height")
-    sub.set_defaults(fn=functools.partial(_answer, _cmd_wh))
-
-
-def _descent_args(sub):
-    sub.add_argument("elem")
-    _add_module_flags(sub)
-    sub.set_defaults(fn=functools.partial(_answer, _cmd_descent))
-
-
-def _weighting_args(sub):
-    sub.add_argument("elem")
-    sub.add_argument("--r", required=True,
-                     help="weight, comma separated rationals")
-    _add_module_flags(sub)
-    sub.set_defaults(fn=functools.partial(_answer, _cmd_weighting))
-
-
-def _verify_args(sub):
-    sub.add_argument("check", help="check id or 'all'")
-    _add_check_flags(sub)
-    sub.set_defaults(fn=functools.partial(_answer, _cmd_verify))
-
-
-def _report_args(sub):
-    sub.add_argument("--check", default="all", help="check id or 'all'")
-    sub.add_argument("--out", required=True, help="output path or '-'")
-    sub.add_argument("--stable", action="store_true",
-                     help="pin timestamp and timings for byte-stable output")
-    _add_check_flags(sub)
-    sub.set_defaults(fn=functools.partial(_answer, _cmd_report))
-
-
-# command -> (help, the function that adds its arguments), in help order
+# the one declaration of the commands and their arguments, read by
+# build_parser and by _scan: command -> (help, the function it runs, its
+# arguments in the order help lists them).  An argument is a name and the
+# keywords of its add_argument call; a name that starts with '--' is a
+# flag, whose dest is its name with '-' as '_' after the leading '--'.  A
+# flag takes one value unless its action is store_true or store_const
 _COMMANDS = {
-    "bracket": ("bracket of two derivation elements", _bracket_args),
-    "act": ("apply an operator word to a module element", _act_args),
-    "wh": ("Whittaker vector basis on the degree window", _wh_args),
-    "descent": ("project onto the Whittaker space", _descent_args),
-    "weighting": ("reduce modulo the weight ideal", _weighting_args),
-    "verify": ("run verifier checks", _verify_args),
-    "report": ("run checks and write a JSON report", _report_args),
+    "bracket": ("bracket of two derivation elements", _cmd_bracket, (
+        ("e1", {}), ("e2", {}),
+        ("--mode", {"choices": ["corrected", "verbatim"]}),
+    ) + _SHAPE_FLAGS),
+    "act": ("apply an operator word to a module element", _cmd_act, (
+        ("op", {}), ("elem", {}),
+    ) + _MODULE_FLAGS),
+    "wh": ("Whittaker vector basis on the degree window", _cmd_wh, (
+        ("--spec", {"help": "INI config file"}),
+    ) + _MODULE_FLAGS + (("--D", {}), ("--height", {}))),
+    "descent": ("project onto the Whittaker space", _cmd_descent, (
+        ("elem", {}),
+    ) + _MODULE_FLAGS),
+    "weighting": ("reduce modulo the weight ideal", _cmd_weighting, (
+        ("elem", {}),
+        ("--r", {"required": True,
+                 "help": "weight, comma separated rationals"}),
+    ) + _MODULE_FLAGS),
+    "verify": ("run verifier checks", _cmd_verify, (
+        ("check", {"help": "check id or 'all'"}),
+    ) + _CHECK_FLAGS),
+    "report": ("run checks and write a JSON report", _cmd_report, (
+        ("--check", {"default": "all", "help": "check id or 'all'"}),
+        ("--out", {"required": True, "help": "output path or '-'"}),
+        ("--stable", {"action": "store_true", "default": False,
+                      "help": "pin timestamp and timings for byte-stable "
+                              "output"}),
+    ) + _CHECK_FLAGS),
 }
 
 
@@ -285,8 +253,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         description="Exact super Witt algebra and Whittaker module tool")
     sp = ap.add_subparsers(dest="command", required=True)
     for name in [command] if command else _COMMANDS:
-        help_, add_args = _COMMANDS[name]
-        add_args(sp.add_parser(name, help=help_))
+        help_, cmd, arguments = _COMMANDS[name]
+        sub = sp.add_parser(name, help=help_)
+        for arg, keywords in arguments:
+            sub.add_argument(arg, **keywords)
+        sub.set_defaults(fn=functools.partial(_answer, cmd))
     return sp.choices[command] if command else ap
 
 
@@ -299,9 +270,73 @@ def _parser(command=None) -> argparse.ArgumentParser:
     return build_parser(command)
 
 
+@functools.cache
+def _layout(command):
+    """(positional names, flag -> (dest, add_argument keywords), the
+    required flags, the namespace of no flags) of a command's table
+    entry, as its parser reads them."""
+    _, cmd, arguments = _COMMANDS[command]
+    names = [arg for arg, _ in arguments if not arg.startswith("-")]
+    flags = {arg: (arg[2:].replace("-", "_"), kw) for arg, kw in arguments
+             if arg.startswith("-")}
+    required = [arg for arg, (_, kw) in flags.items() if kw.get("required")]
+    empty = dict.fromkeys(names)
+    empty.update((dest, kw.get("default")) for dest, kw in flags.values())
+    empty["fn"] = functools.partial(_answer, cmd)
+    return names, flags, required, empty
+
+
+def _scan(argv):
+    """The namespace that argv's command parser returns, read straight
+    from the table when argv is spelt canonically: exact flags, each at
+    most once, as '--flag value' (a value that does not start with '-')
+    or '--flag=value'; at most one '--', not last, everything after it
+    positional; exactly the command's positionals; every required flag;
+    a value with choices inside them.  Any other argv is None, for
+    argparse to read."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    names, flags, required, empty = _layout(argv[0])
+    args, seen, positionals = dict(empty), set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            rest = list(tokens)
+            if not rest or "--" in rest:
+                return None
+            positionals += rest
+            break
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        dest, kw = flags[flag]
+        if "action" in kw:  # store_true or store_const: no value
+            if eq:
+                return None
+            value = kw.get("const", True)
+        elif not eq:
+            value = next(tokens, "-")  # a missing value reads as a flag
+            if value.startswith("-"):
+                return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        args[dest] = value
+    if len(positionals) != len(names) or not seen.issuperset(required):
+        return None
+    args.update(zip(names, positionals))
+    return SimpleNamespace(**args)
+
+
 def run_command(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    args = _scan(argv)
+    if args is not None:
+        return args.fn(args)
     try:
         # what the tree does, without classifying every argument of a
         # command a second time: that command's parser reads the rest,

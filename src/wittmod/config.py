@@ -68,8 +68,9 @@ def parse_twist(value, m, name="twist vector", required=False) -> tuple:
     if len(parts) != m:
         raise ConfigError("%s needs %d entries, got %d"
                           % (name, m, len(parts)))
-    return tuple(exact(p) if type(p) in (int, Fraction) else
-                 parse_rational(str(p)) for p in parts)
+    # exact refuses a float; a bool is refused as the text it prints as
+    return tuple(parse_rational(str(p)) if isinstance(p, (str, bool))
+                 else exact(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------

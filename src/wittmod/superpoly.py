@@ -47,9 +47,11 @@ def popcount(mask: int) -> int:
 
 
 def mask_of(indices) -> int:
-    """Bitmask for a set of 1-based odd indices."""
+    """Bitmask for a set of 1-based odd indices, each a non-bool int."""
     mask = 0
     for j in indices:
+        if type(j) is not int:
+            raise ValueError("odd index %r is not an int" % (j,))
         if j < 1:
             raise ValueError("odd indices are 1-based")
         bit = 1 << (j - 1)

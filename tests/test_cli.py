@@ -1,5 +1,6 @@
 """End-to-end command line behavior: outputs, exit codes, reports."""
 
+import io
 import json
 import os
 import random
@@ -8,13 +9,16 @@ import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wittmod
-from wittmod import tensor_modules, verifier
+from wittmod import cli, tensor_modules, verifier
 from wittmod.cli import build_parser, run_command
 from wittmod.config import CheckParams, ConfigError, resolve_rep
 from wittmod.expressions import (MAX_DIGITS, MAX_EXPONENT, MAX_PATH,
@@ -1325,9 +1329,11 @@ def test_bracket_loads_only_its_layers():
     # the dressed route adds its own layer and the words it builds on
     assert sorted(set(dressed) - set(witt)) == ["wittmod.dressed",
                                                 "wittmod.words"]
-    # importing the cli loads none of what the first command needs
+    # importing the cli loads none of what the first command needs, and a
+    # canonical request is read without argparse
     assert [m for m in ("wittmod.config", "dataclasses", "argparse")
             if m in early] == []
+    assert "argparse" not in dressed
 
 
 def test_wh_validates_without_the_verifier(tmp_path):
@@ -1450,6 +1456,89 @@ def test_command_parser_answers_as_the_tree(capsys, monkeypatch, argv):
     assert run(capsys, argv) == run_through_tree(capsys, argv)
 
 
+# _scan reads a canonically spelt request from the argument table and must
+# read it as the command's parser does; any other request it leaves to
+# argparse (None)
+def scanned_as_parsed(argv):
+    """Whether _scan accepts argv.  It raises nothing and prints nothing,
+    and when it accepts, its vars() are what the command's parser returns,
+    with no extras and fn compared by the function it calls."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        scanned = cli._scan(argv)
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    if scanned is None:
+        return False
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            parsed, extras = cli._parser(argv[0]).parse_known_args(argv[1:])
+    except SystemExit:
+        pytest.fail("%r scanned, but its parser says %s" % (argv,
+                                                            err.getvalue()))
+
+    def read(namespace):
+        values = dict(vars(namespace))
+        fn = values.pop("fn")
+        return values, (fn.func, fn.args, fn.keywords)
+
+    assert (read(scanned), extras) == (read(parsed), [])
+    return True
+
+
+def test_scan_reads_the_fixed_corpora_as_the_parser():
+    corpus = PARSER_CASES + [e["argv"] for e in GOLDEN_CALCULATOR]
+    scanned = [argv for argv in corpus if scanned_as_parsed(argv)]
+    # the calculator's requests are canonical, and so scanned
+    assert {argv[0] for argv in scanned} == {"bracket", "act", "wh",
+                                             "descent", "weighting"}
+    assert len(scanned) > len(GOLDEN_CALCULATOR) // 2
+
+
+SCAN_WORDS = ["dt1", "t1*dt1", "1", "all", "corrected", "verbatim", "a b",
+              "x=y"]
+SCAN_ODD = ["--", "-", "-h", "-1", ""]
+
+
+@st.composite
+def command_argvs(draw):
+    """A command with its positionals and some of its flags, each flag
+    with a value (as '--flag value' or '--flag=value') unless it takes
+    none, in any order and the last positionals perhaps after a '--';
+    then a few stray tokens put anywhere: its flags (also as --flag= or
+    cut short), plain words, '--', '-', '-h', a negative number and the
+    empty string."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = dict(cli._COMMANDS[command][2])
+    flags = [arg for arg in arguments if arg.startswith("--")]
+    flag, word = st.sampled_from(flags), st.sampled_from(SCAN_WORDS)
+    chosen = draw(st.sets(flag))
+    if draw(st.booleans()):
+        chosen |= {f for f in flags if arguments[f].get("required")}
+    units = [[f] if "action" in arguments[f] else draw(st.sampled_from(
+        [[f, w], ["%s=%s" % (f, w)]])) for f, w in
+        zip(sorted(chosen), draw(st.lists(word, min_size=len(chosen),
+                                          max_size=len(chosen))))]
+    words = [draw(word) for arg in arguments if arg[0] != "-"]
+    dash = draw(st.booleans())
+    after = draw(st.integers(0, len(words))) if dash else 0
+    units = draw(st.permutations(units + [[w] for w in
+                                          words[:len(words) - after]]))
+    argv = sum(units, []) + (["--"] + words[len(words) - after:]
+                             if dash else [])
+    stray = st.one_of(
+        flag, flag.map(lambda f: f + "="), word, st.sampled_from(SCAN_ODD),
+        flag.filter(lambda f: len(f) > 3).map(lambda f: f[:-1]))
+    for token in draw(st.lists(stray, max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return [command] + argv
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(command_argvs())
+def test_scan_reads_drawn_requests_as_the_parser(argv):
+    scanned_as_parsed(argv)
+
+
 # a fresh interpreter lists the parsers it built for the command in argv
 BUILDS = """
 import json, sys
@@ -1465,11 +1554,16 @@ print(json.dumps(built))
 
 
 def test_a_command_builds_its_own_parser_alone():
+    # a canonical request is read from the argument table: no parser
     done = run_python(["-c", BUILDS, "bracket", "dt1", "t1*dt1"])
     assert done.returncode == 0, done.stderr
-    out, built = done.stdout.splitlines()
-    assert out == "dt1"
-    # one parser, that of bracket, and never the whole tree (None)
+    assert done.stdout.splitlines() == ["dt1", "[]"]
+    # any other spelling builds one parser, that of its command, and never
+    # the whole tree (None)
+    done = run_python(["-c", BUILDS, "bracket", "dt1", "t1*dt1", "-h"])
+    assert done.returncode == 0, done.stderr
+    *out, built = done.stdout.splitlines()
+    assert out[0].startswith("usage: wittmod bracket ")
     assert json.loads(built) == ["bracket"]
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import wittmod
-from wittmod import dressed, glmn, superpoly, tensor_modules, witt, words
+from wittmod import (config, dressed, glmn, superpoly, tensor_modules, witt,
+                     words)
 from wittmod.config import CHECKS
 
 from conftest import make_spec
@@ -141,6 +142,10 @@ LIBRARY_REJECTIONS = [
      "odd indices are 1-based"),
     ("mask_of-repeat", lambda: superpoly.mask_of([2, 2]),
      "repeated odd index 2"),
+    ("mask_of-bool", lambda: superpoly.SuperPoly.monomial(1, 1, (0,), [True]),
+     "odd index True is not an int"),
+    ("mask_of-float", lambda: superpoly.mask_of([1.0]),
+     "odd index 1.0 is not an int"),
     ("monomial-exponents",
      lambda: superpoly.SuperPoly.monomial(2, 0, (1, -1)),
      "bad exponent tuple (1, -1) for m=2"),
@@ -157,6 +162,11 @@ LIBRARY_REJECTIONS = [
      "odd mask True is not an int"),
     ("exact-float", lambda: superpoly.exact(2.0),
      "exact values only, got the float 2.0", TypeError),
+    ("parse_twist-float", lambda: config.parse_twist([0.1], 1),
+     "exact values only, got the float 0.1", TypeError),
+    ("parse_twist-bool", lambda: config.parse_twist([True], 1),
+     "bad rational 'True': Invalid literal for Fraction: 'True'",
+     config.ConfigError),
     ("partial", lambda: superpoly.SuperPoly(1, 1).partial_xi(2),
      "xi index 2 out of range"),
     ("spec-shape",
