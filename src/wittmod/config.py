@@ -44,13 +44,19 @@ class ConfigError(ValueError):
 def parse_rational(text):
     """A rational literal under superpoly.exact's rule, bounded before
     Fraction expands an exponent: its longest part's digits plus the
-    exponent may not pass max_digits."""
-    mantissa, _, exponent = text.strip().lower().partition("e")
+    exponent may not pass max_digits.  Once stripped it is plain ASCII with
+    no "_" and no blank, the grammar Fraction reads on every Python."""
+    body = text.strip()
+    mantissa, _, exponent = body.lower().partition("e")
     try:
+        bad = [ch for ch in body
+               if ch == "_" or ch.isspace() or not ch.isascii()]
+        if bad:
+            raise ValueError("%r is not part of a rational" % bad[0])
         size = max(sum(map(str.isdigit, part)) for part in mantissa.split("/"))
         if size + (abs(int(exponent)) if exponent else 0) > max_digits():
             raise ValueError("more than %d digits" % max_digits())
-        return exact(Fraction(text.strip()))
+        return exact(Fraction(body))
     except (ValueError, ZeroDivisionError) as e:
         reason = str(e) if len(text) <= MAX_ECHO else quoted(str(e), str)
         raise ConfigError("bad rational %s: %s" % (quoted(text), reason))

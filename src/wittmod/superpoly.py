@@ -24,12 +24,14 @@ Mono = tuple  # (alpha: tuple[int, ...], imask: int)
 def exact(value):
     """A value under the one coefficient rule: an int when it is integral,
     else a Fraction.  A float raises TypeError: its binary expansion is
-    almost never the number meant (0.1 is not 1/10)."""
+    almost never the number meant (0.1 is not 1/10).  So does a bool,
+    which is a truth value, not a number."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
-        if isinstance(value, float):
-            raise TypeError("exact values only, got the float %r" % (value,))
+        if isinstance(value, (float, bool)):
+            raise TypeError("exact values only, got the %s %r"
+                            % (type(value).__name__, value))
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 

@@ -1,8 +1,10 @@
 """Window-scale certification of the library's identities.
 
 Every check is deterministic given its parameters (the seed is a
-parameter), counts the cases it examined, and on failure carries a
-self-contained counterexample rendered in the CLI expression grammar.
+parameter) and is a generator: it yields the number of cases it has just
+examined, raises _Fail with a self-contained counterexample rendered in
+the CLI expression grammar, or returns its data.  run_check alone adds
+the cases up; a failure counts every case yielded before it.
 
 Negative controls are faults built here, never switches in the code they
 check.  A check that passes in a fault mode (CONTROL_MODES) fails; rmax=0
@@ -74,9 +76,8 @@ class CheckReport:
 class _Fail(Exception):
     """Internal: carries a counterexample dict out of a sweep."""
 
-    def __init__(self, cex, cases):
+    def __init__(self, cex):
         self.cex = cex
-        self.cases = cases
         super().__init__("check failed")
 
 
@@ -153,7 +154,7 @@ def _random_tensor(spec, rng, max_deg, nterms=3):
 
 def _witt_keys(m, n, deg, basis=witt_basis):
     """The key of each element of a basis, the derivations' by default."""
-    return [next(iter(el.terms)) for el in basis(m, n, deg)]
+    return [key for el in basis(m, n, deg) for key in el.terms]
 
 
 class _Row(dict):
@@ -235,17 +236,17 @@ def _support(memo, size):
                    for k, _ in row[j] if k >= size})
 
 
-def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
+def _jacobi_sweep(level, memo, parity, batches, render, extra=None):
     """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]], expanded by
     bilinearity through the memo, for each batch (y, z, xs) of basis ids:
     the defects of every x in xs at once, keyed l*size + x, read through
     columns (the x in xs with [x, k] != 0), so the work follows the
     nonzero products.  For xs = range(last + 1) (ordered and sorted
     batches) a column is built once over the basis and cut after last;
-    other xs (sampled singletons) build their own.  A failing batch
-    reports its first failing x, the cases counted triple by triple.
-    render maps a terms dict to the expression grammar; extra ends a
-    counterexample."""
+    other xs (sampled singletons) build their own.  A passing batch yields
+    len(xs); a failing batch yields the triples up to its first failing
+    x, then raises.  render maps a terms dict to the expression grammar;
+    extra ends a counterexample."""
     size = len(parity)
     basis_rows = memo[:size]
     whole, columns, current = {}, {}, None
@@ -288,18 +289,18 @@ def _jacobi_sweep(level, memo, parity, batches, render, cases, extra=None):
                     key = l * size + x
                     out[key] = out.get(key, 0) + s * c * c2
         if not any(out.values()):
-            cases += len(xs)
+            yield len(xs)
             continue
         x = min(key % size for key, c in out.items() if c)
         ids = memo.interned
+        yield xs.index(x) + 1
         raise _Fail({"level": level, "x": render({ids[x]: 1}),
                      "y": render({ids[y]: 1}),
                      "z": render({ids[z]: 1}),
                      "defect": render({ids[key // size]: c
                                        for key, c in out.items()
                                        if c and key % size == x}),
-                     **(extra or {})}, cases + xs.index(x) + 1)
-    return cases
+                     **(extra or {})})
 
 
 def _antisymmetric(memo, size, support, key_parity):
@@ -356,13 +357,14 @@ def _sorted_route(level, memo, parity, key_parity, render):
     batches = ((y, z, range(y + 1)) for y in basis
                for z in range(y, size))
     try:
-        _jacobi_sweep(level, memo, parity, batches, render, 0)
+        for _ in _jacobi_sweep(level, memo, parity, batches, render):
+            pass
     except _Fail:
         return False
     return True
 
 
-def _memo_agrees(level, memo, basis, bracket, unit, render, draw, cases):
+def _memo_agrees(level, memo, basis, bracket, unit, render, draw):
     """The level's public bracket against the memo's bilinear expansion on
     one pair of random elements, 2 or 3 basis terms each: the memo is
     filled from the kernel, and this keeps the bracket users call under
@@ -376,7 +378,7 @@ def _memo_agrees(level, memo, basis, bracket, unit, render, draw, cases):
     if got.terms != want.terms:
         raise _Fail({"level": level, "x": render(x.terms),
                      "y": render(y.terms), "bracket": render(got.terms),
-                     "memo": render(want.terms)}, cases)
+                     "memo": render(want.terms)})
 
 
 def check_jacobi(p: CheckParams):
@@ -384,7 +386,7 @@ def check_jacobi(p: CheckParams):
     product exhaustively up to 300000 triples, else a seeded sample.
     An exhaustive level is first certified on the sorted route
     (_sorted_route: super-antisymmetry plus the sorted triples) and then
-    counts its size**3 ordered triples as cases.  Else it runs every
+    yields its size**3 ordered triples as cases.  Else it runs every
     ordered triple in (y, z, x) order, one (y, z) batch at a time, which
     names the first failing triple and its case count.  Sampled triples
     are singleton batches.  Each level's memo is filled from that level's
@@ -413,7 +415,6 @@ def check_jacobi(p: CheckParams):
          dressed_bracket),
     ]
     draw = random.Random(p.seed + 2)
-    cases = 0
     for level, cls, basis, kernel, bracket in levels:
         memo = _PairMemo(basis, kernel)
         size = len(basis)
@@ -439,7 +440,7 @@ def check_jacobi(p: CheckParams):
         exhaustive = cls is WittElement or size ** 3 <= 300000
         if exhaustive and _sorted_route(level, memo, parity, cls.key_parity,
                                         render):
-            cases += size ** 3
+            yield size ** 3
         else:
             if exhaustive:
                 xs = range(size)
@@ -449,11 +450,10 @@ def check_jacobi(p: CheckParams):
                 batches = [(y, z, (x,)) for x, y, z in (
                     [rng.randrange(size) for _ in range(3)]
                     for _ in range(max(p.trials, 500)))]
-            cases = _jacobi_sweep(level, memo, parity, batches, render,
-                                  cases, extra)
+            yield from _jacobi_sweep(level, memo, parity, batches, render,
+                                     extra)
         _memo_agrees(level, memo, basis, bracket, cls(m, n)._like, render,
-                     draw, cases)
-    return cases, None
+                     draw)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,8 @@ def check_bracket_oracle(p: CheckParams):
     keys = _witt_keys(m, n, p.deg)
     table, tables = witt._bracket_basis, witt._oracle_tables(m, n)
     corrected = mode == "corrected"
-    for cases, (k1, k2) in enumerate(product(keys, keys), 1):
+    for k1, k2 in product(keys, keys):
+        yield 1
         (mono1, slot1), (mono2, slot2) = k1, k2
         got = table(m, mono1, slot1, mono2, slot2, corrected)
         want = witt._oracle_basis(tables, k1, k2)
@@ -485,8 +486,7 @@ def check_bracket_oracle(p: CheckParams):
                 "x": print_expr(x), "y": print_expr(y), "mode": mode,
                 "table": print_expr(witt_bracket(x, y, mode=mode)),
                 "oracle": print_expr(bracket_oracle(x, y)),
-            }, cases)
-    return len(keys) ** 2, None
+            })
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +513,9 @@ def _as_poly(x: TensorElement) -> SuperPoly:
 def check_weyl_relations(p: CheckParams):
     m, n = p.m, p.n
     atoms = _weyl_atoms(m, n)
-    cases = 0
     for u in atoms:
         for v in atoms:
-            cases += 1
+            yield 1
             s = -1 if atom_parity(u) & atom_parity(v) else 1
             w = (OperatorWord.from_word(m, n, (u, v))
                  - s * OperatorWord.from_word(m, n, (v, u)))
@@ -527,22 +526,22 @@ def check_weyl_relations(p: CheckParams):
                 raise _Fail({"u": _show_atom(m, n, u),
                              "v": _show_atom(m, n, v),
                              "got": print_expr(got),
-                             "want": print_expr(want)}, cases)
+                             "want": print_expr(want)})
     # squares of odd atoms vanish
     for j in range(1, n + 1):
         for atom in (("mx", j), ("dx", j)):
-            cases += 1
+            yield 1
             w = OperatorWord.from_word(m, n, (atom, atom))
             if weyl_normal_order(w):
                 raise _Fail({"atom": _show_atom(m, n, atom),
-                             "square": "nonzero"}, cases)
+                             "square": "nonzero"})
     # idempotence of normal ordering + action faithfulness, seeded; the
     # algebra acts as the untwisted trivial module
     plain = ModuleSpec(m, n, (0,) * m, trivial_rep(m, n))
     rng = random.Random(p.seed)
     mono_pool = enumerate_monomials(m, n, 3)
     for t in range(p.trials):
-        cases += 1
+        yield 1
         length = rng.randint(1, 6)
         word = tuple(atoms[rng.randrange(len(atoms))] for _ in range(length))
         w = OperatorWord.from_word(m, n, word, _random_coeff(rng))
@@ -555,7 +554,7 @@ def check_weyl_relations(p: CheckParams):
         if nf != nf2:
             raise _Fail({"trial": t, "word": print_expr(w),
                          "first": print_expr(nf),
-                         "second": print_expr(nf2)}, cases)
+                         "second": print_expr(nf2)})
         mono = mono_pool[rng.randrange(len(mono_pool))]
         v = TensorElement.pure(plain, mono, 0)
         got = act_word(plain, w, v)
@@ -564,8 +563,7 @@ def check_weyl_relations(p: CheckParams):
             raise _Fail({"trial": t, "word": print_expr(w),
                          "argument": print_expr(_as_poly(v)),
                          "direct": print_expr(_as_poly(got)),
-                         "normal_ordered": print_expr(_as_poly(want))}, cases)
-    return cases, None
+                         "normal_ordered": print_expr(_as_poly(want))})
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +585,6 @@ def check_module_axioms(p: CheckParams):
 
     keys = _witt_keys(p.m, p.n, p.deg)
     wkeys = window_keys(spec, p.D)
-    cases = 0
     total = len(keys) * len(keys) * len(wkeys)
     if total <= 60000:
         triples = ((kx, ky, wk) for kx in keys for ky in keys
@@ -600,7 +597,7 @@ def check_module_axioms(p: CheckParams):
                    for _ in range(max(20 * p.trials, 1000))]
     brackets = {}  # (kx, ky) -> [(atom, c)] of [x, y]
     for kx, ky, wk in triples:
-        cases += 1
+        yield 1
         b = brackets.get((kx, ky))
         if b is None:
             xy = witt_bracket(_key_elem(p.m, p.n, kx),
@@ -622,12 +619,12 @@ def check_module_axioms(p: CheckParams):
                 "x": print_expr(_key_elem(p.m, p.n, kx)),
                 "y": print_expr(_key_elem(p.m, p.n, ky)),
                 "v": _show(spec, {wk: 1}), "bracket_route": _show(spec, lhs),
-                "composition_route": _show(spec, rhs)}, cases)
+                "composition_route": _show(spec, rhs)})
     # coefficient algebra is associative on the module
     rng = random.Random(p.seed + 13)
     monos = enumerate_monomials(p.m, p.n, p.deg)
     for _ in range(p.trials):
-        cases += 1
+        yield 1
         am = monos[rng.randrange(len(monos))]
         bm = monos[rng.randrange(len(monos))]
         v = {wkeys[rng.randrange(len(wkeys))]: 1}
@@ -640,11 +637,11 @@ def check_module_axioms(p: CheckParams):
                 "p": print_expr(SuperPoly.monomial(p.m, p.n, am[0], am[1])),
                 "q": print_expr(SuperPoly.monomial(p.m, p.n, bm[0], bm[1])),
                 "v": _show(spec, v), "two_step": _show(spec, two_step),
-                "one_step": _show(spec, one_step)}, cases)
+                "one_step": _show(spec, one_step)})
     # mixed law: [derivation, multiplication] = multiplication by the
     # plain derivative of the coefficient
     for _ in range(p.trials):
-        cases += 1
+        yield 1
         kx = keys[rng.randrange(len(keys))]
         fm = monos[rng.randrange(len(monos))]
         v = {wkeys[rng.randrange(len(wkeys))]: 1}
@@ -661,8 +658,7 @@ def check_module_axioms(p: CheckParams):
                 "law": "mixed derivation-multiplication",
                 "x": print_expr(x), "f": print_expr(fpoly),
                 "v": _show(spec, v), "commutator_route": _show(spec, lhs),
-                "derivative_route": _show(spec, rhs)}, cases)
-    return cases, None
+                "derivative_route": _show(spec, rhs)})
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +689,11 @@ def check_commutant_homomorphism(p: CheckParams):
         if out is None:
             out = images[k, wk] = _word(spec, words[k], {wk: 1})
         return out
-    cases = 0
     for iu, ku in enumerate(keys):
         u = _key_elem(p.m, p.n, ku)
         pu = term_parity(ku[0], ku[1])
         for iv, kv in enumerate(keys):
-            cases += 1
+            yield 1
             v = _key_elem(p.m, p.n, kv)
             s = -1 if pu & term_parity(kv[0], kv[1]) else 1
             XB = fault(commutant_of_witt(witt_bracket(u, v))).to_word()
@@ -711,8 +706,7 @@ def check_commutant_homomorphism(p: CheckParams):
                         "u": print_expr(u), "v": print_expr(v),
                         "on": _show(spec, {wk: 1}),
                         "bracket_image": _show(spec, lhs),
-                        "supercommutator": _show(spec, rhs)}, cases)
-    return cases, None
+                        "supercommutator": _show(spec, rhs)})
 
 
 # ---------------------------------------------------------------------------
@@ -725,14 +719,13 @@ def check_commutant_weyl_commute(p: CheckParams):
     keys = _positive_keys(p.m, p.n, p.deg)
     atoms = _weyl_atoms(p.m, p.n)
     wkeys = window_keys(spec, p.D)
-    cases = 0
     for ku in keys:
         X = commutant_element(p.m, p.n, ku[0][0], ku[0][1], ku[1])
         xw = X.to_word()
         px = X.parity()
         images = [_word(spec, xw, {wk: 1}) for wk in wkeys]
         for atom in atoms:
-            cases += 1
+            yield 1
             s = -1 if px & atom_parity(atom) else 1
             for wk, xe in zip(wkeys, images):
                 lhs = _word(spec, xw, _act(spec, atom, {wk: 1}))
@@ -743,8 +736,7 @@ def check_commutant_weyl_commute(p: CheckParams):
                         "atom": _show_atom(p.m, p.n, atom),
                         "on": _show(spec, {wk: 1}),
                         "left": _show(spec, lhs),
-                        "right": _show(spec, rhs)}, cases)
-    return cases, None
+                        "right": _show(spec, rhs)})
 
 
 # ---------------------------------------------------------------------------
@@ -770,23 +762,22 @@ def check_gl_realization(p: CheckParams):
         return sum((c * basis[r] for (r, k), c in mat.items() if k == col),
                    TensorElement.zero(spec))
 
-    def fail(w, col, got):  # its case: the columns before, then col + 1
+    def fail(w, col, got):  # its cases: the columns up to col
+        yield col + 1
         unit, want = units[keys[w]], column(wants[w], col)
         raise _Fail({**({"unit": "E %d %d" % unit} if unit else {}),
                      "dressed": print_expr(_key_elem(p.m, p.n, keys[w])),
                      "on": print_expr(basis[col]), "got": print_expr(got),
-                     "want": print_expr(want)}, cases + col + 1)
-    cases = 0
+                     "want": print_expr(want)})
     try:
         for w, mat in enumerate(mats):
             diff = mat.items() ^ wants[w].items()
             if diff:
                 col = min(k for (_, k), _ in diff)
-                fail(w, col, column(mat, col))
-            cases += len(basis)
+                yield from fail(w, col, column(mat, col))
+            yield len(basis)
     except LeavesWhittaker as e:
-        fail(*e.args)
-    return cases, None
+        yield from fail(*e.args)
 
 
 # ---------------------------------------------------------------------------
@@ -828,19 +819,18 @@ def check_whittaker_dimension(p: CheckParams):
     count below."""
     spec = _spec(p)
     ops = [op for _, op in _whittaker_ops(spec)]
-    cases = 0
     dims = {}
     for D in (p.D, p.D + 1):
         basis = whittaker_space(spec, D)
         dims[D] = len(basis)
-        cases += 1 + len(basis)
+        yield 1 + len(basis)
         bad = _kernel_mismatch(spec, basis, D, ops)
         if bad:
-            raise _Fail(dict({"window": D}, **bad), cases)
+            raise _Fail(dict({"window": D}, **bad))
     if dims[p.D] != spec.dim or dims[p.D + 1] != spec.dim:
         raise _Fail({"expected_dim": spec.dim,
                      "window_%d" % p.D: dims[p.D],
-                     "window_%d" % (p.D + 1): dims[p.D + 1]}, cases)
+                     "window_%d" % (p.D + 1): dims[p.D + 1]})
 
     def power(t, i):
         for _ in range(p.height + 1):
@@ -849,18 +839,18 @@ def check_whittaker_dimension(p: CheckParams):
     # generalized vectors up to the height bound: every odd layer times
     # t-degrees at most `height` in each coordinate
     gw = generalized_whittaker_space(spec, p.D, height_bound=p.height)
-    cases += 1
+    yield 1
     bad = _kernel_mismatch(spec, gw, p.D, [lambda t, i=i: power(t, i)
                                            for i in range(1, spec.m + 1)])
     if bad:
-        raise _Fail(dict({"generalized_height": p.height}, **bad), cases)
+        raise _Fail(dict({"generalized_height": p.height}, **bad))
     if p.height * p.m <= p.D:
         expected = ((p.height + 1) ** p.m) * (1 << p.n) * spec.dim
         if len(gw) != expected:
             raise _Fail({"generalized_height": p.height,
-                         "expected": expected, "got": len(gw)}, cases)
-    return cases, {"dims": {str(D): dims[D] for D in sorted(dims)},
-                   "generalized_dim": len(gw)}
+                         "expected": expected, "got": len(gw)})
+    return {"dims": {str(D): dims[D] for D in sorted(dims)},
+            "generalized_dim": len(gw)}
 
 
 # ---------------------------------------------------------------------------
@@ -876,21 +866,19 @@ def check_descent_roundtrip(p: CheckParams):
     spec = _nonsingular(_spec(p), "descent")
     ops = _whittaker_ops(spec)
     rng, weights = random.Random(p.seed), random.Random(p.seed + 1)
-    cases = 0
     for t in range(p.trials):
-        cases += 1
+        yield 1
         x = _random_tensor(spec, rng, p.D, nterms=rng.randint(1, 4))
         y = descent(spec, x)
         bad = next((name for name, op in ops if op(y.terms)), None)
         if bad:
             raise _Fail({"trial": t, "x": print_expr(x),
-                         "descended": print_expr(y), "violates": bad}, cases)
+                         "descended": print_expr(y), "violates": bad})
         weight = [weights.randint(-2, 2) for _ in range(p.m)]
         try:
             coords = pbw_basis_rewrite(spec, p.D, x)
         except TransitionSingular as e:  # a fault in the product basis
-            raise _Fail({"trial": t, "x": print_expr(x), "error": str(e)},
-                        cases)
+            raise _Fail({"trial": t, "x": print_expr(x), "error": str(e)})
         products = {}
         for (s, (kmask, l)), c in coords.items():
             c *= prod(w ** si for w, si in zip(weight, s))
@@ -899,8 +887,7 @@ def check_descent_roundtrip(p: CheckParams):
         if got != want:
             raise _Fail({"trial": t, "x": print_expr(x), "weight": weight,
                          "closed_form": print_expr(got),
-                         "product_basis": print_expr(want)}, cases)
-    return cases, None
+                         "product_basis": print_expr(want)})
 
 
 # ---------------------------------------------------------------------------
@@ -929,10 +916,9 @@ def check_weight_multiplicity(p: CheckParams):
     hs = [_cartan(p.m, p.n, i) for i in range(1, p.m + 1)]
     # each h_i is one basis term with coefficient 1
     atoms = [make_watom(key) for h in hs for key in h.terms]
-    cases = 0
     rng = random.Random(p.seed)
     for weight in product(range(-2, 3), repeat=p.m):
-        cases += 1
+        yield 1
         # pivots on the t_i-raised keys (coefficient a_i): int rows
         image = linalg.Echelon(lambda k: (-sum(k[0][0]), k))
         for atom, w in zip(atoms, weight):
@@ -942,20 +928,19 @@ def check_weight_multiplicity(p: CheckParams):
         quotient = len(big) - len(image.rows)
         if quotient != expected:
             raise _Fail({"weight": list(weight), "window": p.D,
-                         "expected": expected, "got": quotient}, cases)
+                         "expected": expected, "got": quotient})
         # representative independence of the reduction map
         x = _random_tensor(spec, rng, max(p.D - 2, 0), nterms=2)
         y = _random_tensor(spec, rng, max(p.D - 2, 0), nterms=2)
         i = rng.randrange(p.m)
         shifted = x + act_witt(spec, hs[i], y) - weight[i] * y
-        cases += 1
+        yield 1
         if weight_reduce(spec, shifted, weight) != weight_reduce(
                 spec, x, weight):
             raise _Fail({"weight": list(weight), "x": print_expr(x),
                          "y": print_expr(y),
                          "error": "reduction depends on the "
-                                  "representative"}, cases)
-    return cases, None
+                                  "representative"})
 
 
 # ---------------------------------------------------------------------------
@@ -975,13 +960,12 @@ def check_difference_recurrence(p: CheckParams):
     linear (the module table tests check it), so the operator identity on
     any module follows and is not acted out here."""
     rmax = min(p.rmax, 4)
-    cases = 0
     for alpha, beta, imask, jmask, j, s1, s2 in _difference_sweep(
             p.m, p.n, 1):
         aj = tuple(x + (1 if q == j - 1 else 0) for q, x in enumerate(alpha))
         bj = tuple(x + (1 if q == j - 1 else 0) for q, x in enumerate(beta))
         for r in range(rmax):
-            cases += 1
+            yield 1
             lhs = (difference_word(p.m, p.n, aj, beta, imask, jmask,
                                    r, j, s1, s2)
                    - difference_word(p.m, p.n, alpha, bj, imask, jmask,
@@ -993,8 +977,7 @@ def check_difference_recurrence(p: CheckParams):
                              "alpha": list(alpha), "beta": list(beta),
                              "I": imask, "J": jmask, "r": r, "j": j,
                              "lhs": print_expr(lhs),
-                             "rhs": print_expr(rhs)}, cases)
-    return cases, None
+                             "rhs": print_expr(rhs)})
 
 
 # ---------------------------------------------------------------------------
@@ -1084,16 +1067,15 @@ def check_difference_annihilation(p: CheckParams):
                                      "windows" % found}
             return None
     table = {}
-    cases = 0
     for item in _difference_sweep(p.m, p.n, deg):
-        cases += 1
+        yield 1
         label = _diff_label(*item)
         found = next((r for r in range(p.rmax + 1) if killed(item, r)), None)
         cex = refute(item, found)
         if cex:
-            raise _Fail({"word": label, **cex}, cases)
+            raise _Fail({"word": label, **cex})
         table[label] = found
-    return cases, {"minimal_r": table}
+    return {"minimal_r": table}
 
 
 # ---------------------------------------------------------------------------
@@ -1156,10 +1138,9 @@ def check_simplicity_probe(p: CheckParams):
             x = _random_tensor(spec, rng, max(p.D - 2, 0),
                                nterms=rng.randint(1, 3))
         seeds.append(("random%d" % t, x))
-    cases = 0
     evidence = None
     for tag, x in seeds:
-        cases += 1
+        yield 1
         span, missing = _probe(spec, gens, x, wh, p.D)
         if missing and p.expect_reducible:
             evidence = {"seed": str(tag), "span_dim": span.dim,
@@ -1167,14 +1148,12 @@ def check_simplicity_probe(p: CheckParams):
         elif missing:
             raise _Fail({"seed": str(tag), "start": print_expr(x),
                          "span_dim": span.dim,
-                         "missing_vacuum": "e%d" % (missing[0] + 1)}, cases)
+                         "missing_vacuum": "e%d" % (missing[0] + 1)})
     if p.expect_reducible:
         if evidence is None:
             raise _Fail({"error": "no invariant proper subspace found, "
-                                  "module looks simple at this window"},
-                        cases)
-        return cases, {"reducibility_evidence": evidence}
-    return cases, None
+                                  "module looks simple at this window"})
+        return {"reducibility_evidence": evidence}
 
 
 # ---------------------------------------------------------------------------
@@ -1188,21 +1167,27 @@ def run_check(check_id, merged) -> CheckReport:
     """Run one check.  An unknown check id, an unknown key or a bad
     parameter raises ConfigError, as on the command line; a ConfigError
     inside the check is a report with status error, and any other
-    exception propagates.  A pass in a fault mode is a fail."""
+    exception propagates.  The check's yields are the one count of its
+    cases: a fail counts every case yielded before the raise, the failing
+    one included.  A return with no case, or a pass in a fault mode, is a
+    fail."""
     params = CheckParams.from_dict(check_id, merged)
     start = time.monotonic()
+    cases, cex, data = 0, None, None
     try:
-        cases, data = REGISTRY[check_id](params)
+        check = REGISTRY[check_id](params)
+        while True:
+            cases += next(check)
+    except StopIteration as done:  # the check returned
         if not cases:
-            raise _Fail({"error": "no cases were examined"}, 0)
-        if params.mode in CONTROL_MODES:
-            raise _Fail({"error": "control mode %s was not detected"
-                                  % params.mode}, cases)
-        status, cex = "pass", None
+            cex = {"error": "no cases were examined"}
+        elif params.mode in CONTROL_MODES:
+            cex = {"error": "control mode %s was not detected" % params.mode}
+        status, data = ("fail", None) if cex else ("pass", done.value)
     except _Fail as f:
-        status, cases, cex, data = "fail", f.cases, f.cex, None
+        status, cex = "fail", f.cex
     except ConfigError as e:
-        status, cases, cex, data = "error", 0, {"error": str(e)}, None
+        status, cases, cex = "error", 0, {"error": str(e)}
     elapsed = int((time.monotonic() - start) * 1000)
     return CheckReport(id=check_id, params=params.as_dict(), status=status,
                        cases=cases, elapsed_ms=elapsed, counterexample=cex,

@@ -535,6 +535,14 @@ def test_window_ceilings_exit_2(capsys, argv, message):
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
 
 
+def test_a_twist_takes_ascii_digits_as_an_expression_does(capsys):
+    # Fraction read an Arabic-Indic one as 1
+    assert run(capsys, ["act", "dt1", "t1 @ e1", "--a", "\u0661"]) == (
+        2, "", "error: bad rational '\u0661': '\u0661' is not part of a "
+               "rational\n")
+    assert run(capsys, ["act", "dt1", "\u0661 @ e1"])[0] == 2
+
+
 def test_largest_window_is_accepted(capsys):
     rc, out, _ = run(capsys, ["wh", "--m", "1", "--n", "1", "--D", "8"])
     assert (rc, out) == (0, "1 @ e1\n1 @ e2\n")

@@ -25,6 +25,20 @@ def test_parse_rational():
         parse_rational("1/0")
 
 
+def test_parse_rational_reads_one_grammar_on_every_python():
+    # Fraction reads "1_0" from 3.11 and "1 / 2" from 3.12, and reads a
+    # non-ASCII digit as a digit; the grammar is the same on every Python
+    for text, char in (("\u0661", "'\u0661'"), ("1_0", "'_'"),
+                       ("1 / 2", "' '")):
+        with pytest.raises(ConfigError) as err:
+            parse_rational(text)
+        assert str(err.value) == "bad rational '%s': %s is not part of a " \
+            "rational" % (text, char)
+    with pytest.raises(ConfigError, match="bad rational"):
+        parse_twist(["1 / 2"], 1)
+    assert parse_rational(" 1/2\n") == F(1, 2)
+
+
 def test_parse_rational_bounds_digits_before_expanding():
     # the longest part's digits plus the exponent's size
     assert parse_rational("1e4299") == 10 ** 4299

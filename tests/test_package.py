@@ -105,7 +105,6 @@ POWERS = {
     ("tensor_modules.py", "(-ai) ** si"):
         "si is a monomial exponent, a nonnegative int (check_mono)",
     ("verifier.py", "size ** 3"): "a constant exponent",
-    ("verifier.py", "len(keys) ** 2"): "a constant exponent",
     ("verifier.py", "(p.height + 1) ** p.m"):
         "p.m is a shape, a nonnegative int (CheckParams)",
     ("verifier.py", "w ** si"):
@@ -162,6 +161,11 @@ LIBRARY_REJECTIONS = [
      "odd mask True is not an int"),
     ("exact-float", lambda: superpoly.exact(2.0),
      "exact values only, got the float 2.0", TypeError),
+    ("exact-bool", lambda: superpoly.exact(True),
+     "exact values only, got the bool True", TypeError),
+    ("modulespec-bool-twist", lambda: tensor_modules.ModuleSpec(
+        1, 1, [True], glmn.natural_rep(1, 1)),
+     "exact values only, got the bool True", TypeError),
     ("parse_twist-float", lambda: config.parse_twist([0.1], 1),
      "exact values only, got the float 0.1", TypeError),
     ("parse_twist-bool", lambda: config.parse_twist([True], 1),

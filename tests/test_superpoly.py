@@ -326,10 +326,13 @@ def test_caller_values_follow_the_one_rule(site):
 
 
 def test_exact_and_divide_follow_the_one_rule():
-    for value, want in ((Fraction(6, 3), 2), (True, 1), ("3/6", F_HALF),
+    for value, want in ((Fraction(6, 3), 2), ("3/6", F_HALF),
                         (-4, -4), (Fraction(-1, 2), -F_HALF)):
         got = exact(value)
         assert canonical(got) and got == want, value
+    for value in (True, 0.5):  # a bool and a float are refused
+        with pytest.raises(TypeError):
+            exact(value)
     for a, b, want in ((4, 2, 2), (1, -2, -F_HALF), (-7, 7, -1),
                        (F_HALF, Fraction(1, 4), 2), (Fraction(3, 2), 3, F_HALF),
                        (3, F_HALF, 6), (0, Fraction(-5, 3), 0)):

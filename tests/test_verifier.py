@@ -2,6 +2,7 @@
 counterexample self-containment."""
 
 import importlib
+import inspect
 import json
 import pkgutil
 import random
@@ -244,6 +245,32 @@ def test_internal_value_error_is_not_an_error_status(monkeypatch):
     monkeypatch.setitem(REGISTRY, "gl_realization", broken)
     with pytest.raises(ValueError, match="internal bug"):
         run_check("gl_realization", {})
+
+
+def test_every_check_yields_its_cases(monkeypatch):
+    # a check yields the cases it has just examined and raises _Fail or
+    # returns its data; run_check alone adds the yields up
+    assert all(inspect.isgeneratorfunction(fn) for fn in REGISTRY.values())
+
+    def check(p, fail=False, data=None, counts=(2, 3)):
+        yield from counts
+        if fail:
+            raise verifier._Fail({"error": "planted"})
+        return data
+
+    verbatim = {"mode": "verbatim"}
+    rows = [(partial(check, fail=True), {}, "fail", 5, {"error": "planted"},
+             None),
+            (partial(check, data={"d": 1}), {}, "pass", 5, None, {"d": 1}),
+            (partial(check, counts=()), {}, "fail", 0,
+             {"error": "no cases were examined"}, None),
+            (partial(check, data={"d": 1}), verbatim, "fail", 5,
+             {"error": "control mode verbatim was not detected"}, None)]
+    for fn, merged, status, count, cex, data in rows:
+        monkeypatch.setitem(REGISTRY, "bracket_oracle", fn)
+        report = run_check("bracket_oracle", merged)
+        assert (report.status, report.cases, report.counterexample,
+                report.data) == (status, count, cex, data)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,8 +1047,10 @@ def test_checkparams_twist_defaults():
 def _reference_jacobi_sweep(level, memo, parity, triples, render, cases,
                             extra=None):
     """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] on every triple of
-    basis ids, expanded by bilinearity through the memo.  render maps a
-    terms dict to the expression grammar; extra ends a counterexample."""
+    basis ids, expanded by bilinearity through the memo: the case count
+    past cases, or (counterexample, cases) at the first failing triple.
+    render maps a terms dict to the expression grammar; extra ends a
+    counterexample."""
     for x, y, z in triples:
         cases += 1
         out = {}
@@ -1037,11 +1066,11 @@ def _reference_jacobi_sweep(level, memo, parity, triples, render, cases,
                 out[k2] = out.get(k2, 0) - s * c * c2
         if any(out.values()):
             key = memo.interned
-            raise verifier._Fail({
+            return {
                 "level": level, "x": render({key[x]: F(1)}),
                 "y": render({key[y]: F(1)}), "z": render({key[z]: F(1)}),
                 "defect": render({key[k]: c for k, c in out.items() if c}),
-                **(extra or {})}, cases)
+                **(extra or {})}, cases
     return cases
 
 
@@ -1068,12 +1097,16 @@ def _jacobi_levels(m, n, deg):
     return out
 
 
-def _outcome(sweep, *args):
-    """A sweep's case count, or its (counterexample, cases) on failure."""
+def _swept(level, memo, parity, batches, render, cases, extra=None):
+    """_jacobi_sweep drained into the reference's outcome: the cases it
+    yields past cases, or (counterexample, cases) on failure."""
     try:
-        return sweep(*args)
+        for count in verifier._jacobi_sweep(level, memo, parity, batches,
+                                            render, extra):
+            cases += count
     except verifier._Fail as e:
-        return e.cex, e.cases
+        return e.cex, cases
+    return cases
 
 
 def _both_sweeps(level, basis, pair, parity, render, plant=None,
@@ -1090,12 +1123,12 @@ def _both_sweeps(level, basis, pair, parity, render, plant=None,
     else:
         batches = [(y, z, (x,)) for x, y, z in triples]
     results = []
-    for sweep, todo in ((verifier._jacobi_sweep, batches),
+    for sweep, todo in ((_swept, batches),
                         (_reference_jacobi_sweep, triples)):
         memo = verifier._PairMemo(basis, pair)
         if plant:
             plant(memo)
-        got = _outcome(sweep, level, memo, parity, todo, render, 7)
+        got = sweep(level, memo, parity, todo, render, 7)
         results.append((got, set(_pairs(memo))))
     return results
 
@@ -1168,12 +1201,8 @@ def _ordered_verdict(level, memo, parity, render):
     """Whether every ordered triple passes, swept as check_jacobi falls
     back to it."""
     xs = range(len(parity))
-    try:
-        verifier._jacobi_sweep(level, memo, parity,
-                               ((y, z, xs) for y in xs for z in xs), render, 0)
-    except verifier._Fail:
-        return False
-    return True
+    return not isinstance(_swept(level, memo, parity, (
+        (y, z, xs) for y in xs for z in xs), render, 0), tuple)
 
 
 def _scaled(memo, i, j, scale):
@@ -1226,10 +1255,10 @@ def test_each_sorted_batch_reads_every_x_up_to_y():
         for y in range(size):
             for z in range(y, size):
                 xs = range(y + 1)
-                got = _outcome(verifier._jacobi_sweep, level, memo, parity,
-                               [(y, z, xs)], render, 0)
-                want = _outcome(_reference_jacobi_sweep, level, memo,
-                                parity, [(x, y, z) for x in xs], render, 0)
+                got = _swept(level, memo, parity, [(y, z, xs)], render, 0)
+                want = _reference_jacobi_sweep(level, memo, parity,
+                                               [(x, y, z) for x in xs],
+                                               render, 0)
                 assert got == want, (i, j, y, z)
                 at_y += isinstance(want, tuple) and want[1] == y + 1
     assert at_y
@@ -1287,7 +1316,7 @@ def _spied_jacobi(monkeypatch, params):
     seen = []
     sweep = verifier._jacobi_sweep
 
-    def spy(level, memo, parity, batches, render, cases, extra=None):
+    def spy(level, memo, parity, batches, render, extra=None):
         batches = list(batches)
         ids = range(len(parity))
         if batches == [(y, z, range(y + 1)) for y in ids
@@ -1299,7 +1328,7 @@ def _spied_jacobi(monkeypatch, params):
             assert {len(xs) for _, _, xs in batches} == {1}
             shape = "sampled %d" % len(batches)
         seen.append((level, len(parity), shape))
-        return sweep(level, memo, parity, batches, render, cases, extra)
+        return sweep(level, memo, parity, batches, render, extra)
 
     monkeypatch.setattr(verifier, "_jacobi_sweep", spy)
     return run_check("jacobi", params), seen
