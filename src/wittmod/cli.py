@@ -14,9 +14,9 @@ from types import SimpleNamespace
 # only the layers of a Witt bracket load with the module (the converters
 # load their own element types on first call); every other layer is
 # imported by the command that uses it.  config waits for the first
-# command, and argparse for a request not spelt canonically (see _scan).
-# A Witt bracket adds config alone, for the shape rule, and wh validates
-# its parameters without the verifier (see the package docstring)
+# command, and argparse, with the whole tree, for a request that _scan
+# refuses.  A Witt bracket adds config alone, for the shape rule, and wh
+# validates its parameters without the verifier (see the package docstring)
 from .expressions import (MAX_ECHO, ExpressionError, as_dressed, as_tensor,
                           as_witt, as_word, parse_expr, print_expr, quoted)
 from .witt import witt_bracket
@@ -160,11 +160,12 @@ def _exit_code(reports) -> int:
     return 1 if "fail" in statuses else 0
 
 
-def _answer(cmd, args) -> int:
-    """cmd(args), whichever parser read args: a parse or configuration
-    error is one error line and exit 2, any other exception a bug."""
+def _answer(args) -> int:
+    """Run the command that args.command names, whichever reader made args:
+    a parse or configuration error is one error line and exit 2, any
+    other exception a bug."""
     try:
-        return cmd(args)
+        return _COMMANDS[args.command][1](args)
     except ValueError as e:  # config loads only for an error
         from .config import ConfigError
         if not isinstance(e, (ExpressionError, ConfigError)):
@@ -231,11 +232,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The whole argparse tree, or with a command the parser of that
-    command alone.  Either way each command's parser comes from the same
-    add_subparsers().add_parser() call, so its prog ('wittmod bracket')
-    and usage lines are those of the tree."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree: a subparser for each command of the table."""
     import argparse
     import re
 
@@ -252,42 +250,37 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         prog="wittmod",
         description="Exact super Witt algebra and Whittaker module tool")
     sp = ap.add_subparsers(dest="command", required=True)
-    for name in [command] if command else _COMMANDS:
-        help_, cmd, arguments = _COMMANDS[name]
+    for name, (help_, _, arguments) in _COMMANDS.items():
         sub = sp.add_parser(name, help=help_)
         for arg, keywords in arguments:
             sub.add_argument(arg, **keywords)
-        sub.set_defaults(fn=functools.partial(_answer, cmd))
-    return sp.choices[command] if command else ap
+    return ap
 
 
 @functools.cache
-def _parser(command=None) -> argparse.ArgumentParser:
-    """The parser of one command, or with none the whole tree, built on
-    first use and kept for the process: a parser holds no per-request
-    state (prog is fixed, and errors go to the sys.stderr of the
-    moment)."""
-    return build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    """The tree, built on first use and kept for the process: it holds no
+    per-request state (prog is fixed, errors go to the current sys.stderr)."""
+    return build_parser()
 
 
 @functools.cache
 def _layout(command):
     """(positional names, flag -> (dest, add_argument keywords), the
     required flags, the namespace of no flags) of a command's table
-    entry, as its parser reads them."""
-    _, cmd, arguments = _COMMANDS[command]
+    entry, as the tree reads them."""
+    arguments = _COMMANDS[command][2]
     names = [arg for arg, _ in arguments if not arg.startswith("-")]
     flags = {arg: (arg[2:].replace("-", "_"), kw) for arg, kw in arguments
              if arg.startswith("-")}
     required = [arg for arg, (_, kw) in flags.items() if kw.get("required")]
     empty = dict.fromkeys(names)
     empty.update((dest, kw.get("default")) for dest, kw in flags.values())
-    empty["fn"] = functools.partial(_answer, cmd)
     return names, flags, required, empty
 
 
 def _scan(argv):
-    """The namespace that argv's command parser returns, read straight
+    """The namespace that the tree returns for argv, read straight
     from the table when argv is spelt canonically: exact flags, each at
     most once, as '--flag value' (a value that does not start with '-')
     or '--flag=value'; at most one '--', not last, everything after it
@@ -297,7 +290,7 @@ def _scan(argv):
     if not argv or argv[0] not in _COMMANDS:
         return None
     names, flags, required, empty = _layout(argv[0])
-    args, seen, positionals = dict(empty), set(), []
+    args, seen, positionals = dict(empty, command=argv[0]), set(), []
     tokens = iter(argv[1:])
     for token in tokens:
         if token == "--":
@@ -335,23 +328,16 @@ def run_command(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _scan(argv)
-    if args is not None:
-        return args.fn(args)
-    try:
-        # what the tree does, without classifying every argument of a
-        # command a second time: that command's parser reads the rest,
-        # and the tree reports what is left, each token cut alone (one may
-        # hold spaces)
-        if argv and argv[0] in _COMMANDS:
-            args, extras = _parser(argv[0]).parse_known_args(argv[1:])
-        else:
+    if args is None:
+        try:
+            # what the tree leaves is cut token by token: one may hold spaces
             args, extras = _parser().parse_known_args(argv)
-        if extras:
-            _parser().error("unrecognized arguments: %s"
-                            % " ".join(quoted(x, str) for x in extras))
-    except SystemExit as e:
-        return 2 if e.code else 0
-    return args.fn(args)
+            if extras:
+                _parser().error("unrecognized arguments: %s"
+                                % " ".join(quoted(x, str) for x in extras))
+        except SystemExit as e:
+            return 2 if e.code else 0
+    return _answer(args)
 
 
 def main() -> None:

@@ -30,29 +30,35 @@ built.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from operator import add, mul
 
 from .expressions import MAX_ECHO, MAX_PATH, max_digits, quoted
-from .superpoly import exact
+from .superpoly import check_literal, exact
 
 
 class ConfigError(ValueError):
     pass
 
 
+BLANKS = " \t\r\n"  # those the expression tokenizer skips
+
+
+def read_int(text):
+    """int(text), once stripped of BLANKS, if it passes check_literal."""
+    return int(check_literal(text.strip(BLANKS)))
+
+
 def parse_rational(text):
     """A rational literal under superpoly.exact's rule, bounded before
     Fraction expands an exponent: its longest part's digits plus the
-    exponent may not pass max_digits.  Once stripped it is plain ASCII with
-    no "_" and no blank, the grammar Fraction reads on every Python."""
-    body = text.strip()
+    exponent may not pass max_digits.  Once stripped of BLANKS it passes
+    check_literal."""
+    body = text.strip(BLANKS)
     mantissa, _, exponent = body.lower().partition("e")
     try:
-        bad = [ch for ch in body
-               if ch == "_" or ch.isspace() or not ch.isascii()]
-        if bad:
-            raise ValueError("%r is not part of a rational" % bad[0])
+        check_literal(body)
         size = max(sum(map(str.isdigit, part)) for part in mantissa.split("/"))
         if size + (abs(int(exponent)) if exponent else 0) > max_digits():
             raise ValueError("more than %d digits" % max_digits())
@@ -69,8 +75,8 @@ def parse_twist(value, m, name="twist vector", required=False) -> tuple:
     calls the vector."""
     if not value and not required:
         return (1,) * m
-    parts = value.replace(",", " ").split() if isinstance(value, str) \
-        else value
+    parts = [p for p in re.split("[,%s]" % BLANKS, value) if p] \
+        if isinstance(value, str) else value
     if len(parts) != m:
         raise ConfigError("%s needs %d entries, got %d"
                           % (name, m, len(parts)))
@@ -141,7 +147,7 @@ def _plan_rep(descriptor, m, n):
         return 1, lambda: glmn.trivial_rep(m, n)
     if d.startswith("trivial:"):
         try:
-            k = int(d.split(":", 1)[1])
+            k = read_int(d.split(":", 1)[1])
         except ValueError:
             raise ConfigError("bad trivial dimension in %s" % quoted(d))
         if k < 1:
@@ -185,7 +191,7 @@ def load_rep_file(path, m, n) -> Rep:
     if not bits:
         raise ConfigError("rep file %s: no basis parities" % shown)
     try:
-        parities = tuple(int(b) for b in bits)
+        parities = tuple(read_int(b) for b in bits)
     except ValueError:
         raise ConfigError("rep file %s: parities must be 0/1" % shown)
     if any(p not in (0, 1) for p in parities):
@@ -200,7 +206,7 @@ def load_rep_file(path, m, n) -> Rep:
             raise ConfigError("rep file %s: bad matrix line %s"
                               % (shown, quoted(ln)))
         try:
-            i, j = int(parts[1]), int(parts[2])
+            i, j = read_int(parts[1]), read_int(parts[2])
         except ValueError:
             raise ConfigError("rep file %s: bad unit indices in %s"
                               % (shown, quoted(ln)))
@@ -293,16 +299,14 @@ def _coerce(name, value, label=None):
     as given: it is parsed once m is known.  An error calls the value
     label, by default 'key <name>'."""
     kind = _FIELDS[name][0]
-    if isinstance(value, str) and kind is not tuple:
+    if isinstance(value, str) and kind is int:
+        try:
+            value = read_int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, str) and kind is not tuple:
         text = value.strip()
-        if kind is int:
-            try:
-                value = int(text)
-            except ValueError:
-                pass
-        else:
-            value = _BOOLEANS.get(text.lower(), value) if kind is bool \
-                else text
+        value = _BOOLEANS.get(text.lower(), value) if kind is bool else text
     if type(value) is kind or kind is tuple and (
             value is None or isinstance(value, (str, list))):
         return value

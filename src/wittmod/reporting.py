@@ -11,7 +11,7 @@ import os
 import time
 
 from . import __version__
-from .config import ConfigError
+from .config import ConfigError, read_int
 from .expressions import MAX_PATH, quoted
 
 
@@ -20,7 +20,7 @@ def _timestamp(stable: bool) -> str:
     an integer from 0 to 253402300799 (end of year 9999) is a ConfigError."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
-        t = int(epoch) if epoch is not None else 0 if stable else \
+        t = read_int(epoch) if epoch is not None else 0 if stable else \
             int(time.time())
     except ValueError:
         t = -1

@@ -21,18 +21,28 @@ from itertools import combinations
 Mono = tuple  # (alpha: tuple[int, ...], imask: int)
 
 
+def check_literal(text):
+    """text, if it is plain ASCII with no "_" and no blank: the grammar of
+    a number that int() and Fraction read alike on every Python (they also
+    read Unicode digits and blanks, and "_").  Else a ValueError."""
+    for ch in text:
+        if ch == "_" or ch.isspace() or not ch.isascii():
+            raise ValueError("%r is not part of a rational" % ch)
+    return text
+
+
 def exact(value):
     """A value under the one coefficient rule: an int when it is integral,
     else a Fraction.  A float raises TypeError: its binary expansion is
     almost never the number meant (0.1 is not 1/10).  So does a bool,
-    which is a truth value, not a number."""
+    which is a truth value, not a number.  Text passes check_literal."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
         if isinstance(value, (float, bool)):
             raise TypeError("exact values only, got the %s %r"
                             % (type(value).__name__, value))
-        value = Fraction(value)
+        value = Fraction(check_literal(value) if type(value) is str else value)
     return value.numerator if value.denominator == 1 else value
 
 

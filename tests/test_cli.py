@@ -800,20 +800,26 @@ def _unknown_key_config(tmp_path):
     (["--deg", "5"], "deg must be <= 4, got 5"),
     (["--rmax", "17"], "rmax must be <= 16, got 17"),
     (["--trials", "1001"], "trials must be <= 1000, got 1001"),
+    # int() read an Arabic-Indic digit: verify ran one trial
+    (["--trials", "\u0661"], "key trials must be an integer, got '\u0661'"),
     (["--height", "9"], "height must be <= 8, got 9"),
     (["--rep", "trivial:257"], "rep dimension must be <= 256, got 257"),
     (["--rep", NESTED_65], "rep descriptors nest at most 64 combinators "
                            "deep"),
     (["--rep", "bogus"], "unknown rep descriptor 'bogus'"),
     (["--a", "1e5000"], "bad rational '1e5000': more than 4300 digits"),
+    # a no-break space was stripped: a = 2 was read
+    (["--a", "\u00a02"], "bad rational '\\xa02': '\\xa0' is not part of "
+                         "a rational"),
     (["--m", "0", "--n", "0"], "empty shape: m and n are both 0"),
     (["--a", "1, 2"], "twist vector needs 1 entries, got 2"),
     (_unknown_key_config, "unknown key 'bogus' in [run]"),
     (["--mode", "bogus"], "check jacobi has no mode 'bogus' (modes: "
                           "corrected, mutated)"),
-], ids=["m", "n", "D", "deg", "rmax", "trials", "height", "rep-dimension",
-        "rep-nesting", "rep-unknown", "rational", "empty-shape",
-        "twist-length", "unknown-key", "unknown-mode"])
+], ids=["m", "n", "D", "deg", "rmax", "trials", "trials-digit", "height",
+        "rep-dimension", "rep-nesting", "rep-unknown", "rational",
+        "rational-blank", "empty-shape", "twist-length", "unknown-key",
+        "unknown-mode"])
 def test_readme_configuration_errors_exit_2_before_any_check(
         tmp_path, capsys, monkeypatch, flags, message):
     if callable(flags):
@@ -1394,8 +1400,8 @@ def test_a_rejected_run_never_loads_the_verifier(monkeypatch, argv, env, err):
 
 
 # a twist, a rep and a mode first, then requests that rely on the defaults,
-# then usage errors, the last two answered by the whole tree: the parsers kept
-# for the process must carry nothing between requests
+# then usage errors, each answered by the whole tree: the tree kept for the
+# process must carry nothing between requests
 BACK_TO_BACK = [
     ["act", "dt1", "t1 @ e1", "--m", "1", "--n", "1", "--a", "3/2",
      "--rep", "tensor(natural,natural)"],
@@ -1418,8 +1424,9 @@ def test_requests_in_one_process_match_each_run_alone(capsys, monkeypatch):
     assert [rc for rc, _, _ in together] == [0, 0, 0, 0, 2, 2, 2, 2]
 
 
-# usage errors and help at each level: run_command parses a command with its
-# own parser, and must answer as the whole tree does
+# usage errors and help at each level, and requests that _scan reads: through
+# _scan or the tree kept for the process, run_command must answer as a fresh
+# tree does
 PARSER_CASES = [
     [],
     ["-h"],
@@ -1452,7 +1459,7 @@ def run_through_tree(capsys, argv):
     except SystemExit as e:
         rc = 2 if e.code else 0
     else:
-        rc = args.fn(args)
+        rc = cli._answer(args)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -1465,12 +1472,11 @@ def test_command_parser_answers_as_the_tree(capsys, monkeypatch, argv):
 
 
 # _scan reads a canonically spelt request from the argument table and must
-# read it as the command's parser does; any other request it leaves to
-# argparse (None)
+# read it as the tree does; any other request it leaves to argparse (None)
 def scanned_as_parsed(argv):
     """Whether _scan accepts argv.  It raises nothing and prints nothing,
-    and when it accepts, its vars() are what the command's parser returns,
-    with no extras and fn compared by the function it calls."""
+    and when it accepts, its vars() are those of the tree's namespace,
+    command included, with no extras."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         scanned = cli._scan(argv)
@@ -1479,17 +1485,11 @@ def scanned_as_parsed(argv):
         return False
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            parsed, extras = cli._parser(argv[0]).parse_known_args(argv[1:])
+            parsed, extras = cli._parser().parse_known_args(argv)
     except SystemExit:
-        pytest.fail("%r scanned, but its parser says %s" % (argv,
-                                                            err.getvalue()))
-
-    def read(namespace):
-        values = dict(vars(namespace))
-        fn = values.pop("fn")
-        return values, (fn.func, fn.args, fn.keywords)
-
-    assert (read(scanned), extras) == (read(parsed), [])
+        pytest.fail("%r scanned, but the tree says %s" % (argv,
+                                                          err.getvalue()))
+    assert (vars(scanned), extras) == (vars(parsed), [])
     return True
 
 
@@ -1547,41 +1547,51 @@ def test_scan_reads_drawn_requests_as_the_parser(argv):
     scanned_as_parsed(argv)
 
 
-# a fresh interpreter lists the parsers it built for the command in argv
+# a fresh interpreter runs the requests of the JSON list in argv[1] and
+# reports their exit codes and the arguments of each build_parser call
 BUILDS = """
 import json, sys
 import wittmod.cli as cli
 built, build = [], cli.build_parser
-def recorded(command=None):
-    built.append(command)
-    return build(command)
+def recorded(*args):
+    built.append(args)
+    return build(*args)
 cli.build_parser = recorded
-assert cli.run_command(sys.argv[1:]) == 0
-print(json.dumps(built))
+codes = [cli.run_command(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, built]))
 """
 
 
-def test_a_command_builds_its_own_parser_alone():
+def builds(*argvs):
+    """(stdout lines before the record, exit codes, build_parser calls) of
+    the requests argvs run in one fresh interpreter."""
+    done = run_python(["-c", BUILDS, json.dumps(argvs)])
+    assert done.stdout, done.stderr
+    *out, record = done.stdout.splitlines()
+    return (out, *json.loads(record))
+
+
+def test_a_request_that_scan_refuses_builds_the_tree_once():
     # a canonical request is read from the argument table: no parser
-    done = run_python(["-c", BUILDS, "bracket", "dt1", "t1*dt1"])
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["dt1", "[]"]
-    # any other spelling builds one parser, that of its command, and never
-    # the whole tree (None)
-    done = run_python(["-c", BUILDS, "bracket", "dt1", "t1*dt1", "-h"])
-    assert done.returncode == 0, done.stderr
-    *out, built = done.stdout.splitlines()
+    assert builds(["bracket", "dt1", "t1*dt1"]) == (["dt1"], [0], [])
+    # any other spelling builds the whole tree, not its command's parser
+    out, codes, built = builds(["bracket", "dt1", "t1*dt1", "-h"])
     assert out[0].startswith("usage: wittmod bracket ")
-    assert json.loads(built) == ["bracket"]
+    assert (codes, built) == ([0], [[]])
+    # which the process keeps for its next such request
+    assert builds(["bracket", "dt1"], ["frobnicate", "dt1"]) == (
+        [], [2, 2], [[]])
 
 
 def test_flags_leave_types_and_defaults_to_config():
     # a run-parameter flag is a name and help text: config types, defaults,
     # bounds and echoes its text as it does an INI value
     keys = set(CheckParams.keys())
+    subparsers = next(a for a in build_parser()._actions
+                      if a.dest == "command").choices
     for command in ("bracket", "act", "wh", "descent", "weighting", "verify",
                     "report"):
-        actions = [a for a in build_parser(command)._actions
+        actions = [a for a in subparsers[command]._actions
                    if a.dest in keys]
         assert actions, command
         assert [a.dest for a in actions

@@ -7,9 +7,11 @@ import pytest
 from wittmod.cli import build_parser
 from wittmod import glmn
 from wittmod.config import (CHECKS, MAX_REP_DIM, MAX_REP_NESTING,
-                            CheckParams, ConfigError, load_rep_file,
+                            CheckParams, ConfigError, _coerce, load_rep_file,
                             parse_rational, parse_twist, plan_run,
                             resolve_rep)
+from wittmod.expressions import MAX_PATH, quoted
+from wittmod.reporting import _timestamp
 from wittmod.verifier import REGISTRY, run_check
 from wittmod.glmn import natural_rep, verify_rep
 
@@ -37,6 +39,16 @@ def test_parse_rational_reads_one_grammar_on_every_python():
     with pytest.raises(ConfigError, match="bad rational"):
         parse_twist(["1 / 2"], 1)
     assert parse_rational(" 1/2\n") == F(1, 2)
+    # only the blanks the expression tokenizer skips stand around a number
+    # or between the entries of a vector
+    with pytest.raises(ConfigError) as err:
+        parse_rational("\u00a02")
+    assert str(err.value) == "bad rational %s: '\\xa0' is not part of a " \
+        "rational" % quoted("\u00a02")
+    with pytest.raises(ConfigError) as err:
+        parse_twist("1\u30002", 2)
+    assert str(err.value) == "twist vector needs 2 entries, got 1"
+    assert parse_twist("\t1,\r\n2 ", 2) == (1, 2)
 
 
 def test_parse_rational_bounds_digits_before_expanding():
@@ -64,6 +76,55 @@ def test_parse_twist():
         parse_twist("1", 2)
     with pytest.raises(ConfigError):
         parse_twist("1,2,3", 2)
+
+
+def _rep_file(tmp_path, text):
+    """The path of a rep file of gl(1|0) that holds text."""
+    f = tmp_path / "r.rep"
+    f.write_text(text, encoding="utf-8")
+    return str(f)
+
+
+# an integer that a user types is an optional sign and ASCII digits, with
+# the tokenizer's blanks around them; int() alone also read Unicode digits
+# and blanks and "_".  Each site: (its call on a text, a text that int()
+# read, the site's message for it ({path}: the rep file's), a text that
+# spells the same integer in ASCII)
+ASCII_INT_SITES = {
+    "coerce": (lambda tmp_path, t: _coerce("D", t), "\u00a03",
+               "key D must be an integer, got %s" % quoted("\u00a03"),
+               " 3\t"),
+    "trivial": (lambda tmp_path, t: resolve_rep("trivial:" + t, 1, 0),
+                "\u0662", "bad trivial dimension in %s"
+                % quoted("trivial:\u0662"), "2"),
+    "rep-parity": (lambda tmp_path, t: load_rep_file(
+        _rep_file(tmp_path, "dim %s\nE 1 1 : 1\n" % t), 1, 0), "\u0660",
+        "rep file {path}: parities must be 0/1", "0"),
+    "rep-unit": (lambda tmp_path, t: load_rep_file(
+        _rep_file(tmp_path, "dim 0\nE %s 1 : 1\n" % t), 1, 0), "\u0661",
+        "rep file {path}: bad unit indices in %s"
+        % quoted("E \u0661 1 : 1"), "1"),
+    "seed-env": (lambda tmp_path, t: plan_run(None, "jacobi", {}), "1_0",
+                 "WITTMOD_SEED must be an integer, got '1_0'", " 10\n"),
+    "epoch": (lambda tmp_path, t: _timestamp(True), "\u0661",
+              "SOURCE_DATE_EPOCH must be an integer from 0 to 253402300799, "
+              "got %s" % quoted("\u0661"), "1\r\n"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ASCII_INT_SITES))
+def test_integers_typed_by_a_user_are_read_as_ascii(tmp_path, monkeypatch,
+                                                    site):
+    call, text, message, ascii_text = ASCII_INT_SITES[site]
+    path = quoted(str(tmp_path / "r.rep"), str, MAX_PATH)
+    for env in ("WITTMOD_SEED", "SOURCE_DATE_EPOCH"):
+        monkeypatch.setenv(env, text)
+    with pytest.raises(ConfigError) as err:
+        call(tmp_path, text)
+    assert str(err.value) == message.format(path=path)
+    for env in ("WITTMOD_SEED", "SOURCE_DATE_EPOCH"):
+        monkeypatch.setenv(env, ascii_text)
+    call(tmp_path, ascii_text)
 
 
 def test_resolve_rep_descriptors():

@@ -163,6 +163,13 @@ LIBRARY_REJECTIONS = [
      "exact values only, got the float 2.0", TypeError),
     ("exact-bool", lambda: superpoly.exact(True),
      "exact values only, got the bool True", TypeError),
+    ("exact-digit", lambda: superpoly.exact("\u0661"),
+     "'\u0661' is not part of a rational"),
+    ("exact-underscore", lambda: superpoly.exact("1_0"),
+     "'_' is not part of a rational"),
+    ("modulespec-digit-twist", lambda: tensor_modules.ModuleSpec(
+        1, 1, ["\u0661"], glmn.natural_rep(1, 1)),
+     "'\u0661' is not part of a rational"),
     ("modulespec-bool-twist", lambda: tensor_modules.ModuleSpec(
         1, 1, [True], glmn.natural_rep(1, 1)),
      "exact values only, got the bool True", TypeError),
